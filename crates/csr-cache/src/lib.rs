@@ -46,6 +46,7 @@
 
 mod cache;
 mod policy;
+mod region;
 mod selector;
 mod shard;
 mod stats;

@@ -3,9 +3,11 @@
 use csr::etd::{EtdConfig, EtdSet};
 use csr::{
     AclCore, BclCore, CampCore, DclCore, EvictionPolicy, GdCore, GdsfCore, LfudaCore, LruCore,
-    Observer, S3FifoCore, SlruCore,
+    NopObserver, Observer, S3FifoCore, SlruCore,
 };
 use std::sync::Arc;
+
+use crate::region::BoxedCore;
 
 /// A decision observer shareable across shards and threads — what
 /// [`CacheBuilder::observer`](crate::CacheBuilder::observer) accepts and
@@ -117,33 +119,9 @@ impl Policy {
         Policy::ALL.into_iter().find(|p| norm(p.name()) == wanted)
     }
 
-    /// Builds the policy core for one shard of `ways` entries.
-    #[must_use]
-    pub fn build_core(self, ways: usize) -> Box<dyn EvictionPolicy + Send> {
-        match self {
-            Policy::Lru => Box::new(LruCore::new()),
-            Policy::Gd => Box::new(GdCore::new(ways)),
-            Policy::Bcl => Box::new(BclCore::new()),
-            Policy::Dcl => Box::new(DclCore::new(shard_etd(ways))),
-            Policy::Acl => Box::new(AclCore::new(shard_etd(ways))),
-            Policy::S3Fifo => Box::new(S3FifoCore::new(ways)),
-            Policy::Slru => Box::new(SlruCore::new(ways)),
-            Policy::Lfuda => Box::new(LfudaCore::new(ways)),
-            Policy::Gdsf => Box::new(GdsfCore::new(ways)),
-            Policy::Camp => Box::new(CampCore::new(ways)),
-        }
-    }
-
-    /// Builds the policy core for one shard of `ways` entries with a
-    /// decision observer attached: every hit, miss, eviction, reservation,
-    /// depreciation, ETD hit and automaton flip the core decides is
-    /// delivered to `obs`.
-    #[must_use]
-    pub fn build_core_observed(
-        self,
-        ways: usize,
-        obs: SharedObserver,
-    ) -> Box<dyn EvictionPolicy + Send> {
+    /// The policy → core mapping, written once: the core for one region of
+    /// `ways` entries, reporting its decisions to `obs`.
+    fn build_core_with<O: Observer + Send + 'static>(self, ways: usize, obs: O) -> BoxedCore {
         match self {
             Policy::Lru => Box::new(LruCore::new().with_observer(obs)),
             Policy::Gd => Box::new(GdCore::new(ways).with_observer(obs)),
@@ -156,6 +134,25 @@ impl Policy {
             Policy::Gdsf => Box::new(GdsfCore::new(ways).with_observer(obs)),
             Policy::Camp => Box::new(CampCore::new(ways).with_observer(obs)),
         }
+    }
+
+    /// Builds the policy core for one shard of `ways` entries.
+    #[must_use]
+    pub fn build_core(self, ways: usize) -> Box<dyn EvictionPolicy + Send> {
+        self.build_core_with(ways, NopObserver)
+    }
+
+    /// Builds the policy core for one shard of `ways` entries with a
+    /// decision observer attached: every hit, miss, eviction, reservation,
+    /// depreciation, ETD hit and automaton flip the core decides is
+    /// delivered to `obs`.
+    #[must_use]
+    pub fn build_core_observed(
+        self,
+        ways: usize,
+        obs: SharedObserver,
+    ) -> Box<dyn EvictionPolicy + Send> {
+        self.build_core_with(ways, obs)
     }
 }
 

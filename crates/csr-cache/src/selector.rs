@@ -27,14 +27,14 @@
 //! Every flip emits the `policy_flip` observer event and bumps the
 //! `csr_cache_selector_*` metrics family.
 
-use cache_sim::{BlockAddr, Cost, SetView, Way, WayView};
-use csr::EvictionPolicy;
+use cache_sim::BlockAddr;
 use csr_obs::{Counter, Registry};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::policy::{Policy, SharedObserver};
+use crate::region::{BoxedCore, Region};
 
 /// Configures the per-shard adaptive policy selector
 /// ([`CacheBuilder::adaptive`](crate::CacheBuilder::adaptive)).
@@ -223,127 +223,30 @@ impl SelectorShared {
     }
 }
 
-/// One slot of a ghost cache: key identity, modeled cost, recency links.
-struct GhostSlot {
-    id: BlockAddr,
-    cost: u64,
-    prev: u32,
-    next: u32,
-}
-
-const NIL: u32 = u32::MAX;
-
 /// A key-only miniature of a shard driven by a real policy core: the same
-/// slab + intrusive recency list as the shard itself, minus values, locks
-/// and flights. Deterministic given the id sequence.
+/// [`Region`] as the shard itself, minus values, locks and flights.
+/// Deterministic given the id sequence.
 struct Ghost {
-    core: Box<dyn EvictionPolicy + Send>,
     map: HashMap<u64, u32>,
-    slots: Vec<Option<GhostSlot>>,
-    free: Vec<u32>,
-    head: u32,
-    tail: u32,
-    capacity: usize,
+    region: Region<()>,
 }
 
 impl Ghost {
     fn new(policy: Policy, capacity: usize) -> Self {
+        let capacity = capacity.max(1);
         Ghost {
-            core: policy.build_core(capacity),
             map: HashMap::with_capacity(capacity),
-            slots: Vec::with_capacity(capacity),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            capacity: capacity.max(1),
+            region: Region::new(capacity, policy.build_core(capacity)),
         }
-    }
-
-    fn slot(&self, i: u32) -> &GhostSlot {
-        self.slots[i as usize]
-            .as_ref()
-            .expect("linked ghost slot must be occupied")
-    }
-
-    fn slot_mut(&mut self, i: u32) -> &mut GhostSlot {
-        self.slots[i as usize]
-            .as_mut()
-            .expect("linked ghost slot must be occupied")
-    }
-
-    fn unlink(&mut self, i: u32) {
-        let (prev, next) = {
-            let s = self.slot(i);
-            (s.prev, s.next)
-        };
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.slot_mut(prev).next = next;
-        }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.slot_mut(next).prev = prev;
-        }
-    }
-
-    fn push_front(&mut self, i: u32) {
-        let old_head = self.head;
-        {
-            let s = self.slot_mut(i);
-            s.prev = NIL;
-            s.next = old_head;
-        }
-        if old_head != NIL {
-            self.slot_mut(old_head).prev = i;
-        }
-        self.head = i;
-        if self.tail == NIL {
-            self.tail = i;
-        }
-    }
-
-    fn lru_of(&self) -> Option<(BlockAddr, Cost)> {
-        if self.tail == NIL {
-            None
-        } else {
-            let s = self.slot(self.tail);
-            Some((s.id, Cost(s.cost)))
-        }
-    }
-
-    fn view_entries(&self) -> Vec<WayView> {
-        let mut out = Vec::with_capacity(self.map.len());
-        let mut cur = self.head;
-        while cur != NIL {
-            let s = self.slot(cur);
-            out.push(WayView {
-                way: Way(cur as usize),
-                block: s.id,
-                cost: Cost(s.cost),
-                dirty: false,
-            });
-            cur = s.next;
-        }
-        out
     }
 
     /// A shadow lookup: on a hit, promotes and returns the stored cost (the
     /// modeled saving); on a miss, notifies the core and returns `None`.
     fn touch(&mut self, id: BlockAddr) -> Option<u64> {
-        match self.map.get(&id.0).copied() {
-            Some(i) => {
-                let is_lru = self.tail == i;
-                let cost = self.slot(i).cost;
-                self.core.on_hit(id, Way(i as usize), Cost(cost), is_lru);
-                self.unlink(i);
-                self.push_front(i);
-                Some(cost)
-            }
+        match self.map.get(&id.0) {
+            Some(&i) => Some(self.region.touch(i).cost),
             None => {
-                let lru = self.lru_of();
-                self.core.on_miss(id, lru);
+                self.region.miss(id);
                 None
             }
         }
@@ -352,62 +255,29 @@ impl Ghost {
     /// A shadow fill: inserts (evicting per the candidate core if full) or
     /// refreshes the stored cost of a resident key.
     fn fill(&mut self, id: BlockAddr, cost: u64) {
-        if let Some(i) = self.map.get(&id.0).copied() {
-            let is_lru = self.tail == i;
-            let old = self.slot(i).cost;
-            self.core.on_hit(id, Way(i as usize), Cost(old), is_lru);
-            self.unlink(i);
-            self.push_front(i);
-            self.core.on_fill(id, Way(i as usize), Cost(cost));
-            self.slot_mut(i).cost = cost;
+        if let Some(&i) = self.map.get(&id.0) {
+            self.region.refresh(i, cost);
             return;
         }
-        let lru = self.lru_of();
-        self.core.on_miss(id, lru);
-        if self.map.len() == self.capacity {
-            let entries = self.view_entries();
-            let victim = self.core.victim(&SetView::new(&entries));
-            let vi = victim.0 as u32;
-            self.unlink(vi);
-            let evicted = self.slots[vi as usize]
-                .take()
-                .expect("ghost victim slot must be occupied");
-            self.map.remove(&evicted.id.0);
-            self.free.push(vi);
+        let (i, evicted) = self.region.insert(id, cost, ());
+        if let Some(evicted) = evicted {
+            self.map.remove(&evicted.slot.id.0);
         }
-        let i = match self.free.pop() {
-            Some(i) => i,
-            None => {
-                self.slots.push(None);
-                (self.slots.len() - 1) as u32
-            }
-        };
-        self.slots[i as usize] = Some(GhostSlot {
-            id,
-            cost,
-            prev: NIL,
-            next: NIL,
-        });
         self.map.insert(id.0, i);
-        self.push_front(i);
-        self.core.on_fill(id, Way(i as usize), Cost(cost));
     }
 
     fn remove(&mut self, id: BlockAddr) {
         if let Some(i) = self.map.remove(&id.0) {
-            self.unlink(i);
-            self.slots[i as usize] = None;
-            self.free.push(i);
-            self.core.on_remove(id);
+            self.region.remove(i);
         }
     }
 }
 
 /// The outcome of a sampled operation: when a flip fired, the replacement
 /// core (already observed, if the cache has an observer) the shard must
-/// install via its warm `swap_policy`.
+/// install via its region's warm `swap_core`.
 pub(crate) struct FlipDecision {
-    pub(crate) core: Box<dyn EvictionPolicy + Send>,
+    pub(crate) core: BoxedCore,
 }
 
 /// Per-shard selector state: two ghost caches, the current epoch's scores,

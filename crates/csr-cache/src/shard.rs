@@ -1,6 +1,6 @@
-//! One independently locked shard: a slab of entries threaded on an
-//! intrusive doubly linked recency list, an index map, and a pluggable
-//! [`EvictionPolicy`] core.
+//! One independently locked shard: a key index over a [`Region`] (slab,
+//! recency list and policy core), plus the single-flight fetch table,
+//! counters and the optional adaptive selector.
 //!
 //! A shard is to the key-value cache what one set is to a hardware cache:
 //! the policy core sees the shard as a single replacement region whose
@@ -10,20 +10,17 @@
 //! never affect correctness of the key-value mapping itself, which always
 //! compares full keys.
 
-use cache_sim::{BlockAddr, Cost, SetView, Way, WayView};
-use csr::EvictionPolicy;
+use cache_sim::BlockAddr;
 use csr_obs::{Histogram, Registry};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
+use crate::region::{BoxedCore, Region};
 use crate::selector::SelectorCell;
 use crate::stats::CacheStats;
-
-/// Sentinel slot index for list ends.
-const NIL: u32 = u32::MAX;
 
 /// Per-shard counters: mutated under the shard lock, loaded without it.
 #[derive(Debug, Default)]
@@ -114,7 +111,11 @@ impl OpTimer {
 
     /// Starts a timer for one in every `sample_every` calls.
     fn maybe_start(&self) -> Option<Instant> {
-        if self.ticker.fetch_add(1, Ordering::Relaxed).is_multiple_of(self.sample_every) {
+        if self
+            .ticker
+            .fetch_add(1, Ordering::Relaxed)
+            .is_multiple_of(self.sample_every)
+        {
             Some(Instant::now())
         } else {
             None
@@ -198,120 +199,23 @@ struct FlightGuard<'a, K: Hash + Eq, V> {
 impl<K: Hash + Eq, V> Drop for FlightGuard<'_, K, V> {
     fn drop(&mut self) {
         if let Some(key) = self.key.take() {
+            // A destructor must not panic: if the leader is already
+            // unwinding with `inflight` held (a poisoned shard made its
+            // insert panic), a second panic here would abort the process.
+            // Removing one key leaves the table valid at every step.
             self.inflight
                 .lock()
-                .expect("inflight lock poisoned")
+                .unwrap_or_else(PoisonError::into_inner)
                 .remove(&key);
             self.flight.resolve(FlightState::Failed);
         }
     }
 }
 
-/// One slab entry: the key-value pair plus its recency-list links.
-struct Slot<K, V> {
-    key: K,
-    value: V,
-    /// Miss cost as computed by the cache's cost function at fill time.
-    cost: u64,
-    /// Stable policy-visible identity: the 64-bit hash of the key.
-    id: BlockAddr,
-    prev: u32,
-    next: u32,
-}
-
 struct ShardState<K, V, S> {
-    /// key -> slab slot.
+    /// key -> region slot.
     map: HashMap<K, u32, S>,
-    slots: Vec<Option<Slot<K, V>>>,
-    free: Vec<u32>,
-    /// MRU end of the recency list.
-    head: u32,
-    /// LRU end of the recency list.
-    tail: u32,
-    policy: Box<dyn EvictionPolicy + Send>,
-}
-
-impl<K, V, S> ShardState<K, V, S> {
-    fn slot(&self, i: u32) -> &Slot<K, V> {
-        self.slots[i as usize]
-            .as_ref()
-            .expect("linked slot must be occupied")
-    }
-
-    fn slot_mut(&mut self, i: u32) -> &mut Slot<K, V> {
-        self.slots[i as usize]
-            .as_mut()
-            .expect("linked slot must be occupied")
-    }
-
-    fn unlink(&mut self, i: u32) {
-        let (prev, next) = {
-            let s = self.slot(i);
-            (s.prev, s.next)
-        };
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.slot_mut(prev).next = next;
-        }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.slot_mut(next).prev = prev;
-        }
-    }
-
-    fn push_front(&mut self, i: u32) {
-        let old_head = self.head;
-        {
-            let s = self.slot_mut(i);
-            s.prev = NIL;
-            s.next = old_head;
-        }
-        if old_head != NIL {
-            self.slot_mut(old_head).prev = i;
-        }
-        self.head = i;
-        if self.tail == NIL {
-            self.tail = i;
-        }
-    }
-
-    fn move_to_front(&mut self, i: u32) {
-        if self.head != i {
-            self.unlink(i);
-            self.push_front(i);
-        }
-    }
-
-    /// `(id, cost)` of the LRU entry, if any — what the policy cores call
-    /// the LRU block.
-    fn lru_of(&self) -> Option<(BlockAddr, Cost)> {
-        if self.tail == NIL {
-            None
-        } else {
-            let s = self.slot(self.tail);
-            Some((s.id, Cost(s.cost)))
-        }
-    }
-
-    /// Materializes the recency stack MRU → LRU for victim selection (the
-    /// only O(capacity) step; runs once per eviction).
-    fn view_entries(&self) -> Vec<WayView> {
-        let mut out = Vec::with_capacity(self.map.len());
-        let mut cur = self.head;
-        while cur != NIL {
-            let s = self.slot(cur);
-            out.push(WayView {
-                way: Way(cur as usize),
-                block: s.id,
-                cost: Cost(s.cost),
-                dirty: false,
-            });
-            cur = s.next;
-        }
-        out
-    }
+    region: Region<(K, V)>,
 }
 
 pub(crate) struct Shard<K, V, S> {
@@ -333,24 +237,16 @@ pub(crate) struct Shard<K, V, S> {
 impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
     pub(crate) fn new(
         capacity: usize,
-        policy: Box<dyn EvictionPolicy + Send>,
+        policy: BoxedCore,
         hasher: S,
         metrics: Option<ShardMetrics>,
         selector: Option<SelectorCell>,
     ) -> Self {
         assert!(capacity > 0, "shard capacity must be positive");
-        assert!(
-            capacity < NIL as usize,
-            "shard capacity must fit in a u32 slot index"
-        );
         Shard {
             state: Mutex::new(ShardState {
                 map: HashMap::with_capacity_and_hasher(capacity, hasher),
-                slots: Vec::with_capacity(capacity),
-                free: Vec::new(),
-                head: NIL,
-                tail: NIL,
-                policy,
+                region: Region::new(capacity, policy),
             }),
             inflight: Mutex::new(HashMap::new()),
             counters: ShardCounters::default(),
@@ -364,23 +260,6 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
     /// the selector is enabled.
     pub(crate) fn live_policy_name(&self) -> Option<&'static str> {
         self.selector.as_ref().map(SelectorCell::live_name)
-    }
-
-    /// Hot-swaps the live policy core: the incoming core is warmed by
-    /// replaying the resident entries as fills, LRU first, so its view of
-    /// the recency order matches the shard's — then it simply takes over.
-    fn swap_policy(&self, mut core: Box<dyn EvictionPolicy + Send>) {
-        let mut st = self.lock();
-        let mut cur = st.tail;
-        while cur != NIL {
-            let (id, way, cost, prev) = {
-                let s = st.slot(cur);
-                (s.id, Way(cur as usize), Cost(s.cost), s.prev)
-            };
-            core.on_fill(id, way, cost);
-            cur = prev;
-        }
-        st.policy = core;
     }
 
     pub(crate) fn capacity(&self) -> usize {
@@ -413,20 +292,12 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
         let mut st = self.lock();
         let result = match st.map.get(key).copied() {
             Some(i) => {
-                let is_lru = st.tail == i;
-                let (sid, way, cost) = {
-                    let s = st.slot(i);
-                    (s.id, Way(i as usize), Cost(s.cost))
-                };
-                st.policy.on_hit(sid, way, cost, is_lru);
-                st.move_to_front(i);
-                let value = st.slot(i).value.clone();
+                let value = st.region.touch(i).payload.1.clone();
                 ShardCounters::bump(&self.counters.hits);
                 Some(value)
             }
             None => {
-                let lru = st.lru_of();
-                st.policy.on_miss(id, lru);
+                st.region.miss(id);
                 ShardCounters::bump(&self.counters.misses);
                 None
             }
@@ -435,7 +306,7 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
         if let Some(cell) = &self.selector {
             if cell.sampled(id) {
                 if let Some(flip) = cell.on_get(id) {
-                    self.swap_policy(flip.core);
+                    self.lock().region.swap_core(flip.core);
                 }
             }
         }
@@ -465,65 +336,23 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
     fn insert_locked(&self, key: K, value: V, cost: u64, id: BlockAddr) -> Option<V> {
         let mut st = self.lock();
         if let Some(i) = st.map.get(&key).copied() {
-            // Overwrite in place: treat as an access (promote + notify),
-            // then refresh the stored cost for cost-dependent policies.
-            let is_lru = st.tail == i;
-            let (sid, old_cost) = {
-                let s = st.slot(i);
-                (s.id, Cost(s.cost))
-            };
-            st.policy.on_hit(sid, Way(i as usize), old_cost, is_lru);
-            st.move_to_front(i);
-            st.policy.on_fill(sid, Way(i as usize), Cost(cost));
-            let s = st.slot_mut(i);
-            s.cost = cost;
-            let old = std::mem::replace(&mut s.value, value);
+            // Overwrite in place: an access, then a refill at the new cost.
+            let old = std::mem::replace(&mut st.region.refresh(i, cost).1, value);
             ShardCounters::bump(&self.counters.updates);
             return Some(old);
         }
 
-        // The insert of an absent key is itself a missing access. In the
-        // get-then-insert flow this is the second on_miss for the same
-        // miss — harmless by the EvictionPolicy contract (the first call
-        // consumed any matching ETD entry).
-        let lru = st.lru_of();
-        st.policy.on_miss(id, lru);
-
-        if st.map.len() == self.capacity {
-            let entries = st.view_entries();
-            let victim = st.policy.victim(&SetView::new(&entries));
-            let vi = victim.0 as u32;
-            if st.tail != vi {
+        // The insert of an absent key is itself a missing access.
+        let (i, evicted) = st.region.insert(id, cost, (key.clone(), value));
+        if let Some(evicted) = evicted {
+            if evicted.reserved {
                 ShardCounters::bump(&self.counters.reservations);
             }
-            st.unlink(vi);
-            let evicted = st.slots[vi as usize]
-                .take()
-                .expect("victim slot must be occupied");
-            st.map.remove(&evicted.key);
-            st.free.push(vi);
+            st.map.remove(&evicted.slot.payload.0);
             ShardCounters::bump(&self.counters.evictions);
             self.counters.resident.fetch_sub(1, Ordering::Relaxed);
         }
-
-        let i = match st.free.pop() {
-            Some(i) => i,
-            None => {
-                st.slots.push(None);
-                (st.slots.len() - 1) as u32
-            }
-        };
-        st.slots[i as usize] = Some(Slot {
-            key: key.clone(),
-            value,
-            cost,
-            id,
-            prev: NIL,
-            next: NIL,
-        });
         st.map.insert(key, i);
-        st.push_front(i);
-        st.policy.on_fill(id, Way(i as usize), Cost(cost));
         // Counter mutations stay inside the lock region: the lock
         // serializes them per shard, so `resident` (read lock-free by
         // `len`) can transiently undercount but never exceed capacity.
@@ -546,7 +375,9 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
         V: Clone,
     {
         let st = self.lock();
-        st.map.get(key).copied().map(|i| st.slot(i).value.clone())
+        st.map
+            .get(key)
+            .map(|&i| st.region.slot(i).payload.1.clone())
     }
 
     /// Single-flight read-through lookup. On a miss, exactly one caller
@@ -666,9 +497,7 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
     pub(crate) fn remove(&self, key: &K) -> Option<V> {
         let mut st = self.lock();
         let i = st.map.remove(key)?;
-        st.unlink(i);
-        let slot = self.take_slot(&mut st, i);
-        st.policy.on_remove(slot.id);
+        let slot = st.region.remove(i);
         ShardCounters::bump(&self.counters.removals);
         self.counters.resident.fetch_sub(1, Ordering::Relaxed);
         drop(st);
@@ -677,7 +506,7 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
                 cell.on_remove(slot.id);
             }
         }
-        Some(slot.value)
+        Some(slot.payload.1)
     }
 
     pub(crate) fn contains(&self, key: &K) -> bool {
@@ -686,25 +515,13 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
 
     pub(crate) fn clear(&self) {
         let mut st = self.lock();
-        let mut cur = st.head;
-        let mut dropped = 0u64;
         let mut sampled_ids = Vec::new();
-        while cur != NIL {
-            let slot = self.take_slot(&mut st, cur);
-            st.policy.on_remove(slot.id);
-            if let Some(cell) = &self.selector {
-                if cell.sampled(slot.id) {
-                    sampled_ids.push(slot.id);
-                }
+        let dropped = st.region.clear(|id| {
+            if self.selector.as_ref().is_some_and(|cell| cell.sampled(id)) {
+                sampled_ids.push(id);
             }
-            cur = slot.next;
-            dropped += 1;
-        }
+        });
         st.map.clear();
-        st.free.clear();
-        st.slots.clear();
-        st.head = NIL;
-        st.tail = NIL;
         self.counters.removals.fetch_add(dropped, Ordering::Relaxed);
         self.counters.resident.fetch_sub(dropped, Ordering::Relaxed);
         drop(st);
@@ -713,12 +530,6 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
                 cell.on_remove(id);
             }
         }
-    }
-
-    fn take_slot(&self, st: &mut ShardState<K, V, S>, i: u32) -> Slot<K, V> {
-        let slot = st.slots[i as usize].take().expect("slot must be occupied");
-        st.free.push(i);
-        slot
     }
 
     /// Clones every resident `(key, value, cost)` triple out of the shard
@@ -733,12 +544,11 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
     {
         let st = self.lock();
         let mut out = Vec::with_capacity(st.map.len());
-        let mut cur = st.tail;
-        while cur != NIL {
-            let s = st.slot(cur);
-            out.push((s.key.clone(), s.value.clone(), s.cost));
-            cur = s.prev;
-        }
+        out.extend(
+            st.region
+                .lru_to_mru()
+                .map(|(_, s)| (s.payload.0.clone(), s.payload.1.clone(), s.cost)),
+        );
         out
     }
 }

@@ -7,6 +7,7 @@
 //! `CacheStats::coalesced_fetches`).
 
 use csr_cache::{CsrCache, Policy};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -292,6 +293,40 @@ fn leader_panic_releases_waiters() {
     assert!(leader.join().is_err(), "the leader's panic must propagate");
     assert_eq!(waiter.join().expect("waiter must not panic"), 55);
     assert_eq!(cache.get(&5), Some(55));
+}
+
+/// A value whose `Clone` panics while armed: the hit path clones under the
+/// shard lock, so reading an armed value poisons that shard.
+struct Grenade {
+    armed: bool,
+}
+
+impl Clone for Grenade {
+    fn clone(&self) -> Self {
+        assert!(!self.armed, "armed value cloned");
+        Grenade { armed: false }
+    }
+}
+
+/// A shard poisoned while a leader is fetching makes the leader's insert
+/// panic with the in-flight table locked. That must fail this one request
+/// (the flight guard cleans up during unwinding), not panic again inside
+/// the guard's destructor and abort the process.
+#[test]
+fn poisoned_shard_fails_the_leader_without_aborting() {
+    let cache: CsrCache<u64, Grenade> = CsrCache::builder(8).shards(1).build();
+    cache.insert(1, Grenade { armed: true });
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        cache.try_get_or_insert_with(2, || {
+            let poisoned = catch_unwind(AssertUnwindSafe(|| cache.get(&1)));
+            assert!(poisoned.is_err(), "cloning the armed value must panic");
+            Ok::<_, ()>(Some((Grenade { armed: false }, 1)))
+        })
+    }));
+    assert!(
+        outcome.is_err(),
+        "the leader must see the poisoned shard as a panic it can catch"
+    );
 }
 
 /// The single-flight path composes with every policy and keeps the stats

@@ -8,7 +8,7 @@
 //! observe byte-for-byte identical event streams.
 
 use cache_sim::{AccessType, BlockAddr, Cache, Cost, Geometry, Lru, ReplacementPolicy};
-use csr::{Acl, Bcl, Dcl, GreedyDual};
+use csr::{Acl, Bcl, Camp, Dcl, Gdsf, GreedyDual, Lfuda, S3Fifo, Slru};
 use csr_cache::{CsrCache, Policy};
 use std::hash::{BuildHasher, Hasher};
 
@@ -132,4 +132,34 @@ fn dcl_cache_matches_simulator() {
 fn acl_cache_matches_simulator() {
     let geom = Geometry::new((WAYS * 64) as u64, 64, WAYS);
     run_equivalence(Policy::Acl, Acl::new(&geom));
+}
+
+#[test]
+fn s3fifo_cache_matches_simulator() {
+    let geom = Geometry::new((WAYS * 64) as u64, 64, WAYS);
+    run_equivalence(Policy::S3Fifo, S3Fifo::new(&geom));
+}
+
+#[test]
+fn slru_cache_matches_simulator() {
+    let geom = Geometry::new((WAYS * 64) as u64, 64, WAYS);
+    run_equivalence(Policy::Slru, Slru::new(&geom));
+}
+
+#[test]
+fn lfuda_cache_matches_simulator() {
+    let geom = Geometry::new((WAYS * 64) as u64, 64, WAYS);
+    run_equivalence(Policy::Lfuda, Lfuda::new(&geom));
+}
+
+#[test]
+fn gdsf_cache_matches_simulator() {
+    let geom = Geometry::new((WAYS * 64) as u64, 64, WAYS);
+    run_equivalence(Policy::Gdsf, Gdsf::new(&geom));
+}
+
+#[test]
+fn camp_cache_matches_simulator() {
+    let geom = Geometry::new((WAYS * 64) as u64, 64, WAYS);
+    run_equivalence(Policy::Camp, Camp::new(&geom));
 }

@@ -186,7 +186,8 @@ impl Tracer {
                     return None;
                 }
                 let n = self.seq.fetch_add(1, Ordering::Relaxed);
-                let sampled = self.config.sample_every > 0 && n.is_multiple_of(self.config.sample_every);
+                let sampled =
+                    self.config.sample_every > 0 && n.is_multiple_of(self.config.sample_every);
                 if !sampled && self.config.slow_us == 0 {
                     return None;
                 }

@@ -1095,8 +1095,10 @@ impl FailoverClient {
     fn pick_endpoint(&mut self) -> usize {
         let n = self.endpoints.len();
         self.picks += 1;
-        let probing =
-            self.config.probe_every > 0 && self.picks.is_multiple_of(u64::from(self.config.probe_every));
+        let probing = self.config.probe_every > 0
+            && self
+                .picks
+                .is_multiple_of(u64::from(self.config.probe_every));
         let from = self.cursor;
         let find = |want_healthy: bool, eps: &[Endpoint]| -> Option<usize> {
             (0..n)

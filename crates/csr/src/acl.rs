@@ -19,10 +19,10 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`Acl`] replicates one core
 //! per set for the simulator.
 
-use crate::etd::{EtdConfig, EtdSet, EtdStats, EtdView};
-use crate::eviction::{impl_replacement_via_cores, EvictionPolicy};
+use crate::etd::{EtdConfig, EtdSet, EtdStats};
+use crate::eviction::{EvictionPolicy, PerSet};
 use crate::reserve::{reservation_victim, AcostTracker};
-use cache_sim::{BlockAddr, Cost, Geometry, SetIndex, SetView, Way};
+use cache_sim::{BlockAddr, Cost, Geometry, SetView, Way};
 use csr_obs::{NopObserver, Observer};
 
 /// Counter ceiling of the 2-bit automaton.
@@ -287,10 +287,7 @@ impl<O: Observer> EvictionPolicy for AclCore<O> {
 /// let mut cache = Cache::new(geom, Acl::new(&geom));
 /// cache.access(BlockAddr(1), AccessType::Read, Cost(8));
 /// ```
-#[derive(Debug, Clone)]
-pub struct Acl<O: Observer = NopObserver> {
-    cores: Vec<AclCore<O>>,
-}
+pub type Acl<O = NopObserver> = PerSet<AclCore<O>>;
 
 impl Acl {
     /// Creates an ACL policy with a full-tag, `assoc - 1`-entry ETD.
@@ -309,11 +306,9 @@ impl Acl {
     #[must_use]
     pub fn with_etd_config(geom: &Geometry, cfg: EtdConfig) -> Self {
         let set_bits = geom.num_sets().trailing_zeros();
-        Acl {
-            cores: (0..geom.num_sets())
-                .map(|_| AclCore::new(EtdSet::with_stripped_bits(cfg, set_bits)))
-                .collect(),
-        }
+        PerSet::from_fn(geom, || {
+            AclCore::new(EtdSet::with_stripped_bits(cfg, set_bits))
+        })
     }
 }
 
@@ -324,74 +319,33 @@ impl<O: Observer> Acl<O> {
     ///
     /// Panics if `factor` is zero.
     #[must_use]
-    pub fn with_depreciation_factor(mut self, factor: u64) -> Self {
-        self.cores = self
-            .cores
-            .into_iter()
-            .map(|c| c.with_depreciation_factor(factor))
-            .collect();
-        self
+    pub fn with_depreciation_factor(self, factor: u64) -> Self {
+        self.map_cores(|c| c.with_depreciation_factor(factor))
     }
 
     /// Policy statistics accumulated across all sets.
     #[must_use]
     pub fn stats(&self) -> AclStats {
-        let mut total = AclStats::default();
-        for c in &self.cores {
-            total.merge(c.stats());
-        }
-        total
+        self.fold_stats(AclCore::stats, AclStats::merge)
     }
 
     /// Statistics of the embedded ETD, accumulated across all sets.
     #[must_use]
     pub fn etd_stats(&self) -> EtdStats {
-        self.etd().stats()
-    }
-
-    /// The automaton counter of `set` (tests and debugging).
-    #[must_use]
-    pub fn counter_of(&self, set: SetIndex) -> u8 {
-        self.cores[set.0].counter()
-    }
-
-    /// Whether reservations are currently enabled in `set`.
-    #[must_use]
-    pub fn enabled(&self, set: SetIndex) -> bool {
-        self.cores[set.0].enabled()
-    }
-
-    /// The remaining depreciated cost of the tracked LRU block in `set`.
-    #[must_use]
-    pub fn acost_of(&self, set: SetIndex) -> u64 {
-        self.cores[set.0].acost()
-    }
-
-    /// A set-indexed view of the embedded ETD (tests and debugging).
-    #[must_use]
-    pub fn etd(&self) -> EtdView<'_> {
-        EtdView::new(self.cores.iter().map(AclCore::etd).collect())
+        self.fold_stats(|c| c.etd().stats(), EtdStats::merge)
     }
 
     /// Attaches a decision observer; every set's core receives a clone.
     #[must_use]
     pub fn with_observer<O2: Observer + Clone>(self, obs: O2) -> Acl<O2> {
-        Acl {
-            cores: self
-                .cores
-                .into_iter()
-                .map(|c| c.with_observer(obs.clone()))
-                .collect(),
-        }
+        self.map_cores(|c| c.with_observer(obs.clone()))
     }
 }
-
-impl_replacement_via_cores!(Acl, "ACL");
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_sim::{AccessType, Cache, InvalidateKind};
+    use cache_sim::{AccessType, Cache, InvalidateKind, SetIndex};
 
     fn cache(assoc: usize) -> Cache<Acl> {
         let geom = Geometry::new(64 * assoc as u64, 64, assoc);
@@ -408,7 +362,7 @@ mod tests {
         c.access(BlockAddr(2), AccessType::Read, Cost(1));
         // Disabled: plain LRU evicts the high-cost block 0.
         assert!(!c.contains(BlockAddr(0)));
-        assert!(!c.policy().enabled(S0));
+        assert!(!c.policy().core(S0).enabled());
         assert_eq!(c.policy().stats().reservations, 0);
         // ...but block 0 entered the watch ETD (cheaper block 1 existed).
         assert_eq!(c.policy().stats().watch_inserts, 1);
@@ -421,8 +375,8 @@ mod tests {
         c.access(BlockAddr(1), AccessType::Read, Cost(1));
         c.access(BlockAddr(2), AccessType::Read, Cost(1)); // LRU 0 evicted -> watch ETD
         c.access(BlockAddr(0), AccessType::Read, Cost(8)); // watch hit!
-        assert!(c.policy().enabled(S0));
-        assert_eq!(c.policy().counter_of(S0), TRIGGER_VALUE);
+        assert!(c.policy().core(S0).enabled());
+        assert_eq!(c.policy().core(S0).counter(), TRIGGER_VALUE);
         assert_eq!(c.policy().stats().triggers, 1);
     }
 
@@ -457,7 +411,7 @@ mod tests {
         c.access(BlockAddr(3), AccessType::Read, Cost(1)); // reserve 0
         c.access(BlockAddr(0), AccessType::Read, Cost(8)); // hit reserved block: success
         assert_eq!(c.policy().stats().successes, 1);
-        assert_eq!(c.policy().counter_of(S0), 3);
+        assert_eq!(c.policy().core(S0).counter(), 3);
     }
 
     #[test]
@@ -488,8 +442,14 @@ mod tests {
             let mut fresh = 100 + expect_counter as u64 * 10;
             for _ in 0..4 {
                 c.access(BlockAddr(fresh), AccessType::Read, Cost(1)); // displace cheap
-                let displaced: Vec<u64> =
-                    c.policy().etd().blocks_in(S0).iter().map(|b| b.0).collect();
+                let displaced: Vec<u64> = c
+                    .policy()
+                    .core(S0)
+                    .etd()
+                    .blocks()
+                    .iter()
+                    .map(|b| b.0)
+                    .collect();
                 c.access(BlockAddr(displaced[0]), AccessType::Read, Cost(1)); // ETD hit
                 fresh += 1;
             }
@@ -497,11 +457,11 @@ mod tests {
             c.access(BlockAddr(fresh + 1), AccessType::Read, Cost(1));
             assert!(!c.contains(BlockAddr(0)));
             expect_counter -= 1;
-            assert_eq!(c.policy().counter_of(S0), expect_counter);
+            assert_eq!(c.policy().core(S0).counter(), expect_counter);
             // Bring 0 back for the next round.
             c.access(BlockAddr(0), AccessType::Read, Cost(8));
         }
-        assert!(!c.policy().enabled(S0));
+        assert!(!c.policy().core(S0).enabled());
         assert_eq!(c.policy().stats().failures, 2);
     }
 
@@ -517,7 +477,7 @@ mod tests {
         assert_eq!(c.policy().stats().reservations, 1);
         c.invalidate(BlockAddr(0), InvalidateKind::Coherence);
         assert_eq!(c.policy().stats().failures, 1);
-        assert_eq!(c.policy().counter_of(S0), 1);
+        assert_eq!(c.policy().core(S0).counter(), 1);
     }
 
     #[test]

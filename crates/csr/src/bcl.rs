@@ -14,7 +14,7 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`Bcl`] replicates one core
 //! per set for the simulator.
 
-use crate::eviction::{impl_replacement_via_cores, EvictionPolicy};
+use crate::eviction::{EvictionPolicy, PerSet};
 use crate::reserve::{reservation_victim, AcostTracker};
 use cache_sim::{BlockAddr, Cost, Geometry, SetIndex, SetView, Way};
 use csr_obs::{NopObserver, Observer};
@@ -167,10 +167,7 @@ impl<O: Observer> EvictionPolicy for BclCore<O> {
 /// let mut cache = Cache::new(geom, Bcl::new(&geom));
 /// cache.access(BlockAddr(1), AccessType::Read, Cost(8));
 /// ```
-#[derive(Debug, Clone)]
-pub struct Bcl<O: Observer = NopObserver> {
-    cores: Vec<BclCore<O>>,
-}
+pub type Bcl<O = NopObserver> = PerSet<BclCore<O>>;
 
 impl Bcl {
     /// Creates a BCL policy for the given cache geometry with the paper's
@@ -187,11 +184,7 @@ impl Bcl {
     /// Panics if `factor` is zero.
     #[must_use]
     pub fn with_depreciation_factor(geom: &Geometry, factor: u64) -> Self {
-        Bcl {
-            cores: (0..geom.num_sets())
-                .map(|_| BclCore::with_depreciation_factor(factor))
-                .collect(),
-        }
+        PerSet::from_fn(geom, || BclCore::with_depreciation_factor(factor))
     }
 }
 
@@ -199,40 +192,21 @@ impl<O: Observer> Bcl<O> {
     /// The configured depreciation factor.
     #[must_use]
     pub fn depreciation_factor(&self) -> u64 {
-        self.cores[0].depreciation_factor()
+        self.core(SetIndex(0)).depreciation_factor()
     }
 
     /// Statistics accumulated across all sets.
     #[must_use]
     pub fn stats(&self) -> BclStats {
-        let mut total = BclStats::default();
-        for c in &self.cores {
-            total.merge(c.stats());
-        }
-        total
-    }
-
-    /// The remaining depreciated cost of the tracked LRU block in `set`
-    /// (tests and debugging).
-    #[must_use]
-    pub fn acost_of(&self, set: SetIndex) -> u64 {
-        self.cores[set.0].acost()
+        self.fold_stats(BclCore::stats, BclStats::merge)
     }
 
     /// Attaches a decision observer; every set's core receives a clone.
     #[must_use]
     pub fn with_observer<O2: Observer + Clone>(self, obs: O2) -> Bcl<O2> {
-        Bcl {
-            cores: self
-                .cores
-                .into_iter()
-                .map(|c| c.with_observer(obs.clone()))
-                .collect(),
-        }
+        self.map_cores(|c| c.with_observer(obs.clone()))
     }
 }
-
-impl_replacement_via_cores!(Bcl, "BCL");
 
 #[cfg(test)]
 mod tests {
@@ -264,7 +238,7 @@ mod tests {
         c.access(BlockAddr(0), AccessType::Read, Cost(8));
         c.access(BlockAddr(1), AccessType::Read, Cost(1));
         c.access(BlockAddr(2), AccessType::Read, Cost(1)); // Acost: 8 - 2 = 6
-        assert_eq!(c.policy().acost_of(SetIndex(0)), 6);
+        assert_eq!(c.policy().core(SetIndex(0)).acost(), 6);
         c.access(BlockAddr(3), AccessType::Read, Cost(1)); // Acost: 6 - 2 = 4
         c.access(BlockAddr(4), AccessType::Read, Cost(1)); // 4 - 2 = 2
         c.access(BlockAddr(5), AccessType::Read, Cost(1)); // 2 - 2 = 0
@@ -341,7 +315,7 @@ mod tests {
         c.access(BlockAddr(1), AccessType::Read, Cost(1));
         c.access(BlockAddr(2), AccessType::Read, Cost(1)); // reserve 0, Acost 6
         c.invalidate(BlockAddr(0), InvalidateKind::Coherence);
-        assert_eq!(c.policy().acost_of(SetIndex(0)), 0);
+        assert_eq!(c.policy().core(SetIndex(0)).acost(), 0);
         // Refill 0 (uses the invalid frame; set is [0(MRU), 2]). Block 2 is
         // now LRU with cost 1: a fresh fill must evict 2, not the refilled 0.
         c.access(BlockAddr(0), AccessType::Read, Cost(8));
@@ -359,13 +333,13 @@ mod tests {
         c.access(BlockAddr(0), AccessType::Read, Cost(8)); // A
         c.access(BlockAddr(1), AccessType::Read, Cost(1)); // B
         c.access(BlockAddr(2), AccessType::Read, Cost(1)); // reserve A, Acost 8->6
-        assert_eq!(c.policy().acost_of(SetIndex(0)), 6);
+        assert_eq!(c.policy().core(SetIndex(0)).acost(), 6);
         c.access(BlockAddr(0), AccessType::Read, Cost(8)); // hit A -> MRU
         c.access(BlockAddr(2), AccessType::Read, Cost(1)); // hit 2 -> A back to LRU
                                                            // Replacement: Acost must be the full 8 again, then 8-2=6 after
                                                            // reserving A once more.
         c.access(BlockAddr(3), AccessType::Read, Cost(1));
         assert!(c.contains(BlockAddr(0)));
-        assert_eq!(c.policy().acost_of(SetIndex(0)), 6);
+        assert_eq!(c.policy().core(SetIndex(0)).acost(), 6);
     }
 }

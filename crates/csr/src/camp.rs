@@ -19,7 +19,7 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`Camp`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{impl_replacement_via_cores, EvictionPolicy};
+use crate::eviction::{EvictionPolicy, PerSet};
 use cache_sim::{BlockAddr, Cost, Geometry, SetView, Way};
 use csr_obs::{NopObserver, Observer};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -240,20 +240,13 @@ impl<O: Observer> EvictionPolicy for CampCore<O> {
 }
 
 /// The CAMP replacement policy (one [`CampCore`] per set).
-#[derive(Debug, Clone)]
-pub struct Camp<O: Observer = NopObserver> {
-    cores: Vec<CampCore<O>>,
-}
+pub type Camp<O = NopObserver> = PerSet<CampCore<O>>;
 
 impl Camp {
     /// Creates a CAMP policy for the given cache geometry.
     #[must_use]
     pub fn new(geom: &Geometry) -> Self {
-        Camp {
-            cores: (0..geom.num_sets())
-                .map(|_| CampCore::new(geom.assoc()))
-                .collect(),
-        }
+        PerSet::from_fn(geom, || CampCore::new(geom.assoc()))
     }
 }
 
@@ -261,27 +254,15 @@ impl<O: Observer> Camp<O> {
     /// Statistics accumulated across all sets.
     #[must_use]
     pub fn stats(&self) -> CampStats {
-        let mut total = CampStats::default();
-        for c in &self.cores {
-            total.merge(c.stats());
-        }
-        total
+        self.fold_stats(CampCore::stats, CampStats::merge)
     }
 
     /// Attaches a decision observer; every set's core receives a clone.
     #[must_use]
     pub fn with_observer<O2: Observer + Clone>(self, obs: O2) -> Camp<O2> {
-        Camp {
-            cores: self
-                .cores
-                .into_iter()
-                .map(|c| c.with_observer(obs.clone()))
-                .collect(),
-        }
+        self.map_cores(|c| c.with_observer(obs.clone()))
     }
 }
-
-impl_replacement_via_cores!(Camp, "CAMP");
 
 #[cfg(test)]
 mod tests {

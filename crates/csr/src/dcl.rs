@@ -13,10 +13,10 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`Dcl`] replicates one core
 //! per set for the simulator.
 
-use crate::etd::{EtdConfig, EtdSet, EtdStats, EtdView};
-use crate::eviction::{impl_replacement_via_cores, EvictionPolicy};
+use crate::etd::{EtdConfig, EtdSet, EtdStats};
+use crate::eviction::{EvictionPolicy, PerSet};
 use crate::reserve::{reservation_victim, AcostTracker};
-use cache_sim::{BlockAddr, Cost, Geometry, SetIndex, SetView, Way};
+use cache_sim::{BlockAddr, Cost, Geometry, SetView, Way};
 use csr_obs::{NopObserver, Observer};
 
 /// Counters specific to [`Dcl`] / [`DclCore`].
@@ -185,10 +185,7 @@ impl<O: Observer> EvictionPolicy for DclCore<O> {
 /// let mut cache = Cache::new(geom, Dcl::new(&geom));
 /// cache.access(BlockAddr(1), AccessType::Read, Cost(8));
 /// ```
-#[derive(Debug, Clone)]
-pub struct Dcl<O: Observer = NopObserver> {
-    cores: Vec<DclCore<O>>,
-}
+pub type Dcl<O = NopObserver> = PerSet<DclCore<O>>;
 
 impl Dcl {
     /// Creates a DCL policy with a full-tag, `assoc - 1`-entry ETD and the
@@ -209,11 +206,9 @@ impl Dcl {
     #[must_use]
     pub fn with_etd_config(geom: &Geometry, cfg: EtdConfig) -> Self {
         let set_bits = geom.num_sets().trailing_zeros();
-        Dcl {
-            cores: (0..geom.num_sets())
-                .map(|_| DclCore::new(EtdSet::with_stripped_bits(cfg, set_bits)))
-                .collect(),
-        }
+        PerSet::from_fn(geom, || {
+            DclCore::new(EtdSet::with_stripped_bits(cfg, set_bits))
+        })
     }
 }
 
@@ -224,62 +219,33 @@ impl<O: Observer> Dcl<O> {
     ///
     /// Panics if `factor` is zero.
     #[must_use]
-    pub fn with_depreciation_factor(mut self, factor: u64) -> Self {
-        self.cores = self
-            .cores
-            .into_iter()
-            .map(|c| c.with_depreciation_factor(factor))
-            .collect();
-        self
+    pub fn with_depreciation_factor(self, factor: u64) -> Self {
+        self.map_cores(|c| c.with_depreciation_factor(factor))
     }
 
     /// Policy statistics accumulated across all sets.
     #[must_use]
     pub fn stats(&self) -> DclStats {
-        let mut total = DclStats::default();
-        for c in &self.cores {
-            total.merge(c.stats());
-        }
-        total
+        self.fold_stats(DclCore::stats, DclStats::merge)
     }
 
     /// Statistics of the embedded ETD, accumulated across all sets.
     #[must_use]
     pub fn etd_stats(&self) -> EtdStats {
-        self.etd().stats()
-    }
-
-    /// A set-indexed view of the embedded ETD (tests and debugging).
-    #[must_use]
-    pub fn etd(&self) -> EtdView<'_> {
-        EtdView::new(self.cores.iter().map(DclCore::etd).collect())
-    }
-
-    /// The remaining depreciated cost of the tracked LRU block in `set`.
-    #[must_use]
-    pub fn acost_of(&self, set: SetIndex) -> u64 {
-        self.cores[set.0].acost()
+        self.fold_stats(|c| c.etd().stats(), EtdStats::merge)
     }
 
     /// Attaches a decision observer; every set's core receives a clone.
     #[must_use]
     pub fn with_observer<O2: Observer + Clone>(self, obs: O2) -> Dcl<O2> {
-        Dcl {
-            cores: self
-                .cores
-                .into_iter()
-                .map(|c| c.with_observer(obs.clone()))
-                .collect(),
-        }
+        self.map_cores(|c| c.with_observer(obs.clone()))
     }
 }
-
-impl_replacement_via_cores!(Dcl, "DCL");
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_sim::{AccessType, Cache, InvalidateKind};
+    use cache_sim::{AccessType, Cache, InvalidateKind, SetIndex};
 
     fn cache(assoc: usize) -> Cache<Dcl> {
         let geom = Geometry::new(64 * assoc as u64, 64, assoc);
@@ -297,7 +263,7 @@ mod tests {
             c.access(BlockAddr(b), AccessType::Read, Cost(1));
         }
         assert!(c.contains(BlockAddr(0)), "no ETD hits => no depreciation");
-        assert_eq!(c.policy().acost_of(SetIndex(0)), 4);
+        assert_eq!(c.policy().core(SetIndex(0)).acost(), 4);
         assert_eq!(c.policy().stats().depreciations, 0);
     }
 
@@ -307,14 +273,14 @@ mod tests {
         c.access(BlockAddr(0), AccessType::Read, Cost(4));
         c.access(BlockAddr(1), AccessType::Read, Cost(1));
         c.access(BlockAddr(2), AccessType::Read, Cost(1)); // displace 1 -> ETD
-        assert_eq!(c.policy().acost_of(SetIndex(0)), 4);
+        assert_eq!(c.policy().core(SetIndex(0)).acost(), 4);
         // Re-reference the displaced block: ETD hit, Acost 4 - 2*1 = 2.
         c.access(BlockAddr(1), AccessType::Read, Cost(1));
-        assert_eq!(c.policy().acost_of(SetIndex(0)), 2);
+        assert_eq!(c.policy().core(SetIndex(0)).acost(), 2);
         assert_eq!(c.policy().stats().depreciations, 1);
         // Again: 2 was displaced by the fill of 1 (ETD), bring 2 back.
         c.access(BlockAddr(2), AccessType::Read, Cost(1));
-        assert_eq!(c.policy().acost_of(SetIndex(0)), 0);
+        assert_eq!(c.policy().core(SetIndex(0)).acost(), 0);
         // Acost exhausted: the reserved block is the next victim.
         c.access(BlockAddr(3), AccessType::Read, Cost(1));
         assert!(!c.contains(BlockAddr(0)));
@@ -326,7 +292,10 @@ mod tests {
         c.access(BlockAddr(0), AccessType::Read, Cost(4));
         c.access(BlockAddr(1), AccessType::Read, Cost(1));
         c.access(BlockAddr(2), AccessType::Read, Cost(1));
-        assert_eq!(c.policy().etd().blocks_in(SetIndex(0)), vec![BlockAddr(1)]);
+        assert_eq!(
+            c.policy().core(SetIndex(0)).etd().blocks(),
+            vec![BlockAddr(1)]
+        );
     }
 
     #[test]
@@ -335,9 +304,9 @@ mod tests {
         c.access(BlockAddr(0), AccessType::Read, Cost(4));
         c.access(BlockAddr(1), AccessType::Read, Cost(1));
         c.access(BlockAddr(2), AccessType::Read, Cost(1)); // ETD: {1}
-        assert_eq!(c.policy().etd().len(SetIndex(0)), 1);
+        assert_eq!(c.policy().core(SetIndex(0)).etd().len(), 1);
         c.access(BlockAddr(0), AccessType::Read, Cost(4)); // hit on LRU block
-        assert!(c.policy().etd().is_empty(SetIndex(0)));
+        assert!(c.policy().core(SetIndex(0)).etd().is_empty());
     }
 
     #[test]
@@ -347,10 +316,10 @@ mod tests {
         c.access(BlockAddr(1), AccessType::Read, Cost(1));
         c.access(BlockAddr(2), AccessType::Read, Cost(1)); // ETD: {1}
         c.invalidate(BlockAddr(1), InvalidateKind::Coherence);
-        assert!(c.policy().etd().is_empty(SetIndex(0)));
+        assert!(c.policy().core(SetIndex(0)).etd().is_empty());
         // A later access to 1 must not depreciate the reservation.
         c.access(BlockAddr(1), AccessType::Read, Cost(1));
-        assert_eq!(c.policy().acost_of(SetIndex(0)), 4);
+        assert_eq!(c.policy().core(SetIndex(0)).acost(), 4);
     }
 
     #[test]
@@ -373,7 +342,7 @@ mod tests {
         ];
         for (b, cost) in pattern {
             c.access(BlockAddr(b), AccessType::Read, Cost(cost));
-            let etd_blocks = c.policy().etd().blocks_in(SetIndex(0));
+            let etd_blocks = c.policy().core(SetIndex(0)).etd().blocks();
             for eb in etd_blocks {
                 assert!(
                     !c.contains(eb),

@@ -347,62 +347,6 @@ impl Etd {
     }
 }
 
-/// A read-only, set-indexed view over per-region directories that are owned
-/// elsewhere (e.g. one [`EtdSet`] inside each per-set policy core). Mirrors
-/// the inspection API of [`Etd`].
-#[derive(Debug)]
-pub struct EtdView<'a> {
-    sets: Vec<&'a EtdSet>,
-}
-
-impl<'a> EtdView<'a> {
-    /// Builds a view from one directory reference per set, in set order.
-    #[must_use]
-    pub fn new(sets: Vec<&'a EtdSet>) -> Self {
-        EtdView { sets }
-    }
-
-    /// The directory of one set.
-    #[must_use]
-    pub fn set(&self, set: SetIndex) -> &EtdSet {
-        self.sets[set.0]
-    }
-
-    /// Statistics accumulated across all sets.
-    #[must_use]
-    pub fn stats(&self) -> EtdStats {
-        let mut total = EtdStats::default();
-        for s in &self.sets {
-            total.merge(s.stats());
-        }
-        total
-    }
-
-    /// Number of valid entries in `set`.
-    #[must_use]
-    pub fn len(&self, set: SetIndex) -> usize {
-        self.sets[set.0].len()
-    }
-
-    /// Whether `set` has no valid entries.
-    #[must_use]
-    pub fn is_empty(&self, set: SetIndex) -> bool {
-        self.sets[set.0].is_empty()
-    }
-
-    /// Whether `block` would (alias-)match an entry of `set`.
-    #[must_use]
-    pub fn would_hit(&self, set: SetIndex, block: BlockAddr) -> bool {
-        self.sets[set.0].would_hit(block)
-    }
-
-    /// The full block addresses currently recorded in `set` (tests).
-    #[must_use]
-    pub fn blocks_in(&self, set: SetIndex) -> Vec<BlockAddr> {
-        self.sets[set.0].blocks()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,16 +1,27 @@
-//! Set-size-agnostic eviction policies.
+//! The single-region policy contract and the driver that replicates it per
+//! set.
 //!
-//! The simulator's [`cache_sim::ReplacementPolicy`] addresses a policy by
-//! [`SetIndex`](cache_sim::SetIndex) because a hardware cache replicates the
-//! same decision logic across every set. The logic itself, however, only
-//! ever concerns **one replacement region**: a recency stack, its costs, and
-//! (for DCL/ACL) a shadow directory. [`EvictionPolicy`] captures exactly
-//! that single-region contract, so the same cores drive both
+//! The paper's algorithms are one piece of logic — a recency stack, its
+//! costs, and (for DCL/ACL) a shadow directory — that only ever concerns
+//! **one replacement region**. [`EvictionPolicy`] is that contract; every
+//! core in this crate implements it and nothing else. Exactly two drivers
+//! speak it, one per layer:
 //!
-//! * the set-indexed simulator policies (`GreedyDual`, `Bcl`, `Dcl`, `Acl`
-//!   each hold one core per set and delegate), and
-//! * the shards of the concurrent `csr-cache` key-value cache, where a
-//!   "set" is an arbitrarily large shard and no `SetIndex` exists.
+//! * [`PerSet<C>`] (here) is the simulator's driver: it holds one core per
+//!   cache set and implements [`cache_sim::ReplacementPolicy`] by static
+//!   dispatch to `cores[set]`, translating the simulator's
+//!   [`SetView`]-carrying notifications into the O(1) facts a core consumes.
+//!   `GreedyDual`, `Bcl`, `Dcl`, `Acl`, `S3Fifo`, `Slru`, `Lfuda`, `Gdsf`
+//!   and `Camp` are type aliases of it.
+//! * `csr_cache`'s `Region<T>` is the key-value driver: a slab on an
+//!   intrusive recency list that owns one boxed core, where a "set" is an
+//!   arbitrarily large shard and no [`SetIndex`] exists.
+//!
+//! Both enforce the same ordering — `on_hit` before promotion, `on_miss`
+//! with the current LRU pair before victim selection, `victim` once per
+//! replacement over an MRU → LRU view, `on_fill` after the block is linked,
+//! `on_remove` for departures `victim` did not choose — so a change to the
+//! contract is a change to these two places and to no policy wrapper.
 //!
 //! Unlike `ReplacementPolicy`, the hit/miss notifications here carry the
 //! O(1) facts a policy actually consumes (block identity, cost, whether the
@@ -18,7 +29,9 @@
 //! shard never materializes its recency order except when selecting a
 //! victim.
 
-use cache_sim::{BlockAddr, Cost, SetView, Way};
+use cache_sim::{
+    BlockAddr, Cost, Geometry, InvalidateKind, ReplacementPolicy, SetIndex, SetView, Way,
+};
 use csr_obs::{NopObserver, Observer};
 
 /// A replacement policy for a single region (one cache set, one shard).
@@ -138,15 +151,98 @@ impl<O: Observer> EvictionPolicy for LruCore<O> {
     }
 }
 
+/// The set-indexed driver: one [`EvictionPolicy`] core per cache set,
+/// implementing the simulator's [`ReplacementPolicy`] by static dispatch to
+/// the addressed set's core.
+///
+/// Every core-backed policy of this crate is an alias of this type
+/// (`Dcl<O>` is `PerSet<DclCore<O>>`, …); the aliases add only their
+/// constructors, statistics folding and observer rebinding. Per-set state
+/// is inspected through [`core`](Self::core).
+#[derive(Debug, Clone)]
+pub struct PerSet<C> {
+    cores: Vec<C>,
+}
+
+impl<C> PerSet<C> {
+    /// One core per set of `geom`, each built by `core`.
+    pub(crate) fn from_fn(geom: &Geometry, core: impl FnMut() -> C) -> Self {
+        PerSet {
+            cores: std::iter::repeat_with(core).take(geom.num_sets()).collect(),
+        }
+    }
+
+    /// The core driving `set` (per-set inspection: `acost()`, `etd()`,
+    /// `counter()`, …).
+    #[must_use]
+    pub fn core(&self, set: SetIndex) -> &C {
+        &self.cores[set.0]
+    }
+
+    /// Rebuilds every set's core through `f` (observer rebinding, parameter
+    /// overrides).
+    pub(crate) fn map_cores<C2>(self, f: impl FnMut(C) -> C2) -> PerSet<C2> {
+        PerSet {
+            cores: self.cores.into_iter().map(f).collect(),
+        }
+    }
+
+    /// Sums the per-set statistics selected by `stats` with `merge`.
+    pub(crate) fn fold_stats<S: Default>(
+        &self,
+        stats: impl Fn(&C) -> &S,
+        merge: impl Fn(&mut S, &S),
+    ) -> S {
+        let mut total = S::default();
+        for c in &self.cores {
+            merge(&mut total, stats(c));
+        }
+        total
+    }
+}
+
+impl<C: EvictionPolicy> ReplacementPolicy for PerSet<C> {
+    fn name(&self) -> &'static str {
+        self.cores[0].name()
+    }
+
+    fn victim(&mut self, set: SetIndex, view: &SetView<'_>) -> Way {
+        self.cores[set.0].victim(view)
+    }
+
+    fn on_hit(&mut self, set: SetIndex, view: &SetView<'_>, way: Way, stack_pos: usize) {
+        let (block, cost, is_lru) = hit_args(view, stack_pos);
+        self.cores[set.0].on_hit(block, way, cost, is_lru);
+    }
+
+    fn on_miss(&mut self, set: SetIndex, view: &SetView<'_>, block: BlockAddr) {
+        self.cores[set.0].on_miss(block, lru_of(view));
+    }
+
+    fn on_fill(&mut self, set: SetIndex, block: BlockAddr, way: Way, cost: Cost) {
+        self.cores[set.0].on_fill(block, way, cost);
+    }
+
+    fn on_invalidate(
+        &mut self,
+        set: SetIndex,
+        block: BlockAddr,
+        _resident: Option<(Way, usize)>,
+        _kind: InvalidateKind,
+    ) {
+        self.cores[set.0].on_remove(block);
+    }
+}
+
 /// Extracts the `(block, cost, is_lru)` triple for a hit at `stack_pos`
-/// from a materialized view (the set-indexed delegation path).
-pub(crate) fn hit_args(view: &SetView<'_>, stack_pos: usize) -> (BlockAddr, Cost, bool) {
+/// from a materialized view.
+fn hit_args(view: &SetView<'_>, stack_pos: usize) -> (BlockAddr, Cost, bool) {
     let e = view.at(stack_pos);
     (e.block, e.cost, stack_pos + 1 == view.len())
 }
 
 /// The `(block, cost)` of the LRU entry of a materialized view, if any.
-pub(crate) fn lru_of(view: &SetView<'_>) -> Option<(BlockAddr, Cost)> {
+fn lru_of(view: &SetView<'_>) -> Option<(BlockAddr, Cost)> {
     if view.is_empty() {
         None
     } else {
@@ -154,76 +250,6 @@ pub(crate) fn lru_of(view: &SetView<'_>) -> Option<(BlockAddr, Cost)> {
         Some((l.block, l.cost))
     }
 }
-
-/// Implements [`cache_sim::ReplacementPolicy`] for a wrapper holding one
-/// [`EvictionPolicy`] core per set in a `cores: Vec<_>` field, by pure
-/// delegation. The wrapper is generic over its cores' decision observer.
-macro_rules! impl_replacement_via_cores {
-    ($wrapper:ident, $name:expr) => {
-        impl<OBS: csr_obs::Observer> cache_sim::ReplacementPolicy for $wrapper<OBS> {
-            fn name(&self) -> &'static str {
-                $name
-            }
-
-            fn victim(
-                &mut self,
-                set: cache_sim::SetIndex,
-                view: &cache_sim::SetView<'_>,
-            ) -> cache_sim::Way {
-                crate::eviction::EvictionPolicy::victim(&mut self.cores[set.0], view)
-            }
-
-            fn on_hit(
-                &mut self,
-                set: cache_sim::SetIndex,
-                view: &cache_sim::SetView<'_>,
-                way: cache_sim::Way,
-                stack_pos: usize,
-            ) {
-                let (block, cost, is_lru) = crate::eviction::hit_args(view, stack_pos);
-                crate::eviction::EvictionPolicy::on_hit(
-                    &mut self.cores[set.0],
-                    block,
-                    way,
-                    cost,
-                    is_lru,
-                );
-            }
-
-            fn on_miss(
-                &mut self,
-                set: cache_sim::SetIndex,
-                view: &cache_sim::SetView<'_>,
-                block: cache_sim::BlockAddr,
-            ) {
-                let lru = crate::eviction::lru_of(view);
-                crate::eviction::EvictionPolicy::on_miss(&mut self.cores[set.0], block, lru);
-            }
-
-            fn on_fill(
-                &mut self,
-                set: cache_sim::SetIndex,
-                block: cache_sim::BlockAddr,
-                way: cache_sim::Way,
-                cost: cache_sim::Cost,
-            ) {
-                crate::eviction::EvictionPolicy::on_fill(&mut self.cores[set.0], block, way, cost);
-            }
-
-            fn on_invalidate(
-                &mut self,
-                set: cache_sim::SetIndex,
-                block: cache_sim::BlockAddr,
-                _resident: Option<(cache_sim::Way, usize)>,
-                _kind: cache_sim::InvalidateKind,
-            ) {
-                crate::eviction::EvictionPolicy::on_remove(&mut self.cores[set.0], block);
-            }
-        }
-    };
-}
-
-pub(crate) use impl_replacement_via_cores;
 
 #[cfg(test)]
 mod tests {

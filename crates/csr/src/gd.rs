@@ -16,7 +16,7 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`GreedyDual`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{impl_replacement_via_cores, EvictionPolicy};
+use crate::eviction::{EvictionPolicy, PerSet};
 use cache_sim::{BlockAddr, Cost, Geometry, SetView, Way};
 use csr_obs::{NopObserver, Observer};
 
@@ -140,20 +140,13 @@ impl<O: Observer> EvictionPolicy for GdCore<O> {
 /// cache.access(BlockAddr(1), AccessType::Read, Cost(8)); // high-cost block
 /// cache.access(BlockAddr(1), AccessType::Read, Cost(8)); // hit restores H
 /// ```
-#[derive(Debug, Clone)]
-pub struct GreedyDual<O: Observer = NopObserver> {
-    cores: Vec<GdCore<O>>,
-}
+pub type GreedyDual<O = NopObserver> = PerSet<GdCore<O>>;
 
 impl GreedyDual {
     /// Creates a GreedyDual policy for the given cache geometry.
     #[must_use]
     pub fn new(geom: &Geometry) -> Self {
-        GreedyDual {
-            cores: (0..geom.num_sets())
-                .map(|_| GdCore::new(geom.assoc()))
-                .collect(),
-        }
+        PerSet::from_fn(geom, || GdCore::new(geom.assoc()))
     }
 }
 
@@ -161,27 +154,15 @@ impl<O: Observer> GreedyDual<O> {
     /// Statistics accumulated across all sets.
     #[must_use]
     pub fn stats(&self) -> GdStats {
-        let mut total = GdStats::default();
-        for c in &self.cores {
-            total.merge(c.stats());
-        }
-        total
+        self.fold_stats(GdCore::stats, GdStats::merge)
     }
 
     /// Attaches a decision observer; every set's core receives a clone.
     #[must_use]
     pub fn with_observer<O2: Observer + Clone>(self, obs: O2) -> GreedyDual<O2> {
-        GreedyDual {
-            cores: self
-                .cores
-                .into_iter()
-                .map(|c| c.with_observer(obs.clone()))
-                .collect(),
-        }
+        self.map_cores(|c| c.with_observer(obs.clone()))
     }
 }
-
-impl_replacement_via_cores!(GreedyDual, "GD");
 
 #[cfg(test)]
 mod tests {

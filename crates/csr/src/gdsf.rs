@@ -16,7 +16,7 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`Gdsf`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{impl_replacement_via_cores, EvictionPolicy};
+use crate::eviction::{EvictionPolicy, PerSet};
 use cache_sim::{BlockAddr, Cost, Geometry, SetView, Way};
 use csr_obs::{NopObserver, Observer};
 
@@ -144,20 +144,13 @@ impl<O: Observer> EvictionPolicy for GdsfCore<O> {
 }
 
 /// The GDSF replacement policy (one [`GdsfCore`] per set).
-#[derive(Debug, Clone)]
-pub struct Gdsf<O: Observer = NopObserver> {
-    cores: Vec<GdsfCore<O>>,
-}
+pub type Gdsf<O = NopObserver> = PerSet<GdsfCore<O>>;
 
 impl Gdsf {
     /// Creates a GDSF policy for the given cache geometry.
     #[must_use]
     pub fn new(geom: &Geometry) -> Self {
-        Gdsf {
-            cores: (0..geom.num_sets())
-                .map(|_| GdsfCore::new(geom.assoc()))
-                .collect(),
-        }
+        PerSet::from_fn(geom, || GdsfCore::new(geom.assoc()))
     }
 }
 
@@ -165,27 +158,15 @@ impl<O: Observer> Gdsf<O> {
     /// Statistics accumulated across all sets.
     #[must_use]
     pub fn stats(&self) -> GdsfStats {
-        let mut total = GdsfStats::default();
-        for c in &self.cores {
-            total.merge(c.stats());
-        }
-        total
+        self.fold_stats(GdsfCore::stats, GdsfStats::merge)
     }
 
     /// Attaches a decision observer; every set's core receives a clone.
     #[must_use]
     pub fn with_observer<O2: Observer + Clone>(self, obs: O2) -> Gdsf<O2> {
-        Gdsf {
-            cores: self
-                .cores
-                .into_iter()
-                .map(|c| c.with_observer(obs.clone()))
-                .collect(),
-        }
+        self.map_cores(|c| c.with_observer(obs.clone()))
     }
 }
-
-impl_replacement_via_cores!(Gdsf, "GDSF");
 
 #[cfg(test)]
 mod tests {

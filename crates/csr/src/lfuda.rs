@@ -15,7 +15,7 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`Lfuda`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{impl_replacement_via_cores, EvictionPolicy};
+use crate::eviction::{EvictionPolicy, PerSet};
 use cache_sim::{BlockAddr, Cost, Geometry, SetView, Way};
 use csr_obs::{NopObserver, Observer};
 
@@ -137,20 +137,13 @@ impl<O: Observer> EvictionPolicy for LfudaCore<O> {
 }
 
 /// The LFUDA replacement policy (one [`LfudaCore`] per set).
-#[derive(Debug, Clone)]
-pub struct Lfuda<O: Observer = NopObserver> {
-    cores: Vec<LfudaCore<O>>,
-}
+pub type Lfuda<O = NopObserver> = PerSet<LfudaCore<O>>;
 
 impl Lfuda {
     /// Creates an LFUDA policy for the given cache geometry.
     #[must_use]
     pub fn new(geom: &Geometry) -> Self {
-        Lfuda {
-            cores: (0..geom.num_sets())
-                .map(|_| LfudaCore::new(geom.assoc()))
-                .collect(),
-        }
+        PerSet::from_fn(geom, || LfudaCore::new(geom.assoc()))
     }
 }
 
@@ -158,27 +151,15 @@ impl<O: Observer> Lfuda<O> {
     /// Statistics accumulated across all sets.
     #[must_use]
     pub fn stats(&self) -> LfudaStats {
-        let mut total = LfudaStats::default();
-        for c in &self.cores {
-            total.merge(c.stats());
-        }
-        total
+        self.fold_stats(LfudaCore::stats, LfudaStats::merge)
     }
 
     /// Attaches a decision observer; every set's core receives a clone.
     #[must_use]
     pub fn with_observer<O2: Observer + Clone>(self, obs: O2) -> Lfuda<O2> {
-        Lfuda {
-            cores: self
-                .cores
-                .into_iter()
-                .map(|c| c.with_observer(obs.clone()))
-                .collect(),
-        }
+        self.map_cores(|c| c.with_observer(obs.clone()))
     }
 }
-
-impl_replacement_via_cores!(Lfuda, "LFUDA");
 
 #[cfg(test)]
 mod tests {

@@ -17,12 +17,23 @@
 //! * [`Acl`] — Adaptive Cost-sensitive LRU: DCL gated by a per-set 2-bit
 //!   success/failure automaton (Section 2.5).
 //!
-//! Each policy's decision logic is factored into a **set-size-agnostic
-//! core** ([`GdCore`], [`BclCore`], [`DclCore`], [`AclCore`], plus the
-//! [`LruCore`] baseline) implementing the single-region
-//! [`EvictionPolicy`] trait from [`eviction`]; the set-indexed types above
-//! replicate one core per set. The same cores drive the shards of the
-//! concurrent `csr-cache` key-value cache.
+//! Each policy's decision logic is a **set-size-agnostic core**
+//! ([`GdCore`], [`BclCore`], [`DclCore`], [`AclCore`], plus the [`LruCore`]
+//! baseline) implementing the single-region [`EvictionPolicy`] trait from
+//! [`eviction`]. A core is never driven directly; exactly two drivers speak
+//! its protocol, one per layer, and both enforce the same contract
+//! (`on_hit` before promotion, `on_miss` with the LRU pair before victim
+//! selection, `victim` once per replacement over an MRU → LRU view,
+//! `on_fill` after linking, `on_remove` for every other departure):
+//!
+//! * [`PerSet<C>`] — the simulator's driver: one core per cache set behind
+//!   [`cache_sim::ReplacementPolicy`], statically dispatched. The
+//!   set-indexed types above are aliases of it (`Dcl<O>` is
+//!   `PerSet<DclCore<O>>`); per-set state is read through
+//!   [`PerSet::core`].
+//! * `csr_cache::Region<T>` — the key-value driver: one boxed core over a
+//!   slab and recency list of arbitrary size, shared by the cache's shards
+//!   and the adaptive selector's ghost caches.
 //!
 //! A **policy zoo** of modern general-purpose cores rides on the same
 //! trait for head-to-head comparison and online selection: [`S3Fifo`]
@@ -36,7 +47,7 @@
 //!
 //! # Observability
 //!
-//! Every core (and its set-indexed wrapper) is generic over a `csr-obs`
+//! Every core (and therefore every [`PerSet`] alias) is generic over a `csr-obs`
 //! [`Observer`] that receives the policy's decisions — hits, misses,
 //! evictions, reservations, depreciations, ETD hits and ACL automaton
 //! flips — as they happen. The default [`NopObserver`] compiles to
@@ -99,8 +110,8 @@ pub use camp::{Camp, CampCore, CampStats};
 pub use csopt::{simulate_csopt, CsoptLimits};
 pub use csr_obs::{NopObserver, Observer};
 pub use dcl::{Dcl, DclCore, DclStats};
-pub use etd::{Etd, EtdConfig, EtdSet, EtdStats, EtdView};
-pub use eviction::{EvictionPolicy, LruCore};
+pub use etd::{Etd, EtdConfig, EtdSet, EtdStats};
+pub use eviction::{EvictionPolicy, LruCore, PerSet};
 pub use gd::{GdCore, GdStats, GreedyDual};
 pub use gdsf::{Gdsf, GdsfCore, GdsfStats};
 pub use hw::{CostSource, HwParams, HwPolicy};

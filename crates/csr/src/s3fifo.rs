@@ -21,7 +21,7 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`S3Fifo`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{impl_replacement_via_cores, EvictionPolicy};
+use crate::eviction::{EvictionPolicy, PerSet};
 use cache_sim::{BlockAddr, Cost, Geometry, SetView, Way};
 use csr_obs::{NopObserver, Observer};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -324,20 +324,13 @@ impl<O: Observer> EvictionPolicy for S3FifoCore<O> {
 }
 
 /// The S3-FIFO replacement policy (one [`S3FifoCore`] per set).
-#[derive(Debug, Clone)]
-pub struct S3Fifo<O: Observer = NopObserver> {
-    cores: Vec<S3FifoCore<O>>,
-}
+pub type S3Fifo<O = NopObserver> = PerSet<S3FifoCore<O>>;
 
 impl S3Fifo {
     /// Creates an S3-FIFO policy for the given cache geometry.
     #[must_use]
     pub fn new(geom: &Geometry) -> Self {
-        S3Fifo {
-            cores: (0..geom.num_sets())
-                .map(|_| S3FifoCore::new(geom.assoc()))
-                .collect(),
-        }
+        PerSet::from_fn(geom, || S3FifoCore::new(geom.assoc()))
     }
 }
 
@@ -345,27 +338,15 @@ impl<O: Observer> S3Fifo<O> {
     /// Statistics accumulated across all sets.
     #[must_use]
     pub fn stats(&self) -> S3FifoStats {
-        let mut total = S3FifoStats::default();
-        for c in &self.cores {
-            total.merge(c.stats());
-        }
-        total
+        self.fold_stats(S3FifoCore::stats, S3FifoStats::merge)
     }
 
     /// Attaches a decision observer; every set's core receives a clone.
     #[must_use]
     pub fn with_observer<O2: Observer + Clone>(self, obs: O2) -> S3Fifo<O2> {
-        S3Fifo {
-            cores: self
-                .cores
-                .into_iter()
-                .map(|c| c.with_observer(obs.clone()))
-                .collect(),
-        }
+        self.map_cores(|c| c.with_observer(obs.clone()))
     }
 }
-
-impl_replacement_via_cores!(S3Fifo, "S3-FIFO");
 
 #[cfg(test)]
 mod tests {

@@ -17,7 +17,7 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`Slru`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{impl_replacement_via_cores, EvictionPolicy};
+use crate::eviction::{EvictionPolicy, PerSet};
 use cache_sim::{BlockAddr, Cost, Geometry, SetView, Way};
 use csr_obs::{NopObserver, Observer};
 use std::collections::{HashMap, VecDeque};
@@ -267,20 +267,13 @@ impl<O: Observer> EvictionPolicy for SlruCore<O> {
 }
 
 /// The SLRU replacement policy (one [`SlruCore`] per set).
-#[derive(Debug, Clone)]
-pub struct Slru<O: Observer = NopObserver> {
-    cores: Vec<SlruCore<O>>,
-}
+pub type Slru<O = NopObserver> = PerSet<SlruCore<O>>;
 
 impl Slru {
     /// Creates an SLRU policy for the given cache geometry.
     #[must_use]
     pub fn new(geom: &Geometry) -> Self {
-        Slru {
-            cores: (0..geom.num_sets())
-                .map(|_| SlruCore::new(geom.assoc()))
-                .collect(),
-        }
+        PerSet::from_fn(geom, || SlruCore::new(geom.assoc()))
     }
 }
 
@@ -288,27 +281,15 @@ impl<O: Observer> Slru<O> {
     /// Statistics accumulated across all sets.
     #[must_use]
     pub fn stats(&self) -> SlruStats {
-        let mut total = SlruStats::default();
-        for c in &self.cores {
-            total.merge(c.stats());
-        }
-        total
+        self.fold_stats(SlruCore::stats, SlruStats::merge)
     }
 
     /// Attaches a decision observer; every set's core receives a clone.
     #[must_use]
     pub fn with_observer<O2: Observer + Clone>(self, obs: O2) -> Slru<O2> {
-        Slru {
-            cores: self
-                .cores
-                .into_iter()
-                .map(|c| c.with_observer(obs.clone()))
-                .collect(),
-        }
+        self.map_cores(|c| c.with_observer(obs.clone()))
     }
 }
-
-impl_replacement_via_cores!(Slru, "SLRU");
 
 #[cfg(test)]
 mod tests {

@@ -27,7 +27,7 @@ fn enable_via_watch_hit(c: &mut Cache<Acl>) {
     c.access(BlockAddr(1), AccessType::Read, Cost(1));
     c.access(BlockAddr(2), AccessType::Read, Cost(1)); // LRU 0 evicted, watched
     c.access(BlockAddr(0), AccessType::Read, Cost(8)); // watch hit: counter = 2
-    assert!(c.policy().enabled(S0));
+    assert!(c.policy().core(S0).enabled());
 }
 
 /// Runs one full failed reservation of block 0 (cost 8): moves 0 to the
@@ -43,7 +43,14 @@ fn fail_one_reservation(c: &mut Cache<Acl>, mut fresh: u64) {
     c.access(BlockAddr(others[0]), AccessType::Read, Cost(1)); // 0 to LRU
     for _ in 0..4 {
         c.access(BlockAddr(fresh), AccessType::Read, Cost(1)); // displace cheap
-        let displaced: Vec<u64> = c.policy().etd().blocks_in(S0).iter().map(|b| b.0).collect();
+        let displaced: Vec<u64> = c
+            .policy()
+            .core(S0)
+            .etd()
+            .blocks()
+            .iter()
+            .map(|b| b.0)
+            .collect();
         c.access(BlockAddr(displaced[0]), AccessType::Read, Cost(1)); // detected re-ref
         fresh += 1;
     }
@@ -58,14 +65,17 @@ fn disabled_set_reenables_only_through_a_watch_hit() {
     enable_via_watch_hit(&mut c);
     fail_one_reservation(&mut c, 100);
     fail_one_reservation(&mut c, 200);
-    assert!(!c.policy().enabled(S0), "two failures must disable the set");
-    assert_eq!(c.policy().counter_of(S0), 0);
+    assert!(
+        !c.policy().core(S0).enabled(),
+        "two failures must disable the set"
+    );
+    assert_eq!(c.policy().core(S0).counter(), 0);
 
     // The transition into watch mode cleared the directory: entries from
     // the failed reservation are evidence reservations *hurt* and must not
     // masquerade as watch hits.
     assert!(
-        c.policy().etd().is_empty(S0),
+        c.policy().core(S0).etd().is_empty(),
         "ETD must be flushed on disable"
     );
 
@@ -91,10 +101,10 @@ fn disabled_set_reenables_only_through_a_watch_hit() {
     let triggers_before = c.policy().stats().triggers;
     c.access(BlockAddr(0), AccessType::Read, Cost(8));
     assert!(
-        c.policy().enabled(S0),
+        c.policy().core(S0).enabled(),
         "watch hit must re-enable reservations"
     );
-    assert_eq!(c.policy().counter_of(S0), 2);
+    assert_eq!(c.policy().core(S0).counter(), 2);
     assert_eq!(c.policy().stats().triggers, triggers_before + 1);
 }
 
@@ -109,7 +119,7 @@ fn watch_mode_ignores_misses_on_unwatched_blocks() {
     // Misses on blocks that were never displaced must not trigger.
     c.access(BlockAddr(7), AccessType::Read, Cost(1));
     c.access(BlockAddr(8), AccessType::Read, Cost(1));
-    assert!(!c.policy().enabled(S0));
+    assert!(!c.policy().core(S0).enabled());
     assert_eq!(c.policy().stats().triggers, 0);
 }
 
@@ -150,7 +160,7 @@ fn dcl_depreciates_only_on_actual_rereference() {
     c.access(BlockAddr(1), AccessType::Read, Cost(1)); // cheap
     c.access(BlockAddr(2), AccessType::Read, Cost(1)); // reserves 0, displaces 1
     assert!(c.contains(BlockAddr(0)));
-    assert_eq!(c.policy().acost_of(S0), 8);
+    assert_eq!(c.policy().core(S0).acost(), 8);
 
     // Misses on blocks that were never displaced: no detected re-reference,
     // so the reservation keeps its full remaining cost. (Each fill evicts
@@ -159,7 +169,7 @@ fn dcl_depreciates_only_on_actual_rereference() {
         c.access(BlockAddr(b), AccessType::Read, Cost(1));
         assert!(c.contains(BlockAddr(0)));
         assert_eq!(
-            c.policy().acost_of(S0),
+            c.policy().core(S0).acost(),
             8,
             "miss on never-displaced block {b} must not depreciate",
         );
@@ -167,10 +177,17 @@ fn dcl_depreciates_only_on_actual_rereference() {
 
     // A miss on a block the ETD recorded as displaced IS a detected
     // re-reference: acost drops by twice the displaced block's cost.
-    let displaced: Vec<u64> = c.policy().etd().blocks_in(S0).iter().map(|b| b.0).collect();
+    let displaced: Vec<u64> = c
+        .policy()
+        .core(S0)
+        .etd()
+        .blocks()
+        .iter()
+        .map(|b| b.0)
+        .collect();
     c.access(BlockAddr(displaced[0]), AccessType::Read, Cost(1));
     assert_eq!(
-        c.policy().acost_of(S0),
+        c.policy().core(S0).acost(),
         6,
         "detected re-reference must depreciate by 2x cost"
     );

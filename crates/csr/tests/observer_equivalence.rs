@@ -25,7 +25,11 @@ fn reference_stream() -> Vec<(BlockAddr, Cost)> {
         // frequent re-use.
         let block = BlockAddr(r % 160);
         // Every sixth block is expensive, as in the paper's bimodal setups.
-        let cost = if block.0.is_multiple_of(6) { Cost(8) } else { Cost(1) };
+        let cost = if block.0.is_multiple_of(6) {
+            Cost(8)
+        } else {
+            Cost(1)
+        };
         out.push((block, cost));
     }
     out

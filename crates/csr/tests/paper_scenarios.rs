@@ -86,7 +86,7 @@ fn bcl_depreciation_schedule() {
         c.access(BlockAddr(b), AccessType::Read, Cost(1));
         assert!(c.contains(BlockAddr(0)));
     }
-    assert_eq!(c.policy().acost_of(SetIndex(0)), 0);
+    assert_eq!(c.policy().core(SetIndex(0)).acost(), 0);
     // Prime replacement candidate: the next fill takes it.
     c.access(BlockAddr(5), AccessType::Read, Cost(1));
     assert!(!c.contains(BlockAddr(0)));
@@ -107,8 +107,8 @@ fn dcl_depreciates_only_on_actual_rereference() {
     }
     // BCL pessimistically depreciated 3 times (6 -> 0); DCL not at all
     // (none of the victims ever returned).
-    assert_eq!(bcl_cache.policy().acost_of(SetIndex(0)), 0);
-    assert_eq!(dcl_cache.policy().acost_of(SetIndex(0)), 6);
+    assert_eq!(bcl_cache.policy().core(SetIndex(0)).acost(), 0);
+    assert_eq!(dcl_cache.policy().core(SetIndex(0)).acost(), 6);
     // The reserved block's fate then differs on the next fill.
     bcl_cache.access(BlockAddr(5), AccessType::Read, Cost(1));
     dcl_cache.access(BlockAddr(5), AccessType::Read, Cost(1));
@@ -129,12 +129,12 @@ fn etd_entries_die_with_coherence_invalidations() {
     c.access(BlockAddr(0), AccessType::Read, Cost(6));
     c.access(BlockAddr(1), AccessType::Read, Cost(1));
     c.access(BlockAddr(2), AccessType::Read, Cost(1)); // 1 displaced -> ETD
-    assert_eq!(c.policy().etd().len(SetIndex(0)), 1);
+    assert_eq!(c.policy().core(SetIndex(0)).etd().len(), 1);
     c.invalidate(BlockAddr(1), InvalidateKind::Coherence); // remote write
-    assert!(c.policy().etd().is_empty(SetIndex(0)));
+    assert!(c.policy().core(SetIndex(0)).etd().is_empty());
     // Its return must now NOT depreciate the reservation.
     c.access(BlockAddr(1), AccessType::Read, Cost(1));
-    assert_eq!(c.policy().acost_of(SetIndex(0)), 6);
+    assert_eq!(c.policy().core(SetIndex(0)).acost(), 6);
 }
 
 /// Section 2.5: "Initially the counter is set to zero, disabling all
@@ -144,16 +144,16 @@ fn etd_entries_die_with_coherence_invalidations() {
 fn acl_trigger_narrative() {
     let geom = one_set(2);
     let mut c = Cache::new(geom, Acl::new(&geom));
-    assert!(!c.policy().enabled(SetIndex(0)));
+    assert!(!c.policy().core(SetIndex(0)).enabled());
     // Watch mode: LRU-evict an expensive block while a cheap one exists.
     c.access(BlockAddr(0), AccessType::Read, Cost(8));
     c.access(BlockAddr(1), AccessType::Read, Cost(1));
     c.access(BlockAddr(2), AccessType::Read, Cost(1)); // 0 evicted into watch ETD
-    assert_eq!(c.policy().counter_of(SetIndex(0)), 0);
+    assert_eq!(c.policy().core(SetIndex(0)).counter(), 0);
     c.access(BlockAddr(0), AccessType::Read, Cost(8)); // watch hit
-    assert_eq!(c.policy().counter_of(SetIndex(0)), 2);
+    assert_eq!(c.policy().core(SetIndex(0)).counter(), 2);
     assert!(
-        c.policy().etd().is_empty(SetIndex(0)),
+        c.policy().core(SetIndex(0)).etd().is_empty(),
         "all entries invalidated"
     );
 }

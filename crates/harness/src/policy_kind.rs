@@ -1,7 +1,7 @@
 //! Uniform construction of replacement policies for experiment sweeps.
 
 use cache_sim::{Fifo, Geometry, Lru, RandomEvict, ReplacementPolicy};
-use csr::{Acl, Bcl, Camp, Dcl, Gdsf, GreedyDual, Lfuda, Observer, S3Fifo, Slru};
+use csr::{Acl, Bcl, Camp, Dcl, Gdsf, GreedyDual, Lfuda, NopObserver, Observer, S3Fifo, Slru};
 use std::fmt;
 use std::sync::Arc;
 
@@ -61,43 +61,18 @@ impl PolicyKind {
         PolicyKind::Camp,
     ];
 
-    /// Builds a boxed policy instance for a cache of geometry `geom`.
-    #[must_use]
-    pub fn build(self, geom: &Geometry) -> Box<dyn ReplacementPolicy + Send> {
+    /// The kind → policy mapping, written once: a boxed instance for a
+    /// cache of geometry `geom` whose cores report to `obs` (the
+    /// `cache-sim` baselines have no observer support and drop it).
+    fn build_with<O: Observer + Clone + Send + 'static>(
+        self,
+        geom: &Geometry,
+        obs: O,
+    ) -> Box<dyn ReplacementPolicy + Send> {
         match self {
             PolicyKind::Lru => Box::new(Lru::new()),
             PolicyKind::Fifo => Box::new(Fifo::new(geom.num_sets())),
             PolicyKind::Random => Box::new(RandomEvict::new(0xC0FFEE)),
-            PolicyKind::Gd => Box::new(GreedyDual::new(geom)),
-            PolicyKind::Bcl => Box::new(Bcl::new(geom)),
-            PolicyKind::Dcl => Box::new(Dcl::new(geom)),
-            PolicyKind::DclAliased(bits) => Box::new(Dcl::with_aliased_tags(geom, bits)),
-            PolicyKind::Acl => Box::new(Acl::new(geom)),
-            PolicyKind::AclAliased(bits) => Box::new(Acl::with_aliased_tags(geom, bits)),
-            PolicyKind::S3Fifo => Box::new(S3Fifo::new(geom)),
-            PolicyKind::Slru => Box::new(Slru::new(geom)),
-            PolicyKind::Lfuda => Box::new(Lfuda::new(geom)),
-            PolicyKind::Gdsf => Box::new(Gdsf::new(geom)),
-            PolicyKind::Camp => Box::new(Camp::new(geom)),
-        }
-    }
-
-    /// Builds a boxed policy instance with a decision [`Observer`] attached.
-    ///
-    /// The cost-sensitive policies (GD, BCL, DCL, ACL and their aliased
-    /// variants) emit hit/miss/evict/reserve/depreciate events to `obs`,
-    /// giving every table and figure a replayable decision trace. The
-    /// cost-oblivious baselines (LRU, FIFO, Random) come from `cache-sim`
-    /// and have no observer support; for those this falls back to
-    /// [`build`](Self::build) and `obs` sees no events.
-    #[must_use]
-    pub fn build_observed(
-        self,
-        geom: &Geometry,
-        obs: TraceObserver,
-    ) -> Box<dyn ReplacementPolicy + Send> {
-        match self {
-            PolicyKind::Lru | PolicyKind::Fifo | PolicyKind::Random => self.build(geom),
             PolicyKind::Gd => Box::new(GreedyDual::new(geom).with_observer(obs)),
             PolicyKind::Bcl => Box::new(Bcl::new(geom).with_observer(obs)),
             PolicyKind::Dcl => Box::new(Dcl::new(geom).with_observer(obs)),
@@ -114,6 +89,28 @@ impl PolicyKind {
             PolicyKind::Gdsf => Box::new(Gdsf::new(geom).with_observer(obs)),
             PolicyKind::Camp => Box::new(Camp::new(geom).with_observer(obs)),
         }
+    }
+
+    /// Builds a boxed policy instance for a cache of geometry `geom`.
+    #[must_use]
+    pub fn build(self, geom: &Geometry) -> Box<dyn ReplacementPolicy + Send> {
+        self.build_with(geom, NopObserver)
+    }
+
+    /// Builds a boxed policy instance with a decision [`Observer`] attached.
+    ///
+    /// The cost-sensitive policies (GD, BCL, DCL, ACL and their aliased
+    /// variants) emit hit/miss/evict/reserve/depreciate events to `obs`,
+    /// giving every table and figure a replayable decision trace. The
+    /// cost-oblivious baselines (LRU, FIFO, Random) come from `cache-sim`
+    /// and have no observer support; for those `obs` sees no events.
+    #[must_use]
+    pub fn build_observed(
+        self,
+        geom: &Geometry,
+        obs: TraceObserver,
+    ) -> Box<dyn ReplacementPolicy + Send> {
+        self.build_with(geom, obs)
     }
 
     /// Whether [`build_observed`](Self::build_observed) actually emits

@@ -143,7 +143,10 @@ impl Workload for LuLike {
     }
 
     fn generate_phases(&self, _seed: u64) -> PhasedTrace {
-        assert!(self.n.is_multiple_of(self.block), "matrix must divide into blocks");
+        assert!(
+            self.n.is_multiple_of(self.block),
+            "matrix must divide into blocks"
+        );
         let nb = self.blocks_per_side();
         let mut pt = PhasedTrace::new(self.procs);
 

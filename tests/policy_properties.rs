@@ -156,7 +156,7 @@ fn etd_disjoint_and_bounded() {
                 }
             }
             for set in 0..geom.num_sets() {
-                let etd_blocks = cache.policy().etd().blocks_in(SetIndex(set));
+                let etd_blocks = cache.policy().core(SetIndex(set)).etd().blocks();
                 assert!(etd_blocks.len() < geom.assoc());
                 for eb in etd_blocks {
                     assert!(
@@ -234,7 +234,7 @@ fn acost_bounded_by_block_cost() {
             }
             for set in 0..geom.num_sets() {
                 assert!(
-                    cache.policy().acost_of(SetIndex(set)) <= max_cost,
+                    cache.policy().core(SetIndex(set)).acost() <= max_cost,
                     "case {case}"
                 );
             }
