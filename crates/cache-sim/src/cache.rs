@@ -96,6 +96,18 @@ impl SetState {
     fn remove(&mut self, way: Way) {
         self.recency.retain(|&w| w != way);
     }
+
+    /// The policy-facing view of a way on the recency stack.
+    #[inline]
+    fn view(&self, way: Way) -> WayView {
+        let f = &self.frames[way.0];
+        WayView {
+            way,
+            block: f.block.expect("recency stack holds only valid ways"),
+            cost: f.cost,
+            dirty: f.dirty,
+        }
+    }
 }
 
 /// A set-associative, write-back, write-allocate cache with a pluggable
@@ -192,27 +204,14 @@ impl<P: ReplacementPolicy> Cache<P> {
     #[must_use]
     pub fn recency_of(&self, set: SetIndex) -> Vec<BlockAddr> {
         let s = &self.sets[set.0];
-        s.recency
-            .iter()
-            .map(|&w| {
-                s.frames[w.0]
-                    .block
-                    .expect("recency stack holds only valid ways")
-            })
-            .collect()
+        s.recency.iter().map(|&w| s.view(w).block).collect()
     }
 
     fn rebuild_scratch(&mut self, set: SetIndex) {
         self.scratch.clear();
         let s = &self.sets[set.0];
         for &w in &s.recency {
-            let f = &s.frames[w.0];
-            self.scratch.push(WayView {
-                way: w,
-                block: f.block.expect("recency stack holds only valid ways"),
-                cost: f.cost,
-                dirty: f.dirty,
-            });
+            self.scratch.push(s.view(w));
         }
     }
 
@@ -232,19 +231,10 @@ impl<P: ReplacementPolicy> Cache<P> {
         let resident = self.sets[set.0].way_of(block);
 
         if let Some(way) = resident {
-            let stack_pos = self.sets[set.0]
-                .recency
-                .iter()
-                .position(|&w| w == way)
-                .expect("resident block must be on the recency stack");
-            if self.policy.needs_view_on_hit() {
-                self.rebuild_scratch(set);
-            } else {
-                self.scratch.clear();
-            }
-            self.policy
-                .on_hit(set, &SetView::new(&self.scratch), way, stack_pos);
             let s = &mut self.sets[set.0];
+            let is_lru = s.recency.last() == Some(&way);
+            self.policy
+                .on_hit(set, block, way, s.frames[way.0].cost, is_lru);
             s.promote(way);
             if op == AccessType::Write {
                 s.frames[way.0].dirty = true;
@@ -260,13 +250,17 @@ impl<P: ReplacementPolicy> Cache<P> {
 
         // Miss path.
         self.stats.misses += 1;
-        self.rebuild_scratch(set);
-        self.policy
-            .on_miss(set, &SetView::new(&self.scratch), block);
+        let s = &self.sets[set.0];
+        let lru = s.recency.last().map(|&w| {
+            let v = s.view(w);
+            (v.block, v.cost)
+        });
+        self.policy.on_miss(set, block, lru);
 
         let (way, evicted) = match self.sets[set.0].first_invalid() {
             Some(w) => (w, None),
             None => {
+                self.rebuild_scratch(set);
                 let victim = self.policy.victim(set, &SetView::new(&self.scratch));
                 let s = &self.sets[set.0];
                 assert!(
@@ -376,13 +370,9 @@ impl<P: ReplacementPolicy> Cache<P> {
 
     /// Iterates over all resident blocks (set by set, MRU → LRU within each).
     pub fn resident_blocks(&self) -> impl Iterator<Item = BlockAddr> + '_ {
-        self.sets.iter().flat_map(|s| {
-            s.recency.iter().map(|&w| {
-                s.frames[w.0]
-                    .block
-                    .expect("recency stack holds only valid ways")
-            })
-        })
+        self.sets
+            .iter()
+            .flat_map(|s| s.recency.iter().map(|&w| s.view(w).block))
     }
 }
 

@@ -44,10 +44,6 @@ impl ReplacementPolicy for Fifo {
         }
     }
 
-    fn needs_view_on_hit(&self) -> bool {
-        false
-    }
-
     fn on_fill(&mut self, set: SetIndex, _block: BlockAddr, way: Way, _cost: Cost) {
         let q = self.queue(set);
         q.retain(|&w| w != way);

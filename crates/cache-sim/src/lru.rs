@@ -38,10 +38,6 @@ impl ReplacementPolicy for Lru {
     fn victim(&mut self, _set: SetIndex, view: &SetView<'_>) -> Way {
         view.lru().way
     }
-
-    fn needs_view_on_hit(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]

@@ -3,9 +3,11 @@
 //! A [`ReplacementPolicy`] is driven by a [`Cache`](crate::Cache): the cache
 //! maintains residency and the LRU recency stack of every set, and consults
 //! the policy for victim selection, notifying it of hits, misses, fills and
-//! invalidations. The cache presents each set to the policy as a [`SetView`]
-//! in **MRU → LRU order**, mirroring the paper's `c(1)` (MRU) … `c(s)` (LRU)
-//! notation (with 0-based indices here: position 0 is MRU, `len()-1` is LRU).
+//! invalidations. For victim selection — and only there — the cache presents
+//! the set as a [`SetView`] in **MRU → LRU order**, mirroring the paper's
+//! `c(1)` (MRU) … `c(s)` (LRU) notation (with 0-based indices here: position
+//! 0 is MRU, `len()-1` is LRU). Hits and misses carry the O(1) facts a policy
+//! consumes instead, so the hit path never materializes the stack.
 //!
 //! # Contract
 //!
@@ -14,7 +16,7 @@
 //!   Policies may therefore perform bookkeeping side effects inside `victim`
 //!   (e.g. BCL's `Acost` depreciation, DCL's ETD allocation).
 //! * Hit notifications are delivered *before* the accessed block is promoted
-//!   to the MRU position, so the view still shows the pre-access stack.
+//!   to the MRU position; `is_lru` describes the pre-access stack.
 //! * [`ReplacementPolicy::on_miss`] is delivered for every access that misses,
 //!   before victim selection (and also when the fill uses an empty way) —
 //!   this is where DCL/ACL probe their Extended Tag Directory.
@@ -130,25 +132,17 @@ pub trait ReplacementPolicy {
     /// than the associativity they were configured with).
     fn victim(&mut self, set: SetIndex, view: &SetView<'_>) -> Way;
 
-    /// Whether this policy inspects the [`SetView`] in
-    /// [`on_hit`](Self::on_hit). Returning `false` (as the simple baselines
-    /// do) lets the cache skip building the view on the hit path — the
-    /// hottest loop of every simulation. Policies that return `false`
-    /// receive an **empty** view in `on_hit`.
-    fn needs_view_on_hit(&self) -> bool {
-        true
+    /// An access hit `block` on `way` (cost as loaded at fill time), before
+    /// its promotion to MRU; `is_lru` is true when it sits at the LRU end.
+    fn on_hit(&mut self, set: SetIndex, block: BlockAddr, way: Way, cost: Cost, is_lru: bool) {
+        let _ = (set, block, way, cost, is_lru);
     }
 
-    /// An access hit on `way`, currently at stack position `stack_pos`
-    /// (0 = MRU). The view shows the stack *before* promotion to MRU.
-    fn on_hit(&mut self, set: SetIndex, view: &SetView<'_>, way: Way, stack_pos: usize) {
-        let _ = (set, view, way, stack_pos);
-    }
-
-    /// An access to `block` missed in the set. Delivered before victim
-    /// selection or fill.
-    fn on_miss(&mut self, set: SetIndex, view: &SetView<'_>, block: BlockAddr) {
-        let _ = (set, view, block);
+    /// An access to `block` missed in the set; `lru` is the set's current
+    /// LRU block and its cost, if the set holds any valid block. Delivered
+    /// before victim selection or fill.
+    fn on_miss(&mut self, set: SetIndex, block: BlockAddr, lru: Option<(BlockAddr, Cost)>) {
+        let _ = (set, block, lru);
     }
 
     /// `block` was filled into `way` with miss cost `cost`.
@@ -177,14 +171,11 @@ impl<P: ReplacementPolicy + ?Sized> ReplacementPolicy for Box<P> {
     fn victim(&mut self, set: SetIndex, view: &SetView<'_>) -> Way {
         (**self).victim(set, view)
     }
-    fn needs_view_on_hit(&self) -> bool {
-        (**self).needs_view_on_hit()
+    fn on_hit(&mut self, set: SetIndex, block: BlockAddr, way: Way, cost: Cost, is_lru: bool) {
+        (**self).on_hit(set, block, way, cost, is_lru);
     }
-    fn on_hit(&mut self, set: SetIndex, view: &SetView<'_>, way: Way, stack_pos: usize) {
-        (**self).on_hit(set, view, way, stack_pos);
-    }
-    fn on_miss(&mut self, set: SetIndex, view: &SetView<'_>, block: BlockAddr) {
-        (**self).on_miss(set, view, block);
+    fn on_miss(&mut self, set: SetIndex, block: BlockAddr, lru: Option<(BlockAddr, Cost)>) {
+        (**self).on_miss(set, block, lru);
     }
     fn on_fill(&mut self, set: SetIndex, block: BlockAddr, way: Way, cost: Cost) {
         (**self).on_fill(set, block, way, cost);

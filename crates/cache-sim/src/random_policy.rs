@@ -52,10 +52,6 @@ impl ReplacementPolicy for RandomEvict {
         let idx = (self.next() % view.len() as u64) as usize;
         view.at(idx).way
     }
-
-    fn needs_view_on_hit(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]

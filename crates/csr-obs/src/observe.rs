@@ -23,10 +23,10 @@ use std::sync::{Arc, Mutex};
 /// Receiver of replacement-policy decision events.
 ///
 /// Every method has a no-op default, so an implementation overrides only
-/// the events it cares about. Events fire at exactly the points where the
-/// policies' own statistics counters increment, so for any reference
-/// stream the per-kind event counts equal the corresponding
-/// `BclStats`/`DclStats`/`AclStats`/`CacheStats` counters.
+/// the events it cares about. The policy cores keep no counters of their
+/// own — this stream is their only accounting channel — and for any
+/// reference stream the hit/miss/evict event counts equal the driving
+/// cache's own `CacheStats` counters.
 pub trait Observer {
     /// An access hit `block` (cost as stored at fill time).
     fn on_hit(&self, block: BlockAddr, cost: Cost) {
@@ -374,7 +374,7 @@ pub struct EventCounts {
 
 /// An [`Observer`] that only counts events, per kind — the cheapest way to
 /// check a run's decision profile (and what the equivalence tests compare
-/// against the policies' own statistics).
+/// against the driving cache's statistics).
 #[derive(Debug, Default)]
 pub struct CountingObserver {
     hits: AtomicU64,

@@ -10,16 +10,31 @@
 use csr_obs::trace::{arm_events, emit_event, take_events};
 use csr_obs::{TraceConfig, Tracer};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::time::Instant;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by *this* thread. The harness runs the tests of this
+    /// file on parallel threads, so a process-wide counter would charge one
+    /// test's allocations to the other. Const-initialised and without a
+    /// destructor, so touching it from inside the allocator never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: allocations during thread teardown are simply not counted.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -28,7 +43,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -48,7 +63,7 @@ fn disabled_tracing_allocates_nothing_per_request() {
     emit_event("warmup", || "never built".to_owned());
     assert!(take_events().is_empty());
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..10_000 {
         // The untraced request path: one sampling decision plus the
         // unarmed event emissions middleware makes along the way.
@@ -56,7 +71,7 @@ fn disabled_tracing_allocates_nothing_per_request() {
         emit_event("retry", || "attempt 1".to_owned());
         emit_event("deadline", || "800ms".to_owned());
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -77,7 +92,7 @@ fn armed_collector_and_sampling_do_allocate_only_when_tracing() {
             capacity: 16,
         },
     );
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let mut trace = tracer.begin(None, Instant::now()).expect("sampled");
     arm_events();
     emit_event("retry", || "attempt 1".to_owned());
@@ -90,5 +105,5 @@ fn armed_collector_and_sampling_do_allocate_only_when_tracing() {
     // Sanity: the traced path did allocate (spans, events, ring entry) —
     // i.e. the zero reading above is a real measurement, not a broken
     // counter.
-    assert!(ALLOCATIONS.load(Ordering::Relaxed) > before);
+    assert!(allocations() > before);
 }

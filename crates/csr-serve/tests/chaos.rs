@@ -63,9 +63,56 @@ fn plausible(key: &str, data: &[u8]) -> bool {
     data.starts_with(key.as_bytes()) || data.iter().all(|&b| b == b'v')
 }
 
-/// The headline acceptance scenario: 10k ops, four clients, every fault
-/// class firing, one scripted partition — zero wrong values, and the
-/// healing counters must account for the chaos the proxy reports.
+/// Whether every fault class the headline scenario asserts on has fired.
+fn every_fault_class_fired(s: &ChaosSnapshot) -> bool {
+    s.resets > 0
+        && s.mid_resets > 0
+        && s.truncations > 0
+        && s.corruptions > 0
+        && s.stalls > 0
+        && s.partition_rejects + s.partition_cuts > 0
+}
+
+/// One client thread of the headline scenario: seeded 10% SET / 90% GET
+/// over 512 keys, every GET checked for plausibility.
+struct ChaosWorker {
+    t: u64,
+    rng: SplitMix64,
+    client: FailoverClient,
+    wrong: Arc<AtomicU64>,
+    maybe_applied: Arc<AtomicU64>,
+}
+
+impl ChaosWorker {
+    fn one_op(&mut self) {
+        let t = self.t;
+        let key = format!("key:{}", self.rng.below(512));
+        if self.rng.chance(0.1) {
+            match self.client.set(&key, &[b'v'; 32]) {
+                Ok(()) => {}
+                Err(e) if ConnectionError::is_maybe_applied(&e) => {
+                    self.maybe_applied.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(e) => panic!("worker {t}: SET gave up: {e}"),
+            }
+        } else {
+            match self.client.get(&key) {
+                Ok(Some(v)) => {
+                    if !plausible(&key, &v) {
+                        self.wrong.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                Ok(None) => {} // corrupted-key miss: no data, no lie
+                Err(e) => panic!("worker {t}: GET gave up: {e}"),
+            }
+        }
+    }
+}
+
+/// The headline acceptance scenario: 10k ops (plus a bounded top-up until
+/// every fault class has fired), four clients, one scripted partition —
+/// zero wrong values, and the healing counters must account for the chaos
+/// the proxy reports.
 #[test]
 fn ten_thousand_ops_heal_through_chaos_with_zero_wrong_values() {
     ten_thousand_ops_heal_in(IoMode::Blocking);
@@ -79,6 +126,10 @@ fn ten_thousand_ops_heal_through_chaos_with_zero_wrong_values_event() {
 fn ten_thousand_ops_heal_in(io: IoMode) {
     const THREADS: u64 = 4;
     const OPS_PER_THREAD: u64 = 2500;
+    // Top-up rounds: ops per fresh connection (enough reply bytes to cross
+    // the proxy's 2048-byte fault window) and the per-worker budget.
+    const FRESH_CONN_OPS: u64 = 64;
+    const TOP_UP_OPS: u64 = OPS_PER_THREAD;
 
     let origin = Arc::new(SimBacking {
         fast: Duration::ZERO,
@@ -127,63 +178,76 @@ fn ten_thousand_ops_heal_in(io: IoMode) {
     let target = proxy.addr().to_string();
     let workers: Vec<_> = (0..THREADS)
         .map(|t| {
-            let target = target.clone();
-            let metrics = metrics.clone();
-            let wrong = Arc::clone(&wrong);
-            let maybe_applied = Arc::clone(&maybe_applied);
+            let mut worker = ChaosWorker {
+                t,
+                rng: SplitMix64::new(0xbeef ^ t),
+                client: FailoverClient::new(vec![target.clone()], fast_failover(7 + t))
+                    .with_metrics(metrics.clone()),
+                wrong: Arc::clone(&wrong),
+                maybe_applied: Arc::clone(&maybe_applied),
+            };
             std::thread::spawn(move || {
-                let mut rng = SplitMix64::new(0xbeef ^ t);
-                let mut client =
-                    FailoverClient::new(vec![target], fast_failover(7 + t)).with_metrics(metrics);
-                let payload = vec![b'v'; 32];
                 for _ in 0..OPS_PER_THREAD {
-                    let key = format!("key:{}", rng.below(512));
-                    if rng.chance(0.1) {
-                        match client.set(&key, &payload) {
-                            Ok(()) => {}
-                            Err(e) if ConnectionError::is_maybe_applied(&e) => {
-                                maybe_applied.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(e) => panic!("worker {t}: SET gave up: {e}"),
-                        }
-                    } else {
-                        match client.get(&key) {
-                            Ok(Some(v)) => {
-                                if !plausible(&key, &v) {
-                                    wrong.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                            Ok(None) => {} // corrupted-key miss: no data, no lie
-                            Err(e) => panic!("worker {t}: GET gave up: {e}"),
-                        }
-                    }
+                    worker.one_op();
                 }
-                client.close();
+                worker
             })
         })
         .collect();
-    for w in workers {
-        w.join().expect("worker panicked");
-    }
+    let workers: Vec<ChaosWorker> = workers
+        .into_iter()
+        .map(|w| w.join().expect("worker panicked"))
+        .collect();
     let _ = partition.join();
 
-    assert_eq!(wrong.load(Ordering::Relaxed), 0, "corruption reached data");
+    // The healing assertions read the 10k-op run alone, taken here with
+    // every worker idle: the top-up below closes connections on purpose,
+    // and those reconnects answer no injected kill.
     let snap = proxy.counters();
+    let reconnects = metrics.reconnects.get();
+
+    // Fault plans are drawn per connection and a connection that outlives
+    // its fault window stays clean, so the 10k ops above may settle on
+    // clean connections before a rare class (truncation) is ever drawn.
+    // Keep going on fresh connections — each a fresh plan — until every
+    // asserted class has fired.
+    let top_up: Vec<_> = workers
+        .into_iter()
+        .map(|mut worker| {
+            let proxy = Arc::clone(&proxy);
+            std::thread::spawn(move || {
+                let mut extra = 0;
+                while extra < TOP_UP_OPS && !every_fault_class_fired(&proxy.counters()) {
+                    worker.client.close(); // the next op reconnects
+                    for _ in 0..FRESH_CONN_OPS {
+                        worker.one_op();
+                    }
+                    extra += FRESH_CONN_OPS;
+                }
+                worker.client.close();
+            })
+        })
+        .collect();
+    for w in top_up {
+        w.join().expect("top-up worker panicked");
+    }
+
+    assert_eq!(wrong.load(Ordering::Relaxed), 0, "corruption reached data");
     // Every configured fault class actually fired.
-    assert!(snap.resets > 0, "no immediate resets: {snap:?}");
-    assert!(snap.mid_resets > 0, "no mid-reply resets: {snap:?}");
-    assert!(snap.truncations > 0, "no truncations: {snap:?}");
-    assert!(snap.corruptions > 0, "no corruptions: {snap:?}");
-    assert!(snap.stalls > 0, "no stalls: {snap:?}");
+    let fired = proxy.counters();
+    assert!(fired.resets > 0, "no immediate resets: {fired:?}");
+    assert!(fired.mid_resets > 0, "no mid-reply resets: {fired:?}");
+    assert!(fired.truncations > 0, "no truncations: {fired:?}");
+    assert!(fired.corruptions > 0, "no corruptions: {fired:?}");
+    assert!(fired.stalls > 0, "no stalls: {fired:?}");
     assert!(
-        snap.partition_rejects + snap.partition_cuts > 0,
-        "the scripted partition left no trace: {snap:?}"
+        fired.partition_rejects + fired.partition_cuts > 0,
+        "the scripted partition left no trace: {fired:?}"
     );
 
     // Healing accounting: every client connect (initial or healing) is
     // one proxy accept — relayed, reset, or partition-rejected.
     let connects = snap.connections + snap.partition_rejects;
-    let reconnects = metrics.reconnects.get();
     assert!(
         connects.abs_diff(reconnects + THREADS) <= THREADS,
         "connect accounting off: proxy saw {connects}, client healed {reconnects} (+{THREADS} initial)"

@@ -30,39 +30,6 @@ const COUNTER_MAX: u8 = 3;
 /// Counter value installed when a disabled set observes an ETD hit.
 const TRIGGER_VALUE: u8 = 2;
 
-/// Counters specific to [`Acl`] / [`AclCore`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AclStats {
-    /// Reservations started (first non-LRU victimization of a streak).
-    pub reservations: u64,
-    /// Reservations that ended with a hit on the reserved block.
-    pub successes: u64,
-    /// Reservations that ended with eviction/invalidation of the reserved
-    /// block.
-    pub failures: u64,
-    /// Disabled-to-enabled transitions triggered by watch-mode ETD hits.
-    pub triggers: u64,
-    /// Victim selections that evicted the LRU block.
-    pub lru_evictions: u64,
-    /// Depreciations triggered by ETD hits while enabled.
-    pub depreciations: u64,
-    /// Watch-mode ETD insertions of evicted LRU blocks.
-    pub watch_inserts: u64,
-}
-
-impl AclStats {
-    /// Accumulates `other` into `self` (counter-wise sum).
-    pub fn merge(&mut self, other: &AclStats) {
-        self.reservations += other.reservations;
-        self.successes += other.successes;
-        self.failures += other.failures;
-        self.triggers += other.triggers;
-        self.lru_evictions += other.lru_evictions;
-        self.depreciations += other.depreciations;
-        self.watch_inserts += other.watch_inserts;
-    }
-}
-
 #[derive(Debug, Clone, Copy, Default)]
 struct SetAutomaton {
     counter: u8,
@@ -83,7 +50,6 @@ pub struct AclCore<O: Observer = NopObserver> {
     automaton: SetAutomaton,
     etd: EtdSet,
     factor: u64,
-    stats: AclStats,
     obs: O,
 }
 
@@ -96,7 +62,6 @@ impl AclCore {
             automaton: SetAutomaton::default(),
             etd,
             factor: 2,
-            stats: AclStats::default(),
             obs: NopObserver,
         }
     }
@@ -120,12 +85,6 @@ impl<O: Observer> AclCore<O> {
         assert!(factor > 0, "depreciation factor must be positive");
         self.factor = factor;
         self
-    }
-
-    /// Accumulated policy statistics.
-    #[must_use]
-    pub fn stats(&self) -> &AclStats {
-        &self.stats
     }
 
     /// The embedded shadow directory.
@@ -160,7 +119,6 @@ impl<O: Observer> AclCore<O> {
             automaton: self.automaton,
             etd: self.etd,
             factor: self.factor,
-            stats: self.stats,
             obs,
         }
     }
@@ -170,7 +128,6 @@ impl<O: Observer> AclCore<O> {
         if a.reserved {
             a.counter = a.counter.saturating_sub(1);
             a.reserved = false;
-            self.stats.failures += 1;
             if a.counter == 0 {
                 // Transition into watch mode with a clean slate: entries
                 // left over from the failed reservation must not be
@@ -198,7 +155,6 @@ impl<O: Observer> EvictionPolicy for AclCore<O> {
                 self.etd.insert(e.block, e.cost);
                 if !self.automaton.reserved {
                     self.automaton.reserved = true;
-                    self.stats.reservations += 1;
                     let lru = view.lru();
                     self.obs.on_reserve(lru.block, e.block, e.cost);
                 }
@@ -217,10 +173,8 @@ impl<O: Observer> EvictionPolicy for AclCore<O> {
                 .any(|e| e.cost.0 < lru.cost.0);
             if cheaper_exists {
                 self.etd.insert(lru.block, lru.cost);
-                self.stats.watch_inserts += 1;
             }
         }
-        self.stats.lru_evictions += 1;
         let lru = view.lru();
         self.tracker.note_departure(lru.block);
         self.obs.on_evict(lru.block, lru.cost);
@@ -233,7 +187,6 @@ impl<O: Observer> EvictionPolicy for AclCore<O> {
                 // The reserved block was re-referenced: success.
                 self.automaton.counter = (self.automaton.counter + 1).min(COUNTER_MAX);
                 self.automaton.reserved = false;
-                self.stats.successes += 1;
             }
             if self.automaton.enabled() {
                 self.etd.clear();
@@ -250,7 +203,6 @@ impl<O: Observer> EvictionPolicy for AclCore<O> {
                 self.tracker.sync_to(lru);
                 let amount = cost.0.saturating_mul(self.factor);
                 self.tracker.depreciate(Cost(amount));
-                self.stats.depreciations += 1;
                 self.obs.on_etd_hit(block, cost);
                 self.obs.on_depreciate(amount, self.tracker.acost());
             }
@@ -259,7 +211,6 @@ impl<O: Observer> EvictionPolicy for AclCore<O> {
             // Enable reservations, hoping a streak of successes started.
             self.etd.clear();
             self.automaton.counter = TRIGGER_VALUE;
-            self.stats.triggers += 1;
             self.obs.on_etd_hit(block, cost);
             self.obs.on_automaton_flip(true);
         }
@@ -323,16 +274,10 @@ impl<O: Observer> Acl<O> {
         self.map_cores(|c| c.with_depreciation_factor(factor))
     }
 
-    /// Policy statistics accumulated across all sets.
-    #[must_use]
-    pub fn stats(&self) -> AclStats {
-        self.fold_stats(AclCore::stats, AclStats::merge)
-    }
-
     /// Statistics of the embedded ETD, accumulated across all sets.
     #[must_use]
     pub fn etd_stats(&self) -> EtdStats {
-        self.fold_stats(|c| c.etd().stats(), EtdStats::merge)
+        self.fold_etd_stats(AclCore::etd)
     }
 
     /// Attaches a decision observer; every set's core receives a clone.
@@ -363,9 +308,9 @@ mod tests {
         // Disabled: plain LRU evicts the high-cost block 0.
         assert!(!c.contains(BlockAddr(0)));
         assert!(!c.policy().core(S0).enabled());
-        assert_eq!(c.policy().stats().reservations, 0);
+        assert_eq!(c.stats().non_lru_evictions, 0);
         // ...but block 0 entered the watch ETD (cheaper block 1 existed).
-        assert_eq!(c.policy().stats().watch_inserts, 1);
+        assert_eq!(c.policy().core(S0).etd().blocks(), vec![BlockAddr(0)]);
     }
 
     #[test]
@@ -377,7 +322,7 @@ mod tests {
         c.access(BlockAddr(0), AccessType::Read, Cost(8)); // watch hit!
         assert!(c.policy().core(S0).enabled());
         assert_eq!(c.policy().core(S0).counter(), TRIGGER_VALUE);
-        assert_eq!(c.policy().stats().triggers, 1);
+        assert_eq!(c.policy().etd_stats().hits, 1, "one watch hit");
     }
 
     #[test]
@@ -397,7 +342,7 @@ mod tests {
             "enabled ACL must reserve the high-cost LRU block"
         );
         assert!(!c.contains(BlockAddr(2)));
-        assert_eq!(c.policy().stats().reservations, 1);
+        assert_eq!(c.stats().non_lru_evictions, 1);
     }
 
     #[test]
@@ -410,7 +355,6 @@ mod tests {
         c.access(BlockAddr(2), AccessType::Read, Cost(1)); // 0 back to LRU
         c.access(BlockAddr(3), AccessType::Read, Cost(1)); // reserve 0
         c.access(BlockAddr(0), AccessType::Read, Cost(8)); // hit reserved block: success
-        assert_eq!(c.policy().stats().successes, 1);
         assert_eq!(c.policy().core(S0).counter(), 3);
     }
 
@@ -462,7 +406,6 @@ mod tests {
             c.access(BlockAddr(0), AccessType::Read, Cost(8));
         }
         assert!(!c.policy().core(S0).enabled());
-        assert_eq!(c.policy().stats().failures, 2);
     }
 
     #[test]
@@ -474,9 +417,8 @@ mod tests {
         c.access(BlockAddr(0), AccessType::Read, Cost(8)); // counter = 2
         c.access(BlockAddr(2), AccessType::Read, Cost(1)); // 0 to LRU
         c.access(BlockAddr(3), AccessType::Read, Cost(1)); // reserve 0
-        assert_eq!(c.policy().stats().reservations, 1);
+        assert_eq!(c.stats().non_lru_evictions, 1);
         c.invalidate(BlockAddr(0), InvalidateKind::Coherence);
-        assert_eq!(c.policy().stats().failures, 1);
         assert_eq!(c.policy().core(S0).counter(), 1);
     }
 
@@ -488,7 +430,7 @@ mod tests {
         }
         assert!(!c.contains(BlockAddr(0)));
         assert!(!c.contains(BlockAddr(4)));
-        assert_eq!(c.policy().stats().reservations, 0);
-        assert_eq!(c.policy().stats().watch_inserts, 0);
+        assert_eq!(c.stats().non_lru_evictions, 0);
+        assert_eq!(c.policy().etd_stats().allocations, 0, "no watch insert");
     }
 }

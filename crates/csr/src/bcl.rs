@@ -19,29 +19,11 @@ use crate::reserve::{reservation_victim, AcostTracker};
 use cache_sim::{BlockAddr, Cost, Geometry, SetIndex, SetView, Way};
 use csr_obs::{NopObserver, Observer};
 
-/// Counters specific to [`Bcl`] / [`BclCore`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BclStats {
-    /// Victim selections that reserved the LRU block (victim was non-LRU).
-    pub reservations: u64,
-    /// Victim selections that evicted the LRU block.
-    pub lru_evictions: u64,
-}
-
-impl BclStats {
-    /// Accumulates `other` into `self` (counter-wise sum).
-    pub fn merge(&mut self, other: &BclStats) {
-        self.reservations += other.reservations;
-        self.lru_evictions += other.lru_evictions;
-    }
-}
-
 /// BCL for a single replacement region.
 #[derive(Debug, Clone)]
 pub struct BclCore<O: Observer = NopObserver> {
     tracker: AcostTracker,
     factor: u64,
-    stats: BclStats,
     obs: O,
 }
 
@@ -65,7 +47,6 @@ impl BclCore {
         BclCore {
             tracker: AcostTracker::default(),
             factor,
-            stats: BclStats::default(),
             obs: NopObserver,
         }
     }
@@ -76,12 +57,6 @@ impl<O: Observer> BclCore<O> {
     #[must_use]
     pub fn depreciation_factor(&self) -> u64 {
         self.factor
-    }
-
-    /// Accumulated statistics.
-    #[must_use]
-    pub fn stats(&self) -> &BclStats {
-        &self.stats
     }
 
     /// The remaining depreciated cost of the tracked LRU block.
@@ -96,7 +71,6 @@ impl<O: Observer> BclCore<O> {
         BclCore {
             tracker: self.tracker,
             factor: self.factor,
-            stats: self.stats,
             obs,
         }
     }
@@ -121,14 +95,12 @@ impl<O: Observer> EvictionPolicy for BclCore<O> {
             let lru = view.lru();
             let amount = chosen.cost.0.saturating_mul(self.factor);
             self.tracker.depreciate(Cost(amount));
-            self.stats.reservations += 1;
             self.obs.on_reserve(lru.block, chosen.block, chosen.cost);
             self.obs.on_depreciate(amount, self.tracker.acost());
             self.obs.on_evict(chosen.block, chosen.cost);
             return way;
         }
         // No cheaper block: the LRU block goes (and leaves the tracker).
-        self.stats.lru_evictions += 1;
         let lru = view.lru();
         self.tracker.note_departure(lru.block);
         self.obs.on_evict(lru.block, lru.cost);
@@ -195,12 +167,6 @@ impl<O: Observer> Bcl<O> {
         self.core(SetIndex(0)).depreciation_factor()
     }
 
-    /// Statistics accumulated across all sets.
-    #[must_use]
-    pub fn stats(&self) -> BclStats {
-        self.fold_stats(BclCore::stats, BclStats::merge)
-    }
-
     /// Attaches a decision observer; every set's core receives a clone.
     #[must_use]
     pub fn with_observer<O2: Observer + Clone>(self, obs: O2) -> Bcl<O2> {
@@ -229,7 +195,7 @@ mod tests {
             "high-cost LRU block must be reserved"
         );
         assert!(!c.contains(BlockAddr(1)));
-        assert_eq!(c.policy().stats().reservations, 1);
+        assert_eq!(c.stats().non_lru_evictions, 1);
     }
 
     #[test]
@@ -261,7 +227,7 @@ mod tests {
             !c.contains(BlockAddr(0)),
             "no strictly cheaper block: plain LRU"
         );
-        assert_eq!(c.policy().stats().reservations, 0);
+        assert_eq!(c.stats().non_lru_evictions, 0);
     }
 
     #[test]

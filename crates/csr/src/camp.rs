@@ -19,30 +19,10 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`Camp`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{EvictionPolicy, PerSet};
+use crate::eviction::{report_victim, EvictionPolicy, PerSet};
 use cache_sim::{BlockAddr, Cost, Geometry, SetView, Way};
 use csr_obs::{NopObserver, Observer};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-
-/// Counters specific to [`Camp`] / [`CampCore`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CampStats {
-    /// Total victim selections.
-    pub victims: u64,
-    /// Victim selections that chose a block other than the LRU block.
-    pub non_lru_victims: u64,
-    /// Hits that re-enqueued a block at its bucket tail.
-    pub requeues: u64,
-}
-
-impl CampStats {
-    /// Accumulates `other` into `self` (counter-wise sum).
-    pub fn merge(&mut self, other: &CampStats) {
-        self.victims += other.victims;
-        self.non_lru_victims += other.non_lru_victims;
-        self.requeues += other.requeues;
-    }
-}
 
 #[derive(Debug, Clone, Copy)]
 struct CampMeta {
@@ -68,7 +48,6 @@ pub struct CampCore<O: Observer = NopObserver> {
     /// The region age `L`: the key of the last evicted block.
     age: u64,
     next_seq: u64,
-    stats: CampStats,
     obs: O,
 }
 
@@ -81,19 +60,12 @@ impl CampCore {
             buckets: BTreeMap::new(),
             age: 0,
             next_seq: 0,
-            stats: CampStats::default(),
             obs: NopObserver,
         }
     }
 }
 
 impl<O: Observer> CampCore<O> {
-    /// Accumulated statistics.
-    #[must_use]
-    pub fn stats(&self) -> &CampStats {
-        &self.stats
-    }
-
     /// The current region age `L`.
     #[must_use]
     pub fn age(&self) -> u64 {
@@ -114,7 +86,6 @@ impl<O: Observer> CampCore<O> {
             buckets: self.buckets,
             age: self.age,
             next_seq: self.next_seq,
-            stats: self.stats,
             obs,
         }
     }
@@ -169,19 +140,6 @@ impl<O: Observer> CampCore<O> {
             }
         }
     }
-
-    /// Books the eviction of the view entry at `pos` and returns its way.
-    fn finish(&mut self, view: &SetView<'_>, pos: usize) -> Way {
-        self.stats.victims += 1;
-        let chosen = view.at(pos);
-        self.obs.on_evict(chosen.block, chosen.cost);
-        if pos + 1 != view.len() {
-            self.stats.non_lru_victims += 1;
-            let lru = view.lru();
-            self.obs.on_reserve(lru.block, chosen.block, chosen.cost);
-        }
-        chosen.way
-    }
 }
 
 impl<O: Observer> EvictionPolicy for CampCore<O> {
@@ -200,13 +158,13 @@ impl<O: Observer> EvictionPolicy for CampCore<O> {
             self.drop_block(b);
             if let Some(&pos) = by_block.get(&b) {
                 self.age = self.age.max(key);
-                return self.finish(view, pos);
+                return report_victim(&self.obs, view, pos);
             }
         }
         // Fresh or desynced core: evict the LRU block.
         let lru = view.lru();
         self.drop_block(lru.block);
-        self.finish(view, view.len() - 1)
+        report_victim(&self.obs, view, view.len() - 1)
     }
 
     fn on_hit(&mut self, block: BlockAddr, _way: Way, cost: Cost, _is_lru: bool) {
@@ -214,7 +172,6 @@ impl<O: Observer> EvictionPolicy for CampCore<O> {
             // Supersede the old entry (it goes stale) with a tail re-enqueue
             // at the current age.
             self.enqueue(block, cost);
-            self.stats.requeues += 1;
         }
         self.obs.on_hit(block, cost);
     }
@@ -251,12 +208,6 @@ impl Camp {
 }
 
 impl<O: Observer> Camp<O> {
-    /// Statistics accumulated across all sets.
-    #[must_use]
-    pub fn stats(&self) -> CampStats {
-        self.fold_stats(CampCore::stats, CampStats::merge)
-    }
-
     /// Attaches a decision observer; every set's core receives a clone.
     #[must_use]
     pub fn with_observer<O2: Observer + Clone>(self, obs: O2) -> Camp<O2> {
@@ -283,7 +234,7 @@ mod tests {
         c.access(BlockAddr(2), AccessType::Read, Cost(1));
         assert!(c.contains(BlockAddr(0)));
         assert!(!c.contains(BlockAddr(1)));
-        assert_eq!(c.policy().stats().non_lru_victims, 1);
+        assert_eq!(c.stats().non_lru_evictions, 1);
     }
 
     #[test]
@@ -296,7 +247,7 @@ mod tests {
         c.access(BlockAddr(2), AccessType::Read, Cost(6));
         assert!(!c.contains(BlockAddr(0)));
         assert!(c.contains(BlockAddr(1)));
-        assert_eq!(c.policy().stats().non_lru_victims, 0);
+        assert_eq!(c.stats().non_lru_evictions, 0);
     }
 
     #[test]
@@ -318,7 +269,6 @@ mod tests {
         c.access(BlockAddr(2), AccessType::Read, Cost(2)); // same class: 1 goes
         assert!(c.contains(BlockAddr(0)));
         assert!(!c.contains(BlockAddr(1)));
-        assert_eq!(c.policy().stats().requeues, 1);
     }
 
     #[test]

@@ -19,33 +19,12 @@ use crate::reserve::{reservation_victim, AcostTracker};
 use cache_sim::{BlockAddr, Cost, Geometry, SetView, Way};
 use csr_obs::{NopObserver, Observer};
 
-/// Counters specific to [`Dcl`] / [`DclCore`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DclStats {
-    /// Victim selections that reserved the LRU block (victim was non-LRU).
-    pub reservations: u64,
-    /// Victim selections that evicted the LRU block.
-    pub lru_evictions: u64,
-    /// Depreciations triggered by ETD hits.
-    pub depreciations: u64,
-}
-
-impl DclStats {
-    /// Accumulates `other` into `self` (counter-wise sum).
-    pub fn merge(&mut self, other: &DclStats) {
-        self.reservations += other.reservations;
-        self.lru_evictions += other.lru_evictions;
-        self.depreciations += other.depreciations;
-    }
-}
-
 /// DCL for a single replacement region, owning its shadow directory.
 #[derive(Debug, Clone)]
 pub struct DclCore<O: Observer = NopObserver> {
     tracker: AcostTracker,
     etd: EtdSet,
     factor: u64,
-    stats: DclStats,
     obs: O,
 }
 
@@ -58,7 +37,6 @@ impl DclCore {
             tracker: AcostTracker::default(),
             etd,
             factor: 2,
-            stats: DclStats::default(),
             obs: NopObserver,
         }
     }
@@ -84,12 +62,6 @@ impl<O: Observer> DclCore<O> {
         self
     }
 
-    /// Accumulated policy statistics.
-    #[must_use]
-    pub fn stats(&self) -> &DclStats {
-        &self.stats
-    }
-
     /// The embedded shadow directory.
     #[must_use]
     pub fn etd(&self) -> &EtdSet {
@@ -109,7 +81,6 @@ impl<O: Observer> DclCore<O> {
             tracker: self.tracker,
             etd: self.etd,
             factor: self.factor,
-            stats: self.stats,
             obs,
         }
     }
@@ -127,7 +98,6 @@ impl<O: Observer> EvictionPolicy for DclCore<O> {
             // recorded in the ETD and charged only if re-referenced.
             let e = view.at(pos);
             self.etd.insert(e.block, e.cost);
-            self.stats.reservations += 1;
             let lru = view.lru();
             self.obs.on_reserve(lru.block, e.block, e.cost);
             self.obs.on_evict(e.block, e.cost);
@@ -136,7 +106,6 @@ impl<O: Observer> EvictionPolicy for DclCore<O> {
         // The LRU block itself goes. Any ETD entries for the ended
         // reservation are deliberately kept (hardware would not sweep
         // them); they age out of the s-1-entry directory naturally.
-        self.stats.lru_evictions += 1;
         let lru = view.lru();
         self.tracker.note_departure(lru.block);
         self.obs.on_evict(lru.block, lru.cost);
@@ -161,7 +130,6 @@ impl<O: Observer> EvictionPolicy for DclCore<O> {
             self.tracker.sync_to(lru);
             let amount = cost.0.saturating_mul(self.factor);
             self.tracker.depreciate(Cost(amount));
-            self.stats.depreciations += 1;
             self.obs.on_etd_hit(block, cost);
             self.obs.on_depreciate(amount, self.tracker.acost());
         }
@@ -223,16 +191,10 @@ impl<O: Observer> Dcl<O> {
         self.map_cores(|c| c.with_depreciation_factor(factor))
     }
 
-    /// Policy statistics accumulated across all sets.
-    #[must_use]
-    pub fn stats(&self) -> DclStats {
-        self.fold_stats(DclCore::stats, DclStats::merge)
-    }
-
     /// Statistics of the embedded ETD, accumulated across all sets.
     #[must_use]
     pub fn etd_stats(&self) -> EtdStats {
-        self.fold_stats(|c| c.etd().stats(), EtdStats::merge)
+        self.fold_etd_stats(DclCore::etd)
     }
 
     /// Attaches a decision observer; every set's core receives a clone.
@@ -264,7 +226,7 @@ mod tests {
         }
         assert!(c.contains(BlockAddr(0)), "no ETD hits => no depreciation");
         assert_eq!(c.policy().core(SetIndex(0)).acost(), 4);
-        assert_eq!(c.policy().stats().depreciations, 0);
+        assert_eq!(c.policy().etd_stats().hits, 0);
     }
 
     #[test]
@@ -277,7 +239,7 @@ mod tests {
         // Re-reference the displaced block: ETD hit, Acost 4 - 2*1 = 2.
         c.access(BlockAddr(1), AccessType::Read, Cost(1));
         assert_eq!(c.policy().core(SetIndex(0)).acost(), 2);
-        assert_eq!(c.policy().stats().depreciations, 1);
+        assert_eq!(c.policy().etd_stats().hits, 1);
         // Again: 2 was displaced by the fill of 1 (ETD), bring 2 back.
         c.access(BlockAddr(2), AccessType::Read, Cost(1));
         assert_eq!(c.policy().core(SetIndex(0)).acost(), 0);
@@ -362,6 +324,6 @@ mod tests {
         assert!(!c.contains(BlockAddr(0)));
         assert!(!c.contains(BlockAddr(4)));
         assert!(c.contains(BlockAddr(8)));
-        assert_eq!(c.policy().stats().reservations, 0);
+        assert_eq!(c.stats().non_lru_evictions, 0);
     }
 }

@@ -13,14 +13,13 @@
 //! correctness. [`EtdStats::false_matches`] measures how often that happens,
 //! mirroring the false-match ratios the paper reports in Section 4.3.
 //!
-//! The directory of a single replacement region is an [`EtdSet`]; the
-//! set-indexed [`Etd`] used by the simulator policies is a thin array of
-//! them. Consumers that manage one region per policy instance (such as the
-//! shards of `csr-cache`) embed an `EtdSet` directly.
+//! The directory of a single replacement region is an [`EtdSet`]; every
+//! DCL/ACL core embeds one, whether the region is a cache set of the
+//! simulator or a shard of `csr-cache`.
 
-use cache_sim::{BlockAddr, Cost, SetIndex};
+use cache_sim::{BlockAddr, Cost};
 
-/// Configuration of an [`Etd`] / [`EtdSet`].
+/// Configuration of an [`EtdSet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EtdConfig {
     /// Valid entries kept per set; the paper uses `assoc - 1`.
@@ -62,7 +61,7 @@ impl EtdConfig {
     }
 }
 
-/// Counters accumulated by an [`Etd`] / [`EtdSet`].
+/// Counters accumulated by an [`EtdSet`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EtdStats {
     /// Entries allocated.
@@ -251,140 +250,42 @@ impl EtdSet {
     }
 }
 
-/// The Extended Tag Directory of a set-indexed cache: one [`EtdSet`] per
-/// cache set.
-#[derive(Debug, Clone)]
-pub struct Etd {
-    cfg: EtdConfig,
-    sets: Vec<EtdSet>,
-}
-
-impl Etd {
-    /// Creates an empty ETD for `num_sets` sets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_sets` is not a power of two.
-    #[must_use]
-    pub fn new(num_sets: usize, cfg: EtdConfig) -> Self {
-        assert!(
-            num_sets.is_power_of_two(),
-            "set count must be a power of two"
-        );
-        let set_bits = num_sets.trailing_zeros();
-        Etd {
-            cfg,
-            sets: (0..num_sets)
-                .map(|_| EtdSet::with_stripped_bits(cfg, set_bits))
-                .collect(),
-        }
-    }
-
-    /// The configuration this ETD was built with.
-    #[must_use]
-    pub fn config(&self) -> EtdConfig {
-        self.cfg
-    }
-
-    /// Statistics accumulated across all sets.
-    #[must_use]
-    pub fn stats(&self) -> EtdStats {
-        let mut total = EtdStats::default();
-        for s in &self.sets {
-            total.merge(s.stats());
-        }
-        total
-    }
-
-    /// The directory of one set.
-    #[must_use]
-    pub fn set(&self, set: SetIndex) -> &EtdSet {
-        &self.sets[set.0]
-    }
-
-    /// Records that `block` (with miss cost `cost`) was displaced from `set`.
-    pub fn insert(&mut self, set: SetIndex, block: BlockAddr, cost: Cost) {
-        self.sets[set.0].insert(block, cost);
-    }
-
-    /// Probes `set` for `block` on a cache miss; a match is consumed.
-    pub fn probe_and_take(&mut self, set: SetIndex, block: BlockAddr) -> Option<Cost> {
-        self.sets[set.0].probe_and_take(block)
-    }
-
-    /// Drops any entry of `set` matching `block`.
-    pub fn invalidate(&mut self, set: SetIndex, block: BlockAddr) {
-        self.sets[set.0].invalidate(block);
-    }
-
-    /// Invalidates every entry of `set`.
-    pub fn clear_set(&mut self, set: SetIndex) {
-        self.sets[set.0].clear();
-    }
-
-    /// Number of valid entries in `set`.
-    #[must_use]
-    pub fn len(&self, set: SetIndex) -> usize {
-        self.sets[set.0].len()
-    }
-
-    /// Whether `set` has no valid entries.
-    #[must_use]
-    pub fn is_empty(&self, set: SetIndex) -> bool {
-        self.sets[set.0].is_empty()
-    }
-
-    /// Whether `block` would (alias-)match an entry of `set`.
-    #[must_use]
-    pub fn would_hit(&self, set: SetIndex, block: BlockAddr) -> bool {
-        self.sets[set.0].would_hit(block)
-    }
-
-    /// The full block addresses currently recorded in `set` (tests).
-    #[must_use]
-    pub fn blocks_in(&self, set: SetIndex) -> Vec<BlockAddr> {
-        self.sets[set.0].blocks()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const S0: SetIndex = SetIndex(0);
-
     #[test]
     fn insert_probe_take_roundtrip() {
-        let mut etd = Etd::new(1, EtdConfig::for_assoc(4));
-        etd.insert(S0, BlockAddr(10), Cost(3));
-        assert!(etd.would_hit(S0, BlockAddr(10)));
-        assert_eq!(etd.probe_and_take(S0, BlockAddr(10)), Some(Cost(3)));
+        let mut etd = EtdSet::new(EtdConfig::for_assoc(4));
+        etd.insert(BlockAddr(10), Cost(3));
+        assert!(etd.would_hit(BlockAddr(10)));
+        assert_eq!(etd.probe_and_take(BlockAddr(10)), Some(Cost(3)));
         // Entry is consumed by the hit.
-        assert_eq!(etd.probe_and_take(S0, BlockAddr(10)), None);
+        assert_eq!(etd.probe_and_take(BlockAddr(10)), None);
         assert_eq!(etd.stats().hits, 1);
         assert_eq!(etd.stats().false_matches, 0);
     }
 
     #[test]
     fn capacity_is_assoc_minus_one_oldest_evicted() {
-        let mut etd = Etd::new(1, EtdConfig::for_assoc(4));
+        let mut etd = EtdSet::new(EtdConfig::for_assoc(4));
         for b in 0..5u64 {
-            etd.insert(S0, BlockAddr(b), Cost(1));
+            etd.insert(BlockAddr(b), Cost(1));
         }
-        assert_eq!(etd.len(S0), 3);
+        assert_eq!(etd.len(), 3);
         // Blocks 0 and 1 (oldest) were displaced.
-        assert_eq!(etd.probe_and_take(S0, BlockAddr(0)), None);
-        assert_eq!(etd.probe_and_take(S0, BlockAddr(1)), None);
-        assert!(etd.probe_and_take(S0, BlockAddr(2)).is_some());
+        assert_eq!(etd.probe_and_take(BlockAddr(0)), None);
+        assert_eq!(etd.probe_and_take(BlockAddr(1)), None);
+        assert!(etd.probe_and_take(BlockAddr(2)).is_some());
         assert_eq!(etd.stats().capacity_evictions, 2);
     }
 
     #[test]
     fn aliasing_causes_false_matches() {
         // 4-bit tags: blocks 0x5 and 0x15 alias.
-        let mut etd = Etd::new(1, EtdConfig::for_assoc_aliased(4, 4));
-        etd.insert(S0, BlockAddr(0x5), Cost(7));
-        let got = etd.probe_and_take(S0, BlockAddr(0x15));
+        let mut etd = EtdSet::new(EtdConfig::for_assoc_aliased(4, 4));
+        etd.insert(BlockAddr(0x5), Cost(7));
+        let got = etd.probe_and_take(BlockAddr(0x15));
         assert_eq!(got, Some(Cost(7)));
         assert_eq!(etd.stats().hits, 1);
         assert_eq!(etd.stats().false_matches, 1);
@@ -393,52 +294,59 @@ mod tests {
 
     #[test]
     fn full_tags_never_false_match() {
-        let mut etd = Etd::new(1, EtdConfig::for_assoc(4));
-        etd.insert(S0, BlockAddr(0x5), Cost(7));
-        assert_eq!(etd.probe_and_take(S0, BlockAddr(0x15)), None);
+        let mut etd = EtdSet::new(EtdConfig::for_assoc(4));
+        etd.insert(BlockAddr(0x5), Cost(7));
+        assert_eq!(etd.probe_and_take(BlockAddr(0x15)), None);
         assert_eq!(etd.stats().false_matches, 0);
     }
 
     #[test]
     fn invalidate_and_clear() {
-        let mut etd = Etd::new(2, EtdConfig::for_assoc(4));
-        etd.insert(S0, BlockAddr(1), Cost(1));
-        etd.insert(S0, BlockAddr(2), Cost(1));
-        etd.invalidate(S0, BlockAddr(1));
-        assert_eq!(etd.len(S0), 1);
-        etd.clear_set(S0);
-        assert!(etd.is_empty(S0));
+        let mut etd = EtdSet::new(EtdConfig::for_assoc(4));
+        etd.insert(BlockAddr(1), Cost(1));
+        etd.insert(BlockAddr(2), Cost(1));
+        etd.invalidate(BlockAddr(1));
+        assert_eq!(etd.len(), 1);
+        etd.clear();
+        assert!(etd.is_empty());
         assert_eq!(etd.stats().invalidated, 1);
         assert_eq!(etd.stats().set_clears, 1);
-        // Clearing an empty set is not counted.
-        etd.clear_set(S0);
+        // Clearing an empty directory is not counted.
+        etd.clear();
         assert_eq!(etd.stats().set_clears, 1);
     }
 
     #[test]
     fn direct_mapped_etd_is_inert() {
-        let mut etd = Etd::new(1, EtdConfig::for_assoc(1));
-        etd.insert(S0, BlockAddr(1), Cost(1));
-        assert!(etd.is_empty(S0));
-        assert_eq!(etd.probe_and_take(S0, BlockAddr(1)), None);
+        let mut etd = EtdSet::new(EtdConfig::for_assoc(1));
+        etd.insert(BlockAddr(1), Cost(1));
+        assert!(etd.is_empty());
+        assert_eq!(etd.probe_and_take(BlockAddr(1)), None);
     }
 
     #[test]
-    fn sets_are_independent() {
-        let mut etd = Etd::new(2, EtdConfig::for_assoc(4));
-        etd.insert(SetIndex(0), BlockAddr(1), Cost(1));
-        assert!(etd.is_empty(SetIndex(1)));
-        assert_eq!(etd.probe_and_take(SetIndex(1), BlockAddr(1)), None);
+    fn directories_are_independent() {
+        // The per-set directories of a two-set cache (one set-index bit).
+        let cfg = EtdConfig::for_assoc(4);
+        let mut set0 = EtdSet::with_stripped_bits(cfg, 1);
+        let mut set1 = EtdSet::with_stripped_bits(cfg, 1);
+        set0.insert(BlockAddr(0b10), Cost(1));
+        assert!(set1.is_empty());
+        // 0b11 has the same stored tag but belongs to set 1.
+        assert_eq!(set1.probe_and_take(BlockAddr(0b11)), None);
+        assert_eq!(set0.len(), 1);
     }
 
     #[test]
     fn set_index_bits_are_stripped_before_comparison() {
-        // Two sets => 1 set bit. Blocks 0 and 1 differ only in that bit;
-        // after stripping, their stored tags are identical — but they live
-        // in different sets, so no confusion arises in a real cache.
-        let etd = Etd::new(2, EtdConfig::for_assoc(4));
-        assert_eq!(etd.set(SetIndex(0)).stored_tag_of(BlockAddr(0b10)), 1);
-        assert_eq!(etd.set(SetIndex(1)).stored_tag_of(BlockAddr(0b11)), 1);
+        // Two sets => 1 set bit. Blocks 0b10 and 0b11 differ only in that
+        // bit; after stripping, their stored tags are identical — but they
+        // live in different sets, so no confusion arises in a real cache.
+        let mut etd = EtdSet::with_stripped_bits(EtdConfig::for_assoc(4), 1);
+        assert_eq!(etd.stored_tag_of(BlockAddr(0b10)), 1);
+        assert_eq!(etd.stored_tag_of(BlockAddr(0b11)), 1);
+        etd.insert(BlockAddr(0b10), Cost(2));
+        assert!(etd.would_hit(BlockAddr(0b11)));
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! speak it, one per layer:
 //!
 //! * [`PerSet<C>`] (here) is the simulator's driver: it holds one core per
-//!   cache set and implements [`cache_sim::ReplacementPolicy`] by static
-//!   dispatch to `cores[set]`, translating the simulator's
-//!   [`SetView`]-carrying notifications into the O(1) facts a core consumes.
+//!   cache set and implements [`cache_sim::ReplacementPolicy`] — whose
+//!   notifications have the same shape — by static dispatch to `cores[set]`.
 //!   `GreedyDual`, `Bcl`, `Dcl`, `Acl`, `S3Fifo`, `Slru`, `Lfuda`, `Gdsf`
 //!   and `Camp` are type aliases of it.
 //! * `csr_cache`'s `Region<T>` is the key-value driver: a slab on an
@@ -23,12 +22,20 @@
 //! `on_remove` for departures `victim` did not choose — so a change to the
 //! contract is a change to these two places and to no policy wrapper.
 //!
-//! Unlike `ReplacementPolicy`, the hit/miss notifications here carry the
-//! O(1) facts a policy actually consumes (block identity, cost, whether the
-//! block is at the LRU end) instead of a full [`SetView`], so a linked-list
-//! shard never materializes its recency order except when selecting a
-//! victim.
+//! Two rules hold for every core:
+//!
+//! * **The view appears only in `victim`.** Hits and misses carry the O(1)
+//!   facts a policy consumes (block identity, cost, whether the block is at
+//!   the LRU end; the LRU pair on a miss), so neither driver materializes
+//!   its recency order except to select a victim.
+//! * **Cores keep no books.** A core reports each decision to its
+//!   [`Observer`] and counts nothing itself. Counts come from the driver
+//!   (`cache_sim::CacheStats::{hits, misses, evictions, non_lru_evictions}`,
+//!   `csr_cache`'s stats) or from an attached `csr_obs::CountingObserver`
+//!   (`EventCounts`); the only per-core counters left describe a structure
+//!   rather than a decision ([`EtdStats`](crate::EtdStats)).
 
+use crate::etd::{EtdSet, EtdStats};
 use cache_sim::{
     BlockAddr, Cost, Geometry, InvalidateKind, ReplacementPolicy, SetIndex, SetView, Way,
 };
@@ -105,6 +112,19 @@ impl<P: EvictionPolicy + ?Sized> EvictionPolicy for Box<P> {
     }
 }
 
+/// The shared tail of every rank-based `victim`: reports the eviction of the
+/// view entry at `pos` — and, when that is not the LRU entry, the LRU block
+/// it spared as a reservation, so non-LRU picks show up in decision traces —
+/// and returns the chosen way.
+pub(crate) fn report_victim(obs: &impl Observer, view: &SetView<'_>, pos: usize) -> Way {
+    let chosen = view.at(pos);
+    obs.on_evict(chosen.block, chosen.cost);
+    if pos + 1 != view.len() {
+        obs.on_reserve(view.lru().block, chosen.block, chosen.cost);
+    }
+    chosen.way
+}
+
 /// Plain LRU as an [`EvictionPolicy`]: evict the LRU block, keep no state
 /// beyond the (default no-op) decision observer.
 ///
@@ -157,8 +177,8 @@ impl<O: Observer> EvictionPolicy for LruCore<O> {
 ///
 /// Every core-backed policy of this crate is an alias of this type
 /// (`Dcl<O>` is `PerSet<DclCore<O>>`, …); the aliases add only their
-/// constructors, statistics folding and observer rebinding. Per-set state
-/// is inspected through [`core`](Self::core).
+/// constructors and observer rebinding. Per-set state is inspected through
+/// [`core`](Self::core).
 #[derive(Debug, Clone)]
 pub struct PerSet<C> {
     cores: Vec<C>,
@@ -187,15 +207,11 @@ impl<C> PerSet<C> {
         }
     }
 
-    /// Sums the per-set statistics selected by `stats` with `merge`.
-    pub(crate) fn fold_stats<S: Default>(
-        &self,
-        stats: impl Fn(&C) -> &S,
-        merge: impl Fn(&mut S, &S),
-    ) -> S {
-        let mut total = S::default();
+    /// Sums the statistics of the per-set directories selected by `etd`.
+    pub(crate) fn fold_etd_stats(&self, etd: impl Fn(&C) -> &EtdSet) -> EtdStats {
+        let mut total = EtdStats::default();
         for c in &self.cores {
-            merge(&mut total, stats(c));
+            total.merge(etd(c).stats());
         }
         total
     }
@@ -210,13 +226,12 @@ impl<C: EvictionPolicy> ReplacementPolicy for PerSet<C> {
         self.cores[set.0].victim(view)
     }
 
-    fn on_hit(&mut self, set: SetIndex, view: &SetView<'_>, way: Way, stack_pos: usize) {
-        let (block, cost, is_lru) = hit_args(view, stack_pos);
+    fn on_hit(&mut self, set: SetIndex, block: BlockAddr, way: Way, cost: Cost, is_lru: bool) {
         self.cores[set.0].on_hit(block, way, cost, is_lru);
     }
 
-    fn on_miss(&mut self, set: SetIndex, view: &SetView<'_>, block: BlockAddr) {
-        self.cores[set.0].on_miss(block, lru_of(view));
+    fn on_miss(&mut self, set: SetIndex, block: BlockAddr, lru: Option<(BlockAddr, Cost)>) {
+        self.cores[set.0].on_miss(block, lru);
     }
 
     fn on_fill(&mut self, set: SetIndex, block: BlockAddr, way: Way, cost: Cost) {
@@ -231,23 +246,6 @@ impl<C: EvictionPolicy> ReplacementPolicy for PerSet<C> {
         _kind: InvalidateKind,
     ) {
         self.cores[set.0].on_remove(block);
-    }
-}
-
-/// Extracts the `(block, cost, is_lru)` triple for a hit at `stack_pos`
-/// from a materialized view.
-fn hit_args(view: &SetView<'_>, stack_pos: usize) -> (BlockAddr, Cost, bool) {
-    let e = view.at(stack_pos);
-    (e.block, e.cost, stack_pos + 1 == view.len())
-}
-
-/// The `(block, cost)` of the LRU entry of a materialized view, if any.
-fn lru_of(view: &SetView<'_>) -> Option<(BlockAddr, Cost)> {
-    if view.is_empty() {
-        None
-    } else {
-        let l = view.lru();
-        Some((l.block, l.cost))
     }
 }
 
@@ -287,15 +285,5 @@ mod tests {
         boxed.on_miss(BlockAddr(7), Some((BlockAddr(2), Cost(9))));
         boxed.on_fill(BlockAddr(7), Way(1), Cost(3));
         boxed.on_remove(BlockAddr(7));
-    }
-
-    #[test]
-    fn hit_args_reports_lru_position() {
-        let e = entries(&[(1, 5), (2, 9)]);
-        let v = SetView::new(&e);
-        assert_eq!(hit_args(&v, 0), (BlockAddr(1), Cost(5), false));
-        assert_eq!(hit_args(&v, 1), (BlockAddr(2), Cost(9), true));
-        assert_eq!(lru_of(&v), Some((BlockAddr(2), Cost(9))));
-        assert_eq!(lru_of(&SetView::new(&[])), None);
     }
 }

@@ -16,33 +16,15 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`GreedyDual`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{EvictionPolicy, PerSet};
+use crate::eviction::{report_victim, EvictionPolicy, PerSet};
 use cache_sim::{BlockAddr, Cost, Geometry, SetView, Way};
 use csr_obs::{NopObserver, Observer};
-
-/// Counters specific to [`GreedyDual`] / [`GdCore`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GdStats {
-    /// Victim selections that chose a block other than the LRU block.
-    pub non_lru_victims: u64,
-    /// Total victim selections.
-    pub victims: u64,
-}
-
-impl GdStats {
-    /// Accumulates `other` into `self` (counter-wise sum).
-    pub fn merge(&mut self, other: &GdStats) {
-        self.non_lru_victims += other.non_lru_victims;
-        self.victims += other.victims;
-    }
-}
 
 /// GreedyDual for a single replacement region of a fixed number of ways.
 #[derive(Debug, Clone)]
 pub struct GdCore<O: Observer = NopObserver> {
     /// `H` value per way.
     h: Vec<u64>,
-    stats: GdStats,
     obs: O,
 }
 
@@ -52,27 +34,16 @@ impl GdCore {
     pub fn new(ways: usize) -> Self {
         GdCore {
             h: vec![0; ways],
-            stats: GdStats::default(),
             obs: NopObserver,
         }
     }
 }
 
 impl<O: Observer> GdCore<O> {
-    /// Accumulated statistics.
-    #[must_use]
-    pub fn stats(&self) -> &GdStats {
-        &self.stats
-    }
-
     /// Attaches a decision observer, replacing any existing one.
     #[must_use]
     pub fn with_observer<O2: Observer>(self, obs: O2) -> GdCore<O2> {
-        GdCore {
-            h: self.h,
-            stats: self.stats,
-            obs,
-        }
+        GdCore { h: self.h, obs }
     }
 }
 
@@ -99,17 +70,7 @@ impl<O: Observer> EvictionPolicy for GdCore<O> {
                 self.h[e.way.0] = self.h[e.way.0].saturating_sub(hmin);
             }
         }
-        self.stats.victims += 1;
-        let chosen = view.at(pos);
-        self.obs.on_evict(chosen.block, chosen.cost);
-        if pos + 1 != view.len() {
-            self.stats.non_lru_victims += 1;
-            // GD has no reservation per se; report the spared LRU block so
-            // non-LRU victimizations show up in decision traces.
-            let lru = view.lru();
-            self.obs.on_reserve(lru.block, chosen.block, chosen.cost);
-        }
-        victim
+        report_victim(&self.obs, view, pos)
     }
 
     fn on_hit(&mut self, block: BlockAddr, way: Way, cost: Cost, _is_lru: bool) {
@@ -151,12 +112,6 @@ impl GreedyDual {
 }
 
 impl<O: Observer> GreedyDual<O> {
-    /// Statistics accumulated across all sets.
-    #[must_use]
-    pub fn stats(&self) -> GdStats {
-        self.fold_stats(GdCore::stats, GdStats::merge)
-    }
-
     /// Attaches a decision observer; every set's core receives a clone.
     #[must_use]
     pub fn with_observer<O2: Observer + Clone>(self, obs: O2) -> GreedyDual<O2> {
@@ -184,7 +139,7 @@ mod tests {
         c.access(BlockAddr(2), AccessType::Read, Cost(1));
         assert!(c.contains(BlockAddr(0)));
         assert!(!c.contains(BlockAddr(1)));
-        assert_eq!(c.policy().stats().non_lru_victims, 1);
+        assert_eq!(c.stats().non_lru_evictions, 1);
     }
 
     #[test]
@@ -226,7 +181,7 @@ mod tests {
         c.access(BlockAddr(2), AccessType::Read, Cost(5));
         assert!(!c.contains(BlockAddr(0)));
         assert!(c.contains(BlockAddr(1)));
-        assert_eq!(c.policy().stats().non_lru_victims, 0);
+        assert_eq!(c.stats().non_lru_evictions, 0);
     }
 
     #[test]
@@ -245,14 +200,15 @@ mod tests {
     }
 
     #[test]
-    fn per_set_stats_aggregate() {
-        // Two sets (block line 64, 2 ways, 256 bytes): blocks 0/2 map to set
-        // 0, blocks 1/3 to set 1.
+    fn sets_are_driven_independently() {
+        // Two sets (block line 64, 2 ways, 256 bytes): blocks 0/2/4 map to
+        // set 0, blocks 1/3/5 to set 1; each set's own core evicts its LRU.
         let geom = Geometry::new(256, 64, 2);
         let mut c = Cache::new(geom, GreedyDual::new(&geom));
         for b in [0u64, 2, 4, 1, 3, 5] {
             c.access(BlockAddr(b), AccessType::Read, Cost(1));
         }
-        assert_eq!(c.policy().stats().victims, 2, "one eviction per set");
+        assert_eq!(c.stats().evictions, 2, "one eviction per set");
+        assert!(!c.contains(BlockAddr(0)) && !c.contains(BlockAddr(1)));
     }
 }

@@ -15,26 +15,9 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`Lfuda`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{EvictionPolicy, PerSet};
+use crate::eviction::{report_victim, EvictionPolicy, PerSet};
 use cache_sim::{BlockAddr, Cost, Geometry, SetView, Way};
 use csr_obs::{NopObserver, Observer};
-
-/// Counters specific to [`Lfuda`] / [`LfudaCore`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LfudaStats {
-    /// Total victim selections.
-    pub victims: u64,
-    /// Victim selections that chose a block other than the LRU block.
-    pub non_lru_victims: u64,
-}
-
-impl LfudaStats {
-    /// Accumulates `other` into `self` (counter-wise sum).
-    pub fn merge(&mut self, other: &LfudaStats) {
-        self.victims += other.victims;
-        self.non_lru_victims += other.non_lru_victims;
-    }
-}
 
 /// LFUDA for a single replacement region of a fixed number of ways.
 #[derive(Debug, Clone)]
@@ -45,7 +28,6 @@ pub struct LfudaCore<O: Observer = NopObserver> {
     prio: Vec<u64>,
     /// The region age `L`: the key of the last evicted block.
     age: u64,
-    stats: LfudaStats,
     obs: O,
 }
 
@@ -57,19 +39,12 @@ impl LfudaCore {
             freq: vec![0; ways],
             prio: vec![0; ways],
             age: 0,
-            stats: LfudaStats::default(),
             obs: NopObserver,
         }
     }
 }
 
 impl<O: Observer> LfudaCore<O> {
-    /// Accumulated statistics.
-    #[must_use]
-    pub fn stats(&self) -> &LfudaStats {
-        &self.stats
-    }
-
     /// The current region age `L`.
     #[must_use]
     pub fn age(&self) -> u64 {
@@ -83,7 +58,6 @@ impl<O: Observer> LfudaCore<O> {
             freq: self.freq,
             prio: self.prio,
             age: self.age,
-            stats: self.stats,
             obs,
         }
     }
@@ -97,26 +71,18 @@ impl<O: Observer> EvictionPolicy for LfudaCore<O> {
     fn victim(&mut self, view: &SetView<'_>) -> Way {
         // Minimum-K block; scanning LRU -> MRU with a strict `<` makes ties
         // resolve toward the LRU end.
-        let mut best: Option<(Way, usize, u64)> = None;
+        let mut best: Option<(usize, u64)> = None;
         for (pos, e) in view.iter().enumerate().rev() {
             let val = self.prio[e.way.0];
             match best {
-                Some((_, _, b)) if b <= val => {}
-                _ => best = Some((e.way, pos, val)),
+                Some((_, b)) if b <= val => {}
+                _ => best = Some((pos, val)),
             }
         }
-        let (victim, pos, kmin) = best.expect("victim() requires a non-empty set");
+        let (pos, kmin) = best.expect("victim() requires a non-empty set");
         // Dynamic aging: the evicted key becomes the region age.
         self.age = self.age.max(kmin);
-        self.stats.victims += 1;
-        let chosen = view.at(pos);
-        self.obs.on_evict(chosen.block, chosen.cost);
-        if pos + 1 != view.len() {
-            self.stats.non_lru_victims += 1;
-            let lru = view.lru();
-            self.obs.on_reserve(lru.block, chosen.block, chosen.cost);
-        }
-        victim
+        report_victim(&self.obs, view, pos)
     }
 
     fn on_hit(&mut self, block: BlockAddr, way: Way, cost: Cost, _is_lru: bool) {
@@ -148,12 +114,6 @@ impl Lfuda {
 }
 
 impl<O: Observer> Lfuda<O> {
-    /// Statistics accumulated across all sets.
-    #[must_use]
-    pub fn stats(&self) -> LfudaStats {
-        self.fold_stats(LfudaCore::stats, LfudaStats::merge)
-    }
-
     /// Attaches a decision observer; every set's core receives a clone.
     #[must_use]
     pub fn with_observer<O2: Observer + Clone>(self, obs: O2) -> Lfuda<O2> {
@@ -182,7 +142,7 @@ mod tests {
         c.access(BlockAddr(2), AccessType::Read, Cost(1));
         assert!(c.contains(BlockAddr(0)));
         assert!(!c.contains(BlockAddr(1)));
-        assert_eq!(c.policy().stats().non_lru_victims, 1);
+        assert_eq!(c.stats().non_lru_evictions, 1);
     }
 
     #[test]
@@ -209,6 +169,6 @@ mod tests {
         c.access(BlockAddr(1), AccessType::Read, Cost(1));
         c.access(BlockAddr(2), AccessType::Read, Cost(1));
         assert!(!c.contains(BlockAddr(0)));
-        assert_eq!(c.policy().stats().non_lru_victims, 0);
+        assert_eq!(c.stats().non_lru_evictions, 0);
     }
 }

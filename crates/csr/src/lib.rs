@@ -23,8 +23,9 @@
 //! [`eviction`]. A core is never driven directly; exactly two drivers speak
 //! its protocol, one per layer, and both enforce the same contract
 //! (`on_hit` before promotion, `on_miss` with the LRU pair before victim
-//! selection, `victim` once per replacement over an MRU → LRU view,
-//! `on_fill` after linking, `on_remove` for every other departure):
+//! selection, `victim` once per replacement over an MRU → LRU view — the
+//! only notification that carries a view — `on_fill` after linking,
+//! `on_remove` for every other departure):
 //!
 //! * [`PerSet<C>`] — the simulator's driver: one core per cache set behind
 //!   [`cache_sim::ReplacementPolicy`], statically dispatched. The
@@ -50,8 +51,17 @@
 //! Every core (and therefore every [`PerSet`] alias) is generic over a `csr-obs`
 //! [`Observer`] that receives the policy's decisions — hits, misses,
 //! evictions, reservations, depreciations, ETD hits and ACL automaton
-//! flips — as they happen. The default [`NopObserver`] compiles to
-//! nothing; attach a real one with `with_observer`:
+//! flips — as they happen. That stream is the cores' **only** accounting
+//! channel: a core keeps no counters of its own (the contract is stated
+//! once, in [`eviction`]). For counts, read the driver —
+//! [`cache_sim::CacheStats`] `hits`/`misses`/`evictions`/`non_lru_evictions`
+//! (a reservation *is* a non-LRU eviction; ACL alone fires `on_reserve` once
+//! per reservation streak, so its reserve count is the number of streaks,
+//! not of non-LRU evictions) — or attach a
+//! `csr_obs::CountingObserver` and read its `EventCounts`; the ETD's
+//! structure counters stay on [`EtdStats`] (`etd_stats()`). The default
+//! [`NopObserver`] compiles to nothing; attach a real one with
+//! `with_observer`:
 //!
 //! ```
 //! use cache_sim::{Cache, Geometry, AccessType, Cost, BlockAddr};
@@ -104,18 +114,18 @@ mod reserve;
 pub mod s3fifo;
 pub mod slru;
 
-pub use acl::{Acl, AclCore, AclStats};
-pub use bcl::{Bcl, BclCore, BclStats};
-pub use camp::{Camp, CampCore, CampStats};
+pub use acl::{Acl, AclCore};
+pub use bcl::{Bcl, BclCore};
+pub use camp::{Camp, CampCore};
 pub use csopt::{simulate_csopt, CsoptLimits};
 pub use csr_obs::{NopObserver, Observer};
-pub use dcl::{Dcl, DclCore, DclStats};
-pub use etd::{Etd, EtdConfig, EtdSet, EtdStats};
+pub use dcl::{Dcl, DclCore};
+pub use etd::{EtdConfig, EtdSet, EtdStats};
 pub use eviction::{EvictionPolicy, LruCore, PerSet};
-pub use gd::{GdCore, GdStats, GreedyDual};
-pub use gdsf::{Gdsf, GdsfCore, GdsfStats};
+pub use gd::{GdCore, GreedyDual};
+pub use gdsf::{Gdsf, GdsfCore};
 pub use hw::{CostSource, HwParams, HwPolicy};
-pub use lfuda::{Lfuda, LfudaCore, LfudaStats};
+pub use lfuda::{Lfuda, LfudaCore};
 pub use opt::{simulate_belady, simulate_cost_greedy, OfflineStats, TraceEvent};
-pub use s3fifo::{S3Fifo, S3FifoCore, S3FifoStats};
-pub use slru::{Slru, SlruCore, SlruStats};
+pub use s3fifo::{S3Fifo, S3FifoCore};
+pub use slru::{Slru, SlruCore};

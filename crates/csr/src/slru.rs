@@ -17,33 +17,10 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`Slru`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{EvictionPolicy, PerSet};
+use crate::eviction::{report_victim, EvictionPolicy, PerSet};
 use cache_sim::{BlockAddr, Cost, Geometry, SetView, Way};
 use csr_obs::{NopObserver, Observer};
 use std::collections::{HashMap, VecDeque};
-
-/// Counters specific to [`Slru`] / [`SlruCore`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SlruStats {
-    /// Total victim selections.
-    pub victims: u64,
-    /// Victim selections that chose a block other than the LRU block.
-    pub non_lru_victims: u64,
-    /// Hits that promoted a probationary block into the protected segment.
-    pub promotions: u64,
-    /// Protected-segment overflows demoted back to probationary.
-    pub demotions: u64,
-}
-
-impl SlruStats {
-    /// Accumulates `other` into `self` (counter-wise sum).
-    pub fn merge(&mut self, other: &SlruStats) {
-        self.victims += other.victims;
-        self.non_lru_victims += other.non_lru_victims;
-        self.promotions += other.promotions;
-        self.demotions += other.demotions;
-    }
-}
 
 #[derive(Debug, Clone, Copy)]
 struct SlruMeta {
@@ -63,7 +40,6 @@ pub struct SlruCore<O: Observer = NopObserver> {
     prot_len: usize,
     prot_target: usize,
     next_seq: u64,
-    stats: SlruStats,
     obs: O,
 }
 
@@ -79,19 +55,12 @@ impl SlruCore {
             prot_len: 0,
             prot_target: (ways * 4 / 5).max(1),
             next_seq: 0,
-            stats: SlruStats::default(),
             obs: NopObserver,
         }
     }
 }
 
 impl<O: Observer> SlruCore<O> {
-    /// Accumulated statistics.
-    #[must_use]
-    pub fn stats(&self) -> &SlruStats {
-        &self.stats
-    }
-
     /// Attaches a decision observer, replacing any existing one.
     #[must_use]
     pub fn with_observer<O2: Observer>(self, obs: O2) -> SlruCore<O2> {
@@ -103,7 +72,6 @@ impl<O: Observer> SlruCore<O> {
             prot_len: self.prot_len,
             prot_target: self.prot_target,
             next_seq: self.next_seq,
-            stats: self.stats,
             obs,
         }
     }
@@ -141,19 +109,6 @@ impl<O: Observer> SlruCore<O> {
         }
         None
     }
-
-    /// Books the eviction of the view entry at `pos` and returns its way.
-    fn finish(&mut self, view: &SetView<'_>, pos: usize) -> Way {
-        self.stats.victims += 1;
-        let chosen = view.at(pos);
-        self.obs.on_evict(chosen.block, chosen.cost);
-        if pos + 1 != view.len() {
-            self.stats.non_lru_victims += 1;
-            let lru = view.lru();
-            self.obs.on_reserve(lru.block, chosen.block, chosen.cost);
-        }
-        chosen.way
-    }
 }
 
 impl<O: Observer> EvictionPolicy for SlruCore<O> {
@@ -188,7 +143,7 @@ impl<O: Observer> EvictionPolicy for SlruCore<O> {
             }
             self.meta.remove(&b);
             if let Some(&pos) = by_block.get(&b) {
-                return self.finish(view, pos);
+                return report_victim(&self.obs, view, pos);
             }
         }
         // Fresh or desynced core: evict the LRU block.
@@ -200,7 +155,7 @@ impl<O: Observer> EvictionPolicy for SlruCore<O> {
                 self.prob_len = self.prob_len.saturating_sub(1);
             }
         }
-        self.finish(view, view.len() - 1)
+        report_victim(&self.obs, view, view.len() - 1)
     }
 
     fn on_hit(&mut self, block: BlockAddr, _way: Way, cost: Cost, _is_lru: bool) {
@@ -209,7 +164,6 @@ impl<O: Observer> EvictionPolicy for SlruCore<O> {
             if !m.protected {
                 self.prob_len = self.prob_len.saturating_sub(1);
                 self.prot_len += 1;
-                self.stats.promotions += 1;
             } else {
                 // Re-enqueue at the protected MRU end (length unchanged).
             }
@@ -227,7 +181,6 @@ impl<O: Observer> EvictionPolicy for SlruCore<O> {
                     self.prob.push_back((d, dseq));
                     self.prot_len -= 1;
                     self.prob_len += 1;
-                    self.stats.demotions += 1;
                 }
             }
         }
@@ -278,12 +231,6 @@ impl Slru {
 }
 
 impl<O: Observer> Slru<O> {
-    /// Statistics accumulated across all sets.
-    #[must_use]
-    pub fn stats(&self) -> SlruStats {
-        self.fold_stats(SlruCore::stats, SlruStats::merge)
-    }
-
     /// Attaches a decision observer; every set's core receives a clone.
     #[must_use]
     pub fn with_observer<O2: Observer + Clone>(self, obs: O2) -> Slru<O2> {
@@ -312,9 +259,7 @@ mod tests {
         c.access(BlockAddr(2), AccessType::Read, Cost(1));
         assert!(c.contains(BlockAddr(0)));
         assert!(!c.contains(BlockAddr(1)));
-        let s = c.policy().stats();
-        assert_eq!(s.promotions, 1);
-        assert_eq!(s.non_lru_victims, 1);
+        assert_eq!(c.stats().non_lru_evictions, 1);
     }
 
     #[test]
@@ -325,27 +270,27 @@ mod tests {
         c.access(BlockAddr(2), AccessType::Read, Cost(1));
         assert!(!c.contains(BlockAddr(0)), "probationary FIFO = LRU order");
         assert!(c.contains(BlockAddr(1)));
-        assert_eq!(c.policy().stats().non_lru_victims, 0);
+        assert_eq!(c.stats().non_lru_evictions, 0);
     }
 
     #[test]
     fn protected_overflow_demotes_to_probationary() {
-        // 4 ways: protected target is 3, so promoting all four demotes the
-        // protected LRU (block 0) back to probationary — and it is the next
-        // victim even though blocks promoted after it were touched earlier.
-        let geom = Geometry::new(256, 64, 4);
+        // 10 ways: protected target is 8, so promoting nine blocks demotes
+        // the protected LRU (block 0) to the probationary MRU end, ahead of
+        // the later fill 9 — without the demotion 9 would be the only
+        // probationary block and go first.
+        let geom = Geometry::new(640, 64, 10);
         let mut c = Cache::new(geom, Slru::new(&geom));
-        for b in 0..4u64 {
-            c.access(BlockAddr(b), AccessType::Read, Cost(1));
+        for _ in 0..2 {
+            for b in 0..9u64 {
+                c.access(BlockAddr(b), AccessType::Read, Cost(1));
+            }
         }
-        for b in 0..4u64 {
-            c.access(BlockAddr(b), AccessType::Read, Cost(1));
-        }
-        assert_eq!(c.policy().stats().demotions, 1);
-        c.access(BlockAddr(4), AccessType::Read, Cost(1));
+        c.access(BlockAddr(9), AccessType::Read, Cost(1));
+        c.access(BlockAddr(10), AccessType::Read, Cost(1));
         assert!(!c.contains(BlockAddr(0)), "demoted block is evicted first");
-        for b in 1..4u64 {
-            assert!(c.contains(BlockAddr(b)), "protected block {b} survived");
+        for b in 1..11u64 {
+            assert!(c.contains(BlockAddr(b)), "block {b} survived");
         }
     }
 

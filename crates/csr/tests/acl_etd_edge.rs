@@ -88,24 +88,27 @@ fn disabled_set_reenables_only_through_a_watch_hit() {
         .filter(|&b| b != 0)
         .collect();
     c.access(BlockAddr(cheap[0]), AccessType::Read, Cost(1)); // 0 to LRU
-    let watch_before = c.policy().stats().watch_inserts;
     c.access(BlockAddr(300), AccessType::Read, Cost(1));
     assert!(
         !c.contains(BlockAddr(0)),
         "disabled ACL must evict the LRU block"
     );
-    assert_eq!(c.policy().stats().watch_inserts, watch_before + 1);
+    assert_eq!(
+        c.policy().core(S0).etd().blocks(),
+        vec![BlockAddr(0)],
+        "the evicted LRU block is watched"
+    );
 
     // The genuine watch hit — re-referencing the block LRU just threw away
     // — re-enables reservations at the trigger value.
-    let triggers_before = c.policy().stats().triggers;
+    let watch_hits_before = c.policy().etd_stats().hits;
     c.access(BlockAddr(0), AccessType::Read, Cost(8));
     assert!(
         c.policy().core(S0).enabled(),
         "watch hit must re-enable reservations"
     );
     assert_eq!(c.policy().core(S0).counter(), 2);
-    assert_eq!(c.policy().stats().triggers, triggers_before + 1);
+    assert_eq!(c.policy().etd_stats().hits, watch_hits_before + 1);
 }
 
 #[test]
@@ -115,12 +118,12 @@ fn watch_mode_ignores_misses_on_unwatched_blocks() {
     c.access(BlockAddr(0), AccessType::Read, Cost(8));
     c.access(BlockAddr(1), AccessType::Read, Cost(1));
     c.access(BlockAddr(2), AccessType::Read, Cost(1));
-    assert_eq!(c.policy().stats().watch_inserts, 1);
+    assert_eq!(c.policy().etd_stats().allocations, 1, "one watch insert");
     // Misses on blocks that were never displaced must not trigger.
     c.access(BlockAddr(7), AccessType::Read, Cost(1));
     c.access(BlockAddr(8), AccessType::Read, Cost(1));
     assert!(!c.policy().core(S0).enabled());
-    assert_eq!(c.policy().stats().triggers, 0);
+    assert_eq!(c.policy().etd_stats().hits, 0, "no watch hit");
 }
 
 #[test]

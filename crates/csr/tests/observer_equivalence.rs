@@ -1,10 +1,12 @@
-//! Decision-event traces must agree exactly with the policies' own
-//! statistics counters: every `reserve`/`depreciate`/`etd_hit` event
-//! corresponds one-to-one to a counter increment, and hit/miss/evict
-//! events mirror the simulator's [`cache_sim::CacheStats`].
+//! The decision-event stream is the cores' only accounting channel, so it
+//! must agree exactly with what the driver saw: for every observed core,
+//! `hit`/`miss`/`evict`/`reserve` events mirror the simulator's
+//! [`cache_sim::CacheStats`] `hits`/`misses`/`evictions`/`non_lru_evictions`,
+//! and `etd_hit`/`depreciate`/`automaton_flip` events mirror the ETD's own
+//! structure counters.
 
-use cache_sim::{AccessType, BlockAddr, Cache, Cost, Geometry};
-use csr::{Acl, Bcl, Dcl, GreedyDual};
+use cache_sim::{AccessType, BlockAddr, Cache, Cost, Geometry, ReplacementPolicy};
+use csr::{Acl, Bcl, Camp, Dcl, Gdsf, GreedyDual, Lfuda, S3Fifo, Slru};
 use csr_obs::{CountingObserver, DecisionEvent, EventCounts, EventTracer};
 use std::sync::Arc;
 
@@ -40,120 +42,161 @@ fn geom() -> Geometry {
     Geometry::new(4 * 1024, 64, 4)
 }
 
-/// Runs `cache` over the reference stream and checks the observer's
-/// hit/miss/evict totals against the simulator's stats.
-fn run_and_check_sim_counts<P: cache_sim::ReplacementPolicy>(
-    cache: &mut Cache<P>,
-    obs: &CountingObserver,
-) -> EventCounts {
+/// Runs `policy` (observed by `obs`) over the reference stream and checks
+/// the hit/miss/evict event totals against the simulator's stats.
+fn run<P: ReplacementPolicy>(policy: P, obs: &CountingObserver) -> (EventCounts, Cache<P>) {
+    let mut cache = Cache::new(geom(), policy);
     for &(block, cost) in &reference_stream() {
         cache.access(block, AccessType::Read, cost);
     }
     let counts = obs.counts();
     let sim = cache.stats();
-    assert_eq!(counts.hits, sim.hits, "hit events == simulator hits");
-    assert_eq!(counts.misses, sim.misses, "miss events == simulator misses");
+    let name = cache.policy().name();
+    assert_eq!(counts.hits, sim.hits, "{name}: hit events");
+    assert_eq!(counts.misses, sim.misses, "{name}: miss events");
+    assert_eq!(counts.evictions, sim.evictions, "{name}: evict events");
+    (counts, cache)
+}
+
+/// A core that ranks blocks (or queues them) and has neither `Acost` nor an
+/// ETD: every non-LRU pick is reported as a reservation, nothing else fires.
+fn check_rank_core<P: ReplacementPolicy>(observed: impl FnOnce(Arc<CountingObserver>) -> P) {
+    let obs = Arc::new(CountingObserver::new());
+    let (counts, cache) = run(observed(Arc::clone(&obs)), &obs);
+    let name = cache.policy().name();
     assert_eq!(
-        counts.evictions, sim.evictions,
-        "evict events == simulator evictions"
+        counts.reservations,
+        cache.stats().non_lru_evictions,
+        "{name}: reserve events == non-LRU evictions"
     );
-    counts
+    assert!(counts.reservations > 0, "{name}: no non-LRU pick exercised");
+    assert_eq!(counts.depreciations, 0, "{name} never depreciates");
+    assert_eq!(counts.etd_hits, 0, "{name} has no ETD");
+    assert_eq!(counts.automaton_flips, 0, "{name} has no automaton");
 }
 
 #[test]
-fn gd_events_match_stats() {
+fn rank_and_queue_core_events_match_the_simulator() {
+    let g = geom();
+    check_rank_core(|o| GreedyDual::new(&g).with_observer(o));
+    check_rank_core(|o| S3Fifo::new(&g).with_observer(o));
+    check_rank_core(|o| Slru::new(&g).with_observer(o));
+    check_rank_core(|o| Lfuda::new(&g).with_observer(o));
+    check_rank_core(|o| Gdsf::new(&g).with_observer(o));
+    check_rank_core(|o| Camp::new(&g).with_observer(o));
+}
+
+#[test]
+fn bcl_events_match_the_simulator() {
     let obs = Arc::new(CountingObserver::new());
-    let geom = geom();
-    let mut cache = Cache::new(geom, GreedyDual::new(&geom).with_observer(Arc::clone(&obs)));
-    let counts = run_and_check_sim_counts(&mut cache, &obs);
-    let stats = cache.policy().stats();
-    assert_eq!(counts.evictions, stats.victims);
-    assert_eq!(counts.reservations, stats.non_lru_victims);
+    let (counts, cache) = run(Bcl::new(&geom()).with_observer(Arc::clone(&obs)), &obs);
     assert_eq!(counts.reservations, cache.stats().non_lru_evictions);
-    assert!(
-        counts.reservations > 0,
-        "stream must exercise non-LRU picks"
-    );
-    assert_eq!(counts.depreciations, 0, "GD never depreciates");
-    assert_eq!(counts.etd_hits, 0, "GD has no ETD");
-}
-
-#[test]
-fn bcl_events_match_stats() {
-    let obs = Arc::new(CountingObserver::new());
-    let geom = geom();
-    let mut cache = Cache::new(geom, Bcl::new(&geom).with_observer(Arc::clone(&obs)));
-    let counts = run_and_check_sim_counts(&mut cache, &obs);
-    let stats = cache.policy().stats();
-    assert_eq!(counts.reservations, stats.reservations);
     assert_eq!(
-        counts.depreciations, stats.reservations,
+        counts.depreciations, counts.reservations,
         "BCL depreciates immediately on every reservation"
-    );
-    assert_eq!(
-        counts.evictions,
-        stats.reservations + stats.lru_evictions,
-        "every victim() call is either a reservation or an LRU eviction"
     );
     assert!(counts.reservations > 0, "stream must exercise reservations");
     assert_eq!(counts.etd_hits, 0, "BCL has no ETD");
 }
 
 #[test]
-fn dcl_events_match_stats() {
+fn dcl_events_match_the_simulator() {
     let obs = Arc::new(CountingObserver::new());
-    let geom = geom();
-    let mut cache = Cache::new(geom, Dcl::new(&geom).with_observer(Arc::clone(&obs)));
-    let counts = run_and_check_sim_counts(&mut cache, &obs);
-    let stats = cache.policy().stats();
-    assert_eq!(counts.reservations, stats.reservations);
-    assert_eq!(counts.etd_hits, stats.depreciations);
-    assert_eq!(counts.depreciations, stats.depreciations);
-    assert_eq!(counts.evictions, stats.reservations + stats.lru_evictions);
+    let (counts, cache) = run(Dcl::new(&geom()).with_observer(Arc::clone(&obs)), &obs);
+    assert_eq!(counts.reservations, cache.stats().non_lru_evictions);
+    assert_eq!(counts.etd_hits, cache.policy().etd_stats().hits);
+    assert_eq!(
+        counts.depreciations, counts.etd_hits,
+        "DCL depreciates on every ETD hit and only then"
+    );
     assert!(counts.reservations > 0, "stream must exercise reservations");
     assert!(counts.etd_hits > 0, "stream must exercise ETD hits");
     assert_eq!(counts.automaton_flips, 0, "DCL has no automaton");
 }
 
 #[test]
-fn acl_events_match_stats() {
-    // ACL needs the tracer too: `AutomatonFlip { enabled: true }` events
-    // must equal the trigger counter, which a flat flip count cannot show.
+fn acl_events_match_the_simulator() {
+    // ACL needs the tracer too: which way the automaton flipped is what
+    // separates a watch-mode trigger from a depreciating ETD hit, and a flat
+    // flip count cannot show it.
     let counting = Arc::new(CountingObserver::new());
     let tracer = Arc::new(EventTracer::new(1 << 20));
     let obs = (Arc::clone(&counting), Arc::clone(&tracer));
-    let geom = geom();
-    let mut cache = Cache::new(geom, Acl::new(&geom).with_observer(obs));
-    let counts = run_and_check_sim_counts(&mut cache, &counting);
-    let stats = cache.policy().stats();
-    assert_eq!(counts.reservations, stats.reservations);
-    assert_eq!(counts.depreciations, stats.depreciations);
-    assert_eq!(
-        counts.etd_hits,
-        stats.depreciations + stats.triggers,
-        "enabled ETD hits depreciate; watch-mode ETD hits trigger"
-    );
-    assert!(counts.reservations > 0, "stream must exercise reservations");
-    assert!(
-        stats.triggers > 0,
-        "stream must exercise watch-mode triggers"
-    );
-
+    let (counts, cache) = run(Acl::new(&geom()).with_observer(obs), &counting);
+    assert_eq!(counts.etd_hits, cache.policy().etd_stats().hits);
     assert_eq!(tracer.dropped(), 0, "trace capacity must hold the full run");
+
+    // ACL reports a reservation once, when it starts; the non-LRU evictions
+    // that extend it are plain evictions. So its `reserve` count is the
+    // number of reservation streaks: each opens with the eviction of its
+    // cheaper victim, stays open until the reserved block hits or is
+    // evicted, and the other evictions inside streaks are exactly the
+    // simulator's non-LRU evictions.
+    let g = geom();
+    let mut open: Vec<Option<BlockAddr>> = vec![None; g.num_sets()];
+    let mut opening_victim = None;
+    let mut streaks = 0;
+    let mut evictions_in_streaks = 0;
     let mut enabled_flips = 0;
     let mut disabled_flips = 0;
     for t in tracer.events() {
-        if let DecisionEvent::AutomatonFlip { enabled } = t.event {
-            if enabled {
-                enabled_flips += 1;
-            } else {
-                disabled_flips += 1;
+        if let Some(victim) = opening_victim.take() {
+            assert!(
+                matches!(t.event, DecisionEvent::Evict { block, .. } if block == victim),
+                "a reservation opens with its victim's eviction, got {:?}",
+                t.event
+            );
+        }
+        match t.event {
+            DecisionEvent::Reserve {
+                reserved, victim, ..
+            } => {
+                let slot = &mut open[g.set_of(reserved).0];
+                assert_eq!(*slot, None, "one reserve event per streak");
+                assert_ne!(reserved, victim);
+                *slot = Some(reserved);
+                opening_victim = Some(victim);
+                streaks += 1;
             }
+            DecisionEvent::Hit { block, .. } => {
+                let slot = &mut open[g.set_of(block).0];
+                if *slot == Some(block) {
+                    *slot = None; // success
+                }
+            }
+            DecisionEvent::Evict { block, .. } => {
+                let slot = &mut open[g.set_of(block).0];
+                if *slot == Some(block) {
+                    *slot = None; // failure
+                } else if slot.is_some() {
+                    evictions_in_streaks += 1;
+                }
+            }
+            DecisionEvent::AutomatonFlip { enabled: true } => enabled_flips += 1,
+            DecisionEvent::AutomatonFlip { enabled: false } => disabled_flips += 1,
+            _ => {}
         }
     }
+    assert!(streaks > 1, "stream must exercise reservations");
+    assert_eq!(counts.reservations, streaks);
     assert_eq!(
-        enabled_flips, stats.triggers,
-        "one enabled flip per trigger"
+        evictions_in_streaks,
+        cache.stats().non_lru_evictions,
+        "every non-LRU eviction lies inside a reported streak"
+    );
+    assert!(
+        streaks < evictions_in_streaks,
+        "stream must exercise a reservation that outlasts one eviction"
+    );
+
+    assert!(
+        enabled_flips > 0,
+        "stream must exercise watch-mode triggers"
+    );
+    assert_eq!(
+        counts.etd_hits,
+        counts.depreciations + enabled_flips,
+        "enabled ETD hits depreciate; watch-mode ETD hits trigger"
     );
     assert_eq!(
         enabled_flips + disabled_flips,
