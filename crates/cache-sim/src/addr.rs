@@ -181,12 +181,6 @@ impl Geometry {
         SetIndex((block.0 as usize) & (self.num_sets - 1))
     }
 
-    /// Maps a byte address to its block address.
-    #[must_use]
-    pub fn block_of(&self, addr: Addr) -> BlockAddr {
-        addr.block(self.block_bytes)
-    }
-
     /// The tag of a block: the block address with the set-index bits removed.
     #[must_use]
     pub fn tag_of(&self, block: BlockAddr) -> u64 {

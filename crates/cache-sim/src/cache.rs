@@ -168,11 +168,6 @@ impl<P: ReplacementPolicy> Cache<P> {
         &self.policy
     }
 
-    /// Mutable access to the replacement policy.
-    pub fn policy_mut(&mut self) -> &mut P {
-        &mut self.policy
-    }
-
     /// Whether `block` is resident. No side effects.
     #[must_use]
     pub fn contains(&self, block: BlockAddr) -> bool {

@@ -87,11 +87,6 @@ impl<P: ReplacementPolicy> TwoLevel<P> {
         &self.l2
     }
 
-    /// Mutable access to the L2 (e.g. to read or update policy state).
-    pub fn l2_mut(&mut self) -> &mut Cache<P> {
-        &mut self.l2
-    }
-
     /// Performs one access. `l2_miss_cost` is charged only if the reference
     /// misses both levels.
     pub fn access(

@@ -580,12 +580,6 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> CsrCache<K, V, S> {
         }
         total
     }
-
-    /// Per-shard statistics snapshots, in shard order.
-    #[must_use]
-    pub fn shard_stats(&self) -> Vec<CacheStats> {
-        self.shards.iter().map(Shard::stats).collect()
-    }
 }
 
 #[cfg(test)]

@@ -308,18 +308,6 @@ impl Client {
         }))
     }
 
-    /// Sets read/write timeouts on the underlying socket (`None`
-    /// blocks forever).
-    ///
-    /// # Errors
-    ///
-    /// Propagates `setsockopt` failures.
-    pub fn set_timeouts(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        let stream = &self.reader.get_ref().0;
-        stream.set_read_timeout(timeout)?;
-        stream.set_write_timeout(timeout)
-    }
-
     /// Looks `key` up; `None` means neither the cache nor the origin has
     /// it. A stale copy served under origin failure is returned like any
     /// other value — use [`get_value`](Self::get_value) to observe the

@@ -354,26 +354,11 @@ impl ClusterClient {
         self.ring.owner_index(key)
     }
 
-    /// This client's passive view of node health, in `nodes()` order.
-    #[must_use]
-    pub fn node_health(&self) -> &[bool] {
-        &self.health
-    }
-
     /// Per-node `STATS` tables (node index, table) from every node that
     /// answers — the cluster-wide aggregation loadgen sums.
     pub fn stats_all(&mut self) -> Vec<(usize, Vec<(String, String)>)> {
         (0..self.clients.len())
             .filter_map(|i| self.clients[i].stats().ok().map(|t| (i, t)))
-            .collect()
-    }
-
-    /// Per-node kept-trace rings (node index, JSONL body) from every node
-    /// that answers — loadgen merges these fragments by trace id into the
-    /// cluster-wide trace dump.
-    pub fn traces_all(&mut self) -> Vec<(usize, String)> {
-        (0..self.clients.len())
-            .filter_map(|i| self.clients[i].traces().ok().map(|t| (i, t)))
             .collect()
     }
 

@@ -10,7 +10,7 @@
 //! Everything lives in one directory ([`PersistConfig::dir`]):
 //!
 //! ```text
-//! LOCK                  exclusive-instance lock (pid + liveness port)
+//! LOCK                  exclusive-instance lock (flock; names the holder's pid)
 //! wal-<seq:016x>.log    WAL segments, strictly increasing seq
 //! snap-<seq:016x>.snap  full snapshots; <seq> = first WAL segment NOT
 //!                       folded into the snapshot
@@ -87,7 +87,6 @@ use csr_cache::CsrCache;
 use csr_obs::{Counter, Gauge, Registry};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, ErrorKind, Write};
-use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -406,11 +405,6 @@ pub struct Persistence {
     degraded: AtomicBool,
     /// Guards against concurrent / re-entrant snapshots.
     snapshotting: AtomicBool,
-    /// Liveness beacon backing the lock file: held (never accepted) for
-    /// the process lifetime; a connect() that succeeds proves the lock
-    /// holder is alive, and the kernel closes it on *any* death,
-    /// including SIGKILL — so stale locks self-release.
-    _beacon: TcpListener,
     /// The `LOCK` file handle, held open with an exclusive OS lock
     /// (`File::try_lock`) for the process lifetime: the *atomic* claim
     /// that closes the read-then-write race two simultaneously starting
@@ -487,7 +481,7 @@ impl Persistence {
     /// opened.
     pub(crate) fn open(config: PersistConfig, registry: &Registry) -> io::Result<Persistence> {
         fs::create_dir_all(&config.dir)?;
-        let (lock, beacon) = Self::acquire_lock(&config.dir)?;
+        let lock = Self::acquire_lock(&config.dir)?;
         let metrics = PersistMetrics::new(registry);
         let next_seg = list_seqs(&config.dir, "wal-", ".log")?
             .last()
@@ -508,7 +502,6 @@ impl Persistence {
             next_gen: AtomicU64::new(1),
             degraded: AtomicBool::new(false),
             snapshotting: AtomicBool::new(false),
-            _beacon: beacon,
             _lock: lock,
         };
         Ok(persist)
@@ -518,12 +511,9 @@ impl Persistence {
     /// ([`File::try_lock`]) on `LOCK`, so two daemons racing through
     /// startup cannot both win: the kernel grants exactly one, and
     /// releases it on any death (including SIGKILL) — no stale-lock
-    /// janitor. The file's contents name a TCP liveness beacon as
-    /// defense in depth for filesystems where the lock is advisory
-    /// theater (e.g. some network mounts): even after winning the flock,
-    /// a connect() that reaches the previous holder's beacon vetoes the
-    /// claim.
-    fn acquire_lock(dir: &Path) -> io::Result<(File, TcpListener)> {
+    /// janitor. The file's contents only name the holder's pid for the
+    /// refusal message; whatever a dead holder left there claims nothing.
+    fn acquire_lock(dir: &Path) -> io::Result<File> {
         let lock_path = dir.join(LOCK_FILE);
         let mut file = OpenOptions::new()
             .read(true)
@@ -539,26 +529,11 @@ impl Persistence {
             }
             Err(std::fs::TryLockError::Error(e)) => return Err(e),
         }
-        if let Ok(contents) = fs::read_to_string(&lock_path) {
-            let contents = contents.trim().to_owned();
-            if let Some(port) = contents
-                .split_whitespace()
-                .find_map(|tok| tok.strip_prefix("port="))
-                .and_then(|p| p.parse::<u16>().ok())
-            {
-                let addr = std::net::SocketAddr::from(([127, 0, 0, 1], port));
-                if TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_ok() {
-                    return Err(lock_held_error(dir, &contents));
-                }
-            }
-        }
-        let beacon = TcpListener::bind("127.0.0.1:0")?;
-        let port = beacon.local_addr()?.port();
         // We hold the lock: rewriting in place races with nobody.
         file.set_len(0)?;
-        writeln!(file, "pid={} port={port}", std::process::id())?;
+        writeln!(file, "pid={}", std::process::id())?;
         file.sync_all()?;
-        Ok((file, beacon))
+        Ok(file)
     }
 
     /// The configured fsync policy (for `STATS`).
@@ -1172,7 +1147,7 @@ mod tests {
             Err(e) => e,
         };
         assert!(err.to_string().contains("locked"), "got: {err}");
-        drop(first); // beacon closes: the lock self-releases
+        drop(first); // the handle closes: the lock self-releases
         let third = Persistence::open(
             PersistConfig {
                 dir: dir.clone(),

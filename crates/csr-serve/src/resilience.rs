@@ -520,10 +520,8 @@ impl Backing for DeadlineBacking {
 ///
 /// All decisions come from a seeded PRNG drawn once per request in request
 /// order, so a single-threaded request sequence is **deterministic** under
-/// a fixed seed. Two switches support scripted scenarios: an *outage
-/// window* (requests numbered `[from, until)` all fail — how the e2e test
-/// trips the breaker deterministically) and a [`set_failing`] master
-/// switch (`set_failing(true)` fails everything until turned off).
+/// a fixed seed. Scripted scenarios use the [`set_failing`] master switch
+/// (`set_failing(true)` fails everything until turned off).
 ///
 /// [`set_failing`]: FaultBacking::set_failing
 pub struct FaultBacking {
@@ -537,9 +535,6 @@ pub struct FaultBacking {
     hang: Duration,
     rng: Mutex<mem_trace::rng::SplitMix64>,
     requests: AtomicU64,
-    /// Requests numbered `[outage_from, outage_until)` fail outright.
-    outage_from: AtomicU64,
-    outage_until: AtomicU64,
     failing: AtomicBool,
 }
 
@@ -555,8 +550,6 @@ impl FaultBacking {
             hang: Duration::from_millis(50),
             rng: Mutex::new(mem_trace::rng::SplitMix64::new(seed)),
             requests: AtomicU64::new(0),
-            outage_from: AtomicU64::new(0),
-            outage_until: AtomicU64::new(0),
             failing: AtomicBool::new(false),
         }
     }
@@ -566,13 +559,6 @@ impl FaultBacking {
     pub fn hang_for(mut self, hang: Duration) -> Self {
         self.hang = hang;
         self
-    }
-
-    /// Scripts a total outage for requests numbered `[from, until)`
-    /// (0-based, counted across all keys).
-    pub fn set_outage(&self, from: u64, until: u64) {
-        self.outage_from.store(from, Ordering::Relaxed);
-        self.outage_until.store(until, Ordering::Relaxed);
     }
 
     /// Master failure switch: while `true`, every request fails.
@@ -589,16 +575,9 @@ impl FaultBacking {
 
 impl Backing for FaultBacking {
     fn try_fetch(&self, key: &str) -> Result<Option<Vec<u8>>, BackingError> {
-        let n = self.requests.fetch_add(1, Ordering::Relaxed);
+        self.requests.fetch_add(1, Ordering::Relaxed);
         if self.failing.load(Ordering::Relaxed) {
             return Err(BackingError::Io("injected failure (switch)".into()));
-        }
-        let (from, until) = (
-            self.outage_from.load(Ordering::Relaxed),
-            self.outage_until.load(Ordering::Relaxed),
-        );
-        if n >= from && n < until {
-            return Err(BackingError::NotAvailable("injected outage window".into()));
         }
         let (hang, error) = {
             let mut rng = self.rng.lock().expect("fault rng poisoned");

@@ -183,11 +183,15 @@ fn flaky_origin_survives_in(io: IoMode) {
     assert!(v.stale, "a degraded read must carry the STALE flag");
     assert!(metric(&handle, "csr_serve_origin_stale_served_total") >= 1);
 
-    // Origin recovers; after the cooldown the half-open probe re-closes
-    // the breaker.
+    // Origin recovers — to its noisy self, so a half-open probe can still
+    // draw one of the ~10% injected errors and re-open the breaker: allow
+    // it at most three cooldowns to re-close.
     fault.set_failing(false);
-    std::thread::sleep(Duration::from_millis(150));
-    assert!(c.get("fresh:recovered").unwrap().is_some());
+    let recovered = (0..3).any(|_| {
+        std::thread::sleep(Duration::from_millis(150));
+        matches!(c.get("fresh:recovered"), Ok(Some(_)))
+    });
+    assert!(recovered, "no half-open probe landed in three cooldowns");
     assert!(
         metric(
             &handle,

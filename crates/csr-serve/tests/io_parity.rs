@@ -257,6 +257,13 @@ fn handler_panic_kills_one_connection_not_the_pool() {
                 "[{mode}] pool must keep serving after handler panics"
             );
         }
+        // The counter is bumped after the unwinding handler has already
+        // closed the socket, so the client can get ahead of it: poll,
+        // bounded, instead of reading once.
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while worker_panics_metric(&handle) < 4 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
         assert!(
             worker_panics_metric(&handle) >= 4,
             "[{mode}] csr_serve_worker_panics_total must count the panics"

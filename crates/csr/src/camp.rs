@@ -19,7 +19,7 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`Camp`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{report_victim, EvictionPolicy, PerSet};
+use crate::eviction::{position_in, report_victim, EvictionPolicy, PerSet};
 use cache_sim::{BlockAddr, Cost, Geometry, SetView, Way};
 use csr_obs::{NopObserver, Observer};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -28,6 +28,8 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 struct CampMeta {
     bucket: u32,
     seq: u64,
+    /// The way the block was filled into.
+    way: Way,
 }
 
 /// Rounds a cost down to a power of two: `(bucket id, rounded value)`.
@@ -72,12 +74,6 @@ impl<O: Observer> CampCore<O> {
         self.age
     }
 
-    /// The number of non-empty cost buckets.
-    #[must_use]
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// Attaches a decision observer, replacing any existing one.
     #[must_use]
     pub fn with_observer<O2: Observer>(self, obs: O2) -> CampCore<O2> {
@@ -91,12 +87,12 @@ impl<O: Observer> CampCore<O> {
     }
 
     /// Enqueues `block` at the tail of its cost bucket with a fresh key.
-    fn enqueue(&mut self, block: BlockAddr, cost: Cost) {
+    fn enqueue(&mut self, block: BlockAddr, way: Way, cost: Cost) {
         let (bucket, r) = rounded(cost);
         let seq = self.next_seq;
         self.next_seq += 1;
         let key = self.age.saturating_add(r);
-        self.meta.insert(block, CampMeta { bucket, seq });
+        self.meta.insert(block, CampMeta { bucket, seq, way });
         self.buckets
             .entry(bucket)
             .or_default()
@@ -125,20 +121,20 @@ impl<O: Observer> CampCore<O> {
     }
 
     /// Drops `block`'s live entry (head of its bucket, by construction of
-    /// the callers) and its metadata.
-    fn drop_block(&mut self, block: BlockAddr) {
-        if let Some(m) = self.meta.remove(&block) {
-            if let Some(q) = self.buckets.get_mut(&m.bucket) {
-                if q.front()
-                    .is_some_and(|&(b, seq, _)| b == block && seq == m.seq)
-                {
-                    q.pop_front();
-                }
-                if q.is_empty() {
-                    self.buckets.remove(&m.bucket);
-                }
+    /// the callers) and its metadata; returns the way it was filled into.
+    fn drop_block(&mut self, block: BlockAddr) -> Option<Way> {
+        let m = self.meta.remove(&block)?;
+        if let Some(q) = self.buckets.get_mut(&m.bucket) {
+            if q.front()
+                .is_some_and(|&(b, seq, _)| b == block && seq == m.seq)
+            {
+                q.pop_front();
+            }
+            if q.is_empty() {
+                self.buckets.remove(&m.bucket);
             }
         }
+        Some(m.way)
     }
 }
 
@@ -148,15 +144,11 @@ impl<O: Observer> EvictionPolicy for CampCore<O> {
     }
 
     fn victim(&mut self, view: &SetView<'_>) -> Way {
-        let mut by_block = HashMap::with_capacity(view.len());
-        for (pos, e) in view.iter().enumerate() {
-            by_block.insert(e.block, pos);
-        }
         // Every pass removes one block from the structures, so this
         // terminates; blocks unknown to the view are dropped and retried.
         while let Some((b, key)) = self.min_head() {
-            self.drop_block(b);
-            if let Some(&pos) = by_block.get(&b) {
+            let way = self.drop_block(b);
+            if let Some(pos) = way.and_then(|w| position_in(view, w, b)) {
                 self.age = self.age.max(key);
                 return report_victim(&self.obs, view, pos);
             }
@@ -167,11 +159,11 @@ impl<O: Observer> EvictionPolicy for CampCore<O> {
         report_victim(&self.obs, view, view.len() - 1)
     }
 
-    fn on_hit(&mut self, block: BlockAddr, _way: Way, cost: Cost, _is_lru: bool) {
+    fn on_hit(&mut self, block: BlockAddr, way: Way, cost: Cost, _is_lru: bool) {
         if self.meta.contains_key(&block) {
             // Supersede the old entry (it goes stale) with a tail re-enqueue
             // at the current age.
-            self.enqueue(block, cost);
+            self.enqueue(block, way, cost);
         }
         self.obs.on_hit(block, cost);
     }
@@ -180,13 +172,13 @@ impl<O: Observer> EvictionPolicy for CampCore<O> {
         self.obs.on_miss(block);
     }
 
-    fn on_fill(&mut self, block: BlockAddr, _way: Way, cost: Cost) {
+    fn on_fill(&mut self, block: BlockAddr, way: Way, cost: Cost) {
         if self.meta.contains_key(&block) {
             // Overwrite of a resident block: the on_hit re-enqueue already
             // placed it with its new cost.
             return;
         }
-        self.enqueue(block, cost);
+        self.enqueue(block, way, cost);
     }
 
     fn on_remove(&mut self, block: BlockAddr) {

@@ -125,6 +125,14 @@ pub(crate) fn report_victim(obs: &impl Observer, view: &SetView<'_>, pos: usize)
     chosen.way
 }
 
+/// Where the queue cores' choice sits in the view: the position of the `way`
+/// `block` was filled into, provided that entry still is `block` (a core
+/// hot-attached to a warm region, or desynced, may name one the view lacks).
+pub(crate) fn position_in(view: &SetView<'_>, way: Way, block: BlockAddr) -> Option<usize> {
+    view.position_of(way)
+        .filter(|&pos| view.at(pos).block == block)
+}
+
 /// Plain LRU as an [`EvictionPolicy`]: evict the LRU block, keep no state
 /// beyond the (default no-op) decision observer.
 ///

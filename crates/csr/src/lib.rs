@@ -6,7 +6,7 @@
 //! caches whose misses have non-uniform costs (remote vs. local latency,
 //! bandwidth, power, …).
 //!
-//! Four on-line policies are provided, all implementing
+//! Four on-line policies come from the paper, all implementing
 //! [`cache_sim::ReplacementPolicy`]:
 //!
 //! * [`GreedyDual`] — prior-work cost-centric baseline (Section 2.1);
@@ -17,10 +17,24 @@
 //! * [`Acl`] — Adaptive Cost-sensitive LRU: DCL gated by a per-set 2-bit
 //!   success/failure automaton (Section 2.5).
 //!
-//! Each policy's decision logic is a **set-size-agnostic core**
-//! ([`GdCore`], [`BclCore`], [`DclCore`], [`AclCore`], plus the [`LruCore`]
-//! baseline) implementing the single-region [`EvictionPolicy`] trait from
-//! [`eviction`]. A core is never driven directly; exactly two drivers speak
+//! Each policy's decision logic is a **set-size-agnostic core** implementing
+//! the single-region [`EvictionPolicy`] trait from [`eviction`]. The cores,
+//! by family:
+//!
+//! * **LRU** — [`LruCore`], the baseline ([`eviction`]);
+//! * **reservation** — [`BclCore`], [`DclCore`], [`AclCore`]: the paper's
+//!   LRU extensions, sharing the Fig.-1 scan and `Acost` tracker;
+//! * **rank** — [`GdCore`], [`GdsfCore`], [`LfudaCore`]: one
+//!   inflation-offset [`RankCore`] with three key functions ([`rank`]);
+//! * **queue** — [`S3FifoCore`] (small/main/ghost FIFOs, scan-resistant),
+//!   [`SlruCore`] (probationary/protected segments), [`CampCore`]
+//!   (cost-adaptive multi-queue with rounded-cost buckets).
+//!
+//! GDSF, LFUDA and the queue family are a **policy zoo** of modern
+//! general-purpose cores riding on the same trait for head-to-head
+//! comparison and online selection.
+//!
+//! A core is never driven directly; exactly two drivers speak
 //! its protocol, one per layer, and both enforce the same contract
 //! (`on_hit` before promotion, `on_miss` with the LRU pair before victim
 //! selection, `victim` once per replacement over an MRU → LRU view — the
@@ -29,19 +43,13 @@
 //!
 //! * [`PerSet<C>`] — the simulator's driver: one core per cache set behind
 //!   [`cache_sim::ReplacementPolicy`], statically dispatched. The
-//!   set-indexed types above are aliases of it (`Dcl<O>` is
-//!   `PerSet<DclCore<O>>`); per-set state is read through
+//!   set-indexed types ([`GreedyDual`], [`Bcl`], [`Dcl`], [`Acl`],
+//!   [`S3Fifo`], [`Slru`], [`Lfuda`], [`Gdsf`], [`Camp`]) are aliases of it
+//!   (`Dcl<O>` is `PerSet<DclCore<O>>`); per-set state is read through
 //!   [`PerSet::core`].
 //! * `csr_cache::Region<T>` — the key-value driver: one boxed core over a
 //!   slab and recency list of arbitrary size, shared by the cache's shards
 //!   and the adaptive selector's ghost caches.
-//!
-//! A **policy zoo** of modern general-purpose cores rides on the same
-//! trait for head-to-head comparison and online selection: [`S3Fifo`]
-//! (static small/main/ghost FIFO queues, scan-resistant), [`Slru`]
-//! (probationary/protected segments), [`Lfuda`] (LFU with dynamic aging),
-//! [`Gdsf`] (GreedyDual-Size-Frequency) and [`Camp`] (cost-adaptive
-//! multi-queue with rounded-cost buckets).
 //!
 //! Supporting modules: the [`etd`] shadow directory, clairvoyant baselines
 //! in [`opt`], and the Section 5 hardware-overhead model in [`hw`].
@@ -105,11 +113,9 @@ pub mod csopt;
 pub mod dcl;
 pub mod etd;
 pub mod eviction;
-pub mod gd;
-pub mod gdsf;
 pub mod hw;
-pub mod lfuda;
 pub mod opt;
+pub mod rank;
 mod reserve;
 pub mod s3fifo;
 pub mod slru;
@@ -122,10 +128,8 @@ pub use csr_obs::{NopObserver, Observer};
 pub use dcl::{Dcl, DclCore};
 pub use etd::{EtdConfig, EtdSet, EtdStats};
 pub use eviction::{EvictionPolicy, LruCore, PerSet};
-pub use gd::{GdCore, GreedyDual};
-pub use gdsf::{Gdsf, GdsfCore};
 pub use hw::{CostSource, HwParams, HwPolicy};
-pub use lfuda::{Lfuda, LfudaCore};
 pub use opt::{simulate_belady, simulate_cost_greedy, OfflineStats, TraceEvent};
+pub use rank::{GdCore, Gdsf, GdsfCore, GreedyDual, Lfuda, LfudaCore, RankCore};
 pub use s3fifo::{S3Fifo, S3FifoCore};
 pub use slru::{Slru, SlruCore};

@@ -21,7 +21,7 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`S3Fifo`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{report_victim, EvictionPolicy, PerSet};
+use crate::eviction::{position_in, report_victim, EvictionPolicy, PerSet};
 use cache_sim::{BlockAddr, Cost, Geometry, SetView, Way};
 use csr_obs::{NopObserver, Observer};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -33,6 +33,8 @@ const FREQ_CAP: u8 = 3;
 struct S3Meta {
     freq: u8,
     in_small: bool,
+    /// The way the block was filled into.
+    way: Way,
 }
 
 /// S3-FIFO for a single replacement region of a fixed number of ways.
@@ -143,10 +145,6 @@ impl<O: Observer> EvictionPolicy for S3FifoCore<O> {
     }
 
     fn victim(&mut self, view: &SetView<'_>) -> Way {
-        let mut by_block = HashMap::with_capacity(view.len());
-        for (pos, e) in view.iter().enumerate() {
-            by_block.insert(e.block, pos);
-        }
         // Every pass either evicts, promotes a small head (at most once per
         // live block), or decrements a main head's frequency (at most
         // FREQ_CAP times per block), so the bound below is generous.
@@ -174,8 +172,8 @@ impl<O: Observer> EvictionPolicy for S3FifoCore<O> {
                     continue;
                 }
                 self.small_len -= 1;
-                self.meta.remove(&b);
-                if let Some(&pos) = by_block.get(&b) {
+                let way = self.meta.remove(&b).map(|m| m.way);
+                if let Some(pos) = way.and_then(|w| position_in(view, w, b)) {
                     self.ghost_insert(b);
                     return report_victim(&self.obs, view, pos);
                 }
@@ -197,8 +195,8 @@ impl<O: Observer> EvictionPolicy for S3FifoCore<O> {
                     continue;
                 }
                 self.main_len -= 1;
-                self.meta.remove(&b);
-                if let Some(&pos) = by_block.get(&b) {
+                let way = self.meta.remove(&b).map(|m| m.way);
+                if let Some(pos) = way.and_then(|w| position_in(view, w, b)) {
                     return report_victim(&self.obs, view, pos);
                 }
             }
@@ -229,9 +227,10 @@ impl<O: Observer> EvictionPolicy for S3FifoCore<O> {
         self.obs.on_miss(block);
     }
 
-    fn on_fill(&mut self, block: BlockAddr, _way: Way, _cost: Cost) {
-        if self.meta.contains_key(&block) {
+    fn on_fill(&mut self, block: BlockAddr, way: Way, _cost: Cost) {
+        if let Some(m) = self.meta.get_mut(&block) {
             // Overwrite of a resident block keeps its queue position.
+            m.way = way;
             return;
         }
         if self.ghost_set.remove(&block) {
@@ -240,6 +239,7 @@ impl<O: Observer> EvictionPolicy for S3FifoCore<O> {
                 S3Meta {
                     freq: 0,
                     in_small: false,
+                    way,
                 },
             );
             self.main.push_back(block);
@@ -250,6 +250,7 @@ impl<O: Observer> EvictionPolicy for S3FifoCore<O> {
                 S3Meta {
                     freq: 0,
                     in_small: true,
+                    way,
                 },
             );
             self.small.push_back(block);

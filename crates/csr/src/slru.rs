@@ -17,7 +17,7 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`Slru`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{report_victim, EvictionPolicy, PerSet};
+use crate::eviction::{position_in, report_victim, EvictionPolicy, PerSet};
 use cache_sim::{BlockAddr, Cost, Geometry, SetView, Way};
 use csr_obs::{NopObserver, Observer};
 use std::collections::{HashMap, VecDeque};
@@ -26,6 +26,8 @@ use std::collections::{HashMap, VecDeque};
 struct SlruMeta {
     protected: bool,
     seq: u64,
+    /// The way the block was filled into.
+    way: Way,
 }
 
 /// SLRU for a single replacement region of a fixed number of ways.
@@ -117,10 +119,6 @@ impl<O: Observer> EvictionPolicy for SlruCore<O> {
     }
 
     fn victim(&mut self, view: &SetView<'_>) -> Way {
-        let mut by_block = HashMap::with_capacity(view.len());
-        for (pos, e) in view.iter().enumerate() {
-            by_block.insert(e.block, pos);
-        }
         // Probationary LRU end first, then protected LRU end; skip blocks
         // the view does not contain (a core hot-attached to a warm region).
         let mut guard = self.prob.len() + self.prot.len() + 2;
@@ -141,8 +139,8 @@ impl<O: Observer> EvictionPolicy for SlruCore<O> {
             } else {
                 self.prot_len = self.prot_len.saturating_sub(1);
             }
-            self.meta.remove(&b);
-            if let Some(&pos) = by_block.get(&b) {
+            let way = self.meta.remove(&b).map(|m| m.way);
+            if let Some(pos) = way.and_then(|w| position_in(view, w, b)) {
                 return report_victim(&self.obs, view, pos);
             }
         }
@@ -191,9 +189,10 @@ impl<O: Observer> EvictionPolicy for SlruCore<O> {
         self.obs.on_miss(block);
     }
 
-    fn on_fill(&mut self, block: BlockAddr, _way: Way, _cost: Cost) {
-        if self.meta.contains_key(&block) {
+    fn on_fill(&mut self, block: BlockAddr, way: Way, _cost: Cost) {
+        if let Some(m) = self.meta.get_mut(&block) {
             // Overwrite of a resident block keeps its segment position.
+            m.way = way;
             return;
         }
         let seq = self.seq();
@@ -202,6 +201,7 @@ impl<O: Observer> EvictionPolicy for SlruCore<O> {
             SlruMeta {
                 protected: false,
                 seq,
+                way,
             },
         );
         self.prob.push_back((block, seq));

@@ -129,16 +129,6 @@ pub fn standard_suite() -> Vec<Box<dyn Workload>> {
     ]
 }
 
-/// The extended suite: the standard four kernels plus the FFT and Radix
-/// analogues the paper's footnote 2 ran ("yielded no additional insight").
-#[must_use]
-pub fn extended_suite() -> Vec<Box<dyn Workload>> {
-    let mut suite = standard_suite();
-    suite.push(Box::new(FftLike::default()));
-    suite.push(Box::new(RadixLike::default()));
-    suite
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -46,6 +46,42 @@ fn cost_of(b: u64) -> Cost {
     }
 }
 
+/// The oracle's view of a script: accesses at their miss cost, plus the
+/// invalidations.
+fn trace_events(script: &[Step]) -> Vec<TraceEvent> {
+    script
+        .iter()
+        .map(|st| match *st {
+            Step::Read(b) | Step::Write(b) => TraceEvent::Access {
+                block: BlockAddr(b),
+                cost: cost_of(b),
+            },
+            Step::Invalidate(b) => TraceEvent::Invalidate {
+                block: BlockAddr(b),
+            },
+        })
+        .collect()
+}
+
+/// The aggregate miss cost `policy` pays on `script`.
+fn aggregate_cost<P: ReplacementPolicy>(geom: Geometry, policy: P, script: &[Step]) -> Cost {
+    let mut c = Cache::new(geom, policy);
+    for st in script {
+        match *st {
+            Step::Read(b) => {
+                c.access(BlockAddr(b), AccessType::Read, cost_of(b));
+            }
+            Step::Write(b) => {
+                c.access(BlockAddr(b), AccessType::Write, cost_of(b));
+            }
+            Step::Invalidate(b) => {
+                c.invalidate(BlockAddr(b), InvalidateKind::Coherence);
+            }
+        }
+    }
+    c.stats().aggregate_cost
+}
+
 /// CSOPT is a true lower bound on the aggregate cost of every on-line
 /// policy (the defining property of the offline optimum).
 #[test]
@@ -53,49 +89,15 @@ fn csopt_lower_bounds_every_online_policy() {
     for case in 0..CASES {
         let script = random_script(case);
         let geom = Geometry::new(512, 64, 4); // 2 sets x 4 ways
-        let mut events = Vec::new();
-        for st in &script {
-            match *st {
-                Step::Read(b) | Step::Write(b) => {
-                    events.push(TraceEvent::Access {
-                        block: BlockAddr(b),
-                        cost: cost_of(b),
-                    });
-                }
-                Step::Invalidate(b) => {
-                    events.push(TraceEvent::Invalidate {
-                        block: BlockAddr(b),
-                    });
-                }
-            }
-        }
-        let opt = simulate_csopt(&geom, &events, CsoptLimits::default())
+        let opt = simulate_csopt(&geom, &trace_events(&script), CsoptLimits::default())
             .expect("24 blocks / 4 ways stays tractable");
 
-        fn run<P: ReplacementPolicy>(geom: Geometry, policy: P, script: &[Step]) -> Cost {
-            let mut c = Cache::new(geom, policy);
-            for st in script {
-                match *st {
-                    Step::Read(b) => {
-                        c.access(BlockAddr(b), AccessType::Read, cost_of(b));
-                    }
-                    Step::Write(b) => {
-                        c.access(BlockAddr(b), AccessType::Write, cost_of(b));
-                    }
-                    Step::Invalidate(b) => {
-                        c.invalidate(BlockAddr(b), InvalidateKind::Coherence);
-                    }
-                }
-            }
-            c.stats().aggregate_cost
-        }
-
         for (name, cost) in [
-            ("LRU", run(geom, Lru::new(), &script)),
-            ("GD", run(geom, GreedyDual::new(&geom), &script)),
-            ("BCL", run(geom, Bcl::new(&geom), &script)),
-            ("DCL", run(geom, Dcl::new(&geom), &script)),
-            ("ACL", run(geom, Acl::new(&geom), &script)),
+            ("LRU", aggregate_cost(geom, Lru::new(), &script)),
+            ("GD", aggregate_cost(geom, GreedyDual::new(&geom), &script)),
+            ("BCL", aggregate_cost(geom, Bcl::new(&geom), &script)),
+            ("DCL", aggregate_cost(geom, Dcl::new(&geom), &script)),
+            ("ACL", aggregate_cost(geom, Acl::new(&geom), &script)),
         ] {
             assert!(
                 opt.aggregate_cost <= cost,
@@ -103,6 +105,27 @@ fn csopt_lower_bounds_every_online_policy() {
                 opt.aggregate_cost,
             );
         }
+    }
+}
+
+/// The paper's "GD is s-competitive" (Section 2.1) as a checked inequality:
+/// Young's `k/(k-h+1)` bound at `h = k` against the true offline optimum,
+/// `GD <= k * CSOPT + k * max_cost` with `k` the associativity.
+#[test]
+fn gd_is_k_competitive_with_csopt() {
+    const MAX_COST: u64 = 9;
+    for case in 0..CASES {
+        let script = random_script(case);
+        let geom = Geometry::new(512, 64, 4); // 2 sets x 4 ways
+        let k = geom.assoc() as u64;
+        let opt = simulate_csopt(&geom, &trace_events(&script), CsoptLimits::default())
+            .expect("24 blocks / 4 ways stays tractable");
+        let gd = aggregate_cost(geom, GreedyDual::new(&geom), &script);
+        assert!(
+            gd.0 <= k * opt.aggregate_cost.0 + k * MAX_COST,
+            "GD {gd} exceeds {k} x CSOPT {} + {k} x {MAX_COST} in case {case}",
+            opt.aggregate_cost,
+        );
     }
 }
 
