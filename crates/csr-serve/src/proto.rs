@@ -2,12 +2,24 @@
 //! protocol (see `PROTOCOL.md` at the repository root for the normative
 //! grammar).
 //!
-//! Requests are parsed *incrementally* from a buffered socket: a command
-//! line is accumulated byte-wise up to a hard length cap (so a peer that
-//! never sends a newline cannot balloon memory), and `SET` payloads are
-//! read as exactly `len` bytes plus a trailing CRLF. Because parsing never
-//! reads more than one request ahead, any number of pipelined requests may
-//! share one connection; responses come back in request order.
+//! Framing is one algorithm, [`Decoder`]: a push decoder that is handed
+//! bytes as they arrive, looks at each byte once, and consumes at most
+//! through the end of one frame, so any number of pipelined requests may
+//! share one connection; responses come back in request order. Between
+//! pushes it keeps the only partial-frame state there is:
+//!
+//! * a partial command line, capped at [`MAX_LINE_LEN`] bytes (so a peer
+//!   that never sends a newline cannot balloon memory);
+//! * an overlong line being discarded up to its newline;
+//! * a `SET` payload — exactly `len` bytes plus a trailing CRLF — filling
+//!   the very `Vec<u8>` that becomes [`Request::Set`]'s value, or, for an
+//!   oversize-but-swallowable payload, just a count of bytes to discard.
+//!
+//! The decoder never performs I/O and never sees an I/O error. The event
+//! engine pushes socket reads into it directly; [`read_request`] is the
+//! same decoder driven from a [`BufRead`] for the blocking engine, and
+//! passes transport errors (timeouts included) through as
+//! [`ProtoError::Io`] wherever in a frame they strike.
 //!
 //! Errors split into two classes with different connection fates:
 //!
@@ -203,94 +215,208 @@ pub fn valid_key(key: &str) -> bool {
     !key.is_empty() && key.len() <= MAX_KEY_LEN && key.bytes().all(|b| (0x21..=0x7E).contains(&b))
 }
 
-/// Reads one line, accepting `\r\n` or bare `\n`, rejecting lines longer
-/// than `max` bytes. `Ok(None)` is a clean EOF *before any byte of a new
-/// line*; EOF mid-line is an error.
-///
-/// An overlong line is a *recoverable* error: the rest of the line is
-/// discarded up to (and including) the next newline, so the reader is
-/// positioned at a frame boundary and the connection can continue. The
-/// discard is bounded in memory (one buffer at a time) and bounded in
-/// time by the caller's partial-request read deadline.
-fn read_line(r: &mut impl BufRead, max: usize) -> Result<Option<Vec<u8>>, ProtoError> {
-    let mut line = Vec::new();
-    loop {
-        let buf = r.fill_buf()?;
-        if buf.is_empty() {
-            return if line.is_empty() {
-                Ok(None)
-            } else {
-                Err(ProtoError::fatal("unexpected EOF mid-line"))
-            };
-        }
-        match buf.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                if line.len() + pos > max {
-                    r.consume(pos + 1);
-                    return Err(overlong_line());
-                }
-                line.extend_from_slice(&buf[..pos]);
-                r.consume(pos + 1);
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                return Ok(Some(line));
-            }
-            None => {
-                if line.len() + buf.len() > max {
-                    discard_to_newline(r)?;
-                    return Err(overlong_line());
-                }
-                line.extend_from_slice(buf);
-                let n = buf.len();
-                r.consume(n);
-            }
-        }
-    }
-}
-
 fn overlong_line() -> ProtoError {
     ProtoError::limited("CLIENT_ERROR command line too long", "line")
 }
 
-/// Discards bytes up to and including the next newline, restoring frame
-/// alignment after an overlong line. EOF before the newline is fatal.
-fn discard_to_newline(r: &mut impl BufRead) -> Result<(), ProtoError> {
-    loop {
-        let buf = r.fill_buf()?;
-        if buf.is_empty() {
-            return Err(ProtoError::fatal("unexpected EOF mid-line"));
+/// One decoded unit of the request stream (see [`Decoder::push`]).
+#[derive(Debug)]
+pub enum Frame {
+    /// A well-formed request.
+    Request(Request),
+    /// A grammar or limit violation — always [`ProtoError::Client`], the
+    /// decoder performs no I/O. Unless it is `fatal`, the stream is
+    /// positioned at the next frame boundary.
+    Error(ProtoError),
+    /// The peer closed the connection cleanly between requests.
+    Eof,
+}
+
+/// The resumable request-frame decoder (see the module docs for its
+/// states). One per connection; feed it with [`push`](Self::push).
+#[derive(Debug, Default)]
+pub struct Decoder {
+    state: State,
+}
+
+#[derive(Debug)]
+enum State {
+    /// Reading a command line; holds what earlier pushes brought of it
+    /// (at most [`MAX_LINE_LEN`] bytes). A line that arrives whole is
+    /// parsed where it lies and never copied here.
+    Line(Vec<u8>),
+    /// Discarding the rest of an overlong line, up to its newline.
+    Overlong,
+    /// Reading a `SET` payload and its CRLF.
+    Payload(Payload),
+}
+
+impl Default for State {
+    fn default() -> Self {
+        State::Line(Vec::new())
+    }
+}
+
+/// What a well-formed command line amounts to.
+enum Line {
+    /// A request complete in its line.
+    Request(Request),
+    /// A `SET` head: the payload follows.
+    Payload(Payload),
+}
+
+/// A `SET` whose payload is still arriving.
+#[derive(Debug)]
+struct Payload {
+    /// The request being filled; `None` while discarding an oversize
+    /// payload, rejected once swallowed.
+    set: Option<PendingSet>,
+    /// Payload bytes still to come.
+    left: usize,
+    /// The bytes after the payload (must turn out to be CRLF), and how
+    /// many of the two have arrived.
+    tail: [u8; 2],
+    tail_len: usize,
+}
+
+#[derive(Debug)]
+struct PendingSet {
+    key: String,
+    value: Vec<u8>,
+    /// The declared CRC32, if any. Validated — the token's syntax
+    /// included — only *after* the declared payload has been consumed:
+    /// rejecting earlier would leave the payload bytes in the stream to
+    /// be misread as commands.
+    crc: Result<Option<u32>, ProtoError>,
+    trace: Option<TraceContext>,
+}
+
+impl Payload {
+    /// Takes what `bytes` holds of the payload and its tail; returns how
+    /// many bytes that was. The frame is complete once `tail_len == 2`.
+    fn fill(&mut self, bytes: &[u8]) -> usize {
+        let body = self.left.min(bytes.len());
+        if let Some(set) = &mut self.set {
+            set.value.extend_from_slice(&bytes[..body]);
         }
-        match buf.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                r.consume(pos + 1);
-                return Ok(());
+        self.left -= body;
+        if self.left > 0 {
+            return body;
+        }
+        let tail = (2 - self.tail_len).min(bytes.len() - body);
+        self.tail[self.tail_len..self.tail_len + tail].copy_from_slice(&bytes[body..body + tail]);
+        self.tail_len += tail;
+        body + tail
+    }
+
+    /// The frame a fully read payload (and tail) amounts to.
+    fn finish(self) -> Frame {
+        if &self.tail != b"\r\n" {
+            return Frame::Error(ProtoError::fatal("payload not CRLF-terminated"));
+        }
+        let Some(set) = self.set else {
+            return Frame::Error(ProtoError::limited(
+                "CLIENT_ERROR payload too large",
+                "value",
+            ));
+        };
+        match set.crc {
+            Err(e) => Frame::Error(e),
+            // The payload was length-framed and fully consumed, so the
+            // stream is still aligned — but the bytes are not what the
+            // client sent. Reject without storing.
+            Ok(Some(expect)) if crc32(&set.value) != expect => {
+                Frame::Error(ProtoError::client("CLIENT_ERROR payload checksum mismatch"))
             }
-            None => {
-                let n = buf.len();
-                r.consume(n);
-            }
+            Ok(_) => Frame::Request(Request::Set {
+                key: set.key,
+                value: set.value,
+                trace: set.trace,
+            }),
         }
     }
 }
 
-/// Discards exactly `n` payload bytes (an oversize but still swallowable
-/// `SET` body). EOF inside the payload is fatal.
-fn discard_exact(r: &mut impl BufRead, mut n: usize) -> Result<(), ProtoError> {
-    while n > 0 {
-        let buf = r.fill_buf()?;
-        if buf.is_empty() {
-            return Err(ProtoError::fatal("unexpected EOF in payload"));
+impl Decoder {
+    /// Feeds the decoder the next bytes of the stream. Returns how many
+    /// of them it consumed and the frame they completed, if any: it
+    /// stops at the end of a frame (push the rest again for the next
+    /// one), and otherwise consumes everything and waits for more.
+    ///
+    /// `eof` says that no byte will ever follow `bytes`: once those run
+    /// out a frame is always returned — [`Frame::Eof`] at a frame
+    /// boundary, the fatal mid-line / mid-payload error inside one.
+    ///
+    /// Lines end in `\r\n` or a bare `\n`. An overlong line and an
+    /// oversize-but-swallowable payload are *recoverable*: their bytes
+    /// are discarded up to the next frame boundary (holding nothing in
+    /// memory) before the error is returned, so the connection can
+    /// continue.
+    pub fn push(&mut self, bytes: &[u8], eof: bool) -> (usize, Option<Frame>) {
+        let mut used = 0;
+        while used < bytes.len() {
+            let rest = &bytes[used..];
+            match std::mem::take(&mut self.state) {
+                State::Line(mut line) => {
+                    let Some(pos) = rest.iter().position(|&b| b == b'\n') else {
+                        used = bytes.len();
+                        if line.len() + rest.len() > MAX_LINE_LEN {
+                            self.state = State::Overlong;
+                        } else {
+                            line.extend_from_slice(rest);
+                            self.state = State::Line(line);
+                        }
+                        break;
+                    };
+                    used += pos + 1;
+                    if line.len() + pos > MAX_LINE_LEN {
+                        return (used, Some(Frame::Error(overlong_line())));
+                    }
+                    let parsed = if line.is_empty() {
+                        parse_line(&rest[..pos])
+                    } else {
+                        line.extend_from_slice(&rest[..pos]);
+                        parse_line(&line)
+                    };
+                    match parsed {
+                        Ok(Line::Request(request)) => return (used, Some(Frame::Request(request))),
+                        Ok(Line::Payload(payload)) => self.state = State::Payload(payload),
+                        Err(e) => return (used, Some(Frame::Error(e))),
+                    }
+                }
+                State::Overlong => match rest.iter().position(|&b| b == b'\n') {
+                    Some(pos) => return (used + pos + 1, Some(Frame::Error(overlong_line()))),
+                    None => {
+                        used = bytes.len();
+                        self.state = State::Overlong;
+                    }
+                },
+                State::Payload(mut payload) => {
+                    used += payload.fill(rest);
+                    if payload.tail_len == 2 {
+                        return (used, Some(payload.finish()));
+                    }
+                    self.state = State::Payload(payload);
+                }
+            }
         }
-        let take = buf.len().min(n);
-        r.consume(take);
-        n -= take;
+        if !eof {
+            return (used, None);
+        }
+        let frame = match std::mem::take(&mut self.state) {
+            State::Line(line) if line.is_empty() => Frame::Eof,
+            State::Line(_) | State::Overlong => {
+                Frame::Error(ProtoError::fatal("unexpected EOF mid-line"))
+            }
+            State::Payload(_) => Frame::Error(ProtoError::fatal("unexpected EOF in payload")),
+        };
+        (used, Some(frame))
     }
-    Ok(())
 }
 
-/// Reads the next request off `r`. `Ok(None)` means the peer closed the
-/// connection cleanly between requests.
+/// Reads the next request off `r`: the `fill_buf` → [`Decoder::push`] →
+/// `consume` loop. `Ok(None)` means the peer closed the connection
+/// cleanly between requests.
 ///
 /// # Errors
 ///
@@ -298,11 +424,28 @@ fn discard_exact(r: &mut impl BufRead, mut n: usize) -> Result<(), ProtoError> {
 /// grammar violation (see the module docs for the recoverable/fatal
 /// split).
 pub fn read_request(r: &mut impl BufRead) -> Result<Option<Request>, ProtoError> {
-    let line = match read_line(r, MAX_LINE_LEN)? {
-        Some(line) => line,
-        None => return Ok(None),
-    };
-    let line = std::str::from_utf8(&line)
+    let mut decoder = Decoder::default();
+    loop {
+        let buf = match r.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(ProtoError::Io(e)),
+        };
+        let (used, frame) = decoder.push(buf, buf.is_empty());
+        r.consume(used);
+        match frame {
+            Some(Frame::Request(request)) => return Ok(Some(request)),
+            Some(Frame::Error(e)) => return Err(e),
+            Some(Frame::Eof) => return Ok(None),
+            None => {}
+        }
+    }
+}
+
+/// Parses one command line (terminator already stripped, bar a `\r`).
+fn parse_line(line: &[u8]) -> Result<Line, ProtoError> {
+    let line = line.strip_suffix(b"\r").unwrap_or(line);
+    let line = std::str::from_utf8(line)
         .map_err(|_| ProtoError::client("CLIENT_ERROR command is not valid UTF-8"))?;
     let mut parts = line.split(' ').filter(|p| !p.is_empty());
     let verb = parts.next().unwrap_or("");
@@ -333,9 +476,6 @@ pub fn read_request(r: &mut impl BufRead) -> Result<Option<Request>, ProtoError>
             // context, in that order. This crate's client always sends
             // the CRC; bare netcat sessions may omit it — the `TRACE`
             // keyword is what disambiguates a context from a checksum.
-            // The CRC *value* is validated only *after* the declared
-            // payload has been consumed — rejecting earlier would leave
-            // the payload bytes in the stream to be misread as commands.
             let mut crc_token = None;
             let mut trace = None;
             match parts.next() {
@@ -352,34 +492,25 @@ pub fn read_request(r: &mut impl BufRead) -> Result<Option<Request>, ProtoError>
                     }
                 }
             }
-            if len > MAX_VALUE_LEN {
-                if len > MAX_SWALLOW_LEN {
-                    // Too large to even read-and-discard; framing is
-                    // unsalvageable without streaming the peer's flood.
-                    return Err(ProtoError::fatal_limited("payload too large", "value"));
-                }
-                // Swallow the declared payload to keep framing, then
-                // reject recoverably.
-                discard_exact(r, len)?;
-                read_payload_tail(r)?;
-                return Err(ProtoError::limited(
-                    "CLIENT_ERROR payload too large",
-                    "value",
-                ));
+            if len > MAX_SWALLOW_LEN {
+                // Too large to even read-and-discard; framing is
+                // unsalvageable without streaming the peer's flood.
+                return Err(ProtoError::fatal_limited("payload too large", "value"));
             }
-            let mut value = vec![0u8; len];
-            r.read_exact(&mut value)
-                .map_err(|_| ProtoError::fatal("unexpected EOF in payload"))?;
-            read_payload_tail(r)?;
-            if let Some(expect) = crc_token.map(parse_crc).transpose()? {
-                if crc32(&value) != expect {
-                    // The payload was length-framed and fully consumed, so
-                    // the stream is still aligned — but the bytes are not
-                    // what the client sent. Reject without storing.
-                    return Err(ProtoError::client("CLIENT_ERROR payload checksum mismatch"));
-                }
-            }
-            Request::Set { key, value, trace }
+            // Over the value limit: swallow the declared payload to keep
+            // framing, then reject recoverably.
+            let set = (len <= MAX_VALUE_LEN).then(|| PendingSet {
+                key,
+                value: Vec::with_capacity(len),
+                crc: crc_token.map(parse_crc).transpose(),
+                trace,
+            });
+            return Ok(Line::Payload(Payload {
+                set,
+                left: len,
+                tail: [0; 2],
+                tail_len: 0,
+            }));
         }
         "STATS" | "stats" => no_args(&mut parts, Request::Stats)?,
         "METRICS" | "metrics" => no_args(&mut parts, Request::Metrics)?,
@@ -392,7 +523,7 @@ pub fn read_request(r: &mut impl BufRead) -> Result<Option<Request>, ProtoError>
             )))
         }
     };
-    Ok(Some(request))
+    Ok(Line::Request(request))
 }
 
 /// Parses an 8-hex-digit CRC32 token.
@@ -403,17 +534,6 @@ fn parse_crc(token: &str) -> Result<u32, ProtoError> {
     } else {
         Err(ProtoError::client("CLIENT_ERROR bad payload checksum"))
     }
-}
-
-/// Reads and checks the CRLF that terminates a length-framed payload.
-fn read_payload_tail(r: &mut impl BufRead) -> Result<(), ProtoError> {
-    let mut tail = [0u8; 2];
-    r.read_exact(&mut tail)
-        .map_err(|_| ProtoError::fatal("unexpected EOF in payload"))?;
-    if &tail != b"\r\n" {
-        return Err(ProtoError::fatal("payload not CRLF-terminated"));
-    }
-    Ok(())
 }
 
 /// Parses the optional trailing `TRACE <trace_id>.<span_id>` of a
@@ -775,6 +895,124 @@ mod tests {
             Err(ProtoError::Client { fatal: false, .. })
         ));
         assert_eq!(read_request(&mut r).unwrap(), Some(get("after")));
+    }
+
+    /// Pushes `input` whole; returns the first frame and the bytes
+    /// consumed reaching it.
+    fn push_once(input: &[u8], eof: bool) -> (usize, Option<Frame>) {
+        Decoder::default().push(input, eof)
+    }
+
+    #[test]
+    fn decoder_stops_at_the_end_of_the_first_frame() {
+        match push_once(b"GET alpha\r\nGET beta\r\n", false) {
+            (used, Some(Frame::Request(request))) => {
+                assert_eq!(request, get("alpha"));
+                assert_eq!(used, "GET alpha\r\n".len());
+            }
+            other => panic!("expected a parsed GET, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn decoder_waits_on_a_partial_line() {
+        for partial in ["", "G", "GET ", "GET some-ke"] {
+            match push_once(partial.as_bytes(), false) {
+                (used, None) => assert_eq!(used, partial.len(), "all of it is taken"),
+                other => panic!("{partial:?} must be incomplete, got {other:?}"),
+            }
+        }
+        // ... and resumes where it stopped, never handed a byte twice.
+        let mut decoder = Decoder::default();
+        assert!(matches!(decoder.push(b"GET some-ke", false), (11, None)));
+        match decoder.push(b"y\r\nGET next\r\n", false) {
+            (3, Some(Frame::Request(request))) => assert_eq!(request, get("some-key")),
+            other => panic!("expected the resumed GET, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn decoder_waits_on_a_partial_set_payload_and_tail() {
+        // Header complete, payload cut off mid-way: incomplete, not the
+        // fatal EOF error — running out of bytes is not end-of-stream.
+        let mut decoder = Decoder::default();
+        assert!(matches!(
+            decoder.push(b"SET k 10\r\nabc", false),
+            (13, None)
+        ));
+        assert!(matches!(decoder.push(b"defghij\r", false), (8, None)));
+        match decoder.push(b"\nGET after\r\n", false) {
+            (1, Some(Frame::Request(request))) => assert_eq!(request, set("k", b"abcdefghij")),
+            other => panic!("expected the SET, got {other:?}"),
+        }
+        // Payload complete but the CRLF tail cut off: same story.
+        assert!(matches!(push_once(b"SET k 3\r\nabc", false), (12, None)));
+        assert!(matches!(push_once(b"SET k 3\r\nabc\r", false), (13, None)));
+    }
+
+    #[test]
+    fn decoder_with_eof_reports_the_stream_end_outcomes() {
+        // Clean EOF at a frame boundary.
+        assert!(matches!(push_once(b"", true), (0, Some(Frame::Eof))));
+        // EOF mid-line and mid-payload: the fatal errors, verbatim.
+        for (input, expect) in [
+            (&b"GET k"[..], "unexpected EOF mid-line"),
+            (b"SET k 10\r\nabc", "unexpected EOF in payload"),
+            (b"SET k 3\r\nabc\r", "unexpected EOF in payload"),
+        ] {
+            match push_once(input, true) {
+                (used, Some(Frame::Error(ProtoError::Client { msg, fatal, .. }))) => {
+                    assert!(fatal);
+                    assert_eq!(msg, expect);
+                    assert_eq!(used, input.len());
+                }
+                other => panic!("{input:?} + EOF must be fatal, got {other:?}"),
+            }
+        }
+        // A frame that completes is returned first; EOF comes after it.
+        let mut decoder = Decoder::default();
+        assert!(matches!(
+            decoder.push(b"GET k\r\n", true),
+            (7, Some(Frame::Request(_)))
+        ));
+        assert!(matches!(decoder.push(b"", true), (0, Some(Frame::Eof))));
+    }
+
+    #[test]
+    fn decoder_surfaces_recoverable_errors_at_the_resync_point() {
+        // Oversize-but-swallowable payload: recoverable, fully consumed.
+        let n = MAX_VALUE_LEN + 1;
+        let mut buf = format!("SET k {n}\r\n").into_bytes();
+        let header = buf.len();
+        buf.extend(std::iter::repeat_n(b'x', n));
+        buf.extend_from_slice(b"\r\nGET k\r\n");
+        match push_once(&buf, false) {
+            (used, Some(Frame::Error(ProtoError::Client { fatal, limit, .. }))) => {
+                assert!(!fatal, "oversize payload is recoverable");
+                assert_eq!(limit, Some("value"));
+                assert_eq!(used, header + n + 2, "consumed to the resync point");
+            }
+            other => panic!("expected a recoverable limit error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn decoder_discards_a_newline_less_flood_without_buffering_it() {
+        // Far more than any frame, no newline: every push is swallowed
+        // whole, and the one error comes at the newline.
+        let mut decoder = Decoder::default();
+        let chunk = vec![b'x'; 64 * 1024];
+        for _ in 0..100 {
+            assert!(matches!(decoder.push(&chunk, false), (used, None) if used == chunk.len()));
+        }
+        assert!(matches!(decoder.state, State::Overlong), "nothing is kept");
+        match decoder.push(b"xx\nGET after\r\n", false) {
+            (3, Some(Frame::Error(ProtoError::Client { fatal, limit, .. }))) => {
+                assert!(!fatal);
+                assert_eq!(limit, Some("line"));
+            }
+            other => panic!("expected the overlong-line error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -20,22 +20,22 @@
 //! # Connection state machine
 //!
 //! Each connection is owned by exactly one reactor thread — no locks on
-//! the hot path. Per connection: a read buffer accumulating at most one
-//! frame, an output queue of response chunks flushed with vectored
-//! writes, and two flags (`executing`, `close_after_flush`). Parsing
-//! reuses the *blocking* [`crate::proto`] parser unchanged, fed through
-//! [`SliceCursor`]: when the buffered bytes end mid-frame the cursor
-//! reports `WouldBlock`, which classifies the outcome as *incomplete* —
-//! re-parsed from scratch when more data arrives. That re-parse is
-//! O(frame²) worst case, a deliberate trade for byte-identical grammar,
-//! limits, and error strings across both engines.
+//! the hot path. Per connection: a [`Decoder`] holding whatever partial
+//! frame has arrived, the not-yet-decoded rest of the last read burst, an
+//! output queue of response chunks flushed with vectored writes, and two
+//! flags (`executing`, `close_after_flush`). Socket reads are pushed
+//! into the decoder — the same one the blocking engine drives from its
+//! buffered socket — so grammar, limits and error strings cannot differ
+//! between the engines, and each byte is looked at once however a frame
+//! is split across reads.
 //!
 //! While a request executes, the connection's read interest is dropped:
 //! one request in flight per connection, exactly the blocking engine's
 //! cadence, with TCP's own receive window as the backpressure. That also
-//! bounds the read buffer: a frame is capped by the protocol's limits,
-//! and anything incomplete beyond [`READ_BUF_CAP`] can only be a
-//! newline-less flood, cut with the protocol's overlong-line error.
+//! bounds what a connection buffers: one frame (capped by the protocol's
+//! limits, inside the decoder) plus one read burst of pipelined
+//! followers. An overlong line or oversize payload is discarded as it
+//! arrives, holding nothing.
 //!
 //! # Drain semantics
 //!
@@ -47,8 +47,8 @@
 //! executors, then flushes the final metrics report.
 
 use crate::poller::{Event, Interest, Poller, WAKE_TOKEN};
-use crate::proto::{self, ProtoError, Request, MAX_LINE_LEN, MAX_SWALLOW_LEN};
-use crate::server::{respond, ConnTimeouts, Shared};
+use crate::proto::{self, Decoder, Frame, Request};
+use crate::server::{respond, respond_error, ConnTimeouts, Shared};
 use csr_obs::{Counter, Gauge, Reporter};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
@@ -63,14 +63,6 @@ use std::time::{Duration, Instant};
 
 /// Token the shared listener is registered under on every reactor.
 const LISTENER_TOKEN: u64 = 0;
-
-/// Hard cap on one connection's read buffer. The largest legitimate
-/// frame is a maximal `SET` line plus a maximal swallowable payload and
-/// its CRLF tail; only a newline-less flood can be *incomplete* at this
-/// size, and it is cut with the overlong-line error instead of buffering
-/// without bound. (The blocking engine discards such floods streamingly;
-/// cutting the connection here is the documented hardening divergence.)
-const READ_BUF_CAP: usize = MAX_LINE_LEN + 2 + MAX_SWALLOW_LEN + 2;
 
 /// Per-read scratch size; bounded reads keep one chatty peer from
 /// starving the reactor's other connections (level-triggering re-reports
@@ -281,9 +273,8 @@ pub(crate) fn spawn(
             std::thread::Builder::new()
                 .name(format!("csr-exec-{i}"))
                 .spawn(move || executor_loop(&rx, &ev, &mailboxes))
-                .expect("spawn executor thread")
         })
-        .collect();
+        .collect::<io::Result<_>>()?;
 
     let reactors: Vec<JoinHandle<io::Result<()>>> = listeners
         .into_iter()
@@ -295,9 +286,8 @@ pub(crate) fn spawn(
             std::thread::Builder::new()
                 .name(format!("csr-reactor-{i}"))
                 .spawn(move || Reactor::new(i, ev, rs, listener, job_tx)?.run())
-                .expect("spawn reactor thread")
         })
-        .collect();
+        .collect::<io::Result<_>>()?;
     // The executors' queue must close when the *reactors* are done, so
     // the supervisor keeps no sender of its own.
     drop(job_tx);
@@ -436,6 +426,8 @@ impl OutBuf {
             if n >= front_left {
                 n -= front_left;
                 self.pos = 0;
+                // `n > 0` bytes were written out of `chunks`, so its front
+                // (just indexed above) exists.
                 let done = self.chunks.pop_front().expect("nonempty while consuming");
                 ev.recycle(done);
             } else {
@@ -454,101 +446,29 @@ impl OutBuf {
     }
 }
 
-/// A [`std::io::BufRead`] over already-buffered bytes that reports
-/// `WouldBlock` at the end — unless `eof` is set, in which case it
-/// reports a genuine end-of-stream. Feeding the unchanged blocking
-/// parser through this is what guarantees grammar/limit/error parity:
-/// with `eof` the parser produces exactly its blocking-mode outcomes
-/// (`Ok(None)` clean close, fatal mid-line/mid-payload EOF errors), and
-/// without it every "ran out of bytes" path surfaces as `WouldBlock`
-/// (directly, or remapped by the payload reader — see [`try_parse`]).
-struct SliceCursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    eof: bool,
-}
-
-impl Read for SliceCursor<'_> {
-    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-        let available = io::BufRead::fill_buf(self)?;
-        let n = available.len().min(out.len());
-        out[..n].copy_from_slice(&available[..n]);
-        io::BufRead::consume(self, n);
-        Ok(n)
-    }
-}
-
-impl io::BufRead for SliceCursor<'_> {
-    fn fill_buf(&mut self) -> io::Result<&[u8]> {
-        if self.pos < self.buf.len() {
-            Ok(&self.buf[self.pos..])
-        } else if self.eof {
-            Ok(&[])
-        } else {
-            Err(io::ErrorKind::WouldBlock.into())
-        }
-    }
-
-    fn consume(&mut self, amt: usize) {
-        self.pos += amt;
-    }
-}
-
-/// One parse attempt over a connection's buffered bytes.
-enum Parsed {
-    /// A whole request, and how many bytes it consumed.
-    Request(Request, usize),
-    /// The bytes end mid-frame: wait for more data.
-    Incomplete,
-    /// A protocol error (recoverable or fatal), and the bytes consumed
-    /// reaching the resync point.
-    Error(ProtoError, usize),
-    /// Clean EOF at a frame boundary.
-    Eof,
-}
-
-/// Runs the blocking parser over `buf`. The *incomplete* classification
-/// is the subtle part: besides a raw `WouldBlock`, the payload reader
-/// maps every read failure to its fatal "unexpected EOF in payload" —
-/// when the cursor is not at true EOF, that error *is* "not enough bytes
-/// yet". With `eof` set neither mapping can trigger, so every blocking
-/// outcome passes through verbatim.
-fn try_parse(buf: &[u8], eof: bool) -> Parsed {
-    let mut cur = SliceCursor { buf, pos: 0, eof };
-    match proto::read_request(&mut cur) {
-        Ok(Some(req)) => Parsed::Request(req, cur.pos),
-        Ok(None) => Parsed::Eof,
-        Err(ProtoError::Io(e)) if !eof && e.kind() == io::ErrorKind::WouldBlock => {
-            Parsed::Incomplete
-        }
-        Err(ProtoError::Client { ref msg, fatal, .. })
-            if !eof && fatal && msg == "unexpected EOF in payload" =>
-        {
-            Parsed::Incomplete
-        }
-        Err(e) => Parsed::Error(e, cur.pos),
-    }
-}
-
 /// One connection, owned by one reactor.
 struct Conn {
     token: u64,
     stream: TcpStream,
-    /// Accumulated unparsed bytes (at most one partial frame plus
-    /// whatever pipelined requests arrived with it).
+    /// The frame in progress.
+    decoder: Decoder,
+    /// The last read burst; `buf[pos..]` is what the decoder has not been
+    /// given yet (pipelined requests behind the one executing). Empty
+    /// whenever reads are enabled.
     buf: Vec<u8>,
+    pos: usize,
     out: OutBuf,
     /// A request is with the executor pool; reads are paused.
     executing: bool,
     /// Close once `out` drains (QUIT, fatal error, shutdown drain).
     close_after_flush: bool,
-    /// The peer's write side is done; parse what is buffered with true
+    /// The peer's write side is done; decode what is buffered with true
     /// EOF semantics and never read again.
     saw_eof: bool,
     /// Close now, discarding any undelivered output (transport error,
     /// timeout, handler panic).
     dead: bool,
-    /// When the first byte of the currently-incomplete request arrived —
+    /// When the decoder first came up short on the request in progress —
     /// the slowloris clock, and the trace anchor once it dispatches.
     started: Option<Instant>,
     /// Last read progress or completion — the idle clock.
@@ -569,16 +489,13 @@ struct Ctx<'a> {
 }
 
 impl Conn {
-    /// Parses and dispatches/answers as much of `buf` as possible, then
+    /// Decodes and dispatches/answers as much of `buf` as possible, then
     /// flushes and re-registers interest. The single entry point after
     /// *any* progress: fresh reads, completions, or first registration.
     fn advance(&mut self, ctx: &Ctx<'_>) {
         while !(self.executing || self.close_after_flush || self.dead) {
-            if self.buf.is_empty() {
-                self.started = None;
-                if self.saw_eof {
-                    self.close_after_flush = true;
-                }
+            let unread = &self.buf[self.pos..];
+            if unread.is_empty() && !self.saw_eof {
                 break;
             }
             // Entering a drain between requests drops the connection just
@@ -587,13 +504,15 @@ impl Conn {
                 self.close_after_flush = true;
                 break;
             }
-            match try_parse(&self.buf, self.saw_eof) {
-                Parsed::Request(request, consumed) => {
-                    self.buf.drain(..consumed);
-                    if matches!(request, Request::Quit) {
-                        self.close_after_flush = true;
-                        break;
-                    }
+            let (used, frame) = self.decoder.push(unread, self.saw_eof);
+            self.pos += used;
+            match frame {
+                // Mid-frame, everything consumed: wait for more data.
+                None => {
+                    self.started.get_or_insert_with(Instant::now);
+                }
+                Some(Frame::Request(Request::Quit) | Frame::Eof) => self.close_after_flush = true,
+                Some(Frame::Request(request)) => {
                     let anchor = self.started.take().unwrap_or_else(Instant::now);
                     self.executing = true;
                     ctx.ev.rm.dispatched.inc();
@@ -613,56 +532,22 @@ impl Conn {
                         ctx.ev.rm.queue_depth.add(-1);
                         self.dead = true;
                     }
-                    break;
                 }
-                Parsed::Incomplete => {
-                    if self.buf.len() >= READ_BUF_CAP {
-                        // A newline-less flood (see READ_BUF_CAP docs).
-                        self.reply_error("CLIENT_ERROR command line too long", Some("line"), ctx);
-                        self.close_after_flush = true;
-                    } else if self.started.is_none() {
-                        self.started = Some(Instant::now());
-                    }
-                    break;
-                }
-                Parsed::Error(ProtoError::Client { msg, fatal, limit }, consumed) => {
-                    self.buf.drain(..consumed);
-                    self.reply_error(&msg, limit, ctx);
-                    if fatal {
-                        self.close_after_flush = true;
-                        break;
-                    }
+                Some(Frame::Error(err)) => {
+                    let mut chunk = ctx.ev.pop_buffer();
+                    // Writing into a Vec cannot fail.
+                    let fatal = respond_error(&err, &ctx.ev.shared, &mut chunk).unwrap_or(true);
+                    self.out.push(chunk, ctx.ev);
+                    self.close_after_flush = fatal;
                     self.started = None; // resynced: next bytes are a new request
-                }
-                Parsed::Error(ProtoError::Io(_), _) => {
-                    // Unreachable with a SliceCursor, but never trust it
-                    // silently: treat as a dead transport.
-                    self.dead = true;
-                }
-                Parsed::Eof => {
-                    self.close_after_flush = true;
-                    break;
                 }
             }
         }
+        if self.pos == self.buf.len() {
+            self.buf.clear();
+            self.pos = 0;
+        }
         self.flush_and_update(ctx);
-    }
-
-    /// Buffers the blocking engine's error reply for a client protocol
-    /// error, bumping the same counters.
-    fn reply_error(&mut self, msg: &str, limit: Option<&'static str>, ctx: &Ctx<'_>) {
-        let metrics = &ctx.ev.shared.metrics;
-        metrics.req_errors.inc();
-        if let Some(kind) = limit {
-            metrics.limit_reject(kind).inc();
-        }
-        let mut chunk = ctx.ev.pop_buffer();
-        if msg.starts_with("CLIENT_ERROR") {
-            let _ = proto::write_line(&mut chunk, msg);
-        } else {
-            let _ = proto::write_line(&mut chunk, &format!("CLIENT_ERROR {msg}"));
-        }
-        self.out.push(chunk, ctx.ev);
     }
 
     /// Reads until `WouldBlock`/EOF (bounded per event for fairness),
@@ -685,9 +570,6 @@ impl Conn {
                 Ok(n) => {
                     self.buf.extend_from_slice(&scratch[..n]);
                     self.last_activity = Instant::now();
-                    if self.buf.len() >= READ_BUF_CAP {
-                        break; // advance() handles the flood
-                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => budget += 1,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -900,7 +782,9 @@ impl Reactor {
             let conn = Conn {
                 token,
                 stream,
+                decoder: Decoder::default(),
                 buf: Vec::new(),
+                pos: 0,
                 out: OutBuf::default(),
                 executing: false,
                 close_after_flush: false,
@@ -1039,126 +923,5 @@ impl Reactor {
         self.ev.rm.connections.add(-1);
         self.ev.shared.metrics.active.add(-1);
         self.ev.shared.metrics.closed.inc();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::proto::MAX_VALUE_LEN;
-
-    fn frame(s: &str) -> Vec<u8> {
-        s.as_bytes().to_vec()
-    }
-
-    #[test]
-    fn cursor_reports_wouldblock_then_eof() {
-        let data = b"GET k";
-        let mut cur = SliceCursor {
-            buf: data,
-            pos: 0,
-            eof: false,
-        };
-        let got = io::BufRead::fill_buf(&mut cur).unwrap();
-        assert_eq!(got, b"GET k");
-        io::BufRead::consume(&mut cur, 5);
-        assert_eq!(
-            io::BufRead::fill_buf(&mut cur).unwrap_err().kind(),
-            io::ErrorKind::WouldBlock
-        );
-        cur.eof = true;
-        assert!(io::BufRead::fill_buf(&mut cur).unwrap().is_empty());
-    }
-
-    #[test]
-    fn parse_classifies_whole_requests_and_consumption() {
-        let buf = frame("GET alpha\r\nGET beta\r\n");
-        match try_parse(&buf, false) {
-            Parsed::Request(Request::Get { key, .. }, consumed) => {
-                assert_eq!(key, "alpha");
-                assert_eq!(consumed, "GET alpha\r\n".len());
-            }
-            _ => panic!("expected a parsed GET"),
-        }
-    }
-
-    #[test]
-    fn parse_classifies_partial_line_as_incomplete() {
-        for partial in ["", "G", "GET ", "GET some-ke"] {
-            match try_parse(partial.as_bytes(), false) {
-                Parsed::Incomplete => {}
-                _ => panic!("{partial:?} must be incomplete"),
-            }
-        }
-    }
-
-    #[test]
-    fn parse_classifies_partial_set_payload_as_incomplete() {
-        // Header complete, payload cut off mid-way: the payload reader
-        // remaps WouldBlock to its fatal EOF error, which must classify
-        // as incomplete — the regression this module's design hinges on.
-        let buf = frame("SET k 10\r\nabc");
-        match try_parse(&buf, false) {
-            Parsed::Incomplete => {}
-            _ => panic!("mid-payload must be incomplete, not fatal"),
-        }
-        // Payload complete but the CRLF tail cut off: same story.
-        let buf = frame("SET k 3\r\nabc");
-        match try_parse(&buf, false) {
-            Parsed::Incomplete => {}
-            _ => panic!("mid-tail must be incomplete, not fatal"),
-        }
-    }
-
-    #[test]
-    fn parse_with_eof_reproduces_blocking_outcomes() {
-        // Clean EOF at a frame boundary.
-        match try_parse(b"", true) {
-            Parsed::Eof => {}
-            _ => panic!("empty+eof is a clean close"),
-        }
-        // EOF mid-line: the blocking engine's fatal error, verbatim.
-        match try_parse(b"GET k", true) {
-            Parsed::Error(ProtoError::Client { msg, fatal, .. }, _) => {
-                assert!(fatal);
-                assert_eq!(msg, "unexpected EOF mid-line");
-            }
-            _ => panic!("mid-line EOF must be fatal"),
-        }
-        // EOF mid-payload likewise.
-        match try_parse(b"SET k 10\r\nabc", true) {
-            Parsed::Error(ProtoError::Client { msg, fatal, .. }, _) => {
-                assert!(fatal);
-                assert_eq!(msg, "unexpected EOF in payload");
-            }
-            _ => panic!("mid-payload EOF must be fatal"),
-        }
-    }
-
-    #[test]
-    fn parse_surfaces_recoverable_errors_with_resync_point() {
-        // Oversize-but-swallowable payload: recoverable, fully consumed.
-        let n = MAX_VALUE_LEN + 1;
-        let mut buf = frame(&format!("SET k {n}\r\n"));
-        let header = buf.len();
-        buf.extend(std::iter::repeat_n(b'x', n));
-        buf.extend_from_slice(b"\r\nGET k\r\n");
-        match try_parse(&buf, false) {
-            Parsed::Error(ProtoError::Client { fatal, limit, .. }, consumed) => {
-                assert!(!fatal, "oversize payload is recoverable");
-                assert_eq!(limit, Some("value"));
-                assert_eq!(consumed, header + n + 2, "consumed to the resync point");
-            }
-            _ => panic!("expected a recoverable limit error"),
-        }
-    }
-
-    #[test]
-    fn read_buf_cap_admits_every_legitimate_frame() {
-        // A maximal swallowable SET must parse (as a recoverable limit
-        // error) before the cap cuts the connection.
-        let line = format!("SET k {MAX_SWALLOW_LEN}\r\n");
-        assert!(line.len() + MAX_SWALLOW_LEN + 2 <= READ_BUF_CAP);
-        const _: () = assert!(MAX_LINE_LEN + 2 <= READ_BUF_CAP);
     }
 }

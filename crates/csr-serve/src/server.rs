@@ -74,7 +74,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -287,7 +287,7 @@ impl StaleStore {
         if self.capacity == 0 {
             return;
         }
-        let mut inner = self.inner.lock().expect("stale store lock poisoned");
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let gen = inner.next_gen;
         inner.next_gen += 1;
         inner
@@ -319,7 +319,7 @@ impl StaleStore {
 
     /// The last successful copy of `key`, if still retained.
     fn get(&self, key: &str) -> Option<(Bytes, u64)> {
-        let inner = self.inner.lock().expect("stale store lock poisoned");
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner
             .entries
             .get(key)
@@ -541,6 +541,24 @@ impl Shared {
         }
     }
 
+    /// Books a value whose fetch (from the origin or the owning peer)
+    /// began at `t0`, for the cache fill about to insert it: the measured
+    /// cost goes to `latency`, the copy and its cost to the stale store
+    /// (for serve-stale degradation if the origin later fails), then to
+    /// the WAL — which records the *measured* cost, so a restart
+    /// reconstructs the eviction ordering, not just the data.
+    fn fill(&self, key: &str, fetched: Vec<u8>, t0: Instant, latency: &Histogram) -> (Bytes, u64) {
+        // Microseconds, floored at 1 so even a sub-µs origin read carries
+        // nonzero weight with the policies, and ceilinged so a clock
+        // anomaly cannot mint an unevictable entry.
+        let cost = measured_cost_us(t0.elapsed());
+        latency.record(cost);
+        let bytes = Bytes::from(fetched);
+        self.stale.record(key, Arc::clone(&bytes), cost);
+        self.persist_set(key, &bytes, cost);
+        (bytes, cost)
+    }
+
     /// Inserts into the cache and WAL-logs the entry as one atomic step
     /// (the insert runs under the WAL append lock), so concurrent
     /// mutations of the same key reach the cache and the log in the
@@ -683,7 +701,7 @@ impl ServerHandle {
             .shared
             .conns
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
         {
             let _ = stream.shutdown(Shutdown::Read);
@@ -1067,7 +1085,7 @@ impl io::BufRead for DeadlineReader {
 fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, shared: &Shared, timeouts: ConnTimeouts) {
     loop {
         let stream = {
-            let queue = rx.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let queue = rx.lock().unwrap_or_else(PoisonError::into_inner);
             match queue.recv() {
                 Ok(stream) => stream,
                 Err(_) => return,
@@ -1097,13 +1115,13 @@ fn handle_conn(stream: TcpStream, shared: &Shared, timeouts: ConnTimeouts) -> io
     shared
         .conns
         .lock()
-        .expect("conns lock poisoned")
+        .unwrap_or_else(PoisonError::into_inner)
         .push((conn_id, stream.try_clone()?));
     // Deregister on every exit path.
     struct Dereg<'a>(&'a Shared, u64);
     impl Drop for Dereg<'_> {
         fn drop(&mut self) {
-            let mut conns = self.0.conns.lock().expect("conns lock poisoned");
+            let mut conns = self.0.conns.lock().unwrap_or_else(PoisonError::into_inner);
             conns.retain(|(id, _)| *id != self.1);
         }
     }
@@ -1126,41 +1144,30 @@ fn handle_conn(stream: TcpStream, shared: &Shared, timeouts: ConnTimeouts) -> io
                 let anchor = reader.request_started().unwrap_or_else(Instant::now);
                 respond(request, shared, &mut writer, anchor)?;
             }
-            Err(ProtoError::Client { msg, fatal, limit }) => {
-                shared.metrics.req_errors.inc();
-                if let Some(kind) = limit {
-                    shared.metrics.limit_reject(kind).inc();
-                }
-                let reply = if msg.starts_with("CLIENT_ERROR") {
-                    msg
-                } else {
-                    format!("CLIENT_ERROR {msg}")
-                };
-                proto::write_line(&mut writer, &reply)?;
-                if fatal {
-                    return writer.flush();
-                }
-            }
-            Err(ProtoError::Io(e)) => {
+            Err(err) => {
                 // A peer that stalled mid-request past the partial-read
                 // deadline is a slowloris: reclaim the worker, telling
                 // the peer why (best effort — it may not be listening).
-                if reader.mid_request()
-                    && matches!(
-                        e.kind(),
-                        io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-                    )
-                {
-                    shared.metrics.slowloris_drops.inc();
-                    let _ = proto::write_line(
-                        &mut writer,
-                        "CLIENT_ERROR request read deadline exceeded",
-                    );
+                if let ProtoError::Io(e) = &err {
+                    if reader.mid_request()
+                        && matches!(
+                            e.kind(),
+                            io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
+                        )
+                    {
+                        shared.metrics.slowloris_drops.inc();
+                        let _ = proto::write_line(
+                            &mut writer,
+                            "CLIENT_ERROR request read deadline exceeded",
+                        );
+                    }
                 }
-                // Timeouts and transport errors close the connection; an
+                // Timeouts and transport errors close the connection (an
                 // idle peer holding a worker hostage is itself a protocol
-                // error.
-                return writer.flush();
+                // error), as does a client error that lost framing.
+                if respond_error(&err, shared, &mut writer)? {
+                    return writer.flush();
+                }
             }
         }
         reader.begin_idle();
@@ -1170,6 +1177,30 @@ fn handle_conn(stream: TcpStream, shared: &Shared, timeouts: ConnTimeouts) -> io
             writer.flush()?;
         }
     }
+}
+
+/// Answers a request that failed to decode, for both I/O engines: counts
+/// it (`verb="error"`, and the `limit` class if one was exceeded), writes
+/// the `CLIENT_ERROR` line, and returns whether the connection must close
+/// — framing was lost, or the transport itself failed (nothing to say).
+pub(crate) fn respond_error(
+    err: &ProtoError,
+    shared: &Shared,
+    w: &mut impl Write,
+) -> io::Result<bool> {
+    let ProtoError::Client { msg, fatal, limit } = err else {
+        return Ok(true);
+    };
+    shared.metrics.req_errors.inc();
+    if let Some(kind) = limit {
+        shared.metrics.limit_reject(kind).inc();
+    }
+    if msg.starts_with("CLIENT_ERROR") {
+        proto::write_line(w, msg)?;
+    } else {
+        proto::write_line(w, &format!("CLIENT_ERROR {msg}"))?;
+    }
+    Ok(*fatal)
 }
 
 /// Executes one request and writes its response (buffered). Both I/O
@@ -1331,22 +1362,8 @@ fn local_get(
         shared.cache.try_get_or_insert_with(key.to_owned(), || {
             let t0 = Instant::now();
             fetch_started.set(Some(t0));
-            let Some(fetched) = shared.backing.try_fetch(key)? else {
-                return Ok(None);
-            };
-            // Microseconds, floored at 1 so even a sub-µs origin read
-            // carries nonzero weight with the policies, and ceilinged so
-            // a clock anomaly cannot mint an unevictable entry.
-            let cost = measured_cost_us(t0.elapsed());
-            shared.metrics.fetch_us.record(cost);
-            let bytes = Bytes::from(fetched);
-            // Remember the copy (and its measured cost) for
-            // serve-stale degradation if the origin later fails.
-            shared.stale.record(key, Arc::clone(&bytes), cost);
-            // The WAL records the *measured* cost, so a restart
-            // reconstructs the eviction ordering, not just the data.
-            shared.persist_set(key, &bytes, cost);
-            Ok(Some((bytes, cost)))
+            let fetched = shared.backing.try_fetch(key)?;
+            Ok(fetched.map(|v| shared.fill(key, v, t0, &shared.metrics.fetch_us)))
         });
     if let Some(t) = trace.as_mut() {
         let events = take_events();
@@ -1407,20 +1424,20 @@ fn forwarded_get(
                 .map(|(t, sp)| t.context_from(sp.span_id()));
             match cl.router.fetch_from_peer(peer, key, ctx) {
                 Ok(found) => {
-                    let cost = measured_cost_us(t0.elapsed());
                     cl.metrics.forwards.inc();
-                    cl.metrics.forward_us.record(cost);
                     fwd.set(true);
                     if let (Some(t), Some(sp)) = (trace.as_mut(), span.take()) {
                         let dur = t.finish_span(sp);
                         shared.metrics.phases.record("forward", dur);
                     }
+                    let forward_us = &cl.metrics.forward_us;
+                    if found.is_none() {
+                        // The hop was still made: its latency counts.
+                        forward_us.record(measured_cost_us(t0.elapsed()));
+                    }
                     Ok(found.map(|v| {
                         fwd_stale.set(v.stale);
-                        let bytes = Bytes::from(v.data);
-                        shared.stale.record(key, Arc::clone(&bytes), cost);
-                        shared.persist_set(key, &bytes, cost);
-                        (bytes, cost)
+                        shared.fill(key, v.data, t0, forward_us)
                     }))
                 }
                 // The owner is unreachable (or itself origin-dead): fall
@@ -1442,15 +1459,7 @@ fn forwarded_get(
                         shared.metrics.phases.record("origin", dur);
                         arm_events();
                     }
-                    let Some(fetched) = fetched? else {
-                        return Ok(None);
-                    };
-                    let cost = measured_cost_us(t0.elapsed());
-                    shared.metrics.fetch_us.record(cost);
-                    let bytes = Bytes::from(fetched);
-                    shared.stale.record(key, Arc::clone(&bytes), cost);
-                    shared.persist_set(key, &bytes, cost);
-                    Ok(Some((bytes, cost)))
+                    Ok(fetched?.map(|v| shared.fill(key, v, t0, &shared.metrics.fetch_us)))
                 }
             }
         });

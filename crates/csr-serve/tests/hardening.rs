@@ -75,15 +75,36 @@ fn client_deadlines_cut_a_stalled_server() {
 /// well-behaved client.
 #[test]
 fn slowloris_connection_is_cut_and_the_worker_reclaimed() {
-    slowloris_is_cut_in(IoMode::Blocking);
+    slowloris_is_cut_in(IoMode::Blocking, MID_LINE);
 }
 
 #[test]
 fn slowloris_connection_is_cut_and_the_worker_reclaimed_event() {
-    slowloris_is_cut_in(IoMode::Event);
+    slowloris_is_cut_in(IoMode::Event, MID_LINE);
 }
 
-fn slowloris_is_cut_in(io: IoMode) {
+/// The same cutoff inside a `SET` payload: a stall is a stall wherever in
+/// the frame it happens. (The blocking engine used to answer this one as
+/// a fatal protocol error.)
+#[test]
+fn slowloris_mid_payload_is_cut_and_the_worker_reclaimed() {
+    slowloris_is_cut_in(IoMode::Blocking, MID_PAYLOAD);
+}
+
+#[test]
+fn slowloris_mid_payload_is_cut_and_the_worker_reclaimed_event() {
+    slowloris_is_cut_in(IoMode::Event, MID_PAYLOAD);
+}
+
+/// Part of a request, and the fatal reply when the stream *ends* there.
+type Partial = (&'static [u8], &'static str);
+const MID_LINE: Partial = (b"GET ha", "CLIENT_ERROR unexpected EOF mid-line\r\n");
+const MID_PAYLOAD: Partial = (
+    b"SET k 10\r\nabc",
+    "CLIENT_ERROR unexpected EOF in payload\r\n",
+);
+
+fn slowloris_is_cut_in(io: IoMode, (partial, eof_reply): Partial) {
     let config = ServerConfig {
         io,
         workers: 1,
@@ -93,25 +114,43 @@ fn slowloris_is_cut_in(io: IoMode) {
         ..ServerConfig::default()
     };
     let handle = serve(config, origin_with_keys()).expect("server starts");
+    let errors = "csr_serve_requests_total{verb=\"error\"}";
+    let errors_before = metric(&handle, errors);
 
     let mut sly = TcpStream::connect(handle.addr()).expect("connect");
     sly.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    sly.write_all(b"GET ha").expect("half a request"); // no newline, ever
+    sly.write_all(partial).expect("part of a request"); // the rest never comes
     let t0 = Instant::now();
-    let mut tail = Vec::new();
-    sly.read_to_end(&mut tail).expect("server closes the conn");
+    let mut tail = String::new();
+    sly.read_to_string(&mut tail)
+        .expect("server closes the conn");
     assert!(
         t0.elapsed() < Duration::from_secs(2),
         "cut took {:?}: the partial deadline (300ms) did not fire",
         t0.elapsed()
     );
     // Best-effort courtesy reply before the close.
-    let text = String::from_utf8_lossy(&tail);
     assert!(
-        text.contains("request read deadline exceeded") || text.is_empty(),
-        "unexpected tail: {text:?}"
+        tail == "CLIENT_ERROR request read deadline exceeded\r\n" || tail.is_empty(),
+        "unexpected tail: {tail:?}"
     );
     assert!(metric(&handle, "csr_serve_conn_slowloris_drops_total") >= 1);
+    assert_eq!(
+        metric(&handle, errors),
+        errors_before,
+        "a timeout is not a protocol error"
+    );
+
+    // A genuine EOF at the same point is one: framing broke, fatally.
+    let mut cut = TcpStream::connect(handle.addr()).expect("connect");
+    cut.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    cut.write_all(partial).unwrap();
+    cut.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut tail = String::new();
+    cut.read_to_string(&mut tail)
+        .expect("server closes the conn");
+    assert_eq!(tail, eof_reply);
+    assert_eq!(metric(&handle, errors), errors_before + 1);
 
     // The single worker is free again: a normal client round-trips.
     let mut c = Client::connect(handle.addr()).expect("connect after slowloris");
@@ -189,11 +228,26 @@ fn overlong_line_resyncs_in(io: IoMode) {
     reader.read_line(&mut value_line).unwrap();
     let crc = format!("{:08x}", proto::crc32(b"v"));
     assert_eq!(value_line, format!("VALUE k 1 {crc}\r\n"), "resync failed");
+    let mut rest = [0u8; 8]; // the payload, its CRLF, and `END`
+    reader.read_exact(&mut rest).unwrap();
+    assert_eq!(&rest, b"v\r\nEND\r\n");
+
+    // A newline-less flood far past any frame size is discarded as it
+    // arrives — nothing of it is buffered — and the connection resyncs at
+    // the newline that finally comes, the same on both engines.
+    raw.write_all(&vec![b'x'; 5 << 20]).unwrap();
+    raw.write_all(b"\nGET k\r\n").unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert_eq!(line, "CLIENT_ERROR command line too long\r\n");
+    value_line.clear();
+    reader.read_line(&mut value_line).unwrap();
+    assert_eq!(value_line, format!("VALUE k 1 {crc}\r\n"), "resync failed");
     assert!(
         metric(
             &handle,
             "csr_serve_conn_limit_rejects_total{limit=\"line\"}"
-        ) >= 1
+        ) >= 2
     );
     handle.shutdown().expect("clean shutdown");
 }
