@@ -9,6 +9,14 @@
 //! 0 is MRU, `len()-1` is LRU). Hits and misses carry the O(1) facts a policy
 //! consumes instead, so the hit path never materializes the stack.
 //!
+//! A set has at most `assoc` ways, so the view is a slice that is cheap to
+//! build and to walk, and it is the reference for what the recency order
+//! means. The `csr` cores do not depend on it being a slice: their `victim`
+//! puts three questions to a `csr::Residents` — the LRU entry, the entry in
+//! a given way, the entry nearest the LRU end (that one excepted) cheaper
+//! than a bound — which [`SetView`] answers by walking its slice and the
+//! key-value cache answers from linked lists, for regions of any size.
+//!
 //! # Contract
 //!
 //! * [`ReplacementPolicy::victim`] is called **exactly once** per replacement
@@ -72,16 +80,6 @@ impl<'a> SetView<'a> {
         &self.entries[pos]
     }
 
-    /// The most recently used block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the set is empty.
-    #[must_use]
-    pub fn mru(&self) -> &WayView {
-        self.entries.first().expect("mru() on empty set")
-    }
-
     /// The least recently used block.
     ///
     /// # Panics
@@ -95,12 +93,6 @@ impl<'a> SetView<'a> {
     /// Iterates in MRU → LRU order.
     pub fn iter(&self) -> impl DoubleEndedIterator<Item = &WayView> + ExactSizeIterator {
         self.entries.iter()
-    }
-
-    /// The stack position of `way`, if valid in this set.
-    #[must_use]
-    pub fn position_of(&self, way: Way) -> Option<usize> {
-        self.entries.iter().position(|e| e.way == way)
     }
 }
 
@@ -224,18 +216,9 @@ mod tests {
         let v = SetView::new(&entries);
         assert_eq!(v.len(), 3);
         assert!(!v.is_empty());
-        assert_eq!(v.mru().block, BlockAddr(10));
+        assert_eq!(v.at(0).block, BlockAddr(10));
         assert_eq!(v.lru().block, BlockAddr(30));
         assert_eq!(v.at(1).cost, Cost(8));
-    }
-
-    #[test]
-    fn position_lookup() {
-        let entries = sample_entries();
-        let v = SetView::new(&entries);
-        assert_eq!(v.position_of(Way(1)), Some(2));
-        assert_eq!(v.position_of(Way(0)), Some(1));
-        assert_eq!(v.position_of(Way(7)), None);
     }
 
     #[test]

@@ -166,7 +166,8 @@ impl std::fmt::Display for Policy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_sim::{BlockAddr, Cost, SetView, Way, WayView};
+    use crate::region::Region;
+    use cache_sim::BlockAddr;
 
     #[test]
     fn cores_report_matching_names() {
@@ -199,19 +200,16 @@ mod tests {
 
     #[test]
     fn built_cores_pick_victims() {
-        let entries: Vec<WayView> = (0..4)
-            .map(|i| WayView {
-                way: Way(i),
-                block: BlockAddr(i as u64),
-                cost: Cost(1),
-                dirty: false,
-            })
-            .collect();
         for p in Policy::ALL {
-            let mut core = p.build_core(4);
-            let v = core.victim(&SetView::new(&entries));
-            // Uniform costs: every policy falls back to the LRU way.
-            assert_eq!(v, Way(3), "{p}");
+            let mut region = Region::new(4, p.build_core(4));
+            for id in 0..4 {
+                region.insert(BlockAddr(id), 1, ());
+            }
+            let (_, evicted) = region.insert(BlockAddr(4), 1, ());
+            let evicted = evicted.expect("a full region evicts");
+            // Uniform costs: every policy falls back to the LRU entry.
+            assert_eq!(evicted.slot.id, BlockAddr(0), "{p}");
+            assert!(!evicted.reserved, "{p}");
         }
     }
 }

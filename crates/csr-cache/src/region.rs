@@ -1,27 +1,56 @@
 //! The key-value driver of a policy core: one replacement region.
 //!
-//! A [`Region`] is a slab of entries threaded on an intrusive doubly linked
-//! recency list, plus the boxed [`EvictionPolicy`] core that decides its
-//! evictions. It is the only code in this crate that speaks the core
-//! protocol, and it enforces the same contract the simulator's
-//! `csr::PerSet` does for cache sets:
+//! A [`Region`] is a slab of entries threaded on intrusive doubly linked
+//! lists, plus the boxed [`EvictionPolicy`] core that decides its evictions.
+//! It is the only code in this crate that speaks the core protocol, and it
+//! enforces the same contract the simulator's `csr::PerSet` does for cache
+//! sets:
 //!
 //! * `on_hit` is delivered before the entry is promoted to MRU;
 //! * `on_miss` carries the current LRU `(id, cost)` pair and precedes
 //!   victim selection;
-//! * `victim` runs exactly once per replacement, only on a full region,
-//!   over the recency order materialized MRU → LRU (the single
-//!   O(capacity) step, built at one site: [`Region::evict`]);
+//! * `victim` runs exactly once per replacement, only on a full region, and
+//!   is handed the slab as [`Residents`] — nothing is copied or built for it;
 //! * `on_fill` follows linking the new entry at MRU;
 //! * `on_remove` reports every departure `victim` did not choose.
+//!
+//! The recency order is kept **partitioned by cost**: an entry sits on one
+//! list, that of its cost class — the entries of exactly that cost, no
+//! rounding — and carries a stamp from the region's clock, renewed whenever
+//! it moves to MRU. Each list is in recency order, the stamps order entries
+//! of different classes, and the region remembers which entry holds the
+//! least stamp. A hit therefore rewires one list, as it did when the region
+//! kept a single one, and an entry is 8 bytes smaller than it was then (the
+//! class holds the cost, the stamp's niche marks a vacant slot). A core's
+//! three questions are answered without walking anything but the classes:
+//!
+//! | question | answer | cost |
+//! |---|---|---|
+//! | `lru()` | the remembered entry | O(1) |
+//! | `at_way(slot)` | the slab slot | O(1) |
+//! | `lru_most_cheaper_than(bound)` | least stamp among the tails of the classes below `bound` | O(distinct costs below `bound`) |
+//!
+//! What the partition costs is paid when the LRU entry is promoted, evicted
+//! or removed: its successor is the oldest of the class tails, O(distinct
+//! costs) to find. The whole order (a snapshot, a core swap) is the entries
+//! sorted by stamp. The benchmark's two costs make all of that two steps; a
+//! server charging measured latencies has as many classes as distinct
+//! latencies resident, and if that count ever matters the lever is rounding
+//! costs into classes CAMP-style — deliberately not pulled here, because it
+//! changes decisions. A class that empties keeps its slot (a steady state
+//! that drains and refills one allocates nothing); the empties are dropped
+//! together once they outnumber the classes in use.
 //!
 //! The region is addressed by slab slot (the policy's "way") and knows
 //! nothing about keys: the owner keeps the key → slot index and stores
 //! whatever it needs per entry as the payload `T` — `(K, V)` for a shard,
 //! `()` for the adaptive selector's key-only ghosts.
 
-use cache_sim::{BlockAddr, Cost, SetView, Way, WayView};
-use csr::EvictionPolicy;
+use cache_sim::{BlockAddr, Cost, Way, WayView};
+use csr::eviction::overgrown;
+use csr::{EvictionPolicy, Residents};
+use std::collections::BTreeMap;
+use std::num::NonZeroU32;
 
 /// Sentinel slot index for list ends.
 const NIL: u32 = u32::MAX;
@@ -30,14 +59,19 @@ const NIL: u32 = u32::MAX;
 pub(crate) type BoxedCore = Box<dyn EvictionPolicy + Send>;
 
 /// One slab entry: the owner's payload plus what the policy sees of it.
+/// The miss cost it was priced at on fill is its class's: [`Region::cost`].
 pub(crate) struct Slot<T> {
     pub(crate) payload: T,
-    /// Miss cost as priced at fill time.
-    pub(crate) cost: u64,
     /// Stable policy-visible identity (the 64-bit hash of the key).
     pub(crate) id: BlockAddr,
+    /// Neighbours on the class's list: `prev` toward MRU, `next` toward LRU.
     prev: u32,
     next: u32,
+    /// The region clock when the entry last moved to MRU. Never zero, so a
+    /// vacant slab slot needs no tag of its own.
+    stamp: NonZeroU32,
+    /// Index of the entry's cost class in [`Slab::classes`].
+    class: u32,
 }
 
 /// The entry a full region gave up to make room.
@@ -47,38 +81,38 @@ pub(crate) struct Evicted<T> {
     pub(crate) reserved: bool,
 }
 
-pub(crate) struct Region<T> {
+/// The entries and the order threaded through them: everything a core may
+/// ask about, apart from the core itself.
+struct Slab<T> {
     slots: Vec<Option<Slot<T>>>,
     free: Vec<u32>,
-    /// MRU end of the recency list.
-    head: u32,
-    /// LRU end of the recency list.
-    tail: u32,
-    capacity: usize,
-    core: BoxedCore,
+    /// One recency list per distinct cost, indexed by [`Slot::class`].
+    classes: Vec<Class>,
+    /// Cost → class, for the classes in use and those emptied since the
+    /// last pruning.
+    by_cost: BTreeMap<u64, u32>,
+    /// How many classes of `by_cost` hold no entry.
+    empty_classes: usize,
+    /// Pruned indices of `classes`, for reuse.
+    free_classes: Vec<u32>,
+    /// The latest stamp handed out.
+    clock: u32,
+    /// The resident of least stamp, `NIL` in an empty region. It is the
+    /// tail of its class, and stays the LRU entry until it is promoted or
+    /// leaves: only then are the class tails compared again.
+    lru: u32,
 }
 
-impl<T> Region<T> {
-    pub(crate) fn new(capacity: usize, core: BoxedCore) -> Self {
-        assert!(
-            capacity < NIL as usize,
-            "shard capacity must fit in a u32 slot index"
-        );
-        Region {
-            slots: Vec::with_capacity(capacity),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            capacity,
-            core,
-        }
-    }
+/// The entries of one cost, most recently used first: `head` is the list's
+/// MRU end, `tail` its LRU end.
+struct Class {
+    head: u32,
+    tail: u32,
+    cost: u64,
+}
 
-    fn len(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-
-    pub(crate) fn slot(&self, i: u32) -> &Slot<T> {
+impl<T> Slab<T> {
+    fn slot(&self, i: u32) -> &Slot<T> {
         self.slots[i as usize]
             .as_ref()
             .expect("linked slot must be occupied")
@@ -90,71 +124,247 @@ impl<T> Region<T> {
             .expect("linked slot must be occupied")
     }
 
-    fn unlink(&mut self, i: u32) {
-        let (prev, next) = {
-            let s = self.slot(i);
-            (s.prev, s.next)
-        };
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.slot_mut(prev).next = next;
+    /// The residents' slots in recency order, LRU first.
+    fn lru_to_mru(&self) -> impl DoubleEndedIterator<Item = u32> {
+        let stamped = |(i, s): (usize, &Option<Slot<T>>)| Some((s.as_ref()?.stamp, i as u32));
+        let mut order: Vec<_> = self.slots.iter().enumerate().filter_map(stamped).collect();
+        order.sort_unstable();
+        order.into_iter().map(|(_, i)| i)
+    }
+
+    /// The next stamp. Stamps only order the residents, so when the clock
+    /// runs out they are dealt again from 1 in recency order.
+    fn tick(&mut self) -> NonZeroU32 {
+        if self.clock == u32::MAX {
+            self.clock = 0;
+            for i in self.lru_to_mru() {
+                self.slot_mut(i).stamp = self.tick();
+            }
         }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.slot_mut(next).prev = prev;
+        self.clock += 1;
+        NonZeroU32::new(self.clock).expect("the clock was just bumped")
+    }
+
+    /// The resident of least stamp: the oldest of the class tails.
+    fn oldest(&self) -> u32 {
+        let tails = self.classes.iter().map(|c| c.tail).filter(|&t| t != NIL);
+        tails.min_by_key(|&t| self.slot(t).stamp).unwrap_or(NIL)
+    }
+
+    /// Moves the resident entry in slot `i` to MRU. This is the hit path:
+    /// the entry is read once and its list rewired in one go.
+    fn promote(&mut self, i: u32) {
+        let s = self.slot(i);
+        if s.stamp.get() == self.clock {
+            return; // the MRU entry already
+        }
+        let (prev, next, class) = (s.prev, s.next, s.class as usize);
+        let stamp = self.tick();
+        if prev != NIL {
+            // Not its class's head: unlink it and put it there.
+            self.slot_mut(prev).next = next;
+            let class = &mut self.classes[class];
+            let old_head = std::mem::replace(&mut class.head, i);
+            if next == NIL {
+                class.tail = prev;
+            } else {
+                self.slot_mut(next).prev = prev;
+            }
+            self.slot_mut(old_head).prev = i;
+            let s = self.slot_mut(i);
+            (s.prev, s.next) = (NIL, old_head);
+        }
+        self.slot_mut(i).stamp = stamp;
+        if self.lru == i {
+            self.lru = self.oldest();
         }
     }
 
-    fn push_front(&mut self, i: u32) {
-        let old_head = self.head;
-        {
-            let s = self.slot_mut(i);
-            s.prev = NIL;
-            s.next = old_head;
+    /// The class of `cost`, created if no entry of that cost was seen since
+    /// the last pruning.
+    fn class_of(&mut self, cost: u64) -> u32 {
+        if let Some(&class) = self.by_cost.get(&cost) {
+            return class;
         }
-        if old_head != NIL {
+        let in_use = self.by_cost.len() - self.empty_classes;
+        if overgrown(self.by_cost.len(), in_use) {
+            let (classes, spare) = (&self.classes, &mut self.free_classes);
+            self.by_cost.retain(|_, &mut class| {
+                let keep = classes[class as usize].head != NIL;
+                if !keep {
+                    spare.push(class);
+                }
+                keep
+            });
+            self.empty_classes = 0;
+        }
+        let fresh = Class {
+            head: NIL,
+            tail: NIL,
+            cost,
+        };
+        let class = match self.free_classes.pop() {
+            Some(class) => {
+                self.classes[class as usize] = fresh;
+                class
+            }
+            None => {
+                self.classes.push(fresh);
+                (self.classes.len() - 1) as u32
+            }
+        };
+        self.by_cost.insert(cost, class);
+        self.empty_classes += 1;
+        class
+    }
+
+    /// Puts the entry in slot `i`, which holds the latest stamp, at the MRU
+    /// end of its class's list.
+    fn enter_class(&mut self, i: u32) {
+        let class = self.slot(i).class as usize;
+        let class = &mut self.classes[class];
+        let old_head = std::mem::replace(&mut class.head, i);
+        if old_head == NIL {
+            class.tail = i;
+            self.empty_classes -= 1;
+        } else {
             self.slot_mut(old_head).prev = i;
         }
-        self.head = i;
-        if self.tail == NIL {
-            self.tail = i;
+        let s = self.slot_mut(i);
+        (s.prev, s.next) = (NIL, old_head);
+    }
+
+    /// Takes the entry in slot `i` off its class's list.
+    fn leave_class(&mut self, i: u32) {
+        let s = self.slot(i);
+        let (prev, next, class) = (s.prev, s.next, s.class as usize);
+        if next == NIL {
+            self.classes[class].tail = prev;
+        } else {
+            self.slot_mut(next).prev = prev;
         }
+        if prev != NIL {
+            self.slot_mut(prev).next = next;
+        } else {
+            self.classes[class].head = next;
+            if next == NIL {
+                self.empty_classes += 1;
+            }
+        }
+    }
+
+    fn cost(&self, i: u32) -> u64 {
+        self.classes[self.slot(i).class as usize].cost
+    }
+
+    /// What a core sees of the entry in slot `i`.
+    fn view(&self, i: u32) -> WayView {
+        WayView {
+            way: Way(i as usize),
+            block: self.slot(i).id,
+            cost: Cost(self.cost(i)),
+            dirty: false,
+        }
+    }
+}
+
+impl<T> Residents for Slab<T> {
+    fn lru(&self) -> WayView {
+        self.view(self.lru)
+    }
+
+    fn at_way(&self, way: Way) -> Option<WayView> {
+        let occupied = self.slots.get(way.0)?.is_some();
+        occupied.then(|| self.view(way.0 as u32))
+    }
+
+    fn lru_most_cheaper_than(&self, bound: u64) -> Option<WayView> {
+        self.by_cost
+            .range(..bound)
+            .filter_map(|(_, &class)| {
+                // The class's oldest entry other than the region's LRU one.
+                let tail = self.classes[class as usize].tail;
+                let oldest = if tail == self.lru {
+                    self.slot(tail).prev
+                } else {
+                    tail
+                };
+                (oldest != NIL).then(|| (self.slot(oldest).stamp, oldest))
+            })
+            .min()
+            .map(|(_, i)| self.view(i))
+    }
+}
+
+pub(crate) struct Region<T> {
+    slab: Slab<T>,
+    capacity: usize,
+    core: BoxedCore,
+}
+
+impl<T> Region<T> {
+    pub(crate) fn new(capacity: usize, core: BoxedCore) -> Self {
+        assert!(
+            capacity < NIL as usize,
+            "shard capacity must fit in a u32 slot index"
+        );
+        Region {
+            slab: Slab {
+                slots: Vec::with_capacity(capacity),
+                free: Vec::new(),
+                classes: Vec::new(),
+                by_cost: BTreeMap::new(),
+                empty_classes: 0,
+                free_classes: Vec::new(),
+                clock: 0,
+                lru: NIL,
+            },
+            capacity,
+            core,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.slab.slots.len() - self.slab.free.len()
+    }
+
+    pub(crate) fn slot(&self, i: u32) -> &Slot<T> {
+        self.slab.slot(i)
+    }
+
+    /// The miss cost the entry in slot `i` was priced at on fill.
+    pub(crate) fn cost(&self, i: u32) -> u64 {
+        self.slab.cost(i)
     }
 
     /// Unlinks and vacates slot `i`.
     fn take(&mut self, i: u32) -> Slot<T> {
-        self.unlink(i);
-        let slot = self.slots[i as usize]
+        let slab = &mut self.slab;
+        slab.leave_class(i);
+        let slot = slab.slots[i as usize]
             .take()
             .expect("slot must be occupied");
-        self.free.push(i);
+        slab.free.push(i);
+        if slab.lru == i {
+            slab.lru = slab.oldest();
+        }
         slot
     }
 
     /// An access hit the entry in slot `i`: notifies the core, then
     /// promotes the entry to MRU.
     pub(crate) fn touch(&mut self, i: u32) -> &Slot<T> {
-        let is_lru = self.tail == i;
-        let (id, cost) = {
-            let s = self.slot(i);
-            (s.id, Cost(s.cost))
-        };
+        let is_lru = self.slab.lru == i;
+        let (id, cost) = (self.slab.slot(i).id, Cost(self.slab.cost(i)));
         self.core.on_hit(id, Way(i as usize), cost, is_lru);
-        if self.head != i {
-            self.unlink(i);
-            self.push_front(i);
-        }
-        self.slot(i)
+        self.slab.promote(i);
+        self.slab.slot(i)
     }
 
     /// An access to the absent `id` missed.
     pub(crate) fn miss(&mut self, id: BlockAddr) {
-        let lru = (self.tail != NIL).then(|| {
-            let s = self.slot(self.tail);
-            (s.id, Cost(s.cost))
-        });
+        let lru = self.slab.lru;
+        let lru = (lru != NIL).then(|| (self.slab.slot(lru).id, Cost(self.slab.cost(lru))));
         self.core.on_miss(id, lru);
     }
 
@@ -164,9 +374,13 @@ impl<T> Region<T> {
     pub(crate) fn refresh(&mut self, i: u32, cost: u64) -> &mut T {
         let id = self.touch(i).id;
         self.core.on_fill(id, Way(i as usize), Cost(cost));
-        let s = self.slot_mut(i);
-        s.cost = cost;
-        &mut s.payload
+        if self.slab.cost(i) != cost {
+            // The entry is at MRU, so it enters its new class at MRU too.
+            self.slab.leave_class(i);
+            self.slab.slot_mut(i).class = self.slab.class_of(cost);
+            self.slab.enter_class(i);
+        }
+        &mut self.slab.slot_mut(i).payload
     }
 
     /// Inserts the absent `id`: a missing access, an eviction per the core
@@ -184,43 +398,36 @@ impl<T> Region<T> {
     ) -> (u32, Option<Evicted<T>>) {
         self.miss(id);
         let evicted = (self.len() == self.capacity).then(|| self.evict());
-        let i = match self.free.pop() {
+        let slab = &mut self.slab;
+        let i = match slab.free.pop() {
             Some(i) => i,
             None => {
-                self.slots.push(None);
-                (self.slots.len() - 1) as u32
+                slab.slots.push(None);
+                (slab.slots.len() - 1) as u32
             }
         };
-        self.slots[i as usize] = Some(Slot {
+        let slot = Slot {
             payload,
-            cost,
             id,
             prev: NIL,
             next: NIL,
-        });
-        self.push_front(i);
+            stamp: slab.tick(),
+            class: slab.class_of(cost),
+        };
+        slab.slots[i as usize] = Some(slot);
+        slab.enter_class(i);
+        if slab.lru == NIL {
+            slab.lru = i;
+        }
         self.core.on_fill(id, Way(i as usize), Cost(cost));
         (i, evicted)
     }
 
-    /// Materializes the recency stack MRU → LRU and evicts the core's
-    /// choice (the only O(capacity) step; runs once per replacement).
+    /// Evicts the core's choice (once per replacement).
     fn evict(&mut self) -> Evicted<T> {
-        let mut entries = Vec::with_capacity(self.len());
-        let mut cur = self.head;
-        while cur != NIL {
-            let s = self.slot(cur);
-            entries.push(WayView {
-                way: Way(cur as usize),
-                block: s.id,
-                cost: Cost(s.cost),
-                dirty: false,
-            });
-            cur = s.next;
-        }
-        let victim = self.core.victim(&SetView::new(&entries)).0 as u32;
+        let victim = self.core.victim(&self.slab).0 as u32;
         Evicted {
-            reserved: self.tail != victim,
+            reserved: self.slab.lru != victim,
             slot: self.take(victim),
         }
     }
@@ -236,20 +443,23 @@ impl<T> Region<T> {
     /// and to `each`. Returns how many were dropped.
     pub(crate) fn clear(&mut self, mut each: impl FnMut(BlockAddr)) -> u64 {
         let mut dropped = 0;
-        while self.head != NIL {
-            let id = self.remove(self.head).id;
-            each(id);
+        for i in self.slab.lru_to_mru().rev() {
+            each(self.remove(i).id);
             dropped += 1;
         }
-        self.free.clear();
-        self.slots.clear();
+        let slab = &mut self.slab;
+        slab.free.clear();
+        slab.slots.clear();
+        slab.classes.clear();
+        slab.by_cost.clear();
+        slab.empty_classes = 0;
+        slab.free_classes.clear();
         dropped
     }
 
     /// The resident entries with their slots, LRU first.
     pub(crate) fn lru_to_mru(&self) -> impl Iterator<Item = (u32, &Slot<T>)> {
-        let at = |i: u32| (i != NIL).then(|| (i, self.slot(i)));
-        std::iter::successors(at(self.tail), move |(_, s)| at(s.prev))
+        self.slab.lru_to_mru().map(|i| (i, self.slab.slot(i)))
     }
 
     /// Hot-swaps the core: the incoming one is warmed by replaying the
@@ -257,8 +467,65 @@ impl<T> Region<T> {
     /// order matches the region's — then it simply takes over.
     pub(crate) fn swap_core(&mut self, mut core: BoxedCore) {
         for (i, s) in self.lru_to_mru() {
-            core.on_fill(s.id, Way(i as usize), Cost(s.cost));
+            core.on_fill(s.id, Way(i as usize), Cost(self.cost(i)));
         }
         self.core = core;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use csr::DclCore;
+
+    /// A stream with reservations (one key in five is expensive), hits and
+    /// refreshes at a changed cost; returns every eviction.
+    fn run(region: &mut Region<()>) -> Vec<(BlockAddr, bool)> {
+        let mut slots = std::collections::HashMap::new();
+        let mut evictions = Vec::new();
+        let mut state = 7u64;
+        for step in 0..600u64 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let key = (state >> 33) % 24;
+            let cost = if key.is_multiple_of(5) {
+                40
+            } else {
+                1 + step % 3
+            };
+            match slots.get(&key) {
+                Some(&i) if step.is_multiple_of(7) => drop(region.refresh(i, cost)),
+                Some(&i) => drop(region.touch(i)),
+                None => {
+                    let (i, evicted) = region.insert(BlockAddr(key), cost, ());
+                    if let Some(e) = evicted {
+                        slots.remove(&e.slot.id.0);
+                        evictions.push((e.slot.id, e.reserved));
+                    }
+                    slots.insert(key, i);
+                }
+            }
+        }
+        evictions
+    }
+
+    #[test]
+    fn an_entry_is_smaller_than_on_the_single_list() {
+        // 48 and 32 then: payload, id, cost, prev/next and a vacancy tag.
+        assert_eq!(std::mem::size_of::<Option<Slot<(u64, u64)>>>(), 40);
+        assert_eq!(std::mem::size_of::<Option<Slot<()>>>(), 24);
+    }
+
+    #[test]
+    fn decisions_survive_the_clock_running_out() {
+        let mut fresh = Region::new(8, Box::new(DclCore::for_ways(8)));
+        let mut wrapping = Region::new(8, Box::new(DclCore::for_ways(8)));
+        // Runs out, and the stamps are dealt again, a few dozen touches in.
+        wrapping.slab.clock = u32::MAX - 40;
+        let evictions = run(&mut fresh);
+        assert!(evictions.iter().any(|&(_, reserved)| reserved));
+        assert_eq!(run(&mut wrapping), evictions);
+        assert!(wrapping.slab.clock < 1_000, "the clock restarted");
     }
 }

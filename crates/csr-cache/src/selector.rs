@@ -244,7 +244,10 @@ impl Ghost {
     /// modeled saving); on a miss, notifies the core and returns `None`.
     fn touch(&mut self, id: BlockAddr) -> Option<u64> {
         match self.map.get(&id.0) {
-            Some(&i) => Some(self.region.touch(i).cost),
+            Some(&i) => {
+                self.region.touch(i);
+                Some(self.region.cost(i))
+            }
             None => {
                 self.region.miss(id);
                 None

@@ -547,7 +547,7 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
         out.extend(
             st.region
                 .lru_to_mru()
-                .map(|(_, s)| (s.payload.0.clone(), s.payload.1.clone(), s.cost)),
+                .map(|(i, s)| (s.payload.0.clone(), s.payload.1.clone(), st.region.cost(i))),
         );
         out
     }

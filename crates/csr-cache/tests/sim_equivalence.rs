@@ -12,8 +12,6 @@ use csr::{Acl, Bcl, Camp, Dcl, Gdsf, GreedyDual, Lfuda, S3Fifo, Slru};
 use csr_cache::{CsrCache, Policy};
 use std::hash::{BuildHasher, Hasher};
 
-const WAYS: usize = 8;
-const UNIVERSE: u64 = 24;
 const ACCESSES: usize = 4000;
 
 /// A hasher whose output is the last `u64` written — `hash(k) == k`.
@@ -46,7 +44,7 @@ impl BuildHasher for IdentityState {
 }
 
 /// Skewed costs: every fourth key is 16x more expensive to re-fetch.
-fn cost_of(key: u64) -> u64 {
+fn two_costs(key: u64) -> u64 {
     if key.is_multiple_of(4) {
         16
     } else {
@@ -54,42 +52,66 @@ fn cost_of(key: u64) -> u64 {
     }
 }
 
-/// Deterministic LCG reference stream over the key universe.
-fn stream() -> impl Iterator<Item = u64> {
+/// Five costs, so the region keeps more classes than the paper's two and the
+/// reservation scan has to pick among their tails.
+fn five_costs(key: u64) -> u64 {
+    [1, 2, 4, 16, 64][(key % 5) as usize]
+}
+
+/// Deterministic LCG reference stream over a universe of `keys`.
+fn stream(keys: u64) -> impl Iterator<Item = u64> {
     let mut state = 0x1E12_AC4Eu64;
     std::iter::repeat_with(move || {
         state = state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        (state >> 33) % UNIVERSE
+        (state >> 33) % keys
     })
     .take(ACCESSES)
 }
 
-fn run_equivalence<P: ReplacementPolicy>(policy: Policy, sim_policy: P) {
-    let geom = Geometry::new((WAYS * 64) as u64, 64, WAYS); // exactly one set
-    assert_eq!(geom.num_sets(), 1);
+/// The paper's associativity doubled, and a set no hardware has: the shard
+/// side answers from its lists whatever the size, the simulator side still
+/// walks a slice.
+fn run_equivalence<P: ReplacementPolicy>(policy: Policy, sim_policy: impl Fn(&Geometry) -> P) {
+    for ways in [8, 64] {
+        for cost_of in [two_costs, five_costs] {
+            let geom = Geometry::new((ways * 64) as u64, 64, ways); // exactly one set
+            assert_eq!(geom.num_sets(), 1);
+            run_one(policy, sim_policy(&geom), geom, cost_of);
+        }
+    }
+}
+
+fn run_one<P: ReplacementPolicy>(
+    policy: Policy,
+    sim_policy: P,
+    geom: Geometry,
+    cost_of: fn(u64) -> u64,
+) {
+    let ways = geom.assoc();
+    let keys = 3 * ways as u64;
     let mut sim = Cache::new(geom, sim_policy);
 
-    let cache: CsrCache<u64, u64, IdentityState> = CsrCache::builder(WAYS)
+    let cache: CsrCache<u64, u64, IdentityState> = CsrCache::builder(ways)
         .shards(1)
         .policy(policy)
-        .cost_fn(|k: &u64, _v: &u64| cost_of(*k))
+        .cost_fn(move |k: &u64, _v: &u64| cost_of(*k))
         .hasher(IdentityState)
         .build();
-    assert_eq!(cache.capacity(), WAYS);
+    assert_eq!(cache.capacity(), ways);
 
-    for (step, key) in stream().enumerate() {
+    for (step, key) in stream(keys).enumerate() {
         sim.access(BlockAddr(key), AccessType::Read, Cost(cost_of(key)));
         if cache.get(&key).is_none() {
             cache.insert(key, key);
         }
 
-        for probe in 0..UNIVERSE {
+        for probe in 0..keys {
             assert_eq!(
                 cache.contains(&probe),
                 sim.contains(BlockAddr(probe)),
-                "{policy}: residency of key {probe} diverged after step {step} (key {key})",
+                "{policy}, {ways} ways: residency of key {probe} diverged after step {step} (key {key})",
             );
         }
     }
@@ -100,66 +122,57 @@ fn run_equivalence<P: ReplacementPolicy>(policy: Policy, sim_policy: P) {
     assert_eq!(
         stats.aggregate_miss_cost,
         sim.stats().aggregate_cost.0,
-        "{policy}: aggregate miss cost diverged",
+        "{policy}, {ways} ways: aggregate miss cost diverged",
     );
     assert_eq!(stats.misses, stats.insertions);
 }
 
 #[test]
 fn lru_cache_matches_simulator() {
-    run_equivalence(Policy::Lru, Lru::new());
+    run_equivalence(Policy::Lru, |_| Lru::new());
 }
 
 #[test]
 fn gd_cache_matches_simulator() {
-    let geom = Geometry::new((WAYS * 64) as u64, 64, WAYS);
-    run_equivalence(Policy::Gd, GreedyDual::new(&geom));
+    run_equivalence(Policy::Gd, GreedyDual::new);
 }
 
 #[test]
 fn bcl_cache_matches_simulator() {
-    let geom = Geometry::new((WAYS * 64) as u64, 64, WAYS);
-    run_equivalence(Policy::Bcl, Bcl::new(&geom));
+    run_equivalence(Policy::Bcl, Bcl::new);
 }
 
 #[test]
 fn dcl_cache_matches_simulator() {
-    let geom = Geometry::new((WAYS * 64) as u64, 64, WAYS);
-    run_equivalence(Policy::Dcl, Dcl::new(&geom));
+    run_equivalence(Policy::Dcl, Dcl::new);
 }
 
 #[test]
 fn acl_cache_matches_simulator() {
-    let geom = Geometry::new((WAYS * 64) as u64, 64, WAYS);
-    run_equivalence(Policy::Acl, Acl::new(&geom));
+    run_equivalence(Policy::Acl, Acl::new);
 }
 
 #[test]
 fn s3fifo_cache_matches_simulator() {
-    let geom = Geometry::new((WAYS * 64) as u64, 64, WAYS);
-    run_equivalence(Policy::S3Fifo, S3Fifo::new(&geom));
+    run_equivalence(Policy::S3Fifo, S3Fifo::new);
 }
 
 #[test]
 fn slru_cache_matches_simulator() {
-    let geom = Geometry::new((WAYS * 64) as u64, 64, WAYS);
-    run_equivalence(Policy::Slru, Slru::new(&geom));
+    run_equivalence(Policy::Slru, Slru::new);
 }
 
 #[test]
 fn lfuda_cache_matches_simulator() {
-    let geom = Geometry::new((WAYS * 64) as u64, 64, WAYS);
-    run_equivalence(Policy::Lfuda, Lfuda::new(&geom));
+    run_equivalence(Policy::Lfuda, Lfuda::new);
 }
 
 #[test]
 fn gdsf_cache_matches_simulator() {
-    let geom = Geometry::new((WAYS * 64) as u64, 64, WAYS);
-    run_equivalence(Policy::Gdsf, Gdsf::new(&geom));
+    run_equivalence(Policy::Gdsf, Gdsf::new);
 }
 
 #[test]
 fn camp_cache_matches_simulator() {
-    let geom = Geometry::new((WAYS * 64) as u64, 64, WAYS);
-    run_equivalence(Policy::Camp, Camp::new(&geom));
+    run_equivalence(Policy::Camp, Camp::new);
 }

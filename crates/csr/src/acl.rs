@@ -20,9 +20,9 @@
 //! per set for the simulator.
 
 use crate::etd::{EtdConfig, EtdSet, EtdStats};
-use crate::eviction::{EvictionPolicy, PerSet};
-use crate::reserve::{reservation_victim, AcostTracker};
-use cache_sim::{BlockAddr, Cost, Geometry, SetView, Way};
+use crate::eviction::{EvictionPolicy, PerSet, Residents};
+use crate::reserve::AcostTracker;
+use cache_sim::{BlockAddr, Cost, Geometry, Way};
 use csr_obs::{NopObserver, Observer};
 
 /// Counter ceiling of the 2-bit automaton.
@@ -145,37 +145,28 @@ impl<O: Observer> EvictionPolicy for AclCore<O> {
         "ACL"
     }
 
-    fn victim(&mut self, view: &SetView<'_>) -> Way {
-        self.tracker.sync(view);
+    fn victim(&mut self, residents: &dyn Residents) -> Way {
+        let lru = residents.lru();
+        self.tracker.sync_to(Some((lru.block, lru.cost)));
         if self.automaton.enabled() {
             // DCL behaviour: reserve the LRU block if a cheaper block sits
             // above it.
-            if let Some((way, pos)) = reservation_victim(view, self.tracker.acost()) {
-                let e = view.at(pos);
+            if let Some(e) = residents.lru_most_cheaper_than(self.tracker.acost()) {
                 self.etd.insert(e.block, e.cost);
                 if !self.automaton.reserved {
                     self.automaton.reserved = true;
-                    let lru = view.lru();
                     self.obs.on_reserve(lru.block, e.block, e.cost);
                 }
                 self.obs.on_evict(e.block, e.cost);
-                return way;
+                return e.way;
             }
             // The reserved block (if any) is evicted: the reservation failed.
             self.end_reservation_failure();
-        } else {
+        } else if residents.lru_most_cheaper_than(lru.cost.0).is_some() {
             // Watch mode: remember the evicted LRU block if a reservation
             // *could* have been made (a cheaper block exists in the set).
-            let lru = view.lru();
-            let cheaper_exists = view
-                .iter()
-                .take(view.len().saturating_sub(1))
-                .any(|e| e.cost.0 < lru.cost.0);
-            if cheaper_exists {
-                self.etd.insert(lru.block, lru.cost);
-            }
+            self.etd.insert(lru.block, lru.cost);
         }
-        let lru = view.lru();
         self.tracker.note_departure(lru.block);
         self.obs.on_evict(lru.block, lru.cost);
         lru.way

@@ -14,9 +14,9 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`Bcl`] replicates one core
 //! per set for the simulator.
 
-use crate::eviction::{EvictionPolicy, PerSet};
-use crate::reserve::{reservation_victim, AcostTracker};
-use cache_sim::{BlockAddr, Cost, Geometry, SetIndex, SetView, Way};
+use crate::eviction::{EvictionPolicy, PerSet, Residents};
+use crate::reserve::AcostTracker;
+use cache_sim::{BlockAddr, Cost, Geometry, SetIndex, Way};
 use csr_obs::{NopObserver, Observer};
 
 /// BCL for a single replacement region.
@@ -87,21 +87,19 @@ impl<O: Observer> EvictionPolicy for BclCore<O> {
         "BCL"
     }
 
-    fn victim(&mut self, view: &SetView<'_>) -> Way {
-        self.tracker.sync(view);
+    fn victim(&mut self, residents: &dyn Residents) -> Way {
+        let lru = residents.lru();
+        self.tracker.sync_to(Some((lru.block, lru.cost)));
         // Figure 1: for i = s-1 downto 1, first block with c[i] < Acost.
-        if let Some((way, pos)) = reservation_victim(view, self.tracker.acost()) {
-            let chosen = view.at(pos);
-            let lru = view.lru();
+        if let Some(chosen) = residents.lru_most_cheaper_than(self.tracker.acost()) {
             let amount = chosen.cost.0.saturating_mul(self.factor);
             self.tracker.depreciate(Cost(amount));
             self.obs.on_reserve(lru.block, chosen.block, chosen.cost);
             self.obs.on_depreciate(amount, self.tracker.acost());
             self.obs.on_evict(chosen.block, chosen.cost);
-            return way;
+            return chosen.way;
         }
         // No cheaper block: the LRU block goes (and leaves the tracker).
-        let lru = view.lru();
         self.tracker.note_departure(lru.block);
         self.obs.on_evict(lru.block, lru.cost);
         lru.way

@@ -13,14 +13,15 @@
 //! tail of the block's bucket with a fresh key, and evicting key `K` sets
 //! `L = K` (the same inflation aging as GDSF/LFUDA). The buckets are
 //! lazy-deletion queues: stale entries (superseded by a re-enqueue or a
-//! removal) are skipped when they surface at a head.
+//! removal) are skipped when they surface at a head (or compacted away once
+//! they outnumber the live ones).
 //!
 //! The single-region logic lives in [`CampCore`] (an
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`Camp`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{position_in, report_victim, EvictionPolicy, PerSet};
-use cache_sim::{BlockAddr, Cost, Geometry, SetView, Way};
+use crate::eviction::{overgrown, report_victim, resident_in, EvictionPolicy, PerSet, Residents};
+use cache_sim::{BlockAddr, Cost, Geometry, Way};
 use csr_obs::{NopObserver, Observer};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -47,6 +48,8 @@ pub struct CampCore<O: Observer = NopObserver> {
     /// One queue per rounded-cost class, keyed by the cost exponent.
     /// Entries are `(block, seq, key)`; live iff `seq` matches `meta`.
     buckets: BTreeMap<u32, VecDeque<(BlockAddr, u64, u64)>>,
+    /// Entries across all buckets, stale ones included.
+    queued: usize,
     /// The region age `L`: the key of the last evicted block.
     age: u64,
     next_seq: u64,
@@ -60,6 +63,7 @@ impl CampCore {
         CampCore {
             meta: HashMap::new(),
             buckets: BTreeMap::new(),
+            queued: 0,
             age: 0,
             next_seq: 0,
             obs: NopObserver,
@@ -74,12 +78,20 @@ impl<O: Observer> CampCore<O> {
         self.age
     }
 
+    /// Entries across all buckets, stale ones included (bounded by
+    /// [`overgrown`] against the resident blocks).
+    #[must_use]
+    pub fn queued(&self) -> usize {
+        self.queued
+    }
+
     /// Attaches a decision observer, replacing any existing one.
     #[must_use]
     pub fn with_observer<O2: Observer>(self, obs: O2) -> CampCore<O2> {
         CampCore {
             meta: self.meta,
             buckets: self.buckets,
+            queued: self.queued,
             age: self.age,
             next_seq: self.next_seq,
             obs,
@@ -97,6 +109,15 @@ impl<O: Observer> CampCore<O> {
             .entry(bucket)
             .or_default()
             .push_back((block, seq, key));
+        self.queued += 1;
+        if overgrown(self.queued, self.meta.len()) {
+            let meta = &self.meta;
+            self.buckets.retain(|_, q| {
+                q.retain(|&(b, seq, _)| meta.get(&b).is_some_and(|m| m.seq == seq));
+                !q.is_empty()
+            });
+            self.queued = self.buckets.values().map(VecDeque::len).sum();
+        }
     }
 
     /// The live head with the minimum key, if any: `(block, key)`.
@@ -114,6 +135,7 @@ impl<O: Observer> CampCore<O> {
                     break;
                 }
                 q.pop_front();
+                self.queued -= 1;
             }
         }
         self.buckets.retain(|_, q| !q.is_empty());
@@ -129,6 +151,7 @@ impl<O: Observer> CampCore<O> {
                 .is_some_and(|&(b, seq, _)| b == block && seq == m.seq)
             {
                 q.pop_front();
+                self.queued -= 1;
             }
             if q.is_empty() {
                 self.buckets.remove(&m.bucket);
@@ -143,20 +166,20 @@ impl<O: Observer> EvictionPolicy for CampCore<O> {
         "CAMP"
     }
 
-    fn victim(&mut self, view: &SetView<'_>) -> Way {
+    fn victim(&mut self, residents: &dyn Residents) -> Way {
         // Every pass removes one block from the structures, so this
-        // terminates; blocks unknown to the view are dropped and retried.
+        // terminates; blocks unknown to the region are dropped and retried.
         while let Some((b, key)) = self.min_head() {
             let way = self.drop_block(b);
-            if let Some(pos) = way.and_then(|w| position_in(view, w, b)) {
+            if let Some(chosen) = way.and_then(|w| resident_in(residents, w, b)) {
                 self.age = self.age.max(key);
-                return report_victim(&self.obs, view, pos);
+                return report_victim(&self.obs, residents, chosen);
             }
         }
         // Fresh or desynced core: evict the LRU block.
-        let lru = view.lru();
+        let lru = residents.lru();
         self.drop_block(lru.block);
-        report_victim(&self.obs, view, view.len() - 1)
+        report_victim(&self.obs, residents, lru)
     }
 
     fn on_hit(&mut self, block: BlockAddr, way: Way, cost: Cost, _is_lru: bool) {
@@ -265,7 +288,7 @@ mod tests {
 
     #[test]
     fn fresh_core_falls_back_to_lru() {
-        use cache_sim::WayView;
+        use cache_sim::{SetView, WayView};
         let entries: Vec<WayView> = (0..4u64)
             .map(|b| WayView {
                 way: Way(b as usize),

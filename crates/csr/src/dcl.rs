@@ -14,9 +14,9 @@
 //! per set for the simulator.
 
 use crate::etd::{EtdConfig, EtdSet, EtdStats};
-use crate::eviction::{EvictionPolicy, PerSet};
-use crate::reserve::{reservation_victim, AcostTracker};
-use cache_sim::{BlockAddr, Cost, Geometry, SetView, Way};
+use crate::eviction::{EvictionPolicy, PerSet, Residents};
+use crate::reserve::AcostTracker;
+use cache_sim::{BlockAddr, Cost, Geometry, Way};
 use csr_obs::{NopObserver, Observer};
 
 /// DCL for a single replacement region, owning its shadow directory.
@@ -91,22 +91,20 @@ impl<O: Observer> EvictionPolicy for DclCore<O> {
         "DCL"
     }
 
-    fn victim(&mut self, view: &SetView<'_>) -> Way {
-        self.tracker.sync(view);
-        if let Some((way, pos)) = reservation_victim(view, self.tracker.acost()) {
+    fn victim(&mut self, residents: &dyn Residents) -> Way {
+        let lru = residents.lru();
+        self.tracker.sync_to(Some((lru.block, lru.cost)));
+        if let Some(e) = residents.lru_most_cheaper_than(self.tracker.acost()) {
             // Unlike BCL, no depreciation here: the displaced block is
             // recorded in the ETD and charged only if re-referenced.
-            let e = view.at(pos);
             self.etd.insert(e.block, e.cost);
-            let lru = view.lru();
             self.obs.on_reserve(lru.block, e.block, e.cost);
             self.obs.on_evict(e.block, e.cost);
-            return way;
+            return e.way;
         }
         // The LRU block itself goes. Any ETD entries for the ended
         // reservation are deliberately kept (hardware would not sweep
         // them); they age out of the s-1-entry directory naturally.
-        let lru = view.lru();
         self.tracker.note_departure(lru.block);
         self.obs.on_evict(lru.block, lru.cost);
         lru.way

@@ -18,36 +18,84 @@
 //!
 //! Both enforce the same ordering — `on_hit` before promotion, `on_miss`
 //! with the current LRU pair before victim selection, `victim` once per
-//! replacement over an MRU → LRU view, `on_fill` after the block is linked,
-//! `on_remove` for departures `victim` did not choose — so a change to the
-//! contract is a change to these two places and to no policy wrapper.
+//! replacement, `on_fill` after the block is linked, `on_remove` for
+//! departures `victim` did not choose — so a change to the contract is a
+//! change to these two places and to no policy wrapper.
 //!
-//! Two rules hold for every core:
+//! Three rules hold for every core:
 //!
-//! * **The view appears only in `victim`.** Hits and misses carry the O(1)
+//! * **A core never sees the recency order, it asks about it.** `victim`
+//!   receives the driver as [`Residents`] and may put three questions to it:
+//!   which entry is at the LRU end, which entry sits in a given way, and —
+//!   Figure 1's scan — which entry closest to the LRU end, the LRU entry
+//!   excepted, costs less than a bound. Each driver answers from the order
+//!   it already keeps: [`SetView`] from its slice of at most `assoc` entries
+//!   (the reference semantics), `Region` from one recency list per distinct
+//!   cost and a clock stamp per entry — O(1), O(1) and O(distinct costs
+//!   below the bound), whatever the region's size. A core that ranks by anything
+//!   else ([`RankCore`](crate::RankCore)'s priorities, the queues of S3-FIFO,
+//!   SLRU and CAMP) keeps that order itself. Hits and misses carry the O(1)
 //!   facts a policy consumes (block identity, cost, whether the block is at
-//!   the LRU end; the LRU pair on a miss), so neither driver materializes
-//!   its recency order except to select a victim.
+//!   the LRU end; the LRU pair on a miss).
 //! * **Cores keep no books.** A core reports each decision to its
 //!   [`Observer`] and counts nothing itself. Counts come from the driver
 //!   (`cache_sim::CacheStats::{hits, misses, evictions, non_lru_evictions}`,
 //!   `csr_cache`'s stats) or from an attached `csr_obs::CountingObserver`
 //!   (`EventCounts`); the only per-core counters left describe a structure
 //!   rather than a decision ([`EtdStats`](crate::EtdStats)).
+//! * **A lazily-deleted queue stays within a constant factor of its live
+//!   entries.** Cores that supersede queue entries instead of unlinking them
+//!   compact by the one rule [`overgrown`] states, so a region that never
+//!   evicts (its working set fits) does not grow its core.
 
 use crate::etd::{EtdSet, EtdStats};
 use cache_sim::{
-    BlockAddr, Cost, Geometry, InvalidateKind, ReplacementPolicy, SetIndex, SetView, Way,
+    BlockAddr, Cost, Geometry, InvalidateKind, ReplacementPolicy, SetIndex, SetView, Way, WayView,
 };
 use csr_obs::{NopObserver, Observer};
+
+/// What a core may ask its driver about the region's residents while it
+/// selects a victim. The region is full, hence non-empty, whenever a driver
+/// hands this to [`EvictionPolicy::victim`].
+pub trait Residents {
+    /// The entry at the LRU end.
+    fn lru(&self) -> WayView;
+
+    /// The entry resident in `way`, if that way holds one.
+    fn at_way(&self, way: Way) -> Option<WayView>;
+
+    /// Figure 1's scan: walking from the second-LRU position toward the MRU,
+    /// the first entry whose cost is strictly below `bound`. `None` means no
+    /// reservation is possible and the LRU entry itself must go.
+    fn lru_most_cheaper_than(&self, bound: u64) -> Option<WayView>;
+}
+
+/// The reference answers: a set's valid blockframes in MRU → LRU order.
+impl Residents for SetView<'_> {
+    fn lru(&self) -> WayView {
+        *SetView::lru(self)
+    }
+
+    fn at_way(&self, way: Way) -> Option<WayView> {
+        self.iter().find(|e| e.way == way).copied()
+    }
+
+    fn lru_most_cheaper_than(&self, bound: u64) -> Option<WayView> {
+        self.iter()
+            .rev()
+            .skip(1)
+            .find(|e| e.cost.0 < bound)
+            .copied()
+    }
+}
 
 /// A replacement policy for a single region (one cache set, one shard).
 ///
 /// # Contract
 ///
 /// * [`victim`](Self::victim) is called exactly once per replacement, only
-///   on a full region, with the region's valid blocks in MRU → LRU order;
-///   the returned way will be evicted.
+///   on a full region, with the driver answering for the region's valid
+///   blocks; the returned way will be evicted.
 /// * [`on_hit`](Self::on_hit) is delivered *before* the block is promoted
 ///   to the MRU position; `is_lru` reports whether it currently sits at the
 ///   LRU end.
@@ -65,7 +113,7 @@ pub trait EvictionPolicy {
     fn name(&self) -> &'static str;
 
     /// Selects the way to evict from the full region.
-    fn victim(&mut self, view: &SetView<'_>) -> Way;
+    fn victim(&mut self, residents: &dyn Residents) -> Way;
 
     /// An access hit `block` on `way` (cost as loaded at fill time);
     /// `is_lru` is true when the block is currently at the LRU end.
@@ -95,8 +143,8 @@ impl<P: EvictionPolicy + ?Sized> EvictionPolicy for Box<P> {
     fn name(&self) -> &'static str {
         (**self).name()
     }
-    fn victim(&mut self, view: &SetView<'_>) -> Way {
-        (**self).victim(view)
+    fn victim(&mut self, residents: &dyn Residents) -> Way {
+        (**self).victim(residents)
     }
     fn on_hit(&mut self, block: BlockAddr, way: Way, cost: Cost, is_lru: bool) {
         (**self).on_hit(block, way, cost, is_lru);
@@ -112,25 +160,42 @@ impl<P: EvictionPolicy + ?Sized> EvictionPolicy for Box<P> {
     }
 }
 
-/// The shared tail of every rank-based `victim`: reports the eviction of the
-/// view entry at `pos` — and, when that is not the LRU entry, the LRU block
+/// The shared tail of every rank- or queue-based `victim`: reports the
+/// eviction of `chosen` — and, when that is not the LRU entry, the LRU block
 /// it spared as a reservation, so non-LRU picks show up in decision traces —
 /// and returns the chosen way.
-pub(crate) fn report_victim(obs: &impl Observer, view: &SetView<'_>, pos: usize) -> Way {
-    let chosen = view.at(pos);
+pub(crate) fn report_victim(
+    obs: &impl Observer,
+    residents: &dyn Residents,
+    chosen: WayView,
+) -> Way {
     obs.on_evict(chosen.block, chosen.cost);
-    if pos + 1 != view.len() {
-        obs.on_reserve(view.lru().block, chosen.block, chosen.cost);
+    let lru = residents.lru();
+    if lru.way != chosen.way {
+        obs.on_reserve(lru.block, chosen.block, chosen.cost);
     }
     chosen.way
 }
 
-/// Where the queue cores' choice sits in the view: the position of the `way`
-/// `block` was filled into, provided that entry still is `block` (a core
-/// hot-attached to a warm region, or desynced, may name one the view lacks).
-pub(crate) fn position_in(view: &SetView<'_>, way: Way, block: BlockAddr) -> Option<usize> {
-    view.position_of(way)
-        .filter(|&pos| view.at(pos).block == block)
+/// The entry the queue cores' choice names: the one in the `way` `block` was
+/// filled into, provided it still is `block` (a core hot-attached to a warm
+/// region, or desynced, may name one the region lacks).
+pub(crate) fn resident_in(
+    residents: &dyn Residents,
+    way: Way,
+    block: BlockAddr,
+) -> Option<WayView> {
+    residents.at_way(way).filter(|e| e.block == block)
+}
+
+/// The one rule that bounds every lazily-deleted queue: compact (keep the
+/// live entries, in order) once the stale entries outnumber the live ones by
+/// more than a constant. A compaction is O(`len`) and at least `len / 2`
+/// pushes precede the next one, so queue upkeep stays O(1) amortized and no
+/// queue exceeds `2 * live + 16` entries.
+#[must_use]
+pub fn overgrown(len: usize, live: usize) -> bool {
+    len > 2 * live + 16
 }
 
 /// Plain LRU as an [`EvictionPolicy`]: evict the LRU block, keep no state
@@ -164,8 +229,8 @@ impl<O: Observer> EvictionPolicy for LruCore<O> {
         "LRU"
     }
 
-    fn victim(&mut self, view: &SetView<'_>) -> Way {
-        let lru = view.lru();
+    fn victim(&mut self, residents: &dyn Residents) -> Way {
+        let lru = residents.lru();
         self.obs.on_evict(lru.block, lru.cost);
         lru.way
     }
@@ -260,7 +325,6 @@ impl<C: EvictionPolicy> ReplacementPolicy for PerSet<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_sim::WayView;
 
     fn entries(costs: &[(u64, u64)]) -> Vec<WayView> {
         costs
@@ -281,6 +345,24 @@ mod tests {
         let mut core = LruCore::new();
         assert_eq!(core.victim(&SetView::new(&e)), Way(2));
         assert_eq!(core.name(), "LRU");
+    }
+
+    #[test]
+    fn set_view_answers_the_three_questions() {
+        // MRU → LRU: costs 1, 4, 1, 9 in ways 0..4.
+        let e = entries(&[(10, 1), (11, 4), (12, 1), (13, 9)]);
+        let view = SetView::new(&e);
+        let r: &dyn Residents = &view;
+        assert_eq!(r.lru().block, BlockAddr(13));
+        assert_eq!(r.at_way(Way(1)).map(|e| e.block), Some(BlockAddr(11)));
+        assert_eq!(r.at_way(Way(4)), None);
+        // Nearest the LRU end first; the bound is strict.
+        assert_eq!(r.lru_most_cheaper_than(9).map(|e| e.way), Some(Way(2)));
+        assert_eq!(r.lru_most_cheaper_than(1), None);
+        // The LRU entry is never its own stand-in.
+        let only_lru_is_cheap = entries(&[(1, 5), (2, 5), (3, 0)]);
+        let view = SetView::new(&only_lru_is_cheap);
+        assert_eq!(view.lru_most_cheaper_than(5), None);
     }
 
     #[test]

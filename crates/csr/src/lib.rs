@@ -23,7 +23,8 @@
 //!
 //! * **LRU** — [`LruCore`], the baseline ([`eviction`]);
 //! * **reservation** — [`BclCore`], [`DclCore`], [`AclCore`]: the paper's
-//!   LRU extensions, sharing the Fig.-1 scan and `Acost` tracker;
+//!   LRU extensions, sharing Fig. 1's scan (asked of the driver) and the
+//!   `Acost` tracker;
 //! * **rank** — [`GdCore`], [`GdsfCore`], [`LfudaCore`]: one
 //!   inflation-offset [`RankCore`] with three key functions ([`rank`]);
 //! * **queue** — [`S3FifoCore`] (small/main/ghost FIFOs, scan-resistant),
@@ -37,9 +38,10 @@
 //! A core is never driven directly; exactly two drivers speak
 //! its protocol, one per layer, and both enforce the same contract
 //! (`on_hit` before promotion, `on_miss` with the LRU pair before victim
-//! selection, `victim` once per replacement over an MRU → LRU view — the
-//! only notification that carries a view — `on_fill` after linking,
-//! `on_remove` for every other departure):
+//! selection, `victim` once per replacement with the driver answering as
+//! [`Residents`] — the LRU entry, the entry in a way, the entry nearest the
+//! LRU end cheaper than a bound — `on_fill` after linking, `on_remove` for
+//! every other departure):
 //!
 //! * [`PerSet<C>`] — the simulator's driver: one core per cache set behind
 //!   [`cache_sim::ReplacementPolicy`], statically dispatched. The
@@ -48,8 +50,9 @@
 //!   (`Dcl<O>` is `PerSet<DclCore<O>>`); per-set state is read through
 //!   [`PerSet::core`].
 //! * `csr_cache::Region<T>` — the key-value driver: one boxed core over a
-//!   slab and recency list of arbitrary size, shared by the cache's shards
-//!   and the adaptive selector's ghost caches.
+//!   slab of arbitrary size whose recency order is kept as one list per
+//!   distinct cost, shared by the cache's shards and the adaptive
+//!   selector's ghost caches.
 //!
 //! Supporting modules: the [`etd`] shadow directory, clairvoyant baselines
 //! in [`opt`], and the Section 5 hardware-overhead model in [`hw`].
@@ -127,7 +130,7 @@ pub use csopt::{simulate_csopt, CsoptLimits};
 pub use csr_obs::{NopObserver, Observer};
 pub use dcl::{Dcl, DclCore};
 pub use etd::{EtdConfig, EtdSet, EtdStats};
-pub use eviction::{EvictionPolicy, LruCore, PerSet};
+pub use eviction::{EvictionPolicy, LruCore, PerSet, Residents};
 pub use hw::{CostSource, HwParams, HwPolicy};
 pub use opt::{simulate_belady, simulate_cost_greedy, OfflineStats, TraceEvent};
 pub use rank::{GdCore, Gdsf, GdsfCore, GreedyDual, Lfuda, LfudaCore, RankCore};

@@ -17,18 +17,38 @@
 //! | [`GdsfCore`] / [`Gdsf`] | `freq · cost` | Cherkasova 1998 |
 //! | [`LfudaCore`] / [`Lfuda`] | `freq` | Arlitt et al. 2000 |
 //!
+//! The core keeps its own recency order (a clock value per way, renewed on
+//! every fill and hit) and finds the argmin of `(prio, clock)` itself. A
+//! cache set's few ways are simply scanned. A larger region — a key-value
+//! shard has tens of thousands — gets a min-heap, refreshed lazily: a fill
+//! queues the way once, a hit only rewrites the way's rank. `L` never
+//! decreases and `key` never falls with `freq`, so a hit can only raise
+//! `prio` — every queued entry is a lower bound of its way's true rank, and
+//! the first top that is still exact is the minimum (Young, *On-Line File
+//! Caching*). A top that a hit has outdated is requeued at its current rank;
+//! one a refill superseded, or whose way the driver has vacated, is dropped.
+//! An eviction there costs O(log ways) amortized and visits no survivor.
+//!
 //! The single-region logic lives in [`RankCore`] (an [`EvictionPolicy`]);
 //! the `PerSet` aliases replicate one core per set for the simulator.
 
-use crate::eviction::{report_victim, EvictionPolicy, PerSet};
-use cache_sim::{BlockAddr, Cost, Geometry, SetView, Way};
+use crate::eviction::{overgrown, report_victim, EvictionPolicy, PerSet, Residents};
+use cache_sim::{BlockAddr, Cost, Geometry, Way, WayView};
 use csr_obs::{NopObserver, Observer};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// The values of [`RankCore`]'s `KEY`, indexing [`NAMES`].
 const COST: u8 = 0;
 const FREQ_COST: u8 = 1;
 const FREQ: u8 = 2;
 const NAMES: [&str; 3] = ["GD", "GDSF", "LFUDA"];
+
+/// Regions of at most this many ways are scanned; larger ones keep the heap.
+/// The simulator holds a core per cache set, thousands of them, and what a
+/// core keeps per way is what it costs there: at the paper's 4 ways a scan
+/// is a comparison per way, the heap some 20 ns and 32 bytes a way more.
+const SCAN_WAYS: usize = 8;
 
 /// What the core remembers per way.
 #[derive(Debug, Clone, Copy, Default)]
@@ -37,6 +57,46 @@ struct Rank {
     freq: u64,
     /// `L-at-last-touch + key(freq, cost)`.
     prio: u64,
+    /// The core clock at the last touch (fill or hit): the way's place in
+    /// the recency order, which breaks ties between equal priorities.
+    touched: u64,
+}
+
+/// What a region too large to scan keeps beside its ranks.
+#[derive(Debug, Clone)]
+struct Lazy {
+    /// Min-heap of `(prio, touched, way)` as of the push; see the module
+    /// docs for when an entry is exact, outdated or dead.
+    heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    /// Per way, the `touched` value its one live heap entry carries.
+    queued: Vec<u64>,
+}
+
+impl Lazy {
+    /// Queues `way` at `rank`, superseding the entry it had.
+    fn push(&mut self, way: usize, rank: Rank) {
+        self.queued[way] = rank.touched;
+        self.heap.push(Reverse((rank.prio, rank.touched, way)));
+    }
+
+    /// The resident of least `(prio, touched)`, off the heap.
+    fn pop_least(&mut self, ranks: &[Rank], residents: &dyn Residents) -> Option<(u64, WayView)> {
+        while let Some(Reverse((prio, touched, way))) = self.heap.pop() {
+            if self.queued[way] != touched {
+                continue; // superseded by a refill of the way
+            }
+            let Some(resident) = residents.at_way(Way(way)) else {
+                continue; // the block left without being chosen here
+            };
+            if ranks[way].touched != touched {
+                // Hit since it was queued: requeue at its current rank.
+                self.push(way, ranks[way]);
+                continue;
+            }
+            return Some((prio, resident));
+        }
+        None
+    }
 }
 
 /// The inflation-offset rank core for a single replacement region of a
@@ -45,8 +105,12 @@ struct Rank {
 #[derive(Debug, Clone)]
 pub struct RankCore<const KEY: u8, O: Observer = NopObserver> {
     ranks: Vec<Rank>,
+    /// `None` for a region of at most [`SCAN_WAYS`] ways, which is scanned.
+    lazy: Option<Box<Lazy>>,
     /// The inflation offset `L`: the priority of the last evicted block.
     age: u64,
+    /// Counts touches; never repeats a value, starts above `Rank::default`.
+    clock: u64,
     obs: O,
 }
 
@@ -94,7 +158,14 @@ impl<const KEY: u8> RankCore<KEY> {
         const { assert!(KEY <= FREQ, "KEY is one of COST, FREQ_COST, FREQ") };
         RankCore {
             ranks: vec![Rank::default(); ways],
+            lazy: (ways > SCAN_WAYS).then(|| {
+                Box::new(Lazy {
+                    heap: BinaryHeap::new(),
+                    queued: vec![0; ways],
+                })
+            }),
             age: 0,
+            clock: 0,
             obs: NopObserver,
         }
     }
@@ -107,29 +178,58 @@ impl<const KEY: u8, O: Observer> RankCore<KEY, O> {
         self.age
     }
 
+    /// Entries in the lazy heap, dead ones included (bounded by
+    /// [`overgrown`] against the number of ways).
+    #[must_use]
+    pub fn queued(&self) -> usize {
+        self.lazy.as_ref().map_or(0, |lazy| lazy.heap.len())
+    }
+
     /// Attaches a decision observer, replacing any existing one.
     #[must_use]
     pub fn with_observer<O2: Observer>(self, obs: O2) -> RankCore<KEY, O2> {
         RankCore {
             ranks: self.ranks,
+            lazy: self.lazy,
             age: self.age,
+            clock: self.clock,
             obs,
         }
     }
 
+    /// The resident of least `(prio, touched)` — ties resolve toward the LRU
+    /// end — by looking at every way this core has filled.
+    fn scan(&mut self, residents: &dyn Residents) -> Option<(u64, WayView)> {
+        loop {
+            let filled = self
+                .ranks
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| r.touched != 0);
+            let (way, rank) = filled.min_by_key(|(_, r)| (r.prio, r.touched))?;
+            if let Some(resident) = residents.at_way(Way(way)) {
+                return Some((rank.prio, resident));
+            }
+            // The block left without being chosen here: forget its rank.
+            self.ranks[way].touched = 0;
+        }
+    }
+
     /// Stamps `way` with `freq` accesses since its fill at the current
-    /// offset.
-    fn stamp(&mut self, way: Way, freq: u64, cost: Cost) {
+    /// offset and moves it to the MRU end of the core's recency order.
+    fn stamp(&mut self, way: Way, freq: u64, cost: Cost) -> &mut Rank {
         let key = match KEY {
             COST => cost.0,
             // When sizes arrive, the division lands here.
             FREQ_COST => freq.saturating_mul(cost.0),
             _ => freq,
         };
-        self.ranks[way.0] = Rank {
-            freq,
-            prio: self.age.saturating_add(key),
-        };
+        self.clock += 1;
+        let rank = &mut self.ranks[way.0];
+        rank.freq = freq;
+        rank.prio = self.age.saturating_add(key);
+        rank.touched = self.clock;
+        rank
     }
 }
 
@@ -138,21 +238,19 @@ impl<const KEY: u8, O: Observer> EvictionPolicy for RankCore<KEY, O> {
         NAMES[KEY as usize]
     }
 
-    fn victim(&mut self, view: &SetView<'_>) -> Way {
-        // Minimum-prio block; scanning LRU -> MRU with a strict `<` makes
-        // ties resolve toward the LRU end.
-        let mut best: Option<(usize, u64)> = None;
-        for (pos, e) in view.iter().enumerate().rev() {
-            let val = self.ranks[e.way.0].prio;
-            match best {
-                Some((_, b)) if b <= val => {}
-                _ => best = Some((pos, val)),
-            }
-        }
-        let (pos, min) = best.expect("victim() requires a non-empty set");
+    fn victim(&mut self, residents: &dyn Residents) -> Way {
+        let least = match &mut self.lazy {
+            None => self.scan(residents),
+            Some(lazy) => lazy.pop_least(&self.ranks, residents),
+        };
+        // Nothing this core ranked is resident (fresh or desynced core):
+        // the LRU block goes.
+        let Some((prio, chosen)) = least else {
+            return report_victim(&self.obs, residents, residents.lru());
+        };
         // Inflation: the evicted priority becomes the region offset.
-        self.age = self.age.max(min);
-        report_victim(&self.obs, view, pos)
+        self.age = self.age.max(prio);
+        report_victim(&self.obs, residents, chosen)
     }
 
     fn on_hit(&mut self, block: BlockAddr, way: Way, cost: Cost, _is_lru: bool) {
@@ -166,7 +264,15 @@ impl<const KEY: u8, O: Observer> EvictionPolicy for RankCore<KEY, O> {
     }
 
     fn on_fill(&mut self, _block: BlockAddr, way: Way, cost: Cost) {
-        self.stamp(way, 1, cost);
+        let rank = *self.stamp(way, 1, cost);
+        let Some(lazy) = &mut self.lazy else {
+            return;
+        };
+        lazy.push(way.0, rank);
+        let Lazy { heap, queued } = &mut **lazy;
+        if overgrown(heap.len(), queued.len()) {
+            heap.retain(|Reverse((_, t, w))| queued[*w] == *t);
+        }
     }
 }
 

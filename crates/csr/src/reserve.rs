@@ -8,22 +8,7 @@
 //! tracked block is hit, evicted or invalidated (each of which ends its stay
 //! in the LRU position).
 
-use cache_sim::{BlockAddr, Cost, SetView, Way};
-
-/// The Figure-1 victim scan shared by BCL, DCL and ACL: walk the LRU stack
-/// from the second-LRU position toward the MRU and return the first block
-/// whose miss cost is strictly below `acost` (the reserved LRU block's
-/// depreciated cost), together with its stack position. `None` means no
-/// reservation is possible and the LRU block itself must go.
-pub(crate) fn reservation_victim(view: &SetView<'_>, acost: u64) -> Option<(Way, usize)> {
-    for pos in (0..view.len().saturating_sub(1)).rev() {
-        let e = view.at(pos);
-        if e.cost.0 < acost {
-            return Some((e.way, pos));
-        }
-    }
-    None
-}
+use cache_sim::{BlockAddr, Cost};
 
 /// Per-set `Acost` state: which block is being tracked in the LRU position
 /// and its remaining (depreciated) cost.
@@ -34,23 +19,10 @@ pub(crate) struct AcostTracker {
 }
 
 impl AcostTracker {
-    /// Reloads `Acost` from the current LRU block if the LRU identity
+    /// Reloads `Acost` from the current LRU block `lru` if the LRU identity
     /// changed since the last synchronization ("upon entering LRU position:
     /// Acost <- c(s)"). No-op while the same block stays in the LRU position,
     /// preserving accumulated depreciation.
-    pub(crate) fn sync(&mut self, view: &SetView<'_>) {
-        let lru = if view.is_empty() {
-            None
-        } else {
-            let l = view.lru();
-            Some((l.block, l.cost))
-        };
-        self.sync_to(lru);
-    }
-
-    /// [`sync`](Self::sync) from an already-known LRU identity and cost —
-    /// the O(1) form consumers without a materialized [`SetView`] (e.g. a
-    /// linked-list shard) use.
     pub(crate) fn sync_to(&mut self, lru: Option<(BlockAddr, Cost)>) {
         match lru {
             None => {
@@ -81,7 +53,7 @@ impl AcostTracker {
         self.lru_block
     }
 
-    /// Forgets the tracked block; the next [`sync`](Self::sync) reloads.
+    /// Forgets the tracked block; the next [`sync_to`](Self::sync_to) reloads.
     pub(crate) fn reset(&mut self) {
         self.lru_block = None;
         self.acost = 0;
@@ -100,68 +72,50 @@ impl AcostTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_sim::{Cost, Way, WayView};
 
-    fn view_of(entries: &[WayView]) -> SetView<'_> {
-        SetView::new(entries)
-    }
-
-    fn entries(costs: &[(u64, u64)]) -> Vec<WayView> {
-        costs
-            .iter()
-            .enumerate()
-            .map(|(i, &(b, c))| WayView {
-                way: Way(i),
-                block: BlockAddr(b),
-                cost: Cost(c),
-                dirty: false,
-            })
-            .collect()
+    /// `(block, cost)` of an LRU entry.
+    fn lru(block: u64, cost: u64) -> Option<(BlockAddr, Cost)> {
+        Some((BlockAddr(block), Cost(cost)))
     }
 
     #[test]
     fn sync_loads_lru_cost_once() {
-        let e = entries(&[(1, 2), (2, 8)]); // LRU = block 2 with cost 8
         let mut t = AcostTracker::default();
-        t.sync(&view_of(&e));
+        t.sync_to(lru(2, 8));
         assert_eq!(t.acost(), 8);
         t.depreciate(Cost(3));
         assert_eq!(t.acost(), 5);
         // Same LRU: depreciation persists across syncs.
-        t.sync(&view_of(&e));
+        t.sync_to(lru(2, 8));
         assert_eq!(t.acost(), 5);
     }
 
     #[test]
     fn sync_reloads_on_lru_change() {
-        let e1 = entries(&[(1, 2), (2, 8)]);
         let mut t = AcostTracker::default();
-        t.sync(&view_of(&e1));
+        t.sync_to(lru(2, 8));
         t.depreciate(Cost(8));
         assert_eq!(t.acost(), 0);
-        let e2 = entries(&[(2, 8), (3, 4)]); // new LRU = block 3
-        t.sync(&view_of(&e2));
+        t.sync_to(lru(3, 4));
         assert_eq!(t.acost(), 4);
     }
 
     #[test]
     fn departure_of_tracked_block_resets() {
-        let e = entries(&[(1, 2), (2, 8)]);
         let mut t = AcostTracker::default();
-        t.sync(&view_of(&e));
+        t.sync_to(lru(2, 8));
         t.depreciate(Cost(6));
         t.note_departure(BlockAddr(2));
         assert_eq!(t.tracked(), None);
         // Same block back in LRU position: Acost reloads fully.
-        t.sync(&view_of(&e));
+        t.sync_to(lru(2, 8));
         assert_eq!(t.acost(), 8);
     }
 
     #[test]
     fn departure_of_other_block_is_ignored() {
-        let e = entries(&[(1, 2), (2, 8)]);
         let mut t = AcostTracker::default();
-        t.sync(&view_of(&e));
+        t.sync_to(lru(2, 8));
         t.depreciate(Cost(1));
         t.note_departure(BlockAddr(1));
         assert_eq!(t.tracked(), Some(BlockAddr(2)));
@@ -170,20 +124,18 @@ mod tests {
 
     #[test]
     fn depreciation_saturates() {
-        let e = entries(&[(1, 2), (2, 8)]);
         let mut t = AcostTracker::default();
-        t.sync(&view_of(&e));
+        t.sync_to(lru(2, 8));
         t.depreciate(Cost(100));
         assert_eq!(t.acost(), 0);
     }
 
     #[test]
-    fn empty_view_clears() {
+    fn empty_region_clears() {
         let mut t = AcostTracker::default();
-        let e = entries(&[(1, 5)]);
-        t.sync(&view_of(&e));
+        t.sync_to(lru(1, 5));
         assert_eq!(t.acost(), 5);
-        t.sync(&view_of(&[]));
+        t.sync_to(None);
         assert_eq!(t.tracked(), None);
     }
 }

@@ -10,6 +10,12 @@
 //! lazy second-chance: a head with non-zero frequency is decremented and
 //! reinserted at the tail.
 //!
+//! Small and main are lazy-deletion queues: every fill carries a fresh
+//! sequence number, and an entry is live only while the block's metadata
+//! still names that sequence and queue, so a removal is O(1) and stale
+//! entries are skipped when they surface at a head (or compacted away once
+//! they outnumber the live ones).
+//!
 //! The design is scan-resistant by construction (a sequential scan flows
 //! through the small queue and the ghost without ever displacing main) and
 //! needs no per-access pointer surgery, which is why it beats LRU-family
@@ -21,8 +27,8 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`S3Fifo`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{position_in, report_victim, EvictionPolicy, PerSet};
-use cache_sim::{BlockAddr, Cost, Geometry, SetView, Way};
+use crate::eviction::{overgrown, report_victim, resident_in, EvictionPolicy, PerSet, Residents};
+use cache_sim::{BlockAddr, Cost, Geometry, Way};
 use csr_obs::{NopObserver, Observer};
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -33,17 +39,28 @@ const FREQ_CAP: u8 = 3;
 struct S3Meta {
     freq: u8,
     in_small: bool,
+    seq: u64,
     /// The way the block was filled into.
     way: Way,
+}
+
+type Meta = HashMap<BlockAddr, S3Meta>;
+
+/// Whether queue entry `(block, seq)` of the small (`in_small`) or main
+/// queue is the live one of a resident block.
+fn live(meta: &Meta, (block, seq): (BlockAddr, u64), in_small: bool) -> bool {
+    meta.get(&block)
+        .is_some_and(|m| m.in_small == in_small && m.seq == seq)
 }
 
 /// S3-FIFO for a single replacement region of a fixed number of ways.
 #[derive(Debug, Clone)]
 pub struct S3FifoCore<O: Observer = NopObserver> {
     /// Resident blocks only; absence means the block is not tracked.
-    meta: HashMap<BlockAddr, S3Meta>,
-    small: VecDeque<BlockAddr>,
-    main: VecDeque<BlockAddr>,
+    meta: Meta,
+    /// FIFO order front → back; entries are `(block, seq)`, see [`live`].
+    small: VecDeque<(BlockAddr, u64)>,
+    main: VecDeque<(BlockAddr, u64)>,
     /// Ghost keys, FIFO order. Entries may be stale (rescued keys stay in
     /// the deque until they reach the front); `ghost_set` is authoritative.
     ghost_fifo: VecDeque<BlockAddr>,
@@ -54,6 +71,7 @@ pub struct S3FifoCore<O: Observer = NopObserver> {
     small_target: usize,
     ghost_cap: usize,
     ways: usize,
+    next_seq: u64,
     obs: O,
 }
 
@@ -72,6 +90,7 @@ impl S3FifoCore {
             small_target: (ways / 10).max(1),
             ghost_cap: ways.max(1),
             ways,
+            next_seq: 0,
             obs: NopObserver,
         }
     }
@@ -92,28 +111,56 @@ impl<O: Observer> S3FifoCore<O> {
             small_target: self.small_target,
             ghost_cap: self.ghost_cap,
             ways: self.ways,
+            next_seq: self.next_seq,
             obs,
         }
     }
 
-    /// Pops small-queue heads until one is live in the small queue.
-    fn pop_live_small(&mut self) -> Option<BlockAddr> {
-        while let Some(b) = self.small.pop_front() {
-            if self.meta.get(&b).is_some_and(|m| m.in_small) {
-                return Some(b);
+    /// Entries in the small and main queues, stale ones included (each
+    /// bounded by [`overgrown`] against the resident blocks).
+    #[must_use]
+    pub fn queued(&self) -> usize {
+        self.small.len() + self.main.len()
+    }
+
+    /// Pops heads of the small (`in_small`) or main queue until one is live
+    /// there.
+    fn pop_live(&mut self, in_small: bool) -> Option<(BlockAddr, u64)> {
+        let queue = if in_small {
+            &mut self.small
+        } else {
+            &mut self.main
+        };
+        while let Some(e) = queue.pop_front() {
+            if live(&self.meta, e, in_small) {
+                return Some(e);
             }
         }
         None
     }
 
-    /// Pops main-queue heads until one is live in the main queue.
-    fn pop_live_main(&mut self) -> Option<BlockAddr> {
-        while let Some(b) = self.main.pop_front() {
-            if self.meta.get(&b).is_some_and(|m| !m.in_small) {
-                return Some(b);
-            }
+    /// Tracks the newly filled `block` at the tail of the small (`in_small`)
+    /// or main queue.
+    fn enqueue(&mut self, block: BlockAddr, way: Way, in_small: bool) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let meta = S3Meta {
+            freq: 0,
+            in_small,
+            seq,
+            way,
+        };
+        self.meta.insert(block, meta);
+        let (queue, len) = if in_small {
+            (&mut self.small, &mut self.small_len)
+        } else {
+            (&mut self.main, &mut self.main_len)
+        };
+        queue.push_back((block, seq));
+        *len += 1;
+        if overgrown(queue.len(), self.meta.len()) {
+            queue.retain(|&e| live(&self.meta, e, in_small));
         }
-        None
     }
 
     /// Records an evicted key in the bounded ghost FIFO.
@@ -144,7 +191,7 @@ impl<O: Observer> EvictionPolicy for S3FifoCore<O> {
         "S3-FIFO"
     }
 
-    fn victim(&mut self, view: &SetView<'_>) -> Way {
+    fn victim(&mut self, residents: &dyn Residents) -> Way {
         // Every pass either evicts, promotes a small head (at most once per
         // live block), or decrements a main head's frequency (at most
         // FREQ_CAP times per block), so the bound below is generous.
@@ -153,7 +200,7 @@ impl<O: Observer> EvictionPolicy for S3FifoCore<O> {
             guard -= 1;
             let from_small = self.small_len > self.small_target || self.main_len == 0;
             if from_small {
-                let Some(b) = self.pop_live_small() else {
+                let Some((b, seq)) = self.pop_live(true) else {
                     self.small_len = 0;
                     if self.main_len == 0 {
                         break;
@@ -166,19 +213,19 @@ impl<O: Observer> EvictionPolicy for S3FifoCore<O> {
                     if let Some(m) = self.meta.get_mut(&b) {
                         m.in_small = false;
                     }
-                    self.main.push_back(b);
+                    self.main.push_back((b, seq));
                     self.small_len -= 1;
                     self.main_len += 1;
                     continue;
                 }
                 self.small_len -= 1;
                 let way = self.meta.remove(&b).map(|m| m.way);
-                if let Some(pos) = way.and_then(|w| position_in(view, w, b)) {
+                if let Some(chosen) = way.and_then(|w| resident_in(residents, w, b)) {
                     self.ghost_insert(b);
-                    return report_victim(&self.obs, view, pos);
+                    return report_victim(&self.obs, residents, chosen);
                 }
             } else {
-                let Some(b) = self.pop_live_main() else {
+                let Some((b, seq)) = self.pop_live(false) else {
                     self.main_len = 0;
                     if self.small_len == 0 {
                         break;
@@ -191,19 +238,19 @@ impl<O: Observer> EvictionPolicy for S3FifoCore<O> {
                     if let Some(m) = self.meta.get_mut(&b) {
                         m.freq -= 1;
                     }
-                    self.main.push_back(b);
+                    self.main.push_back((b, seq));
                     continue;
                 }
                 self.main_len -= 1;
                 let way = self.meta.remove(&b).map(|m| m.way);
-                if let Some(pos) = way.and_then(|w| position_in(view, w, b)) {
-                    return report_victim(&self.obs, view, pos);
+                if let Some(chosen) = way.and_then(|w| resident_in(residents, w, b)) {
+                    return report_victim(&self.obs, residents, chosen);
                 }
             }
         }
-        // The queues know nothing about this view (fresh core, or one hot-
+        // The queues know nothing about this region (fresh core, or one hot-
         // attached to a warm region): fall back to the LRU block.
-        let lru = view.lru();
+        let lru = residents.lru();
         if let Some(m) = self.meta.remove(&lru.block) {
             if m.in_small {
                 self.small_len = self.small_len.saturating_sub(1);
@@ -211,7 +258,7 @@ impl<O: Observer> EvictionPolicy for S3FifoCore<O> {
                 self.main_len = self.main_len.saturating_sub(1);
             }
         }
-        report_victim(&self.obs, view, view.len() - 1)
+        report_victim(&self.obs, residents, lru)
     }
 
     fn on_hit(&mut self, block: BlockAddr, _way: Way, cost: Cost, _is_lru: bool) {
@@ -233,29 +280,9 @@ impl<O: Observer> EvictionPolicy for S3FifoCore<O> {
             m.way = way;
             return;
         }
-        if self.ghost_set.remove(&block) {
-            self.meta.insert(
-                block,
-                S3Meta {
-                    freq: 0,
-                    in_small: false,
-                    way,
-                },
-            );
-            self.main.push_back(block);
-            self.main_len += 1;
-        } else {
-            self.meta.insert(
-                block,
-                S3Meta {
-                    freq: 0,
-                    in_small: true,
-                    way,
-                },
-            );
-            self.small.push_back(block);
-            self.small_len += 1;
-        }
+        // A ghosted key proved reuse beyond one pass: straight to main.
+        let in_small = !self.ghost_set.remove(&block);
+        self.enqueue(block, way, in_small);
     }
 
     fn on_remove(&mut self, block: BlockAddr) {
@@ -291,7 +318,7 @@ impl<O: Observer> S3Fifo<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_sim::{AccessType, Cache, WayView};
+    use cache_sim::{AccessType, Cache, SetView, WayView};
 
     /// One-set, 8-way cache (small target 1).
     fn cache8() -> Cache<S3Fifo> {

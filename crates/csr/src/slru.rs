@@ -11,14 +11,15 @@
 //! Both segments are lazy-deletion queues: every enqueue carries a fresh
 //! sequence number, and an entry is live only while the block's metadata
 //! still names that sequence, so hits and demotions are O(1) with stale
-//! entries skipped when they surface at a queue head.
+//! entries skipped when they surface at a queue head (or compacted away
+//! once they outnumber the live ones).
 //!
 //! The single-region logic lives in [`SlruCore`] (an
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`Slru`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{position_in, report_victim, EvictionPolicy, PerSet};
-use cache_sim::{BlockAddr, Cost, Geometry, SetView, Way};
+use crate::eviction::{overgrown, report_victim, resident_in, EvictionPolicy, PerSet, Residents};
+use cache_sim::{BlockAddr, Cost, Geometry, Way};
 use csr_obs::{NopObserver, Observer};
 use std::collections::{HashMap, VecDeque};
 
@@ -30,12 +31,21 @@ struct SlruMeta {
     way: Way,
 }
 
+type Meta = HashMap<BlockAddr, SlruMeta>;
+
+/// Whether queue entry `(block, seq)` of the protected (`protected`) or
+/// probationary segment is the live one of a resident block.
+fn live(meta: &Meta, (block, seq): (BlockAddr, u64), protected: bool) -> bool {
+    meta.get(&block)
+        .is_some_and(|m| m.protected == protected && m.seq == seq)
+}
+
 /// SLRU for a single replacement region of a fixed number of ways.
 #[derive(Debug, Clone)]
 pub struct SlruCore<O: Observer = NopObserver> {
     /// Resident blocks only; names the live queue entry per block.
-    meta: HashMap<BlockAddr, SlruMeta>,
-    /// LRU order front → back; entries live iff `(block, seq)` matches.
+    meta: Meta,
+    /// LRU order front → back; entries are `(block, seq)`, see [`live`].
     prob: VecDeque<(BlockAddr, u64)>,
     prot: VecDeque<(BlockAddr, u64)>,
     prob_len: usize,
@@ -78,35 +88,43 @@ impl<O: Observer> SlruCore<O> {
         }
     }
 
-    fn seq(&mut self) -> u64 {
-        let s = self.next_seq;
+    /// Entries in the two segment queues, stale ones included (each
+    /// bounded by [`overgrown`] against the resident blocks).
+    #[must_use]
+    pub fn queued(&self) -> usize {
+        self.prob.len() + self.prot.len()
+    }
+
+    /// Enqueues `block` at the MRU end of the protected (`protected`) or
+    /// probationary segment under a fresh sequence number, which it returns
+    /// for the block's metadata to name.
+    fn push(&mut self, block: BlockAddr, protected: bool) -> u64 {
+        let seq = self.next_seq;
         self.next_seq += 1;
-        s
-    }
-
-    /// Pops probationary heads until one is live there.
-    fn pop_live_prob(&mut self) -> Option<BlockAddr> {
-        while let Some((b, seq)) = self.prob.pop_front() {
-            if self
-                .meta
-                .get(&b)
-                .is_some_and(|m| !m.protected && m.seq == seq)
-            {
-                return Some(b);
-            }
+        let queue = if protected {
+            &mut self.prot
+        } else {
+            &mut self.prob
+        };
+        queue.push_back((block, seq));
+        if overgrown(queue.len(), self.meta.len()) {
+            // The entry just pushed is not named by `meta` yet: keep it.
+            queue.retain(|&e| e.1 == seq || live(&self.meta, e, protected));
         }
-        None
+        seq
     }
 
-    /// Pops protected heads until one is live there.
-    fn pop_live_prot(&mut self) -> Option<BlockAddr> {
-        while let Some((b, seq)) = self.prot.pop_front() {
-            if self
-                .meta
-                .get(&b)
-                .is_some_and(|m| m.protected && m.seq == seq)
-            {
-                return Some(b);
+    /// Pops heads of the protected (`protected`) or probationary segment
+    /// until one is live there.
+    fn pop_live(&mut self, protected: bool) -> Option<BlockAddr> {
+        let queue = if protected {
+            &mut self.prot
+        } else {
+            &mut self.prob
+        };
+        while let Some(e) = queue.pop_front() {
+            if live(&self.meta, e, protected) {
+                return Some(e.0);
             }
         }
         None
@@ -118,17 +136,17 @@ impl<O: Observer> EvictionPolicy for SlruCore<O> {
         "SLRU"
     }
 
-    fn victim(&mut self, view: &SetView<'_>) -> Way {
+    fn victim(&mut self, residents: &dyn Residents) -> Way {
         // Probationary LRU end first, then protected LRU end; skip blocks
-        // the view does not contain (a core hot-attached to a warm region).
+        // the region does not hold (a core hot-attached to a warm region).
         let mut guard = self.prob.len() + self.prot.len() + 2;
         while guard > 0 {
             guard -= 1;
-            let (b, from_prob) = match self.pop_live_prob() {
+            let (b, from_prob) = match self.pop_live(false) {
                 Some(b) => (b, true),
                 None => {
                     self.prob_len = 0;
-                    match self.pop_live_prot() {
+                    match self.pop_live(true) {
                         Some(b) => (b, false),
                         None => break,
                     }
@@ -140,12 +158,12 @@ impl<O: Observer> EvictionPolicy for SlruCore<O> {
                 self.prot_len = self.prot_len.saturating_sub(1);
             }
             let way = self.meta.remove(&b).map(|m| m.way);
-            if let Some(pos) = way.and_then(|w| position_in(view, w, b)) {
-                return report_victim(&self.obs, view, pos);
+            if let Some(chosen) = way.and_then(|w| resident_in(residents, w, b)) {
+                return report_victim(&self.obs, residents, chosen);
             }
         }
         // Fresh or desynced core: evict the LRU block.
-        let lru = view.lru();
+        let lru = residents.lru();
         if let Some(m) = self.meta.remove(&lru.block) {
             if m.protected {
                 self.prot_len = self.prot_len.saturating_sub(1);
@@ -153,30 +171,29 @@ impl<O: Observer> EvictionPolicy for SlruCore<O> {
                 self.prob_len = self.prob_len.saturating_sub(1);
             }
         }
-        report_victim(&self.obs, view, view.len() - 1)
+        report_victim(&self.obs, residents, lru)
     }
 
     fn on_hit(&mut self, block: BlockAddr, _way: Way, cost: Cost, _is_lru: bool) {
-        let seq = self.seq();
-        if let Some(m) = self.meta.get_mut(&block) {
-            if !m.protected {
-                self.prob_len = self.prob_len.saturating_sub(1);
-                self.prot_len += 1;
-            } else {
-                // Re-enqueue at the protected MRU end (length unchanged).
+        if self.meta.contains_key(&block) {
+            // (Re-)enqueue at the protected MRU end.
+            let seq = self.push(block, true);
+            if let Some(m) = self.meta.get_mut(&block) {
+                if !m.protected {
+                    self.prob_len = self.prob_len.saturating_sub(1);
+                    self.prot_len += 1;
+                }
+                m.protected = true;
+                m.seq = seq;
             }
-            m.protected = true;
-            m.seq = seq;
-            self.prot.push_back((block, seq));
             // Overflow: demote the protected LRU block to probationary MRU.
             if self.prot_len > self.prot_target {
-                if let Some(d) = self.pop_live_prot() {
-                    let dseq = self.seq();
+                if let Some(d) = self.pop_live(true) {
+                    let dseq = self.push(d, false);
                     if let Some(dm) = self.meta.get_mut(&d) {
                         dm.protected = false;
                         dm.seq = dseq;
                     }
-                    self.prob.push_back((d, dseq));
                     self.prot_len -= 1;
                     self.prob_len += 1;
                 }
@@ -195,7 +212,7 @@ impl<O: Observer> EvictionPolicy for SlruCore<O> {
             m.way = way;
             return;
         }
-        let seq = self.seq();
+        let seq = self.push(block, false);
         self.meta.insert(
             block,
             SlruMeta {
@@ -204,7 +221,6 @@ impl<O: Observer> EvictionPolicy for SlruCore<O> {
                 way,
             },
         );
-        self.prob.push_back((block, seq));
         self.prob_len += 1;
     }
 
@@ -296,7 +312,7 @@ mod tests {
 
     #[test]
     fn empty_segments_fall_back_to_lru() {
-        use cache_sim::WayView;
+        use cache_sim::{SetView, WayView};
         let entries: Vec<WayView> = (0..4u64)
             .map(|b| WayView {
                 way: Way(b as usize),
