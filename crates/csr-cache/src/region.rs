@@ -12,7 +12,8 @@
 //! * `victim` runs exactly once per replacement, only on a full region, and
 //!   is handed the slab as [`Residents`] — nothing is copied or built for it;
 //! * `on_fill` follows linking the new entry at MRU;
-//! * `on_remove` reports every departure `victim` did not choose.
+//! * `on_remove(id, slot)` reports every departure `victim` did not choose,
+//!   with the slot it vacated.
 //!
 //! The recency order is kept **partitioned by cost**: an entry sits on one
 //! list, that of its cost class — the entries of exactly that cost, no
@@ -435,7 +436,7 @@ impl<T> Region<T> {
     /// Removes the entry in slot `i` on the owner's initiative.
     pub(crate) fn remove(&mut self, i: u32) -> Slot<T> {
         let slot = self.take(i);
-        self.core.on_remove(slot.id);
+        self.core.on_remove(slot.id, Some(Way(i as usize)));
         slot
     }
 

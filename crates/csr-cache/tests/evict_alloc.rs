@@ -108,7 +108,7 @@ fn evicting_inserts_allocate_nothing(policy: Policy) {
         .build();
     // Every key is new, so every insert past the first `CAPACITY` evicts.
     // The warm-up lets the key index grow to its final table size and the
-    // core fill whatever it keeps (DCL's shadow directory).
+    // core fill whatever it keeps (DCL's shadow directory, S3-FIFO's ghost).
     let mut keys = 0u64..;
     for key in keys.by_ref().take(40 * CAPACITY) {
         cache.insert(key, key);
@@ -137,4 +137,19 @@ fn lru_evictions_allocate_nothing() {
 #[test]
 fn dcl_evictions_allocate_nothing() {
     evicting_inserts_allocate_nothing(Policy::Dcl);
+}
+
+#[test]
+fn slru_evictions_allocate_nothing() {
+    evicting_inserts_allocate_nothing(Policy::Slru);
+}
+
+#[test]
+fn camp_evictions_allocate_nothing() {
+    evicting_inserts_allocate_nothing(Policy::Camp);
+}
+
+#[test]
+fn s3fifo_evictions_allocate_nothing() {
+    evicting_inserts_allocate_nothing(Policy::S3Fifo);
 }

@@ -236,7 +236,7 @@ impl<T> Region<T> {
     /// Removes the entry in slot `i` on the owner's initiative.
     pub(crate) fn remove(&mut self, i: u32) -> Slot<T> {
         let slot = self.take(i);
-        self.core.on_remove(slot.id);
+        self.core.on_remove(slot.id, Some(Way(i as usize)));
         slot
     }
 

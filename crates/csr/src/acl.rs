@@ -207,7 +207,7 @@ impl<O: Observer> EvictionPolicy for AclCore<O> {
         }
     }
 
-    fn on_remove(&mut self, block: BlockAddr) {
+    fn on_remove(&mut self, block: BlockAddr, _way: Option<Way>) {
         self.etd.invalidate(block);
         if self.tracker.tracked() == Some(block) {
             // The reserved block disappeared without a hit: failure.

@@ -116,7 +116,7 @@ impl<O: Observer> EvictionPolicy for BclCore<O> {
         self.obs.on_miss(block);
     }
 
-    fn on_remove(&mut self, block: BlockAddr) {
+    fn on_remove(&mut self, block: BlockAddr, _way: Option<Way>) {
         self.tracker.note_departure(block);
     }
 }

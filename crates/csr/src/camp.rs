@@ -9,63 +9,48 @@
 //! block is therefore always at one of the bucket heads, and a victim scan
 //! touches `O(#buckets)` entries instead of `O(ways)`.
 //!
-//! Per block the key is `K = L + rounded(cost)`; hits re-enqueue at the
-//! tail of the block's bucket with a fresh key, and evicting key `K` sets
-//! `L = K` (the same inflation aging as GDSF/LFUDA). The buckets are
-//! lazy-deletion queues: stale entries (superseded by a re-enqueue or a
-//! removal) are skipped when they surface at a head (or compacted away once
-//! they outnumber the live ones).
+//! Per block the key is `K = L + rounded(cost)`; a hit re-enqueues the
+//! block at the tail of its bucket with a fresh key, and evicting key `K`
+//! sets `L = K` (the same inflation aging as GDSF/LFUDA). A `u64` cost has 64
+//! power-of-two classes, so the buckets are 64 FIFO lists threaded through
+//! the region's ways (the crate's `WayLists`) beside one key per way: a hit
+//! relinks one way, a departure unlinks it, a victim scan reads 64 heads and
+//! nothing is allocated after construction. An overwrite of a resident block
+//! is the hit its driver delivers first — the fill that follows does not
+//! re-enqueue it, so the block takes a changed cost's class at its next hit.
 //!
 //! The single-region logic lives in [`CampCore`] (an
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`Camp`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{overgrown, report_victim, resident_in, EvictionPolicy, PerSet, Residents};
+use crate::eviction::{report_victim, resident_in, EvictionPolicy, PerSet, Residents};
+use crate::waylists::WayLists;
 use cache_sim::{BlockAddr, Cost, Geometry, Way};
 use csr_obs::{NopObserver, Observer};
-use std::collections::{BTreeMap, HashMap, VecDeque};
 
-#[derive(Debug, Clone, Copy)]
-struct CampMeta {
-    bucket: u32,
-    seq: u64,
-    /// The way the block was filled into.
-    way: Way,
-}
-
-/// Rounds a cost down to a power of two: `(bucket id, rounded value)`.
-fn rounded(cost: Cost) -> (u32, u64) {
-    let c = cost.0.max(1);
-    let exp = 63 - c.leading_zeros();
-    (exp, 1u64 << exp)
-}
+/// One bucket per power of two a `u64` cost can round down to.
+const CLASSES: usize = 64;
 
 /// CAMP for a single replacement region of a fixed number of ways.
 #[derive(Debug, Clone)]
 pub struct CampCore<O: Observer = NopObserver> {
-    /// Resident blocks only; names the live bucket entry per block.
-    meta: HashMap<BlockAddr, CampMeta>,
-    /// One queue per rounded-cost class, keyed by the cost exponent.
-    /// Entries are `(block, seq, key)`; live iff `seq` matches `meta`.
-    buckets: BTreeMap<u32, VecDeque<(BlockAddr, u64, u64)>>,
-    /// Entries across all buckets, stale ones included.
-    queued: usize,
+    /// One FIFO list per rounded-cost class, indexed by the cost exponent.
+    buckets: WayLists,
+    /// Per way, the key its block was enqueued under.
+    keys: Vec<u64>,
     /// The region age `L`: the key of the last evicted block.
     age: u64,
-    next_seq: u64,
     obs: O,
 }
 
 impl CampCore {
-    /// Creates a core for a region of any number of ways.
+    /// Creates a core for a region of `ways` blockframes.
     #[must_use]
-    pub fn new(_ways: usize) -> Self {
+    pub fn new(ways: usize) -> Self {
         CampCore {
-            meta: HashMap::new(),
-            buckets: BTreeMap::new(),
-            queued: 0,
+            buckets: WayLists::new(ways, CLASSES),
+            keys: vec![0; ways],
             age: 0,
-            next_seq: 0,
             obs: NopObserver,
         }
     }
@@ -78,86 +63,39 @@ impl<O: Observer> CampCore<O> {
         self.age
     }
 
-    /// Entries across all buckets, stale ones included (bounded by
-    /// [`overgrown`] against the resident blocks).
-    #[must_use]
-    pub fn queued(&self) -> usize {
-        self.queued
-    }
-
     /// Attaches a decision observer, replacing any existing one.
     #[must_use]
     pub fn with_observer<O2: Observer>(self, obs: O2) -> CampCore<O2> {
         CampCore {
-            meta: self.meta,
             buckets: self.buckets,
-            queued: self.queued,
+            keys: self.keys,
             age: self.age,
-            next_seq: self.next_seq,
             obs,
         }
     }
 
-    /// Enqueues `block` at the tail of its cost bucket with a fresh key.
+    /// Enqueues `block` at the tail of its cost's bucket with a fresh key:
+    /// the age plus the cost rounded down to a power of two.
     fn enqueue(&mut self, block: BlockAddr, way: Way, cost: Cost) {
-        let (bucket, r) = rounded(cost);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let key = self.age.saturating_add(r);
-        self.meta.insert(block, CampMeta { bucket, seq, way });
-        self.buckets
-            .entry(bucket)
-            .or_default()
-            .push_back((block, seq, key));
-        self.queued += 1;
-        if overgrown(self.queued, self.meta.len()) {
-            let meta = &self.meta;
-            self.buckets.retain(|_, q| {
-                q.retain(|&(b, seq, _)| meta.get(&b).is_some_and(|m| m.seq == seq));
-                !q.is_empty()
-            });
-            self.queued = self.buckets.values().map(VecDeque::len).sum();
-        }
+        let class = cost.0.max(1).ilog2();
+        self.keys[way.0] = self.age.saturating_add(1 << class);
+        self.buckets.push_back(class as usize, way, block);
     }
 
-    /// The live head with the minimum key, if any: `(block, key)`.
-    /// Stale heads are popped on the way; emptied buckets are pruned.
-    fn min_head(&mut self) -> Option<(BlockAddr, u64)> {
-        let mut best: Option<(BlockAddr, u64)> = None;
-        for (_, q) in self.buckets.iter_mut() {
-            while let Some(&(b, seq, key)) = q.front() {
-                let live = self.meta.get(&b).is_some_and(|m| m.seq == seq);
-                if live {
-                    match best {
-                        Some((_, bk)) if bk <= key => {}
-                        _ => best = Some((b, key)),
-                    }
-                    break;
+    /// The bucket head with the least key; of equal keys, the cheaper class.
+    /// (A plain loop: as `filter_map(..).min_by_key(..)` the same scan took
+    /// twice as long per eviction once instantiated in `csr-cache`.)
+    fn min_head(&self) -> Option<(Way, BlockAddr)> {
+        let mut best: Option<(u64, (Way, BlockAddr))> = None;
+        for class in 0..CLASSES {
+            if let Some(head) = self.buckets.front(class) {
+                let key = self.keys[head.0 .0];
+                if best.is_none_or(|(least, _)| key < least) {
+                    best = Some((key, head));
                 }
-                q.pop_front();
-                self.queued -= 1;
             }
         }
-        self.buckets.retain(|_, q| !q.is_empty());
-        best
-    }
-
-    /// Drops `block`'s live entry (head of its bucket, by construction of
-    /// the callers) and its metadata; returns the way it was filled into.
-    fn drop_block(&mut self, block: BlockAddr) -> Option<Way> {
-        let m = self.meta.remove(&block)?;
-        if let Some(q) = self.buckets.get_mut(&m.bucket) {
-            if q.front()
-                .is_some_and(|&(b, seq, _)| b == block && seq == m.seq)
-            {
-                q.pop_front();
-                self.queued -= 1;
-            }
-            if q.is_empty() {
-                self.buckets.remove(&m.bucket);
-            }
-        }
-        Some(m.way)
+        best.map(|(_, head)| head)
     }
 }
 
@@ -167,25 +105,21 @@ impl<O: Observer> EvictionPolicy for CampCore<O> {
     }
 
     fn victim(&mut self, residents: &dyn Residents) -> Way {
-        // Every pass removes one block from the structures, so this
-        // terminates; blocks unknown to the region are dropped and retried.
-        while let Some((b, key)) = self.min_head() {
-            let way = self.drop_block(b);
-            if let Some(chosen) = way.and_then(|w| resident_in(residents, w, b)) {
-                self.age = self.age.max(key);
+        // An entry the region does not hold (a desynced core) is dropped and
+        // the next least head tried.
+        while let Some((way, block)) = self.min_head() {
+            self.buckets.unlink(way, block);
+            if let Some(chosen) = resident_in(residents, way, block) {
+                self.age = self.age.max(self.keys[way.0]);
                 return report_victim(&self.obs, residents, chosen);
             }
         }
-        // Fresh or desynced core: evict the LRU block.
-        let lru = residents.lru();
-        self.drop_block(lru.block);
-        report_victim(&self.obs, residents, lru)
+        // Nothing filled since this core was attached: the LRU block goes.
+        report_victim(&self.obs, residents, residents.lru())
     }
 
     fn on_hit(&mut self, block: BlockAddr, way: Way, cost: Cost, _is_lru: bool) {
-        if self.meta.contains_key(&block) {
-            // Supersede the old entry (it goes stale) with a tail re-enqueue
-            // at the current age.
+        if self.buckets.list_of(way, block).is_some() {
             self.enqueue(block, way, cost);
         }
         self.obs.on_hit(block, cost);
@@ -196,18 +130,16 @@ impl<O: Observer> EvictionPolicy for CampCore<O> {
     }
 
     fn on_fill(&mut self, block: BlockAddr, way: Way, cost: Cost) {
-        if self.meta.contains_key(&block) {
-            // Overwrite of a resident block: the on_hit re-enqueue already
-            // placed it with its new cost.
-            return;
+        // An overwrite of a resident block keeps the place its hit gave it.
+        if self.buckets.list_of(way, block).is_none() {
+            self.enqueue(block, way, cost);
         }
-        self.enqueue(block, way, cost);
     }
 
-    fn on_remove(&mut self, block: BlockAddr) {
-        // Not necessarily at its bucket head: just drop the metadata and
-        // let the queue entry go stale.
-        self.meta.remove(&block);
+    fn on_remove(&mut self, block: BlockAddr, way: Option<Way>) {
+        if let Some(way) = way {
+            self.buckets.unlink(way, block);
+        }
     }
 }
 

@@ -133,7 +133,7 @@ impl<O: Observer> EvictionPolicy for DclCore<O> {
         }
     }
 
-    fn on_remove(&mut self, block: BlockAddr) {
+    fn on_remove(&mut self, block: BlockAddr, _way: Option<Way>) {
         self.etd.invalidate(block);
         self.tracker.note_departure(block);
     }

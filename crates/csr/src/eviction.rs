@@ -18,9 +18,10 @@
 //!
 //! Both enforce the same ordering — `on_hit` before promotion, `on_miss`
 //! with the current LRU pair before victim selection, `victim` once per
-//! replacement, `on_fill` after the block is linked, `on_remove` for
-//! departures `victim` did not choose — so a change to the contract is a
-//! change to these two places and to no policy wrapper.
+//! replacement, `on_fill` after the block is linked, `on_remove(block, way)`
+//! for departures `victim` did not choose, naming the way the block leaves
+//! (`None` if it was not resident) — so a change to the contract is a change
+//! to these two places and to no policy wrapper.
 //!
 //! Three rules hold for every core:
 //!
@@ -34,19 +35,24 @@
 //!   cost and a clock stamp per entry — O(1), O(1) and O(distinct costs
 //!   below the bound), whatever the region's size. A core that ranks by anything
 //!   else ([`RankCore`](crate::RankCore)'s priorities, the queues of S3-FIFO,
-//!   SLRU and CAMP) keeps that order itself. Hits and misses carry the O(1)
-//!   facts a policy consumes (block identity, cost, whether the block is at
-//!   the LRU end; the LRU pair on a miss).
+//!   SLRU and CAMP) keeps that order itself, per way. Hits and misses carry
+//!   the O(1) facts a policy consumes (block identity, way, cost, whether the
+//!   block is at the LRU end; the LRU pair on a miss).
 //! * **Cores keep no books.** A core reports each decision to its
 //!   [`Observer`] and counts nothing itself. Counts come from the driver
 //!   (`cache_sim::CacheStats::{hits, misses, evictions, non_lru_evictions}`,
 //!   `csr_cache`'s stats) or from an attached `csr_obs::CountingObserver`
 //!   (`EventCounts`); the only per-core counters left describe a structure
 //!   rather than a decision ([`EtdStats`](crate::EtdStats)).
-//! * **A lazily-deleted queue stays within a constant factor of its live
-//!   entries.** Cores that supersede queue entries instead of unlinking them
-//!   compact by the one rule [`overgrown`] states, so a region that never
-//!   evicts (its working set fits) does not grow its core.
+//! * **A region that never evicts does not grow its core.** What a core
+//!   keeps per block lives in the block's way, in storage sized when the core
+//!   is built: the queue cores thread their FIFO lists through the ways and
+//!   unlink an entry the moment it leaves, so they allocate nothing
+//!   afterwards. The one structure that supersedes entries instead of
+//!   unlinking them is [`RankCore`](crate::RankCore)'s lazy heap, which
+//!   compacts by the rule [`overgrown`] states. (S3-FIFO's ghost and the ETD
+//!   remember blocks that are *not* resident; each is bounded by a capacity
+//!   fixed at construction.)
 
 use crate::etd::{EtdSet, EtdStats};
 use cache_sim::{
@@ -107,7 +113,9 @@ impl Residents for SetView<'_> {
 ///   matching ETD entry, so repeats are no-ops.
 /// * [`on_remove`](Self::on_remove) must be called when a block leaves the
 ///   region for any reason other than eviction chosen by
-///   [`victim`](Self::victim) (coherence invalidation, explicit removal).
+///   [`victim`](Self::victim) (coherence invalidation, explicit removal),
+///   with the way it leaves — so a core that threads its order through the
+///   ways can unlink it — or `None` for a block that was not resident.
 pub trait EvictionPolicy {
     /// A short human-readable name ("LRU", "GD", "BCL", …).
     fn name(&self) -> &'static str;
@@ -133,9 +141,10 @@ pub trait EvictionPolicy {
     }
 
     /// `block` left the region without being chosen by
-    /// [`victim`](Self::victim).
-    fn on_remove(&mut self, block: BlockAddr) {
-        let _ = block;
+    /// [`victim`](Self::victim); `way` is the way it occupied, `None` when
+    /// it was not resident (an invalidation that found nothing).
+    fn on_remove(&mut self, block: BlockAddr, way: Option<Way>) {
+        let _ = (block, way);
     }
 }
 
@@ -155,8 +164,8 @@ impl<P: EvictionPolicy + ?Sized> EvictionPolicy for Box<P> {
     fn on_fill(&mut self, block: BlockAddr, way: Way, cost: Cost) {
         (**self).on_fill(block, way, cost);
     }
-    fn on_remove(&mut self, block: BlockAddr) {
-        (**self).on_remove(block);
+    fn on_remove(&mut self, block: BlockAddr, way: Option<Way>) {
+        (**self).on_remove(block, way);
     }
 }
 
@@ -188,11 +197,12 @@ pub(crate) fn resident_in(
     residents.at_way(way).filter(|e| e.block == block)
 }
 
-/// The one rule that bounds every lazily-deleted queue: compact (keep the
-/// live entries, in order) once the stale entries outnumber the live ones by
-/// more than a constant. A compaction is O(`len`) and at least `len / 2`
-/// pushes precede the next one, so queue upkeep stays O(1) amortized and no
-/// queue exceeds `2 * live + 16` entries.
+/// The rule that bounds [`RankCore`](crate::RankCore)'s lazily-deleted heap
+/// (and `csr_cache`'s emptied cost classes): compact, keeping the live
+/// entries, once the stale ones outnumber them by more than a constant. A
+/// compaction is O(`len`) and at least `len / 2` pushes precede the next
+/// one, so upkeep stays O(1) amortized and `len` never exceeds
+/// `2 * live + 16`.
 #[must_use]
 pub fn overgrown(len: usize, live: usize) -> bool {
     len > 2 * live + 16
@@ -315,10 +325,10 @@ impl<C: EvictionPolicy> ReplacementPolicy for PerSet<C> {
         &mut self,
         set: SetIndex,
         block: BlockAddr,
-        _resident: Option<(Way, usize)>,
+        resident: Option<(Way, usize)>,
         _kind: InvalidateKind,
     ) {
-        self.cores[set.0].on_remove(block);
+        self.cores[set.0].on_remove(block, resident.map(|(way, _)| way));
     }
 }
 
@@ -374,6 +384,6 @@ mod tests {
         boxed.on_hit(BlockAddr(1), Way(0), Cost(5), false);
         boxed.on_miss(BlockAddr(7), Some((BlockAddr(2), Cost(9))));
         boxed.on_fill(BlockAddr(7), Way(1), Cost(3));
-        boxed.on_remove(BlockAddr(7));
+        boxed.on_remove(BlockAddr(7), Some(Way(1)));
     }
 }

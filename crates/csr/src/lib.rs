@@ -29,7 +29,9 @@
 //!   inflation-offset [`RankCore`] with three key functions ([`rank`]);
 //! * **queue** — [`S3FifoCore`] (small/main/ghost FIFOs, scan-resistant),
 //!   [`SlruCore`] (probationary/protected segments), [`CampCore`]
-//!   (cost-adaptive multi-queue with rounded-cost buckets).
+//!   (cost-adaptive multi-queue with rounded-cost buckets): FIFO lists
+//!   threaded through the region's ways, nothing allocated after
+//!   construction.
 //!
 //! GDSF, LFUDA and the queue family are a **policy zoo** of modern
 //! general-purpose cores riding on the same trait for head-to-head
@@ -40,8 +42,9 @@
 //! (`on_hit` before promotion, `on_miss` with the LRU pair before victim
 //! selection, `victim` once per replacement with the driver answering as
 //! [`Residents`] — the LRU entry, the entry in a way, the entry nearest the
-//! LRU end cheaper than a bound — `on_fill` after linking, `on_remove` for
-//! every other departure):
+//! LRU end cheaper than a bound — `on_fill` after linking,
+//! `on_remove(block, way)` for every other departure, with the way the block
+//! leaves):
 //!
 //! * [`PerSet<C>`] — the simulator's driver: one core per cache set behind
 //!   [`cache_sim::ReplacementPolicy`], statically dispatched. The
@@ -122,6 +125,7 @@ pub mod rank;
 mod reserve;
 pub mod s3fifo;
 pub mod slru;
+mod waylists;
 
 pub use acl::{Acl, AclCore};
 pub use bcl::{Bcl, BclCore};

@@ -10,11 +10,11 @@
 //! lazy second-chance: a head with non-zero frequency is decremented and
 //! reinserted at the tail.
 //!
-//! Small and main are lazy-deletion queues: every fill carries a fresh
-//! sequence number, and an entry is live only while the block's metadata
-//! still names that sequence and queue, so a removal is O(1) and stale
-//! entries are skipped when they surface at a head (or compacted away once
-//! they outnumber the live ones).
+//! Small and main are FIFO lists threaded through the region's ways (the
+//! crate's `WayLists`) beside one frequency counter per way: a hit bumps a
+//! counter and touches no queue, a departure unlinks its way, and nothing is
+//! allocated after construction. The ghost holds keys that are *not*
+//! resident, so it has no way to live in and stays a bounded FIFO of its own.
 //!
 //! The design is scan-resistant by construction (a sequential scan flows
 //! through the small queue and the ghost without ever displacing main) and
@@ -27,51 +27,31 @@
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`S3Fifo`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{overgrown, report_victim, resident_in, EvictionPolicy, PerSet, Residents};
+use crate::eviction::{report_victim, resident_in, EvictionPolicy, PerSet, Residents};
+use crate::waylists::WayLists;
 use cache_sim::{BlockAddr, Cost, Geometry, Way};
 use csr_obs::{NopObserver, Observer};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// Hit-count saturation point (the paper's 2-bit counter).
 const FREQ_CAP: u8 = 3;
 
-#[derive(Debug, Clone, Copy)]
-struct S3Meta {
-    freq: u8,
-    in_small: bool,
-    seq: u64,
-    /// The way the block was filled into.
-    way: Way,
-}
-
-type Meta = HashMap<BlockAddr, S3Meta>;
-
-/// Whether queue entry `(block, seq)` of the small (`in_small`) or main
-/// queue is the live one of a resident block.
-fn live(meta: &Meta, (block, seq): (BlockAddr, u64), in_small: bool) -> bool {
-    meta.get(&block)
-        .is_some_and(|m| m.in_small == in_small && m.seq == seq)
-}
+/// The two resident queues, as lists of [`S3FifoCore::lists`].
+const SMALL: usize = 0;
+const MAIN: usize = 1;
 
 /// S3-FIFO for a single replacement region of a fixed number of ways.
 #[derive(Debug, Clone)]
 pub struct S3FifoCore<O: Observer = NopObserver> {
-    /// Resident blocks only; absence means the block is not tracked.
-    meta: Meta,
-    /// FIFO order front → back; entries are `(block, seq)`, see [`live`].
-    small: VecDeque<(BlockAddr, u64)>,
-    main: VecDeque<(BlockAddr, u64)>,
+    lists: WayLists,
+    /// Per way, the hits its block took since it was filled (saturating).
+    freq: Vec<u8>,
     /// Ghost keys, FIFO order. Entries may be stale (rescued keys stay in
     /// the deque until they reach the front); `ghost_set` is authoritative.
     ghost_fifo: VecDeque<BlockAddr>,
     ghost_set: HashSet<BlockAddr>,
-    /// Live (non-stale) block counts per queue.
-    small_len: usize,
-    main_len: usize,
     small_target: usize,
     ghost_cap: usize,
-    ways: usize,
-    next_seq: u64,
     obs: O,
 }
 
@@ -80,17 +60,12 @@ impl S3FifoCore {
     #[must_use]
     pub fn new(ways: usize) -> Self {
         S3FifoCore {
-            meta: HashMap::new(),
-            small: VecDeque::new(),
-            main: VecDeque::new(),
+            lists: WayLists::new(ways, 2),
+            freq: vec![0; ways],
             ghost_fifo: VecDeque::new(),
             ghost_set: HashSet::new(),
-            small_len: 0,
-            main_len: 0,
             small_target: (ways / 10).max(1),
             ghost_cap: ways.max(1),
-            ways,
-            next_seq: 0,
             obs: NopObserver,
         }
     }
@@ -101,65 +76,13 @@ impl<O: Observer> S3FifoCore<O> {
     #[must_use]
     pub fn with_observer<O2: Observer>(self, obs: O2) -> S3FifoCore<O2> {
         S3FifoCore {
-            meta: self.meta,
-            small: self.small,
-            main: self.main,
+            lists: self.lists,
+            freq: self.freq,
             ghost_fifo: self.ghost_fifo,
             ghost_set: self.ghost_set,
-            small_len: self.small_len,
-            main_len: self.main_len,
             small_target: self.small_target,
             ghost_cap: self.ghost_cap,
-            ways: self.ways,
-            next_seq: self.next_seq,
             obs,
-        }
-    }
-
-    /// Entries in the small and main queues, stale ones included (each
-    /// bounded by [`overgrown`] against the resident blocks).
-    #[must_use]
-    pub fn queued(&self) -> usize {
-        self.small.len() + self.main.len()
-    }
-
-    /// Pops heads of the small (`in_small`) or main queue until one is live
-    /// there.
-    fn pop_live(&mut self, in_small: bool) -> Option<(BlockAddr, u64)> {
-        let queue = if in_small {
-            &mut self.small
-        } else {
-            &mut self.main
-        };
-        while let Some(e) = queue.pop_front() {
-            if live(&self.meta, e, in_small) {
-                return Some(e);
-            }
-        }
-        None
-    }
-
-    /// Tracks the newly filled `block` at the tail of the small (`in_small`)
-    /// or main queue.
-    fn enqueue(&mut self, block: BlockAddr, way: Way, in_small: bool) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let meta = S3Meta {
-            freq: 0,
-            in_small,
-            seq,
-            way,
-        };
-        self.meta.insert(block, meta);
-        let (queue, len) = if in_small {
-            (&mut self.small, &mut self.small_len)
-        } else {
-            (&mut self.main, &mut self.main_len)
-        };
-        queue.push_back((block, seq));
-        *len += 1;
-        if overgrown(queue.len(), self.meta.len()) {
-            queue.retain(|&e| live(&self.meta, e, in_small));
         }
     }
 
@@ -192,78 +115,35 @@ impl<O: Observer> EvictionPolicy for S3FifoCore<O> {
     }
 
     fn victim(&mut self, residents: &dyn Residents) -> Way {
-        // Every pass either evicts, promotes a small head (at most once per
-        // live block), or decrements a main head's frequency (at most
-        // FREQ_CAP times per block), so the bound below is generous.
-        let mut guard = self.small.len() + self.main.len() + 4 * self.ways + 8;
-        while guard > 0 {
-            guard -= 1;
-            let from_small = self.small_len > self.small_target || self.main_len == 0;
-            if from_small {
-                let Some((b, seq)) = self.pop_live(true) else {
-                    self.small_len = 0;
-                    if self.main_len == 0 {
-                        break;
-                    }
-                    continue;
-                };
-                let freq = self.meta.get(&b).map_or(0, |m| m.freq);
-                if freq > 0 {
-                    // Hit at least once while probationary: promote.
-                    if let Some(m) = self.meta.get_mut(&b) {
-                        m.in_small = false;
-                    }
-                    self.main.push_back((b, seq));
-                    self.small_len -= 1;
-                    self.main_len += 1;
-                    continue;
+        // Every pass evicts, promotes a small head (once per block) or spends
+        // one of a main head's at most FREQ_CAP frequency units: it ends.
+        loop {
+            let from_small = self.lists.len(SMALL) > self.small_target || self.lists.len(MAIN) == 0;
+            let queue = if from_small { SMALL } else { MAIN };
+            let Some((way, block)) = self.lists.pop_front(queue) else {
+                break; // both queues are empty
+            };
+            if self.freq[way.0] > 0 {
+                // Hit while probationary: promoted. A main head instead
+                // spends one frequency unit on a second chance at the tail.
+                if !from_small {
+                    self.freq[way.0] -= 1;
                 }
-                self.small_len -= 1;
-                let way = self.meta.remove(&b).map(|m| m.way);
-                if let Some(chosen) = way.and_then(|w| resident_in(residents, w, b)) {
-                    self.ghost_insert(b);
-                    return report_victim(&self.obs, residents, chosen);
+                self.lists.push_back(MAIN, way, block);
+            } else if let Some(chosen) = resident_in(residents, way, block) {
+                if from_small {
+                    self.ghost_insert(block);
                 }
-            } else {
-                let Some((b, seq)) = self.pop_live(false) else {
-                    self.main_len = 0;
-                    if self.small_len == 0 {
-                        break;
-                    }
-                    continue;
-                };
-                let freq = self.meta.get(&b).map_or(0, |m| m.freq);
-                if freq > 0 {
-                    // Second chance: spend one frequency unit, go to tail.
-                    if let Some(m) = self.meta.get_mut(&b) {
-                        m.freq -= 1;
-                    }
-                    self.main.push_back((b, seq));
-                    continue;
-                }
-                self.main_len -= 1;
-                let way = self.meta.remove(&b).map(|m| m.way);
-                if let Some(chosen) = way.and_then(|w| resident_in(residents, w, b)) {
-                    return report_victim(&self.obs, residents, chosen);
-                }
+                return report_victim(&self.obs, residents, chosen);
             }
         }
-        // The queues know nothing about this region (fresh core, or one hot-
-        // attached to a warm region): fall back to the LRU block.
-        let lru = residents.lru();
-        if let Some(m) = self.meta.remove(&lru.block) {
-            if m.in_small {
-                self.small_len = self.small_len.saturating_sub(1);
-            } else {
-                self.main_len = self.main_len.saturating_sub(1);
-            }
-        }
-        report_victim(&self.obs, residents, lru)
+        // Nothing filled since this core was attached: the LRU block goes.
+        report_victim(&self.obs, residents, residents.lru())
     }
 
-    fn on_hit(&mut self, block: BlockAddr, _way: Way, cost: Cost, _is_lru: bool) {
-        if let Some(m) = self.meta.get_mut(&block) {
-            m.freq = (m.freq + 1).min(FREQ_CAP);
+    fn on_hit(&mut self, block: BlockAddr, way: Way, cost: Cost, _is_lru: bool) {
+        if self.lists.list_of(way, block).is_some() {
+            self.freq[way.0] = (self.freq[way.0] + 1).min(FREQ_CAP);
         }
         self.obs.on_hit(block, cost);
     }
@@ -275,23 +155,23 @@ impl<O: Observer> EvictionPolicy for S3FifoCore<O> {
     }
 
     fn on_fill(&mut self, block: BlockAddr, way: Way, _cost: Cost) {
-        if let Some(m) = self.meta.get_mut(&block) {
-            // Overwrite of a resident block keeps its queue position.
-            m.way = way;
+        // An overwrite of a resident block keeps its queue position.
+        if self.lists.list_of(way, block).is_some() {
             return;
         }
         // A ghosted key proved reuse beyond one pass: straight to main.
-        let in_small = !self.ghost_set.remove(&block);
-        self.enqueue(block, way, in_small);
+        let queue = if self.ghost_set.remove(&block) {
+            MAIN
+        } else {
+            SMALL
+        };
+        self.freq[way.0] = 0;
+        self.lists.push_back(queue, way, block);
     }
 
-    fn on_remove(&mut self, block: BlockAddr) {
-        if let Some(m) = self.meta.remove(&block) {
-            if m.in_small {
-                self.small_len = self.small_len.saturating_sub(1);
-            } else {
-                self.main_len = self.main_len.saturating_sub(1);
-            }
+    fn on_remove(&mut self, block: BlockAddr, way: Option<Way>) {
+        if let Some(way) = way {
+            self.lists.unlink(way, block);
         }
     }
 }

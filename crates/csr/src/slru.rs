@@ -8,50 +8,28 @@
 //! back to the probationary MRU end (not evicted), preserving one more
 //! chance at reuse.
 //!
-//! Both segments are lazy-deletion queues: every enqueue carries a fresh
-//! sequence number, and an entry is live only while the block's metadata
-//! still names that sequence, so hits and demotions are O(1) with stale
-//! entries skipped when they surface at a queue head (or compacted away
-//! once they outnumber the live ones).
+//! Both segments are FIFO lists threaded through the region's ways (the
+//! crate's `WayLists`): a hit or a demotion relinks one way, a departure
+//! unlinks it, and the core's storage is fixed when it is built.
 //!
 //! The single-region logic lives in [`SlruCore`] (an
 //! [`EvictionPolicy`](crate::EvictionPolicy)); [`Slru`] replicates one
 //! core per set for the simulator.
 
-use crate::eviction::{overgrown, report_victim, resident_in, EvictionPolicy, PerSet, Residents};
+use crate::eviction::{report_victim, resident_in, EvictionPolicy, PerSet, Residents};
+use crate::waylists::WayLists;
 use cache_sim::{BlockAddr, Cost, Geometry, Way};
 use csr_obs::{NopObserver, Observer};
-use std::collections::{HashMap, VecDeque};
 
-#[derive(Debug, Clone, Copy)]
-struct SlruMeta {
-    protected: bool,
-    seq: u64,
-    /// The way the block was filled into.
-    way: Way,
-}
-
-type Meta = HashMap<BlockAddr, SlruMeta>;
-
-/// Whether queue entry `(block, seq)` of the protected (`protected`) or
-/// probationary segment is the live one of a resident block.
-fn live(meta: &Meta, (block, seq): (BlockAddr, u64), protected: bool) -> bool {
-    meta.get(&block)
-        .is_some_and(|m| m.protected == protected && m.seq == seq)
-}
+/// The two segments, as lists of [`SlruCore::lists`]: LRU end at the front.
+const PROB: usize = 0;
+const PROT: usize = 1;
 
 /// SLRU for a single replacement region of a fixed number of ways.
 #[derive(Debug, Clone)]
 pub struct SlruCore<O: Observer = NopObserver> {
-    /// Resident blocks only; names the live queue entry per block.
-    meta: Meta,
-    /// LRU order front → back; entries are `(block, seq)`, see [`live`].
-    prob: VecDeque<(BlockAddr, u64)>,
-    prot: VecDeque<(BlockAddr, u64)>,
-    prob_len: usize,
-    prot_len: usize,
+    lists: WayLists,
     prot_target: usize,
-    next_seq: u64,
     obs: O,
 }
 
@@ -60,13 +38,8 @@ impl SlruCore {
     #[must_use]
     pub fn new(ways: usize) -> Self {
         SlruCore {
-            meta: HashMap::new(),
-            prob: VecDeque::new(),
-            prot: VecDeque::new(),
-            prob_len: 0,
-            prot_len: 0,
+            lists: WayLists::new(ways, 2),
             prot_target: (ways * 4 / 5).max(1),
-            next_seq: 0,
             obs: NopObserver,
         }
     }
@@ -77,57 +50,10 @@ impl<O: Observer> SlruCore<O> {
     #[must_use]
     pub fn with_observer<O2: Observer>(self, obs: O2) -> SlruCore<O2> {
         SlruCore {
-            meta: self.meta,
-            prob: self.prob,
-            prot: self.prot,
-            prob_len: self.prob_len,
-            prot_len: self.prot_len,
+            lists: self.lists,
             prot_target: self.prot_target,
-            next_seq: self.next_seq,
             obs,
         }
-    }
-
-    /// Entries in the two segment queues, stale ones included (each
-    /// bounded by [`overgrown`] against the resident blocks).
-    #[must_use]
-    pub fn queued(&self) -> usize {
-        self.prob.len() + self.prot.len()
-    }
-
-    /// Enqueues `block` at the MRU end of the protected (`protected`) or
-    /// probationary segment under a fresh sequence number, which it returns
-    /// for the block's metadata to name.
-    fn push(&mut self, block: BlockAddr, protected: bool) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let queue = if protected {
-            &mut self.prot
-        } else {
-            &mut self.prob
-        };
-        queue.push_back((block, seq));
-        if overgrown(queue.len(), self.meta.len()) {
-            // The entry just pushed is not named by `meta` yet: keep it.
-            queue.retain(|&e| e.1 == seq || live(&self.meta, e, protected));
-        }
-        seq
-    }
-
-    /// Pops heads of the protected (`protected`) or probationary segment
-    /// until one is live there.
-    fn pop_live(&mut self, protected: bool) -> Option<BlockAddr> {
-        let queue = if protected {
-            &mut self.prot
-        } else {
-            &mut self.prob
-        };
-        while let Some(e) = queue.pop_front() {
-            if live(&self.meta, e, protected) {
-                return Some(e.0);
-            }
-        }
-        None
     }
 }
 
@@ -137,65 +63,28 @@ impl<O: Observer> EvictionPolicy for SlruCore<O> {
     }
 
     fn victim(&mut self, residents: &dyn Residents) -> Way {
-        // Probationary LRU end first, then protected LRU end; skip blocks
-        // the region does not hold (a core hot-attached to a warm region).
-        let mut guard = self.prob.len() + self.prot.len() + 2;
-        while guard > 0 {
-            guard -= 1;
-            let (b, from_prob) = match self.pop_live(false) {
-                Some(b) => (b, true),
-                None => {
-                    self.prob_len = 0;
-                    match self.pop_live(true) {
-                        Some(b) => (b, false),
-                        None => break,
-                    }
-                }
-            };
-            if from_prob {
-                self.prob_len = self.prob_len.saturating_sub(1);
-            } else {
-                self.prot_len = self.prot_len.saturating_sub(1);
-            }
-            let way = self.meta.remove(&b).map(|m| m.way);
-            if let Some(chosen) = way.and_then(|w| resident_in(residents, w, b)) {
+        // Probationary LRU end first, then the protected one. An entry the
+        // region does not hold (a desynced core) is dropped and the next tried.
+        while let Some((way, block)) = self
+            .lists
+            .pop_front(PROB)
+            .or_else(|| self.lists.pop_front(PROT))
+        {
+            if let Some(chosen) = resident_in(residents, way, block) {
                 return report_victim(&self.obs, residents, chosen);
             }
         }
-        // Fresh or desynced core: evict the LRU block.
-        let lru = residents.lru();
-        if let Some(m) = self.meta.remove(&lru.block) {
-            if m.protected {
-                self.prot_len = self.prot_len.saturating_sub(1);
-            } else {
-                self.prob_len = self.prob_len.saturating_sub(1);
-            }
-        }
-        report_victim(&self.obs, residents, lru)
+        // Nothing filled since this core was attached: the LRU block goes.
+        report_victim(&self.obs, residents, residents.lru())
     }
 
-    fn on_hit(&mut self, block: BlockAddr, _way: Way, cost: Cost, _is_lru: bool) {
-        if self.meta.contains_key(&block) {
-            // (Re-)enqueue at the protected MRU end.
-            let seq = self.push(block, true);
-            if let Some(m) = self.meta.get_mut(&block) {
-                if !m.protected {
-                    self.prob_len = self.prob_len.saturating_sub(1);
-                    self.prot_len += 1;
-                }
-                m.protected = true;
-                m.seq = seq;
-            }
+    fn on_hit(&mut self, block: BlockAddr, way: Way, cost: Cost, _is_lru: bool) {
+        if self.lists.list_of(way, block).is_some() {
+            self.lists.push_back(PROT, way, block);
             // Overflow: demote the protected LRU block to probationary MRU.
-            if self.prot_len > self.prot_target {
-                if let Some(d) = self.pop_live(true) {
-                    let dseq = self.push(d, false);
-                    if let Some(dm) = self.meta.get_mut(&d) {
-                        dm.protected = false;
-                        dm.seq = dseq;
-                    }
-                    self.prot_len -= 1;
-                    self.prob_len += 1;
+            if self.lists.len(PROT) > self.prot_target {
+                if let Some((way, demoted)) = self.lists.pop_front(PROT) {
+                    self.lists.push_back(PROB, way, demoted);
                 }
             }
         }
@@ -207,30 +96,15 @@ impl<O: Observer> EvictionPolicy for SlruCore<O> {
     }
 
     fn on_fill(&mut self, block: BlockAddr, way: Way, _cost: Cost) {
-        if let Some(m) = self.meta.get_mut(&block) {
-            // Overwrite of a resident block keeps its segment position.
-            m.way = way;
-            return;
+        // An overwrite of a resident block keeps its segment position.
+        if self.lists.list_of(way, block).is_none() {
+            self.lists.push_back(PROB, way, block);
         }
-        let seq = self.push(block, false);
-        self.meta.insert(
-            block,
-            SlruMeta {
-                protected: false,
-                seq,
-                way,
-            },
-        );
-        self.prob_len += 1;
     }
 
-    fn on_remove(&mut self, block: BlockAddr) {
-        if let Some(m) = self.meta.remove(&block) {
-            if m.protected {
-                self.prot_len = self.prot_len.saturating_sub(1);
-            } else {
-                self.prob_len = self.prob_len.saturating_sub(1);
-            }
+    fn on_remove(&mut self, block: BlockAddr, way: Option<Way>) {
+        if let Some(way) = way {
+            self.lists.unlink(way, block);
         }
     }
 }

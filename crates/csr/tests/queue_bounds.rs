@@ -1,23 +1,62 @@
 //! A region that never evicts must not grow its core.
 //!
-//! The queue cores supersede entries instead of unlinking them (a hit
-//! re-enqueues in SLRU and CAMP, a removal leaves its entry behind in all of
-//! them, the GreedyDual heap keeps the entry of a vacated way), and stale
-//! entries used to leave only through `victim`. A cache whose working set
-//! fits never calls `victim`: SLRU and CAMP grew by one entry per hit, the
-//! others by one per remove-and-refill, without bound. Here a quarter-full
-//! 64-way set takes a million hits and a hundred thousand invalidate/refill
-//! cycles under each core, and what the core has queued must stay within
-//! `csr::eviction::overgrown`'s `2 * live + 16`.
+//! A cache whose working set fits never calls `victim`, so whatever a core
+//! accumulates on hits and on remove-and-refill must be bounded by something
+//! else. Here a quarter-full 64-way set takes a million hits and a hundred
+//! thousand invalidate/refill cycles under each core.
 //!
-//! LRU and BCL own no collection; DCL's and ACL's only one is the shadow
-//! directory, whose capacity is fixed at construction and checked here too.
+//! * The queue cores (S3-FIFO, SLRU, CAMP) thread their queues through the
+//!   ways and size them at construction: they must not allocate at all, which
+//!   a counting wrapper around the system allocator makes a hard failure (in
+//!   an integration test because the library is `#![forbid(unsafe_code)]`).
+//!   Before they did, SLRU and CAMP grew by one queue entry per hit and all
+//!   three by one per remove-and-refill, without bound.
+//! * The GreedyDual heap keeps the entry of a vacated way until it surfaces
+//!   or is compacted away: what it has queued must stay within
+//!   `csr::eviction::overgrown`'s `2 * live + 16`.
+//! * LRU and BCL own no collection; DCL's and ACL's only one is the shadow
+//!   directory, whose capacity is fixed at construction and checked here too.
 
 use cache_sim::{AccessType, BlockAddr, Cache, Cost, Geometry, InvalidateKind, SetIndex};
 use csr::{
-    Acl, AclCore, Camp, CampCore, Dcl, DclCore, EvictionPolicy, Gdsf, GreedyDual, Lfuda, PerSet,
-    RankCore, S3Fifo, S3FifoCore, Slru, SlruCore,
+    Acl, AclCore, Camp, Dcl, DclCore, EvictionPolicy, Gdsf, GreedyDual, Lfuda, PerSet, RankCore,
+    S3Fifo, Slru,
 };
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct CountingAlloc;
+
+thread_local! {
+    /// Allocations made by *this* thread: the harness runs this file's tests
+    /// on parallel threads. Const-initialised and without a destructor, so
+    /// touching it from inside the allocator never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: allocations during thread teardown are simply not counted.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 const WAYS: usize = 64;
 const RESIDENT: u64 = (WAYS / 4) as u64;
@@ -46,14 +85,14 @@ fn one_set() -> Geometry {
     Geometry::new(64 * WAYS as u64, 64, WAYS)
 }
 
-fn stays_bounded<C: EvictionPolicy>(policy: PerSet<C>, queued: impl Fn(&C) -> usize) {
-    let mut cache = Cache::new(one_set(), policy);
+/// Runs the never-evicting traffic over `cache`, calling `each` on the
+/// set's core after every access.
+fn never_evicting<C: EvictionPolicy>(mut cache: Cache<PerSet<C>>, mut each: impl FnMut(&C)) {
     let name = cache.policy().core(SetIndex(0)).name();
     let mut rng = Rng(0x51_0BAD);
-    let mut worst = 0;
     let mut access = |cache: &mut Cache<PerSet<C>>, block: u64| {
         cache.access(BlockAddr(block), AccessType::Read, cost_of(block));
-        worst = worst.max(queued(cache.policy().core(SetIndex(0))));
+        each(cache.policy().core(SetIndex(0)));
     };
     for block in 0..RESIDENT {
         access(&mut cache, block);
@@ -68,10 +107,26 @@ fn stays_bounded<C: EvictionPolicy>(policy: PerSet<C>, queued: impl Fn(&C) -> us
         access(&mut cache, rng.below(RESIDENT));
     }
     assert_eq!(cache.stats().evictions, 0, "{name}: the set never fills");
+}
+
+fn stays_bounded<C: EvictionPolicy>(policy: PerSet<C>, queued: impl Fn(&C) -> usize) {
+    let mut worst = 0;
+    let cache = Cache::new(one_set(), policy);
+    never_evicting(cache, |core| worst = worst.max(queued(core)));
     assert!(
         worst <= 2 * WAYS + 16,
-        "{name}: {worst} entries queued for {RESIDENT} resident blocks in {WAYS} ways"
+        "{worst} entries queued for {RESIDENT} resident blocks in {WAYS} ways"
     );
+}
+
+/// From the first fill on: the core was sized when it was built.
+fn allocates_nothing<C: EvictionPolicy>(policy: PerSet<C>) {
+    let name = policy.core(SetIndex(0)).name();
+    let cache = Cache::new(one_set(), policy);
+    let before = ALLOCATIONS.with(Cell::get);
+    never_evicting(cache, |_| {});
+    let allocated = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!(allocated, 0, "{name}: {allocated} allocations");
 }
 
 #[test]
@@ -83,11 +138,11 @@ fn rank_heaps_stay_bounded_without_evictions() {
 }
 
 #[test]
-fn fifo_and_segment_queues_stay_bounded_without_evictions() {
+fn fifo_and_segment_queues_allocate_nothing_without_evictions() {
     let geom = one_set();
-    stays_bounded(S3Fifo::new(&geom), S3FifoCore::queued);
-    stays_bounded(Slru::new(&geom), SlruCore::queued);
-    stays_bounded(Camp::new(&geom), CampCore::queued);
+    allocates_nothing(S3Fifo::new(&geom));
+    allocates_nothing(Slru::new(&geom));
+    allocates_nothing(Camp::new(&geom));
 }
 
 #[test]
