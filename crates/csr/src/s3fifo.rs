@@ -31,7 +31,7 @@ use crate::eviction::{report_victim, resident_in, EvictionPolicy, PerSet, Reside
 use crate::waylists::WayLists;
 use cache_sim::{BlockAddr, Cost, Geometry, Way};
 use csr_obs::{NopObserver, Observer};
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// Hit-count saturation point (the paper's 2-bit counter).
 const FREQ_CAP: u8 = 3;
@@ -46,10 +46,13 @@ pub struct S3FifoCore<O: Observer = NopObserver> {
     lists: WayLists,
     /// Per way, the hits its block took since it was filled (saturating).
     freq: Vec<u8>,
-    /// Ghost keys, FIFO order. Entries may be stale (rescued keys stay in
-    /// the deque until they reach the front); `ghost_set` is authoritative.
-    ghost_fifo: VecDeque<BlockAddr>,
-    ghost_set: HashSet<BlockAddr>,
+    /// The ghosted keys, each with the number of its slot in `ghost_fifo`.
+    ghost: HashMap<BlockAddr, u64>,
+    /// Ghost slots `(key, number)`, oldest first. A rescued key leaves its
+    /// slot behind; a slot speaks for its key only while `ghost` names its
+    /// number, so a key ghosted again is not forgotten by its old slot.
+    ghost_fifo: VecDeque<(BlockAddr, u64)>,
+    ghost_slots: u64,
     small_target: usize,
     ghost_cap: usize,
     obs: O,
@@ -62,8 +65,9 @@ impl S3FifoCore {
         S3FifoCore {
             lists: WayLists::new(ways, 2),
             freq: vec![0; ways],
+            ghost: HashMap::new(),
             ghost_fifo: VecDeque::new(),
-            ghost_set: HashSet::new(),
+            ghost_slots: 0,
             small_target: (ways / 10).max(1),
             ghost_cap: ways.max(1),
             obs: NopObserver,
@@ -78,33 +82,35 @@ impl<O: Observer> S3FifoCore<O> {
         S3FifoCore {
             lists: self.lists,
             freq: self.freq,
+            ghost: self.ghost,
             ghost_fifo: self.ghost_fifo,
-            ghost_set: self.ghost_set,
+            ghost_slots: self.ghost_slots,
             small_target: self.small_target,
             ghost_cap: self.ghost_cap,
             obs,
         }
     }
 
-    /// Records an evicted key in the bounded ghost FIFO.
-    fn ghost_insert(&mut self, b: BlockAddr) {
-        if self.ghost_set.insert(b) {
-            self.ghost_fifo.push_back(b);
-        }
-        while self.ghost_set.len() > self.ghost_cap {
-            match self.ghost_fifo.pop_front() {
-                Some(f) => {
-                    self.ghost_set.remove(&f);
-                }
-                None => break,
+    /// Records an evicted key in the ghost, which forgets its oldest key
+    /// once it holds more than `ghost_cap`.
+    fn ghost_insert(&mut self, block: BlockAddr) {
+        self.ghost_slots += 1;
+        self.ghost.insert(block, self.ghost_slots);
+        self.ghost_fifo.push_back((block, self.ghost_slots));
+        while self.ghost.len() > self.ghost_cap {
+            let Some((oldest, slot)) = self.ghost_fifo.pop_front() else {
+                break;
+            };
+            if self.ghost.get(&oldest) == Some(&slot) {
+                self.ghost.remove(&oldest);
             }
         }
-        // Stale (rescued) entries are dropped here too, so the deque stays
-        // within a constant factor of the live ghost.
-        while self.ghost_fifo.len() > 2 * self.ghost_cap {
-            if let Some(f) = self.ghost_fifo.pop_front() {
-                self.ghost_set.remove(&f);
-            }
+        // Slots left behind by rescues: drop them once they outnumber the
+        // ghosted keys, so the deque stays within twice the ghost's capacity.
+        if self.ghost_fifo.len() > 2 * self.ghost_cap {
+            let ghost = &self.ghost;
+            self.ghost_fifo
+                .retain(|(key, slot)| ghost.get(key) == Some(slot));
         }
     }
 }
@@ -160,10 +166,9 @@ impl<O: Observer> EvictionPolicy for S3FifoCore<O> {
             return;
         }
         // A ghosted key proved reuse beyond one pass: straight to main.
-        let queue = if self.ghost_set.remove(&block) {
-            MAIN
-        } else {
-            SMALL
+        let queue = match self.ghost.remove(&block) {
+            Some(_) => MAIN,
+            None => SMALL,
         };
         self.freq[way.0] = 0;
         self.lists.push_back(queue, way, block);
@@ -244,6 +249,25 @@ mod tests {
             c.access(BlockAddr(b), AccessType::Read, Cost(1));
         }
         assert!(c.contains(BlockAddr(0)), "rescued block survived the scan");
+    }
+
+    #[test]
+    fn ghost_forgets_its_oldest_key_after_a_rescue_too() {
+        let mut core = S3FifoCore::new(4); // the ghost holds 4 keys
+        core.ghost_insert(BlockAddr(1));
+        core.on_fill(BlockAddr(1), Way(0), Cost(1));
+        assert_eq!(
+            core.lists.list_of(Way(0), BlockAddr(1)),
+            Some(MAIN),
+            "rescued from the ghost, straight to main"
+        );
+        for b in [2, 3, 1, 4, 5] {
+            core.ghost_insert(BlockAddr(b));
+        }
+        // Five keys for four places: 2, the oldest, goes. The slot the rescue
+        // of 1 left at the front must not take the re-ghosted 1 with it.
+        let ghosted = [1, 2, 3, 4, 5].map(|b| core.ghost.contains_key(&BlockAddr(b)));
+        assert_eq!(ghosted, [true, false, true, true, true]);
     }
 
     #[test]

@@ -354,7 +354,6 @@ fn slru_picks_the_models_victim_on_every_replacement() {
 }
 
 #[test]
-#[ignore = "the ghost forgets a re-ghosted key early; fixed in the next commit"]
 fn s3fifo_picks_the_models_victim_on_every_replacement() {
     all_regions::<_, S3Fifo>(S3FifoCore::new);
 }
