@@ -14,7 +14,9 @@
 //! crate's `WayLists`) beside one frequency counter per way: a hit bumps a
 //! counter and touches no queue, a departure unlinks its way, and nothing is
 //! allocated after construction. The ghost holds keys that are *not*
-//! resident, so it has no way to live in and stays a bounded FIFO of its own.
+//! resident, so it has no way to live in and stays a bounded FIFO of its own:
+//! a deque of numbered slots and a key → slot-number map, so that a key
+//! rescued and later ghosted again is aged by its new slot, not its old one.
 //!
 //! The design is scan-resistant by construction (a sequential scan flows
 //! through the small queue and the ghost without ever displacing main) and

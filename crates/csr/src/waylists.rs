@@ -96,9 +96,9 @@ impl WayLists {
 
     /// Removes and returns the oldest entry of `list`.
     pub(crate) fn pop_front(&mut self, list: usize) -> Option<(Way, BlockAddr)> {
-        let front = self.front(list)?;
-        self.detach(front.0 .0);
-        Some(front)
+        let (way, block) = self.front(list)?;
+        self.detach(way.0);
+        Some((way, block))
     }
 
     /// Takes `way` off its list if it is on one as `block`.

@@ -9,8 +9,8 @@
 //!   ways and size them at construction: they must not allocate at all, which
 //!   a counting wrapper around the system allocator makes a hard failure (in
 //!   an integration test because the library is `#![forbid(unsafe_code)]`).
-//!   Before they did, SLRU and CAMP grew by one queue entry per hit and all
-//!   three by one per remove-and-refill, without bound.
+//!   A queue that superseded entries instead of unlinking them would grow by
+//!   one per hit or per remove-and-refill here, without bound.
 //! * The GreedyDual heap keeps the entry of a vacated way until it surfaces
 //!   or is compacted away: what it has queued must stay within
 //!   `csr::eviction::overgrown`'s `2 * live + 16`.
