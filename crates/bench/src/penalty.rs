@@ -29,44 +29,29 @@ pub fn run_experiment(opts: &ExperimentOpts) {
         "ACL latency-cost",
         "ACL penalty-cost",
     ]);
-    // Benchmark-innermost ordering spreads heavyweight benchmarks across
-    // run_tasks's contiguous thread chunks.
-    let tasks: Vec<(usize, CostMode, PolicyKind)> = {
-        let mut v = Vec::new();
-        for mode in [CostMode::Quantized(60), CostMode::Penalty(60)] {
-            for p in [PolicyKind::Dcl, PolicyKind::Acl] {
-                for bi in 0..suite.len() {
-                    v.push((bi, mode, p));
-                }
-            }
-        }
-        v
-    };
-    let base_idx: Vec<usize> = (0..suite.len()).collect();
-    let baselines: Vec<u64> = csr_harness::experiments::run_tasks(opts.threads, &base_idx, |&bi| {
-        run(&suite[bi].trace, CostMode::Quantized(60), PolicyKind::Lru)
-    });
+    // Per benchmark, the LRU baseline and then the table's four cells in
+    // column order, all in one pool.
+    let runs = [
+        (CostMode::Quantized(60), PolicyKind::Lru),
+        (CostMode::Quantized(60), PolicyKind::Dcl),
+        (CostMode::Penalty(60), PolicyKind::Dcl),
+        (CostMode::Quantized(60), PolicyKind::Acl),
+        (CostMode::Penalty(60), PolicyKind::Acl),
+    ];
+    let tasks: Vec<(usize, CostMode, PolicyKind)> = (0..suite.len())
+        .flat_map(|bi| runs.iter().map(move |&(mode, p)| (bi, mode, p)))
+        .collect();
     let results = csr_harness::experiments::run_tasks(opts.threads, &tasks, |&(bi, mode, p)| {
         run(&suite[bi].trace, mode, p)
     });
-    for (bi, b) in suite.iter().enumerate() {
-        let pct = |mode: CostMode, p: PolicyKind| {
-            let idx = tasks
-                .iter()
-                .position(|&(i, m, pol)| i == bi && m == mode && pol == p)
-                .expect("task scheduled");
-            cache_sim::relative_savings_pct(
-                cache_sim::Cost(baselines[bi]),
-                cache_sim::Cost(results[idx]),
-            )
-        };
-        t.row([
-            b.name.clone(),
-            format!("{:+.2}%", pct(CostMode::Quantized(60), PolicyKind::Dcl)),
-            format!("{:+.2}%", pct(CostMode::Penalty(60), PolicyKind::Dcl)),
-            format!("{:+.2}%", pct(CostMode::Quantized(60), PolicyKind::Acl)),
-            format!("{:+.2}%", pct(CostMode::Penalty(60), PolicyKind::Acl)),
-        ]);
+    for (b, times) in suite.iter().zip(results.chunks(runs.len())) {
+        let mut row = vec![b.name.clone()];
+        row.extend(times[1..].iter().map(|&time| {
+            let pct =
+                cache_sim::relative_savings_pct(cache_sim::Cost(times[0]), cache_sim::Cost(time));
+            format!("{pct:+.2}%")
+        }));
+        t.row(row);
     }
     print!("{}", t.render());
     println!("(execution-time reduction over the latency-cost LRU baseline)");

@@ -72,8 +72,9 @@ pub fn run(opts: &ExperimentOpts) {
     };
     for w in footnote {
         let trace = w.generate(csr_harness::experiments::BENCH_SEED);
-        let sample = mem_trace::representative_processor(&trace);
-        let c = mem_trace::characterize(w.name(), &w.problem_size(), &trace, sample);
+        let placement = mem_trace::FirstTouchPlacement::from_trace(64, &trace);
+        let sample = mem_trace::representative_processor(&trace, &placement);
+        let c = mem_trace::characterize(w.name(), &w.problem_size(), &trace, sample, &placement);
         t.row([
             c.name.clone(),
             c.problem_size.clone(),

@@ -3,8 +3,8 @@
 //! structures produced here; integration tests assert their shapes.
 
 use crate::policy_kind::PolicyKind;
-use crate::runner::{run_sampled, LruMissProfile, TraceSimConfig};
-use cache_sim::{relative_savings_pct, CostPair};
+use crate::runner::{ClassMisses, PricedTrace, TraceSimConfig};
+use cache_sim::{relative_savings_pct, Cost, CostPair};
 use mem_trace::cost_map::{FirstTouchCostMap, RandomCostMap};
 use mem_trace::workloads::{BarnesLike, LuLike, OceanLike, RaytraceLike};
 use mem_trace::{
@@ -12,6 +12,7 @@ use mem_trace::{
     TraceCharacteristics, Workload,
 };
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A cost ratio `r` of the two-static-cost experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -109,9 +110,10 @@ pub fn build_benchmarks(scale: Scale) -> Vec<Benchmark> {
         .into_iter()
         .map(|w| {
             let trace = w.generate(BENCH_SEED);
-            let sample = representative_processor(&trace);
-            let characteristics = characterize(w.name(), &w.problem_size(), &trace, sample);
             let placement = FirstTouchPlacement::from_trace(64, &trace);
+            let sample = representative_processor(&trace, &placement);
+            let characteristics =
+                characterize(w.name(), &w.problem_size(), &trace, sample, &placement);
             let sampled = SampledTrace::from_trace(&trace, sample);
             Benchmark {
                 name: w.name().to_owned(),
@@ -161,36 +163,38 @@ pub fn fig3_grid(
     cfg: TraceSimConfig,
     threads: usize,
 ) -> Vec<SavingsPoint> {
-    // One LRU profile per benchmark covers every cost map.
-    let profiles: Vec<LruMissProfile> = benchmarks
-        .iter()
-        .map(|b| LruMissProfile::collect(&b.sampled, cfg))
+    let bb = cfg.l2.block_bytes();
+    // A block's class depends on the HAF, not on r: one pricing per
+    // (benchmark, HAF) serves every ratio.
+    let maps: Vec<(usize, f64)> = (0..benchmarks.len())
+        .flat_map(|bi| hafs.iter().map(move |&haf| (bi, haf)))
         .collect();
+    let priced = run_tasks(threads, &maps, |&(bi, haf)| {
+        let map = RandomCostMap::new(haf, CostPair::infinite_ratio(), BENCH_SEED ^ 0x5EED);
+        PricedTrace::new(&benchmarks[bi].sampled, &map, bb)
+    });
 
-    let mut tasks: Vec<(usize, CostRatio, f64, PolicyKind)> = Vec::new();
-    for (bi, _) in benchmarks.iter().enumerate() {
+    let mut runs: Vec<Run> = Vec::new();
+    for bi in 0..benchmarks.len() {
         for &ratio in ratios {
-            for &haf in hafs {
+            for hi in 0..hafs.len() {
                 for &policy in policies {
-                    tasks.push((bi, ratio, haf, policy));
+                    runs.push((bi * hafs.len() + hi, ratio, policy));
                 }
             }
         }
     }
-
-    run_tasks(threads, &tasks, |&(bi, ratio, haf, policy)| {
-        let bench = &benchmarks[bi];
-        let map = RandomCostMap::new(haf, ratio.pair(), BENCH_SEED ^ 0x5EED);
-        let baseline = profiles[bi].aggregate_cost(&map);
-        let run = run_sampled(&bench.sampled, &map, policy, cfg);
-        SavingsPoint {
-            benchmark: bench.name.clone(),
+    let savings = savings_over_lru(&priced, &runs, cfg, threads);
+    runs.into_iter()
+        .zip(savings)
+        .map(|((t, ratio, policy), savings_pct)| SavingsPoint {
+            benchmark: benchmarks[t / hafs.len()].name.clone(),
             policy,
             ratio,
-            haf,
-            savings_pct: relative_savings_pct(baseline, run.aggregate_cost()),
-        }
-    })
+            haf: hafs[t % hafs.len()],
+            savings_pct,
+        })
+        .collect()
 }
 
 /// One row cell of Table 2 (first-touch cost mapping).
@@ -216,68 +220,115 @@ pub fn table2(
     cfg: TraceSimConfig,
     threads: usize,
 ) -> Vec<Table2Cell> {
-    let profiles: Vec<LruMissProfile> = benchmarks
-        .iter()
-        .map(|b| LruMissProfile::collect(&b.sampled, cfg))
-        .collect();
+    let bb = cfg.l2.block_bytes();
+    // A block is remote or not whatever r is: one pricing per benchmark
+    // serves every ratio.
+    let kernels: Vec<usize> = (0..benchmarks.len()).collect();
+    let priced = run_tasks(threads, &kernels, |&bi| {
+        let b = &benchmarks[bi];
+        let map = FirstTouchCostMap::new(&b.placement, b.sample, CostPair::infinite_ratio(), bb);
+        PricedTrace::new(&b.sampled, &map, bb)
+    });
 
-    let mut tasks: Vec<(usize, CostRatio, PolicyKind)> = Vec::new();
-    for (bi, _) in benchmarks.iter().enumerate() {
+    let mut runs: Vec<Run> = Vec::new();
+    for bi in 0..benchmarks.len() {
         for &ratio in ratios {
             for &policy in policies {
-                tasks.push((bi, ratio, policy));
+                runs.push((bi, ratio, policy));
             }
         }
     }
-
-    run_tasks(threads, &tasks, |&(bi, ratio, policy)| {
-        let bench = &benchmarks[bi];
-        let map = FirstTouchCostMap::new(
-            bench.placement.clone(),
-            bench.sample,
-            ratio.pair(),
-            cfg.l2.block_bytes(),
-        );
-        let baseline = profiles[bi].aggregate_cost(&map);
-        let run = run_sampled(&bench.sampled, &map, policy, cfg);
-        Table2Cell {
-            benchmark: bench.name.clone(),
+    let savings = savings_over_lru(&priced, &runs, cfg, threads);
+    runs.into_iter()
+        .zip(savings)
+        .map(|((bi, ratio, policy), savings_pct)| Table2Cell {
+            benchmark: benchmarks[bi].name.clone(),
             policy,
             ratio,
-            savings_pct: relative_savings_pct(baseline, run.aggregate_cost()),
+            savings_pct,
+        })
+        .collect()
+}
+
+/// One policy run: which priced trace, at which ratio.
+type Run = (usize, CostRatio, PolicyKind);
+
+/// The savings over LRU of every run, in order. One LRU run per priced
+/// trace is the baseline of every pair ([`PricedTrace::lru_misses`]); the
+/// baselines go first into the same pool as the runs.
+fn savings_over_lru(
+    priced: &[PricedTrace<'_>],
+    runs: &[Run],
+    cfg: TraceSimConfig,
+    threads: usize,
+) -> Vec<f64> {
+    enum Job {
+        Lru(usize),
+        Run(Run),
+    }
+    enum Done {
+        Lru(usize, ClassMisses),
+        Run(Cost),
+    }
+    let jobs: Vec<Job> = (0..priced.len())
+        .map(Job::Lru)
+        .chain(runs.iter().copied().map(Job::Run))
+        .collect();
+    let done = run_tasks(threads, &jobs, |job| match *job {
+        Job::Lru(t) => Done::Lru(t, priced[t].lru_misses(cfg)),
+        Job::Run((t, ratio, policy)) => {
+            Done::Run(priced[t].run(ratio.pair(), policy, cfg).aggregate_cost())
         }
-    })
+    });
+    let mut lru = vec![ClassMisses::default(); priced.len()];
+    let mut costs = Vec::with_capacity(runs.len());
+    for d in done {
+        match d {
+            Done::Lru(t, misses) => lru[t] = misses,
+            Done::Run(cost) => costs.push(cost),
+        }
+    }
+    runs.iter()
+        .zip(costs)
+        .map(|(&(t, ratio, _), cost)| {
+            relative_savings_pct(lru[t].aggregate_cost(ratio.pair()), cost)
+        })
+        .collect()
 }
 
 /// Maps `tasks` to results over `threads` OS threads, preserving order —
-/// the parallel-map building block behind every experiment sweep.
+/// the parallel-map building block behind every experiment sweep. Workers
+/// take the next task from a shared counter, so a list mixing long and
+/// short tasks balances itself.
 pub fn run_tasks<T: Sync, R: Send>(
     threads: usize,
     tasks: &[T],
     f: impl Fn(&T) -> R + Sync,
 ) -> Vec<R> {
-    let threads = threads.max(1);
-    if threads == 1 || tasks.len() <= 1 {
+    let threads = threads.clamp(1, tasks.len().max(1));
+    if threads == 1 {
         return tasks.iter().map(&f).collect();
     }
-    let chunk = tasks.len().div_ceil(threads);
-    let mut out: Vec<Option<R>> = Vec::new();
-    out.resize_with(tasks.len(), || None);
-    let slots: Vec<&mut [Option<R>]> = out.chunks_mut(chunk).collect();
-    std::thread::scope(|scope| {
-        for (i, slot) in slots.into_iter().enumerate() {
-            let f = &f;
-            let task_chunk = &tasks[i * chunk..(i * chunk + slot.len())];
-            scope.spawn(move || {
-                for (s, t) in slot.iter_mut().zip(task_chunk) {
-                    *s = Some(f(t));
-                }
-            });
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(task) = tasks.get(i) else {
+                return done;
+            };
+            done.push((i, f(task)));
         }
+    };
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
-    out.into_iter()
-        .map(|r| r.expect("all task slots filled"))
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// A sensible default worker count.
@@ -294,9 +345,38 @@ mod tests {
     #[test]
     fn run_tasks_preserves_order() {
         let tasks: Vec<u64> = (0..37).collect();
-        let got = run_tasks(4, &tasks, |&t| t * 2);
         let want: Vec<u64> = tasks.iter().map(|&t| t * 2).collect();
-        assert_eq!(got, want);
+        for threads in [0, 1, 2, 4, 64] {
+            assert_eq!(run_tasks(threads, &tasks, |&t| t * 2), want, "{threads}");
+        }
+        assert!(run_tasks(4, &[] as &[u64], |&t| t).is_empty());
+    }
+
+    #[test]
+    fn run_tasks_hands_out_every_task_once() {
+        // A slow task beside fast ones: each still runs exactly once and
+        // the results come back in task order.
+        let calls = AtomicUsize::new(0);
+        let tasks: Vec<u64> = (0..100).collect();
+        let got = run_tasks(2, &tasks, |&t| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            if t == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+            }
+            t
+        });
+        assert_eq!(got, tasks);
+        assert_eq!(calls.into_inner(), tasks.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "task 3 failed")]
+    fn run_tasks_propagates_a_task_panic() {
+        let tasks: Vec<u64> = (0..8).collect();
+        let _ = run_tasks(2, &tasks, |&t| {
+            assert!(t != 3, "task 3 failed");
+            t
+        });
     }
 
     #[test]
@@ -326,7 +406,13 @@ mod tests {
             sample,
             sampled: SampledTrace::from_trace(&trace, sample),
             placement: FirstTouchPlacement::from_trace(64, &trace),
-            characteristics: characterize("uniform", "small", &trace, sample),
+            characteristics: characterize(
+                "uniform",
+                "small",
+                &trace,
+                sample,
+                &FirstTouchPlacement::from_trace(64, &trace),
+            ),
         };
         let pts = fig3_grid(
             &[bench],

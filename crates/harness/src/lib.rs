@@ -23,6 +23,6 @@ pub use numa_exp::{
 };
 pub use policy_kind::{PolicyKind, TraceObserver};
 pub use runner::{
-    run_sampled, run_sampled_observed, run_sampled_policy, LruMissProfile, RunResult,
-    TraceSimConfig,
+    run_sampled, run_sampled_observed, run_sampled_policy, ClassMisses, LruMissProfile,
+    PricedTrace, RunResult, TraceSimConfig,
 };

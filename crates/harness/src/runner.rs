@@ -1,10 +1,17 @@
 //! The trace-driven simulation loop of Section 3.1: an L1 filter in front
 //! of the L2 under study, fed with one sample processor's references plus
 //! foreign writes (invalidations), charging each L2 miss its mapped cost.
+//!
+//! Every cost map gives a block one of two static costs, and which one does
+//! not depend on the cost ratio. So a trace is *priced* once per map — one
+//! bit per event, [`PricedTrace`] — and one loop replays those bits under
+//! any [`CostPair`]. [`run_sampled`] is pricing followed by that loop.
 
 use crate::policy_kind::{PolicyKind, TraceObserver};
-use cache_sim::{CacheStats, Cost, Geometry, TwoLevel};
-use mem_trace::cost_map::CostMap;
+use cache_sim::{
+    BlockAddr, CacheStats, Cost, CostPair, Geometry, Lru, ReplacementPolicy, TwoLevel,
+};
+use mem_trace::cost_map::{CostMap, UniformCostMap};
 use mem_trace::sampled::{SampledEvent, SampledTrace};
 use std::collections::HashMap;
 
@@ -63,6 +70,132 @@ impl RunResult {
     }
 }
 
+/// A sample trace with the cost class of every event computed once under
+/// one cost map: runs under any cost pair replay the bits instead of
+/// asking the map again.
+#[derive(Debug, Clone)]
+pub struct PricedTrace<'a> {
+    sampled: &'a SampledTrace,
+    block_bytes: u64,
+    /// Bit `i % 64` of word `i / 64` is set when event `i` references a
+    /// high-cost block.
+    high: Vec<u64>,
+}
+
+impl<'a> PricedTrace<'a> {
+    /// Classifies every reference of `sampled` under `costs`, for caches
+    /// of `block_bytes`-byte blocks. The map's own pair is not used.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block_bytes` is not a power of two.
+    #[must_use]
+    pub fn new(sampled: &'a SampledTrace, costs: &dyn CostMap, block_bytes: u64) -> Self {
+        let high = sampled
+            .events()
+            .chunks(64)
+            .map(|chunk| {
+                chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |word, (j, ev)| match *ev {
+                        SampledEvent::Own { addr, .. } => {
+                            word | u64::from(costs.is_high_cost(addr.block(block_bytes))) << j
+                        }
+                        SampledEvent::ForeignWrite { .. } => word,
+                    })
+            })
+            .collect();
+        PricedTrace {
+            sampled,
+            block_bytes,
+            high,
+        }
+    }
+
+    /// Runs `policy` with each L2 miss charged `pair.high()` on a
+    /// high-cost block and `pair.low()` on any other.
+    #[must_use]
+    pub fn run(&self, pair: CostPair, policy: PolicyKind, cfg: TraceSimConfig) -> RunResult {
+        let (l1, l2) = self.run_policy(pair, policy.build(&cfg.l2), cfg);
+        RunResult { policy, l1, l2 }
+    }
+
+    /// [`run`](Self::run) with an explicit policy instance; returns the L1
+    /// and L2 statistics.
+    fn run_policy<P: ReplacementPolicy>(
+        &self,
+        pair: CostPair,
+        policy: P,
+        cfg: TraceSimConfig,
+    ) -> (CacheStats, CacheStats) {
+        let mut h = TwoLevel::new(cfg.l1, cfg.l2, policy);
+        self.replay(pair, &mut h, |_| {});
+        (*h.l1().stats(), *h.l2().stats())
+    }
+
+    /// The LRU baseline of every pair at once: one LRU run's L2 misses,
+    /// split by cost class.
+    #[must_use]
+    pub fn lru_misses(&self, cfg: TraceSimConfig) -> ClassMisses {
+        // LRU ignores costs, so charging high-class misses 1 and the rest
+        // 0 makes the aggregate cost the high-class miss count.
+        let (_, l2) = self.run_policy(CostPair::infinite_ratio(), Lru::new(), cfg);
+        ClassMisses {
+            low: l2.misses - l2.aggregate_cost.0,
+            high: l2.aggregate_cost.0,
+        }
+    }
+
+    /// The one replay loop: every event into `h`, each reference charged
+    /// by its bit, each L2 miss also reported to `on_l2_miss`.
+    fn replay<P: ReplacementPolicy>(
+        &self,
+        pair: CostPair,
+        h: &mut TwoLevel<P>,
+        mut on_l2_miss: impl FnMut(BlockAddr),
+    ) {
+        assert_eq!(
+            h.l2().geometry().block_bytes(),
+            self.block_bytes,
+            "trace priced for another block size"
+        );
+        let shift = self.block_bytes.trailing_zeros();
+        for (chunk, &word) in self.sampled.events().chunks(64).zip(&self.high) {
+            for (j, ev) in chunk.iter().enumerate() {
+                match *ev {
+                    SampledEvent::Own { addr, op } => {
+                        let block = BlockAddr(addr.0 >> shift);
+                        let cost = pair.pick(word >> j & 1 == 1);
+                        if h.access(block, op, cost).l2_hit == Some(false) {
+                            on_l2_miss(block);
+                        }
+                    }
+                    SampledEvent::ForeignWrite { addr } => h.invalidate(BlockAddr(addr.0 >> shift)),
+                }
+            }
+        }
+    }
+}
+
+/// An LRU run's L2 misses by cost class ([`PricedTrace::lru_misses`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClassMisses {
+    /// Misses on low-cost blocks.
+    pub low: u64,
+    /// Misses on high-cost blocks.
+    pub high: u64,
+}
+
+impl ClassMisses {
+    /// The run's aggregate cost under `pair`: `low·pair.low() +
+    /// high·pair.high()`.
+    #[must_use]
+    pub fn aggregate_cost(&self, pair: CostPair) -> Cost {
+        Cost(self.low * pair.low().0 + self.high * pair.high().0)
+    }
+}
+
 /// Runs `policy` over a sampled trace under `costs`.
 #[must_use]
 pub fn run_sampled(
@@ -71,8 +204,7 @@ pub fn run_sampled(
     policy: PolicyKind,
     cfg: TraceSimConfig,
 ) -> RunResult {
-    let (l1, l2) = run_sampled_policy(sampled, costs, policy.build(&cfg.l2), cfg);
-    RunResult { policy, l1, l2 }
+    PricedTrace::new(sampled, costs, cfg.l2.block_bytes()).run(costs.pair(), policy, cfg)
 }
 
 /// Runs `policy` over a sampled trace with a decision observer attached.
@@ -100,34 +232,21 @@ pub fn run_sampled_observed(
 /// benches need hand-configured policies that [`PolicyKind`] cannot name).
 /// Returns the L1 and L2 statistics.
 #[must_use]
-pub fn run_sampled_policy<P: cache_sim::ReplacementPolicy>(
+pub fn run_sampled_policy<P: ReplacementPolicy>(
     sampled: &SampledTrace,
     costs: &dyn CostMap,
     policy: P,
     cfg: TraceSimConfig,
 ) -> (CacheStats, CacheStats) {
-    let block_bytes = cfg.l2.block_bytes();
-    let mut h = TwoLevel::new(cfg.l1, cfg.l2, policy);
-    for ev in sampled.events() {
-        match *ev {
-            SampledEvent::Own { addr, op } => {
-                let block = addr.block(block_bytes);
-                h.access(block, op, costs.cost_of(block));
-            }
-            SampledEvent::ForeignWrite { addr } => {
-                h.invalidate(addr.block(block_bytes));
-            }
-        }
-    }
-    (*h.l1().stats(), *h.l2().stats())
+    PricedTrace::new(sampled, costs, cfg.l2.block_bytes()).run_policy(costs.pair(), policy, cfg)
 }
 
 /// The per-block L2 miss counts of an LRU run.
 ///
 /// LRU's replacement decisions are cost-independent, so a single LRU run
 /// per trace yields the baseline aggregate cost for *every* static cost
-/// map: `C_LRU = Σ_b misses(b) · cost(b)`. This collapses the baseline
-/// side of the Figure 3 sweep from hundreds of runs to one per benchmark.
+/// map: `C_LRU = Σ_b misses(b) · cost(b)`. For many pairs of one map,
+/// [`PricedTrace::lru_misses`] is cheaper; this serves many maps.
 #[derive(Debug, Clone)]
 pub struct LruMissProfile {
     miss_counts: HashMap<u64, u64>,
@@ -138,23 +257,12 @@ impl LruMissProfile {
     /// Runs LRU once over the sampled trace and records per-block misses.
     #[must_use]
     pub fn collect(sampled: &SampledTrace, cfg: TraceSimConfig) -> Self {
-        let block_bytes = cfg.l2.block_bytes();
-        let mut h = TwoLevel::new(cfg.l1, cfg.l2, cache_sim::Lru::new());
+        let unpriced = PricedTrace::new(sampled, &UniformCostMap(Cost::ZERO), cfg.l2.block_bytes());
+        let mut h = TwoLevel::new(cfg.l1, cfg.l2, Lru::new());
         let mut miss_counts: HashMap<u64, u64> = HashMap::new();
-        for ev in sampled.events() {
-            match *ev {
-                SampledEvent::Own { addr, op } => {
-                    let block = addr.block(block_bytes);
-                    let out = h.access(block, op, Cost::ZERO);
-                    if out.l2_hit == Some(false) {
-                        *miss_counts.entry(block.0).or_insert(0) += 1;
-                    }
-                }
-                SampledEvent::ForeignWrite { addr } => {
-                    h.invalidate(addr.block(block_bytes));
-                }
-            }
-        }
+        unpriced.replay(CostPair::new(Cost::ZERO, Cost::ZERO), &mut h, |block| {
+            *miss_counts.entry(block.0).or_insert(0) += 1;
+        });
         LruMissProfile {
             miss_counts,
             stats: *h.l2().stats(),
@@ -166,7 +274,7 @@ impl LruMissProfile {
     pub fn aggregate_cost(&self, costs: &dyn CostMap) -> Cost {
         self.miss_counts
             .iter()
-            .map(|(&block, &n)| Cost(costs.cost_of(cache_sim::BlockAddr(block)).0 * n))
+            .map(|(&block, &n)| Cost(costs.cost_of(BlockAddr(block)).0 * n))
             .sum()
     }
 

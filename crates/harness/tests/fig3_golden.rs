@@ -1,0 +1,51 @@
+//! A reduced Figure 3 — barnes at RSIM scale, three HAFs, two ratios, the
+//! paper's four policies — against `golden/fig3_reduced.tsv`, written by
+//! the commit before the priced runner. The random-map path (pricing per
+//! HAF, one LRU baseline per priced trace, both in the task pool) must
+//! reproduce every cell bit for bit.
+
+use csr_harness::experiments::BENCH_SEED;
+use csr_harness::{fig3_grid, Benchmark, CostRatio, PolicyKind, TraceSimConfig};
+use mem_trace::workloads::BarnesLike;
+use mem_trace::{
+    characterize, representative_processor, FirstTouchPlacement, SampledTrace, Workload,
+};
+
+#[test]
+fn reduced_fig3_matches_the_golden_bit_for_bit() {
+    let w = BarnesLike::rsim_scale();
+    let trace = w.generate(BENCH_SEED);
+    let placement = FirstTouchPlacement::from_trace(64, &trace);
+    let sample = representative_processor(&trace, &placement);
+    let bench = Benchmark {
+        name: w.name().to_owned(),
+        sample,
+        sampled: SampledTrace::from_trace(&trace, sample),
+        characteristics: characterize(w.name(), &w.problem_size(), &trace, sample, &placement),
+        placement,
+    };
+    let points = fig3_grid(
+        &[bench],
+        &[0.05, 0.2, 0.5],
+        &[CostRatio::Finite(8), CostRatio::Infinite],
+        &PolicyKind::PAPER_SET,
+        TraceSimConfig::paper_basic(),
+        2,
+    );
+    let got: Vec<String> = points
+        .iter()
+        .map(|p| {
+            format!(
+                "{}/{}/{}/haf={}\t{:?}",
+                p.benchmark,
+                p.policy.label(),
+                p.ratio,
+                p.haf,
+                p.savings_pct
+            )
+        })
+        .collect();
+    let golden = include_str!("golden/fig3_reduced.tsv");
+    let want: Vec<&str> = golden.lines().filter(|l| !l.starts_with('#')).collect();
+    assert_eq!(got, want);
+}

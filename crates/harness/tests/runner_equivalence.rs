@@ -1,0 +1,130 @@
+//! The priced runner against the per-reference loop it replaced: that loop
+//! asked the cost map for every reference's cost; the runner classifies
+//! each event once per map and replays the bits under any pair. Every
+//! `PolicyKind`, under first-touch, random (HAF 0, 0.2, 1), uniform and
+//! criticality maps at r = 2, 32 and ∞, must give the same L1 and L2
+//! statistics both ways — through `run_sampled` (price, then run) and
+//! through one `PricedTrace` per map run under every ratio, as `table2`
+//! and `fig3_grid` do — and the class-count LRU baseline must equal
+//! `LruMissProfile`'s per-block one.
+
+use cache_sim::{CacheStats, CostPair, TwoLevel};
+use csr_harness::{run_sampled, LruMissProfile, PolicyKind, PricedTrace, TraceSimConfig};
+use mem_trace::cost_map::{CostMap, FirstTouchCostMap, RandomCostMap, UniformCostMap};
+use mem_trace::criticality::CriticalityCostMap;
+use mem_trace::workloads::BarnesLike;
+use mem_trace::{FirstTouchPlacement, SampledEvent, SampledTrace, Trace, Workload};
+
+const KINDS: [PolicyKind; 14] = [
+    PolicyKind::Lru,
+    PolicyKind::Fifo,
+    PolicyKind::Random,
+    PolicyKind::Gd,
+    PolicyKind::Bcl,
+    PolicyKind::Dcl,
+    PolicyKind::DclAliased(4),
+    PolicyKind::Acl,
+    PolicyKind::AclAliased(4),
+    PolicyKind::S3Fifo,
+    PolicyKind::Slru,
+    PolicyKind::Lfuda,
+    PolicyKind::Gdsf,
+    PolicyKind::Camp,
+];
+
+/// The pre-change runner: one cost-map query per reference.
+fn per_reference_loop(
+    sampled: &SampledTrace,
+    costs: &dyn CostMap,
+    policy: PolicyKind,
+    cfg: TraceSimConfig,
+) -> (CacheStats, CacheStats) {
+    let block_bytes = cfg.l2.block_bytes();
+    let mut h = TwoLevel::new(cfg.l1, cfg.l2, policy.build(&cfg.l2));
+    for ev in sampled.events() {
+        match *ev {
+            SampledEvent::Own { addr, op } => {
+                let block = addr.block(block_bytes);
+                h.access(block, op, costs.cost_of(block));
+            }
+            SampledEvent::ForeignWrite { addr } => {
+                h.invalidate(addr.block(block_bytes));
+            }
+        }
+    }
+    (*h.l1().stats(), *h.l2().stats())
+}
+
+/// A small barnes-like trace: remote reuse, foreign writes, evictions.
+fn trace() -> Trace {
+    BarnesLike {
+        bodies: 512,
+        procs: 4,
+        steps: 2,
+        walk_len: 12,
+        locality_bias: 0.68,
+    }
+    .generate(7)
+}
+
+/// Every map of the test under `pair`, named.
+fn maps(trace: &Trace, sampled: &SampledTrace, pair: CostPair) -> Vec<(String, Box<dyn CostMap>)> {
+    let placement = FirstTouchPlacement::from_trace(64, trace);
+    let mut maps: Vec<(String, Box<dyn CostMap>)> = vec![
+        (
+            "first-touch".into(),
+            Box::new(FirstTouchCostMap::new(placement, sampled.proc(), pair, 64)),
+        ),
+        ("uniform".into(), Box::new(UniformCostMap(pair.high()))),
+        (
+            "criticality".into(),
+            Box::new(CriticalityCostMap::from_trace(trace, pair, 0.6)),
+        ),
+    ];
+    for haf in [0.0, 0.2, 1.0] {
+        maps.push((
+            format!("random haf {haf}"),
+            Box::new(RandomCostMap::new(haf, pair, 11)),
+        ));
+    }
+    maps
+}
+
+#[test]
+fn priced_runs_equal_the_per_reference_loop() {
+    let trace = trace();
+    let sampled = SampledTrace::from_trace(&trace, mem_trace::ProcId(1));
+    let cfg = TraceSimConfig::paper_basic();
+    let pairs = [
+        CostPair::ratio(2),
+        CostPair::ratio(32),
+        CostPair::infinite_ratio(),
+    ];
+    // Classes are priced once per map, under a pair none of the runs use.
+    let priced: Vec<(String, PricedTrace<'_>)> = maps(&trace, &sampled, CostPair::ratio(5))
+        .into_iter()
+        .map(|(name, map)| (name, PricedTrace::new(&sampled, map.as_ref(), 64)))
+        .collect();
+    let profile = LruMissProfile::collect(&sampled, cfg);
+    let mut evictions = 0;
+    for pair in pairs {
+        for ((name, map), (_, once)) in maps(&trace, &sampled, pair).iter().zip(&priced) {
+            // The map's own pair: `pair` for all but the uniform map.
+            let pair = map.pair();
+            let lru = once.lru_misses(cfg).aggregate_cost(pair);
+            assert_eq!(lru, profile.aggregate_cost(map.as_ref()), "{name} {pair}");
+            for kind in KINDS {
+                let want = per_reference_loop(&sampled, map.as_ref(), kind, cfg);
+                let got = run_sampled(&sampled, map.as_ref(), kind, cfg);
+                assert_eq!((got.l1, got.l2), want, "run_sampled: {kind} {name} {pair}");
+                let got = once.run(pair, kind, cfg);
+                assert_eq!((got.l1, got.l2), want, "priced once: {kind} {name} {pair}");
+                if kind == PolicyKind::Lru {
+                    assert_eq!(lru, want.1.aggregate_cost, "{name} {pair}");
+                }
+                evictions += want.1.evictions;
+            }
+        }
+    }
+    assert!(evictions > 100_000, "the trace must evict: {evictions}");
+}

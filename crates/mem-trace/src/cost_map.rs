@@ -1,7 +1,8 @@
 //! Static cost mappings for the two-cost experiments (Section 3).
 //!
-//! A [`CostMap`] assigns each memory block the cost its misses will incur.
-//! Two mappings from the paper:
+//! A [`CostMap`] splits memory blocks into two classes and gives each class
+//! one miss cost — the paper's "two static costs". Two mappings from the
+//! paper:
 //!
 //! * [`RandomCostMap`] — every block is independently high-cost with
 //!   probability `haf` (the *high-cost access fraction* knob of Section
@@ -9,19 +10,29 @@
 //!   deterministic and storage-free;
 //! * [`FirstTouchCostMap`] — blocks homed remotely (under first-touch
 //!   placement) are high-cost, locally-homed blocks low-cost (Section 3.3).
+//!
+//! Because the class of a block does not depend on the pair, a trace can be
+//! classified once and run under every cost ratio (`csr_harness`'s
+//! `PricedTrace`).
 
 use crate::first_touch::FirstTouchPlacement;
 use crate::record::ProcId;
 use cache_sim::{BlockAddr, Cost, CostPair};
+use std::borrow::Borrow;
 
-/// Assigns a static miss cost to every block, from the perspective of one
-/// observing processor.
+/// Assigns each block one of two static miss costs, from the perspective
+/// of one observing processor.
 pub trait CostMap {
-    /// The miss cost of `block`.
-    fn cost_of(&self, block: BlockAddr) -> Cost;
+    /// The low and high miss costs.
+    fn pair(&self) -> CostPair;
 
     /// Whether `block` is a high-cost block.
     fn is_high_cost(&self, block: BlockAddr) -> bool;
+
+    /// The miss cost of `block`.
+    fn cost_of(&self, block: BlockAddr) -> Cost {
+        self.pair().pick(self.is_high_cost(block))
+    }
 }
 
 /// Uniform pseudo-random assignment of high costs to blocks.
@@ -58,12 +69,6 @@ impl RandomCostMap {
         }
     }
 
-    /// The configured cost pair.
-    #[must_use]
-    pub fn pair(&self) -> CostPair {
-        self.pair
-    }
-
     fn hash(&self, block: BlockAddr) -> u64 {
         // One SplitMix64 step keyed by (block ^ seed): uniform,
         // deterministic and stateless (shared with the workload kernels).
@@ -72,8 +77,8 @@ impl RandomCostMap {
 }
 
 impl CostMap for RandomCostMap {
-    fn cost_of(&self, block: BlockAddr) -> Cost {
-        self.pair.pick(self.is_high_cost(block))
+    fn pair(&self) -> CostPair {
+        self.pair
     }
 
     fn is_high_cost(&self, block: BlockAddr) -> bool {
@@ -85,23 +90,21 @@ impl CostMap for RandomCostMap {
 }
 
 /// High cost for remotely-homed blocks, low cost for local ones.
+///
+/// The placement is owned or borrowed (`P = &FirstTouchPlacement`), so one
+/// placement serves every cost ratio without a copy.
 #[derive(Debug, Clone)]
-pub struct FirstTouchCostMap {
-    placement: FirstTouchPlacement,
+pub struct FirstTouchCostMap<P = FirstTouchPlacement> {
+    placement: P,
     me: ProcId,
     pair: CostPair,
     block_bytes: u64,
 }
 
-impl FirstTouchCostMap {
+impl<P: Borrow<FirstTouchPlacement>> FirstTouchCostMap<P> {
     /// Creates a map for references by processor `me` under `placement`.
     #[must_use]
-    pub fn new(
-        placement: FirstTouchPlacement,
-        me: ProcId,
-        pair: CostPair,
-        block_bytes: u64,
-    ) -> Self {
+    pub fn new(placement: P, me: ProcId, pair: CostPair, block_bytes: u64) -> Self {
         FirstTouchCostMap {
             placement,
             me,
@@ -113,17 +116,17 @@ impl FirstTouchCostMap {
     /// The underlying placement.
     #[must_use]
     pub fn placement(&self) -> &FirstTouchPlacement {
-        &self.placement
+        self.placement.borrow()
     }
 }
 
-impl CostMap for FirstTouchCostMap {
-    fn cost_of(&self, block: BlockAddr) -> Cost {
-        self.pair.pick(self.is_high_cost(block))
+impl<P: Borrow<FirstTouchPlacement>> CostMap for FirstTouchCostMap<P> {
+    fn pair(&self) -> CostPair {
+        self.pair
     }
 
     fn is_high_cost(&self, block: BlockAddr) -> bool {
-        self.placement
+        self.placement()
             .is_remote(self.me, block.base_addr(self.block_bytes))
     }
 }
@@ -134,8 +137,8 @@ impl CostMap for FirstTouchCostMap {
 pub struct UniformCostMap(pub Cost);
 
 impl CostMap for UniformCostMap {
-    fn cost_of(&self, _block: BlockAddr) -> Cost {
-        self.0
+    fn pair(&self) -> CostPair {
+        CostPair::new(self.0, self.0)
     }
 
     fn is_high_cost(&self, _block: BlockAddr) -> bool {
@@ -199,11 +202,14 @@ mod tests {
         t.push(TraceRecord::write(ProcId(1), Addr(0))); // block 0 homed at P1
         t.push(TraceRecord::write(ProcId(0), Addr(64))); // block 1 homed at P0
         let placement = FirstTouchPlacement::from_trace(64, &t);
-        let m = FirstTouchCostMap::new(placement, ProcId(0), CostPair::ratio(16), 64);
-        assert!(m.is_high_cost(BlockAddr(0)));
-        assert_eq!(m.cost_of(BlockAddr(0)), Cost(16));
-        assert!(!m.is_high_cost(BlockAddr(1)));
-        assert_eq!(m.cost_of(BlockAddr(1)), Cost(1));
+        let borrowed = FirstTouchCostMap::new(&placement, ProcId(0), CostPair::ratio(16), 64);
+        let m = FirstTouchCostMap::new(placement.clone(), ProcId(0), CostPair::ratio(16), 64);
+        for m in [&borrowed as &dyn CostMap, &m] {
+            assert!(m.is_high_cost(BlockAddr(0)));
+            assert_eq!(m.cost_of(BlockAddr(0)), Cost(16));
+            assert!(!m.is_high_cost(BlockAddr(1)));
+            assert_eq!(m.cost_of(BlockAddr(1)), Cost(1));
+        }
     }
 
     #[test]
@@ -211,5 +217,6 @@ mod tests {
         let m = UniformCostMap(Cost(3));
         assert_eq!(m.cost_of(BlockAddr(1)), Cost(3));
         assert!(!m.is_high_cost(BlockAddr(1)));
+        assert_eq!(m.pair(), CostPair::new(Cost(3), Cost(3)));
     }
 }

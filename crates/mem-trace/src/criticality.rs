@@ -12,7 +12,7 @@
 
 use crate::cost_map::CostMap;
 use crate::record::Trace;
-use cache_sim::{AccessType, BlockAddr, Cost, CostPair};
+use cache_sim::{AccessType, BlockAddr, CostPair};
 use std::collections::HashMap;
 
 /// High cost for load-dominated blocks, low cost for store-dominated ones.
@@ -66,8 +66,8 @@ impl CriticalityCostMap {
 }
 
 impl CostMap for CriticalityCostMap {
-    fn cost_of(&self, block: BlockAddr) -> Cost {
-        self.pair.pick(self.is_high_cost(block))
+    fn pair(&self) -> CostPair {
+        self.pair
     }
 
     fn is_high_cost(&self, block: BlockAddr) -> bool {
@@ -79,7 +79,7 @@ impl CostMap for CriticalityCostMap {
 mod tests {
     use super::*;
     use crate::record::{ProcId, TraceRecord};
-    use cache_sim::Addr;
+    use cache_sim::{Addr, Cost};
 
     #[test]
     fn classifies_by_access_mix() {

@@ -9,12 +9,37 @@
 use crate::record::{ProcId, Trace};
 use cache_sim::Addr;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Multiply-and-fold hashing for unit indices. The keys are trusted
+/// integers and the map is never iterated, so SipHash's flood resistance
+/// buys nothing and costs most of a lookup.
+#[derive(Debug, Default)]
+struct UnitHasher(u64);
+
+impl Hasher for UnitHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, unit: u64) {
+        let h = (self.0 ^ unit).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        // Fold the high half down: the table indexes by the low bits.
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// A first-touch placement map from memory units to home processors.
 #[derive(Debug, Clone)]
 pub struct FirstTouchPlacement {
     granularity_bytes: u64,
-    homes: HashMap<u64, ProcId>,
+    homes: HashMap<u64, ProcId, BuildHasherDefault<UnitHasher>>,
 }
 
 impl FirstTouchPlacement {
@@ -34,7 +59,7 @@ impl FirstTouchPlacement {
         );
         FirstTouchPlacement {
             granularity_bytes,
-            homes: HashMap::new(),
+            homes: HashMap::default(),
         }
     }
 
@@ -91,21 +116,33 @@ impl FirstTouchPlacement {
     /// this placement — the paper's *remote access fraction* (Table 1).
     #[must_use]
     pub fn remote_fraction(&self, trace: &Trace, proc: ProcId) -> f64 {
-        let mut total = 0u64;
-        let mut remote = 0u64;
+        self.remote_fractions(trace)
+            .get(proc.0)
+            .copied()
+            .unwrap_or(0.0)
+    }
+
+    /// Every processor's [remote fraction](Self::remote_fraction), indexed
+    /// by processor, in one pass over `trace`.
+    #[must_use]
+    pub fn remote_fractions(&self, trace: &Trace) -> Vec<f64> {
+        // (references, remote references) per processor.
+        let mut counts = vec![(0u64, 0u64); trace.num_procs()];
         for rec in trace {
-            if rec.proc == proc {
-                total += 1;
-                if self.is_remote(proc, rec.addr) {
-                    remote += 1;
+            let c = &mut counts[rec.proc.0];
+            c.0 += 1;
+            c.1 += u64::from(self.is_remote(rec.proc, rec.addr));
+        }
+        counts
+            .into_iter()
+            .map(|(total, remote)| {
+                if total == 0 {
+                    0.0
+                } else {
+                    remote as f64 / total as f64
                 }
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            remote as f64 / total as f64
-        }
+            })
+            .collect()
     }
 }
 
@@ -146,6 +183,9 @@ mod tests {
         let f = p.remote_fraction(&t, ProcId(0));
         assert!((f - 1.0 / 3.0).abs() < 1e-12, "got {f}");
         assert_eq!(p.units_homed(), 2);
+        // P1 refs: 0 (local, homed it) => 0; one pass gives both.
+        assert_eq!(p.remote_fractions(&t), vec![f, 0.0]);
+        assert_eq!(p.remote_fraction(&t, ProcId(5)), 0.0, "no references");
     }
 
     #[test]

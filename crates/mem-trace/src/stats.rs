@@ -27,45 +27,50 @@ pub struct TraceCharacteristics {
 }
 
 /// Computes Table-1 characteristics for `trace` from the viewpoint of
-/// `sample` (per-block first-touch placement, 64-byte blocks).
+/// `sample`, given the trace's per-block first-touch `placement`
+/// (`FirstTouchPlacement::from_trace(64, trace)`, built once by the caller
+/// and shared with [`representative_processor`]). The footprint is the
+/// placement's homed units: every block the trace touches, once.
 #[must_use]
 pub fn characterize(
     name: &str,
     problem_size: &str,
     trace: &Trace,
     sample: ProcId,
+    placement: &FirstTouchPlacement,
 ) -> TraceCharacteristics {
-    let placement = FirstTouchPlacement::from_trace(64, trace);
-    let refs_by_sample = trace.refs_by(sample);
-    let writes_by_sample = trace
-        .iter()
-        .filter(|r| r.proc == sample && r.op == AccessType::Write)
-        .count() as u64;
+    let (mut refs_by_sample, mut writes_by_sample, mut remote) = (0u64, 0u64, 0u64);
+    for rec in trace.iter().filter(|r| r.proc == sample) {
+        refs_by_sample += 1;
+        writes_by_sample += u64::from(rec.op == AccessType::Write);
+        remote += u64::from(placement.is_remote(sample, rec.addr));
+    }
+    let share = |n: u64| {
+        if refs_by_sample == 0 {
+            0.0
+        } else {
+            n as f64 / refs_by_sample as f64
+        }
+    };
+    let footprint = placement.units_homed() as u64 * placement.granularity_bytes();
     TraceCharacteristics {
         name: name.to_owned(),
         problem_size: problem_size.to_owned(),
         num_procs: trace.num_procs(),
-        memory_usage_mb: trace.footprint_bytes(64) as f64 / (1024.0 * 1024.0),
+        memory_usage_mb: footprint as f64 / (1024.0 * 1024.0),
         refs_by_sample,
         total_refs: trace.len() as u64,
-        write_fraction: if refs_by_sample == 0 {
-            0.0
-        } else {
-            writes_by_sample as f64 / refs_by_sample as f64
-        },
-        remote_access_fraction: placement.remote_fraction(trace, sample),
+        write_fraction: share(writes_by_sample),
+        remote_access_fraction: share(remote),
     }
 }
 
-/// Picks the processor whose remote-access fraction is closest to the mean
-/// across all processors — the paper's "most representative" sample
-/// selection for irregular benchmarks (Section 3.1).
+/// Picks the processor whose remote-access fraction under `placement` is
+/// closest to the mean across all processors — the paper's "most
+/// representative" sample selection for irregular benchmarks (Section 3.1).
 #[must_use]
-pub fn representative_processor(trace: &Trace) -> ProcId {
-    let placement = FirstTouchPlacement::from_trace(64, trace);
-    let fractions: Vec<f64> = (0..trace.num_procs())
-        .map(|p| placement.remote_fraction(trace, ProcId(p)))
-        .collect();
+pub fn representative_processor(trace: &Trace, placement: &FirstTouchPlacement) -> ProcId {
+    let fractions = placement.remote_fractions(trace);
     let mean = fractions.iter().sum::<f64>() / fractions.len() as f64;
     let best = fractions
         .iter()
@@ -94,7 +99,13 @@ mod tests {
         t.push(TraceRecord::write(ProcId(1), Addr(64)));
         t.push(TraceRecord::read(ProcId(0), Addr(64))); // remote for P0
         t.push(TraceRecord::read(ProcId(0), Addr(0))); // local
-        let c = characterize("t", "tiny", &t, ProcId(0));
+        let c = characterize(
+            "t",
+            "tiny",
+            &t,
+            ProcId(0),
+            &FirstTouchPlacement::from_trace(64, &t),
+        );
         assert_eq!(c.refs_by_sample, 3);
         assert_eq!(c.total_refs, 4);
         assert!((c.write_fraction - 1.0 / 3.0).abs() < 1e-12);
@@ -114,7 +125,7 @@ mod tests {
                 Addr(i * 64),
             ));
         }
-        let p = representative_processor(&t);
+        let p = representative_processor(&t, &FirstTouchPlacement::from_trace(64, &t));
         assert!(p.0 < 4);
     }
 }

@@ -8,18 +8,20 @@
 //! Run with: `cargo run --release --example cost_sweep`
 
 use cost_sensitive_cache::harness::{
-    run_sampled, CostRatio, LruMissProfile, PolicyKind, TraceSimConfig,
+    CostRatio, LruMissProfile, PolicyKind, PricedTrace, TraceSimConfig,
 };
 use cost_sensitive_cache::sim::relative_savings_pct;
 use cost_sensitive_cache::trace::cost_map::RandomCostMap;
 use cost_sensitive_cache::trace::workloads::OceanLike;
-use cost_sensitive_cache::trace::{representative_processor, SampledTrace, Workload};
+use cost_sensitive_cache::trace::{
+    representative_processor, FirstTouchPlacement, SampledTrace, Workload,
+};
 
 fn main() {
     let workload = OceanLike::default();
     println!("generating {} trace ...", workload.name());
     let trace = workload.generate(2003);
-    let sample = representative_processor(&trace);
+    let sample = representative_processor(&trace, &FirstTouchPlacement::from_trace(64, &trace));
     let sampled = SampledTrace::from_trace(&trace, sample);
     println!(
         "sample processor {sample}: {} own refs, {} foreign writes\n",
@@ -45,10 +47,14 @@ fn main() {
     println!("   (DCL savings over LRU, %)");
     for haf in hafs {
         print!("{haf:>6.2}");
+        // Which blocks are high-cost depends on the HAF only: classify the
+        // trace once and run it under every ratio.
+        let classes = RandomCostMap::new(haf, CostRatio::Infinite.pair(), 99);
+        let priced = PricedTrace::new(&sampled, &classes, cfg.l2.block_bytes());
         for ratio in ratios {
             let map = RandomCostMap::new(haf, ratio.pair(), 99);
             let lru_cost = baseline.aggregate_cost(&map);
-            let run = run_sampled(&sampled, &map, PolicyKind::Dcl, cfg);
+            let run = priced.run(ratio.pair(), PolicyKind::Dcl, cfg);
             print!(
                 "{:>9.2}",
                 relative_savings_pct(lru_cost, run.aggregate_cost())

@@ -167,8 +167,8 @@ fn default_suite_characteristics_stay_in_documented_bands() {
     ];
     for (w, band) in suite {
         let t = w.generate(2003);
-        let sample = cost_sensitive_cache::trace::representative_processor(&t);
         let placement = FirstTouchPlacement::from_trace(64, &t);
+        let sample = cost_sensitive_cache::trace::representative_processor(&t, &placement);
         let f = placement.remote_fraction(&t, sample);
         assert!(
             band.contains(&f),
