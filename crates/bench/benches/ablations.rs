@@ -5,21 +5,21 @@
 //! * ETD capacity — the paper proves s-1 entries suffice;
 //! * ETD tag width — aliasing vs full tags (Section 4.3).
 
-use cache_sim::{relative_savings_pct, ReplacementPolicy};
-use csr::etd::EtdConfig;
-use csr::{Bcl, Dcl};
+use cache_sim::{relative_savings_pct, EvictionPolicy};
+use csr::etd::{EtdConfig, EtdStats};
+use csr::{BclCore, DclCore};
 use csr_harness::{
     build_benchmarks, run_sampled_policy, Benchmark, LruMissProfile, Scale, TraceSimConfig,
 };
 use mem_trace::cost_map::{CostMap, RandomCostMap};
 
-fn run_policy<P: ReplacementPolicy>(
+fn run_policy<C: EvictionPolicy>(
     bench: &Benchmark,
     costs: &dyn CostMap,
     cfg: TraceSimConfig,
-    policy: P,
+    core: impl FnMut() -> C,
 ) -> cache_sim::Cost {
-    run_sampled_policy(&bench.sampled, costs, policy, cfg)
+    run_sampled_policy(&bench.sampled, costs, core, cfg)
         .1
         .aggregate_cost
 }
@@ -42,23 +42,17 @@ fn main() {
         let bcl: Vec<f64> = [1u64, 2, 4]
             .iter()
             .map(|&f| {
-                sav(run_policy(
-                    b,
-                    &map,
-                    cfg,
-                    Bcl::with_depreciation_factor(&geom, f),
-                ))
+                sav(run_policy(b, &map, cfg, || {
+                    BclCore::with_depreciation_factor(f)
+                }))
             })
             .collect();
         let dcl: Vec<f64> = [1u64, 2, 4]
             .iter()
             .map(|&f| {
-                sav(run_policy(
-                    b,
-                    &map,
-                    cfg,
-                    Dcl::new(&geom).with_depreciation_factor(f),
-                ))
+                sav(run_policy(b, &map, cfg, || {
+                    DclCore::for_geometry(&geom).with_depreciation_factor(f)
+                }))
             })
             .collect();
         println!(
@@ -81,7 +75,7 @@ fn main() {
                     entries_per_set: n,
                     tag_bits: None,
                 };
-                let c = run_policy(b, &map, cfg, Dcl::with_etd_config(&geom, etd));
+                let c = run_policy(b, &map, cfg, || DclCore::with_etd_config(&geom, etd));
                 relative_savings_pct(base, c)
             })
             .collect();
@@ -104,7 +98,8 @@ fn main() {
                 entries_per_set: 3,
                 tag_bits: bits,
             };
-            let mut h = cache_sim::TwoLevel::new(cfg.l1, cfg.l2, Dcl::with_etd_config(&geom, etd));
+            let core = || DclCore::with_etd_config(&geom, etd);
+            let mut h = cache_sim::TwoLevel::new(cfg.l1, cfg.l2, core);
             let bb = cfg.l2.block_bytes();
             for ev in b.sampled.events() {
                 match *ev {
@@ -116,7 +111,11 @@ fn main() {
                 }
             }
             let sav = relative_savings_pct(base, h.l2().stats().aggregate_cost);
-            let fm = h.l2().policy().etd_stats().false_match_rate() * 100.0;
+            let mut etd = EtdStats::default();
+            for core in h.l2().cores() {
+                etd.merge(core.etd().stats());
+            }
+            let fm = etd.false_match_rate() * 100.0;
             cells.push(format!("{sav:+.2}% ({fm:.0}%fm)"));
         }
         println!(

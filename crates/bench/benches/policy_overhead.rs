@@ -50,7 +50,7 @@ fn main() {
     ] {
         let mut best = f64::INFINITY;
         for _ in 0..PASSES {
-            let mut cache = Cache::new(geom, kind.build(&geom));
+            let mut cache = Cache::new(geom, kind.cores(&geom));
             let start = Instant::now();
             for &(block, op, cost) in &accesses {
                 black_box(cache.access(block, op, cost));

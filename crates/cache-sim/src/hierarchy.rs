@@ -9,7 +9,7 @@ use crate::addr::{BlockAddr, Geometry};
 use crate::cache::{AccessType, Cache};
 use crate::cost::Cost;
 use crate::lru::Lru;
-use crate::policy::{InvalidateKind, ReplacementPolicy};
+use crate::policy::EvictionPolicy;
 
 /// The result of one hierarchy access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,7 +23,8 @@ pub struct HierarchyOutcome {
     pub cost_charged: Cost,
 }
 
-/// A two-level hierarchy with an LRU L1 filter and a pluggable-policy L2.
+/// A two-level hierarchy with an LRU L1 filter and an L2 driving one core
+/// of the policy under study per set.
 ///
 /// # Examples
 ///
@@ -33,7 +34,7 @@ pub struct HierarchyOutcome {
 /// let mut h = TwoLevel::new(
 ///     Geometry::direct_mapped(4 * 1024, 64),
 ///     Geometry::new(16 * 1024, 64, 4),
-///     Lru::new(),
+///     Lru::new,
 /// );
 /// let out = h.access(BlockAddr(3), AccessType::Read, Cost(8));
 /// assert!(!out.l1_hit);
@@ -45,9 +46,9 @@ pub struct HierarchyOutcome {
 /// assert_eq!(out.l2_hit, None);
 /// ```
 #[derive(Debug)]
-pub struct TwoLevel<P> {
+pub struct TwoLevel<C> {
     l1: Cache<Lru>,
-    l2: Cache<P>,
+    l2: Cache<C>,
     /// Dirty L1 copies dropped by inclusion back-invalidations. The L2's
     /// copy of such a block may be stale-clean at its own eviction, so
     /// `l2.stats().dirty_evictions` undercounts writebacks by up to this
@@ -55,22 +56,23 @@ pub struct TwoLevel<P> {
     dirty_backinvalidations: u64,
 }
 
-impl<P: ReplacementPolicy> TwoLevel<P> {
-    /// Creates an empty hierarchy.
+impl<C: EvictionPolicy> TwoLevel<C> {
+    /// Creates an empty hierarchy whose L2 sets each get a core built by
+    /// `l2_core`.
     ///
     /// # Panics
     ///
     /// Panics if the two levels have different block sizes.
     #[must_use]
-    pub fn new(l1_geom: Geometry, l2_geom: Geometry, l2_policy: P) -> Self {
+    pub fn new(l1_geom: Geometry, l2_geom: Geometry, l2_core: impl FnMut() -> C) -> Self {
         assert_eq!(
             l1_geom.block_bytes(),
             l2_geom.block_bytes(),
             "L1 and L2 must share a block size"
         );
         TwoLevel {
-            l1: Cache::new(l1_geom, Lru::new()),
-            l2: Cache::new(l2_geom, l2_policy),
+            l1: Cache::new(l1_geom, Lru::new),
+            l2: Cache::new(l2_geom, l2_core),
             dirty_backinvalidations: 0,
         }
     }
@@ -83,7 +85,7 @@ impl<P: ReplacementPolicy> TwoLevel<P> {
 
     /// The L2 cache under study.
     #[must_use]
-    pub fn l2(&self) -> &Cache<P> {
+    pub fn l2(&self) -> &Cache<C> {
         &self.l2
     }
 
@@ -120,7 +122,7 @@ impl<P: ReplacementPolicy> TwoLevel<P> {
         // would go to memory in a real system); count it so writeback
         // accounting stays auditable.
         if let Some(ev) = l2_out.evicted {
-            if let Some(l1_ev) = self.l1.invalidate(ev.block, InvalidateKind::Inclusion) {
+            if let Some(l1_ev) = self.l1.invalidate(ev.block) {
                 if l1_ev.dirty {
                     self.dirty_backinvalidations += 1;
                 }
@@ -140,10 +142,10 @@ impl<P: ReplacementPolicy> TwoLevel<P> {
     }
 
     /// Delivers a coherence invalidation to both levels (and, through the
-    /// policy hook, to shadow state such as DCL's ETD).
+    /// cores' `on_remove`, to shadow state such as DCL's ETD).
     pub fn invalidate(&mut self, block: BlockAddr) {
-        self.l1.invalidate(block, InvalidateKind::Coherence);
-        self.l2.invalidate(block, InvalidateKind::Coherence);
+        self.l1.invalidate(block);
+        self.l2.invalidate(block);
     }
 }
 
@@ -156,7 +158,7 @@ mod tests {
         TwoLevel::new(
             Geometry::direct_mapped(128, 64),
             Geometry::new(256, 64, 2),
-            Lru::new(),
+            Lru::new,
         )
     }
 

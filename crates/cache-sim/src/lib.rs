@@ -9,16 +9,18 @@
 //! * address arithmetic and cache [`Geometry`] ([`addr`]),
 //! * the miss-[`Cost`] model, including the paper's two-static-cost
 //!   configuration ([`cost`]),
-//! * the [`ReplacementPolicy`] trait and the [`SetView`] through which
-//!   policies observe a set in LRU-stack order ([`policy`]),
-//! * the [`Cache`] engine with per-set recency stacks, statistics and
+//! * the one replacement-policy contract, [`EvictionPolicy`]: a core for a
+//!   single region that asks its driver [`Residents`] questions instead of
+//!   reading the recency order ([`policy`]),
+//! * the [`Cache`] engine, which drives one core per set and answers those
+//!   questions from its own per-set recency stacks, with statistics and
 //!   coherence invalidations ([`cache`]),
 //! * a [`TwoLevel`] hierarchy with an L1 filter, as used by the paper's
 //!   trace-driven experiments ([`hierarchy`]),
-//! * baseline policies: [`Lru`], [`Fifo`], [`RandomEvict`].
+//! * baseline cores: [`Lru`], [`Fifo`], [`RandomEvict`].
 //!
-//! Cost-sensitive policies (GD, BCL, DCL, ACL) live in the companion `csr`
-//! crate.
+//! Cost-sensitive cores (GD, BCL, DCL, ACL and the policy zoo) live in the
+//! companion `csr` crate.
 //!
 //! # Examples
 //!
@@ -26,7 +28,7 @@
 //! use cache_sim::{Cache, Geometry, Lru, AccessType, Cost, BlockAddr};
 //!
 //! // The paper's basic L2: 16 KB, 4-way, 64-byte blocks.
-//! let mut cache = Cache::new(Geometry::new(16 * 1024, 64, 4), Lru::new());
+//! let mut cache = Cache::new(Geometry::new(16 * 1024, 64, 4), Lru::new);
 //! for b in 0..128u64 {
 //!     cache.access(BlockAddr(b), AccessType::Read, Cost(1));
 //! }
@@ -53,6 +55,6 @@ pub use cost::{Cost, CostPair};
 pub use fifo::Fifo;
 pub use hierarchy::{HierarchyOutcome, TwoLevel};
 pub use lru::Lru;
-pub use policy::{InvalidateKind, ReplacementPolicy, SetView, WayView};
+pub use policy::{EvictionPolicy, Residents, SetView, WayView};
 pub use random_policy::RandomEvict;
 pub use stats::{relative_savings_pct, CacheStats};

@@ -1,38 +1,42 @@
-//! The replacement-policy interface.
+//! The replacement-policy contract: one trait, [`EvictionPolicy`], for a
+//! single replacement region.
 //!
-//! A [`ReplacementPolicy`] is driven by a [`Cache`](crate::Cache): the cache
-//! maintains residency and the LRU recency stack of every set, and consults
-//! the policy for victim selection, notifying it of hits, misses, fills and
-//! invalidations. For victim selection — and only there — the cache presents
-//! the set as a [`SetView`] in **MRU → LRU order**, mirroring the paper's
-//! `c(1)` (MRU) … `c(s)` (LRU) notation (with 0-based indices here: position
-//! 0 is MRU, `len()-1` is LRU). Hits and misses carry the O(1) facts a policy
-//! consumes instead, so the hit path never materializes the stack.
+//! The paper's algorithms are one piece of logic — a recency stack, its
+//! costs, and (for DCL/ACL) a shadow directory — that only ever concerns
+//! **one region**: a cache set here, a key-value shard in `csr_cache`. A
+//! core implements [`EvictionPolicy`] for that one region, and a driver
+//! replicates it: the simulator's [`Cache`](crate::Cache) holds one core per
+//! set, `csr_cache`'s `Region` one boxed core per shard. Both deliver the
+//! same notifications in the same order:
 //!
-//! A set has at most `assoc` ways, so the view is a slice that is cheap to
-//! build and to walk, and it is the reference for what the recency order
-//! means. The `csr` cores do not depend on it being a slice: their `victim`
-//! puts three questions to a `csr::Residents` — the LRU entry, the entry in
-//! a given way, the entry nearest the LRU end (that one excepted) cheaper
-//! than a bound — which [`SetView`] answers by walking its slice and the
-//! key-value cache answers from linked lists, for regions of any size.
+//! * [`on_hit`](EvictionPolicy::on_hit) *before* the block is promoted to
+//!   the MRU position, with whether it sits at the LRU end;
+//! * [`on_miss`](EvictionPolicy::on_miss) for every access that misses,
+//!   with the current LRU block and its cost, before victim selection or
+//!   fill — this is where DCL/ACL probe their Extended Tag Directory;
+//! * [`victim`](EvictionPolicy::victim) **exactly once** per replacement and
+//!   only on a full region; the returned way **will** be evicted, so a core
+//!   may keep books inside it (BCL's `Acost` depreciation, DCL's ETD
+//!   allocation);
+//! * [`on_fill`](EvictionPolicy::on_fill) after the new block is linked;
+//! * [`on_remove`](EvictionPolicy::on_remove) for every other departure
+//!   (coherence invalidation, inclusion, explicit removal), naming the way
+//!   the block leaves, or `None` when it was not resident.
 //!
-//! # Contract
-//!
-//! * [`ReplacementPolicy::victim`] is called **exactly once** per replacement
-//!   and only when the set is full; the returned way **will** be evicted.
-//!   Policies may therefore perform bookkeeping side effects inside `victim`
-//!   (e.g. BCL's `Acost` depreciation, DCL's ETD allocation).
-//! * Hit notifications are delivered *before* the accessed block is promoted
-//!   to the MRU position; `is_lru` describes the pre-access stack.
-//! * [`ReplacementPolicy::on_miss`] is delivered for every access that misses,
-//!   before victim selection (and also when the fill uses an empty way) —
-//!   this is where DCL/ACL probe their Extended Tag Directory.
+//! A core never sees the recency order; it asks about it. `victim` receives
+//! the driver as [`Residents`] and may put three questions to it: the entry
+//! at the LRU end, the entry in a given way, and — Figure 1's scan — the
+//! entry closest to the LRU end, the LRU entry excepted, that costs less
+//! than a bound. Each driver answers from the order it already keeps: the
+//! `Cache` from the set's rows of its flat arrays, `Region` from one recency
+//! list per distinct cost. [`SetView`] answers by walking a slice of
+//! [`WayView`]s in MRU → LRU order (the paper's `c(1)` … `c(s)`); it is the
+//! reference the drivers are tested against.
 
-use crate::addr::{BlockAddr, SetIndex, Way};
+use crate::addr::{BlockAddr, Way};
 use crate::cost::Cost;
 
-/// The view of one resident blockframe, as presented to a policy.
+/// One resident block, as a driver describes it to a core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WayView {
     /// Which physical way holds the block.
@@ -41,11 +45,26 @@ pub struct WayView {
     pub block: BlockAddr,
     /// The block's miss cost, loaded at fill time.
     pub cost: Cost,
-    /// Whether the block is dirty.
-    pub dirty: bool,
 }
 
-/// A snapshot of one set's **valid** blockframes in MRU → LRU order.
+/// What a core may ask its driver about the region's residents while it
+/// selects a victim. The region is full, hence non-empty, whenever a driver
+/// hands this to [`EvictionPolicy::victim`].
+pub trait Residents {
+    /// The entry at the LRU end.
+    fn lru(&self) -> WayView;
+
+    /// The entry resident in `way`, if that way holds one.
+    fn at_way(&self, way: Way) -> Option<WayView>;
+
+    /// Figure 1's scan: walking from the second-LRU position toward the MRU,
+    /// the first entry whose cost is strictly below `bound`. `None` means no
+    /// reservation is possible and the LRU entry itself must go.
+    fn lru_most_cheaper_than(&self, bound: u64) -> Option<WayView>;
+}
+
+/// The reference answers: a region's valid blockframes as a slice in
+/// MRU → LRU order, walked for every question.
 #[derive(Debug)]
 pub struct SetView<'a> {
     entries: &'a [WayView],
@@ -57,129 +76,84 @@ impl<'a> SetView<'a> {
     pub fn new(entries: &'a [WayView]) -> Self {
         SetView { entries }
     }
+}
 
-    /// Number of valid blocks in the set.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
+impl Residents for SetView<'_> {
+    fn lru(&self) -> WayView {
+        *self.entries.last().expect("lru() on empty set")
     }
 
-    /// Whether the set holds no valid block.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    fn at_way(&self, way: Way) -> Option<WayView> {
+        self.entries.iter().find(|e| e.way == way).copied()
     }
 
-    /// The block at stack position `pos` (0 = MRU, `len()-1` = LRU).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos >= len()`.
-    #[must_use]
-    pub fn at(&self, pos: usize) -> &WayView {
-        &self.entries[pos]
-    }
-
-    /// The least recently used block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the set is empty.
-    #[must_use]
-    pub fn lru(&self) -> &WayView {
-        self.entries.last().expect("lru() on empty set")
-    }
-
-    /// Iterates in MRU → LRU order.
-    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &WayView> + ExactSizeIterator {
-        self.entries.iter()
+    fn lru_most_cheaper_than(&self, bound: u64) -> Option<WayView> {
+        self.entries
+            .iter()
+            .rev()
+            .skip(1)
+            .find(|e| e.cost.0 < bound)
+            .copied()
     }
 }
 
-/// Why a block left the cache, as reported to [`ReplacementPolicy::on_invalidate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InvalidateKind {
-    /// A coherence invalidation (e.g. a remote write in a multiprocessor).
-    Coherence,
-    /// An inclusion-driven back-invalidation from another cache level.
-    Inclusion,
-    /// Explicit flush by the user of the cache.
-    Flush,
-}
-
-/// A cache replacement policy.
+/// A replacement policy for a single region (one cache set, one shard),
+/// driven as the [module docs](self) state.
 ///
-/// All methods except [`victim`](Self::victim) have no-op defaults so simple
-/// policies (e.g. plain LRU) implement only what they need.
-pub trait ReplacementPolicy {
+/// All methods except [`name`](Self::name) and [`victim`](Self::victim)
+/// have no-op defaults, so a simple core (plain LRU) implements only those.
+/// Delivering [`on_miss`](Self::on_miss) more than once for the same missing
+/// access (as a get-then-insert key-value flow does) must be harmless.
+pub trait EvictionPolicy {
     /// A short human-readable name ("LRU", "GD", "BCL", …).
     fn name(&self) -> &'static str;
 
-    /// Selects the way to evict from a **full** set. Called exactly once per
-    /// replacement; the returned way will be evicted.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if `view` is not full (`view.len()` less
-    /// than the associativity they were configured with).
-    fn victim(&mut self, set: SetIndex, view: &SetView<'_>) -> Way;
+    /// Selects the way to evict from the full region.
+    fn victim(&mut self, residents: &dyn Residents) -> Way;
 
-    /// An access hit `block` on `way` (cost as loaded at fill time), before
-    /// its promotion to MRU; `is_lru` is true when it sits at the LRU end.
-    fn on_hit(&mut self, set: SetIndex, block: BlockAddr, way: Way, cost: Cost, is_lru: bool) {
-        let _ = (set, block, way, cost, is_lru);
+    /// An access hit `block` on `way` (cost as loaded at fill time);
+    /// `is_lru` is true when the block is currently at the LRU end.
+    fn on_hit(&mut self, block: BlockAddr, way: Way, cost: Cost, is_lru: bool) {
+        let _ = (block, way, cost, is_lru);
     }
 
-    /// An access to `block` missed in the set; `lru` is the set's current
-    /// LRU block and its cost, if the set holds any valid block. Delivered
-    /// before victim selection or fill.
-    fn on_miss(&mut self, set: SetIndex, block: BlockAddr, lru: Option<(BlockAddr, Cost)>) {
-        let _ = (set, block, lru);
+    /// An access to `block` missed; `lru` is the current LRU block and its
+    /// cost, if the region is non-empty.
+    fn on_miss(&mut self, block: BlockAddr, lru: Option<(BlockAddr, Cost)>) {
+        let _ = (block, lru);
     }
 
     /// `block` was filled into `way` with miss cost `cost`.
-    fn on_fill(&mut self, set: SetIndex, block: BlockAddr, way: Way, cost: Cost) {
-        let _ = (set, block, way, cost);
+    fn on_fill(&mut self, block: BlockAddr, way: Way, cost: Cost) {
+        let _ = (block, way, cost);
     }
 
-    /// `block` was invalidated. `resident` carries the way and stack position
-    /// the block occupied if it was resident in the cache; policies with
-    /// shadow state (e.g. DCL's ETD) must also handle non-resident blocks.
-    fn on_invalidate(
-        &mut self,
-        set: SetIndex,
-        block: BlockAddr,
-        resident: Option<(Way, usize)>,
-        kind: InvalidateKind,
-    ) {
-        let _ = (set, block, resident, kind);
+    /// `block` left the region without being chosen by
+    /// [`victim`](Self::victim); `way` is the way it occupied, `None` when
+    /// it was not resident (an invalidation that found nothing).
+    fn on_remove(&mut self, block: BlockAddr, way: Option<Way>) {
+        let _ = (block, way);
     }
 }
 
-impl<P: ReplacementPolicy + ?Sized> ReplacementPolicy for Box<P> {
+impl<P: EvictionPolicy + ?Sized> EvictionPolicy for Box<P> {
     fn name(&self) -> &'static str {
         (**self).name()
     }
-    fn victim(&mut self, set: SetIndex, view: &SetView<'_>) -> Way {
-        (**self).victim(set, view)
+    fn victim(&mut self, residents: &dyn Residents) -> Way {
+        (**self).victim(residents)
     }
-    fn on_hit(&mut self, set: SetIndex, block: BlockAddr, way: Way, cost: Cost, is_lru: bool) {
-        (**self).on_hit(set, block, way, cost, is_lru);
+    fn on_hit(&mut self, block: BlockAddr, way: Way, cost: Cost, is_lru: bool) {
+        (**self).on_hit(block, way, cost, is_lru);
     }
-    fn on_miss(&mut self, set: SetIndex, block: BlockAddr, lru: Option<(BlockAddr, Cost)>) {
-        (**self).on_miss(set, block, lru);
+    fn on_miss(&mut self, block: BlockAddr, lru: Option<(BlockAddr, Cost)>) {
+        (**self).on_miss(block, lru);
     }
-    fn on_fill(&mut self, set: SetIndex, block: BlockAddr, way: Way, cost: Cost) {
-        (**self).on_fill(set, block, way, cost);
+    fn on_fill(&mut self, block: BlockAddr, way: Way, cost: Cost) {
+        (**self).on_fill(block, way, cost);
     }
-    fn on_invalidate(
-        &mut self,
-        set: SetIndex,
-        block: BlockAddr,
-        resident: Option<(Way, usize)>,
-        kind: InvalidateKind,
-    ) {
-        (**self).on_invalidate(set, block, resident, kind);
+    fn on_remove(&mut self, block: BlockAddr, way: Option<Way>) {
+        (**self).on_remove(block, way);
     }
 }
 
@@ -187,63 +161,56 @@ impl<P: ReplacementPolicy + ?Sized> ReplacementPolicy for Box<P> {
 mod tests {
     use super::*;
 
-    fn sample_entries() -> Vec<WayView> {
-        vec![
-            WayView {
-                way: Way(2),
-                block: BlockAddr(10),
-                cost: Cost(1),
-                dirty: false,
-            },
-            WayView {
-                way: Way(0),
-                block: BlockAddr(20),
-                cost: Cost(8),
-                dirty: true,
-            },
-            WayView {
-                way: Way(1),
-                block: BlockAddr(30),
-                cost: Cost(1),
-                dirty: false,
-            },
-        ]
+    /// MRU → LRU, one entry per `(block, cost)`, in ways `0..`.
+    fn entries(costs: &[(u64, u64)]) -> Vec<WayView> {
+        costs
+            .iter()
+            .enumerate()
+            .map(|(i, &(b, c))| WayView {
+                way: Way(i),
+                block: BlockAddr(b),
+                cost: Cost(c),
+            })
+            .collect()
     }
 
     #[test]
-    fn view_orientation() {
-        let entries = sample_entries();
-        let v = SetView::new(&entries);
-        assert_eq!(v.len(), 3);
-        assert!(!v.is_empty());
-        assert_eq!(v.at(0).block, BlockAddr(10));
-        assert_eq!(v.lru().block, BlockAddr(30));
-        assert_eq!(v.at(1).cost, Cost(8));
+    fn set_view_answers_the_three_questions() {
+        // MRU → LRU: costs 1, 4, 1, 9 in ways 0..4.
+        let e = entries(&[(10, 1), (11, 4), (12, 1), (13, 9)]);
+        let view = SetView::new(&e);
+        let r: &dyn Residents = &view;
+        assert_eq!(r.lru().block, BlockAddr(13));
+        assert_eq!(r.at_way(Way(1)).map(|e| e.block), Some(BlockAddr(11)));
+        assert_eq!(r.at_way(Way(4)), None);
+        // Nearest the LRU end first; the bound is strict.
+        assert_eq!(r.lru_most_cheaper_than(9).map(|e| e.way), Some(Way(2)));
+        assert_eq!(r.lru_most_cheaper_than(1), None);
+        // The LRU entry is never its own stand-in.
+        let only_lru_is_cheap = entries(&[(1, 5), (2, 5), (3, 0)]);
+        let view = SetView::new(&only_lru_is_cheap);
+        assert_eq!(view.lru_most_cheaper_than(5), None);
     }
 
     #[test]
-    fn iter_is_mru_to_lru() {
-        let entries = sample_entries();
-        let v = SetView::new(&entries);
-        let blocks: Vec<_> = v.iter().map(|e| e.block.0).collect();
-        assert_eq!(blocks, vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn boxed_policy_dispatches() {
+    fn boxed_core_dispatches() {
         struct AlwaysLru;
-        impl ReplacementPolicy for AlwaysLru {
+        impl EvictionPolicy for AlwaysLru {
             fn name(&self) -> &'static str {
                 "test"
             }
-            fn victim(&mut self, _set: SetIndex, view: &SetView<'_>) -> Way {
-                view.lru().way
+            fn victim(&mut self, residents: &dyn Residents) -> Way {
+                residents.lru().way
             }
         }
-        let mut boxed: Box<dyn ReplacementPolicy> = Box::new(AlwaysLru);
-        let entries = sample_entries();
-        let v = SetView::new(&entries);
+        let e = entries(&[(1, 5), (2, 9)]);
+        let mut boxed: Box<dyn EvictionPolicy> = Box::new(AlwaysLru);
         assert_eq!(boxed.name(), "test");
-        assert_eq!(boxed.victim(SetIndex(0), &v), Way(1));
+        assert_eq!(boxed.victim(&SetView::new(&e)), Way(1));
+        // Default notifications are no-ops and must not panic.
+        boxed.on_hit(BlockAddr(1), Way(0), Cost(5), false);
+        boxed.on_miss(BlockAddr(7), Some((BlockAddr(2), Cost(9))));
+        boxed.on_fill(BlockAddr(7), Way(1), Cost(3));
+        boxed.on_remove(BlockAddr(7), Some(Way(1)));
     }
 }

@@ -1,39 +1,66 @@
-//! The shipped `Cache` (every set in two flat arrays, promote and remove
-//! one `copy_within`) against the cache it replaced, kept verbatim in
-//! `reference/cache.rs` (a `Vec<Frame>` and a `Vec<Way>` per set, promote
-//! by `retain` + `insert(0)`). Both run the same seeded stream of
-//! `access`, `invalidate` (all three kinds), `writeback` and `update_cost`
-//! calls in lockstep, at associativities 1–16 with one or 64 sets, under
-//! `Lru`, `Fifo`, `RandomEvict` and a [`Probe`] that records every
-//! callback — `SetView` contents included — and evicts a seeded random
-//! position, so a driver that orders a stack differently evicts
-//! differently. Outcomes, evictions, statistics, recency stacks, resident
-//! blocks and the callback logs must agree on every step.
+//! The shipped `Cache` (every set in two flat arrays, one core per set, its
+//! `victim` answered in place from the set's rows) against the cache it
+//! replaced, kept verbatim in `reference/cache.rs` (a `Vec<Frame>` and a
+//! `Vec<Way>` per set, promote by `retain` + `insert(0)`, each victim choice
+//! put to a `SetView` copy of the set) with the set-indexed policy trait it
+//! drove, kept verbatim in `reference/policy.rs`. [`PerSet`] adapts the
+//! cores to that trait and answers them through `cache_sim::SetView`, the
+//! reference `Residents`.
+//!
+//! Both run the same seeded stream of `access`, `invalidate`, `writeback`
+//! and `update_cost` calls in lockstep, at associativities 1–16 with one or
+//! 64 sets, under `Lru`, `Fifo`, `RandomEvict` and a [`Probe`] core that
+//! records every callback and, at every `victim`, the answers to all three
+//! questions — `lru()`, `at_way` for every way, `lru_most_cheaper_than` at
+//! each resident cost and one above it — then evicts a seeded random way.
+//! Outcomes, evictions, statistics, recency stacks, resident blocks and the
+//! logs must agree on every step.
 
-// The frozen file names its siblings through `crate::`: these are them.
+// The frozen files name their siblings through `crate::`: these are them.
 mod addr {
     pub use cache_sim::addr::*;
 }
 mod cost {
     pub use cache_sim::cost::*;
 }
-mod lru {
-    pub use cache_sim::lru::*;
-}
-mod policy {
-    pub use cache_sim::policy::*;
-}
 mod stats {
     pub use cache_sim::stats::*;
 }
+/// The LRU the reference cache's own unit tests drive.
+mod lru {
+    use super::policy::{ReplacementPolicy, SetView};
+    use cache_sim::{SetIndex, Way};
+
+    #[derive(Default)]
+    pub struct Lru;
+
+    impl Lru {
+        pub fn new() -> Self {
+            Lru
+        }
+    }
+
+    impl ReplacementPolicy for Lru {
+        fn name(&self) -> &'static str {
+            "LRU"
+        }
+        fn victim(&mut self, _set: SetIndex, view: &SetView<'_>) -> Way {
+            view.lru().way
+        }
+    }
+}
+
+#[allow(dead_code)]
+#[path = "reference/policy.rs"]
+mod policy;
 
 #[allow(dead_code)]
 #[path = "reference/cache.rs"]
 mod reference;
 
 use cache_sim::{
-    AccessOutcome, AccessType, BlockAddr, Cache, Cost, Evicted, Fifo, Geometry, InvalidateKind,
-    Lru, RandomEvict, ReplacementPolicy, SetIndex, SetView, Way, WayView,
+    AccessOutcome, AccessType, BlockAddr, Cache, Cost, Evicted, EvictionPolicy, Fifo, Geometry,
+    Lru, RandomEvict, Residents, SetIndex, SetView, Way, WayView,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -50,73 +77,145 @@ impl Rng {
     }
 }
 
-/// One policy callback, as delivered.
+/// One core callback, as delivered to the core of a set.
 #[derive(Debug, Clone, PartialEq)]
 enum Call {
     Hit(SetIndex, BlockAddr, Way, Cost, bool),
     Miss(SetIndex, BlockAddr, Option<(BlockAddr, Cost)>),
     Fill(SetIndex, BlockAddr, Way, Cost),
-    Invalidate(SetIndex, BlockAddr, Option<(Way, usize)>, InvalidateKind),
-    Victim(SetIndex, Vec<WayView>, Way),
+    Remove(SetIndex, BlockAddr, Option<Way>),
+    /// The answers `victim` got — `lru()`, `at_way` for ways `0..=assoc`,
+    /// `(bound, lru_most_cheaper_than(bound))` — and the way it chose.
+    Victim(
+        SetIndex,
+        WayView,
+        Vec<Option<WayView>>,
+        Vec<(u64, Option<WayView>)>,
+        Way,
+    ),
 }
 
-/// Records every callback and evicts a seeded random stack position.
+type Log = Rc<RefCell<Vec<Call>>>;
+
+/// Records every callback and every answer, and evicts a seeded random way.
 struct Probe {
+    set: SetIndex,
+    ways: usize,
     rng: Rng,
-    log: Rc<RefCell<Vec<Call>>>,
+    log: Log,
 }
 
-impl ReplacementPolicy for Probe {
+impl EvictionPolicy for Probe {
     fn name(&self) -> &'static str {
         "probe"
     }
-    fn victim(&mut self, set: SetIndex, view: &SetView<'_>) -> Way {
-        let way = view.at(self.rng.below(view.len() as u64) as usize).way;
-        let entries = view.iter().copied().collect();
-        self.log.borrow_mut().push(Call::Victim(set, entries, way));
+    fn victim(&mut self, residents: &dyn Residents) -> Way {
+        // One way past the last, too: both drivers must answer `None`.
+        let at_way: Vec<_> = (0..=self.ways).map(|w| residents.at_way(Way(w))).collect();
+        let mut costs: Vec<u64> = at_way.iter().flatten().map(|e| e.cost.0).collect();
+        costs.sort_unstable();
+        costs.dedup();
+        let cheaper = costs
+            .iter()
+            .flat_map(|&c| [c, c + 1])
+            .map(|bound| (bound, residents.lru_most_cheaper_than(bound)))
+            .collect();
+        let way = Way(self.rng.below(self.ways as u64) as usize);
+        let call = Call::Victim(self.set, residents.lru(), at_way, cheaper, way);
+        self.log.borrow_mut().push(call);
         way
     }
-    fn on_hit(&mut self, set: SetIndex, block: BlockAddr, way: Way, cost: Cost, is_lru: bool) {
-        let call = Call::Hit(set, block, way, cost, is_lru);
+    fn on_hit(&mut self, block: BlockAddr, way: Way, cost: Cost, is_lru: bool) {
+        let call = Call::Hit(self.set, block, way, cost, is_lru);
         self.log.borrow_mut().push(call);
     }
-    fn on_miss(&mut self, set: SetIndex, block: BlockAddr, lru: Option<(BlockAddr, Cost)>) {
-        self.log.borrow_mut().push(Call::Miss(set, block, lru));
+    fn on_miss(&mut self, block: BlockAddr, lru: Option<(BlockAddr, Cost)>) {
+        self.log.borrow_mut().push(Call::Miss(self.set, block, lru));
     }
-    fn on_fill(&mut self, set: SetIndex, block: BlockAddr, way: Way, cost: Cost) {
+    fn on_fill(&mut self, block: BlockAddr, way: Way, cost: Cost) {
+        let call = Call::Fill(self.set, block, way, cost);
+        self.log.borrow_mut().push(call);
+    }
+    fn on_remove(&mut self, block: BlockAddr, way: Option<Way>) {
         self.log
             .borrow_mut()
-            .push(Call::Fill(set, block, way, cost));
+            .push(Call::Remove(self.set, block, way));
+    }
+}
+
+type Core = Box<dyn EvictionPolicy>;
+
+/// A factory of `name` cores for the sets of an `assoc`-way cache, set 0
+/// first; the probes record to `log`.
+fn cores(name: &'static str, assoc: usize, seed: u64, log: &Log) -> impl FnMut() -> Core {
+    let log = log.clone();
+    let mut random = RandomEvict::per_set(assoc, seed);
+    let mut set = 0;
+    move || {
+        set += 1;
+        match name {
+            "lru" => Box::new(Lru::new()),
+            "fifo" => Box::new(Fifo::new()),
+            "random" => Box::new(random()),
+            "probe" => Box::new(Probe {
+                set: SetIndex(set - 1),
+                ways: assoc,
+                rng: Rng(seed.wrapping_add(set as u64) | 1),
+                log: log.clone(),
+            }),
+            other => panic!("no core {other}"),
+        }
+    }
+}
+
+/// The reference side's driver: one core per set behind the frozen
+/// set-indexed trait, each `victim` answered by a [`SetView`] of the copy
+/// the frozen cache makes.
+struct PerSet<C> {
+    cores: Vec<C>,
+}
+
+impl<C> PerSet<C> {
+    fn new(geom: &Geometry, core: impl FnMut() -> C) -> Self {
+        PerSet {
+            cores: std::iter::repeat_with(core).take(geom.num_sets()).collect(),
+        }
+    }
+}
+
+impl<C: EvictionPolicy> policy::ReplacementPolicy for PerSet<C> {
+    fn name(&self) -> &'static str {
+        self.cores[0].name()
+    }
+    fn victim(&mut self, set: SetIndex, view: &policy::SetView<'_>) -> Way {
+        let entries: Vec<WayView> = view
+            .iter()
+            .map(|e| WayView {
+                way: e.way,
+                block: e.block,
+                cost: e.cost,
+            })
+            .collect();
+        self.cores[set.0].victim(&SetView::new(&entries))
+    }
+    fn on_hit(&mut self, set: SetIndex, block: BlockAddr, way: Way, cost: Cost, is_lru: bool) {
+        self.cores[set.0].on_hit(block, way, cost, is_lru);
+    }
+    fn on_miss(&mut self, set: SetIndex, block: BlockAddr, lru: Option<(BlockAddr, Cost)>) {
+        self.cores[set.0].on_miss(block, lru);
+    }
+    fn on_fill(&mut self, set: SetIndex, block: BlockAddr, way: Way, cost: Cost) {
+        self.cores[set.0].on_fill(block, way, cost);
     }
     fn on_invalidate(
         &mut self,
         set: SetIndex,
         block: BlockAddr,
         resident: Option<(Way, usize)>,
-        kind: InvalidateKind,
+        _kind: policy::InvalidateKind,
     ) {
-        let call = Call::Invalidate(set, block, resident, kind);
-        self.log.borrow_mut().push(call);
+        self.cores[set.0].on_remove(block, resident.map(|(way, _)| way));
     }
-}
-
-type Boxed = Box<dyn ReplacementPolicy>;
-
-/// A fresh policy of kind `name` for `geom`, and the log it records to
-/// (empty for the cache-sim baselines).
-fn policy(name: &str, geom: &Geometry, seed: u64) -> (Boxed, Rc<RefCell<Vec<Call>>>) {
-    let log = Rc::new(RefCell::new(Vec::new()));
-    let p: Boxed = match name {
-        "lru" => Box::new(Lru::new()),
-        "fifo" => Box::new(Fifo::new(geom.num_sets())),
-        "random" => Box::new(RandomEvict::new(seed)),
-        "probe" => Box::new(Probe {
-            rng: Rng(seed | 1),
-            log: log.clone(),
-        }),
-        other => panic!("no policy {other}"),
-    };
-    (p, log)
 }
 
 fn old_op(op: AccessType) -> reference::AccessType {
@@ -146,20 +245,15 @@ fn old_outcome(o: reference::AccessOutcome) -> AccessOutcome {
 
 /// Runs `steps` seeded operations on both caches; returns how many
 /// evictions they made.
-fn lockstep(name: &str, assoc: usize, sets: usize, seed: u64, steps: usize) -> u64 {
+fn lockstep(name: &'static str, assoc: usize, sets: usize, seed: u64, steps: usize) -> u64 {
     let geom = Geometry::new(64 * (assoc * sets) as u64, 64, assoc);
-    let (new_policy, new_log) = policy(name, &geom, seed);
-    let (old_policy, old_log) = policy(name, &geom, seed);
-    let mut new = Cache::new(geom, new_policy);
-    let mut old = reference::Cache::new(geom, old_policy);
+    let (new_log, old_log) = (Log::default(), Log::default());
+    let mut new = Cache::new(geom, cores(name, assoc, seed, &new_log));
+    let old_cores = PerSet::new(&geom, cores(name, assoc, seed, &old_log));
+    let mut old = reference::Cache::new(geom, old_cores);
     let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
     // Twice the capacity: about half the accesses hit.
     let universe = 2 * (assoc * sets) as u64 + 1;
-    let kinds = [
-        InvalidateKind::Coherence,
-        InvalidateKind::Inclusion,
-        InvalidateKind::Flush,
-    ];
     let at = |step: usize| format!("{name} assoc {assoc} sets {sets} seed {seed} step {step}");
     for step in 0..steps {
         let block = BlockAddr(rng.below(universe));
@@ -176,9 +270,10 @@ fn lockstep(name: &str, assoc: usize, sets: usize, seed: u64, steps: usize) -> u
                 assert_eq!(got, want, "access at {}", at(step));
             }
             80..=89 => {
-                let kind = kinds[rng.below(3) as usize];
-                let got = new.invalidate(block, kind);
-                let want = old.invalidate(block, kind).map(old_evicted);
+                let got = new.invalidate(block);
+                let want = old
+                    .invalidate(block, policy::InvalidateKind::Coherence)
+                    .map(old_evicted);
                 assert_eq!(got, want, "invalidate at {}", at(step));
             }
             90..=94 => assert_eq!(
@@ -240,11 +335,11 @@ fn flat_cache_matches_the_per_set_reference_step_for_step() {
 #[test]
 fn a_victim_off_the_stack_is_refused_by_both() {
     struct Bad;
-    impl ReplacementPolicy for Bad {
+    impl EvictionPolicy for Bad {
         fn name(&self) -> &'static str {
             "bad"
         }
-        fn victim(&mut self, _set: SetIndex, _view: &SetView<'_>) -> Way {
+        fn victim(&mut self, _residents: &dyn Residents) -> Way {
             Way(9)
         }
     }
@@ -252,12 +347,12 @@ fn a_victim_off_the_stack_is_refused_by_both() {
         let r = std::panic::catch_unwind(|| {
             let geom = Geometry::new(64 * 2, 64, 2);
             if shipped {
-                let mut c = Cache::new(geom, Bad);
+                let mut c = Cache::new(geom, || Bad);
                 for b in 0..3 {
                     c.access(BlockAddr(b), AccessType::Read, Cost(1));
                 }
             } else {
-                let mut c = reference::Cache::new(geom, Bad);
+                let mut c = reference::Cache::new(geom, PerSet::new(&geom, || Bad));
                 for b in 0..3 {
                     c.access(BlockAddr(b), reference::AccessType::Read, Cost(1));
                 }

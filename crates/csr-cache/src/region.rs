@@ -3,8 +3,8 @@
 //! A [`Region`] is a slab of entries threaded on intrusive doubly linked
 //! lists, plus the boxed [`EvictionPolicy`] core that decides its evictions.
 //! It is the only code in this crate that speaks the core protocol, and it
-//! enforces the same contract the simulator's `csr::PerSet` does for cache
-//! sets:
+//! enforces the same contract the simulator's `cache_sim::Cache` does for
+//! cache sets:
 //!
 //! * `on_hit` is delivered before the entry is promoted to MRU;
 //! * `on_miss` carries the current LRU `(id, cost)` pair and precedes
@@ -47,9 +47,8 @@
 //! whatever it needs per entry as the payload `T` — `(K, V)` for a shard,
 //! `()` for the adaptive selector's key-only ghosts.
 
-use cache_sim::{BlockAddr, Cost, Way, WayView};
+use cache_sim::{BlockAddr, Cost, EvictionPolicy, Residents, Way, WayView};
 use csr::eviction::overgrown;
-use csr::{EvictionPolicy, Residents};
 use std::collections::BTreeMap;
 use std::num::NonZeroU32;
 
@@ -264,7 +263,6 @@ impl<T> Slab<T> {
             way: Way(i as usize),
             block: self.slot(i).id,
             cost: Cost(self.cost(i)),
-            dirty: false,
         }
     }
 }

@@ -222,7 +222,6 @@ impl<T> Region<T> {
                 way: Way(cur as usize),
                 block: s.id,
                 cost: Cost(s.cost),
-                dirty: false,
             });
             cur = s.next;
         }

@@ -7,8 +7,8 @@
 //! raw key, so the shard's policy core and the simulator's per-set core
 //! observe byte-for-byte identical event streams.
 
-use cache_sim::{AccessType, BlockAddr, Cache, Cost, Geometry, Lru, ReplacementPolicy};
-use csr::{Acl, Bcl, Camp, Dcl, Gdsf, GreedyDual, Lfuda, S3Fifo, Slru};
+use cache_sim::{AccessType, BlockAddr, Cache, Cost, EvictionPolicy, Geometry, Lru};
+use csr::{AclCore, BclCore, CampCore, DclCore, GdCore, GdsfCore, LfudaCore, S3FifoCore, SlruCore};
 use csr_cache::{CsrCache, Policy};
 use std::hash::{BuildHasher, Hasher};
 
@@ -72,26 +72,26 @@ fn stream(keys: u64) -> impl Iterator<Item = u64> {
 
 /// The paper's associativity doubled, and a set no hardware has: the shard
 /// side answers from its lists whatever the size, the simulator side still
-/// walks a slice.
-fn run_equivalence<P: ReplacementPolicy>(policy: Policy, sim_policy: impl Fn(&Geometry) -> P) {
+/// walks the set's recency stack.
+fn run_equivalence<C: EvictionPolicy>(policy: Policy, sim_core: impl Fn(&Geometry) -> C) {
     for ways in [8, 64] {
         for cost_of in [two_costs, five_costs] {
             let geom = Geometry::new((ways * 64) as u64, 64, ways); // exactly one set
             assert_eq!(geom.num_sets(), 1);
-            run_one(policy, sim_policy(&geom), geom, cost_of);
+            run_one(policy, || sim_core(&geom), geom, cost_of);
         }
     }
 }
 
-fn run_one<P: ReplacementPolicy>(
+fn run_one<C: EvictionPolicy>(
     policy: Policy,
-    sim_policy: P,
+    sim_core: impl FnMut() -> C,
     geom: Geometry,
     cost_of: fn(u64) -> u64,
 ) {
     let ways = geom.assoc();
     let keys = 3 * ways as u64;
-    let mut sim = Cache::new(geom, sim_policy);
+    let mut sim = Cache::new(geom, sim_core);
 
     let cache: CsrCache<u64, u64, IdentityState> = CsrCache::builder(ways)
         .shards(1)
@@ -134,45 +134,45 @@ fn lru_cache_matches_simulator() {
 
 #[test]
 fn gd_cache_matches_simulator() {
-    run_equivalence(Policy::Gd, GreedyDual::new);
+    run_equivalence(Policy::Gd, |g| GdCore::new(g.assoc()));
 }
 
 #[test]
 fn bcl_cache_matches_simulator() {
-    run_equivalence(Policy::Bcl, Bcl::new);
+    run_equivalence(Policy::Bcl, |_| BclCore::new());
 }
 
 #[test]
 fn dcl_cache_matches_simulator() {
-    run_equivalence(Policy::Dcl, Dcl::new);
+    run_equivalence(Policy::Dcl, DclCore::for_geometry);
 }
 
 #[test]
 fn acl_cache_matches_simulator() {
-    run_equivalence(Policy::Acl, Acl::new);
+    run_equivalence(Policy::Acl, AclCore::for_geometry);
 }
 
 #[test]
 fn s3fifo_cache_matches_simulator() {
-    run_equivalence(Policy::S3Fifo, S3Fifo::new);
+    run_equivalence(Policy::S3Fifo, |g| S3FifoCore::new(g.assoc()));
 }
 
 #[test]
 fn slru_cache_matches_simulator() {
-    run_equivalence(Policy::Slru, Slru::new);
+    run_equivalence(Policy::Slru, |g| SlruCore::new(g.assoc()));
 }
 
 #[test]
 fn lfuda_cache_matches_simulator() {
-    run_equivalence(Policy::Lfuda, Lfuda::new);
+    run_equivalence(Policy::Lfuda, |g| LfudaCore::new(g.assoc()));
 }
 
 #[test]
 fn gdsf_cache_matches_simulator() {
-    run_equivalence(Policy::Gdsf, Gdsf::new);
+    run_equivalence(Policy::Gdsf, |g| GdsfCore::new(g.assoc()));
 }
 
 #[test]
 fn camp_cache_matches_simulator() {
-    run_equivalence(Policy::Camp, Camp::new);
+    run_equivalence(Policy::Camp, |g| CampCore::new(g.assoc()));
 }

@@ -15,12 +15,12 @@
 //!   An ETD hit means a reservation would have saved cost — all entries are
 //!   invalidated and the counter jumps to two, re-enabling reservations.
 //!
-//! The single-region logic lives in [`AclCore`] (an
-//! [`EvictionPolicy`](crate::EvictionPolicy)); [`Acl`] replicates one core
-//! per set for the simulator.
+//! The logic lives in [`AclCore`], one region's [`EvictionPolicy`]; the
+//! simulator's cache drives one per set, each with its own directory and
+//! automaton.
 
-use crate::etd::{EtdConfig, EtdSet, EtdStats};
-use crate::eviction::{EvictionPolicy, PerSet, Residents};
+use crate::etd::{EtdConfig, EtdSet};
+use crate::eviction::{EvictionPolicy, Residents};
 use crate::reserve::AcostTracker;
 use cache_sim::{BlockAddr, Cost, Geometry, Way};
 use csr_obs::{NopObserver, Observer};
@@ -44,6 +44,17 @@ impl SetAutomaton {
 
 /// ACL for a single replacement region, owning its shadow directory and
 /// 2-bit automaton.
+///
+/// # Examples
+///
+/// ```
+/// use cache_sim::{Cache, Geometry, AccessType, Cost, BlockAddr};
+/// use csr::AclCore;
+///
+/// let geom = Geometry::new(16 * 1024, 64, 4);
+/// let mut cache = Cache::new(geom, || AclCore::for_geometry(&geom));
+/// cache.access(BlockAddr(1), AccessType::Read, Cost(8));
+/// ```
 #[derive(Debug, Clone)]
 pub struct AclCore<O: Observer = NopObserver> {
     tracker: AcostTracker,
@@ -71,6 +82,31 @@ impl AclCore {
     #[must_use]
     pub fn for_ways(ways: usize) -> Self {
         AclCore::new(EtdSet::new(EtdConfig::for_assoc(ways)))
+    }
+
+    /// Creates a core for one set of a `geom` cache with the paper's
+    /// full-tag, `assoc - 1`-entry directory.
+    #[must_use]
+    pub fn for_geometry(geom: &Geometry) -> Self {
+        AclCore::with_etd_config(geom, EtdConfig::for_assoc(geom.assoc()))
+    }
+
+    /// Creates a core for one set of a `geom` cache whose directory stores
+    /// only the low `bits` tag bits.
+    #[must_use]
+    pub fn with_aliased_tags(geom: &Geometry, bits: u32) -> Self {
+        AclCore::with_etd_config(geom, EtdConfig::for_assoc_aliased(geom.assoc(), bits))
+    }
+
+    /// Creates a core for one set of a `geom` cache with an explicit
+    /// directory configuration; the set-index bits are stripped from the
+    /// tags it compares.
+    #[must_use]
+    pub fn with_etd_config(geom: &Geometry, cfg: EtdConfig) -> Self {
+        AclCore::new(EtdSet::with_stripped_bits(
+            cfg,
+            geom.num_sets().trailing_zeros(),
+        ))
     }
 }
 
@@ -217,75 +253,14 @@ impl<O: Observer> EvictionPolicy for AclCore<O> {
     }
 }
 
-/// The ACL replacement policy (one [`AclCore`] per set).
-///
-/// # Examples
-///
-/// ```
-/// use cache_sim::{Cache, Geometry, AccessType, Cost, BlockAddr};
-/// use csr::Acl;
-///
-/// let geom = Geometry::new(16 * 1024, 64, 4);
-/// let mut cache = Cache::new(geom, Acl::new(&geom));
-/// cache.access(BlockAddr(1), AccessType::Read, Cost(8));
-/// ```
-pub type Acl<O = NopObserver> = PerSet<AclCore<O>>;
-
-impl Acl {
-    /// Creates an ACL policy with a full-tag, `assoc - 1`-entry ETD.
-    #[must_use]
-    pub fn new(geom: &Geometry) -> Self {
-        Acl::with_etd_config(geom, EtdConfig::for_assoc(geom.assoc()))
-    }
-
-    /// Creates an ACL policy whose ETD stores only the low `bits` tag bits.
-    #[must_use]
-    pub fn with_aliased_tags(geom: &Geometry, bits: u32) -> Self {
-        Acl::with_etd_config(geom, EtdConfig::for_assoc_aliased(geom.assoc(), bits))
-    }
-
-    /// Creates an ACL policy with an explicit ETD configuration.
-    #[must_use]
-    pub fn with_etd_config(geom: &Geometry, cfg: EtdConfig) -> Self {
-        let set_bits = geom.num_sets().trailing_zeros();
-        PerSet::from_fn(geom, || {
-            AclCore::new(EtdSet::with_stripped_bits(cfg, set_bits))
-        })
-    }
-}
-
-impl<O: Observer> Acl<O> {
-    /// Overrides the depreciation factor (the paper's value is 2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is zero.
-    #[must_use]
-    pub fn with_depreciation_factor(self, factor: u64) -> Self {
-        self.map_cores(|c| c.with_depreciation_factor(factor))
-    }
-
-    /// Statistics of the embedded ETD, accumulated across all sets.
-    #[must_use]
-    pub fn etd_stats(&self) -> EtdStats {
-        self.fold_etd_stats(AclCore::etd)
-    }
-
-    /// Attaches a decision observer; every set's core receives a clone.
-    #[must_use]
-    pub fn with_observer<O2: Observer + Clone>(self, obs: O2) -> Acl<O2> {
-        self.map_cores(|c| c.with_observer(obs.clone()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_sim::{AccessType, Cache, InvalidateKind, SetIndex};
+    use cache_sim::{AccessType, Cache, SetIndex};
 
-    fn cache(assoc: usize) -> Cache<Acl> {
+    fn cache(assoc: usize) -> Cache<AclCore> {
         let geom = Geometry::new(64 * assoc as u64, 64, assoc);
-        Cache::new(geom, Acl::new(&geom))
+        Cache::new(geom, || AclCore::for_geometry(&geom))
     }
 
     const S0: SetIndex = SetIndex(0);
@@ -298,10 +273,10 @@ mod tests {
         c.access(BlockAddr(2), AccessType::Read, Cost(1));
         // Disabled: plain LRU evicts the high-cost block 0.
         assert!(!c.contains(BlockAddr(0)));
-        assert!(!c.policy().core(S0).enabled());
+        assert!(!c.core(S0).enabled());
         assert_eq!(c.stats().non_lru_evictions, 0);
         // ...but block 0 entered the watch ETD (cheaper block 1 existed).
-        assert_eq!(c.policy().core(S0).etd().blocks(), vec![BlockAddr(0)]);
+        assert_eq!(c.core(S0).etd().blocks(), vec![BlockAddr(0)]);
     }
 
     #[test]
@@ -311,9 +286,9 @@ mod tests {
         c.access(BlockAddr(1), AccessType::Read, Cost(1));
         c.access(BlockAddr(2), AccessType::Read, Cost(1)); // LRU 0 evicted -> watch ETD
         c.access(BlockAddr(0), AccessType::Read, Cost(8)); // watch hit!
-        assert!(c.policy().core(S0).enabled());
-        assert_eq!(c.policy().core(S0).counter(), TRIGGER_VALUE);
-        assert_eq!(c.policy().etd_stats().hits, 1, "one watch hit");
+        assert!(c.core(S0).enabled());
+        assert_eq!(c.core(S0).counter(), TRIGGER_VALUE);
+        assert_eq!(c.core(S0).etd().stats().hits, 1, "one watch hit");
     }
 
     #[test]
@@ -346,13 +321,13 @@ mod tests {
         c.access(BlockAddr(2), AccessType::Read, Cost(1)); // 0 back to LRU
         c.access(BlockAddr(3), AccessType::Read, Cost(1)); // reserve 0
         c.access(BlockAddr(0), AccessType::Read, Cost(8)); // hit reserved block: success
-        assert_eq!(c.policy().core(S0).counter(), 3);
+        assert_eq!(c.core(S0).counter(), 3);
     }
 
     #[test]
     fn failure_decrements_counter_until_disabled() {
         let geom = Geometry::new(128, 64, 2);
-        let mut c = Cache::new(geom, Acl::new(&geom));
+        let mut c = Cache::new(geom, || AclCore::for_geometry(&geom));
         // Enable via watch hit.
         c.access(BlockAddr(0), AccessType::Read, Cost(8));
         c.access(BlockAddr(1), AccessType::Read, Cost(1));
@@ -377,14 +352,7 @@ mod tests {
             let mut fresh = 100 + expect_counter as u64 * 10;
             for _ in 0..4 {
                 c.access(BlockAddr(fresh), AccessType::Read, Cost(1)); // displace cheap
-                let displaced: Vec<u64> = c
-                    .policy()
-                    .core(S0)
-                    .etd()
-                    .blocks()
-                    .iter()
-                    .map(|b| b.0)
-                    .collect();
+                let displaced: Vec<u64> = c.core(S0).etd().blocks().iter().map(|b| b.0).collect();
                 c.access(BlockAddr(displaced[0]), AccessType::Read, Cost(1)); // ETD hit
                 fresh += 1;
             }
@@ -392,11 +360,11 @@ mod tests {
             c.access(BlockAddr(fresh + 1), AccessType::Read, Cost(1));
             assert!(!c.contains(BlockAddr(0)));
             expect_counter -= 1;
-            assert_eq!(c.policy().core(S0).counter(), expect_counter);
+            assert_eq!(c.core(S0).counter(), expect_counter);
             // Bring 0 back for the next round.
             c.access(BlockAddr(0), AccessType::Read, Cost(8));
         }
-        assert!(!c.policy().core(S0).enabled());
+        assert!(!c.core(S0).enabled());
     }
 
     #[test]
@@ -409,8 +377,8 @@ mod tests {
         c.access(BlockAddr(2), AccessType::Read, Cost(1)); // 0 to LRU
         c.access(BlockAddr(3), AccessType::Read, Cost(1)); // reserve 0
         assert_eq!(c.stats().non_lru_evictions, 1);
-        c.invalidate(BlockAddr(0), InvalidateKind::Coherence);
-        assert_eq!(c.policy().core(S0).counter(), 1);
+        c.invalidate(BlockAddr(0));
+        assert_eq!(c.core(S0).counter(), 1);
     }
 
     #[test]
@@ -422,6 +390,6 @@ mod tests {
         assert!(!c.contains(BlockAddr(0)));
         assert!(!c.contains(BlockAddr(4)));
         assert_eq!(c.stats().non_lru_evictions, 0);
-        assert_eq!(c.policy().etd_stats().allocations, 0, "no watch insert");
+        assert_eq!(c.core(S0).etd().stats().allocations, 0, "no watch insert");
     }
 }

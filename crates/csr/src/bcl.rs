@@ -10,16 +10,29 @@
 //! `Acost` reaches zero the reserved block becomes the prime replacement
 //! candidate.
 //!
-//! The single-region logic lives in [`BclCore`] (an
-//! [`EvictionPolicy`](crate::EvictionPolicy)); [`Bcl`] replicates one core
-//! per set for the simulator.
+//! The logic lives in [`BclCore`], one region's [`EvictionPolicy`]; the
+//! simulator's cache drives one per set.
 
-use crate::eviction::{EvictionPolicy, PerSet, Residents};
+use crate::eviction::{EvictionPolicy, Residents};
 use crate::reserve::AcostTracker;
-use cache_sim::{BlockAddr, Cost, Geometry, SetIndex, Way};
+use cache_sim::{BlockAddr, Cost, Way};
 use csr_obs::{NopObserver, Observer};
 
 /// BCL for a single replacement region.
+///
+/// The `factor` applied when depreciating `Acost` defaults to the paper's 2
+/// and can be changed with [`BclCore::with_depreciation_factor`] (an
+/// ablation the paper motivates in Section 2.3).
+///
+/// # Examples
+///
+/// ```
+/// use cache_sim::{Cache, Geometry, AccessType, Cost, BlockAddr};
+/// use csr::BclCore;
+///
+/// let mut cache = Cache::new(Geometry::new(16 * 1024, 64, 4), BclCore::new);
+/// cache.access(BlockAddr(1), AccessType::Read, Cost(8));
+/// ```
 #[derive(Debug, Clone)]
 pub struct BclCore<O: Observer = NopObserver> {
     tracker: AcostTracker,
@@ -121,65 +134,13 @@ impl<O: Observer> EvictionPolicy for BclCore<O> {
     }
 }
 
-/// The BCL replacement policy (one [`BclCore`] per set).
-///
-/// The `factor` applied when depreciating `Acost` defaults to the paper's 2
-/// and can be changed with [`Bcl::with_depreciation_factor`] (an ablation
-/// the paper motivates in Section 2.3).
-///
-/// # Examples
-///
-/// ```
-/// use cache_sim::{Cache, Geometry, AccessType, Cost, BlockAddr};
-/// use csr::Bcl;
-///
-/// let geom = Geometry::new(16 * 1024, 64, 4);
-/// let mut cache = Cache::new(geom, Bcl::new(&geom));
-/// cache.access(BlockAddr(1), AccessType::Read, Cost(8));
-/// ```
-pub type Bcl<O = NopObserver> = PerSet<BclCore<O>>;
-
-impl Bcl {
-    /// Creates a BCL policy for the given cache geometry with the paper's
-    /// depreciation factor of 2.
-    #[must_use]
-    pub fn new(geom: &Geometry) -> Self {
-        Bcl::with_depreciation_factor(geom, 2)
-    }
-
-    /// Creates a BCL policy with a custom depreciation factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is zero.
-    #[must_use]
-    pub fn with_depreciation_factor(geom: &Geometry, factor: u64) -> Self {
-        PerSet::from_fn(geom, || BclCore::with_depreciation_factor(factor))
-    }
-}
-
-impl<O: Observer> Bcl<O> {
-    /// The configured depreciation factor.
-    #[must_use]
-    pub fn depreciation_factor(&self) -> u64 {
-        self.core(SetIndex(0)).depreciation_factor()
-    }
-
-    /// Attaches a decision observer; every set's core receives a clone.
-    #[must_use]
-    pub fn with_observer<O2: Observer + Clone>(self, obs: O2) -> Bcl<O2> {
-        self.map_cores(|c| c.with_observer(obs.clone()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_sim::{AccessType, Cache, InvalidateKind};
+    use cache_sim::{AccessType, Cache, Geometry, SetIndex};
 
-    fn cache(assoc: usize) -> Cache<Bcl> {
-        let geom = Geometry::new(64 * assoc as u64, 64, assoc);
-        Cache::new(geom, Bcl::new(&geom))
+    fn cache(assoc: usize) -> Cache<BclCore> {
+        Cache::new(Geometry::new(64 * assoc as u64, 64, assoc), BclCore::new)
     }
 
     #[test]
@@ -202,7 +163,7 @@ mod tests {
         c.access(BlockAddr(0), AccessType::Read, Cost(8));
         c.access(BlockAddr(1), AccessType::Read, Cost(1));
         c.access(BlockAddr(2), AccessType::Read, Cost(1)); // Acost: 8 - 2 = 6
-        assert_eq!(c.policy().core(SetIndex(0)).acost(), 6);
+        assert_eq!(c.core(SetIndex(0)).acost(), 6);
         c.access(BlockAddr(3), AccessType::Read, Cost(1)); // Acost: 6 - 2 = 4
         c.access(BlockAddr(4), AccessType::Read, Cost(1)); // 4 - 2 = 2
         c.access(BlockAddr(5), AccessType::Read, Cost(1)); // 2 - 2 = 0
@@ -278,8 +239,8 @@ mod tests {
         c.access(BlockAddr(0), AccessType::Read, Cost(8));
         c.access(BlockAddr(1), AccessType::Read, Cost(1));
         c.access(BlockAddr(2), AccessType::Read, Cost(1)); // reserve 0, Acost 6
-        c.invalidate(BlockAddr(0), InvalidateKind::Coherence);
-        assert_eq!(c.policy().core(SetIndex(0)).acost(), 0);
+        c.invalidate(BlockAddr(0));
+        assert_eq!(c.core(SetIndex(0)).acost(), 0);
         // Refill 0 (uses the invalid frame; set is [0(MRU), 2]). Block 2 is
         // now LRU with cost 1: a fresh fill must evict 2, not the refilled 0.
         c.access(BlockAddr(0), AccessType::Read, Cost(8));
@@ -297,13 +258,13 @@ mod tests {
         c.access(BlockAddr(0), AccessType::Read, Cost(8)); // A
         c.access(BlockAddr(1), AccessType::Read, Cost(1)); // B
         c.access(BlockAddr(2), AccessType::Read, Cost(1)); // reserve A, Acost 8->6
-        assert_eq!(c.policy().core(SetIndex(0)).acost(), 6);
+        assert_eq!(c.core(SetIndex(0)).acost(), 6);
         c.access(BlockAddr(0), AccessType::Read, Cost(8)); // hit A -> MRU
         c.access(BlockAddr(2), AccessType::Read, Cost(1)); // hit 2 -> A back to LRU
                                                            // Replacement: Acost must be the full 8 again, then 8-2=6 after
                                                            // reserving A once more.
         c.access(BlockAddr(3), AccessType::Read, Cost(1));
         assert!(c.contains(BlockAddr(0)));
-        assert_eq!(c.policy().core(SetIndex(0)).acost(), 6);
+        assert_eq!(c.core(SetIndex(0)).acost(), 6);
     }
 }

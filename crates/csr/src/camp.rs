@@ -19,13 +19,12 @@
 //! is the hit its driver delivers first — the fill that follows does not
 //! re-enqueue it, so the block takes a changed cost's class at its next hit.
 //!
-//! The single-region logic lives in [`CampCore`] (an
-//! [`EvictionPolicy`](crate::EvictionPolicy)); [`Camp`] replicates one
-//! core per set for the simulator.
+//! The logic lives in [`CampCore`], one region's [`EvictionPolicy`]; the
+//! simulator's cache drives one per set.
 
-use crate::eviction::{report_victim, resident_in, EvictionPolicy, PerSet, Residents};
+use crate::eviction::{report_victim, resident_in, EvictionPolicy, Residents};
 use crate::waylists::WayLists;
-use cache_sim::{BlockAddr, Cost, Geometry, Way};
+use cache_sim::{BlockAddr, Cost, Way};
 use csr_obs::{NopObserver, Observer};
 
 /// One bucket per power of two a `u64` cost can round down to.
@@ -143,34 +142,15 @@ impl<O: Observer> EvictionPolicy for CampCore<O> {
     }
 }
 
-/// The CAMP replacement policy (one [`CampCore`] per set).
-pub type Camp<O = NopObserver> = PerSet<CampCore<O>>;
-
-impl Camp {
-    /// Creates a CAMP policy for the given cache geometry.
-    #[must_use]
-    pub fn new(geom: &Geometry) -> Self {
-        PerSet::from_fn(geom, || CampCore::new(geom.assoc()))
-    }
-}
-
-impl<O: Observer> Camp<O> {
-    /// Attaches a decision observer; every set's core receives a clone.
-    #[must_use]
-    pub fn with_observer<O2: Observer + Clone>(self, obs: O2) -> Camp<O2> {
-        self.map_cores(|c| c.with_observer(obs.clone()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_sim::{AccessType, Cache};
+    use cache_sim::{AccessType, Cache, Geometry};
 
     /// One-set, 2-way cache for controlled scenarios.
-    fn cache2() -> Cache<Camp> {
+    fn cache2() -> Cache<CampCore> {
         let geom = Geometry::new(128, 64, 2);
-        Cache::new(geom, Camp::new(&geom))
+        Cache::new(geom, || CampCore::new(geom.assoc()))
     }
 
     #[test]
@@ -226,7 +206,6 @@ mod tests {
                 way: Way(b as usize),
                 block: BlockAddr(b),
                 cost: Cost(1),
-                dirty: false,
             })
             .collect();
         let mut core = CampCore::new(4);

@@ -231,7 +231,7 @@ mod tests {
             trace.push(acc(b, if b.is_multiple_of(3) { 8 } else { 1 }));
         }
         let csopt = simulate_csopt(&geom, &trace, CsoptLimits::default()).expect("small");
-        let mut lru = Cache::new(geom, Lru::new());
+        let mut lru = Cache::new(geom, Lru::new);
         for ev in &trace {
             if let TraceEvent::Access { block, cost } = ev {
                 lru.access(*block, AccessType::Read, *cost);

@@ -9,17 +9,27 @@
 //! triggers the depreciation and consumes the entry. A hit on the in-cache
 //! LRU block invalidates all ETD entries of the set.
 //!
-//! The single-region logic lives in [`DclCore`] (an
-//! [`EvictionPolicy`](crate::EvictionPolicy)); [`Dcl`] replicates one core
-//! per set for the simulator.
+//! The logic lives in [`DclCore`], one region's [`EvictionPolicy`]; the
+//! simulator's cache drives one per set, each with its own directory.
 
-use crate::etd::{EtdConfig, EtdSet, EtdStats};
-use crate::eviction::{EvictionPolicy, PerSet, Residents};
+use crate::etd::{EtdConfig, EtdSet};
+use crate::eviction::{EvictionPolicy, Residents};
 use crate::reserve::AcostTracker;
 use cache_sim::{BlockAddr, Cost, Geometry, Way};
 use csr_obs::{NopObserver, Observer};
 
 /// DCL for a single replacement region, owning its shadow directory.
+///
+/// # Examples
+///
+/// ```
+/// use cache_sim::{Cache, Geometry, AccessType, Cost, BlockAddr};
+/// use csr::DclCore;
+///
+/// let geom = Geometry::new(16 * 1024, 64, 4);
+/// let mut cache = Cache::new(geom, || DclCore::for_geometry(&geom));
+/// cache.access(BlockAddr(1), AccessType::Read, Cost(8));
+/// ```
 #[derive(Debug, Clone)]
 pub struct DclCore<O: Observer = NopObserver> {
     tracker: AcostTracker,
@@ -46,6 +56,32 @@ impl DclCore {
     #[must_use]
     pub fn for_ways(ways: usize) -> Self {
         DclCore::new(EtdSet::new(EtdConfig::for_assoc(ways)))
+    }
+
+    /// Creates a core for one set of a `geom` cache with the paper's
+    /// full-tag, `assoc - 1`-entry directory.
+    #[must_use]
+    pub fn for_geometry(geom: &Geometry) -> Self {
+        DclCore::with_etd_config(geom, EtdConfig::for_assoc(geom.assoc()))
+    }
+
+    /// Creates a core for one set of a `geom` cache whose directory stores
+    /// only the low `bits` tag bits (Section 4.3 evaluates 4-bit aliased
+    /// tags).
+    #[must_use]
+    pub fn with_aliased_tags(geom: &Geometry, bits: u32) -> Self {
+        DclCore::with_etd_config(geom, EtdConfig::for_assoc_aliased(geom.assoc(), bits))
+    }
+
+    /// Creates a core for one set of a `geom` cache with an explicit
+    /// directory configuration; the set-index bits are stripped from the
+    /// tags it compares.
+    #[must_use]
+    pub fn with_etd_config(geom: &Geometry, cfg: EtdConfig) -> Self {
+        DclCore::new(EtdSet::with_stripped_bits(
+            cfg,
+            geom.num_sets().trailing_zeros(),
+        ))
     }
 }
 
@@ -139,77 +175,14 @@ impl<O: Observer> EvictionPolicy for DclCore<O> {
     }
 }
 
-/// The DCL replacement policy (one [`DclCore`] per set).
-///
-/// # Examples
-///
-/// ```
-/// use cache_sim::{Cache, Geometry, AccessType, Cost, BlockAddr};
-/// use csr::Dcl;
-///
-/// let geom = Geometry::new(16 * 1024, 64, 4);
-/// let mut cache = Cache::new(geom, Dcl::new(&geom));
-/// cache.access(BlockAddr(1), AccessType::Read, Cost(8));
-/// ```
-pub type Dcl<O = NopObserver> = PerSet<DclCore<O>>;
-
-impl Dcl {
-    /// Creates a DCL policy with a full-tag, `assoc - 1`-entry ETD and the
-    /// paper's depreciation factor of 2.
-    #[must_use]
-    pub fn new(geom: &Geometry) -> Self {
-        Dcl::with_etd_config(geom, EtdConfig::for_assoc(geom.assoc()))
-    }
-
-    /// Creates a DCL policy whose ETD stores only the low `bits` tag bits
-    /// (Section 4.3 evaluates 4-bit aliased tags).
-    #[must_use]
-    pub fn with_aliased_tags(geom: &Geometry, bits: u32) -> Self {
-        Dcl::with_etd_config(geom, EtdConfig::for_assoc_aliased(geom.assoc(), bits))
-    }
-
-    /// Creates a DCL policy with an explicit ETD configuration.
-    #[must_use]
-    pub fn with_etd_config(geom: &Geometry, cfg: EtdConfig) -> Self {
-        let set_bits = geom.num_sets().trailing_zeros();
-        PerSet::from_fn(geom, || {
-            DclCore::new(EtdSet::with_stripped_bits(cfg, set_bits))
-        })
-    }
-}
-
-impl<O: Observer> Dcl<O> {
-    /// Overrides the depreciation factor (the paper's value is 2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is zero.
-    #[must_use]
-    pub fn with_depreciation_factor(self, factor: u64) -> Self {
-        self.map_cores(|c| c.with_depreciation_factor(factor))
-    }
-
-    /// Statistics of the embedded ETD, accumulated across all sets.
-    #[must_use]
-    pub fn etd_stats(&self) -> EtdStats {
-        self.fold_etd_stats(DclCore::etd)
-    }
-
-    /// Attaches a decision observer; every set's core receives a clone.
-    #[must_use]
-    pub fn with_observer<O2: Observer + Clone>(self, obs: O2) -> Dcl<O2> {
-        self.map_cores(|c| c.with_observer(obs.clone()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_sim::{AccessType, Cache, InvalidateKind, SetIndex};
+    use cache_sim::{AccessType, Cache, SetIndex};
 
-    fn cache(assoc: usize) -> Cache<Dcl> {
+    fn cache(assoc: usize) -> Cache<DclCore> {
         let geom = Geometry::new(64 * assoc as u64, 64, assoc);
-        Cache::new(geom, Dcl::new(&geom))
+        Cache::new(geom, || DclCore::for_geometry(&geom))
     }
 
     #[test]
@@ -223,8 +196,8 @@ mod tests {
             c.access(BlockAddr(b), AccessType::Read, Cost(1));
         }
         assert!(c.contains(BlockAddr(0)), "no ETD hits => no depreciation");
-        assert_eq!(c.policy().core(SetIndex(0)).acost(), 4);
-        assert_eq!(c.policy().etd_stats().hits, 0);
+        assert_eq!(c.core(SetIndex(0)).acost(), 4);
+        assert_eq!(c.core(SetIndex(0)).etd().stats().hits, 0);
     }
 
     #[test]
@@ -233,14 +206,14 @@ mod tests {
         c.access(BlockAddr(0), AccessType::Read, Cost(4));
         c.access(BlockAddr(1), AccessType::Read, Cost(1));
         c.access(BlockAddr(2), AccessType::Read, Cost(1)); // displace 1 -> ETD
-        assert_eq!(c.policy().core(SetIndex(0)).acost(), 4);
+        assert_eq!(c.core(SetIndex(0)).acost(), 4);
         // Re-reference the displaced block: ETD hit, Acost 4 - 2*1 = 2.
         c.access(BlockAddr(1), AccessType::Read, Cost(1));
-        assert_eq!(c.policy().core(SetIndex(0)).acost(), 2);
-        assert_eq!(c.policy().etd_stats().hits, 1);
+        assert_eq!(c.core(SetIndex(0)).acost(), 2);
+        assert_eq!(c.core(SetIndex(0)).etd().stats().hits, 1);
         // Again: 2 was displaced by the fill of 1 (ETD), bring 2 back.
         c.access(BlockAddr(2), AccessType::Read, Cost(1));
-        assert_eq!(c.policy().core(SetIndex(0)).acost(), 0);
+        assert_eq!(c.core(SetIndex(0)).acost(), 0);
         // Acost exhausted: the reserved block is the next victim.
         c.access(BlockAddr(3), AccessType::Read, Cost(1));
         assert!(!c.contains(BlockAddr(0)));
@@ -252,10 +225,7 @@ mod tests {
         c.access(BlockAddr(0), AccessType::Read, Cost(4));
         c.access(BlockAddr(1), AccessType::Read, Cost(1));
         c.access(BlockAddr(2), AccessType::Read, Cost(1));
-        assert_eq!(
-            c.policy().core(SetIndex(0)).etd().blocks(),
-            vec![BlockAddr(1)]
-        );
+        assert_eq!(c.core(SetIndex(0)).etd().blocks(), vec![BlockAddr(1)]);
     }
 
     #[test]
@@ -264,9 +234,9 @@ mod tests {
         c.access(BlockAddr(0), AccessType::Read, Cost(4));
         c.access(BlockAddr(1), AccessType::Read, Cost(1));
         c.access(BlockAddr(2), AccessType::Read, Cost(1)); // ETD: {1}
-        assert_eq!(c.policy().core(SetIndex(0)).etd().len(), 1);
+        assert_eq!(c.core(SetIndex(0)).etd().len(), 1);
         c.access(BlockAddr(0), AccessType::Read, Cost(4)); // hit on LRU block
-        assert!(c.policy().core(SetIndex(0)).etd().is_empty());
+        assert!(c.core(SetIndex(0)).etd().is_empty());
     }
 
     #[test]
@@ -275,11 +245,11 @@ mod tests {
         c.access(BlockAddr(0), AccessType::Read, Cost(4));
         c.access(BlockAddr(1), AccessType::Read, Cost(1));
         c.access(BlockAddr(2), AccessType::Read, Cost(1)); // ETD: {1}
-        c.invalidate(BlockAddr(1), InvalidateKind::Coherence);
-        assert!(c.policy().core(SetIndex(0)).etd().is_empty());
+        c.invalidate(BlockAddr(1));
+        assert!(c.core(SetIndex(0)).etd().is_empty());
         // A later access to 1 must not depreciate the reservation.
         c.access(BlockAddr(1), AccessType::Read, Cost(1));
-        assert_eq!(c.policy().core(SetIndex(0)).acost(), 4);
+        assert_eq!(c.core(SetIndex(0)).acost(), 4);
     }
 
     #[test]
@@ -302,7 +272,7 @@ mod tests {
         ];
         for (b, cost) in pattern {
             c.access(BlockAddr(b), AccessType::Read, Cost(cost));
-            let etd_blocks = c.policy().core(SetIndex(0)).etd().blocks();
+            let etd_blocks = c.core(SetIndex(0)).etd().blocks();
             for eb in etd_blocks {
                 assert!(
                     !c.contains(eb),

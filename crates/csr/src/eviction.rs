@@ -1,49 +1,32 @@
-//! The single-region policy contract and the driver that replicates it per
-//! set.
+//! What every core of this crate shares beyond the contract.
 //!
-//! The paper's algorithms are one piece of logic — a recency stack, its
-//! costs, and (for DCL/ACL) a shadow directory — that only ever concerns
-//! **one replacement region**. [`EvictionPolicy`] is that contract; every
-//! core in this crate implements it and nothing else. Exactly two drivers
-//! speak it, one per layer:
-//!
-//! * [`PerSet<C>`] (here) is the simulator's driver: it holds one core per
-//!   cache set and implements [`cache_sim::ReplacementPolicy`] — whose
-//!   notifications have the same shape — by static dispatch to `cores[set]`.
-//!   `GreedyDual`, `Bcl`, `Dcl`, `Acl`, `S3Fifo`, `Slru`, `Lfuda`, `Gdsf`
-//!   and `Camp` are type aliases of it.
-//! * `csr_cache`'s `Region<T>` is the key-value driver: a slab on an
-//!   intrusive recency list that owns one boxed core, where a "set" is an
-//!   arbitrarily large shard and no [`SetIndex`] exists.
-//!
-//! Both enforce the same ordering — `on_hit` before promotion, `on_miss`
-//! with the current LRU pair before victim selection, `victim` once per
-//! replacement, `on_fill` after the block is linked, `on_remove(block, way)`
-//! for departures `victim` did not choose, naming the way the block leaves
-//! (`None` if it was not resident) — so a change to the contract is a change
-//! to these two places and to no policy wrapper.
+//! The contract itself — [`EvictionPolicy`], the single-region trait every
+//! core implements, and [`Residents`], the three questions a core may put to
+//! its driver in `victim` — lives in `cache_sim::policy` and is re-exported
+//! here. Exactly two drivers speak it, one per layer: the simulator's
+//! `cache_sim::Cache`, which holds one core per set and answers from the
+//! set's rows of its flat arrays, and `csr_cache`'s `Region<T>`, which owns
+//! one boxed core over a slab of arbitrary size and answers from one recency
+//! list per distinct cost. A change to the contract is a change to those two
+//! places and to no policy wrapper.
 //!
 //! Three rules hold for every core:
 //!
-//! * **A core never sees the recency order, it asks about it.** `victim`
-//!   receives the driver as [`Residents`] and may put three questions to it:
-//!   which entry is at the LRU end, which entry sits in a given way, and —
-//!   Figure 1's scan — which entry closest to the LRU end, the LRU entry
-//!   excepted, costs less than a bound. Each driver answers from the order
-//!   it already keeps: [`SetView`] from its slice of at most `assoc` entries
-//!   (the reference semantics), `Region` from one recency list per distinct
-//!   cost and a clock stamp per entry — O(1), O(1) and O(distinct costs
-//!   below the bound), whatever the region's size. A core that ranks by anything
-//!   else ([`RankCore`](crate::RankCore)'s priorities, the queues of S3-FIFO,
-//!   SLRU and CAMP) keeps that order itself, per way. Hits and misses carry
-//!   the O(1) facts a policy consumes (block identity, way, cost, whether the
-//!   block is at the LRU end; the LRU pair on a miss).
+//! * **A core never sees the recency order, it asks about it.** The LRU
+//!   entry, the entry in a way, and Figure 1's scan are O(1), O(1) and
+//!   O(distinct costs below the bound) in `Region`, whatever the region's
+//!   size. A core that ranks by anything else ([`RankCore`](crate::RankCore)'s
+//!   priorities, the queues of S3-FIFO, SLRU and CAMP) keeps that order
+//!   itself, per way. Hits and misses carry the O(1) facts a policy consumes
+//!   (block identity, way, cost, whether the block is at the LRU end; the
+//!   LRU pair on a miss).
 //! * **Cores keep no books.** A core reports each decision to its
 //!   [`Observer`] and counts nothing itself. Counts come from the driver
 //!   (`cache_sim::CacheStats::{hits, misses, evictions, non_lru_evictions}`,
 //!   `csr_cache`'s stats) or from an attached `csr_obs::CountingObserver`
 //!   (`EventCounts`); the only per-core counters left describe a structure
-//!   rather than a decision ([`EtdStats`](crate::EtdStats)).
+//!   rather than a decision ([`EtdStats`](crate::EtdStats), folded over the
+//!   cores by whoever reads them).
 //! * **A region that never evicts does not grow its core.** What a core
 //!   keeps per block lives in the block's way, in storage sized when the core
 //!   is built: the queue cores thread their FIFO lists through the ways and
@@ -54,120 +37,9 @@
 //!   remember blocks that are *not* resident; each is bounded by a capacity
 //!   fixed at construction.)
 
-use crate::etd::{EtdSet, EtdStats};
-use cache_sim::{
-    BlockAddr, Cost, Geometry, InvalidateKind, ReplacementPolicy, SetIndex, SetView, Way, WayView,
-};
+use cache_sim::{BlockAddr, Cost, Way, WayView};
+pub use cache_sim::{EvictionPolicy, Residents};
 use csr_obs::{NopObserver, Observer};
-
-/// What a core may ask its driver about the region's residents while it
-/// selects a victim. The region is full, hence non-empty, whenever a driver
-/// hands this to [`EvictionPolicy::victim`].
-pub trait Residents {
-    /// The entry at the LRU end.
-    fn lru(&self) -> WayView;
-
-    /// The entry resident in `way`, if that way holds one.
-    fn at_way(&self, way: Way) -> Option<WayView>;
-
-    /// Figure 1's scan: walking from the second-LRU position toward the MRU,
-    /// the first entry whose cost is strictly below `bound`. `None` means no
-    /// reservation is possible and the LRU entry itself must go.
-    fn lru_most_cheaper_than(&self, bound: u64) -> Option<WayView>;
-}
-
-/// The reference answers: a set's valid blockframes in MRU → LRU order.
-impl Residents for SetView<'_> {
-    fn lru(&self) -> WayView {
-        *SetView::lru(self)
-    }
-
-    fn at_way(&self, way: Way) -> Option<WayView> {
-        self.iter().find(|e| e.way == way).copied()
-    }
-
-    fn lru_most_cheaper_than(&self, bound: u64) -> Option<WayView> {
-        self.iter()
-            .rev()
-            .skip(1)
-            .find(|e| e.cost.0 < bound)
-            .copied()
-    }
-}
-
-/// A replacement policy for a single region (one cache set, one shard).
-///
-/// # Contract
-///
-/// * [`victim`](Self::victim) is called exactly once per replacement, only
-///   on a full region, with the driver answering for the region's valid
-///   blocks; the returned way will be evicted.
-/// * [`on_hit`](Self::on_hit) is delivered *before* the block is promoted
-///   to the MRU position; `is_lru` reports whether it currently sits at the
-///   LRU end.
-/// * [`on_miss`](Self::on_miss) is delivered for every access that misses,
-///   before victim selection or fill, together with the identity and cost
-///   of the current LRU block (if any). Delivering it more than once for
-///   the same missing access (as a get-then-insert key-value flow does) is
-///   harmless for all cores in this crate: the first delivery consumes any
-///   matching ETD entry, so repeats are no-ops.
-/// * [`on_remove`](Self::on_remove) must be called when a block leaves the
-///   region for any reason other than eviction chosen by
-///   [`victim`](Self::victim) (coherence invalidation, explicit removal),
-///   with the way it leaves — so a core that threads its order through the
-///   ways can unlink it — or `None` for a block that was not resident.
-pub trait EvictionPolicy {
-    /// A short human-readable name ("LRU", "GD", "BCL", …).
-    fn name(&self) -> &'static str;
-
-    /// Selects the way to evict from the full region.
-    fn victim(&mut self, residents: &dyn Residents) -> Way;
-
-    /// An access hit `block` on `way` (cost as loaded at fill time);
-    /// `is_lru` is true when the block is currently at the LRU end.
-    fn on_hit(&mut self, block: BlockAddr, way: Way, cost: Cost, is_lru: bool) {
-        let _ = (block, way, cost, is_lru);
-    }
-
-    /// An access to `block` missed; `lru` is the current LRU block and its
-    /// cost, if the region is non-empty.
-    fn on_miss(&mut self, block: BlockAddr, lru: Option<(BlockAddr, Cost)>) {
-        let _ = (block, lru);
-    }
-
-    /// `block` was filled into `way` with miss cost `cost`.
-    fn on_fill(&mut self, block: BlockAddr, way: Way, cost: Cost) {
-        let _ = (block, way, cost);
-    }
-
-    /// `block` left the region without being chosen by
-    /// [`victim`](Self::victim); `way` is the way it occupied, `None` when
-    /// it was not resident (an invalidation that found nothing).
-    fn on_remove(&mut self, block: BlockAddr, way: Option<Way>) {
-        let _ = (block, way);
-    }
-}
-
-impl<P: EvictionPolicy + ?Sized> EvictionPolicy for Box<P> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn victim(&mut self, residents: &dyn Residents) -> Way {
-        (**self).victim(residents)
-    }
-    fn on_hit(&mut self, block: BlockAddr, way: Way, cost: Cost, is_lru: bool) {
-        (**self).on_hit(block, way, cost, is_lru);
-    }
-    fn on_miss(&mut self, block: BlockAddr, lru: Option<(BlockAddr, Cost)>) {
-        (**self).on_miss(block, lru);
-    }
-    fn on_fill(&mut self, block: BlockAddr, way: Way, cost: Cost) {
-        (**self).on_fill(block, way, cost);
-    }
-    fn on_remove(&mut self, block: BlockAddr, way: Option<Way>) {
-        (**self).on_remove(block, way);
-    }
-}
 
 /// The shared tail of every rank- or queue-based `victim`: reports the
 /// eviction of `chosen` — and, when that is not the LRU entry, the LRU block
@@ -254,136 +126,20 @@ impl<O: Observer> EvictionPolicy for LruCore<O> {
     }
 }
 
-/// The set-indexed driver: one [`EvictionPolicy`] core per cache set,
-/// implementing the simulator's [`ReplacementPolicy`] by static dispatch to
-/// the addressed set's core.
-///
-/// Every core-backed policy of this crate is an alias of this type
-/// (`Dcl<O>` is `PerSet<DclCore<O>>`, …); the aliases add only their
-/// constructors and observer rebinding. Per-set state is inspected through
-/// [`core`](Self::core).
-#[derive(Debug, Clone)]
-pub struct PerSet<C> {
-    cores: Vec<C>,
-}
-
-impl<C> PerSet<C> {
-    /// One core per set of `geom`, each built by `core`.
-    pub(crate) fn from_fn(geom: &Geometry, core: impl FnMut() -> C) -> Self {
-        PerSet {
-            cores: std::iter::repeat_with(core).take(geom.num_sets()).collect(),
-        }
-    }
-
-    /// The core driving `set` (per-set inspection: `acost()`, `etd()`,
-    /// `counter()`, …).
-    #[must_use]
-    pub fn core(&self, set: SetIndex) -> &C {
-        &self.cores[set.0]
-    }
-
-    /// Rebuilds every set's core through `f` (observer rebinding, parameter
-    /// overrides).
-    pub(crate) fn map_cores<C2>(self, f: impl FnMut(C) -> C2) -> PerSet<C2> {
-        PerSet {
-            cores: self.cores.into_iter().map(f).collect(),
-        }
-    }
-
-    /// Sums the statistics of the per-set directories selected by `etd`.
-    pub(crate) fn fold_etd_stats(&self, etd: impl Fn(&C) -> &EtdSet) -> EtdStats {
-        let mut total = EtdStats::default();
-        for c in &self.cores {
-            total.merge(etd(c).stats());
-        }
-        total
-    }
-}
-
-impl<C: EvictionPolicy> ReplacementPolicy for PerSet<C> {
-    fn name(&self) -> &'static str {
-        self.cores[0].name()
-    }
-
-    fn victim(&mut self, set: SetIndex, view: &SetView<'_>) -> Way {
-        self.cores[set.0].victim(view)
-    }
-
-    fn on_hit(&mut self, set: SetIndex, block: BlockAddr, way: Way, cost: Cost, is_lru: bool) {
-        self.cores[set.0].on_hit(block, way, cost, is_lru);
-    }
-
-    fn on_miss(&mut self, set: SetIndex, block: BlockAddr, lru: Option<(BlockAddr, Cost)>) {
-        self.cores[set.0].on_miss(block, lru);
-    }
-
-    fn on_fill(&mut self, set: SetIndex, block: BlockAddr, way: Way, cost: Cost) {
-        self.cores[set.0].on_fill(block, way, cost);
-    }
-
-    fn on_invalidate(
-        &mut self,
-        set: SetIndex,
-        block: BlockAddr,
-        resident: Option<(Way, usize)>,
-        _kind: InvalidateKind,
-    ) {
-        self.cores[set.0].on_remove(block, resident.map(|(way, _)| way));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn entries(costs: &[(u64, u64)]) -> Vec<WayView> {
-        costs
-            .iter()
-            .enumerate()
-            .map(|(i, &(b, c))| WayView {
-                way: Way(i),
-                block: BlockAddr(b),
-                cost: Cost(c),
-                dirty: false,
-            })
-            .collect()
-    }
+    use cache_sim::SetView;
 
     #[test]
     fn lru_core_picks_the_lru_way() {
-        let e = entries(&[(1, 5), (2, 9), (3, 1)]);
+        let e = [(1, 5), (2, 9), (3, 1)].map(|(b, c)| WayView {
+            way: Way(b as usize - 1),
+            block: BlockAddr(b),
+            cost: Cost(c),
+        });
         let mut core = LruCore::new();
         assert_eq!(core.victim(&SetView::new(&e)), Way(2));
         assert_eq!(core.name(), "LRU");
-    }
-
-    #[test]
-    fn set_view_answers_the_three_questions() {
-        // MRU → LRU: costs 1, 4, 1, 9 in ways 0..4.
-        let e = entries(&[(10, 1), (11, 4), (12, 1), (13, 9)]);
-        let view = SetView::new(&e);
-        let r: &dyn Residents = &view;
-        assert_eq!(r.lru().block, BlockAddr(13));
-        assert_eq!(r.at_way(Way(1)).map(|e| e.block), Some(BlockAddr(11)));
-        assert_eq!(r.at_way(Way(4)), None);
-        // Nearest the LRU end first; the bound is strict.
-        assert_eq!(r.lru_most_cheaper_than(9).map(|e| e.way), Some(Way(2)));
-        assert_eq!(r.lru_most_cheaper_than(1), None);
-        // The LRU entry is never its own stand-in.
-        let only_lru_is_cheap = entries(&[(1, 5), (2, 5), (3, 0)]);
-        let view = SetView::new(&only_lru_is_cheap);
-        assert_eq!(view.lru_most_cheaper_than(5), None);
-    }
-
-    #[test]
-    fn boxed_core_dispatches() {
-        let e = entries(&[(1, 5), (2, 9)]);
-        let mut boxed: Box<dyn EvictionPolicy> = Box::new(LruCore::new());
-        assert_eq!(boxed.victim(&SetView::new(&e)), Way(1));
-        // Default notifications are no-ops and must not panic.
-        boxed.on_hit(BlockAddr(1), Way(0), Cost(5), false);
-        boxed.on_miss(BlockAddr(7), Some((BlockAddr(2), Cost(9))));
-        boxed.on_fill(BlockAddr(7), Way(1), Cost(3));
-        boxed.on_remove(BlockAddr(7), Some(Way(1)));
     }
 }

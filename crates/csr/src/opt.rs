@@ -192,7 +192,7 @@ mod tests {
         let geom = one_set(2);
         let trace: Vec<TraceEvent> = (0..30).map(|i| acc(i % 3, 1)).collect();
         let opt = simulate_belady(&geom, &trace);
-        let mut lru = Cache::new(geom, Lru::new());
+        let mut lru = Cache::new(geom, Lru::new);
         for ev in &trace {
             if let TraceEvent::Access { block, cost } = ev {
                 lru.access(*block, AccessType::Read, *cost);

@@ -11,11 +11,11 @@
 //! sweep. The members differ only in `key`, picked at the type level by
 //! [`RankCore`]'s `KEY` parameter:
 //!
-//! | core / per-set policy | `key(freq, cost)` | source |
-//! |-----------------------|-------------------|--------|
-//! | [`GdCore`] / [`GreedyDual`] | `cost` | paper Section 2.1; Young 1994 |
-//! | [`GdsfCore`] / [`Gdsf`] | `freq · cost` | Cherkasova 1998 |
-//! | [`LfudaCore`] / [`Lfuda`] | `freq` | Arlitt et al. 2000 |
+//! | core | `key(freq, cost)` | source |
+//! |------|-------------------|--------|
+//! | [`GdCore`] | `cost` | paper Section 2.1; Young 1994 |
+//! | [`GdsfCore`] | `freq · cost` | Cherkasova 1998 |
+//! | [`LfudaCore`] | `freq` | Arlitt et al. 2000 |
 //!
 //! The core keeps its own recency order (a clock value per way, renewed on
 //! every fill and hit) and finds the argmin of `(prio, clock)` itself. A
@@ -29,11 +29,11 @@
 //! one a refill superseded, or whose way the driver has vacated, is dropped.
 //! An eviction there costs O(log ways) amortized and visits no survivor.
 //!
-//! The single-region logic lives in [`RankCore`] (an [`EvictionPolicy`]);
-//! the `PerSet` aliases replicate one core per set for the simulator.
+//! The logic lives in [`RankCore`], one region's [`EvictionPolicy`]; the
+//! simulator's cache drives one per set.
 
-use crate::eviction::{overgrown, report_victim, EvictionPolicy, PerSet, Residents};
-use cache_sim::{BlockAddr, Cost, Geometry, Way, WayView};
+use crate::eviction::{overgrown, report_victim, EvictionPolicy, Residents};
+use cache_sim::{BlockAddr, Cost, Way, WayView};
 use csr_obs::{NopObserver, Observer};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -132,6 +132,18 @@ pub struct RankCore<const KEY: u8, O: Observer = NopObserver> {
 /// against CSOPT in `tests/hierarchy_properties.rs`) and works well for wide
 /// cost differentials, but the paper shows it is much less effective than
 /// the locality-centric BCL/DCL/ACL when cost ratios are small.
+///
+/// # Examples
+///
+/// ```
+/// use cache_sim::{Cache, Geometry, AccessType, Cost, BlockAddr};
+/// use csr::GdCore;
+///
+/// let geom = Geometry::new(16 * 1024, 64, 4);
+/// let mut cache = Cache::new(geom, || GdCore::new(geom.assoc()));
+/// cache.access(BlockAddr(1), AccessType::Read, Cost(8)); // high-cost block
+/// cache.access(BlockAddr(1), AccessType::Read, Cost(8)); // hit restores H
+/// ```
 pub type GdCore<O = NopObserver> = RankCore<COST, O>;
 
 /// GreedyDual-Size-Frequency (GDSF, Cherkasova 1998): `key = freq · cost /
@@ -276,51 +288,16 @@ impl<const KEY: u8, O: Observer> EvictionPolicy for RankCore<KEY, O> {
     }
 }
 
-/// The GreedyDual replacement policy (one [`GdCore`] per set).
-///
-/// # Examples
-///
-/// ```
-/// use cache_sim::{Cache, Geometry, AccessType, Cost, BlockAddr};
-/// use csr::GreedyDual;
-///
-/// let geom = Geometry::new(16 * 1024, 64, 4);
-/// let mut cache = Cache::new(geom, GreedyDual::new(&geom));
-/// cache.access(BlockAddr(1), AccessType::Read, Cost(8)); // high-cost block
-/// cache.access(BlockAddr(1), AccessType::Read, Cost(8)); // hit restores H
-/// ```
-pub type GreedyDual<O = NopObserver> = PerSet<GdCore<O>>;
-/// The GDSF replacement policy (one [`GdsfCore`] per set).
-pub type Gdsf<O = NopObserver> = PerSet<GdsfCore<O>>;
-/// The LFUDA replacement policy (one [`LfudaCore`] per set).
-pub type Lfuda<O = NopObserver> = PerSet<LfudaCore<O>>;
-
-impl<const KEY: u8> PerSet<RankCore<KEY>> {
-    /// Creates the policy for the given cache geometry.
-    #[must_use]
-    pub fn new(geom: &Geometry) -> Self {
-        PerSet::from_fn(geom, || RankCore::new(geom.assoc()))
-    }
-}
-
-impl<const KEY: u8, O: Observer> PerSet<RankCore<KEY, O>> {
-    /// Attaches a decision observer; every set's core receives a clone.
-    #[must_use]
-    pub fn with_observer<O2: Observer + Clone>(self, obs: O2) -> PerSet<RankCore<KEY, O2>> {
-        self.map_cores(|c| c.with_observer(obs.clone()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     mod gd {
         use super::super::*;
-        use cache_sim::{AccessType, Cache};
+        use cache_sim::{AccessType, Cache, Geometry};
 
         /// One-set, 2-way cache for controlled scenarios.
-        fn cache2() -> Cache<GreedyDual> {
+        fn cache2() -> Cache<GdCore> {
             let geom = Geometry::new(128, 64, 2);
-            Cache::new(geom, GreedyDual::new(&geom))
+            Cache::new(geom, || GdCore::new(geom.assoc()))
         }
 
         #[test]
@@ -382,7 +359,7 @@ mod tests {
             // With all costs equal and H restored on hits, recently-touched
             // blocks always have maximal H, so eviction falls to the LRU end.
             let geom = Geometry::new(256, 64, 4);
-            let mut c = Cache::new(geom, GreedyDual::new(&geom));
+            let mut c = Cache::new(geom, || GdCore::new(geom.assoc()));
             for b in [0u64, 4, 8, 12] {
                 c.access(BlockAddr(b), AccessType::Read, Cost(2));
             }
@@ -397,7 +374,7 @@ mod tests {
             // Two sets (block line 64, 2 ways, 256 bytes): blocks 0/2/4 map to
             // set 0, blocks 1/3/5 to set 1; each set's own core evicts its LRU.
             let geom = Geometry::new(256, 64, 2);
-            let mut c = Cache::new(geom, GreedyDual::new(&geom));
+            let mut c = Cache::new(geom, || GdCore::new(geom.assoc()));
             for b in [0u64, 2, 4, 1, 3, 5] {
                 c.access(BlockAddr(b), AccessType::Read, Cost(1));
             }
@@ -408,12 +385,12 @@ mod tests {
 
     mod gdsf {
         use super::super::*;
-        use cache_sim::{AccessType, Cache};
+        use cache_sim::{AccessType, Cache, Geometry};
 
         /// One-set, 2-way cache for controlled scenarios.
-        fn cache2() -> Cache<Gdsf> {
+        fn cache2() -> Cache<GdsfCore> {
             let geom = Geometry::new(128, 64, 2);
-            Cache::new(geom, Gdsf::new(&geom))
+            Cache::new(geom, || GdsfCore::new(geom.assoc()))
         }
 
         #[test]
@@ -464,12 +441,12 @@ mod tests {
 
     mod lfuda {
         use super::super::*;
-        use cache_sim::{AccessType, Cache};
+        use cache_sim::{AccessType, Cache, Geometry};
 
         /// One-set, 2-way cache for controlled scenarios.
-        fn cache2() -> Cache<Lfuda> {
+        fn cache2() -> Cache<LfudaCore> {
             let geom = Geometry::new(128, 64, 2);
-            Cache::new(geom, Lfuda::new(&geom))
+            Cache::new(geom, || LfudaCore::new(geom.assoc()))
         }
 
         #[test]

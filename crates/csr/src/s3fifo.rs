@@ -25,13 +25,12 @@
 //! selector in `csr-cache` exists precisely to pick it only when locality
 //! patterns (not cost skew) dominate.
 //!
-//! The single-region logic lives in [`S3FifoCore`] (an
-//! [`EvictionPolicy`](crate::EvictionPolicy)); [`S3Fifo`] replicates one
-//! core per set for the simulator.
+//! The logic lives in [`S3FifoCore`], one region's [`EvictionPolicy`]; the
+//! simulator's cache drives one per set.
 
-use crate::eviction::{report_victim, resident_in, EvictionPolicy, PerSet, Residents};
+use crate::eviction::{report_victim, resident_in, EvictionPolicy, Residents};
 use crate::waylists::WayLists;
-use cache_sim::{BlockAddr, Cost, Geometry, Way};
+use cache_sim::{BlockAddr, Cost, Way};
 use csr_obs::{NopObserver, Observer};
 use std::collections::{HashMap, VecDeque};
 
@@ -183,34 +182,15 @@ impl<O: Observer> EvictionPolicy for S3FifoCore<O> {
     }
 }
 
-/// The S3-FIFO replacement policy (one [`S3FifoCore`] per set).
-pub type S3Fifo<O = NopObserver> = PerSet<S3FifoCore<O>>;
-
-impl S3Fifo {
-    /// Creates an S3-FIFO policy for the given cache geometry.
-    #[must_use]
-    pub fn new(geom: &Geometry) -> Self {
-        PerSet::from_fn(geom, || S3FifoCore::new(geom.assoc()))
-    }
-}
-
-impl<O: Observer> S3Fifo<O> {
-    /// Attaches a decision observer; every set's core receives a clone.
-    #[must_use]
-    pub fn with_observer<O2: Observer + Clone>(self, obs: O2) -> S3Fifo<O2> {
-        self.map_cores(|c| c.with_observer(obs.clone()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_sim::{AccessType, Cache, SetView, WayView};
+    use cache_sim::{AccessType, Cache, Geometry, SetView, WayView};
 
     /// One-set, 8-way cache (small target 1).
-    fn cache8() -> Cache<S3Fifo> {
+    fn cache8() -> Cache<S3FifoCore> {
         let geom = Geometry::new(512, 64, 8);
-        Cache::new(geom, S3Fifo::new(&geom))
+        Cache::new(geom, || S3FifoCore::new(geom.assoc()))
     }
 
     #[test]
@@ -281,7 +261,6 @@ mod tests {
                 way: Way(b as usize),
                 block: BlockAddr(b),
                 cost: Cost(1),
-                dirty: false,
             })
             .collect();
         let mut core = S3FifoCore::new(4);

@@ -12,13 +12,12 @@
 //! crate's `WayLists`): a hit or a demotion relinks one way, a departure
 //! unlinks it, and the core's storage is fixed when it is built.
 //!
-//! The single-region logic lives in [`SlruCore`] (an
-//! [`EvictionPolicy`](crate::EvictionPolicy)); [`Slru`] replicates one
-//! core per set for the simulator.
+//! The logic lives in [`SlruCore`], one region's [`EvictionPolicy`]; the
+//! simulator's cache drives one per set.
 
-use crate::eviction::{report_victim, resident_in, EvictionPolicy, PerSet, Residents};
+use crate::eviction::{report_victim, resident_in, EvictionPolicy, Residents};
 use crate::waylists::WayLists;
-use cache_sim::{BlockAddr, Cost, Geometry, Way};
+use cache_sim::{BlockAddr, Cost, Way};
 use csr_obs::{NopObserver, Observer};
 
 /// The two segments, as lists of [`SlruCore::lists`]: LRU end at the front.
@@ -109,34 +108,15 @@ impl<O: Observer> EvictionPolicy for SlruCore<O> {
     }
 }
 
-/// The SLRU replacement policy (one [`SlruCore`] per set).
-pub type Slru<O = NopObserver> = PerSet<SlruCore<O>>;
-
-impl Slru {
-    /// Creates an SLRU policy for the given cache geometry.
-    #[must_use]
-    pub fn new(geom: &Geometry) -> Self {
-        PerSet::from_fn(geom, || SlruCore::new(geom.assoc()))
-    }
-}
-
-impl<O: Observer> Slru<O> {
-    /// Attaches a decision observer; every set's core receives a clone.
-    #[must_use]
-    pub fn with_observer<O2: Observer + Clone>(self, obs: O2) -> Slru<O2> {
-        self.map_cores(|c| c.with_observer(obs.clone()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cache_sim::{AccessType, Cache};
+    use cache_sim::{AccessType, Cache, Geometry};
 
     /// One-set, 2-way cache (protected target 1).
-    fn cache2() -> Cache<Slru> {
+    fn cache2() -> Cache<SlruCore> {
         let geom = Geometry::new(128, 64, 2);
-        Cache::new(geom, Slru::new(&geom))
+        Cache::new(geom, || SlruCore::new(geom.assoc()))
     }
 
     #[test]
@@ -170,7 +150,7 @@ mod tests {
         // the later fill 9 — without the demotion 9 would be the only
         // probationary block and go first.
         let geom = Geometry::new(640, 64, 10);
-        let mut c = Cache::new(geom, Slru::new(&geom));
+        let mut c = Cache::new(geom, || SlruCore::new(geom.assoc()));
         for _ in 0..2 {
             for b in 0..9u64 {
                 c.access(BlockAddr(b), AccessType::Read, Cost(1));
@@ -192,7 +172,6 @@ mod tests {
                 way: Way(b as usize),
                 block: BlockAddr(b),
                 cost: Cost(1),
-                dirty: false,
             })
             .collect();
         let mut core = SlruCore::new(4);

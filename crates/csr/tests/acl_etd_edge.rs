@@ -10,30 +10,30 @@
 
 use cache_sim::{AccessType, BlockAddr, Cache, Cost, Geometry, SetIndex};
 use csr::etd::{EtdConfig, EtdSet};
-use csr::{Acl, Dcl};
+use csr::{AclCore, DclCore};
 
 const S0: SetIndex = SetIndex(0);
 
 /// One 2-way set driven by ACL.
-fn acl_cache() -> Cache<Acl> {
+fn acl_cache() -> Cache<AclCore> {
     let geom = Geometry::new(128, 64, 2);
-    Cache::new(geom, Acl::new(&geom))
+    Cache::new(geom, || AclCore::for_geometry(&geom))
 }
 
 /// Enables reservations via a watch hit: high-cost block 0 is evicted by
 /// plain LRU, watched, then re-referenced. Leaves the set as [0 (MRU), x].
-fn enable_via_watch_hit(c: &mut Cache<Acl>) {
+fn enable_via_watch_hit(c: &mut Cache<AclCore>) {
     c.access(BlockAddr(0), AccessType::Read, Cost(8));
     c.access(BlockAddr(1), AccessType::Read, Cost(1));
     c.access(BlockAddr(2), AccessType::Read, Cost(1)); // LRU 0 evicted, watched
     c.access(BlockAddr(0), AccessType::Read, Cost(8)); // watch hit: counter = 2
-    assert!(c.policy().core(S0).enabled());
+    assert!(c.core(S0).enabled());
 }
 
 /// Runs one full failed reservation of block 0 (cost 8): moves 0 to the
 /// LRU position, reserves it, exhausts its Acost through detected
 /// re-references of the displaced cheap blocks, and finally evicts it.
-fn fail_one_reservation(c: &mut Cache<Acl>, mut fresh: u64) {
+fn fail_one_reservation(c: &mut Cache<AclCore>, mut fresh: u64) {
     let others: Vec<u64> = c
         .recency_of(S0)
         .iter()
@@ -43,14 +43,7 @@ fn fail_one_reservation(c: &mut Cache<Acl>, mut fresh: u64) {
     c.access(BlockAddr(others[0]), AccessType::Read, Cost(1)); // 0 to LRU
     for _ in 0..4 {
         c.access(BlockAddr(fresh), AccessType::Read, Cost(1)); // displace cheap
-        let displaced: Vec<u64> = c
-            .policy()
-            .core(S0)
-            .etd()
-            .blocks()
-            .iter()
-            .map(|b| b.0)
-            .collect();
+        let displaced: Vec<u64> = c.core(S0).etd().blocks().iter().map(|b| b.0).collect();
         c.access(BlockAddr(displaced[0]), AccessType::Read, Cost(1)); // detected re-ref
         fresh += 1;
     }
@@ -65,17 +58,14 @@ fn disabled_set_reenables_only_through_a_watch_hit() {
     enable_via_watch_hit(&mut c);
     fail_one_reservation(&mut c, 100);
     fail_one_reservation(&mut c, 200);
-    assert!(
-        !c.policy().core(S0).enabled(),
-        "two failures must disable the set"
-    );
-    assert_eq!(c.policy().core(S0).counter(), 0);
+    assert!(!c.core(S0).enabled(), "two failures must disable the set");
+    assert_eq!(c.core(S0).counter(), 0);
 
     // The transition into watch mode cleared the directory: entries from
     // the failed reservation are evidence reservations *hurt* and must not
     // masquerade as watch hits.
     assert!(
-        c.policy().core(S0).etd().is_empty(),
+        c.core(S0).etd().is_empty(),
         "ETD must be flushed on disable"
     );
 
@@ -94,21 +84,21 @@ fn disabled_set_reenables_only_through_a_watch_hit() {
         "disabled ACL must evict the LRU block"
     );
     assert_eq!(
-        c.policy().core(S0).etd().blocks(),
+        c.core(S0).etd().blocks(),
         vec![BlockAddr(0)],
         "the evicted LRU block is watched"
     );
 
     // The genuine watch hit — re-referencing the block LRU just threw away
     // — re-enables reservations at the trigger value.
-    let watch_hits_before = c.policy().etd_stats().hits;
+    let watch_hits_before = c.core(S0).etd().stats().hits;
     c.access(BlockAddr(0), AccessType::Read, Cost(8));
     assert!(
-        c.policy().core(S0).enabled(),
+        c.core(S0).enabled(),
         "watch hit must re-enable reservations"
     );
-    assert_eq!(c.policy().core(S0).counter(), 2);
-    assert_eq!(c.policy().etd_stats().hits, watch_hits_before + 1);
+    assert_eq!(c.core(S0).counter(), 2);
+    assert_eq!(c.core(S0).etd().stats().hits, watch_hits_before + 1);
 }
 
 #[test]
@@ -118,12 +108,12 @@ fn watch_mode_ignores_misses_on_unwatched_blocks() {
     c.access(BlockAddr(0), AccessType::Read, Cost(8));
     c.access(BlockAddr(1), AccessType::Read, Cost(1));
     c.access(BlockAddr(2), AccessType::Read, Cost(1));
-    assert_eq!(c.policy().etd_stats().allocations, 1, "one watch insert");
+    assert_eq!(c.core(S0).etd().stats().allocations, 1, "one watch insert");
     // Misses on blocks that were never displaced must not trigger.
     c.access(BlockAddr(7), AccessType::Read, Cost(1));
     c.access(BlockAddr(8), AccessType::Read, Cost(1));
-    assert!(!c.policy().core(S0).enabled());
-    assert_eq!(c.policy().etd_stats().hits, 0, "no watch hit");
+    assert!(!c.core(S0).enabled());
+    assert_eq!(c.core(S0).etd().stats().hits, 0, "no watch hit");
 }
 
 #[test]
@@ -158,12 +148,12 @@ fn zero_entry_etd_is_inert() {
 #[test]
 fn dcl_depreciates_only_on_actual_rereference() {
     let geom = Geometry::new(128, 64, 2);
-    let mut c = Cache::new(geom, Dcl::new(&geom));
+    let mut c = Cache::new(geom, || DclCore::for_geometry(&geom));
     c.access(BlockAddr(0), AccessType::Read, Cost(8)); // expensive
     c.access(BlockAddr(1), AccessType::Read, Cost(1)); // cheap
     c.access(BlockAddr(2), AccessType::Read, Cost(1)); // reserves 0, displaces 1
     assert!(c.contains(BlockAddr(0)));
-    assert_eq!(c.policy().core(S0).acost(), 8);
+    assert_eq!(c.core(S0).acost(), 8);
 
     // Misses on blocks that were never displaced: no detected re-reference,
     // so the reservation keeps its full remaining cost. (Each fill evicts
@@ -172,7 +162,7 @@ fn dcl_depreciates_only_on_actual_rereference() {
         c.access(BlockAddr(b), AccessType::Read, Cost(1));
         assert!(c.contains(BlockAddr(0)));
         assert_eq!(
-            c.policy().core(S0).acost(),
+            c.core(S0).acost(),
             8,
             "miss on never-displaced block {b} must not depreciate",
         );
@@ -180,17 +170,10 @@ fn dcl_depreciates_only_on_actual_rereference() {
 
     // A miss on a block the ETD recorded as displaced IS a detected
     // re-reference: acost drops by twice the displaced block's cost.
-    let displaced: Vec<u64> = c
-        .policy()
-        .core(S0)
-        .etd()
-        .blocks()
-        .iter()
-        .map(|b| b.0)
-        .collect();
+    let displaced: Vec<u64> = c.core(S0).etd().blocks().iter().map(|b| b.0).collect();
     c.access(BlockAddr(displaced[0]), AccessType::Read, Cost(1));
     assert_eq!(
-        c.policy().core(S0).acost(),
+        c.core(S0).acost(),
         6,
         "detected re-reference must depreciate by 2x cost"
     );

@@ -5,45 +5,60 @@
 //! random trace — associativity 1 to 16, costs including 0 and the `r=inf`
 //! pair (0, 1), hits, invalidations, and refills at a changed cost.
 
-use cache_sim::{
-    AccessType, BlockAddr, Cache, Cost, Geometry, InvalidateKind, ReplacementPolicy, SetIndex,
-    SetView, Way,
-};
-use csr::GreedyDual;
+use cache_sim::{AccessType, BlockAddr, Cache, Cost, EvictionPolicy, Geometry, Residents, Way};
+use csr::GdCore;
 
-/// Textbook deduct-from-all GreedyDual for a single-set cache.
+/// Textbook deduct-from-all GreedyDual for a single-set cache. It keeps the
+/// recency order itself, as the callbacks report it, so that it can walk
+/// every resident.
 struct ReferenceGd {
     h: Vec<u64>,
+    /// The resident ways, MRU first.
+    order: Vec<Way>,
 }
 
-impl ReplacementPolicy for ReferenceGd {
+impl ReferenceGd {
+    fn promote(&mut self, way: Way) {
+        self.order.retain(|&w| w != way);
+        self.order.insert(0, way);
+    }
+}
+
+impl EvictionPolicy for ReferenceGd {
     fn name(&self) -> &'static str {
         "GD (deduct-from-all)"
     }
 
-    fn victim(&mut self, _set: SetIndex, view: &SetView<'_>) -> Way {
+    fn victim(&mut self, residents: &dyn Residents) -> Way {
+        assert_eq!(self.order.last(), Some(&residents.lru().way));
         // Least H; among equals the one nearest the LRU end.
-        let mut victim = view.lru().way;
-        for e in view.iter().rev() {
-            if self.h[e.way.0] < self.h[victim.0] {
-                victim = e.way;
+        let mut victim = residents.lru().way;
+        for &w in self.order.iter().rev() {
+            if self.h[w.0] < self.h[victim.0] {
+                victim = w;
             }
         }
         let hmin = self.h[victim.0];
-        for e in view.iter() {
-            if e.way != victim {
-                self.h[e.way.0] -= hmin;
+        for &w in &self.order {
+            if w != victim {
+                self.h[w.0] -= hmin;
             }
         }
         victim
     }
 
-    fn on_hit(&mut self, _set: SetIndex, _block: BlockAddr, way: Way, cost: Cost, _is_lru: bool) {
+    fn on_hit(&mut self, _block: BlockAddr, way: Way, cost: Cost, _is_lru: bool) {
         self.h[way.0] = cost.0;
+        self.promote(way);
     }
 
-    fn on_fill(&mut self, _set: SetIndex, _block: BlockAddr, way: Way, cost: Cost) {
+    fn on_fill(&mut self, _block: BlockAddr, way: Way, cost: Cost) {
         self.h[way.0] = cost.0;
+        self.promote(way);
+    }
+
+    fn on_remove(&mut self, _block: BlockAddr, way: Option<Way>) {
+        self.order.retain(|&w| Some(w) != way);
     }
 }
 
@@ -71,16 +86,19 @@ fn offset_form_picks_the_reference_victim_on_every_replacement() {
         for seed in 0..8u64 {
             let mut rng = Rng(0x6D_D1FF ^ (assoc as u64) << 32 ^ seed);
             let geom = Geometry::new(64 * assoc as u64, 64, assoc); // one set
-            let mut reference = Cache::new(geom, ReferenceGd { h: vec![0; assoc] });
-            let mut offset = Cache::new(geom, GreedyDual::new(&geom));
+            let mut reference = Cache::new(geom, || ReferenceGd {
+                h: vec![0; assoc],
+                order: Vec::new(),
+            });
+            let mut offset = Cache::new(geom, || GdCore::new(assoc));
             // Enough blocks to keep the set full and missing, few enough
             // that hits and refills of evicted blocks are common.
             let blocks = 2 * assoc as u64 + 3;
             for step in 0..2_000 {
                 let block = BlockAddr(rng.below(blocks));
                 if rng.below(8) == 0 {
-                    let a = reference.invalidate(block, InvalidateKind::Coherence);
-                    let b = offset.invalidate(block, InvalidateKind::Coherence);
+                    let a = reference.invalidate(block);
+                    let b = offset.invalidate(block);
                     assert_eq!(a.is_some(), b.is_some());
                     continue;
                 }

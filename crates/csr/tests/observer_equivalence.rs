@@ -5,8 +5,11 @@
 //! and `etd_hit`/`depreciate`/`automaton_flip` events mirror the ETD's own
 //! structure counters.
 
-use cache_sim::{AccessType, BlockAddr, Cache, Cost, Geometry, ReplacementPolicy};
-use csr::{Acl, Bcl, Camp, Dcl, Gdsf, GreedyDual, Lfuda, S3Fifo, Slru};
+use cache_sim::{AccessType, BlockAddr, Cache, Cost, EvictionPolicy, Geometry, SetIndex};
+use csr::{
+    AclCore, BclCore, CampCore, DclCore, EtdSet, EtdStats, GdCore, GdsfCore, LfudaCore, S3FifoCore,
+    SlruCore,
+};
 use csr_obs::{CountingObserver, DecisionEvent, EventCounts, EventTracer};
 use std::sync::Arc;
 
@@ -42,28 +45,40 @@ fn geom() -> Geometry {
     Geometry::new(4 * 1024, 64, 4)
 }
 
-/// Runs `policy` (observed by `obs`) over the reference stream and checks
-/// the hit/miss/evict event totals against the simulator's stats.
-fn run<P: ReplacementPolicy>(policy: P, obs: &CountingObserver) -> (EventCounts, Cache<P>) {
-    let mut cache = Cache::new(geom(), policy);
+/// Runs a cache of `core`s (observed by `obs`) over the reference stream
+/// and checks the hit/miss/evict event totals against the simulator's stats.
+fn run<C: EvictionPolicy>(
+    core: impl FnMut() -> C,
+    obs: &CountingObserver,
+) -> (EventCounts, Cache<C>) {
+    let mut cache = Cache::new(geom(), core);
     for &(block, cost) in &reference_stream() {
         cache.access(block, AccessType::Read, cost);
     }
     let counts = obs.counts();
     let sim = cache.stats();
-    let name = cache.policy().name();
+    let name = cache.core(SetIndex(0)).name();
     assert_eq!(counts.hits, sim.hits, "{name}: hit events");
     assert_eq!(counts.misses, sim.misses, "{name}: miss events");
     assert_eq!(counts.evictions, sim.evictions, "{name}: evict events");
     (counts, cache)
 }
 
+/// The ETD statistics of every set, folded.
+fn etd_stats<C: EvictionPolicy>(cache: &Cache<C>, etd: impl Fn(&C) -> &EtdSet) -> EtdStats {
+    let mut total = EtdStats::default();
+    for core in cache.cores() {
+        total.merge(etd(core).stats());
+    }
+    total
+}
+
 /// A core that ranks blocks (or queues them) and has neither `Acost` nor an
 /// ETD: every non-LRU pick is reported as a reservation, nothing else fires.
-fn check_rank_core<P: ReplacementPolicy>(observed: impl FnOnce(Arc<CountingObserver>) -> P) {
+fn check_rank_core<C: EvictionPolicy>(observed: impl Fn(Arc<CountingObserver>) -> C) {
     let obs = Arc::new(CountingObserver::new());
-    let (counts, cache) = run(observed(Arc::clone(&obs)), &obs);
-    let name = cache.policy().name();
+    let (counts, cache) = run(|| observed(Arc::clone(&obs)), &obs);
+    let name = cache.core(SetIndex(0)).name();
     assert_eq!(
         counts.reservations,
         cache.stats().non_lru_evictions,
@@ -77,19 +92,19 @@ fn check_rank_core<P: ReplacementPolicy>(observed: impl FnOnce(Arc<CountingObser
 
 #[test]
 fn rank_and_queue_core_events_match_the_simulator() {
-    let g = geom();
-    check_rank_core(|o| GreedyDual::new(&g).with_observer(o));
-    check_rank_core(|o| S3Fifo::new(&g).with_observer(o));
-    check_rank_core(|o| Slru::new(&g).with_observer(o));
-    check_rank_core(|o| Lfuda::new(&g).with_observer(o));
-    check_rank_core(|o| Gdsf::new(&g).with_observer(o));
-    check_rank_core(|o| Camp::new(&g).with_observer(o));
+    let ways = geom().assoc();
+    check_rank_core(|o| GdCore::new(ways).with_observer(o));
+    check_rank_core(|o| S3FifoCore::new(ways).with_observer(o));
+    check_rank_core(|o| SlruCore::new(ways).with_observer(o));
+    check_rank_core(|o| LfudaCore::new(ways).with_observer(o));
+    check_rank_core(|o| GdsfCore::new(ways).with_observer(o));
+    check_rank_core(|o| CampCore::new(ways).with_observer(o));
 }
 
 #[test]
 fn bcl_events_match_the_simulator() {
     let obs = Arc::new(CountingObserver::new());
-    let (counts, cache) = run(Bcl::new(&geom()).with_observer(Arc::clone(&obs)), &obs);
+    let (counts, cache) = run(|| BclCore::new().with_observer(Arc::clone(&obs)), &obs);
     assert_eq!(counts.reservations, cache.stats().non_lru_evictions);
     assert_eq!(
         counts.depreciations, counts.reservations,
@@ -102,9 +117,10 @@ fn bcl_events_match_the_simulator() {
 #[test]
 fn dcl_events_match_the_simulator() {
     let obs = Arc::new(CountingObserver::new());
-    let (counts, cache) = run(Dcl::new(&geom()).with_observer(Arc::clone(&obs)), &obs);
+    let core = || DclCore::for_geometry(&geom()).with_observer(Arc::clone(&obs));
+    let (counts, cache) = run(core, &obs);
     assert_eq!(counts.reservations, cache.stats().non_lru_evictions);
-    assert_eq!(counts.etd_hits, cache.policy().etd_stats().hits);
+    assert_eq!(counts.etd_hits, etd_stats(&cache, DclCore::etd).hits);
     assert_eq!(
         counts.depreciations, counts.etd_hits,
         "DCL depreciates on every ETD hit and only then"
@@ -122,8 +138,9 @@ fn acl_events_match_the_simulator() {
     let counting = Arc::new(CountingObserver::new());
     let tracer = Arc::new(EventTracer::new(1 << 20));
     let obs = (Arc::clone(&counting), Arc::clone(&tracer));
-    let (counts, cache) = run(Acl::new(&geom()).with_observer(obs), &counting);
-    assert_eq!(counts.etd_hits, cache.policy().etd_stats().hits);
+    let core = || AclCore::for_geometry(&geom()).with_observer(obs.clone());
+    let (counts, cache) = run(core, &counting);
+    assert_eq!(counts.etd_hits, etd_stats(&cache, AclCore::etd).hits);
     assert_eq!(tracer.dropped(), 0, "trace capacity must hold the full run");
 
     // ACL reports a reservation once, when it starts; the non-LRU evictions
@@ -209,7 +226,9 @@ fn acl_events_match_the_simulator() {
 fn traced_events_are_densely_numbered() {
     let tracer = Arc::new(EventTracer::new(256));
     let geom = geom();
-    let mut cache = Cache::new(geom, Dcl::new(&geom).with_observer(Arc::clone(&tracer)));
+    let mut cache = Cache::new(geom, || {
+        DclCore::for_geometry(&geom).with_observer(Arc::clone(&tracer))
+    });
     for &(block, cost) in reference_stream().iter().take(2_000) {
         cache.access(block, AccessType::Read, cost);
     }

@@ -1,8 +1,8 @@
 //! The paper's own worked narratives, encoded as executable scenarios.
 //! Each test cites the section whose prose it animates.
 
-use cache_sim::{AccessType, BlockAddr, Cache, Cost, Geometry, InvalidateKind, SetIndex};
-use csr::{Acl, Bcl, Dcl, GreedyDual};
+use cache_sim::{AccessType, BlockAddr, Cache, Cost, Geometry, SetIndex};
+use csr::{AclCore, BclCore, DclCore, GdCore};
 
 fn one_set(assoc: usize) -> Geometry {
     Geometry::new(64 * assoc as u64, 64, assoc)
@@ -15,7 +15,7 @@ fn one_set(assoc: usize) -> Geometry {
 #[test]
 fn gd_narrative() {
     let geom = one_set(4);
-    let mut c = Cache::new(geom, GreedyDual::new(&geom));
+    let mut c = Cache::new(geom, || GdCore::new(geom.assoc()));
     // Fill with mixed costs; MRU order ends d, c, b, a.
     c.access(BlockAddr(0), AccessType::Read, Cost(7)); // a
     c.access(BlockAddr(1), AccessType::Read, Cost(3)); // b
@@ -34,8 +34,8 @@ fn gd_narrative() {
 #[test]
 fn reservation_narrative() {
     let geom = one_set(4);
-    let mut bcl = Cache::new(geom, Bcl::new(&geom));
-    let mut dcl = Cache::new(geom, Dcl::new(&geom));
+    let mut bcl = Cache::new(geom, BclCore::new);
+    let mut dcl = Cache::new(geom, || DclCore::for_geometry(&geom));
     for b in [(0u64, 8u64), (1, 1), (2, 1), (3, 1), (4, 1)] {
         bcl.access(BlockAddr(b.0), AccessType::Read, Cost(b.1));
         dcl.access(BlockAddr(b.0), AccessType::Read, Cost(b.1));
@@ -58,7 +58,7 @@ fn reservation_narrative() {
 #[test]
 fn mru_can_be_victimized_but_not_reserved() {
     let geom = one_set(3);
-    let mut c = Cache::new(geom, Bcl::new(&geom));
+    let mut c = Cache::new(geom, BclCore::new);
     c.access(BlockAddr(0), AccessType::Read, Cost(9)); // LRU, expensive
     c.access(BlockAddr(1), AccessType::Read, Cost(9)); // middle, expensive
     c.access(BlockAddr(2), AccessType::Read, Cost(1)); // MRU, cheap
@@ -78,7 +78,7 @@ fn mru_can_be_victimized_but_not_reserved() {
 #[test]
 fn bcl_depreciation_schedule() {
     let geom = one_set(2);
-    let mut c = Cache::new(geom, Bcl::new(&geom));
+    let mut c = Cache::new(geom, BclCore::new);
     c.access(BlockAddr(0), AccessType::Read, Cost(6));
     c.access(BlockAddr(1), AccessType::Read, Cost(1));
     // Three cheap victimizations: Acost 6 -> 4 -> 2 -> 0.
@@ -86,7 +86,7 @@ fn bcl_depreciation_schedule() {
         c.access(BlockAddr(b), AccessType::Read, Cost(1));
         assert!(c.contains(BlockAddr(0)));
     }
-    assert_eq!(c.policy().core(SetIndex(0)).acost(), 0);
+    assert_eq!(c.core(SetIndex(0)).acost(), 0);
     // Prime replacement candidate: the next fill takes it.
     c.access(BlockAddr(5), AccessType::Read, Cost(1));
     assert!(!c.contains(BlockAddr(0)));
@@ -98,8 +98,8 @@ fn bcl_depreciation_schedule() {
 #[test]
 fn dcl_depreciates_only_on_actual_rereference() {
     let geom = one_set(2);
-    let mut bcl_cache = Cache::new(geom, Bcl::new(&geom));
-    let mut dcl_cache = Cache::new(geom, Dcl::new(&geom));
+    let mut bcl_cache = Cache::new(geom, BclCore::new);
+    let mut dcl_cache = Cache::new(geom, || DclCore::for_geometry(&geom));
     let stream: Vec<(u64, u64)> = vec![(0, 6), (1, 1), (2, 1), (3, 1), (4, 1)];
     for &(b, cost) in &stream {
         bcl_cache.access(BlockAddr(b), AccessType::Read, Cost(cost));
@@ -107,8 +107,8 @@ fn dcl_depreciates_only_on_actual_rereference() {
     }
     // BCL pessimistically depreciated 3 times (6 -> 0); DCL not at all
     // (none of the victims ever returned).
-    assert_eq!(bcl_cache.policy().core(SetIndex(0)).acost(), 0);
-    assert_eq!(dcl_cache.policy().core(SetIndex(0)).acost(), 6);
+    assert_eq!(bcl_cache.core(SetIndex(0)).acost(), 0);
+    assert_eq!(dcl_cache.core(SetIndex(0)).acost(), 6);
     // The reserved block's fate then differs on the next fill.
     bcl_cache.access(BlockAddr(5), AccessType::Read, Cost(1));
     dcl_cache.access(BlockAddr(5), AccessType::Read, Cost(1));
@@ -125,16 +125,16 @@ fn dcl_depreciates_only_on_actual_rereference() {
 #[test]
 fn etd_entries_die_with_coherence_invalidations() {
     let geom = one_set(2);
-    let mut c = Cache::new(geom, Dcl::new(&geom));
+    let mut c = Cache::new(geom, || DclCore::for_geometry(&geom));
     c.access(BlockAddr(0), AccessType::Read, Cost(6));
     c.access(BlockAddr(1), AccessType::Read, Cost(1));
     c.access(BlockAddr(2), AccessType::Read, Cost(1)); // 1 displaced -> ETD
-    assert_eq!(c.policy().core(SetIndex(0)).etd().len(), 1);
-    c.invalidate(BlockAddr(1), InvalidateKind::Coherence); // remote write
-    assert!(c.policy().core(SetIndex(0)).etd().is_empty());
+    assert_eq!(c.core(SetIndex(0)).etd().len(), 1);
+    c.invalidate(BlockAddr(1)); // remote write
+    assert!(c.core(SetIndex(0)).etd().is_empty());
     // Its return must now NOT depreciate the reservation.
     c.access(BlockAddr(1), AccessType::Read, Cost(1));
-    assert_eq!(c.policy().core(SetIndex(0)).acost(), 6);
+    assert_eq!(c.core(SetIndex(0)).acost(), 6);
 }
 
 /// Section 2.5: "Initially the counter is set to zero, disabling all
@@ -143,17 +143,17 @@ fn etd_entries_die_with_coherence_invalidations() {
 #[test]
 fn acl_trigger_narrative() {
     let geom = one_set(2);
-    let mut c = Cache::new(geom, Acl::new(&geom));
-    assert!(!c.policy().core(SetIndex(0)).enabled());
+    let mut c = Cache::new(geom, || AclCore::for_geometry(&geom));
+    assert!(!c.core(SetIndex(0)).enabled());
     // Watch mode: LRU-evict an expensive block while a cheap one exists.
     c.access(BlockAddr(0), AccessType::Read, Cost(8));
     c.access(BlockAddr(1), AccessType::Read, Cost(1));
     c.access(BlockAddr(2), AccessType::Read, Cost(1)); // 0 evicted into watch ETD
-    assert_eq!(c.policy().core(SetIndex(0)).counter(), 0);
+    assert_eq!(c.core(SetIndex(0)).counter(), 0);
     c.access(BlockAddr(0), AccessType::Read, Cost(8)); // watch hit
-    assert_eq!(c.policy().core(SetIndex(0)).counter(), 2);
+    assert_eq!(c.core(SetIndex(0)).counter(), 2);
     assert!(
-        c.policy().core(SetIndex(0)).etd().is_empty(),
+        c.core(SetIndex(0)).etd().is_empty(),
         "all entries invalidated"
     );
 }
@@ -165,8 +165,8 @@ fn acl_trigger_narrative() {
 #[test]
 fn infinite_ratio_reserves_forever() {
     let geom = one_set(4);
-    let mut bcl = Cache::new(geom, Bcl::new(&geom));
-    let mut dcl = Cache::new(geom, Dcl::new(&geom));
+    let mut bcl = Cache::new(geom, BclCore::new);
+    let mut dcl = Cache::new(geom, || DclCore::for_geometry(&geom));
     bcl.access(BlockAddr(0), AccessType::Read, Cost(1)); // "high" = 1
     dcl.access(BlockAddr(0), AccessType::Read, Cost(1));
     for b in 1..60u64 {
@@ -190,7 +190,7 @@ fn infinite_ratio_reserves_forever() {
 #[test]
 fn at_most_s_minus_one_reservations() {
     let geom = one_set(4);
-    let mut c = Cache::new(geom, Bcl::new(&geom));
+    let mut c = Cache::new(geom, BclCore::new);
     // Three expensive blocks + one cheap MRU.
     c.access(BlockAddr(0), AccessType::Read, Cost(9));
     c.access(BlockAddr(1), AccessType::Read, Cost(9));

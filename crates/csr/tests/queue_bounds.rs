@@ -17,10 +17,10 @@
 //! * LRU and BCL own no collection; DCL's and ACL's only one is the shadow
 //!   directory, whose capacity is fixed at construction and checked here too.
 
-use cache_sim::{AccessType, BlockAddr, Cache, Cost, Geometry, InvalidateKind, SetIndex};
+use cache_sim::{AccessType, BlockAddr, Cache, Cost, Geometry, SetIndex};
 use csr::{
-    Acl, AclCore, Camp, Dcl, DclCore, EvictionPolicy, Gdsf, GreedyDual, Lfuda, PerSet, RankCore,
-    S3Fifo, Slru,
+    AclCore, CampCore, DclCore, EvictionPolicy, GdCore, GdsfCore, LfudaCore, RankCore, S3FifoCore,
+    SlruCore,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -87,12 +87,12 @@ fn one_set() -> Geometry {
 
 /// Runs the never-evicting traffic over `cache`, calling `each` on the
 /// set's core after every access.
-fn never_evicting<C: EvictionPolicy>(mut cache: Cache<PerSet<C>>, mut each: impl FnMut(&C)) {
-    let name = cache.policy().core(SetIndex(0)).name();
+fn never_evicting<C: EvictionPolicy>(mut cache: Cache<C>, mut each: impl FnMut(&C)) {
+    let name = cache.core(SetIndex(0)).name();
     let mut rng = Rng(0x51_0BAD);
-    let mut access = |cache: &mut Cache<PerSet<C>>, block: u64| {
+    let mut access = |cache: &mut Cache<C>, block: u64| {
         cache.access(BlockAddr(block), AccessType::Read, cost_of(block));
-        each(cache.policy().core(SetIndex(0)));
+        each(cache.core(SetIndex(0)));
     };
     for block in 0..RESIDENT {
         access(&mut cache, block);
@@ -102,16 +102,16 @@ fn never_evicting<C: EvictionPolicy>(mut cache: Cache<PerSet<C>>, mut each: impl
     }
     for _ in 0..CYCLES {
         let block = rng.below(RESIDENT);
-        cache.invalidate(BlockAddr(block), InvalidateKind::Flush);
+        cache.invalidate(BlockAddr(block));
         access(&mut cache, block); // the refill
         access(&mut cache, rng.below(RESIDENT));
     }
     assert_eq!(cache.stats().evictions, 0, "{name}: the set never fills");
 }
 
-fn stays_bounded<C: EvictionPolicy>(policy: PerSet<C>, queued: impl Fn(&C) -> usize) {
+fn stays_bounded<C: EvictionPolicy>(core: impl FnMut() -> C, queued: impl Fn(&C) -> usize) {
     let mut worst = 0;
-    let cache = Cache::new(one_set(), policy);
+    let cache = Cache::new(one_set(), core);
     never_evicting(cache, |core| worst = worst.max(queued(core)));
     assert!(
         worst <= 2 * WAYS + 16,
@@ -120,9 +120,9 @@ fn stays_bounded<C: EvictionPolicy>(policy: PerSet<C>, queued: impl Fn(&C) -> us
 }
 
 /// From the first fill on: the core was sized when it was built.
-fn allocates_nothing<C: EvictionPolicy>(policy: PerSet<C>) {
-    let name = policy.core(SetIndex(0)).name();
-    let cache = Cache::new(one_set(), policy);
+fn allocates_nothing<C: EvictionPolicy>(core: impl FnMut() -> C) {
+    let cache = Cache::new(one_set(), core);
+    let name = cache.core(SetIndex(0)).name();
     let before = ALLOCATIONS.with(Cell::get);
     never_evicting(cache, |_| {});
     let allocated = ALLOCATIONS.with(Cell::get) - before;
@@ -131,23 +131,21 @@ fn allocates_nothing<C: EvictionPolicy>(policy: PerSet<C>) {
 
 #[test]
 fn rank_heaps_stay_bounded_without_evictions() {
-    let geom = one_set();
-    stays_bounded(GreedyDual::new(&geom), RankCore::queued);
-    stays_bounded(Gdsf::new(&geom), RankCore::queued);
-    stays_bounded(Lfuda::new(&geom), RankCore::queued);
+    stays_bounded(|| GdCore::new(WAYS), RankCore::queued);
+    stays_bounded(|| GdsfCore::new(WAYS), RankCore::queued);
+    stays_bounded(|| LfudaCore::new(WAYS), RankCore::queued);
 }
 
 #[test]
 fn fifo_and_segment_queues_allocate_nothing_without_evictions() {
-    let geom = one_set();
-    allocates_nothing(S3Fifo::new(&geom));
-    allocates_nothing(Slru::new(&geom));
-    allocates_nothing(Camp::new(&geom));
+    allocates_nothing(|| S3FifoCore::new(WAYS));
+    allocates_nothing(|| SlruCore::new(WAYS));
+    allocates_nothing(|| CampCore::new(WAYS));
 }
 
 #[test]
 fn shadow_directories_stay_bounded_without_evictions() {
     let geom = one_set();
-    stays_bounded(Dcl::new(&geom), |c: &DclCore| c.etd().len());
-    stays_bounded(Acl::new(&geom), |c: &AclCore| c.etd().len());
+    stays_bounded(|| DclCore::for_geometry(&geom), |c: &DclCore| c.etd().len());
+    stays_bounded(|| AclCore::for_geometry(&geom), |c: &AclCore| c.etd().len());
 }

@@ -323,7 +323,6 @@ fn lockstep<C: EvictionPolicy, M: Model>(
                     way,
                     block: BlockAddr(block),
                     cost: Cost(cost),
-                    dirty: false,
                 };
                 region.order.insert(0, filled);
                 core.on_fill(filled.block, way, filled.cost);

@@ -1,6 +1,6 @@
 //! # csr-harness
 //!
-//! Experiment machinery for the HPCA 2003 reproduction: uniform policy
+//! Experiment machinery for the HPCA 2003 reproduction: uniform core
 //! construction ([`PolicyKind`]), the Section 3.1 trace-driven simulation
 //! loop ([`runner`]), and assembly of the paper's trace-driven experiments
 //! ([`experiments`]). The `csr-bench` crate's binaries format the data this

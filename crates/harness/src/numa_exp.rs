@@ -66,7 +66,8 @@ pub fn run_numa(trace: &PhasedTrace, clock: Clock, policy: PolicyKind) -> SimRes
 /// Runs one benchmark under an explicit machine configuration.
 #[must_use]
 pub fn run_numa_cfg(cfg: SystemConfig, trace: &PhasedTrace, policy: PolicyKind) -> SimResult {
-    let mut sys = System::new(cfg, trace, &move |g: &cache_sim::Geometry| policy.build(g));
+    let l2_core = policy.cores(&cfg.l2);
+    let mut sys = System::new(cfg, trace, l2_core);
     sys.run()
 }
 

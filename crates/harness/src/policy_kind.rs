@@ -1,12 +1,16 @@
-//! Uniform construction of replacement policies for experiment sweeps.
+//! Uniform construction of replacement cores for experiment sweeps.
 
-use cache_sim::{Fifo, Geometry, Lru, RandomEvict, ReplacementPolicy};
-use csr::{Acl, Bcl, Camp, Dcl, Gdsf, GreedyDual, Lfuda, NopObserver, Observer, S3Fifo, Slru};
+use cache_sim::{Fifo, Geometry, Lru, RandomEvict};
+use csr::{
+    AclCore, BclCore, CampCore, DclCore, GdCore, GdsfCore, LfudaCore, NopObserver, Observer,
+    S3FifoCore, SlruCore,
+};
+use numa_sim::L2Policy;
 use std::fmt;
 use std::sync::Arc;
 
 /// A decision observer shareable across a run's sets (and across runs) —
-/// what [`PolicyKind::build_observed`] attaches to the policy cores.
+/// what [`PolicyKind::cores_observed`] attaches to the policy cores.
 pub type TraceObserver = Arc<dyn Observer + Send + Sync>;
 
 /// Every replacement policy the experiments can run.
@@ -61,59 +65,62 @@ impl PolicyKind {
         PolicyKind::Camp,
     ];
 
-    /// The kind → policy mapping, written once: a boxed instance for a
-    /// cache of geometry `geom` whose cores report to `obs` (the
-    /// `cache-sim` baselines have no observer support and drop it).
-    fn build_with<O: Observer + Clone + Send + 'static>(
+    /// The kind → core mapping, written once: a factory of cores for the
+    /// sets of a `geom` cache, one per call, each reporting to a clone of
+    /// `obs` (the `cache-sim` baselines have no observer support and drop
+    /// it). Random's cores each draw their own stream.
+    fn cores_with<O: Observer + Clone + Send + 'static>(
         self,
         geom: &Geometry,
         obs: O,
-    ) -> Box<dyn ReplacementPolicy + Send> {
-        match self {
-            PolicyKind::Lru => Box::new(Lru::new()),
-            PolicyKind::Fifo => Box::new(Fifo::new(geom.num_sets())),
-            PolicyKind::Random => Box::new(RandomEvict::new(0xC0FFEE)),
-            PolicyKind::Gd => Box::new(GreedyDual::new(geom).with_observer(obs)),
-            PolicyKind::Bcl => Box::new(Bcl::new(geom).with_observer(obs)),
-            PolicyKind::Dcl => Box::new(Dcl::new(geom).with_observer(obs)),
-            PolicyKind::DclAliased(bits) => {
-                Box::new(Dcl::with_aliased_tags(geom, bits).with_observer(obs))
+    ) -> impl FnMut() -> L2Policy {
+        let geom = *geom;
+        let ways = geom.assoc();
+        let mut random = RandomEvict::per_set(ways, 0xC0FFEE);
+        move || -> L2Policy {
+            let obs = obs.clone();
+            match self {
+                PolicyKind::Lru => Box::new(Lru::new()),
+                PolicyKind::Fifo => Box::new(Fifo::new()),
+                PolicyKind::Random => Box::new(random()),
+                PolicyKind::Gd => Box::new(GdCore::new(ways).with_observer(obs)),
+                PolicyKind::Bcl => Box::new(BclCore::new().with_observer(obs)),
+                PolicyKind::Dcl => Box::new(DclCore::for_geometry(&geom).with_observer(obs)),
+                PolicyKind::DclAliased(bits) => {
+                    Box::new(DclCore::with_aliased_tags(&geom, bits).with_observer(obs))
+                }
+                PolicyKind::Acl => Box::new(AclCore::for_geometry(&geom).with_observer(obs)),
+                PolicyKind::AclAliased(bits) => {
+                    Box::new(AclCore::with_aliased_tags(&geom, bits).with_observer(obs))
+                }
+                PolicyKind::S3Fifo => Box::new(S3FifoCore::new(ways).with_observer(obs)),
+                PolicyKind::Slru => Box::new(SlruCore::new(ways).with_observer(obs)),
+                PolicyKind::Lfuda => Box::new(LfudaCore::new(ways).with_observer(obs)),
+                PolicyKind::Gdsf => Box::new(GdsfCore::new(ways).with_observer(obs)),
+                PolicyKind::Camp => Box::new(CampCore::new(ways).with_observer(obs)),
             }
-            PolicyKind::Acl => Box::new(Acl::new(geom).with_observer(obs)),
-            PolicyKind::AclAliased(bits) => {
-                Box::new(Acl::with_aliased_tags(geom, bits).with_observer(obs))
-            }
-            PolicyKind::S3Fifo => Box::new(S3Fifo::new(geom).with_observer(obs)),
-            PolicyKind::Slru => Box::new(Slru::new(geom).with_observer(obs)),
-            PolicyKind::Lfuda => Box::new(Lfuda::new(geom).with_observer(obs)),
-            PolicyKind::Gdsf => Box::new(Gdsf::new(geom).with_observer(obs)),
-            PolicyKind::Camp => Box::new(Camp::new(geom).with_observer(obs)),
         }
     }
 
-    /// Builds a boxed policy instance for a cache of geometry `geom`.
-    #[must_use]
-    pub fn build(self, geom: &Geometry) -> Box<dyn ReplacementPolicy + Send> {
-        self.build_with(geom, NopObserver)
+    /// A factory of boxed cores for the sets of a `geom` cache, one per
+    /// call: what `Cache::new` and `TwoLevel::new` take.
+    pub fn cores(self, geom: &Geometry) -> impl FnMut() -> L2Policy {
+        self.cores_with(geom, NopObserver)
     }
 
-    /// Builds a boxed policy instance with a decision [`Observer`] attached.
+    /// [`cores`](Self::cores) with a decision [`Observer`] attached to each.
     ///
-    /// The cost-sensitive policies (GD, BCL, DCL, ACL and their aliased
-    /// variants) emit hit/miss/evict/reserve/depreciate events to `obs`,
-    /// giving every table and figure a replayable decision trace. The
-    /// cost-oblivious baselines (LRU, FIFO, Random) come from `cache-sim`
-    /// and have no observer support; for those `obs` sees no events.
-    #[must_use]
-    pub fn build_observed(
-        self,
-        geom: &Geometry,
-        obs: TraceObserver,
-    ) -> Box<dyn ReplacementPolicy + Send> {
-        self.build_with(geom, obs)
+    /// The cost-sensitive cores (GD, BCL, DCL, ACL and their aliased
+    /// variants) and the policy zoo emit hit/miss/evict/reserve/depreciate
+    /// events to `obs`, giving every table and figure a replayable decision
+    /// trace. The cost-oblivious baselines (LRU, FIFO, Random) come from
+    /// `cache-sim` and have no observer support; for those `obs` sees no
+    /// events.
+    pub fn cores_observed(self, geom: &Geometry, obs: TraceObserver) -> impl FnMut() -> L2Policy {
+        self.cores_with(geom, obs)
     }
 
-    /// Whether [`build_observed`](Self::build_observed) actually emits
+    /// Whether [`cores_observed`](Self::cores_observed) actually emits
     /// decision events for this policy (false for the `cache-sim`
     /// baselines, which ignore the observer).
     #[must_use]
@@ -177,7 +184,7 @@ mod tests {
             PolicyKind::Camp,
         ];
         for kind in kinds {
-            let mut cache = Cache::new(geom, kind.build(&geom));
+            let mut cache = Cache::new(geom, kind.cores(&geom));
             for b in 0..64u64 {
                 cache.access(BlockAddr(b), AccessType::Read, Cost(1 + b % 4));
             }
@@ -211,7 +218,7 @@ mod tests {
         for kind in PolicyKind::ZOO_SET {
             assert!(kind.emits_events(), "{kind}");
             let obs = Arc::new(csr_obs::CountingObserver::default());
-            let mut cache = Cache::new(geom, kind.build_observed(&geom, obs.clone()));
+            let mut cache = Cache::new(geom, kind.cores_observed(&geom, obs.clone()));
             for b in 0..64u64 {
                 cache.access(BlockAddr(b), AccessType::Read, Cost(1 + b % 4));
             }

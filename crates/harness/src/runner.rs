@@ -8,9 +8,7 @@
 //! any [`CostPair`]. [`run_sampled`] is pricing followed by that loop.
 
 use crate::policy_kind::{PolicyKind, TraceObserver};
-use cache_sim::{
-    BlockAddr, CacheStats, Cost, CostPair, Geometry, Lru, ReplacementPolicy, TwoLevel,
-};
+use cache_sim::{BlockAddr, CacheStats, Cost, CostPair, EvictionPolicy, Geometry, Lru, TwoLevel};
 use mem_trace::cost_map::{CostMap, UniformCostMap};
 use mem_trace::sampled::{SampledEvent, SampledTrace};
 use std::collections::HashMap;
@@ -117,19 +115,19 @@ impl<'a> PricedTrace<'a> {
     /// high-cost block and `pair.low()` on any other.
     #[must_use]
     pub fn run(&self, pair: CostPair, policy: PolicyKind, cfg: TraceSimConfig) -> RunResult {
-        let (l1, l2) = self.run_policy(pair, policy.build(&cfg.l2), cfg);
+        let (l1, l2) = self.run_policy(pair, policy.cores(&cfg.l2), cfg);
         RunResult { policy, l1, l2 }
     }
 
-    /// [`run`](Self::run) with an explicit policy instance; returns the L1
-    /// and L2 statistics.
-    fn run_policy<P: ReplacementPolicy>(
+    /// [`run`](Self::run) with the L2's cores built by `l2_core`; returns
+    /// the L1 and L2 statistics.
+    fn run_policy<C: EvictionPolicy>(
         &self,
         pair: CostPair,
-        policy: P,
+        l2_core: impl FnMut() -> C,
         cfg: TraceSimConfig,
     ) -> (CacheStats, CacheStats) {
-        let mut h = TwoLevel::new(cfg.l1, cfg.l2, policy);
+        let mut h = TwoLevel::new(cfg.l1, cfg.l2, l2_core);
         self.replay(pair, &mut h, |_| {});
         (*h.l1().stats(), *h.l2().stats())
     }
@@ -140,7 +138,7 @@ impl<'a> PricedTrace<'a> {
     pub fn lru_misses(&self, cfg: TraceSimConfig) -> ClassMisses {
         // LRU ignores costs, so charging high-class misses 1 and the rest
         // 0 makes the aggregate cost the high-class miss count.
-        let (_, l2) = self.run_policy(CostPair::infinite_ratio(), Lru::new(), cfg);
+        let (_, l2) = self.run_policy(CostPair::infinite_ratio(), Lru::new, cfg);
         ClassMisses {
             low: l2.misses - l2.aggregate_cost.0,
             high: l2.aggregate_cost.0,
@@ -149,10 +147,10 @@ impl<'a> PricedTrace<'a> {
 
     /// The one replay loop: every event into `h`, each reference charged
     /// by its bit, each L2 miss also reported to `on_l2_miss`.
-    fn replay<P: ReplacementPolicy>(
+    fn replay<C: EvictionPolicy>(
         &self,
         pair: CostPair,
-        h: &mut TwoLevel<P>,
+        h: &mut TwoLevel<C>,
         mut on_l2_miss: impl FnMut(BlockAddr),
     ) {
         assert_eq!(
@@ -215,7 +213,7 @@ pub fn run_sampled(
 /// delivered to `obs`, so a table or figure computed from the returned
 /// [`RunResult`] can carry a replayable decision trace as provenance.
 /// The cost-oblivious baselines emit no events (see
-/// [`PolicyKind::build_observed`]).
+/// [`PolicyKind::cores_observed`]).
 #[must_use]
 pub fn run_sampled_observed(
     sampled: &SampledTrace,
@@ -224,21 +222,21 @@ pub fn run_sampled_observed(
     cfg: TraceSimConfig,
     obs: TraceObserver,
 ) -> RunResult {
-    let (l1, l2) = run_sampled_policy(sampled, costs, policy.build_observed(&cfg.l2, obs), cfg);
+    let (l1, l2) = run_sampled_policy(sampled, costs, policy.cores_observed(&cfg.l2, obs), cfg);
     RunResult { policy, l1, l2 }
 }
 
-/// Runs an explicit policy *instance* over a sampled trace (the ablation
-/// benches need hand-configured policies that [`PolicyKind`] cannot name).
-/// Returns the L1 and L2 statistics.
+/// Runs explicitly built cores over a sampled trace, one per L2 set from
+/// `l2_core` (the ablation benches need hand-configured cores that
+/// [`PolicyKind`] cannot name). Returns the L1 and L2 statistics.
 #[must_use]
-pub fn run_sampled_policy<P: ReplacementPolicy>(
+pub fn run_sampled_policy<C: EvictionPolicy>(
     sampled: &SampledTrace,
     costs: &dyn CostMap,
-    policy: P,
+    l2_core: impl FnMut() -> C,
     cfg: TraceSimConfig,
 ) -> (CacheStats, CacheStats) {
-    PricedTrace::new(sampled, costs, cfg.l2.block_bytes()).run_policy(costs.pair(), policy, cfg)
+    PricedTrace::new(sampled, costs, cfg.l2.block_bytes()).run_policy(costs.pair(), l2_core, cfg)
 }
 
 /// The per-block L2 miss counts of an LRU run.
@@ -258,7 +256,7 @@ impl LruMissProfile {
     #[must_use]
     pub fn collect(sampled: &SampledTrace, cfg: TraceSimConfig) -> Self {
         let unpriced = PricedTrace::new(sampled, &UniformCostMap(Cost::ZERO), cfg.l2.block_bytes());
-        let mut h = TwoLevel::new(cfg.l1, cfg.l2, Lru::new());
+        let mut h = TwoLevel::new(cfg.l1, cfg.l2, Lru::new);
         let mut miss_counts: HashMap<u64, u64> = HashMap::new();
         unpriced.replay(CostPair::new(Cost::ZERO, Cost::ZERO), &mut h, |block| {
             *miss_counts.entry(block.0).or_insert(0) += 1;

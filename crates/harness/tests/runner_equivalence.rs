@@ -40,7 +40,7 @@ fn per_reference_loop(
     cfg: TraceSimConfig,
 ) -> (CacheStats, CacheStats) {
     let block_bytes = cfg.l2.block_bytes();
-    let mut h = TwoLevel::new(cfg.l1, cfg.l2, policy.build(&cfg.l2));
+    let mut h = TwoLevel::new(cfg.l1, cfg.l2, policy.cores(&cfg.l2));
     for ev in sampled.events() {
         match *ev {
             SampledEvent::Own { addr, op } => {

@@ -12,9 +12,9 @@
 //! * [`stats`] — per-node counters and the Table 3 latency-correlation
 //!   matrix.
 //!
-//! The L2 replacement policy is pluggable: LRU or any cost-sensitive
-//! policy from the `csr` crate, with the miss cost = the last measured
-//! miss latency (timestamp-based measurement, Section 4.1).
+//! The L2 replacement policy is pluggable: one boxed core per set, LRU or
+//! any cost-sensitive core from the `csr` crate, with the miss cost = the
+//! last measured miss latency (timestamp-based measurement, Section 4.1).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,4 +32,4 @@ pub use config::{ns, Clock, CostMode, SystemConfig, Time};
 pub use msg::{HomeState, Msg, MsgKind};
 pub use node::L2Policy;
 pub use stats::{MissClass, NodeStats, ReqType, SimResult, Table3Cell, Table3Matrix};
-pub use system::{PolicyFactory, System};
+pub use system::System;

@@ -2,7 +2,7 @@
 
 use crate::config::Time;
 use crate::stats::{MissClass, NodeStats, Table3Matrix};
-use cache_sim::{Cache, Lru, ReplacementPolicy};
+use cache_sim::{Cache, EvictionPolicy, Lru};
 use std::collections::{HashMap, HashSet};
 
 /// Why a CPU is not currently executing.
@@ -34,8 +34,8 @@ pub struct MshrEntry {
     pub wants_write: bool,
 }
 
-/// The boxed replacement policy used by node L2 caches.
-pub type L2Policy = Box<dyn ReplacementPolicy + Send>;
+/// The boxed replacement core of one node-L2 set.
+pub type L2Policy = Box<dyn EvictionPolicy + Send>;
 
 /// One processor node: CPU state, L1/L2, MSHRs, prediction and statistics.
 pub struct Node {
@@ -52,7 +52,7 @@ pub struct Node {
     pub pos: usize,
     /// L1 cache (direct-mapped, LRU trivial).
     pub l1: Cache<Lru>,
-    /// L2 cache with the pluggable (cost-sensitive) policy.
+    /// L2 cache, one pluggable (cost-sensitive) core per set.
     pub l2: Cache<L2Policy>,
     /// Blocks held in exclusive (M/E) state.
     pub owned: HashSet<u64>,

@@ -19,12 +19,9 @@ use crate::mesh::Mesh;
 use crate::msg::{HomeState, Msg, MsgKind};
 use crate::node::{CpuState, L2Policy, MshrEntry, Node};
 use crate::stats::{MissClass, ReqType, SimResult, Table3Matrix};
-use cache_sim::{AccessType, BlockAddr, Cache, Cost, InvalidateKind, Lru};
+use cache_sim::{AccessType, BlockAddr, Cache, Cost, Lru};
 use mem_trace::{Phase, PhasedTrace, ProcId};
 use std::collections::HashMap;
-
-/// Builds an L2 replacement policy for a given geometry (one per node).
-pub type PolicyFactory<'a> = dyn Fn(&cache_sim::Geometry) -> L2Policy + 'a;
 
 /// The simulated CC-NUMA machine.
 pub struct System {
@@ -50,13 +47,18 @@ impl std::fmt::Debug for System {
 }
 
 impl System {
-    /// Assembles a machine for `trace` with one L2 policy instance per node.
+    /// Assembles a machine for `trace` whose L2 sets each get a core built
+    /// by `l2_core`, node 0's sets first.
     ///
     /// # Panics
     ///
     /// Panics if the trace's processor count differs from the configuration.
     #[must_use]
-    pub fn new(cfg: SystemConfig, trace: &PhasedTrace, make_policy: &PolicyFactory<'_>) -> Self {
+    pub fn new(
+        cfg: SystemConfig,
+        trace: &PhasedTrace,
+        mut l2_core: impl FnMut() -> L2Policy,
+    ) -> Self {
         assert_eq!(
             trace.num_procs(),
             cfg.num_nodes,
@@ -64,8 +66,8 @@ impl System {
         );
         let nodes = (0..cfg.num_nodes)
             .map(|id| {
-                let l1 = Cache::new(cfg.l1, Lru::new());
-                let l2 = Cache::new(cfg.l2, make_policy(&cfg.l2));
+                let l1 = Cache::new(cfg.l1, Lru::new);
+                let l2 = Cache::new(cfg.l2, &mut l2_core);
                 Node::new(id, l1, l2)
             })
             .collect();
@@ -941,8 +943,8 @@ impl System {
             }
             MsgKind::FetchInval => {
                 let node = &mut self.nodes[n];
-                node.l1.invalidate(msg.block, InvalidateKind::Coherence);
-                node.l2.invalidate(msg.block, InvalidateKind::Coherence);
+                node.l1.invalidate(msg.block);
+                node.l2.invalidate(msg.block);
                 node.owned.remove(&msg.block.0);
                 node.stats.invals_received += 1;
             }
@@ -981,8 +983,8 @@ impl System {
         // also handled here: the home will serve our queued upgrade as a
         // full GetX.
         let node = &mut self.nodes[n];
-        node.l1.invalidate(msg.block, InvalidateKind::Coherence);
-        node.l2.invalidate(msg.block, InvalidateKind::Coherence);
+        node.l1.invalidate(msg.block);
+        node.l2.invalidate(msg.block);
         node.owned.remove(&msg.block.0);
         let mut ack = msg;
         ack.kind = MsgKind::InvalAck;
@@ -1130,9 +1132,7 @@ impl System {
 
     fn handle_l2_eviction(&mut self, now: Time, n: usize, ev: cache_sim::Evicted) {
         let ctrl = self.ctrl_ps();
-        self.nodes[n]
-            .l1
-            .invalidate(ev.block, InvalidateKind::Inclusion);
+        self.nodes[n].l1.invalidate(ev.block);
         // A block with an in-flight upgrade is left to the UpgAck handler,
         // which returns the granted ownership with a WriteBack; sending a
         // ReplHint here as well would tell the home about the departure

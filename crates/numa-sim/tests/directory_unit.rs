@@ -6,11 +6,7 @@ use mem_trace::Workload;
 use numa_sim::{CostMode, System};
 
 mod util;
-use util::{cfg4, lru_factory, trace_of};
-
-fn lru() -> Box<dyn Fn(&cache_sim::Geometry) -> numa_sim::L2Policy> {
-    lru_factory()
-}
+use util::{cfg4, lru_core, trace_of};
 
 #[test]
 fn shared_to_exclusive_collects_invalidation_acks() {
@@ -24,7 +20,7 @@ fn shared_to_exclusive_collects_invalidation_acks() {
             vec![(3, vec![(0x100, true)])],
         ],
     );
-    let res = System::new(cfg4(), &pt, &*lru()).run();
+    let res = System::new(cfg4(), &pt, lru_core).run();
     for sharer in [0usize, 1, 2] {
         assert_eq!(res.nodes[sharer].invals_received, 1, "sharer {sharer}");
     }
@@ -47,7 +43,7 @@ fn upgrade_requires_no_data_transfer() {
             vec![(1, vec![(0x200, true)])],
         ],
     );
-    let mut sys = System::new(cfg4(), &pt, &*lru());
+    let mut sys = System::new(cfg4(), &pt, lru_core);
     let res = sys.run();
     assert_eq!(res.nodes[1].upgrades, 1);
     assert_eq!(res.nodes[1].l2_misses, 1, "only the initial read misses");
@@ -62,7 +58,7 @@ fn upgrade_requires_no_data_transfer() {
             vec![(1, vec![(0x200, true)])],
         ],
     );
-    let mut sys_getx = System::new(cfg4(), &pt_getx, &*lru());
+    let mut sys_getx = System::new(cfg4(), &pt_getx, lru_core);
     sys_getx.run();
     assert!(
         sys_getx.mesh_stats().flits > upgrade_flits - 12, // data reply ~10 flits + margin
@@ -87,7 +83,7 @@ fn writeback_then_refetch_round_trips_through_memory() {
             vec![(0, vec![(0x400, false)])],
         ],
     );
-    let mut sys = System::new(cfg4(), &pt, &*lru());
+    let mut sys = System::new(cfg4(), &pt, lru_core);
     let res = sys.run();
     assert!(
         res.nodes[0].writebacks >= 1,
@@ -112,7 +108,7 @@ fn replacement_hints_prune_sharer_sets() {
             vec![(2, vec![(0x40, true)])],
         ],
     );
-    let res = System::new(cfg4(), &pt, &*lru()).run();
+    let res = System::new(cfg4(), &pt, lru_core).run();
     assert!(res.nodes[1].repl_hints >= 1);
     assert_eq!(
         res.nodes[1].invals_received, 0,
@@ -139,9 +135,8 @@ fn penalty_mode_changes_replacement_behaviour() {
         let mut cfg = numa_sim::SystemConfig::table4(numa_sim::Clock::Mhz500);
         cfg.cost_mode = mode;
         cfg.max_load_overlap = 2; // force real stalls
-        let mut sys = System::new(cfg, &pt, &|g: &cache_sim::Geometry| {
-            Box::new(csr::Dcl::new(g)) as numa_sim::L2Policy
-        });
+        let l2 = cfg.l2;
+        let mut sys = System::new(cfg, &pt, || Box::new(csr::DclCore::for_geometry(&l2)));
         let res = sys.run();
         (res.exec_time_ps, res.total_misses())
     };
@@ -162,7 +157,7 @@ fn stall_time_is_reported_when_overlap_is_tiny() {
     let pt = trace_of(4, &[vec![(0, chase)]]);
     let mut cfg = cfg4();
     cfg.max_load_overlap = 1;
-    let res = System::new(cfg, &pt, &*lru()).run();
+    let res = System::new(cfg, &pt, lru_core).run();
     assert!(
         res.nodes[0].stall_ps > 30 * 90_000,
         "a serialized miss chain must accumulate stall time, got {}",

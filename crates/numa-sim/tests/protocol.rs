@@ -4,7 +4,7 @@ use mem_trace::Workload;
 use numa_sim::{Clock, System, SystemConfig};
 
 mod util;
-use util::{cfg4 as four_node_cfg, lru_factory, trace_of};
+use util::{cfg4 as four_node_cfg, lru_core, trace_of};
 
 #[test]
 fn local_read_miss_latency_matches_model() {
@@ -19,7 +19,7 @@ fn local_read_miss_latency_matches_model() {
             vec![(0, vec![(0x1000, false)])],
         ],
     );
-    let mut sys = System::new(cfg, &pt, &*lru_factory());
+    let mut sys = System::new(cfg, &pt, lru_core);
     let res = sys.run();
     assert_eq!(res.nodes[0].l2_misses, 1);
     assert_eq!(res.nodes[0].l1_hits, 1);
@@ -42,7 +42,7 @@ fn remote_read_miss_latency_matches_model() {
             vec![(0, vec![(0x2000, false)])],
         ],
     );
-    let mut sys = System::new(cfg, &pt, &*lru_factory());
+    let mut sys = System::new(cfg, &pt, lru_core);
     let res = sys.run();
     assert_eq!(res.nodes[0].l2_misses, 1);
     let lat = res.nodes[0].avg_miss_latency_ns();
@@ -67,7 +67,7 @@ fn write_invalidates_remote_sharer() {
             vec![(0, vec![(0x3000, false)])],
         ],
     );
-    let mut sys = System::new(cfg, &pt, &*lru_factory());
+    let mut sys = System::new(cfg, &pt, lru_core);
     let res = sys.run();
     assert_eq!(
         res.nodes[0].l2_misses, 2,
@@ -92,7 +92,7 @@ fn dirty_remote_read_is_three_hop() {
             vec![(3, vec![(0x4000, false)])],
         ],
     );
-    let mut sys = System::new(cfg, &pt, &*lru_factory());
+    let mut sys = System::new(cfg, &pt, lru_core);
     let res = sys.run();
     assert_eq!(res.nodes[3].l2_misses, 1);
     // The Table 3 record at node 3 must classify the home state Exclusive.
@@ -108,10 +108,10 @@ fn exec_time_monotonic_in_work() {
     let cfg = four_node_cfg();
     let small = trace_of(4, &[vec![(0, (0..64).map(|i| (i * 64, false)).collect())]]);
     let large = trace_of(4, &[vec![(0, (0..512).map(|i| (i * 64, false)).collect())]]);
-    let t_small = System::new(cfg.clone(), &small, &*lru_factory())
+    let t_small = System::new(cfg.clone(), &small, lru_core)
         .run()
         .exec_time_ps;
-    let t_large = System::new(cfg, &large, &*lru_factory()).run().exec_time_ps;
+    let t_large = System::new(cfg, &large, lru_core).run().exec_time_ps;
     assert!(t_large > t_small);
 }
 
@@ -127,8 +127,8 @@ fn deterministic_runs() {
         reduction_points: 64,
     };
     let pt = w.generate_phases(7);
-    let a = System::new(cfg.clone(), &pt, &*lru_factory()).run();
-    let b = System::new(cfg, &pt, &*lru_factory()).run();
+    let a = System::new(cfg.clone(), &pt, lru_core).run();
+    let b = System::new(cfg, &pt, lru_core).run();
     assert_eq!(a.exec_time_ps, b.exec_time_ps);
     assert_eq!(a.total_misses(), b.total_misses());
 }
@@ -145,11 +145,9 @@ fn full_machine_small_workload_with_cost_sensitive_policy() {
         reduction_points: 64,
     };
     let pt = w.generate_phases(7);
-    let lru = System::new(cfg.clone(), &pt, &*lru_factory()).run();
-    let dcl = System::new(cfg, &pt, &|g: &cache_sim::Geometry| {
-        Box::new(csr::Dcl::new(g)) as numa_sim::L2Policy
-    })
-    .run();
+    let lru = System::new(cfg.clone(), &pt, lru_core).run();
+    let l2 = cfg.l2;
+    let dcl = System::new(cfg, &pt, || Box::new(csr::DclCore::for_geometry(&l2))).run();
     // Both complete; refs identical (same streams).
     let refs = |r: &numa_sim::SimResult| r.nodes.iter().map(|n| n.refs).sum::<u64>();
     assert_eq!(refs(&lru), refs(&dcl));
@@ -167,8 +165,8 @@ fn faster_clock_shortens_execution() {
         reduction_points: 64,
     };
     let pt = w.generate_phases(7);
-    let slow = System::new(SystemConfig::table4(Clock::Mhz500), &pt, &*lru_factory()).run();
-    let fast = System::new(SystemConfig::table4(Clock::Ghz1), &pt, &*lru_factory()).run();
+    let slow = System::new(SystemConfig::table4(Clock::Mhz500), &pt, lru_core).run();
+    let fast = System::new(SystemConfig::table4(Clock::Ghz1), &pt, lru_core).run();
     assert!(
         fast.exec_time_ps < slow.exec_time_ps,
         "1GHz {} !< 500MHz {}",
@@ -190,7 +188,7 @@ fn table3_pairs_accumulate_on_repeated_misses() {
         phases.push(vec![(1usize, vec![(0x5000u64, true)])]);
     }
     let pt = trace_of(4, &phases);
-    let res = System::new(cfg, &pt, &*lru_factory()).run();
+    let res = System::new(cfg, &pt, lru_core).run();
     assert!(
         res.table3.total_pairs() >= 4,
         "pairs: {}",

@@ -1,6 +1,5 @@
 //! Shared helpers for the numa-sim integration tests.
 
-use cache_sim::Geometry;
 use mem_trace::{Phase, PhasedTrace, ProcId, TraceRecord};
 use numa_sim::{Clock, SystemConfig};
 
@@ -11,9 +10,9 @@ pub fn cfg4() -> SystemConfig {
     cfg
 }
 
-/// An LRU policy factory for `System::new`.
-pub fn lru_factory() -> Box<dyn Fn(&Geometry) -> numa_sim::L2Policy> {
-    Box::new(|_g: &Geometry| Box::new(cache_sim::Lru::new()))
+/// One L2 set's LRU core: a factory for `System::new`.
+pub fn lru_core() -> numa_sim::L2Policy {
+    Box::new(cache_sim::Lru::new())
 }
 
 /// One processor's references within a phase: `(proc, [(addr, is_write)])`.

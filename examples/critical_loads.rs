@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release --example critical_loads`
 
-use cost_sensitive_cache::policies::Dcl;
+use cost_sensitive_cache::policies::DclCore;
 use cost_sensitive_cache::sim::{relative_savings_pct, Cache, CostPair, Geometry, Lru};
 use cost_sensitive_cache::trace::cost_map::CostMap;
 use cost_sensitive_cache::trace::criticality::CriticalityCostMap;
@@ -48,8 +48,8 @@ fn main() {
 
     // Simulate a 32 KB 4-way L1D under LRU and DCL.
     let geom = Geometry::new(32 * 1024, 64, 4);
-    let mut lru = Cache::new(geom, Lru::new());
-    let mut dcl = Cache::new(geom, Dcl::new(&geom));
+    let mut lru = Cache::new(geom, Lru::new);
+    let mut dcl = Cache::new(geom, || DclCore::for_geometry(&geom));
     for rec in &trace {
         let b = rec.block(64);
         lru.access(b, rec.op, costs.cost_of(b));

@@ -7,17 +7,17 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use cost_sensitive_cache::policies::{Acl, Bcl, Dcl, GreedyDual};
+use cost_sensitive_cache::policies::{AclCore, BclCore, DclCore, GdCore};
 use cost_sensitive_cache::sim::{
-    AccessType, BlockAddr, Cache, Cost, Geometry, Lru, ReplacementPolicy,
+    AccessType, BlockAddr, Cache, Cost, EvictionPolicy, Geometry, Lru,
 };
 
 /// A little scenario: one "remote" block (miss cost 8) is re-read
 /// periodically while a stream of "local" blocks (miss cost 1) sweeps
-/// through the same cache sets.
-fn run<P: ReplacementPolicy>(name: &str, policy: P) -> Cost {
+/// through the same cache sets. Each set runs its own `core()`.
+fn run<C: EvictionPolicy>(name: &str, core: impl Fn(&Geometry) -> C) -> Cost {
     let geom = Geometry::new(16 * 1024, 64, 4);
-    let mut cache = Cache::new(geom, policy);
+    let mut cache = Cache::new(geom, || core(&geom));
 
     let remote = BlockAddr(0); // cost 8 when it misses
     let sets = geom.num_sets() as u64;
@@ -46,13 +46,12 @@ fn run<P: ReplacementPolicy>(name: &str, policy: P) -> Cost {
 fn main() {
     println!("Cost-sensitive replacement on a conflict-heavy scenario");
     println!("(16 KB 4-way L2; one cost-8 block vs a stream of cost-1 blocks)\n");
-    let geom = Geometry::new(16 * 1024, 64, 4);
 
-    let lru = run("LRU", Lru::new());
-    let gd = run("GD", GreedyDual::new(&geom));
-    let bcl = run("BCL", Bcl::new(&geom));
-    let dcl = run("DCL", Dcl::new(&geom));
-    let acl = run("ACL", Acl::new(&geom));
+    let lru = run("LRU", |_| Lru::new());
+    let gd = run("GD", |geom| GdCore::new(geom.assoc()));
+    let bcl = run("BCL", |_| BclCore::new());
+    let dcl = run("DCL", DclCore::for_geometry);
+    let acl = run("ACL", AclCore::for_geometry);
 
     println!();
     for (name, cost) in [("GD", gd), ("BCL", bcl), ("DCL", dcl), ("ACL", acl)] {

@@ -10,9 +10,9 @@
 //!
 //! Run with: `cargo run --release --example web_tier`
 
-use cost_sensitive_cache::policies::{Dcl, GreedyDual};
+use cost_sensitive_cache::policies::{DclCore, GdCore};
 use cost_sensitive_cache::sim::{
-    AccessType, BlockAddr, Cache, Cost, Geometry, Lru, ReplacementPolicy,
+    AccessType, BlockAddr, Cache, Cost, EvictionPolicy, Geometry, Lru,
 };
 use cost_sensitive_cache::trace::workloads::synthetic::ZipfRandom;
 use cost_sensitive_cache::trace::Workload;
@@ -29,10 +29,15 @@ fn backend_cost(block: BlockAddr) -> Cost {
     }
 }
 
-fn run<P: ReplacementPolicy>(name: &str, policy: P, requests: &[BlockAddr]) -> (u64, u64) {
-    // Model the edge cache as 4096 object slots, 8-way associative.
+fn run<C: EvictionPolicy>(
+    name: &str,
+    core: impl Fn(&Geometry) -> C,
+    requests: &[BlockAddr],
+) -> (u64, u64) {
+    // Model the edge cache as 4096 object slots, 8-way associative, with
+    // one `core()` per set.
     let geom = Geometry::new(4096 * 64, 64, 8);
-    let mut cache = Cache::new(geom, policy);
+    let mut cache = Cache::new(geom, || core(&geom));
     for &obj in requests {
         cache.access(obj, AccessType::Read, backend_cost(obj));
     }
@@ -56,10 +61,9 @@ fn main() {
     };
     let requests: Vec<BlockAddr> = stream.generate(7).iter().map(|r| r.block(64)).collect();
 
-    let geom = Geometry::new(4096 * 64, 64, 8);
-    let (_, lru_cost) = run("LRU", Lru::new(), &requests);
-    let (_, gd_cost) = run("GD", GreedyDual::new(&geom), &requests);
-    let (_, dcl_cost) = run("DCL", Dcl::new(&geom), &requests);
+    let (_, lru_cost) = run("LRU", |_| Lru::new(), &requests);
+    let (_, gd_cost) = run("GD", |geom| GdCore::new(geom.assoc()), &requests);
+    let (_, dcl_cost) = run("DCL", DclCore::for_geometry, &requests);
 
     println!();
     for (name, cost) in [("GD", gd_cost), ("DCL", dcl_cost)] {

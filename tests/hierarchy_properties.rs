@@ -5,9 +5,9 @@
 //! seeds, so any failure reproduces exactly.
 
 use cost_sensitive_cache::policies::csopt::{simulate_csopt, CsoptLimits};
-use cost_sensitive_cache::policies::{Acl, Bcl, Dcl, GreedyDual, TraceEvent};
+use cost_sensitive_cache::policies::{AclCore, BclCore, DclCore, GdCore, TraceEvent};
 use cost_sensitive_cache::sim::{
-    AccessType, BlockAddr, Cache, Cost, Geometry, InvalidateKind, Lru, ReplacementPolicy, TwoLevel,
+    AccessType, BlockAddr, Cache, Cost, EvictionPolicy, Geometry, Lru, TwoLevel,
 };
 use cost_sensitive_cache::trace::rng::SplitMix64;
 
@@ -63,9 +63,13 @@ fn trace_events(script: &[Step]) -> Vec<TraceEvent> {
         .collect()
 }
 
-/// The aggregate miss cost `policy` pays on `script`.
-fn aggregate_cost<P: ReplacementPolicy>(geom: Geometry, policy: P, script: &[Step]) -> Cost {
-    let mut c = Cache::new(geom, policy);
+/// The aggregate miss cost a cache of `core`s pays on `script`.
+fn aggregate_cost<C: EvictionPolicy>(
+    geom: Geometry,
+    core: impl FnMut() -> C,
+    script: &[Step],
+) -> Cost {
+    let mut c = Cache::new(geom, core);
     for st in script {
         match *st {
             Step::Read(b) => {
@@ -75,7 +79,7 @@ fn aggregate_cost<P: ReplacementPolicy>(geom: Geometry, policy: P, script: &[Ste
                 c.access(BlockAddr(b), AccessType::Write, cost_of(b));
             }
             Step::Invalidate(b) => {
-                c.invalidate(BlockAddr(b), InvalidateKind::Coherence);
+                c.invalidate(BlockAddr(b));
             }
         }
     }
@@ -93,11 +97,20 @@ fn csopt_lower_bounds_every_online_policy() {
             .expect("24 blocks / 4 ways stays tractable");
 
         for (name, cost) in [
-            ("LRU", aggregate_cost(geom, Lru::new(), &script)),
-            ("GD", aggregate_cost(geom, GreedyDual::new(&geom), &script)),
-            ("BCL", aggregate_cost(geom, Bcl::new(&geom), &script)),
-            ("DCL", aggregate_cost(geom, Dcl::new(&geom), &script)),
-            ("ACL", aggregate_cost(geom, Acl::new(&geom), &script)),
+            ("LRU", aggregate_cost(geom, Lru::new, &script)),
+            (
+                "GD",
+                aggregate_cost(geom, || GdCore::new(geom.assoc()), &script),
+            ),
+            ("BCL", aggregate_cost(geom, BclCore::new, &script)),
+            (
+                "DCL",
+                aggregate_cost(geom, || DclCore::for_geometry(&geom), &script),
+            ),
+            (
+                "ACL",
+                aggregate_cost(geom, || AclCore::for_geometry(&geom), &script),
+            ),
         ] {
             assert!(
                 opt.aggregate_cost <= cost,
@@ -120,7 +133,7 @@ fn gd_is_k_competitive_with_csopt() {
         let k = geom.assoc() as u64;
         let opt = simulate_csopt(&geom, &trace_events(&script), CsoptLimits::default())
             .expect("24 blocks / 4 ways stays tractable");
-        let gd = aggregate_cost(geom, GreedyDual::new(&geom), &script);
+        let gd = aggregate_cost(geom, || GdCore::new(geom.assoc()), &script);
         assert!(
             gd.0 <= k * opt.aggregate_cost.0 + k * MAX_COST,
             "GD {gd} exceeds {k} x CSOPT {} + {k} x {MAX_COST} in case {case}",
@@ -137,7 +150,7 @@ fn hierarchy_inclusion_holds_under_arbitrary_scripts() {
         let script = random_script(case);
         let l1 = Geometry::direct_mapped(256, 64); // 4 sets
         let l2 = Geometry::new(1024, 64, 4); // 4 sets x 4 ways
-        let mut h = TwoLevel::new(l1, l2, Lru::new());
+        let mut h = TwoLevel::new(l1, l2, Lru::new);
         for st in &script {
             match *st {
                 Step::Read(b) => {
@@ -167,7 +180,7 @@ fn l2_sees_exactly_the_l1_miss_stream() {
         let script = random_script(case);
         let l1 = Geometry::direct_mapped(256, 64);
         let l2 = Geometry::new(1024, 64, 4);
-        let mut h = TwoLevel::new(l1, l2, Lru::new());
+        let mut h = TwoLevel::new(l1, l2, Lru::new);
         for st in &script {
             match *st {
                 Step::Read(b) => {

@@ -8,11 +8,8 @@ use cost_sensitive_cache::trace::Workload;
 
 fn run_and_validate(trace: &cost_sensitive_cache::trace::PhasedTrace, policy: PolicyKind) {
     let cfg = SystemConfig::table4(Clock::Mhz500);
-    let mut sys = System::new(
-        cfg,
-        trace,
-        &move |g: &cost_sensitive_cache::sim::Geometry| policy.build(g),
-    );
+    let cores = policy.cores(&cfg.l2);
+    let mut sys = System::new(cfg, trace, cores);
     let res = sys.run();
     assert!(res.exec_time_ps > 0);
     sys.validate_coherence()
@@ -73,7 +70,7 @@ fn miss_latencies_stay_above_unloaded_floor() {
     let trace = w.generate_phases(3);
     let cfg = SystemConfig::table4(Clock::Mhz500);
     let floor_ns = cfg.ctrl_ns * 3 + cfg.mem_ns; // local clean without probe
-    let mut sys = System::new(cfg, &trace, &|_g: &cost_sensitive_cache::sim::Geometry| {
+    let mut sys = System::new(cfg, &trace, || {
         Box::new(cost_sensitive_cache::sim::Lru::new())
     });
     let res = sys.run();
@@ -102,11 +99,8 @@ fn total_refs_are_policy_independent() {
     let trace = w.generate_phases(3);
     let refs_of = |policy: PolicyKind| {
         let cfg = SystemConfig::table4(Clock::Mhz500);
-        let mut sys = System::new(
-            cfg,
-            &trace,
-            &move |g: &cost_sensitive_cache::sim::Geometry| policy.build(g),
-        );
+        let cores = policy.cores(&cfg.l2);
+        let mut sys = System::new(cfg, &trace, cores);
         sys.run().nodes.iter().map(|n| n.refs).sum::<u64>()
     };
     let base = refs_of(PolicyKind::Lru);
@@ -130,7 +124,7 @@ fn table3_diagonal_dominates_under_lru() {
     };
     let trace = w.generate_phases(11);
     let cfg = SystemConfig::table4(Clock::Mhz500);
-    let mut sys = System::new(cfg, &trace, &|_g: &cost_sensitive_cache::sim::Geometry| {
+    let mut sys = System::new(cfg, &trace, || {
         Box::new(cost_sensitive_cache::sim::Lru::new())
     });
     let res = sys.run();

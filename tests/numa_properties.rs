@@ -49,9 +49,8 @@ fn protocol_liveness_and_coherence() {
         for policy in [PolicyKind::Lru, PolicyKind::Acl] {
             let mut cfg = SystemConfig::table4(Clock::Mhz500);
             cfg.num_nodes = PROCS;
-            let mut sys = System::new(cfg, &pt, &move |g: &cost_sensitive_cache::sim::Geometry| {
-                policy.build(g)
-            });
+            let cores = policy.cores(&cfg.l2);
+            let mut sys = System::new(cfg, &pt, cores);
             let res = sys.run(); // panics on deadlock
             assert_eq!(
                 res.nodes.iter().map(|n| n.refs).sum::<u64>(),
@@ -74,12 +73,9 @@ fn timing_is_deterministic() {
         let run = || {
             let mut cfg = SystemConfig::table4(Clock::Ghz1);
             cfg.num_nodes = PROCS;
-            System::new(cfg, &pt, &|_g: &cost_sensitive_cache::sim::Geometry| {
-                Box::new(cost_sensitive_cache::sim::Lru::new())
-                    as cost_sensitive_cache::numa::L2Policy
-            })
-            .run()
-            .exec_time_ps
+            System::new(cfg, &pt, || Box::new(cost_sensitive_cache::sim::Lru::new()))
+                .run()
+                .exec_time_ps
         };
         assert_eq!(run(), run(), "case {case}");
     }

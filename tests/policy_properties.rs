@@ -6,9 +6,11 @@
 //! exactly from the fixed seeds below — no external property-test
 //! framework required.
 
-use cost_sensitive_cache::policies::{simulate_belady, Acl, Bcl, Dcl, GreedyDual, TraceEvent};
+use cost_sensitive_cache::policies::{
+    simulate_belady, AclCore, BclCore, DclCore, GdCore, TraceEvent,
+};
 use cost_sensitive_cache::sim::{
-    AccessType, BlockAddr, Cache, Cost, Geometry, InvalidateKind, Lru, ReplacementPolicy, SetIndex,
+    AccessType, BlockAddr, Cache, Cost, EvictionPolicy, Geometry, Lru, SetIndex,
 };
 use cost_sensitive_cache::trace::rng::SplitMix64;
 
@@ -54,13 +56,13 @@ fn small_geom() -> Geometry {
     Geometry::new(1024, 64, 4)
 }
 
-fn run_script<P: ReplacementPolicy>(
+fn run_script<C: EvictionPolicy>(
     geom: Geometry,
-    policy: P,
+    core: impl FnMut() -> C,
     script: &[Step],
     ratio: u64,
-) -> (Cache<P>, Vec<bool>) {
-    let mut cache = Cache::new(geom, policy);
+) -> (Cache<C>, Vec<bool>) {
+    let mut cache = Cache::new(geom, core);
     let mut hits = Vec::new();
     for step in script {
         match *step {
@@ -79,7 +81,7 @@ fn run_script<P: ReplacementPolicy>(
                 );
             }
             Step::Invalidate(b) => {
-                cache.invalidate(BlockAddr(b), InvalidateKind::Coherence);
+                cache.invalidate(BlockAddr(b));
             }
         }
     }
@@ -93,10 +95,10 @@ fn uniform_costs_equal_lru() {
     for case in 0..CASES {
         let script = random_script(case, 48);
         let geom = small_geom();
-        let (_, lru_hits) = run_script(geom, Lru::new(), &script, 1);
-        let (_, bcl_hits) = run_script(geom, Bcl::new(&geom), &script, 1);
-        let (_, dcl_hits) = run_script(geom, Dcl::new(&geom), &script, 1);
-        let (_, acl_hits) = run_script(geom, Acl::new(&geom), &script, 1);
+        let (_, lru_hits) = run_script(geom, Lru::new, &script, 1);
+        let (_, bcl_hits) = run_script(geom, BclCore::new, &script, 1);
+        let (_, dcl_hits) = run_script(geom, || DclCore::for_geometry(&geom), &script, 1);
+        let (_, acl_hits) = run_script(geom, || AclCore::for_geometry(&geom), &script, 1);
         assert_eq!(lru_hits, bcl_hits, "BCL diverged from LRU in case {case}");
         assert_eq!(lru_hits, dcl_hits, "DCL diverged from LRU in case {case}");
         assert_eq!(lru_hits, acl_hits, "ACL diverged from LRU in case {case}");
@@ -127,11 +129,11 @@ fn recency_stacks_stay_well_formed() {
                 }
             }};
         }
-        check!(Lru::new());
-        check!(GreedyDual::new(&geom));
-        check!(Bcl::new(&geom));
-        check!(Dcl::new(&geom));
-        check!(Acl::new(&geom));
+        check!(Lru::new);
+        check!(|| GdCore::new(geom.assoc()));
+        check!(BclCore::new);
+        check!(|| DclCore::for_geometry(&geom));
+        check!(|| AclCore::for_geometry(&geom));
     }
 }
 
@@ -142,7 +144,7 @@ fn etd_disjoint_and_bounded() {
     for case in 0..CASES {
         let script = random_script(case, 48);
         let geom = small_geom();
-        let mut cache = Cache::new(geom, Dcl::new(&geom));
+        let mut cache = Cache::new(geom, || DclCore::for_geometry(&geom));
         for step in &script {
             match *step {
                 Step::Read(b) => {
@@ -152,11 +154,11 @@ fn etd_disjoint_and_bounded() {
                     cache.access(BlockAddr(b), AccessType::Write, cost_of(b, 8));
                 }
                 Step::Invalidate(b) => {
-                    cache.invalidate(BlockAddr(b), InvalidateKind::Coherence);
+                    cache.invalidate(BlockAddr(b));
                 }
             }
             for set in 0..geom.num_sets() {
-                let etd_blocks = cache.policy().core(SetIndex(set)).etd().blocks();
+                let etd_blocks = cache.core(SetIndex(set)).etd().blocks();
                 assert!(etd_blocks.len() < geom.assoc());
                 for eb in etd_blocks {
                     assert!(
@@ -177,13 +179,15 @@ fn aggregate_cost_is_sum_of_misses() {
         let script = random_script(case, 48);
         let geom = small_geom();
         for kind in 0..4 {
-            let policy: Box<dyn ReplacementPolicy> = match kind {
-                0 => Box::new(Lru::new()),
-                1 => Box::new(GreedyDual::new(&geom)),
-                2 => Box::new(Bcl::new(&geom)),
-                _ => Box::new(Dcl::new(&geom)),
+            let core = || -> Box<dyn EvictionPolicy> {
+                match kind {
+                    0 => Box::new(Lru::new()),
+                    1 => Box::new(GdCore::new(geom.assoc())),
+                    2 => Box::new(BclCore::new()),
+                    _ => Box::new(DclCore::for_geometry(&geom)),
+                }
             };
-            let mut cache = Cache::new(geom, policy);
+            let mut cache = Cache::new(geom, core);
             let mut total = Cost::ZERO;
             for step in &script {
                 match *step {
@@ -198,7 +202,7 @@ fn aggregate_cost_is_sum_of_misses() {
                             .cost_charged;
                     }
                     Step::Invalidate(b) => {
-                        cache.invalidate(BlockAddr(b), InvalidateKind::Coherence);
+                        cache.invalidate(BlockAddr(b));
                     }
                 }
             }
@@ -218,7 +222,7 @@ fn acost_bounded_by_block_cost() {
     for case in 0..CASES {
         let script = random_script(case, 48);
         let geom = small_geom();
-        let mut cache = Cache::new(geom, Bcl::new(&geom));
+        let mut cache = Cache::new(geom, BclCore::new);
         let max_cost = 16u64;
         for step in &script {
             match *step {
@@ -229,14 +233,11 @@ fn acost_bounded_by_block_cost() {
                     cache.access(BlockAddr(b), AccessType::Write, cost_of(b, max_cost));
                 }
                 Step::Invalidate(b) => {
-                    cache.invalidate(BlockAddr(b), InvalidateKind::Coherence);
+                    cache.invalidate(BlockAddr(b));
                 }
             }
             for set in 0..geom.num_sets() {
-                assert!(
-                    cache.policy().core(SetIndex(set)).acost() <= max_cost,
-                    "case {case}"
-                );
+                assert!(cache.core(SetIndex(set)).acost() <= max_cost, "case {case}");
             }
         }
     }
@@ -265,7 +266,7 @@ fn belady_is_a_miss_floor() {
             }
         }
         let opt = simulate_belady(&geom, &events);
-        let mut lru = Cache::new(geom, Lru::new());
+        let mut lru = Cache::new(geom, Lru::new);
         let mut lru_misses = 0u64;
         for ev in &events {
             match *ev {
@@ -275,7 +276,7 @@ fn belady_is_a_miss_floor() {
                     }
                 }
                 TraceEvent::Invalidate { block } => {
-                    lru.invalidate(block, InvalidateKind::Coherence);
+                    lru.invalidate(block);
                 }
             }
         }
@@ -296,7 +297,7 @@ fn gd_scripts_never_panic_and_count_consistently() {
     for case in 0..CASES {
         let script = random_script(case, 48);
         let geom = small_geom();
-        let (cache, hits) = run_script(geom, GreedyDual::new(&geom), &script, 8);
+        let (cache, hits) = run_script(geom, || GdCore::new(geom.assoc()), &script, 8);
         let accesses = hits.len() as u64;
         assert_eq!(cache.stats().accesses, accesses, "case {case}");
         assert_eq!(

@@ -74,7 +74,7 @@ fn aggregate_cost_equals_sum_of_charged_misses() {
 
     // Manual replay with explicit accounting.
     use cost_sensitive_cache::sim::{Cost as C, TwoLevel};
-    let mut h = TwoLevel::new(cfg.l1, cfg.l2, PolicyKind::Bcl.build(&cfg.l2));
+    let mut h = TwoLevel::new(cfg.l1, cfg.l2, PolicyKind::Bcl.cores(&cfg.l2));
     let mut total = C::ZERO;
     use cost_sensitive_cache::trace::cost_map::CostMap;
     use cost_sensitive_cache::trace::SampledEvent;
