@@ -7,7 +7,8 @@
 //! best wall-clock pass is reported as ns/access and Maccesses/s.
 
 use cache_sim::{AccessType, BlockAddr, Cache, Cost, Geometry};
-use csr_harness::PolicyKind;
+use csr::Policy;
+use csr_harness::l2_cores;
 use mem_trace::workloads::synthetic::ZipfRandom;
 use mem_trace::Workload;
 use std::hint::black_box;
@@ -39,18 +40,18 @@ fn main() {
     );
     println!("{:<12} {:>12} {:>14}", "policy", "ns/access", "Maccesses/s");
     for kind in [
-        PolicyKind::Lru,
-        PolicyKind::Fifo,
-        PolicyKind::Random,
-        PolicyKind::Gd,
-        PolicyKind::Bcl,
-        PolicyKind::Dcl,
-        PolicyKind::DclAliased(4),
-        PolicyKind::Acl,
+        Policy::Lru,
+        Policy::Fifo,
+        Policy::Random,
+        Policy::Gd,
+        Policy::Bcl,
+        Policy::Dcl,
+        Policy::DclAlias4,
+        Policy::Acl,
     ] {
         let mut best = f64::INFINITY;
         for _ in 0..PASSES {
-            let mut cache = Cache::new(geom, kind.cores(&geom));
+            let mut cache = Cache::new(geom, l2_cores(kind, &geom, None));
             let start = Instant::now();
             for &(block, op, cost) in &accesses {
                 black_box(cache.access(block, op, cost));
@@ -63,7 +64,7 @@ fn main() {
         let maccesses = accesses.len() as f64 / best / 1e6;
         println!(
             "{:<12} {:>12.1} {:>14.2}",
-            kind.label(),
+            kind.name(),
             per_access_ns,
             maccesses
         );

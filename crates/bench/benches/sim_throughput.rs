@@ -5,7 +5,8 @@
 //! Run with `cargo bench --bench sim_throughput`. Dependency-free: each
 //! configuration runs a few passes and the best wall-clock pass wins.
 
-use csr_harness::{run_sampled, PolicyKind, TraceSimConfig};
+use csr::Policy;
+use csr_harness::{run_sampled, TraceSimConfig};
 use mem_trace::cost_map::RandomCostMap;
 use mem_trace::workloads::OceanLike;
 use mem_trace::{ProcId, SampledTrace, Workload};
@@ -44,13 +45,13 @@ fn main() {
         sampled.events().len()
     );
     println!("{:<8} {:>14}", "policy", "Mrefs/s");
-    for kind in [PolicyKind::Lru, PolicyKind::Dcl] {
+    for kind in [Policy::Lru, Policy::Dcl] {
         let secs = best_of(|| {
             black_box(run_sampled(&sampled, &map, kind, cfg));
         });
         println!(
             "{:<8} {:>14.2}",
-            kind.label(),
+            kind.name(),
             sampled.events().len() as f64 / secs / 1e6
         );
     }
@@ -69,13 +70,13 @@ fn main() {
         pt.total_refs()
     );
     println!("{:<8} {:>14}", "policy", "Mrefs/s");
-    for kind in [PolicyKind::Lru, PolicyKind::Dcl] {
+    for kind in [Policy::Lru, Policy::Dcl] {
         let secs = best_of(|| {
             black_box(csr_harness::numa_exp::run_numa(&pt, Clock::Mhz500, kind).exec_time_ps);
         });
         println!(
             "{:<8} {:>14.2}",
-            kind.label(),
+            kind.name(),
             pt.total_refs() as f64 / secs / 1e6
         );
     }

@@ -2,7 +2,8 @@
 //! (benchmark × policy) tables over HAF and cost ratio.
 
 use crate::{report, ExperimentOpts, TableBuilder};
-use csr_harness::{build_benchmarks, fig3_grid, fig3_hafs, CostRatio, PolicyKind, TraceSimConfig};
+use csr::Policy;
+use csr_harness::{build_benchmarks, fig3_grid, fig3_hafs, CostRatio, TraceSimConfig};
 
 /// Prints the full Figure 3 grid.
 pub fn run(opts: &ExperimentOpts) {
@@ -14,7 +15,7 @@ pub fn run(opts: &ExperimentOpts) {
         &benchmarks,
         &hafs,
         &CostRatio::FIG3,
-        &PolicyKind::PAPER_SET,
+        &Policy::PAPER_SET,
         TraceSimConfig::paper_basic(),
         opts.threads,
     );
@@ -25,7 +26,7 @@ pub fn run(opts: &ExperimentOpts) {
     );
 
     // Index once instead of scanning the whole grid per cell.
-    let mut index: std::collections::HashMap<(&str, PolicyKind, u64, u64), f64> =
+    let mut index: std::collections::HashMap<(&str, Policy, u64, u64), f64> =
         std::collections::HashMap::new();
     let key_of = |ratio: CostRatio| match ratio {
         CostRatio::Finite(r) => r,
@@ -43,7 +44,7 @@ pub fn run(opts: &ExperimentOpts) {
         );
     }
     for bench in &benchmarks {
-        for policy in PolicyKind::PAPER_SET {
+        for policy in Policy::PAPER_SET {
             println!("--- {} / {} ---", bench.name, policy);
             let mut t = TableBuilder::new();
             let mut header = vec!["HAF".to_owned()];

@@ -7,11 +7,11 @@
 //! versus costs = quantized *stall* time attributed to each miss.
 
 use crate::{ExperimentOpts, TableBuilder};
+use csr::Policy;
 use csr_harness::numa_exp::{rsim_suite, run_numa_cfg};
-use csr_harness::PolicyKind;
 use numa_sim::{Clock, CostMode, SystemConfig};
 
-fn run(trace: &mem_trace::PhasedTrace, mode: CostMode, policy: PolicyKind) -> u64 {
+fn run(trace: &mem_trace::PhasedTrace, mode: CostMode, policy: Policy) -> u64 {
     let mut cfg = SystemConfig::table4(Clock::Ghz1);
     cfg.cost_mode = mode;
     run_numa_cfg(cfg, trace, policy).exec_time_ps
@@ -32,13 +32,13 @@ pub fn run_experiment(opts: &ExperimentOpts) {
     // Per benchmark, the LRU baseline and then the table's four cells in
     // column order, all in one pool.
     let runs = [
-        (CostMode::Quantized(60), PolicyKind::Lru),
-        (CostMode::Quantized(60), PolicyKind::Dcl),
-        (CostMode::Penalty(60), PolicyKind::Dcl),
-        (CostMode::Quantized(60), PolicyKind::Acl),
-        (CostMode::Penalty(60), PolicyKind::Acl),
+        (CostMode::Quantized(60), Policy::Lru),
+        (CostMode::Quantized(60), Policy::Dcl),
+        (CostMode::Penalty(60), Policy::Dcl),
+        (CostMode::Quantized(60), Policy::Acl),
+        (CostMode::Penalty(60), Policy::Acl),
     ];
-    let tasks: Vec<(usize, CostMode, PolicyKind)> = (0..suite.len())
+    let tasks: Vec<(usize, CostMode, Policy)> = (0..suite.len())
         .flat_map(|bi| runs.iter().map(move |&(mode, p)| (bi, mode, p)))
         .collect();
     let results = csr_harness::experiments::run_tasks(opts.threads, &tasks, |&(bi, mode, p)| {

@@ -32,7 +32,7 @@ pub fn savings_points_json(points: &[SavingsPoint]) -> Json {
             .map(|p| {
                 Json::obj([
                     ("benchmark", Json::str(p.benchmark.as_str())),
-                    ("policy", Json::str(p.policy.label())),
+                    ("policy", Json::str(p.policy.name())),
                     ("ratio", ratio_json(p.ratio)),
                     ("haf", Json::Float(p.haf)),
                     ("savings_pct", Json::Float(p.savings_pct)),
@@ -51,7 +51,7 @@ pub fn table2_cells_json(cells: &[Table2Cell]) -> Json {
             .map(|c| {
                 Json::obj([
                     ("benchmark", Json::str(c.benchmark.as_str())),
-                    ("policy", Json::str(c.policy.label())),
+                    ("policy", Json::str(c.policy.name())),
                     ("ratio", ratio_json(c.ratio)),
                     ("savings_pct", Json::Float(c.savings_pct)),
                 ])
@@ -108,13 +108,13 @@ pub fn write_report(opts: &ExperimentOpts, name: &str, value: &Json) -> Option<P
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csr_harness::PolicyKind;
+    use csr::Policy;
 
     #[test]
     fn reports_round_trip_through_the_exporter() {
         let points = vec![SavingsPoint {
             benchmark: "mp3d".into(),
-            policy: PolicyKind::Dcl,
+            policy: Policy::Dcl,
             ratio: CostRatio::Infinite,
             haf: 0.05,
             savings_pct: 12.5,
@@ -144,7 +144,7 @@ mod tests {
         };
         let cells = vec![Table2Cell {
             benchmark: "lu".into(),
-            policy: PolicyKind::Gd,
+            policy: Policy::Gd,
             ratio: CostRatio::Finite(8),
             savings_pct: -1.25,
         }];

@@ -4,7 +4,8 @@
 //! that parameter grid, showing where reservations have room to work.
 
 use crate::{ExperimentOpts, TableBuilder};
-use csr_harness::{build_benchmarks, fig3_grid, CostRatio, PolicyKind, TraceSimConfig};
+use csr::Policy;
+use csr_harness::{build_benchmarks, fig3_grid, CostRatio, TraceSimConfig};
 
 /// Prints savings across associativities and cache sizes.
 pub fn run(opts: &ExperimentOpts) {
@@ -24,7 +25,7 @@ pub fn run(opts: &ExperimentOpts) {
             &benchmarks,
             &[0.2],
             &[CostRatio::Finite(8)],
-            &[PolicyKind::Dcl],
+            &[Policy::Dcl],
             cfg,
             opts.threads,
         );
@@ -55,7 +56,7 @@ pub fn run(opts: &ExperimentOpts) {
             &benchmarks,
             &[0.2],
             &[CostRatio::Finite(8)],
-            &[PolicyKind::Dcl],
+            &[Policy::Dcl],
             cfg,
             opts.threads,
         );

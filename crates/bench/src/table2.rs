@@ -1,7 +1,8 @@
 //! Table 2: relative cost savings under first-touch cost mapping.
 
 use crate::{report, ExperimentOpts, TableBuilder};
-use csr_harness::{build_benchmarks, table2, CostRatio, PolicyKind, TraceSimConfig};
+use csr::Policy;
+use csr_harness::{build_benchmarks, table2, CostRatio, TraceSimConfig};
 
 /// Prints Table 2.
 pub fn run(opts: &ExperimentOpts) {
@@ -10,7 +11,7 @@ pub fn run(opts: &ExperimentOpts) {
     let cells = table2(
         &benchmarks,
         &CostRatio::TABLE2,
-        &PolicyKind::PAPER_SET,
+        &Policy::PAPER_SET,
         TraceSimConfig::paper_basic(),
         opts.threads,
     );
@@ -24,7 +25,7 @@ pub fn run(opts: &ExperimentOpts) {
     header.extend(CostRatio::TABLE2.iter().map(ToString::to_string));
     t.header(header);
     for bench in &benchmarks {
-        for policy in PolicyKind::PAPER_SET {
+        for policy in Policy::PAPER_SET {
             let mut row = vec![bench.name.clone(), policy.to_string()];
             for ratio in CostRatio::TABLE2 {
                 let c = cells

@@ -2,8 +2,8 @@
 //! block by the same processor (execution-driven, LRU replacement).
 
 use crate::{ExperimentOpts, TableBuilder};
+use csr::Policy;
 use csr_harness::numa_exp::{rsim_suite, run_numa_cfg};
-use csr_harness::PolicyKind;
 use numa_sim::{Clock, MissClass, SystemConfig, Table3Matrix};
 
 /// Prints the Table 3 matrix.
@@ -21,7 +21,7 @@ pub fn run(opts: &ExperimentOpts) {
     let per_run = csr_harness::experiments::run_tasks(opts.threads, &tasks, |&(bi, hints)| {
         let mut cfg = SystemConfig::table4(Clock::Mhz500);
         cfg.replacement_hints = hints;
-        run_numa_cfg(cfg, &suite[bi].trace, PolicyKind::Lru).table3
+        run_numa_cfg(cfg, &suite[bi].trace, Policy::Lru).table3
     });
     let merge = |hints: bool| {
         let mut merged = Table3Matrix::new();

@@ -23,7 +23,7 @@ pub fn run(opts: &ExperimentOpts) {
         println!("--- {} processor ---", clock.label());
         let mut t = TableBuilder::new();
         let mut header = vec!["benchmark".to_owned()];
-        header.extend(TABLE5_POLICIES.iter().map(|p| p.label()));
+        header.extend(TABLE5_POLICIES.iter().map(|p| p.name().to_owned()));
         t.header(header);
         for b in &suite {
             let mut row = vec![b.name.clone()];

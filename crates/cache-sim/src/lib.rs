@@ -55,6 +55,6 @@ pub use cost::{Cost, CostPair};
 pub use fifo::Fifo;
 pub use hierarchy::{HierarchyOutcome, TwoLevel};
 pub use lru::Lru;
-pub use policy::{EvictionPolicy, Residents, SetView, WayView};
+pub use policy::{BoxedPolicy, EvictionPolicy, Residents, SetView, WayView};
 pub use random_policy::RandomEvict;
 pub use stats::{relative_savings_pct, CacheStats};

@@ -136,6 +136,10 @@ pub trait EvictionPolicy {
     }
 }
 
+/// A core chosen at run time: what `csr::Policy::cores` builds, one per set
+/// of a simulated L2 or per shard of `csr_cache`.
+pub type BoxedPolicy = Box<dyn EvictionPolicy + Send>;
+
 impl<P: EvictionPolicy + ?Sized> EvictionPolicy for Box<P> {
     fn name(&self) -> &'static str {
         (**self).name()

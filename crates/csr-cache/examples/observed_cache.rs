@@ -6,9 +6,9 @@
 //! (e.g. `-- metrics.json`) to also write the JSON snapshot to a file —
 //! CI lints that file with the `csr-obs` `jsonlint` example.
 
-use csr_cache::{CsrCache, Policy, SharedObserver};
+use csr_cache::{CsrCache, Policy};
 use csr_obs::export;
-use csr_obs::{EventTracer, Registry};
+use csr_obs::{EventTracer, Registry, SharedObserver};
 use std::sync::Arc;
 
 const CAPACITY: usize = 1024;

@@ -1,13 +1,12 @@
 //! The sharded, thread-safe, cost-aware cache.
 
 use cache_sim::BlockAddr;
-use csr::EvictionPolicy;
-use csr_obs::{MetricsObserver, Registry};
+use csr::Policy;
+use csr_obs::{MetricsObserver, Registry, SharedObserver};
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash};
 use std::sync::Arc;
 
-use crate::policy::{Policy, SharedObserver};
 use crate::selector::{SelectorCell, SelectorConfig, SelectorShared, SelectorStats};
 use crate::shard::{Shard, ShardMetrics};
 use crate::stats::CacheStats;
@@ -20,20 +19,11 @@ pub type CostFn<K, V> = dyn Fn(&K, &V) -> u64 + Send + Sync;
 /// Default latency sampling interval: one in 64 operations is timed.
 const DEFAULT_SAMPLE_EVERY: u64 = 64;
 
-/// Where shard policy cores come from: a built-in [`Policy`] (which can be
-/// wrapped with observers at build time) or a user factory (which attaches
-/// its own observers, if any).
-enum PolicySource {
-    Builtin(Policy),
-    Custom(Box<dyn Fn(usize) -> Box<dyn EvictionPolicy + Send>>),
-}
-
 /// Configures and builds a [`CsrCache`]. Created by [`CsrCache::builder`].
 pub struct CacheBuilder<K, V, S = RandomState> {
     capacity: usize,
     shards: Option<usize>,
-    policy: PolicySource,
-    policy_name: &'static str,
+    policy: Policy,
     cost_fn: Arc<CostFn<K, V>>,
     hasher: S,
     registry: Option<Arc<Registry>>,
@@ -47,8 +37,7 @@ impl<K, V> CacheBuilder<K, V, RandomState> {
         CacheBuilder {
             capacity,
             shards: None,
-            policy: PolicySource::Builtin(Policy::Lru),
-            policy_name: Policy::Lru.name(),
+            policy: Policy::Lru,
             cost_fn: Arc::new(|_, _| 1),
             hasher: RandomState::new(),
             registry: None,
@@ -70,29 +59,10 @@ impl<K, V, S> CacheBuilder<K, V, S> {
         self
     }
 
-    /// Selects one of the built-in replacement policies ([`Policy`]).
+    /// Selects the replacement policy ([`Policy`]); LRU by default.
     #[must_use]
     pub fn policy(mut self, policy: Policy) -> Self {
-        self.policy = PolicySource::Builtin(policy);
-        self.policy_name = policy.name();
-        self
-    }
-
-    /// Supplies an arbitrary policy: `factory` is called once per shard
-    /// with the shard's capacity (its number of "ways") and returns the
-    /// core driving that shard's evictions.
-    ///
-    /// [`observer`](Self::observer) and the decision counters of
-    /// [`metrics`](Self::metrics) apply only to built-in policies — a
-    /// custom factory attaches its own observers to the cores it builds.
-    #[must_use]
-    pub fn policy_with(
-        mut self,
-        name: &'static str,
-        factory: impl Fn(usize) -> Box<dyn EvictionPolicy + Send> + 'static,
-    ) -> Self {
-        self.policy = PolicySource::Custom(Box::new(factory));
-        self.policy_name = name;
+        self.policy = policy;
         self
     }
 
@@ -114,10 +84,10 @@ impl<K, V, S> CacheBuilder<K, V, S> {
         self
     }
 
-    /// Attaches a decision observer to every shard's policy core (built-in
-    /// policies only). `obs` is shared by all shards, which call it under
-    /// their respective locks; pass an `Arc<CountingObserver>` or
-    /// `Arc<EventTracer>` from `csr_obs` and keep a clone to read.
+    /// Attaches a decision observer to every shard's policy core. `obs` is
+    /// shared by all shards, which call it under their respective locks;
+    /// pass an `Arc<CountingObserver>` or `Arc<EventTracer>` from `csr_obs`
+    /// and keep a clone to read.
     ///
     /// Composes with [`metrics`](Self::metrics): both receive every event.
     #[must_use]
@@ -162,9 +132,8 @@ impl<K, V, S> CacheBuilder<K, V, S> {
     /// and every flip reaches the [`observer`](Self::observer) as a
     /// `policy_flip` event.
     ///
-    /// Overrides any earlier [`policy`](Self::policy) /
-    /// [`policy_with`](Self::policy_with) choice: shards start on
-    /// `candidates.0`.
+    /// Overrides any earlier [`policy`](Self::policy) choice: shards start
+    /// on `candidates.0`.
     #[must_use]
     pub fn adaptive(mut self, config: SelectorConfig) -> Self {
         self.adaptive = Some(config);
@@ -187,7 +156,6 @@ impl<K, V, S> CacheBuilder<K, V, S> {
             capacity: self.capacity,
             shards: self.shards,
             policy: self.policy,
-            policy_name: self.policy_name,
             cost_fn: self.cost_fn,
             hasher,
             registry: self.registry,
@@ -213,18 +181,13 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher + Clone> CacheBuilder<K, V, S> {
 
         // Adaptive selection overrides the policy choice: shards start on
         // the first candidate and may flip per epoch thereafter.
-        let policy_name = if self.adaptive.is_some() {
-            "ADAPTIVE"
-        } else {
-            self.policy_name
-        };
-        let policy = match self.adaptive {
-            Some(cfg) => PolicySource::Builtin(cfg.candidates.0),
-            None => self.policy,
+        let (policy, policy_name) = match self.adaptive {
+            Some(cfg) => (cfg.candidates.0, "ADAPTIVE"),
+            None => (self.policy, self.policy.name()),
         };
 
-        // Combine the metrics feed and the user observer; built-in cores
-        // receive the combination, custom factories their own wiring.
+        // Every shard's core receives the metrics feed and the user
+        // observer, combined.
         let policy_obs: Option<SharedObserver> = match (&self.registry, self.observer) {
             (Some(reg), Some(user)) => {
                 let metrics = MetricsObserver::new(reg, policy_name);
@@ -244,15 +207,9 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher + Clone> CacheBuilder<K, V, S> {
             ))
         });
 
+        let mut cores = policy.cores(per_shard, 0, policy_obs.clone());
         let shard_vec: Vec<Shard<K, V, S>> = (0..shards)
             .map(|i| {
-                let core = match (&policy, &policy_obs) {
-                    (PolicySource::Builtin(p), Some(obs)) => {
-                        p.build_core_observed(per_shard, Arc::clone(obs))
-                    }
-                    (PolicySource::Builtin(p), None) => p.build_core(per_shard),
-                    (PolicySource::Custom(f), _) => f(per_shard),
-                };
                 let metrics = self
                     .registry
                     .as_ref()
@@ -266,7 +223,7 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher + Clone> CacheBuilder<K, V, S> {
                     )),
                     _ => None,
                 };
-                Shard::new(per_shard, core, self.hasher.clone(), metrics, selector)
+                Shard::new(per_shard, cores(), self.hasher.clone(), metrics, selector)
             })
             .collect();
         CsrCache {
@@ -302,11 +259,11 @@ fn effective_shards(requested: usize, capacity: usize) -> usize {
 ///
 /// Keys are hashed once; the hash picks the shard (high bits) and doubles
 /// as the entry's stable *block identity* for the replacement policy (the
-/// shard's [`EvictionPolicy`] core sees 64-bit "block addresses", exactly
-/// like the simulator policies do). Each shard is an independently locked
-/// LRU region of `capacity / shards` entries, evicting via the configured
-/// cost-sensitive policy; statistics counters are readable without taking
-/// any lock.
+/// shard's [`EvictionPolicy`](csr::EvictionPolicy) core sees 64-bit "block
+/// addresses", exactly like the simulator policies do). Each shard is an
+/// independently locked LRU region of `capacity / shards` entries, evicting
+/// via the configured cost-sensitive policy; statistics counters are
+/// readable without taking any lock.
 ///
 /// # Examples
 ///

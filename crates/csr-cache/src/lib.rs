@@ -16,9 +16,9 @@
 //!
 //! * Thread safety: keys are spread over independently locked shards by
 //!   hash; statistics counters are readable without any lock.
-//! * Pluggable policy: every built-in [`Policy`] variant, or any custom
-//!   [`csr::EvictionPolicy`] via
-//!   [`CacheBuilder::policy_with`].
+//! * One policy table: [`Policy`] is `csr::Policy`, so a shard runs the
+//!   very core, built by the same `Policy::cores`, that the simulator runs
+//!   per cache set.
 //!
 //! # Quick start
 //!
@@ -45,13 +45,12 @@
 #![warn(missing_docs)]
 
 mod cache;
-mod policy;
 mod region;
 mod selector;
 mod shard;
 mod stats;
 
 pub use cache::{CacheBuilder, CostFn, CsrCache};
-pub use policy::{Policy, SharedObserver};
+pub use csr::Policy;
 pub use selector::{SelectorConfig, SelectorStats};
 pub use stats::CacheStats;

@@ -1,7 +1,7 @@
 //! The key-value driver of a policy core: one replacement region.
 //!
 //! A [`Region`] is a slab of entries threaded on intrusive doubly linked
-//! lists, plus the boxed [`EvictionPolicy`] core that decides its evictions.
+//! lists, plus the boxed `EvictionPolicy` core that decides its evictions.
 //! It is the only code in this crate that speaks the core protocol, and it
 //! enforces the same contract the simulator's `cache_sim::Cache` does for
 //! cache sets:
@@ -47,16 +47,13 @@
 //! whatever it needs per entry as the payload `T` — `(K, V)` for a shard,
 //! `()` for the adaptive selector's key-only ghosts.
 
-use cache_sim::{BlockAddr, Cost, EvictionPolicy, Residents, Way, WayView};
+use cache_sim::{BlockAddr, BoxedPolicy, Cost, Residents, Way, WayView};
 use csr::eviction::overgrown;
 use std::collections::BTreeMap;
 use std::num::NonZeroU32;
 
 /// Sentinel slot index for list ends.
 const NIL: u32 = u32::MAX;
-
-/// The policy core a region owns.
-pub(crate) type BoxedCore = Box<dyn EvictionPolicy + Send>;
 
 /// One slab entry: the owner's payload plus what the policy sees of it.
 /// The miss cost it was priced at on fill is its class's: [`Region::cost`].
@@ -298,11 +295,11 @@ impl<T> Residents for Slab<T> {
 pub(crate) struct Region<T> {
     slab: Slab<T>,
     capacity: usize,
-    core: BoxedCore,
+    core: BoxedPolicy,
 }
 
 impl<T> Region<T> {
-    pub(crate) fn new(capacity: usize, core: BoxedCore) -> Self {
+    pub(crate) fn new(capacity: usize, core: BoxedPolicy) -> Self {
         assert!(
             capacity < NIL as usize,
             "shard capacity must fit in a u32 slot index"
@@ -464,7 +461,7 @@ impl<T> Region<T> {
     /// Hot-swaps the core: the incoming one is warmed by replaying the
     /// resident entries as fills, LRU first, so its view of the recency
     /// order matches the region's — then it simply takes over.
-    pub(crate) fn swap_core(&mut self, mut core: BoxedCore) {
+    pub(crate) fn swap_core(&mut self, mut core: BoxedPolicy) {
         for (i, s) in self.lru_to_mru() {
             core.on_fill(s.id, Way(i as usize), Cost(self.cost(i)));
         }
@@ -475,7 +472,7 @@ impl<T> Region<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csr::DclCore;
+    use csr::Policy;
 
     /// A stream with reservations (one key in five is expensive), hits and
     /// refreshes at a changed cost; returns every eviction.
@@ -518,8 +515,9 @@ mod tests {
 
     #[test]
     fn decisions_survive_the_clock_running_out() {
-        let mut fresh = Region::new(8, Box::new(DclCore::for_ways(8)));
-        let mut wrapping = Region::new(8, Box::new(DclCore::for_ways(8)));
+        let mut dcl = Policy::Dcl.cores(8, 0, None);
+        let mut fresh = Region::new(8, dcl());
+        let mut wrapping = Region::new(8, dcl());
         // Runs out, and the stamps are dealt again, a few dozen touches in.
         wrapping.slab.clock = u32::MAX - 40;
         let evictions = run(&mut fresh);

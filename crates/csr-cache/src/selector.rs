@@ -27,14 +27,14 @@
 //! Every flip emits the `policy_flip` observer event and bumps the
 //! `csr_cache_selector_*` metrics family.
 
-use cache_sim::BlockAddr;
-use csr_obs::{Counter, Registry};
+use cache_sim::{BlockAddr, BoxedPolicy};
+use csr::Policy;
+use csr_obs::{Counter, Registry, SharedObserver};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::policy::{Policy, SharedObserver};
-use crate::region::{BoxedCore, Region};
+use crate::region::Region;
 
 /// Configures the per-shard adaptive policy selector
 /// ([`CacheBuilder::adaptive`](crate::CacheBuilder::adaptive)).
@@ -236,7 +236,7 @@ impl Ghost {
         let capacity = capacity.max(1);
         Ghost {
             map: HashMap::with_capacity(capacity),
-            region: Region::new(capacity, policy.build_core(capacity)),
+            region: Region::new(capacity, policy.cores(capacity, 0, None)()),
         }
     }
 
@@ -280,7 +280,7 @@ impl Ghost {
 /// core (already observed, if the cache has an observer) the shard must
 /// install via its region's warm `swap_core`.
 pub(crate) struct FlipDecision {
-    pub(crate) core: BoxedCore,
+    pub(crate) core: BoxedPolicy,
 }
 
 /// Per-shard selector state: two ghost caches, the current epoch's scores,
@@ -398,11 +398,7 @@ impl ShardSelector {
         self.epochs_since_flip = 0;
         self.wins = [0, 0];
         self.shared.record_flip(from, winner);
-        let policy = self.live_policy();
-        let core = match &self.obs {
-            Some(obs) => policy.build_core_observed(self.ways, Arc::clone(obs)),
-            None => policy.build_core(self.ways),
-        };
+        let core = self.live_policy().cores(self.ways, 0, self.obs.clone())();
         Some(FlipDecision { core })
     }
 }

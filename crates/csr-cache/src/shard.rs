@@ -10,7 +10,7 @@
 //! never affect correctness of the key-value mapping itself, which always
 //! compares full keys.
 
-use cache_sim::BlockAddr;
+use cache_sim::{BlockAddr, BoxedPolicy};
 use csr_obs::{Histogram, Registry};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash};
@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
-use crate::region::{BoxedCore, Region};
+use crate::region::Region;
 use crate::selector::SelectorCell;
 use crate::stats::CacheStats;
 
@@ -237,7 +237,7 @@ pub(crate) struct Shard<K, V, S> {
 impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
     pub(crate) fn new(
         capacity: usize,
-        policy: BoxedCore,
+        policy: BoxedPolicy,
         hasher: S,
         metrics: Option<ShardMetrics>,
         selector: Option<SelectorCell>,

@@ -3,9 +3,9 @@
 //! the operations they saw, and the Prometheus and JSON exporters must
 //! round-trip the same numbers.
 
-use csr_cache::{CsrCache, Policy, SharedObserver};
+use csr_cache::{CsrCache, Policy};
 use csr_obs::export;
-use csr_obs::{CountingObserver, Json, MetricsObserver, Registry};
+use csr_obs::{CountingObserver, Json, MetricsObserver, Registry, SharedObserver};
 use std::sync::Arc;
 
 const LATENCY_FAMILY: &str = "csr_cache_op_latency_ns";

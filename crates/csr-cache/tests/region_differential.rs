@@ -18,16 +18,14 @@ mod reference;
 #[path = "../src/region.rs"]
 mod region;
 
-use cache_sim::{BlockAddr, Way};
+use cache_sim::{BlockAddr, BoxedPolicy, Way};
 use csr::{EvictionPolicy, Residents};
 use csr_cache::Policy;
 use std::collections::HashMap;
 
-type BoxedCore = Box<dyn EvictionPolicy + Send>;
-
 /// Builds the core for a region of the given capacity.
-type Factory<'a> = &'a dyn Fn(usize) -> BoxedCore;
-type BoxedFactory = Box<dyn Fn(usize) -> BoxedCore>;
+type Factory<'a> = &'a dyn Fn(usize) -> BoxedPolicy;
+type BoxedFactory = Box<dyn Fn(usize) -> BoxedPolicy>;
 
 /// A core that turns every answer it is given into its decision, so two
 /// drivers that answer differently evict differently.
@@ -57,7 +55,7 @@ impl EvictionPolicy for Probe {
 
 /// What the two regions have in common, as far as the lockstep needs it.
 trait Driver {
-    fn new(capacity: usize, core: BoxedCore) -> Self;
+    fn new(capacity: usize, core: BoxedPolicy) -> Self;
     fn touch(&mut self, i: u32);
     fn miss(&mut self, id: BlockAddr);
     fn refresh(&mut self, i: u32, cost: u64);
@@ -68,13 +66,13 @@ trait Driver {
     fn clear(&mut self) -> Vec<BlockAddr>;
     /// `(slot, id, cost)` of every resident, LRU first.
     fn order(&self) -> Vec<(u32, BlockAddr, u64)>;
-    fn swap_core(&mut self, core: BoxedCore);
+    fn swap_core(&mut self, core: BoxedPolicy);
 }
 
 macro_rules! impl_driver {
     ($region:ty, $cost:expr) => {
         impl Driver for $region {
-            fn new(capacity: usize, core: BoxedCore) -> Self {
+            fn new(capacity: usize, core: BoxedPolicy) -> Self {
                 <$region>::new(capacity, core)
             }
             fn touch(&mut self, i: u32) {
@@ -103,7 +101,7 @@ macro_rules! impl_driver {
                     .map(|(i, s)| (i, s.id, $cost(self, i, s)))
                     .collect()
             }
-            fn swap_core(&mut self, core: BoxedCore) {
+            fn swap_core(&mut self, core: BoxedPolicy) {
                 <$region>::swap_core(self, core);
             }
         }
@@ -299,7 +297,12 @@ fn shipped_region_matches_the_materializing_reference_step_for_step() {
     // taking over warm; the probe on both sides of the swap.
     let mut cores: Vec<(&str, BoxedFactory)> = Policy::ALL
         .into_iter()
-        .map(|p| (p.name(), Box::new(move |ways| p.build_core(ways)) as _))
+        .map(|p| {
+            (
+                p.name(),
+                Box::new(move |ways| p.cores(ways, 0, None)()) as _,
+            )
+        })
         .collect();
     cores.push(("probe", Box::new(|ways| Box::new(Probe(Rng(ways as u64))))));
     cores.push(("probe", Box::new(|ways| Box::new(Probe(Rng(!ways as u64))))));

@@ -51,26 +51,11 @@ impl DclCore {
         }
     }
 
-    /// Creates a core for a region of `ways` blockframes with the paper's
-    /// full-tag, `ways - 1`-entry directory.
-    #[must_use]
-    pub fn for_ways(ways: usize) -> Self {
-        DclCore::new(EtdSet::new(EtdConfig::for_assoc(ways)))
-    }
-
     /// Creates a core for one set of a `geom` cache with the paper's
     /// full-tag, `assoc - 1`-entry directory.
     #[must_use]
     pub fn for_geometry(geom: &Geometry) -> Self {
         DclCore::with_etd_config(geom, EtdConfig::for_assoc(geom.assoc()))
-    }
-
-    /// Creates a core for one set of a `geom` cache whose directory stores
-    /// only the low `bits` tag bits (Section 4.3 evaluates 4-bit aliased
-    /// tags).
-    #[must_use]
-    pub fn with_aliased_tags(geom: &Geometry, bits: u32) -> Self {
-        DclCore::with_etd_config(geom, EtdConfig::for_assoc_aliased(geom.assoc(), bits))
     }
 
     /// Creates a core for one set of a `geom` cache with an explicit

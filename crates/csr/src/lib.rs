@@ -35,6 +35,11 @@
 //! general-purpose cores riding on the same trait for head-to-head
 //! comparison and online selection.
 //!
+//! [`Policy`] names every core once — these, `cache_sim`'s FIFO and Random,
+//! and DCL/ACL with 4-bit aliased directory tags — and
+//! [`Policy::cores`] is the one place a name becomes a core, for either
+//! driver ([`policy`]).
+//!
 //! A core is never driven directly; exactly two drivers speak its protocol,
 //! one per layer, and both enforce the same contract (stated once, in
 //! `cache_sim::policy`):
@@ -114,6 +119,7 @@ pub mod etd;
 pub mod eviction;
 pub mod hw;
 pub mod opt;
+pub mod policy;
 pub mod rank;
 mod reserve;
 pub mod s3fifo;
@@ -130,6 +136,7 @@ pub use etd::{EtdConfig, EtdSet, EtdStats};
 pub use eviction::{EvictionPolicy, LruCore, Residents};
 pub use hw::{CostSource, HwParams, HwPolicy};
 pub use opt::{simulate_belady, simulate_cost_greedy, OfflineStats, TraceEvent};
+pub use policy::Policy;
 pub use rank::{GdCore, GdsfCore, LfudaCore, RankCore};
 pub use s3fifo::S3FifoCore;
 pub use slru::SlruCore;

@@ -2,9 +2,9 @@
 //! Table 2) from the substrate crates. The `csr-bench` binary formats the
 //! structures produced here; integration tests assert their shapes.
 
-use crate::policy_kind::PolicyKind;
 use crate::runner::{ClassMisses, PricedTrace, TraceSimConfig};
 use cache_sim::{relative_savings_pct, Cost, CostPair};
+use csr::Policy;
 use mem_trace::cost_map::{FirstTouchCostMap, RandomCostMap};
 use mem_trace::workloads::{BarnesLike, LuLike, OceanLike, RaytraceLike};
 use mem_trace::{
@@ -132,7 +132,7 @@ pub struct SavingsPoint {
     /// Benchmark name.
     pub benchmark: String,
     /// Policy measured.
-    pub policy: PolicyKind,
+    pub policy: Policy,
     /// Cost ratio.
     pub ratio: CostRatio,
     /// High-cost access fraction of the random mapping.
@@ -159,7 +159,7 @@ pub fn fig3_grid(
     benchmarks: &[Benchmark],
     hafs: &[f64],
     ratios: &[CostRatio],
-    policies: &[PolicyKind],
+    policies: &[Policy],
     cfg: TraceSimConfig,
     threads: usize,
 ) -> Vec<SavingsPoint> {
@@ -203,7 +203,7 @@ pub struct Table2Cell {
     /// Benchmark name.
     pub benchmark: String,
     /// Policy measured.
-    pub policy: PolicyKind,
+    pub policy: Policy,
     /// Cost ratio.
     pub ratio: CostRatio,
     /// Relative cost savings over LRU, percent.
@@ -216,7 +216,7 @@ pub struct Table2Cell {
 pub fn table2(
     benchmarks: &[Benchmark],
     ratios: &[CostRatio],
-    policies: &[PolicyKind],
+    policies: &[Policy],
     cfg: TraceSimConfig,
     threads: usize,
 ) -> Vec<Table2Cell> {
@@ -251,7 +251,7 @@ pub fn table2(
 }
 
 /// One policy run: which priced trace, at which ratio.
-type Run = (usize, CostRatio, PolicyKind);
+type Run = (usize, CostRatio, Policy);
 
 /// The savings over LRU of every run, in order. One LRU run per priced
 /// trace is the baseline of every pair ([`PricedTrace::lru_misses`]); the
@@ -418,7 +418,7 @@ mod tests {
             &[bench],
             &[0.2],
             &[CostRatio::Finite(8)],
-            &[PolicyKind::Dcl],
+            &[Policy::Dcl],
             TraceSimConfig::paper_basic(),
             2,
         );

@@ -1,9 +1,10 @@
 //! # csr-harness
 //!
-//! Experiment machinery for the HPCA 2003 reproduction: uniform core
-//! construction ([`PolicyKind`]), the Section 3.1 trace-driven simulation
-//! loop ([`runner`]), and assembly of the paper's trace-driven experiments
-//! ([`experiments`]). The `csr-bench` crate's binaries format the data this
+//! Experiment machinery for the HPCA 2003 reproduction: the Section 3.1
+//! trace-driven simulation loop ([`runner`]), assembly of the paper's
+//! trace-driven experiments ([`experiments`]) and the execution-driven ones
+//! ([`numa_exp`]). Policies are `csr::Policy`, whose `cores` builds the L2's
+//! one core per set. The `csr-bench` crate's binaries format the data this
 //! crate produces.
 
 #![forbid(unsafe_code)]
@@ -11,9 +12,10 @@
 
 pub mod experiments;
 pub mod numa_exp;
-pub mod policy_kind;
 pub mod runner;
 
+/// The name the benchmark adapter knows `csr::Policy` by.
+pub use csr::Policy as PolicyKind;
 pub use experiments::{
     build_benchmarks, default_threads, fig3_grid, fig3_hafs, table2, Benchmark, CostRatio,
     SavingsPoint, Scale, Table2Cell,
@@ -21,8 +23,7 @@ pub use experiments::{
 pub use numa_exp::{
     rsim_suite, rsim_suite_extended, run_numa, NumaBenchmark, Table5Cell, TABLE5_POLICIES,
 };
-pub use policy_kind::{PolicyKind, TraceObserver};
 pub use runner::{
-    run_sampled, run_sampled_observed, run_sampled_policy, ClassMisses, LruMissProfile,
+    l2_cores, run_sampled, run_sampled_observed, run_sampled_policy, ClassMisses, LruMissProfile,
     PricedTrace, RunResult, TraceSimConfig,
 };

@@ -1,6 +1,7 @@
 //! Execution-driven experiments (Section 4): Table 3 and Table 5.
 
-use crate::policy_kind::PolicyKind;
+use crate::runner::l2_cores;
+use csr::Policy;
 use mem_trace::workloads::{BarnesLike, FftLike, LuLike, OceanLike, RadixLike, RaytraceLike};
 use mem_trace::{PhasedTrace, Workload};
 use numa_sim::{Clock, SimResult, System, SystemConfig, Table3Matrix};
@@ -59,14 +60,14 @@ fn suite_of(workloads: Vec<Box<dyn Workload>>) -> Vec<NumaBenchmark> {
 
 /// Runs one benchmark on the Table 4 machine with the given policy.
 #[must_use]
-pub fn run_numa(trace: &PhasedTrace, clock: Clock, policy: PolicyKind) -> SimResult {
+pub fn run_numa(trace: &PhasedTrace, clock: Clock, policy: Policy) -> SimResult {
     run_numa_cfg(SystemConfig::table4(clock), trace, policy)
 }
 
 /// Runs one benchmark under an explicit machine configuration.
 #[must_use]
-pub fn run_numa_cfg(cfg: SystemConfig, trace: &PhasedTrace, policy: PolicyKind) -> SimResult {
-    let l2_core = policy.cores(&cfg.l2);
+pub fn run_numa_cfg(cfg: SystemConfig, trace: &PhasedTrace, policy: Policy) -> SimResult {
+    let l2_core = l2_cores(policy, &cfg.l2, None);
     let mut sys = System::new(cfg, trace, l2_core);
     sys.run()
 }
@@ -79,7 +80,7 @@ pub struct Table5Cell {
     /// Processor clock.
     pub clock: Clock,
     /// Policy measured.
-    pub policy: PolicyKind,
+    pub policy: Policy,
     /// Execution time, µs.
     pub exec_us: f64,
     /// Reduction relative to LRU, percent (positive = faster).
@@ -88,13 +89,13 @@ pub struct Table5Cell {
 
 /// The Table 5 policy set: the four cost-sensitive policies plus the
 /// 4-bit-aliased ETD variants of DCL and ACL (Section 4.3).
-pub const TABLE5_POLICIES: [PolicyKind; 6] = [
-    PolicyKind::Gd,
-    PolicyKind::Bcl,
-    PolicyKind::Dcl,
-    PolicyKind::Acl,
-    PolicyKind::DclAliased(4),
-    PolicyKind::AclAliased(4),
+pub const TABLE5_POLICIES: [Policy; 6] = [
+    Policy::Gd,
+    Policy::Bcl,
+    Policy::Dcl,
+    Policy::Acl,
+    Policy::DclAlias4,
+    Policy::AclAlias4,
 ];
 
 /// Computes the Table 5 grid over `benchmarks`, `clocks` and `policies`,
@@ -103,7 +104,7 @@ pub const TABLE5_POLICIES: [PolicyKind; 6] = [
 pub fn table5(
     benchmarks: &[NumaBenchmark],
     clocks: &[Clock],
-    policies: &[PolicyKind],
+    policies: &[Policy],
     threads: usize,
 ) -> Vec<Table5Cell> {
     // Baselines first (one LRU run per benchmark and clock).
@@ -114,7 +115,7 @@ pub fn table5(
         }
     }
     let baselines = crate::experiments::run_tasks(threads, &base_tasks, |&(bi, clock)| {
-        run_numa(&benchmarks[bi].trace, clock, PolicyKind::Lru).exec_time_ps
+        run_numa(&benchmarks[bi].trace, clock, Policy::Lru).exec_time_ps
     });
     let baseline_of = |bi: usize, clock: Clock| {
         base_tasks
@@ -171,7 +172,7 @@ pub fn table3_with_hints(
     let per_bench = crate::experiments::run_tasks(threads, &idx, |&bi| {
         let mut cfg = SystemConfig::table4(clock);
         cfg.replacement_hints = hints;
-        run_numa_cfg(cfg, &benchmarks[bi].trace, PolicyKind::Lru).table3
+        run_numa_cfg(cfg, &benchmarks[bi].trace, Policy::Lru).table3
     });
     let mut merged = Table3Matrix::new();
     for m in &per_bench {
@@ -202,7 +203,7 @@ mod tests {
     #[test]
     fn table5_reduction_is_zero_for_lru_vs_lru() {
         let b = vec![tiny_benchmark()];
-        let cells = table5(&b, &[Clock::Mhz500], &[PolicyKind::Lru], 2);
+        let cells = table5(&b, &[Clock::Mhz500], &[Policy::Lru], 2);
         assert_eq!(cells.len(), 1);
         assert!(cells[0].reduction_pct.abs() < 1e-9);
     }

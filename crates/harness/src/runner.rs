@@ -7,8 +7,9 @@
 //! bit per event, [`PricedTrace`] — and one loop replays those bits under
 //! any [`CostPair`]. [`run_sampled`] is pricing followed by that loop.
 
-use crate::policy_kind::{PolicyKind, TraceObserver};
 use cache_sim::{BlockAddr, CacheStats, Cost, CostPair, EvictionPolicy, Geometry, Lru, TwoLevel};
+use csr::Policy;
+use csr_obs::SharedObserver;
 use mem_trace::cost_map::{CostMap, UniformCostMap};
 use mem_trace::sampled::{SampledEvent, SampledTrace};
 use std::collections::HashMap;
@@ -53,7 +54,7 @@ impl Default for TraceSimConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunResult {
     /// Which policy ran.
-    pub policy: PolicyKind,
+    pub policy: Policy,
     /// L1 statistics.
     pub l1: CacheStats,
     /// L2 statistics; `l2.aggregate_cost` is the paper's `C(X)`.
@@ -114,8 +115,8 @@ impl<'a> PricedTrace<'a> {
     /// Runs `policy` with each L2 miss charged `pair.high()` on a
     /// high-cost block and `pair.low()` on any other.
     #[must_use]
-    pub fn run(&self, pair: CostPair, policy: PolicyKind, cfg: TraceSimConfig) -> RunResult {
-        let (l1, l2) = self.run_policy(pair, policy.cores(&cfg.l2), cfg);
+    pub fn run(&self, pair: CostPair, policy: Policy, cfg: TraceSimConfig) -> RunResult {
+        let (l1, l2) = self.run_policy(pair, l2_cores(policy, &cfg.l2, None), cfg);
         RunResult { policy, l1, l2 }
     }
 
@@ -199,7 +200,7 @@ impl ClassMisses {
 pub fn run_sampled(
     sampled: &SampledTrace,
     costs: &dyn CostMap,
-    policy: PolicyKind,
+    policy: Policy,
     cfg: TraceSimConfig,
 ) -> RunResult {
     PricedTrace::new(sampled, costs, cfg.l2.block_bytes()).run(costs.pair(), policy, cfg)
@@ -212,23 +213,34 @@ pub fn run_sampled(
 /// eviction, reservation and depreciation the policy makes is also
 /// delivered to `obs`, so a table or figure computed from the returned
 /// [`RunResult`] can carry a replayable decision trace as provenance.
-/// The cost-oblivious baselines emit no events (see
-/// [`PolicyKind::cores_observed`]).
+/// LRU reports its decisions like every `csr` core; FIFO and Random, the
+/// `cache-sim` baselines, emit no events.
 #[must_use]
 pub fn run_sampled_observed(
     sampled: &SampledTrace,
     costs: &dyn CostMap,
-    policy: PolicyKind,
+    policy: Policy,
     cfg: TraceSimConfig,
-    obs: TraceObserver,
+    obs: SharedObserver,
 ) -> RunResult {
-    let (l1, l2) = run_sampled_policy(sampled, costs, policy.cores_observed(&cfg.l2, obs), cfg);
+    let (l1, l2) = run_sampled_policy(sampled, costs, l2_cores(policy, &cfg.l2, Some(obs)), cfg);
     RunResult { policy, l1, l2 }
+}
+
+/// `policy`'s cores for the sets of a simulated `l2` cache: each core's
+/// region is a set of `assoc` ways, and its directory (DCL, ACL) strips the
+/// set-index bits from the tags it compares.
+pub fn l2_cores(
+    policy: Policy,
+    l2: &Geometry,
+    obs: Option<SharedObserver>,
+) -> impl FnMut() -> cache_sim::BoxedPolicy {
+    policy.cores(l2.assoc(), l2.num_sets().trailing_zeros(), obs)
 }
 
 /// Runs explicitly built cores over a sampled trace, one per L2 set from
 /// `l2_core` (the ablation benches need hand-configured cores that
-/// [`PolicyKind`] cannot name). Returns the L1 and L2 statistics.
+/// [`Policy`] cannot name). Returns the L1 and L2 statistics.
 #[must_use]
 pub fn run_sampled_policy<C: EvictionPolicy>(
     sampled: &SampledTrace,
@@ -314,7 +326,7 @@ mod tests {
         let profile = LruMissProfile::collect(&s, cfg);
         for haf in [0.1, 0.5] {
             let map = RandomCostMap::new(haf, CostPair::ratio(8), 3);
-            let direct = run_sampled(&s, &map, PolicyKind::Lru, cfg);
+            let direct = run_sampled(&s, &map, Policy::Lru, cfg);
             assert_eq!(profile.aggregate_cost(&map), direct.aggregate_cost());
         }
     }
@@ -326,8 +338,8 @@ mod tests {
         let s = sampled();
         let cfg = TraceSimConfig::paper_basic();
         let map = UniformCostMap(Cost(5));
-        let lru = run_sampled(&s, &map, PolicyKind::Lru, cfg);
-        for kind in [PolicyKind::Bcl, PolicyKind::Dcl, PolicyKind::Acl] {
+        let lru = run_sampled(&s, &map, Policy::Lru, cfg);
+        for kind in [Policy::Bcl, Policy::Dcl, Policy::Acl] {
             let r = run_sampled(&s, &map, kind, cfg);
             assert_eq!(r.l2.misses, lru.l2.misses, "{kind} misses differ from LRU");
             assert_eq!(
@@ -343,8 +355,8 @@ mod tests {
         let s = sampled();
         let cfg = TraceSimConfig::paper_basic();
         let map = RandomCostMap::new(0.2, CostPair::ratio(16), 9);
-        let lru = run_sampled(&s, &map, PolicyKind::Lru, cfg);
-        let dcl = run_sampled(&s, &map, PolicyKind::Dcl, cfg);
+        let lru = run_sampled(&s, &map, Policy::Lru, cfg);
+        let dcl = run_sampled(&s, &map, Policy::Dcl, cfg);
         assert!(
             dcl.aggregate_cost() < lru.aggregate_cost(),
             "DCL ({}) must beat LRU ({}) at the sweet spot",
@@ -360,7 +372,7 @@ mod tests {
         let s = sampled();
         let cfg = TraceSimConfig::paper_basic();
         let map = RandomCostMap::new(0.2, CostPair::ratio(16), 9);
-        for kind in PolicyKind::PAPER_SET {
+        for kind in std::iter::once(Policy::Lru).chain(Policy::PAPER_SET) {
             let plain = run_sampled(&s, &map, kind, cfg);
             let counting = Arc::new(CountingObserver::new());
             let observed = run_sampled_observed(&s, &map, kind, cfg, counting.clone());
@@ -383,8 +395,7 @@ mod tests {
         let s = sampled();
         let cfg = TraceSimConfig::paper_basic();
         let map = UniformCostMap(Cost(1));
-        for kind in [PolicyKind::Lru, PolicyKind::Fifo] {
-            assert!(!kind.emits_events());
+        for kind in [Policy::Fifo, Policy::Random] {
             let plain = run_sampled(&s, &map, kind, cfg);
             let counting = Arc::new(CountingObserver::new());
             let observed = run_sampled_observed(&s, &map, kind, cfg, counting.clone());
@@ -404,7 +415,7 @@ mod tests {
         t.push(TraceRecord::read(ProcId(0), cache_sim::Addr(0)));
         let s = SampledTrace::from_trace(&t, ProcId(0));
         let cfg = TraceSimConfig::paper_basic();
-        let r = run_sampled(&s, &UniformCostMap(Cost(1)), PolicyKind::Lru, cfg);
+        let r = run_sampled(&s, &UniformCostMap(Cost(1)), Policy::Lru, cfg);
         assert_eq!(r.l2.misses, 2, "the foreign write must force a re-miss");
         let _ = AccessType::Read;
     }

@@ -4,8 +4,9 @@
 //! HAF, one LRU baseline per priced trace, both in the task pool) must
 //! reproduce every cell bit for bit.
 
+use csr::Policy;
 use csr_harness::experiments::BENCH_SEED;
-use csr_harness::{fig3_grid, Benchmark, CostRatio, PolicyKind, TraceSimConfig};
+use csr_harness::{fig3_grid, Benchmark, CostRatio, TraceSimConfig};
 use mem_trace::workloads::BarnesLike;
 use mem_trace::{
     characterize, representative_processor, FirstTouchPlacement, SampledTrace, Workload,
@@ -28,7 +29,7 @@ fn reduced_fig3_matches_the_golden_bit_for_bit() {
         &[bench],
         &[0.05, 0.2, 0.5],
         &[CostRatio::Finite(8), CostRatio::Infinite],
-        &PolicyKind::PAPER_SET,
+        &Policy::PAPER_SET,
         TraceSimConfig::paper_basic(),
         2,
     );
@@ -38,7 +39,7 @@ fn reduced_fig3_matches_the_golden_bit_for_bit() {
             format!(
                 "{}/{}/{}/haf={}\t{:?}",
                 p.benchmark,
-                p.policy.label(),
+                p.policy.name(),
                 p.ratio,
                 p.haf,
                 p.savings_pct

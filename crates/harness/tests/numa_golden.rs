@@ -5,9 +5,10 @@
 //! the file pins what the execution-driven simulator decides, so a refactor
 //! of its caches or their policy cores never rewrites it.
 
+use csr::Policy;
 use csr_harness::experiments::run_tasks;
 use csr_harness::numa_exp::{run_numa_cfg, table3};
-use csr_harness::{NumaBenchmark, PolicyKind, TABLE5_POLICIES};
+use csr_harness::{NumaBenchmark, TABLE5_POLICIES};
 use mem_trace::workloads::{LuLike, OceanLike};
 use mem_trace::Workload;
 use numa_sim::{Clock, CostMode, MissClass, NodeStats, SimResult, SystemConfig};
@@ -59,12 +60,12 @@ fn reduced_section4_matches_the_golden_bit_for_bit() {
     let mut runs = Vec::new();
     for (k, kernel) in kernels.iter().enumerate() {
         for clock in [Clock::Mhz500, Clock::Ghz1] {
-            for policy in std::iter::once(PolicyKind::Lru).chain(TABLE5_POLICIES) {
+            for policy in std::iter::once(Policy::Lru).chain(TABLE5_POLICIES) {
                 let label = format!("table5/{}/{}/{policy}", kernel.name, clock.label());
                 runs.push((label, k, SystemConfig::table4(clock), policy));
             }
         }
-        for policy in [PolicyKind::Dcl, PolicyKind::Acl] {
+        for policy in [Policy::Dcl, Policy::Acl] {
             let mut cfg = SystemConfig::table4(Clock::Ghz1);
             cfg.cost_mode = CostMode::Penalty(60);
             let label = format!("penalty/{}/1GHz/{policy}", kernel.name);

@@ -1,7 +1,7 @@
 //! The priced runner against the per-reference loop it replaced: that loop
 //! asked the cost map for every reference's cost; the runner classifies
 //! each event once per map and replays the bits under any pair. Every
-//! `PolicyKind`, under first-touch, random (HAF 0, 0.2, 1), uniform and
+//! `Policy`, under first-touch, random (HAF 0, 0.2, 1), uniform and
 //! criticality maps at r = 2, 32 and ∞, must give the same L1 and L2
 //! statistics both ways — through `run_sampled` (price, then run) and
 //! through one `PricedTrace` per map run under every ratio, as `table2`
@@ -9,38 +9,39 @@
 //! `LruMissProfile`'s per-block one.
 
 use cache_sim::{CacheStats, CostPair, TwoLevel};
-use csr_harness::{run_sampled, LruMissProfile, PolicyKind, PricedTrace, TraceSimConfig};
+use csr::Policy;
+use csr_harness::{l2_cores, run_sampled, LruMissProfile, PricedTrace, TraceSimConfig};
 use mem_trace::cost_map::{CostMap, FirstTouchCostMap, RandomCostMap, UniformCostMap};
 use mem_trace::criticality::CriticalityCostMap;
 use mem_trace::workloads::BarnesLike;
 use mem_trace::{FirstTouchPlacement, SampledEvent, SampledTrace, Trace, Workload};
 
-const KINDS: [PolicyKind; 14] = [
-    PolicyKind::Lru,
-    PolicyKind::Fifo,
-    PolicyKind::Random,
-    PolicyKind::Gd,
-    PolicyKind::Bcl,
-    PolicyKind::Dcl,
-    PolicyKind::DclAliased(4),
-    PolicyKind::Acl,
-    PolicyKind::AclAliased(4),
-    PolicyKind::S3Fifo,
-    PolicyKind::Slru,
-    PolicyKind::Lfuda,
-    PolicyKind::Gdsf,
-    PolicyKind::Camp,
+const KINDS: [Policy; 14] = [
+    Policy::Lru,
+    Policy::Fifo,
+    Policy::Random,
+    Policy::Gd,
+    Policy::Bcl,
+    Policy::Dcl,
+    Policy::DclAlias4,
+    Policy::Acl,
+    Policy::AclAlias4,
+    Policy::S3Fifo,
+    Policy::Slru,
+    Policy::Lfuda,
+    Policy::Gdsf,
+    Policy::Camp,
 ];
 
 /// The pre-change runner: one cost-map query per reference.
 fn per_reference_loop(
     sampled: &SampledTrace,
     costs: &dyn CostMap,
-    policy: PolicyKind,
+    policy: Policy,
     cfg: TraceSimConfig,
 ) -> (CacheStats, CacheStats) {
     let block_bytes = cfg.l2.block_bytes();
-    let mut h = TwoLevel::new(cfg.l1, cfg.l2, policy.cores(&cfg.l2));
+    let mut h = TwoLevel::new(cfg.l1, cfg.l2, l2_cores(policy, &cfg.l2, None));
     for ev in sampled.events() {
         match *ev {
             SampledEvent::Own { addr, op } => {
@@ -119,7 +120,7 @@ fn priced_runs_equal_the_per_reference_loop() {
                 assert_eq!((got.l1, got.l2), want, "run_sampled: {kind} {name} {pair}");
                 let got = once.run(pair, kind, cfg);
                 assert_eq!((got.l1, got.l2), want, "priced once: {kind} {name} {pair}");
-                if kind == PolicyKind::Lru {
+                if kind == Policy::Lru {
                     assert_eq!(lru, want.1.aggregate_cost, "{name} {pair}");
                 }
                 evictions += want.1.evictions;

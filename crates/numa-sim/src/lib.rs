@@ -30,6 +30,5 @@ pub mod system;
 
 pub use config::{ns, Clock, CostMode, SystemConfig, Time};
 pub use msg::{HomeState, Msg, MsgKind};
-pub use node::L2Policy;
 pub use stats::{MissClass, NodeStats, ReqType, SimResult, Table3Cell, Table3Matrix};
 pub use system::System;

@@ -2,7 +2,7 @@
 
 use crate::config::Time;
 use crate::stats::{MissClass, NodeStats, Table3Matrix};
-use cache_sim::{Cache, EvictionPolicy, Lru};
+use cache_sim::{BoxedPolicy, Cache, Lru};
 use std::collections::{HashMap, HashSet};
 
 /// Why a CPU is not currently executing.
@@ -34,9 +34,6 @@ pub struct MshrEntry {
     pub wants_write: bool,
 }
 
-/// The boxed replacement core of one node-L2 set.
-pub type L2Policy = Box<dyn EvictionPolicy + Send>;
-
 /// One processor node: CPU state, L1/L2, MSHRs, prediction and statistics.
 pub struct Node {
     /// Node id (also its mesh position).
@@ -53,7 +50,7 @@ pub struct Node {
     /// L1 cache (direct-mapped, LRU trivial).
     pub l1: Cache<Lru>,
     /// L2 cache, one pluggable (cost-sensitive) core per set.
-    pub l2: Cache<L2Policy>,
+    pub l2: Cache<BoxedPolicy>,
     /// Blocks held in exclusive (M/E) state.
     pub owned: HashSet<u64>,
     /// Outstanding transactions by block address.
@@ -88,7 +85,7 @@ impl std::fmt::Debug for Node {
 impl Node {
     /// Creates an idle node.
     #[must_use]
-    pub fn new(id: usize, l1: Cache<Lru>, l2: Cache<L2Policy>) -> Self {
+    pub fn new(id: usize, l1: Cache<Lru>, l2: Cache<BoxedPolicy>) -> Self {
         Node {
             id,
             cpu_time: 0,

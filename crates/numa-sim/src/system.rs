@@ -17,9 +17,9 @@ use crate::directory::{DirState, Directory, Pending};
 use crate::event::{Event, EventQueue};
 use crate::mesh::Mesh;
 use crate::msg::{HomeState, Msg, MsgKind};
-use crate::node::{CpuState, L2Policy, MshrEntry, Node};
+use crate::node::{CpuState, MshrEntry, Node};
 use crate::stats::{MissClass, ReqType, SimResult, Table3Matrix};
-use cache_sim::{AccessType, BlockAddr, Cache, Cost, Lru};
+use cache_sim::{AccessType, BlockAddr, BoxedPolicy, Cache, Cost, Lru};
 use mem_trace::{Phase, PhasedTrace, ProcId};
 use std::collections::HashMap;
 
@@ -57,7 +57,7 @@ impl System {
     pub fn new(
         cfg: SystemConfig,
         trace: &PhasedTrace,
-        mut l2_core: impl FnMut() -> L2Policy,
+        mut l2_core: impl FnMut() -> BoxedPolicy,
     ) -> Self {
         assert_eq!(
             trace.num_procs(),

@@ -11,7 +11,7 @@ pub fn cfg4() -> SystemConfig {
 }
 
 /// One L2 set's LRU core: a factory for `System::new`.
-pub fn lru_core() -> numa_sim::L2Policy {
+pub fn lru_core() -> cache_sim::BoxedPolicy {
     Box::new(cache_sim::Lru::new())
 }
 

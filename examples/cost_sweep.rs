@@ -7,9 +7,8 @@
 //!
 //! Run with: `cargo run --release --example cost_sweep`
 
-use cost_sensitive_cache::harness::{
-    CostRatio, LruMissProfile, PolicyKind, PricedTrace, TraceSimConfig,
-};
+use cost_sensitive_cache::harness::{CostRatio, LruMissProfile, PricedTrace, TraceSimConfig};
+use cost_sensitive_cache::policies::Policy;
 use cost_sensitive_cache::sim::relative_savings_pct;
 use cost_sensitive_cache::trace::cost_map::RandomCostMap;
 use cost_sensitive_cache::trace::workloads::OceanLike;
@@ -54,7 +53,7 @@ fn main() {
         for ratio in ratios {
             let map = RandomCostMap::new(haf, ratio.pair(), 99);
             let lru_cost = baseline.aggregate_cost(&map);
-            let run = priced.run(ratio.pair(), PolicyKind::Dcl, cfg);
+            let run = priced.run(ratio.pair(), Policy::Dcl, cfg);
             print!(
                 "{:>9.2}",
                 relative_savings_pct(lru_cost, run.aggregate_cost())

@@ -7,8 +7,8 @@
 //! Run with: `cargo run --release --example numa_latency`
 
 use cost_sensitive_cache::harness::numa_exp::{rsim_suite, run_numa};
-use cost_sensitive_cache::harness::PolicyKind;
 use cost_sensitive_cache::numa::Clock;
+use cost_sensitive_cache::policies::Policy;
 
 fn main() {
     let suite = rsim_suite();
@@ -21,9 +21,9 @@ fn main() {
 
     for clock in [Clock::Mhz500, Clock::Ghz1] {
         println!("--- {} ---", clock.label());
-        let lru = run_numa(&bench.trace, clock, PolicyKind::Lru);
-        for policy in [PolicyKind::Lru, PolicyKind::Dcl, PolicyKind::Acl] {
-            let res = if policy == PolicyKind::Lru {
+        let lru = run_numa(&bench.trace, clock, Policy::Lru);
+        for policy in [Policy::Lru, Policy::Dcl, Policy::Acl] {
+            let res = if policy == Policy::Lru {
                 lru.clone()
             } else {
                 run_numa(&bench.trace, clock, policy)
@@ -32,7 +32,7 @@ fn main() {
                 / lru.exec_time_ps as f64;
             println!(
                 "{:<4}  exec {:>8.1} us   misses {:>7}   avg miss latency {:>6.0} ns   vs LRU {:+.2}%",
-                policy.label(),
+                policy.name(),
                 res.exec_time_us(),
                 res.total_misses(),
                 res.avg_miss_latency_ns(),

@@ -30,9 +30,8 @@
 //! setup:
 //!
 //! ```
-//! use cost_sensitive_cache::harness::{
-//!     run_sampled, LruMissProfile, PolicyKind, TraceSimConfig,
-//! };
+//! use cost_sensitive_cache::harness::{run_sampled, LruMissProfile, TraceSimConfig};
+//! use cost_sensitive_cache::policies::Policy;
 //! use cost_sensitive_cache::sim::{relative_savings_pct, CostPair};
 //! use cost_sensitive_cache::trace::cost_map::RandomCostMap;
 //! use cost_sensitive_cache::trace::workloads::synthetic::UniformRandom;
@@ -44,7 +43,7 @@
 //! let costs = RandomCostMap::new(0.2, CostPair::ratio(8), 7);
 //!
 //! let lru = LruMissProfile::collect(&sampled, cfg).aggregate_cost(&costs);
-//! let dcl = run_sampled(&sampled, &costs, PolicyKind::Dcl, cfg).aggregate_cost();
+//! let dcl = run_sampled(&sampled, &costs, Policy::Dcl, cfg).aggregate_cost();
 //! assert!(relative_savings_pct(lru, dcl) > 0.0);
 //! ```
 //!

@@ -1,14 +1,15 @@
 //! Integration tests of the CC-NUMA simulator's protocol invariants
 //! (DESIGN.md §6, invariant 6) across policies and workloads.
 
-use cost_sensitive_cache::harness::PolicyKind;
+use cost_sensitive_cache::harness::l2_cores;
 use cost_sensitive_cache::numa::{Clock, System, SystemConfig};
+use cost_sensitive_cache::policies::Policy;
 use cost_sensitive_cache::trace::workloads::{BarnesLike, OceanLike};
 use cost_sensitive_cache::trace::Workload;
 
-fn run_and_validate(trace: &cost_sensitive_cache::trace::PhasedTrace, policy: PolicyKind) {
+fn run_and_validate(trace: &cost_sensitive_cache::trace::PhasedTrace, policy: Policy) {
     let cfg = SystemConfig::table4(Clock::Mhz500);
-    let cores = policy.cores(&cfg.l2);
+    let cores = l2_cores(policy, &cfg.l2, None);
     let mut sys = System::new(cfg, trace, cores);
     let res = sys.run();
     assert!(res.exec_time_ps > 0);
@@ -28,11 +29,11 @@ fn coherence_invariants_hold_after_ocean_runs() {
     };
     let trace = w.generate_phases(5);
     for policy in [
-        PolicyKind::Lru,
-        PolicyKind::Gd,
-        PolicyKind::Bcl,
-        PolicyKind::Dcl,
-        PolicyKind::Acl,
+        Policy::Lru,
+        Policy::Gd,
+        Policy::Bcl,
+        Policy::Dcl,
+        Policy::Acl,
     ] {
         run_and_validate(&trace, policy);
     }
@@ -50,7 +51,7 @@ fn coherence_invariants_hold_after_barnes_runs() {
         locality_bias: 0.68,
     };
     let trace = w.generate_phases(9);
-    for policy in [PolicyKind::Lru, PolicyKind::Dcl, PolicyKind::AclAliased(4)] {
+    for policy in [Policy::Lru, Policy::Dcl, Policy::AclAlias4] {
         run_and_validate(&trace, policy);
     }
 }
@@ -97,15 +98,15 @@ fn total_refs_are_policy_independent() {
         reduction_points: 64,
     };
     let trace = w.generate_phases(3);
-    let refs_of = |policy: PolicyKind| {
+    let refs_of = |policy: Policy| {
         let cfg = SystemConfig::table4(Clock::Mhz500);
-        let cores = policy.cores(&cfg.l2);
+        let cores = l2_cores(policy, &cfg.l2, None);
         let mut sys = System::new(cfg, &trace, cores);
         sys.run().nodes.iter().map(|n| n.refs).sum::<u64>()
     };
-    let base = refs_of(PolicyKind::Lru);
+    let base = refs_of(Policy::Lru);
     assert_eq!(base, trace.total_refs() as u64);
-    for policy in [PolicyKind::Gd, PolicyKind::Dcl] {
+    for policy in [Policy::Gd, Policy::Dcl] {
         assert_eq!(refs_of(policy), base, "{policy}");
     }
 }

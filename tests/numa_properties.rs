@@ -3,8 +3,9 @@
 //! liveness (completion), coherence invariants, and policy-independent
 //! accounting.
 
-use cost_sensitive_cache::harness::PolicyKind;
+use cost_sensitive_cache::harness::l2_cores;
 use cost_sensitive_cache::numa::{Clock, System, SystemConfig};
+use cost_sensitive_cache::policies::Policy;
 use cost_sensitive_cache::sim::Addr;
 use cost_sensitive_cache::trace::rng::SplitMix64;
 use cost_sensitive_cache::trace::{Phase, PhasedTrace, ProcId, TraceRecord};
@@ -46,10 +47,10 @@ fn random_phased(case: u64) -> PhasedTrace {
 fn protocol_liveness_and_coherence() {
     for case in 0..24 {
         let pt = random_phased(case);
-        for policy in [PolicyKind::Lru, PolicyKind::Acl] {
+        for policy in [Policy::Lru, Policy::Acl] {
             let mut cfg = SystemConfig::table4(Clock::Mhz500);
             cfg.num_nodes = PROCS;
-            let cores = policy.cores(&cfg.l2);
+            let cores = l2_cores(policy, &cfg.l2, None);
             let mut sys = System::new(cfg, &pt, cores);
             let res = sys.run(); // panics on deadlock
             assert_eq!(

@@ -3,9 +3,10 @@
 //! hierarchy under every policy.
 
 use cost_sensitive_cache::harness::{
-    build_benchmarks, fig3_grid, run_sampled, table2, CostRatio, LruMissProfile, PolicyKind, Scale,
+    build_benchmarks, fig3_grid, l2_cores, run_sampled, table2, CostRatio, LruMissProfile, Scale,
     TraceSimConfig,
 };
+use cost_sensitive_cache::policies::Policy;
 use cost_sensitive_cache::sim::{Cost, CostPair};
 use cost_sensitive_cache::trace::cost_map::{RandomCostMap, UniformCostMap};
 use cost_sensitive_cache::trace::workloads::synthetic::UniformRandom;
@@ -27,8 +28,8 @@ fn uniform_costs_collapse_every_lru_extension_to_lru() {
     let s = small_sampled();
     let cfg = TraceSimConfig::paper_basic();
     let map = UniformCostMap(Cost(7));
-    let lru = run_sampled(&s, &map, PolicyKind::Lru, cfg);
-    for kind in [PolicyKind::Bcl, PolicyKind::Dcl, PolicyKind::Acl] {
+    let lru = run_sampled(&s, &map, Policy::Lru, cfg);
+    for kind in [Policy::Bcl, Policy::Dcl, Policy::Acl] {
         let r = run_sampled(&s, &map, kind, cfg);
         assert_eq!(r.l2.misses, lru.l2.misses, "{kind}");
         assert_eq!(r.l2.hits, lru.l2.hits, "{kind}");
@@ -51,7 +52,7 @@ fn infinite_ratio_gives_upper_bound_savings() {
     ] {
         let map = RandomCostMap::new(0.2, ratio.pair(), 5);
         let base = profile.aggregate_cost(&map);
-        let run = run_sampled(&s, &map, PolicyKind::Dcl, cfg);
+        let run = run_sampled(&s, &map, Policy::Dcl, cfg);
         savings.push(cost_sensitive_cache::sim::relative_savings_pct(
             base,
             run.aggregate_cost(),
@@ -70,11 +71,11 @@ fn aggregate_cost_equals_sum_of_charged_misses() {
     let s = small_sampled();
     let cfg = TraceSimConfig::paper_basic();
     let map = RandomCostMap::new(0.3, CostPair::ratio(8), 3);
-    let result = run_sampled(&s, &map, PolicyKind::Bcl, cfg);
+    let result = run_sampled(&s, &map, Policy::Bcl, cfg);
 
     // Manual replay with explicit accounting.
     use cost_sensitive_cache::sim::{Cost as C, TwoLevel};
-    let mut h = TwoLevel::new(cfg.l1, cfg.l2, PolicyKind::Bcl.cores(&cfg.l2));
+    let mut h = TwoLevel::new(cfg.l1, cfg.l2, l2_cores(Policy::Bcl, &cfg.l2, None));
     let mut total = C::ZERO;
     use cost_sensitive_cache::trace::cost_map::CostMap;
     use cost_sensitive_cache::trace::SampledEvent;
@@ -103,7 +104,7 @@ fn fig3_sweet_spot_is_positive_on_irregular_kernels() {
         &barnes,
         &[0.1, 0.2],
         &[CostRatio::Finite(8), CostRatio::Infinite],
-        &[PolicyKind::Dcl],
+        &[Policy::Dcl],
         TraceSimConfig::paper_basic(),
         4,
     );
@@ -126,7 +127,7 @@ fn acl_is_reliable_under_first_touch() {
     let cells = table2(
         &benchmarks,
         &[CostRatio::Finite(4), CostRatio::Finite(16)],
-        &[PolicyKind::Acl],
+        &[Policy::Acl],
         TraceSimConfig::paper_basic(),
         4,
     );
@@ -153,7 +154,7 @@ fn savings_grow_with_ratio_under_first_touch() {
     let cells = table2(
         &barnes,
         &CostRatio::TABLE2,
-        &[PolicyKind::Dcl],
+        &[Policy::Dcl],
         TraceSimConfig::paper_basic(),
         4,
     );
