@@ -11,7 +11,7 @@ use csr_cache::{Policy, SelectorConfig};
 use csr_obs::ReportFormat;
 use csr_serve::server::{serve, ReportSink, ServerConfig};
 use csr_serve::{
-    parse_nodes, Backing, FaultBacking, FsyncPolicy, IoMode, NoBacking, PeerConfig, PersistConfig,
+    parse_nodes, Backing, FaultBacking, FsyncPolicy, NoBacking, PeerConfig, PersistConfig,
     SimBacking, Timeouts,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -74,17 +74,10 @@ USAGE: csr-serve [OPTIONS]
   --selector-epoch N      adaptive: sampled lookups per scoring epoch (default 256)
   --selector-hysteresis N adaptive: consecutive epochs to win before a flip (default 2)
   --selector-flip-gap N   adaptive: minimum epochs between flips (default 4)
-  --io ENGINE             blocking | event (default blocking)
-                          blocking: thread-per-connection via the worker pool
-                          event: epoll/kqueue reactors; workers become the
-                          request-execution pool, connections are unbounded
-                          by thread count (the C10K/C100K path)
-  --reactors N            event engine: reactor (event-loop) threads
-                          (default: one per hardware thread, capped at 8)
-  --max-conns N           event engine: connection ceiling; past it new
-                          connections get SERVER_BUSY (default 0 = unbounded)
-  --workers N             worker threads = max concurrent connections (default 64)
-  --backlog N             queued connections before SERVER_BUSY shedding (default 64)
+  --workers N             worker threads = connections served at once (default 64);
+                          idle connections park on one poller thread instead
+  --max-conns N           open-connection ceiling; past it new connections get
+                          SERVER_BUSY (default 0 = unbounded)
   --idle-timeout-ms N     close idle connections after N ms (default 30000)
   --partial-deadline-ms N deadline for reading one request once started (slowloris cutoff, default 10000)
   --backing KIND          sim | none | fault (default sim; fault = sim + fault injection)
@@ -220,15 +213,8 @@ fn parse_args() -> Opts {
                     .get_or_insert_with(SelectorConfig::default)
                     .min_flip_gap = parse_num(&val("--selector-flip-gap"), "--selector-flip-gap")
             }
-            "--io" => {
-                let engine = val("--io");
-                opts.config.io = IoMode::parse(&engine)
-                    .unwrap_or_else(|| die(&format!("unknown io engine '{engine}'")));
-            }
-            "--reactors" => opts.config.reactors = parse_num(&val("--reactors"), "--reactors"),
             "--max-conns" => opts.config.max_conns = parse_num(&val("--max-conns"), "--max-conns"),
             "--workers" => opts.config.workers = parse_num(&val("--workers"), "--workers"),
-            "--backlog" => opts.config.backlog = parse_num(&val("--backlog"), "--backlog"),
             "--idle-timeout-ms" => {
                 opts.config.idle_timeout =
                     Duration::from_millis(parse_num(&val("--idle-timeout-ms"), "--idle-timeout-ms"))
@@ -439,7 +425,6 @@ fn main() {
             c.forward
         )
     });
-    let io_name = config.io.name();
     let persist_info = config
         .persist
         .as_ref()
@@ -463,11 +448,10 @@ fn main() {
         Err(e) => die(&format!("failed to start: {e}")),
     };
     println!(
-        "csr-serve listening on {} policy={} backing={} io={}{}{}",
+        "csr-serve listening on {} policy={} backing={}{}{}",
         handle.addr(),
         policy_info,
         opts.backing_kind,
-        io_name,
         cluster_info.unwrap_or_default(),
         persist_info.unwrap_or_default()
     );

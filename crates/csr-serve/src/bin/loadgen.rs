@@ -33,9 +33,9 @@
 //! thread each, so the generator itself stays cheap at five-digit conn
 //! counts. `--curve N,N,...` runs one open-loop stage per connection
 //! count and prints a `curve:` line for each; `--compare-addr` repeats
-//! the whole curve against a second server (e.g. `--io blocking` vs
-//! `--io event`) so one run emits a comparable scaling curve for both
-//! engines, tagged with each server's self-reported `io_mode`.
+//! the whole curve against a second server (say, two builds) so one run
+//! emits a comparable scaling curve for both, each stage tagged with the
+//! address it ran against.
 
 use csr_obs::{Histogram, Json, Registry, TraceContext};
 use csr_serve::chaos::{ChaosConfig, ChaosProxy};
@@ -101,8 +101,8 @@ Open-loop / scaling curve (incompatible with --cluster and --chaos):
   --curve LIST              comma-separated connection counts; runs one open-loop
                             stage of --secs per count and prints a 'curve:' line
                             each (implies --rate; default rate 2000 if unset)
-  --compare-addr HOST:PORT  run the same curve against a second server and tag
-                            each stage with the server's io_mode from STATS
+  --compare-addr HOST:PORT  run the same curve against a second server; each
+                            stage is tagged with the address it ran against
   --curve-threads N         generator threads multiplexing the connections
                             (default 32, capped at the stage's conn count)
 
@@ -544,7 +544,7 @@ fn plausible_value(key: &str, data: &[u8]) -> bool {
 
 /// One measured point on the connections-vs-latency scaling curve.
 struct StagePoint {
-    mode: String,
+    addr: String,
     conns: usize,
     rate: f64,
     ops: u64,
@@ -553,16 +553,6 @@ struct StagePoint {
     max_us: u64,
     shed: u64,
     errors: u64,
-}
-
-/// The target server's self-reported engine (`io_mode` in STATS).
-fn io_mode_of(addr: &str) -> String {
-    Client::connect(addr)
-        .and_then(|mut c| c.stats())
-        .ok()
-        .and_then(|stats| stats.into_iter().find(|(n, _)| n == "io_mode"))
-        .map(|(_, v)| v)
-        .unwrap_or_else(|| "unknown".to_owned())
 }
 
 /// One open-loop stage: `conns` connections multiplexed over a small
@@ -718,7 +708,7 @@ fn run_stage(addr: &str, conns: usize, opts: &Opts, wrong: &Arc<AtomicU64>) -> S
     }
     let hist = latency.snapshot();
     StagePoint {
-        mode: io_mode_of(addr),
+        addr: addr.to_owned(),
         conns,
         rate: opts.rate,
         ops: ops.load(Ordering::Relaxed),
@@ -744,8 +734,8 @@ fn curve_main(opts: &Opts) -> ! {
         for &conns in &opts.curve {
             let point = run_stage(addr, conns, opts, &wrong);
             println!(
-                "curve: mode={} conns={} rate={:.0} ops={} p50_us={} p99_us={} max_us={} shed={} errors={}",
-                point.mode,
+                "curve: addr={} conns={} rate={:.0} ops={} p50_us={} p99_us={} max_us={} shed={} errors={}",
+                point.addr,
                 point.conns,
                 point.rate,
                 point.ops,
@@ -765,7 +755,7 @@ fn curve_main(opts: &Opts) -> ! {
             .iter()
             .map(|p| {
                 Json::obj([
-                    ("mode", Json::str(p.mode.clone())),
+                    ("addr", Json::str(p.addr.clone())),
                     ("conns", Json::uint(p.conns as u64)),
                     ("rate", Json::Float(p.rate)),
                     ("ops", Json::uint(p.ops)),

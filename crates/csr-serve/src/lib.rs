@@ -13,10 +13,10 @@
 //!
 //! * [`server`] — the TCP server: pipelined text protocol, load-shedding
 //!   with `SERVER_BUSY`, graceful drain on shutdown, Prometheus metrics
-//!   via csr-obs. Two interchangeable I/O engines: the original
-//!   thread-pool (`--io blocking`) and an event-driven reactor core
-//!   (`--io event`) for five-digit connection counts.
-//! * [`poller`] — the readiness primitive under the event engine:
+//!   via csr-obs. Worker threads serve busy connections with blocking
+//!   reads; idle ones park on one poller thread, so five-digit
+//!   connection counts cost no threads.
+//! * [`poller`] — the readiness primitive the idle connections park on:
 //!   epoll/kqueue behind one small API, the only FFI in the library.
 //! * [`proto`] — the wire protocol (normative grammar in `PROTOCOL.md`).
 //! * [`backing`] — the read-through origin trait (fallible: origins can
@@ -60,7 +60,6 @@ pub mod cluster;
 pub mod persist;
 pub mod poller;
 pub mod proto;
-#[cfg(unix)]
 mod reactor;
 pub mod resilience;
 pub mod ring;
@@ -82,4 +81,4 @@ pub use resilience::{
     ResilientBacking,
 };
 pub use ring::Ring;
-pub use server::{serve, Bytes, IoMode, ReportSink, ServerConfig, ServerHandle};
+pub use server::{serve, Bytes, ReportSink, ServerConfig, ServerHandle};

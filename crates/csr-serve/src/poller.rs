@@ -4,7 +4,7 @@
 //! directly — the FFI is confined here the same way the daemon confines
 //! its `signal(2)` handler, and the crate root keeps `#![deny(unsafe_code)]`
 //! with a module-local allowance. Everything above this module (the
-//! reactor, the server) is safe Rust over three primitives:
+//! engine, the server) is safe Rust over three primitives:
 //!
 //! * [`Poller::register`]/[`Poller::modify`]/[`Poller::deregister`] —
 //!   level-triggered interest in a socket's readability/writability,
@@ -14,10 +14,9 @@
 //!   on Linux, an `EVFILT_USER` event on kqueue), surfaced to the waiter
 //!   as an event carrying [`WAKE_TOKEN`].
 //!
-//! Level-triggered semantics are deliberate: a readiness edge can never
-//! be "lost" by a short read, which keeps the reactor's state machine
-//! simple enough to reason about under chaos tests. The throughput cost
-//! versus edge-triggered polling is noise next to request execution.
+//! Level-triggered semantics are deliberate: a socket parked with bytes
+//! already waiting is reported on the next wait, so parking never has
+//! to race the peer.
 #![allow(unsafe_code)]
 
 use std::io;
@@ -515,8 +514,7 @@ mod imp {
     use std::time::Duration;
 
     /// Stub poller for platforms without epoll/kqueue support: every
-    /// constructor fails, so `--io event` reports `Unsupported` and the
-    /// blocking fallback (pure std, no FFI) remains the path.
+    /// constructor fails, so `serve` reports `Unsupported`.
     #[derive(Debug)]
     pub struct Poller {
         _private: (),
@@ -527,7 +525,7 @@ mod imp {
         pub fn new() -> io::Result<Poller> {
             Err(io::Error::new(
                 io::ErrorKind::Unsupported,
-                "event-driven i/o is not supported on this platform",
+                "csr-serve needs epoll or kqueue, which this platform lacks",
             ))
         }
 

@@ -15,9 +15,10 @@
 //!   the very `Vec<u8>` that becomes [`Request::Set`]'s value, or, for an
 //!   oversize-but-swallowable payload, just a count of bytes to discard.
 //!
-//! The decoder never performs I/O and never sees an I/O error. The event
-//! engine pushes socket reads into it directly; [`read_request`] is the
-//! same decoder driven from a [`BufRead`] for the blocking engine, and
+//! The decoder never performs I/O and never sees an I/O error. The
+//! server pushes socket reads into each connection's decoder directly,
+//! so a frame may be split across any number of reads and parks;
+//! [`read_request`] is the same decoder driven from a [`BufRead`], and
 //! passes transport errors (timeouts included) through as
 //! [`ProtoError::Io`] wherever in a frame they strike.
 //!

@@ -1,26 +1,17 @@
 //! The TCP cache server over a [`CsrCache`], speaking the text protocol
-//! of [`crate::proto`], with two interchangeable I/O engines selected by
-//! [`ServerConfig::io`].
+//! of [`crate::proto`].
 //!
 //! # Connection model
 //!
-//! **Blocking** (the default): a fixed pool of
-//! [`workers`](ServerConfig::workers) threads each owns one connection at
-//! a time; accepted sockets queue on a bounded channel of depth
-//! [`backlog`](ServerConfig::backlog). When every worker is busy *and*
-//! the queue is full, new connections are **load-shed**: the server
-//! replies `SERVER_BUSY` and closes immediately, converting overload into
-//! a fast, explicit signal instead of an ever-growing accept queue whose
-//! tail latency collapses for everyone.
-//!
-//! **Event** ([`IoMode::Event`]): [`crate::reactor`] — a small set of
-//! reactor threads multiplexes *all* connections over epoll/kqueue
-//! ([`crate::poller`]), parsing requests nonblockingly and handing
-//! execution (which may block on the origin) to an executor pool of
-//! [`workers`](ServerConfig::workers) threads. Overload is shed with the
-//! same `SERVER_BUSY` reply once [`max_conns`](ServerConfig::max_conns)
-//! connections are resident. Wire behaviour is identical — the parity
-//! suites run every socket test against both engines.
+//! One engine, [`crate::reactor`]: a fixed pool of
+//! [`workers`](ServerConfig::workers) threads serves each *busy*
+//! connection with blocking reads, and one poller thread parks the *idle*
+//! ones on epoll/kqueue ([`crate::poller`]) until their next request
+//! arrives. Request throughput therefore scales with the workers and
+//! connection count with the poller (tens of thousands). Past
+//! [`max_conns`](ServerConfig::max_conns) open connections, new ones are
+//! **load-shed**: the server replies `SERVER_BUSY` and closes at once,
+//! turning overload into a fast, explicit signal.
 //!
 //! # Measured miss costs
 //!
@@ -50,16 +41,14 @@
 //! # Shutdown
 //!
 //! [`ServerHandle::shutdown`] (or dropping the handle) runs the graceful
-//! sequence: stop accepting, cut idle connections' read side, let workers
-//! finish their in-flight requests, then flush the final metrics report.
+//! sequence: stop accepting, let workers finish their in-flight requests,
+//! close every connection, then flush the final metrics report.
 
 use crate::backing::{Backing, BackingError};
 use crate::cluster::{ClusterNode, ClusterServerMetrics, PeerConfig, PeerRouter};
 use crate::persist::{PersistConfig, Persistence};
-use crate::poller::Poller;
 use crate::proto::{self, ProtoError, Request};
-#[cfg(unix)]
-use crate::reactor;
+use crate::reactor::{self, Engine, EngineParams};
 use crate::resilience::{OriginMetrics, ResilienceConfig, ResilientBacking};
 use csr_cache::{CacheStats, CsrCache, Policy, SelectorConfig};
 use csr_obs::trace::{arm_events, take_events};
@@ -69,11 +58,10 @@ use csr_obs::{
 };
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -104,37 +92,6 @@ pub(crate) fn measured_cost_us(elapsed: Duration) -> u64 {
         .clamp(1, MAX_MEASURED_COST_US)
 }
 
-/// Which I/O engine drives connections (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoMode {
-    /// Thread-per-connection worker pool (the original engine).
-    #[default]
-    Blocking,
-    /// Nonblocking reactor core over epoll/kqueue (the C10K+ engine).
-    Event,
-}
-
-impl IoMode {
-    /// Parses the daemon/test flag spelling (`blocking` | `event`).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<IoMode> {
-        match s {
-            "blocking" => Some(IoMode::Blocking),
-            "event" => Some(IoMode::Event),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling, as reported by `STATS io_mode`.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            IoMode::Blocking => "blocking",
-            IoMode::Event => "event",
-        }
-    }
-}
-
 /// Periodic metrics dumping to a file (via [`Reporter`]).
 #[derive(Debug, Clone)]
 pub struct ReportSink {
@@ -157,29 +114,17 @@ pub struct ServerConfig {
     pub shards: Option<usize>,
     /// Replacement policy.
     pub policy: Policy,
-    /// The I/O engine ([`IoMode::Blocking`] by default).
-    pub io: IoMode,
-    /// Worker threads. In blocking mode this is the maximum number of
-    /// concurrently served connections; in event mode it sizes the
-    /// executor pool that runs requests (connections are not bounded by
-    /// it — see [`max_conns`](Self::max_conns)).
+    /// Worker threads: how many connections are served at once. Idle
+    /// connections wait on the poller and hold no worker.
     pub workers: usize,
-    /// Reactor threads in event mode (`0`: one per hardware thread,
-    /// capped at 8). Ignored in blocking mode.
-    pub reactors: usize,
-    /// Resident-connection ceiling in event mode: past it, new
-    /// connections are shed with `SERVER_BUSY` (`0`: unbounded). Ignored
-    /// in blocking mode, where `workers + backlog` plays this role.
+    /// Open-connection ceiling: past it, new connections are shed with
+    /// `SERVER_BUSY` (`0`: unbounded).
     pub max_conns: usize,
-    /// Accepted connections that may queue for a worker before new ones
-    /// are shed with `SERVER_BUSY`.
-    pub backlog: usize,
-    /// Read timeout between requests: a connection idle this long is
-    /// closed.
+    /// A connection idle this long between requests is closed.
     pub idle_timeout: Duration,
     /// Total deadline for reading one request once its first byte has
     /// arrived. A peer that sends half a line and stops (slowloris) is
-    /// cut after this long instead of holding a worker for the full
+    /// cut after this long instead of lingering for the full
     /// [`idle_timeout`](Self::idle_timeout).
     pub partial_read_deadline: Duration,
     /// Write timeout for responses.
@@ -225,11 +170,8 @@ impl Default for ServerConfig {
             capacity: 65_536,
             shards: None,
             policy: Policy::Dcl,
-            io: IoMode::Blocking,
             workers: 64,
-            reactors: 0,
             max_conns: 0,
-            backlog: 64,
             idle_timeout: Duration::from_secs(30),
             partial_read_deadline: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
@@ -352,8 +294,8 @@ pub(crate) struct ServerMetrics {
     /// Connections cut for stalling mid-request past the partial-line
     /// read deadline (slowloris defense, distinct from idle timeouts).
     pub(crate) slowloris_drops: Arc<Counter>,
-    /// Handler panics caught without killing the worker/executor that
-    /// hosted them (the connection dies; the pool survives).
+    /// Handler panics caught without killing the worker that hosted them
+    /// (the connection dies; the pool survives).
     pub(crate) worker_panics: Arc<Counter>,
     /// Measured read-through fetch latency (µs) — the distribution of the
     /// very numbers being fed to the policy as miss costs.
@@ -438,7 +380,7 @@ impl ServerMetrics {
             closed: conn("closed"),
             active: registry.gauge(
                 "csr_serve_active_connections",
-                "Connections currently held by workers",
+                "Open connections, parked or held by a worker",
                 &[],
             ),
             req_get: req("get"),
@@ -491,7 +433,7 @@ struct ClusterState {
     metrics: ClusterServerMetrics,
 }
 
-/// State shared by the acceptor, the workers/reactors, and the handle.
+/// State shared by the engine's threads and the handle.
 pub(crate) struct Shared {
     cache: CsrCache<String, Bytes>,
     /// The origin, already wrapped in the resilience stack.
@@ -499,9 +441,6 @@ pub(crate) struct Shared {
     pub(crate) registry: Arc<Registry>,
     pub(crate) metrics: ServerMetrics,
     origin_metrics: Arc<OriginMetrics>,
-    /// Which engine is serving — surfaced as the `STATS io_mode` row so
-    /// parity harnesses can label their measurements.
-    io_mode: IoMode,
     stale: StaleStore,
     cluster: Option<ClusterState>,
     /// The node's request tracer (csr-trace); always present, dormant
@@ -515,11 +454,6 @@ pub(crate) struct Shared {
     /// Ensures the final snapshot/flush runs exactly once.
     persist_done: AtomicBool,
     shutdown: AtomicBool,
-    /// Read-half handles of live connections, so shutdown can cut idle
-    /// readers without waiting out their timeout. Keyed by a connection
-    /// id; a worker removes its entry when the connection closes.
-    conns: Mutex<Vec<(u64, TcpStream)>>,
-    next_conn_id: AtomicU64,
     started: Instant,
 }
 
@@ -619,30 +553,9 @@ impl Shared {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
+    /// The poller thread, which supervises the shutdown.
     supervisor: Option<JoinHandle<io::Result<()>>>,
-    wake: WakeStrategy,
-}
-
-/// How `begin_shutdown` gets the serving threads' attention — the part
-/// of shutdown that must be *reliable*, not best-effort.
-enum WakeStrategy {
-    /// Blocking engine. Setting the shutdown flag does not wake a thread
-    /// already parked in `accept(2)`, and the old single best-effort
-    /// `TcpStream::connect` wake could be dropped by a full accept
-    /// backlog — leaving shutdown hung until the next real client. Now:
-    /// flip the listener nonblocking (this clone shares the kernel file
-    /// description, so the acceptor's fd flips too — every *future*
-    /// accept returns `WouldBlock` instead of parking) and poke it with
-    /// short connects under a deadline to dislodge a *currently* parked
-    /// accept. If the backlog is so full that every poke is refused,
-    /// those queued connections wake the acceptor by themselves.
-    Blocking {
-        listener: TcpListener,
-        addr: SocketAddr,
-    },
-    /// Event engine: wake every reactor's poller; each reactor observes
-    /// the flag on its next loop turn. Never droppable.
-    Event { pollers: Vec<Arc<Poller>> },
+    engine: Arc<Engine>,
 }
 
 impl ServerHandle {
@@ -671,7 +584,7 @@ impl ServerHandle {
         &self.shared.tracer
     }
 
-    /// Gracefully shuts down: stop accepting, cut idle readers, drain
+    /// Gracefully shuts down: stop accepting, close idle connections, drain
     /// in-flight requests, flush the final metrics report.
     ///
     /// # Errors
@@ -692,40 +605,7 @@ impl ServerHandle {
 
     fn begin_shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        // Cut the read half of every live connection: blocked reads
-        // return immediately (EOF) and the worker closes after finishing
-        // whatever request it is mid-way through. Writes stay open.
-        // (Event mode tracks connections in its reactors instead; this
-        // list is empty there and the poller wake below does the job.)
-        for (_, stream) in self
-            .shared
-            .conns
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-        {
-            let _ = stream.shutdown(Shutdown::Read);
-        }
-        match &self.wake {
-            WakeStrategy::Blocking { listener, addr } => {
-                let _ = listener.set_nonblocking(true);
-                let deadline = Instant::now() + Duration::from_secs(2);
-                loop {
-                    match TcpStream::connect_timeout(addr, Duration::from_millis(250)) {
-                        Ok(_) => break,
-                        Err(_) if Instant::now() < deadline => {
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                        Err(_) => break,
-                    }
-                }
-            }
-            WakeStrategy::Event { pollers } => {
-                for poller in pollers {
-                    poller.wake();
-                }
-            }
-        }
+        self.engine.wake();
     }
 }
 
@@ -753,6 +633,8 @@ impl Drop for ServerHandle {
 /// Binding the listener, creating the report file, taking the
 /// persistence lock (another live instance holds the dir), or reading
 /// the persisted state can fail; nothing is left running in that case.
+/// Serving needs epoll or kqueue (Linux, macOS, FreeBSD): elsewhere this
+/// returns `ErrorKind::Unsupported`.
 pub fn serve(config: ServerConfig, backing: Arc<dyn Backing>) -> io::Result<ServerHandle> {
     assert!(config.workers > 0, "need at least one worker");
     let registry = Arc::new(Registry::new());
@@ -818,7 +700,6 @@ pub fn serve(config: ServerConfig, backing: Arc<dyn Backing>) -> io::Result<Serv
     let shared = Arc::new(Shared {
         cache,
         backing,
-        io_mode: config.io,
         registry: Arc::clone(&registry),
         metrics,
         origin_metrics,
@@ -829,8 +710,6 @@ pub fn serve(config: ServerConfig, backing: Arc<dyn Backing>) -> io::Result<Serv
         persist,
         persist_done: AtomicBool::new(false),
         shutdown: AtomicBool::new(false),
-        conns: Mutex::new(Vec::new()),
-        next_conn_id: AtomicU64::new(0),
         started: Instant::now(),
     });
 
@@ -849,340 +728,26 @@ pub fn serve(config: ServerConfig, backing: Arc<dyn Backing>) -> io::Result<Serv
         None => None,
     };
 
-    let timeouts = ConnTimeouts {
+    let params = EngineParams {
+        workers: config.workers,
+        max_conns: config.max_conns,
         idle: config.idle_timeout,
         partial: config.partial_read_deadline,
         write: config.write_timeout,
     };
-    let (supervisor, wake) = match config.io {
-        IoMode::Blocking => {
-            let wake_listener = listener.try_clone()?;
-            let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(config.backlog.max(1));
-            let rx = Arc::new(Mutex::new(rx));
-            let workers: Vec<JoinHandle<()>> = (0..config.workers)
-                .map(|_| {
-                    let rx = Arc::clone(&rx);
-                    let shared = Arc::clone(&shared);
-                    std::thread::spawn(move || worker_loop(&rx, &shared, timeouts))
-                })
-                .collect();
-            let supervisor = {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || accept_loop(&listener, tx, workers, reporter, &shared))
-            };
-            (
-                supervisor,
-                WakeStrategy::Blocking {
-                    listener: wake_listener,
-                    addr,
-                },
-            )
-        }
-        IoMode::Event => {
-            #[cfg(not(unix))]
-            {
-                return Err(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    "event i/o needs epoll/kqueue; use IoMode::Blocking on this platform",
-                ));
-            }
-            #[cfg(unix)]
-            {
-                let params = reactor::EventParams {
-                    reactors: config.reactors,
-                    executors: config.workers,
-                    max_conns: config.max_conns,
-                    timeouts,
-                };
-                let (supervisor, pollers) =
-                    reactor::spawn(listener, Arc::clone(&shared), reporter, params)?;
-                (supervisor, WakeStrategy::Event { pollers })
-            }
-        }
-    };
-
+    let (supervisor, engine) = reactor::spawn(listener, Arc::clone(&shared), reporter, params)?;
     Ok(ServerHandle {
         addr,
         shared,
         supervisor: Some(supervisor),
-        wake,
+        engine,
     })
 }
 
-/// The acceptor-supervisor thread: accepts until shutdown, then tears the
-/// pool down in order (stop accepting → drain workers → final report
-/// flush).
-fn accept_loop(
-    listener: &TcpListener,
-    tx: SyncSender<TcpStream>,
-    workers: Vec<JoinHandle<()>>,
-    reporter: Option<Reporter<std::fs::File>>,
-    shared: &Shared,
-) -> io::Result<()> {
-    loop {
-        let (stream, _) = match listener.accept() {
-            Ok(conn) => conn,
-            // `begin_shutdown` flips the listener nonblocking so the
-            // acceptor cannot re-park; until the flag propagates, spin
-            // gently rather than hot.
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if shared.shutting_down() {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            }
-            // Transient accept errors (EMFILE, aborted handshakes) must
-            // not kill the server.
-            Err(_) if !shared.shutting_down() => continue,
-            Err(_) => break,
-        };
-        if shared.shutting_down() {
-            break; // the stream (possibly the shutdown wake-up) just drops
-        }
-        shared.metrics.accepted.inc();
-        if let Err(TrySendError::Full(stream) | TrySendError::Disconnected(stream)) =
-            tx.try_send(stream)
-        {
-            // Every worker busy and the queue full: shed explicitly.
-            shared.metrics.shed.inc();
-            let mut stream = stream;
-            let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-            let _ = proto::write_line(&mut stream, "SERVER_BUSY");
-        }
-    }
-    // Closing the channel lets each worker finish its current connection
-    // and exit once the queue is drained.
-    drop(tx);
-    for w in workers {
-        let _ = w.join();
-    }
-    // The last interval's numbers (final request counts, the shutdown
-    // itself) must reach the report file: explicit final flush.
-    match reporter {
-        Some(rep) => rep.stop().map(|_| ()),
-        None => Ok(()),
-    }
-}
-
-/// Per-connection timeouts, as configured on the server.
-#[derive(Clone, Copy)]
-pub(crate) struct ConnTimeouts {
-    pub(crate) idle: Duration,
-    pub(crate) partial: Duration,
-    pub(crate) write: Duration,
-}
-
-/// A buffered reader that distinguishes "waiting for the next request"
-/// (bounded by the idle timeout) from "stalled mid-request" (bounded by
-/// the much tighter partial-read deadline). The protocol layer reads
-/// through [`BufRead`] oblivious to either; this wrapper re-arms the
-/// socket's read timeout before every refill based on whether the
-/// current request has started.
-struct DeadlineReader {
-    inner: BufReader<TcpStream>,
-    /// A second handle to the same socket, used to adjust its timeout.
-    stream: TcpStream,
-    idle: Duration,
-    partial: Duration,
-    /// When the first byte of the request in progress arrived; `None`
-    /// between requests.
-    started: Option<Instant>,
-}
-
-impl DeadlineReader {
-    fn new(
-        inner: BufReader<TcpStream>,
-        stream: TcpStream,
-        idle: Duration,
-        partial: Duration,
-    ) -> Self {
-        DeadlineReader {
-            inner,
-            stream,
-            idle,
-            partial,
-            started: None,
-        }
-    }
-
-    /// Marks the boundary between requests: the next refill waits under
-    /// the idle timeout again.
-    fn begin_idle(&mut self) {
-        self.started = None;
-    }
-
-    /// Whether a request is partially read (its deadline clock running).
-    fn mid_request(&self) -> bool {
-        self.started.is_some()
-    }
-
-    /// Whether another pipelined request is already buffered.
-    fn has_buffered(&self) -> bool {
-        !self.inner.buffer().is_empty()
-    }
-
-    /// When the first byte of the current request arrived — the anchor
-    /// a trace's root span is backdated to, so read+parse time is part
-    /// of the request it belongs to.
-    fn request_started(&self) -> Option<Instant> {
-        self.started
-    }
-}
-
-impl io::Read for DeadlineReader {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let available = io::BufRead::fill_buf(self)?;
-        let n = available.len().min(buf.len());
-        buf[..n].copy_from_slice(&available[..n]);
-        io::BufRead::consume(self, n);
-        Ok(n)
-    }
-}
-
-impl io::BufRead for DeadlineReader {
-    fn fill_buf(&mut self) -> io::Result<&[u8]> {
-        if self.inner.buffer().is_empty() {
-            let timeout = match self.started {
-                None => self.idle,
-                Some(t0) => {
-                    let left = self.partial.saturating_sub(t0.elapsed());
-                    if left.is_zero() {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "request read deadline exceeded",
-                        ));
-                    }
-                    left.min(self.idle)
-                }
-            };
-            self.stream.set_read_timeout(Some(timeout))?;
-            let n = self.inner.fill_buf()?.len();
-            if n > 0 && self.started.is_none() {
-                self.started = Some(Instant::now());
-            }
-        } else if self.started.is_none() {
-            // A pipelined request is already buffered: its clock starts
-            // now, not when the socket next blocks.
-            self.started = Some(Instant::now());
-        }
-        Ok(self.inner.buffer())
-    }
-
-    fn consume(&mut self, amt: usize) {
-        self.inner.consume(amt);
-    }
-}
-
-/// One worker: serve queued connections until the channel closes.
-///
-/// Panic containment: a handler panic must cost exactly one connection,
-/// never the pool. The lock is held only for `recv` (so a panic can't
-/// poison it mid-`handle_conn`), a poisoned lock is recovered rather
-/// than re-thrown (an mpsc `Receiver` has no invariants a panic can
-/// break), and the handler itself runs under `catch_unwind`, counted in
-/// `csr_serve_worker_panics_total`.
-fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, shared: &Shared, timeouts: ConnTimeouts) {
-    loop {
-        let stream = {
-            let queue = rx.lock().unwrap_or_else(PoisonError::into_inner);
-            match queue.recv() {
-                Ok(stream) => stream,
-                Err(_) => return,
-            }
-        };
-        shared.metrics.active.add(1);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = handle_conn(stream, shared, timeouts);
-        }));
-        if caught.is_err() {
-            shared.metrics.worker_panics.inc();
-        }
-        shared.metrics.active.add(-1);
-        shared.metrics.closed.inc();
-    }
-}
-
-/// Serves one connection until EOF, `QUIT`, a fatal protocol error, a
-/// timeout, or shutdown.
-fn handle_conn(stream: TcpStream, shared: &Shared, timeouts: ConnTimeouts) -> io::Result<()> {
-    stream.set_read_timeout(Some(timeouts.idle))?;
-    stream.set_write_timeout(Some(timeouts.write))?;
-    stream.set_nodelay(true)?;
-
-    // Register the read half so shutdown can cut a blocked read.
-    let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
-    shared
-        .conns
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .push((conn_id, stream.try_clone()?));
-    // Deregister on every exit path.
-    struct Dereg<'a>(&'a Shared, u64);
-    impl Drop for Dereg<'_> {
-        fn drop(&mut self) {
-            let mut conns = self.0.conns.lock().unwrap_or_else(PoisonError::into_inner);
-            conns.retain(|(id, _)| *id != self.1);
-        }
-    }
-    let _dereg = Dereg(shared, conn_id);
-
-    let mut reader = DeadlineReader::new(
-        BufReader::new(stream.try_clone()?),
-        stream.try_clone()?,
-        timeouts.idle,
-        timeouts.partial,
-    );
-    let mut writer = BufWriter::new(stream);
-    loop {
-        if shared.shutting_down() {
-            return writer.flush();
-        }
-        match proto::read_request(&mut reader) {
-            Ok(None) | Ok(Some(Request::Quit)) => return writer.flush(),
-            Ok(Some(request)) => {
-                let anchor = reader.request_started().unwrap_or_else(Instant::now);
-                respond(request, shared, &mut writer, anchor)?;
-            }
-            Err(err) => {
-                // A peer that stalled mid-request past the partial-read
-                // deadline is a slowloris: reclaim the worker, telling
-                // the peer why (best effort — it may not be listening).
-                if let ProtoError::Io(e) = &err {
-                    if reader.mid_request()
-                        && matches!(
-                            e.kind(),
-                            io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-                        )
-                    {
-                        shared.metrics.slowloris_drops.inc();
-                        let _ = proto::write_line(
-                            &mut writer,
-                            "CLIENT_ERROR request read deadline exceeded",
-                        );
-                    }
-                }
-                // Timeouts and transport errors close the connection (an
-                // idle peer holding a worker hostage is itself a protocol
-                // error), as does a client error that lost framing.
-                if respond_error(&err, shared, &mut writer)? {
-                    return writer.flush();
-                }
-            }
-        }
-        reader.begin_idle();
-        // Pipelining: only pay the flush syscall when no further request
-        // is already buffered.
-        if !reader.has_buffered() {
-            writer.flush()?;
-        }
-    }
-}
-
-/// Answers a request that failed to decode, for both I/O engines: counts
-/// it (`verb="error"`, and the `limit` class if one was exceeded), writes
-/// the `CLIENT_ERROR` line, and returns whether the connection must close
-/// — framing was lost, or the transport itself failed (nothing to say).
+/// Answers a request that failed to decode: counts it (`verb="error"`,
+/// and the `limit` class if one was exceeded), writes the `CLIENT_ERROR`
+/// line, and returns whether the connection must close — framing was
+/// lost, or the transport itself failed (nothing to say).
 pub(crate) fn respond_error(
     err: &ProtoError,
     shared: &Shared,
@@ -1203,9 +768,7 @@ pub(crate) fn respond_error(
     Ok(*fatal)
 }
 
-/// Executes one request and writes its response (buffered). Both I/O
-/// engines funnel through here, which is what makes wire parity a
-/// structural property rather than a test-enforced one.
+/// Executes one request and writes its response (buffered).
 pub(crate) fn respond(
     request: Request,
     shared: &Shared,
@@ -1511,7 +1074,6 @@ fn write_stats(shared: &Shared, w: &mut impl Write) -> io::Result<()> {
     let m = &shared.metrics;
     let mut stat = |name: &str, value: String| writeln_stat(w, name, &value);
     stat("policy", shared.cache.policy_name().to_owned())?;
-    stat("io_mode", shared.io_mode.name().to_owned())?;
     stat(
         "uptime_us",
         shared.started.elapsed().as_micros().to_string(),

@@ -16,7 +16,7 @@ use csr_serve::chaos::{ChaosConfig, ChaosProxy, ChaosSnapshot};
 use csr_serve::client::{ClientMetrics, ConnectionError, FailoverClient, FailoverConfig, Timeouts};
 use csr_serve::resilience::BackoffSchedule;
 use csr_serve::server::{serve, ServerConfig};
-use csr_serve::{IoMode, MemoryBacking, SimBacking};
+use csr_serve::{MemoryBacking, SimBacking};
 use mem_trace::rng::SplitMix64;
 use std::io::BufRead;
 use std::net::SocketAddr;
@@ -25,11 +25,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn chaos_server_config(io: IoMode) -> ServerConfig {
+fn chaos_server_config() -> ServerConfig {
     ServerConfig {
-        io,
         workers: 16,
-        backlog: 32,
         idle_timeout: Duration::from_secs(5),
         partial_read_deadline: Duration::from_secs(2),
         write_timeout: Duration::from_secs(5),
@@ -115,15 +113,6 @@ impl ChaosWorker {
 /// the proxy reports.
 #[test]
 fn ten_thousand_ops_heal_through_chaos_with_zero_wrong_values() {
-    ten_thousand_ops_heal_in(IoMode::Blocking);
-}
-
-#[test]
-fn ten_thousand_ops_heal_through_chaos_with_zero_wrong_values_event() {
-    ten_thousand_ops_heal_in(IoMode::Event);
-}
-
-fn ten_thousand_ops_heal_in(io: IoMode) {
     const THREADS: u64 = 4;
     const OPS_PER_THREAD: u64 = 2500;
     // Top-up rounds: ops per fresh connection (enough reply bytes to cross
@@ -137,7 +126,7 @@ fn ten_thousand_ops_heal_in(io: IoMode) {
         slow_every: 8,
         value_len: 32,
     });
-    let handle = serve(chaos_server_config(io), origin).expect("server starts");
+    let handle = serve(chaos_server_config(), origin).expect("server starts");
     let proxy = Arc::new(
         ChaosProxy::start(
             handle.addr(),
@@ -272,7 +261,7 @@ fn deterministic_run(proxy_seed: u64) -> (Vec<String>, ChaosSnapshot) {
     }
     let config = ServerConfig {
         workers: 4,
-        ..chaos_server_config(IoMode::Blocking)
+        ..chaos_server_config()
     };
     let handle = serve(config, origin).expect("server starts");
     let proxy = ChaosProxy::start(
@@ -470,22 +459,20 @@ fn sigkill_and_restart_mid_batch_heals_with_zero_wrong_values() {
 /// to the replica and completes every op.
 #[test]
 fn endpoint_death_fails_over_to_the_replica() {
-    let make = |marker: &str, io: IoMode| {
+    let make = |marker: &str| {
         let origin = Arc::new(MemoryBacking::new());
         origin.put("who".to_owned(), marker.as_bytes().to_vec());
         serve(
             ServerConfig {
                 workers: 2,
-                ..chaos_server_config(io)
+                ..chaos_server_config()
             },
             origin,
         )
         .expect("server starts")
     };
-    // Mixed engines on purpose: failover from a blocking primary to an
-    // event-engine replica must be seamless (identical wire protocol).
-    let a = make("from-a", IoMode::Blocking);
-    let b = make("from-b", IoMode::Event);
+    let a = make("from-a");
+    let b = make("from-b");
 
     let registry = Registry::new();
     let metrics = ClientMetrics::new(&registry);

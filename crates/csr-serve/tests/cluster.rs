@@ -9,9 +9,7 @@ use csr_cache::Policy;
 use csr_obs::Registry;
 use csr_serve::cluster::{ClusterClientConfig, ClusterMetrics, PeerConfig};
 use csr_serve::server::{serve, ServerConfig, ServerHandle};
-use csr_serve::{
-    Client, ClusterClient, ClusterNode, IoMode, MemoryBacking, Moved, Ring, SimBacking,
-};
+use csr_serve::{Client, ClusterClient, ClusterNode, MemoryBacking, Moved, Ring, SimBacking};
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
@@ -44,17 +42,11 @@ fn default_ring(addrs: &[String]) -> Ring {
 }
 
 fn node_config(addr: &str, nodes: Vec<ClusterNode>) -> ServerConfig {
-    node_config_io(addr, nodes, IoMode::Blocking)
-}
-
-fn node_config_io(addr: &str, nodes: Vec<ClusterNode>, io: IoMode) -> ServerConfig {
     ServerConfig {
         addr: addr.to_owned(),
-        io,
         capacity: 1024,
         shards: Some(4),
         workers: 4,
-        backlog: 8,
         idle_timeout: Duration::from_secs(5),
         write_timeout: Duration::from_secs(5),
         cluster: Some(PeerConfig {
@@ -76,15 +68,6 @@ fn stat_of(table: &[(String, String)], name: &str) -> u64 {
 
 #[test]
 fn any_node_answers_any_key_with_one_forwarding_hop() {
-    forwarding_hop_in(IoMode::Blocking);
-}
-
-#[test]
-fn any_node_answers_any_key_with_one_forwarding_hop_event() {
-    forwarding_hop_in(IoMode::Event);
-}
-
-fn forwarding_hop_in(io: IoMode) {
     let addrs = reserve_addrs(4);
     let nodes = membership(&addrs);
     let origin = Arc::new(MemoryBacking::new());
@@ -93,7 +76,7 @@ fn forwarding_hop_in(io: IoMode) {
     }
     let handles: Vec<ServerHandle> = addrs
         .iter()
-        .map(|a| serve(node_config_io(a, nodes.clone(), io), origin.clone()).expect("node starts"))
+        .map(|a| serve(node_config(a, nodes.clone()), origin.clone()).expect("node starts"))
         .collect();
 
     let ring = default_ring(&addrs);

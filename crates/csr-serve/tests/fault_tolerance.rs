@@ -9,7 +9,7 @@
 
 use csr_serve::resilience::{BackoffSchedule, ResilienceConfig};
 use csr_serve::server::{serve, ServerConfig, ServerHandle};
-use csr_serve::{Client, FaultBacking, IoMode, MemoryBacking, OriginError, SimBacking};
+use csr_serve::{Client, FaultBacking, MemoryBacking, OriginError, SimBacking};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -30,17 +30,11 @@ fn fast_resilience() -> ResilienceConfig {
 }
 
 fn fault_config() -> ServerConfig {
-    fault_config_io(IoMode::Blocking)
-}
-
-fn fault_config_io(io: IoMode) -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
-        io,
         capacity: 512,
         shards: Some(4),
         workers: 8,
-        backlog: 8,
         idle_timeout: Duration::from_secs(5),
         write_timeout: Duration::from_secs(5),
         resilience: fast_resilience(),
@@ -67,15 +61,6 @@ fn metric(handle: &ServerHandle, needle: &str) -> u64 {
 /// guaranteed stale serve.
 #[test]
 fn flaky_origin_survives_a_10k_op_run() {
-    flaky_origin_survives_in(IoMode::Blocking);
-}
-
-#[test]
-fn flaky_origin_survives_a_10k_op_run_event() {
-    flaky_origin_survives_in(IoMode::Event);
-}
-
-fn flaky_origin_survives_in(io: IoMode) {
     let origin = Arc::new(SimBacking {
         fast: Duration::ZERO,
         slow: Duration::ZERO,
@@ -86,7 +71,7 @@ fn flaky_origin_survives_in(io: IoMode) {
         FaultBacking::new(origin, 0xfa117, 0.10, 0.002).hang_for(Duration::from_millis(25)),
     );
     let handle = serve(
-        fault_config_io(io),
+        fault_config(),
         Arc::clone(&fault) as Arc<dyn csr_serve::Backing>,
     )
     .expect("server starts");

@@ -12,7 +12,7 @@
 
 use csr_serve::proto::{self, Decoder, Frame, ProtoError, Request};
 use csr_serve::server::{serve, ServerConfig};
-use csr_serve::{Client, IoMode, MemoryBacking};
+use csr_serve::{Client, MemoryBacking};
 use mem_trace::rng::SplitMix64;
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
@@ -626,22 +626,12 @@ fn validate_reply_stream(reply: &[u8]) {
 /// clean client still round-trips (no worker was wedged or poisoned).
 #[test]
 fn server_replies_to_garbage_with_well_formed_frames() {
-    garbage_gets_well_formed_frames_in(IoMode::Blocking);
-}
-
-#[test]
-fn server_replies_to_garbage_with_well_formed_frames_event() {
-    garbage_gets_well_formed_frames_in(IoMode::Event);
-}
-
-fn garbage_gets_well_formed_frames_in(io: IoMode) {
     // The canary key must be unreachable from the fuzz alphabet: corpus
     // frames contain working SETs (which store!), so checking a corpus
     // key afterwards would race the fuzz's own writes.
     let origin = Arc::new(MemoryBacking::new());
     origin.put("canary".to_owned(), b"v1".to_vec());
     let config = ServerConfig {
-        io,
         workers: 8,
         idle_timeout: Duration::from_secs(2),
         partial_read_deadline: Duration::from_millis(500),

@@ -9,7 +9,7 @@ use csr_obs::{Json, TraceConfig, TraceContext};
 use csr_serve::cluster::PeerConfig;
 use csr_serve::resilience::{BackoffSchedule, ResilienceConfig};
 use csr_serve::server::{serve, ServerConfig};
-use csr_serve::{Client, ClusterNode, FaultBacking, IoMode, MemoryBacking, Ring};
+use csr_serve::{Client, ClusterNode, FaultBacking, MemoryBacking, Ring};
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -24,14 +24,12 @@ fn reserve_addrs(n: usize) -> Vec<String> {
         .collect()
 }
 
-fn node_config_io(addr: &str, nodes: Vec<ClusterNode>, io: IoMode) -> ServerConfig {
+fn node_config(addr: &str, nodes: Vec<ClusterNode>) -> ServerConfig {
     ServerConfig {
         addr: addr.to_owned(),
-        io,
         capacity: 1024,
         shards: Some(4),
         workers: 4,
-        backlog: 8,
         idle_timeout: Duration::from_secs(5),
         write_timeout: Duration::from_secs(5),
         cluster: Some(PeerConfig {
@@ -100,15 +98,6 @@ fn field<'a>(j: &'a Json, key: &str) -> &'a str {
 /// parented under that hop span). One trace id, one hop, correct links.
 #[test]
 fn forwarded_get_is_one_trace_with_linked_spans_across_nodes() {
-    forwarded_get_is_one_trace_in(IoMode::Blocking);
-}
-
-#[test]
-fn forwarded_get_is_one_trace_with_linked_spans_across_nodes_event() {
-    forwarded_get_is_one_trace_in(IoMode::Event);
-}
-
-fn forwarded_get_is_one_trace_in(io: IoMode) {
     let addrs = reserve_addrs(2);
     let nodes: Vec<ClusterNode> = addrs
         .iter()
@@ -123,7 +112,7 @@ fn forwarded_get_is_one_trace_in(io: IoMode) {
     origin.put(key.clone(), b"remote".to_vec());
     let handles: Vec<_> = addrs
         .iter()
-        .map(|a| serve(node_config_io(a, nodes.clone(), io), origin.clone()).expect("node starts"))
+        .map(|a| serve(node_config(a, nodes.clone()), origin.clone()).expect("node starts"))
         .collect();
 
     let client_ctx = ctx(0xc0ffee, 0xdec0de);
