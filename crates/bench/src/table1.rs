@@ -1,7 +1,7 @@
 //! Table 1: benchmark characteristics.
 
 use crate::{ExperimentOpts, TableBuilder};
-use csr_harness::build_benchmarks;
+use csr_harness::{build_benchmarks, Benchmark};
 
 /// Prints Table 1 for the synthetic suite, alongside the paper's values.
 pub fn run(opts: &ExperimentOpts) {
@@ -71,10 +71,7 @@ pub fn run(opts: &ExperimentOpts) {
         ]
     };
     for w in footnote {
-        let trace = w.generate(csr_harness::experiments::BENCH_SEED);
-        let placement = mem_trace::FirstTouchPlacement::from_trace(64, &trace);
-        let sample = mem_trace::representative_processor(&trace, &placement);
-        let c = mem_trace::characterize(w.name(), &w.problem_size(), &trace, sample, &placement);
+        let c = Benchmark::build(w.as_ref(), csr_harness::experiments::BENCH_SEED).characteristics;
         t.row([
             c.name.clone(),
             c.problem_size.clone(),

@@ -6,10 +6,9 @@ use crate::runner::{ClassMisses, PricedTrace, TraceSimConfig};
 use cache_sim::{relative_savings_pct, Cost, CostPair};
 use csr::Policy;
 use mem_trace::cost_map::{FirstTouchCostMap, RandomCostMap};
-use mem_trace::workloads::{BarnesLike, LuLike, OceanLike, RaytraceLike};
+use mem_trace::workloads::{BarnesLike, LuLike, OceanLike, RaytraceLike, INTERLEAVE_CHUNK};
 use mem_trace::{
-    characterize, representative_processor, FirstTouchPlacement, ProcId, SampledTrace,
-    TraceCharacteristics, Workload,
+    FirstTouchPlacement, ProcId, SampledTrace, TraceCensus, TraceCharacteristics, Workload,
 };
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -86,6 +85,31 @@ pub struct Benchmark {
     pub characteristics: TraceCharacteristics,
 }
 
+impl Benchmark {
+    /// Prepares `w` as Section 3.1 does, from its barrier phases in the
+    /// interleaved order ([`PhasedTrace::records`]) without ever copying
+    /// them into one trace: a census pass places every block at its first
+    /// toucher, picks the most representative processor and characterizes
+    /// the trace from its view; a second pass takes that processor's
+    /// sample. For every SPLASH-like kernel the order is `w.generate(seed)`.
+    ///
+    /// [`PhasedTrace::records`]: mem_trace::PhasedTrace::records
+    #[must_use]
+    pub fn build(w: &dyn Workload, seed: u64) -> Self {
+        let phases = w.generate_phases(seed);
+        let census =
+            TraceCensus::from_records(phases.num_procs(), 64, phases.records(INTERLEAVE_CHUNK));
+        let sample = census.representative_processor();
+        Benchmark {
+            name: w.name().to_owned(),
+            sample,
+            sampled: SampledTrace::from_records(phases.records(INTERLEAVE_CHUNK), sample),
+            characteristics: census.characterize(w.name(), &w.problem_size(), sample),
+            placement: census.into_placement(),
+        }
+    }
+}
+
 /// Seed used for all benchmark generation (experiments are reproducible).
 pub const BENCH_SEED: u64 = 2003;
 
@@ -107,22 +131,8 @@ pub fn build_benchmarks(scale: Scale) -> Vec<Benchmark> {
         ],
     };
     workloads
-        .into_iter()
-        .map(|w| {
-            let trace = w.generate(BENCH_SEED);
-            let placement = FirstTouchPlacement::from_trace(64, &trace);
-            let sample = representative_processor(&trace, &placement);
-            let characteristics =
-                characterize(w.name(), &w.problem_size(), &trace, sample, &placement);
-            let sampled = SampledTrace::from_trace(&trace, sample);
-            Benchmark {
-                name: w.name().to_owned(),
-                sample,
-                sampled,
-                placement,
-                characteristics,
-            }
-        })
+        .iter()
+        .map(|w| Benchmark::build(w.as_ref(), BENCH_SEED))
         .collect()
 }
 
@@ -399,23 +409,8 @@ mod tests {
             procs: 2,
             write_fraction: 0.3,
         };
-        let trace = w.generate(BENCH_SEED);
-        let sample = ProcId(0);
-        let bench = Benchmark {
-            name: "uniform".into(),
-            sample,
-            sampled: SampledTrace::from_trace(&trace, sample),
-            placement: FirstTouchPlacement::from_trace(64, &trace),
-            characteristics: characterize(
-                "uniform",
-                "small",
-                &trace,
-                sample,
-                &FirstTouchPlacement::from_trace(64, &trace),
-            ),
-        };
         let pts = fig3_grid(
-            &[bench],
+            &[Benchmark::build(&w, BENCH_SEED)],
             &[0.2],
             &[CostRatio::Finite(8)],
             &[Policy::Dcl],

@@ -8,23 +8,10 @@ use csr::Policy;
 use csr_harness::experiments::BENCH_SEED;
 use csr_harness::{fig3_grid, Benchmark, CostRatio, TraceSimConfig};
 use mem_trace::workloads::BarnesLike;
-use mem_trace::{
-    characterize, representative_processor, FirstTouchPlacement, SampledTrace, Workload,
-};
 
 #[test]
 fn reduced_fig3_matches_the_golden_bit_for_bit() {
-    let w = BarnesLike::rsim_scale();
-    let trace = w.generate(BENCH_SEED);
-    let placement = FirstTouchPlacement::from_trace(64, &trace);
-    let sample = representative_processor(&trace, &placement);
-    let bench = Benchmark {
-        name: w.name().to_owned(),
-        sample,
-        sampled: SampledTrace::from_trace(&trace, sample),
-        characteristics: characterize(w.name(), &w.problem_size(), &trace, sample, &placement),
-        placement,
-    };
+    let bench = Benchmark::build(&BarnesLike::rsim_scale(), BENCH_SEED);
     let points = fig3_grid(
         &[bench],
         &[0.05, 0.2, 0.5],

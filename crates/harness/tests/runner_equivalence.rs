@@ -14,7 +14,7 @@ use csr_harness::{l2_cores, run_sampled, LruMissProfile, PricedTrace, TraceSimCo
 use mem_trace::cost_map::{CostMap, FirstTouchCostMap, RandomCostMap, UniformCostMap};
 use mem_trace::criticality::CriticalityCostMap;
 use mem_trace::workloads::BarnesLike;
-use mem_trace::{FirstTouchPlacement, SampledEvent, SampledTrace, Trace, Workload};
+use mem_trace::{SampledEvent, SampledTrace, Trace, TraceCensus, Workload};
 
 const KINDS: [Policy; 14] = [
     Policy::Lru,
@@ -70,7 +70,7 @@ fn trace() -> Trace {
 
 /// Every map of the test under `pair`, named.
 fn maps(trace: &Trace, sampled: &SampledTrace, pair: CostPair) -> Vec<(String, Box<dyn CostMap>)> {
-    let placement = FirstTouchPlacement::from_trace(64, trace);
+    let placement = TraceCensus::from_trace(64, trace).into_placement();
     let mut maps: Vec<(String, Box<dyn CostMap>)> = vec![
         (
             "first-touch".into(),

@@ -150,6 +150,7 @@ impl CostMap for UniformCostMap {
 mod tests {
     use super::*;
     use crate::record::{Trace, TraceRecord};
+    use crate::stats::TraceCensus;
     use cache_sim::Addr;
 
     #[test]
@@ -201,7 +202,7 @@ mod tests {
         let mut t = Trace::new(2);
         t.push(TraceRecord::write(ProcId(1), Addr(0))); // block 0 homed at P1
         t.push(TraceRecord::write(ProcId(0), Addr(64))); // block 1 homed at P0
-        let placement = FirstTouchPlacement::from_trace(64, &t);
+        let placement = TraceCensus::from_trace(64, &t).into_placement();
         let borrowed = FirstTouchCostMap::new(&placement, ProcId(0), CostPair::ratio(16), 64);
         let m = FirstTouchCostMap::new(placement.clone(), ProcId(0), CostPair::ratio(16), 64);
         for m in [&borrowed as &dyn CostMap, &m] {

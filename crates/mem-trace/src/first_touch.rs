@@ -6,7 +6,7 @@
 //! to units homed elsewhere are **remote** — more expensive in latency,
 //! bandwidth and power.
 
-use crate::record::{ProcId, Trace};
+use crate::record::ProcId;
 use cache_sim::Addr;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -63,17 +63,6 @@ impl FirstTouchPlacement {
         }
     }
 
-    /// Builds the placement by scanning `trace` in order: the first
-    /// reference to each unit assigns its home.
-    #[must_use]
-    pub fn from_trace(granularity_bytes: u64, trace: &Trace) -> Self {
-        let mut p = FirstTouchPlacement::new(granularity_bytes);
-        for rec in trace {
-            p.touch(rec.proc, rec.addr);
-        }
-        p
-    }
-
     fn unit_of(&self, addr: Addr) -> u64 {
         addr.0 >> self.granularity_bytes.trailing_zeros()
     }
@@ -111,45 +100,11 @@ impl FirstTouchPlacement {
     pub fn units_homed(&self) -> usize {
         self.homes.len()
     }
-
-    /// Fraction of `proc`'s references in `trace` that are remote under
-    /// this placement — the paper's *remote access fraction* (Table 1).
-    #[must_use]
-    pub fn remote_fraction(&self, trace: &Trace, proc: ProcId) -> f64 {
-        self.remote_fractions(trace)
-            .get(proc.0)
-            .copied()
-            .unwrap_or(0.0)
-    }
-
-    /// Every processor's [remote fraction](Self::remote_fraction), indexed
-    /// by processor, in one pass over `trace`.
-    #[must_use]
-    pub fn remote_fractions(&self, trace: &Trace) -> Vec<f64> {
-        // (references, remote references) per processor.
-        let mut counts = vec![(0u64, 0u64); trace.num_procs()];
-        for rec in trace {
-            let c = &mut counts[rec.proc.0];
-            c.0 += 1;
-            c.1 += u64::from(self.is_remote(rec.proc, rec.addr));
-        }
-        counts
-            .into_iter()
-            .map(|(total, remote)| {
-                if total == 0 {
-                    0.0
-                } else {
-                    remote as f64 / total as f64
-                }
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::TraceRecord;
 
     #[test]
     fn first_touch_wins() {
@@ -168,24 +123,6 @@ mod tests {
         assert!(!p.is_remote(ProcId(0), Addr(0)));
         assert!(p.is_remote(ProcId(1), Addr(0)));
         assert!(!p.is_remote(ProcId(1), Addr(0x1000)), "untouched is local");
-    }
-
-    #[test]
-    fn remote_fraction_from_trace() {
-        let mut t = Trace::new(2);
-        // P1 homes block 0; P0 homes block 1; then P0 references both twice.
-        t.push(TraceRecord::write(ProcId(1), Addr(0)));
-        t.push(TraceRecord::write(ProcId(0), Addr(64)));
-        t.push(TraceRecord::read(ProcId(0), Addr(0)));
-        t.push(TraceRecord::read(ProcId(0), Addr(64)));
-        let p = FirstTouchPlacement::from_trace(64, &t);
-        // P0 refs: 64 (local, homed it), 0 (remote), 64 (local) => 1/3.
-        let f = p.remote_fraction(&t, ProcId(0));
-        assert!((f - 1.0 / 3.0).abs() < 1e-12, "got {f}");
-        assert_eq!(p.units_homed(), 2);
-        // P1 refs: 0 (local, homed it) => 0; one pass gives both.
-        assert_eq!(p.remote_fractions(&t), vec![f, 0.0]);
-        assert_eq!(p.remote_fraction(&t, ProcId(5)), 0.0, "no references");
     }
 
     #[test]

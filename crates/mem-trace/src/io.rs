@@ -18,6 +18,8 @@ use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"CSRT";
 const VERSION: u8 = 1;
+/// Processor ids are written as `u16`.
+const MAX_PROCS: usize = 1 << 16;
 
 /// Errors produced when decoding a trace.
 #[derive(Debug)]
@@ -57,8 +59,19 @@ impl From<io::Error> for ReadTraceError {
 ///
 /// # Errors
 ///
-/// Propagates any underlying I/O error.
+/// Returns [`io::ErrorKind::InvalidInput`], before writing any byte, for a
+/// trace of more than 65,536 processors, whose ids the format cannot hold;
+/// otherwise propagates any underlying I/O error.
 pub fn write_trace<W: Write>(trace: &Trace, mut w: W) -> io::Result<()> {
+    if trace.num_procs() > MAX_PROCS {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "{} processors: CSRT holds at most {MAX_PROCS}",
+                trace.num_procs()
+            ),
+        ));
+    }
     w.write_all(MAGIC)?;
     w.write_all(&[VERSION])?;
     w.write_all(&(trace.num_procs() as u32).to_le_bytes())?;
@@ -216,6 +229,24 @@ mod tests {
             read_trace(buf.as_slice()),
             Err(ReadTraceError::Format(_))
         ));
+    }
+
+    #[test]
+    fn refuses_processor_ids_beyond_u16() {
+        let mut t = Trace::new(70_000);
+        t.push(TraceRecord::read(ProcId(69_999), Addr(0)));
+        let mut buf = Vec::new();
+        let err = write_trace(&t, &mut buf).expect_err("ids past u16");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(buf.is_empty(), "nothing is written");
+        // The largest trace the format holds still round-trips.
+        let mut t = Trace::new(MAX_PROCS);
+        t.push(TraceRecord::read(ProcId(MAX_PROCS - 1), Addr(0)));
+        write_trace(&t, &mut buf).expect("ids fit u16");
+        assert_eq!(
+            read_trace(buf.as_slice()).expect("read back").records(),
+            t.records()
+        );
     }
 
     #[test]

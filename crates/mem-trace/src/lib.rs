@@ -6,25 +6,24 @@
 //! * [`record`] — multiprocessor [`Trace`]s of shared-data references;
 //! * [`workloads`] — synthetic SPLASH-2-like kernels ([`BarnesLike`],
 //!   [`LuLike`], [`OceanLike`], [`RaytraceLike`]) plus generic generators;
-//! * [`first_touch`] — first-touch NUMA placement and remote fractions;
+//! * [`first_touch`] — first-touch NUMA placement;
 //! * [`cost_map`] — the random and first-touch two-cost mappings of
 //!   Section 3;
 //! * [`sampled`] — the Section 3.1 sample-processor trace view (own
 //!   references + foreign writes);
 //! * [`rng`] — the internal SplitMix64/xorshift generators every stream
 //!   in the workspace is derived from (no `rand` dependency);
-//! * [`stats`] — Table-1-style trace characteristics.
+//! * [`stats`] — the one-pass [`TraceCensus`] behind the sample processor
+//!   and Table-1-style trace characteristics.
 //!
 //! # Examples
 //!
 //! ```
-//! use mem_trace::{Workload, workloads::OceanLike, ProcId};
-//! use mem_trace::first_touch::FirstTouchPlacement;
+//! use mem_trace::{Workload, workloads::OceanLike, TraceCensus};
 //!
 //! let w = OceanLike { n: 66, grids: 2, procs: 4, iters: 2, col_stride: 2, reduction_points: 50 };
-//! let trace = w.generate(42);
-//! let placement = FirstTouchPlacement::from_trace(64, &trace);
-//! let remote = placement.remote_fraction(&trace, ProcId(1));
+//! let census = TraceCensus::from_trace(64, &w.generate(42));
+//! let remote = census.remote_fractions()[1];
 //! assert!(remote < 0.25); // Ocean-like kernels are mostly local
 //! ```
 
@@ -47,5 +46,5 @@ pub use first_touch::FirstTouchPlacement;
 pub use phased::{Phase, PhasedTrace};
 pub use record::{ProcId, Trace, TraceRecord};
 pub use sampled::{SampledEvent, SampledTrace};
-pub use stats::{characterize, representative_processor, TraceCharacteristics};
+pub use stats::{TraceCensus, TraceCharacteristics};
 pub use workloads::{BarnesLike, LuLike, OceanLike, RaytraceLike, Workload};

@@ -1,10 +1,10 @@
 //! Phased traces: per-processor reference streams separated by barriers.
 //!
-//! The trace-driven study (Section 3) consumes a single interleaved
-//! [`Trace`]; the execution-driven study (Section 4) instead
-//! replays each processor's stream on its own simulated CPU, with barrier
-//! synchronization between program phases — the interleaving *within* a
-//! phase then emerges from the simulated timing.
+//! The trace-driven study (Section 3) consumes one interleaved order of the
+//! references ([`PhasedTrace::records`]); the execution-driven study
+//! (Section 4) instead replays each processor's stream on its own simulated
+//! CPU, with barrier synchronization between program phases — the
+//! interleaving *within* a phase then emerges from the simulated timing.
 
 use crate::record::{ProcId, Trace, TraceRecord};
 
@@ -108,15 +108,34 @@ impl PhasedTrace {
         self.phases.iter().map(Phase::len).sum()
     }
 
-    /// Flattens into a single [`Trace`] by round-robin interleaving chunks
-    /// of `chunk` records within each phase (the Section 3 methodology).
+    /// The records in the order of the single interleaved trace (the
+    /// Section 3 methodology), lazily: within each phase, round-robin
+    /// chunks of `chunk` records from every processor's stream, a stream
+    /// leaving the rotation when it is spent; phases in program order.
+    /// Internal iteration (`for_each`, `fold`) runs the nested `flat_map`s
+    /// as plain loops, faster than calling `next`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunk` is zero.
+    pub fn records(&self, chunk: usize) -> impl Iterator<Item = &TraceRecord> {
+        assert!(chunk > 0, "chunk must be nonzero");
+        self.phases.iter().flat_map(move |phase| {
+            let longest = phase.streams.iter().map(Vec::len).max().unwrap_or(0);
+            (0..longest).step_by(chunk).flat_map(move |start| {
+                phase
+                    .streams
+                    .iter()
+                    .flat_map(move |s| s.get(start..).unwrap_or_default().iter().take(chunk))
+            })
+        })
+    }
+
+    /// Collects [`records`](Self::records) into a single [`Trace`].
     #[must_use]
     pub fn interleave(&self, chunk: usize) -> Trace {
         let mut trace = Trace::new(self.num_procs);
-        let il = crate::workloads::interleaver(chunk);
-        for phase in &self.phases {
-            il.merge_into(&mut trace, &phase.streams);
-        }
+        trace.extend(self.records(chunk).copied());
         trace
     }
 }

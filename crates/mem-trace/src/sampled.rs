@@ -5,7 +5,7 @@
 //! processor, plus the shared **writes of every other processor**, which
 //! arrive at the simulated cache as coherence invalidations.
 
-use crate::record::{ProcId, Trace};
+use crate::record::{ProcId, Trace, TraceRecord};
 use cache_sim::{AccessType, Addr};
 
 /// One event as seen by the sample processor's cache.
@@ -38,10 +38,21 @@ impl SampledTrace {
     /// Extracts the sample view of `proc` from a full multiprocessor trace.
     #[must_use]
     pub fn from_trace(trace: &Trace, proc: ProcId) -> Self {
+        Self::from_records(trace, proc)
+    }
+
+    /// Extracts the sample view of `proc` from records in trace order
+    /// (a [`Trace`], or [`PhasedTrace::records`](crate::PhasedTrace::records)).
+    #[must_use]
+    pub fn from_records<'a>(
+        records: impl IntoIterator<Item = &'a TraceRecord>,
+        proc: ProcId,
+    ) -> Self {
         let mut events = Vec::new();
         let mut own_refs = 0;
         let mut foreign_writes = 0;
-        for rec in trace {
+        // Internal iteration, as in `TraceCensus::from_records`.
+        records.into_iter().for_each(|rec| {
             if rec.proc == proc {
                 events.push(SampledEvent::Own {
                     addr: rec.addr,
@@ -52,7 +63,7 @@ impl SampledTrace {
                 events.push(SampledEvent::ForeignWrite { addr: rec.addr });
                 foreign_writes += 1;
             }
-        }
+        });
         SampledTrace {
             proc,
             events,
@@ -89,7 +100,6 @@ impl SampledTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::TraceRecord;
 
     #[test]
     fn keeps_own_refs_and_foreign_writes_only() {

@@ -228,7 +228,7 @@ impl Workload for BarnesLike {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::first_touch::FirstTouchPlacement;
+    use crate::stats::TraceCensus;
 
     fn small() -> BarnesLike {
         BarnesLike {
@@ -262,8 +262,7 @@ mod tests {
     fn remote_fraction_is_high() {
         let w = small();
         let t = w.generate(1);
-        let placement = FirstTouchPlacement::from_trace(64, &t);
-        let f = placement.remote_fraction(&t, ProcId(1));
+        let f = TraceCensus::from_trace(64, &t).remote_fractions()[1];
         // Paper (Table 1): 44.8 % for Barnes.
         assert!(f > 0.30 && f < 0.60, "remote fraction {f}");
     }

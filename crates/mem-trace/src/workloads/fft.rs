@@ -171,7 +171,7 @@ impl Workload for FftLike {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::first_touch::FirstTouchPlacement;
+    use crate::stats::TraceCensus;
 
     fn small() -> FftLike {
         FftLike {
@@ -191,8 +191,7 @@ mod tests {
     fn transpose_is_remote_heavy() {
         let w = small();
         let t = w.generate(0);
-        let placement = FirstTouchPlacement::from_trace(64, &t);
-        let f = placement.remote_fraction(&t, ProcId(1));
+        let f = TraceCensus::from_trace(64, &t).remote_fractions()[1];
         // (procs-1)/procs of the transpose reads are remote; FFT rows local.
         assert!(f > 0.08 && f < 0.5, "remote fraction {f}");
     }

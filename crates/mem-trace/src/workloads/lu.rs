@@ -204,7 +204,7 @@ impl Workload for LuLike {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::first_touch::FirstTouchPlacement;
+    use crate::stats::TraceCensus;
 
     #[test]
     fn trace_is_deterministic() {
@@ -251,8 +251,7 @@ mod tests {
     fn remote_fraction_is_moderate() {
         let w = LuLike::default();
         let t = w.generate(0);
-        let placement = FirstTouchPlacement::from_trace(64, &t);
-        let f = placement.remote_fraction(&t, ProcId(1));
+        let f = TraceCensus::from_trace(64, &t).remote_fractions()[1];
         // Paper (Table 1): 19.1 % for LU. The synthetic kernel should land
         // in the same moderate band.
         assert!(f > 0.05 && f < 0.45, "remote fraction {f}");

@@ -17,7 +17,7 @@
 //! All kernels are deterministic given a seed and implement [`Workload`].
 
 use crate::phased::{Phase, PhasedTrace};
-use crate::record::{Trace, TraceRecord};
+use crate::record::Trace;
 
 mod barnes;
 mod fft;
@@ -34,14 +34,10 @@ pub use ocean::OceanLike;
 pub use radix::RadixLike;
 pub use raytrace::RaytraceLike;
 
-/// Chunk size used when flattening phases into a single trace.
-pub(crate) const INTERLEAVE_CHUNK: usize = 64;
-
-/// Creates the interleaver used to flatten phased traces (shared with
-/// [`PhasedTrace::interleave`]).
-pub(crate) fn interleaver(chunk: usize) -> Interleaver {
-    Interleaver::new(chunk)
-}
+/// Chunk size used when flattening phases into a single trace: every
+/// kernel's [`Workload::generate`] is
+/// `generate_phases(seed).interleave(INTERLEAVE_CHUNK)`.
+pub const INTERLEAVE_CHUNK: usize = 64;
 
 /// A workload kernel that can generate a multiprocessor reference trace.
 pub trait Workload {
@@ -75,43 +71,6 @@ pub trait Workload {
     }
 }
 
-/// Merges per-processor record streams into one global order by
-/// round-robining fixed-size chunks, approximating concurrent execution
-/// between barriers.
-#[derive(Debug)]
-pub(crate) struct Interleaver {
-    chunk: usize,
-}
-
-impl Interleaver {
-    pub(crate) fn new(chunk: usize) -> Self {
-        assert!(chunk > 0, "chunk must be nonzero");
-        Interleaver { chunk }
-    }
-
-    /// Appends the interleaving of `streams` to `trace`.
-    pub(crate) fn merge_into(&self, trace: &mut Trace, streams: &[Vec<TraceRecord>]) {
-        let mut cursors = vec![0usize; streams.len()];
-        loop {
-            let mut progressed = false;
-            for (s, cursor) in cursors.iter_mut().enumerate() {
-                let stream = &streams[s];
-                if *cursor < stream.len() {
-                    let end = (*cursor + self.chunk).min(stream.len());
-                    for rec in &stream[*cursor..end] {
-                        trace.push(*rec);
-                    }
-                    *cursor = end;
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-    }
-}
-
 /// The kernels' data-dependent access patterns draw from the workspace's
 /// internal [`SplitMix64`](crate::rng::SplitMix64) generator, keeping
 /// streams reproducible without the `rand` crate's version-dependent
@@ -132,20 +91,20 @@ pub fn standard_suite() -> Vec<Box<dyn Workload>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::ProcId;
+    use crate::record::{ProcId, TraceRecord};
     use cache_sim::Addr;
 
     #[test]
     fn interleaver_round_robins_chunks() {
-        let mut trace = Trace::new(2);
         let s0: Vec<TraceRecord> = (0..4)
             .map(|i| TraceRecord::read(ProcId(0), Addr(i * 64)))
             .collect();
         let s1: Vec<TraceRecord> = (0..2)
             .map(|i| TraceRecord::read(ProcId(1), Addr(0x1000 + i * 64)))
             .collect();
-        Interleaver::new(2).merge_into(&mut trace, &[s0, s1]);
-        let procs: Vec<usize> = trace.iter().map(|r| r.proc.0).collect();
+        let mut pt = PhasedTrace::new(2);
+        pt.push(Phase::from_streams(vec![s0, s1]));
+        let procs: Vec<usize> = pt.records(2).map(|r| r.proc.0).collect();
         assert_eq!(procs, vec![0, 0, 1, 1, 0, 0]);
     }
 

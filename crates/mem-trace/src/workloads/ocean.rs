@@ -273,7 +273,7 @@ impl Workload for OceanLike {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::first_touch::FirstTouchPlacement;
+    use crate::stats::TraceCensus;
 
     fn small() -> OceanLike {
         OceanLike {
@@ -302,8 +302,7 @@ mod tests {
     fn remote_fraction_is_low() {
         let w = small();
         let t = w.generate(0);
-        let placement = FirstTouchPlacement::from_trace(64, &t);
-        let f = placement.remote_fraction(&t, ProcId(1));
+        let f = TraceCensus::from_trace(64, &t).remote_fractions()[1];
         // Only boundary rows are remote: Ocean's fraction is small
         // (paper: 7.4 %).
         assert!(f < 0.20, "remote fraction {f}");

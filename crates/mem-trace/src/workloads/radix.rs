@@ -190,7 +190,7 @@ impl Workload for RadixLike {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::first_touch::FirstTouchPlacement;
+    use crate::stats::TraceCensus;
 
     fn small() -> RadixLike {
         RadixLike {
@@ -215,8 +215,7 @@ mod tests {
         // chunk: high remote-write traffic.
         let w = small();
         let t = w.generate(1);
-        let placement = FirstTouchPlacement::from_trace(64, &t);
-        let f = placement.remote_fraction(&t, ProcId(2));
+        let f = TraceCensus::from_trace(64, &t).remote_fractions()[2];
         assert!(f > 0.2, "radix should be remote-heavy, got {f}");
     }
 

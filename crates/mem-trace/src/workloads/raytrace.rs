@@ -198,7 +198,7 @@ impl Workload for RaytraceLike {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::first_touch::FirstTouchPlacement;
+    use crate::stats::TraceCensus;
 
     fn small() -> RaytraceLike {
         RaytraceLike {
@@ -220,8 +220,7 @@ mod tests {
     fn remote_fraction_is_around_a_third() {
         let w = small();
         let t = w.generate(2);
-        let placement = FirstTouchPlacement::from_trace(64, &t);
-        let f = placement.remote_fraction(&t, ProcId(2));
+        let f = TraceCensus::from_trace(64, &t).remote_fractions()[2];
         // Paper (Table 1): 29.6 % for Raytrace.
         assert!(f > 0.15 && f < 0.45, "remote fraction {f}");
     }

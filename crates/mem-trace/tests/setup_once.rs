@@ -1,13 +1,16 @@
-//! Suite setup builds each kernel's first-touch placement once and derives
-//! the sample processor and the Table-1 characteristics from it. This
-//! checks both against the way they were computed before — a placement per
-//! question, one pass over the trace per processor, the footprint by
-//! sorting every block — on the default (quick-scale) kernels.
+//! Suite setup takes one census of each kernel's phases in interleaved
+//! order, judging every reference remote or local as it comes, and derives
+//! the placement, the sample processor and the Table-1 characteristics from
+//! it; a second pass takes the sample view. This checks all four against
+//! the way they were computed before — over the interleaved `Trace`, a
+//! placement built first, one pass over the trace per processor against
+//! the final homes, the footprint by sorting every block — on the default
+//! (quick-scale) kernels.
 
 use cache_sim::AccessType;
-use mem_trace::workloads::{BarnesLike, LuLike, OceanLike, RaytraceLike};
+use mem_trace::workloads::{BarnesLike, LuLike, OceanLike, RaytraceLike, INTERLEAVE_CHUNK};
 use mem_trace::{
-    characterize, representative_processor, FirstTouchPlacement, ProcId, Trace,
+    FirstTouchPlacement, ProcId, SampledEvent, SampledTrace, Trace, TraceCensus,
     TraceCharacteristics, Workload,
 };
 
@@ -58,6 +61,22 @@ fn old_characterize(
     }
 }
 
+/// The sample view of `proc`: its own references and every foreign write.
+fn old_sample_events(trace: &Trace, proc: ProcId) -> Vec<SampledEvent> {
+    let mut events = Vec::new();
+    for rec in trace {
+        if rec.proc == proc {
+            events.push(SampledEvent::Own {
+                addr: rec.addr,
+                op: rec.op,
+            });
+        } else if rec.op == AccessType::Write {
+            events.push(SampledEvent::ForeignWrite { addr: rec.addr });
+        }
+    }
+    events
+}
+
 #[test]
 fn one_placement_gives_the_same_samples_and_table1_rows() {
     let suite: Vec<Box<dyn Workload>> = vec![
@@ -68,16 +87,29 @@ fn one_placement_gives_the_same_samples_and_table1_rows() {
     ];
     for w in suite {
         let trace = w.generate(2003);
-        let placement = FirstTouchPlacement::from_trace(64, &trace);
+        let mut placement = FirstTouchPlacement::new(64);
+        for rec in &trace {
+            placement.touch(rec.proc, rec.addr);
+        }
+        let phases = w.generate_phases(2003);
+        let census =
+            TraceCensus::from_records(phases.num_procs(), 64, phases.records(INTERLEAVE_CHUNK));
         let old_fractions: Vec<f64> = (0..trace.num_procs())
             .map(|p| old_remote_fraction(&placement, &trace, ProcId(p)))
             .collect();
-        assert_eq!(placement.remote_fractions(&trace), old_fractions);
-        let sample = representative_processor(&trace, &placement);
+        assert_eq!(census.remote_fractions(), old_fractions);
+        let sample = census.representative_processor();
         assert_eq!(sample, old_representative(&old_fractions), "{}", w.name());
         assert_eq!(
-            characterize(w.name(), &w.problem_size(), &trace, sample, &placement),
+            census.characterize(w.name(), &w.problem_size(), sample),
             old_characterize(w.as_ref(), &trace, sample, old_fractions[sample.0]),
         );
+        let homes = census.placement();
+        assert_eq!(homes.units_homed(), placement.units_homed());
+        assert!(trace
+            .iter()
+            .all(|r| homes.home_of(r.addr) == placement.home_of(r.addr)));
+        let sampled = SampledTrace::from_records(phases.records(INTERLEAVE_CHUNK), sample);
+        assert_eq!(sampled.events(), old_sample_events(&trace, sample));
     }
 }

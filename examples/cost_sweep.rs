@@ -7,21 +7,21 @@
 //!
 //! Run with: `cargo run --release --example cost_sweep`
 
-use cost_sensitive_cache::harness::{CostRatio, LruMissProfile, PricedTrace, TraceSimConfig};
+use cost_sensitive_cache::harness::{
+    Benchmark, CostRatio, LruMissProfile, PricedTrace, TraceSimConfig,
+};
 use cost_sensitive_cache::policies::Policy;
 use cost_sensitive_cache::sim::relative_savings_pct;
 use cost_sensitive_cache::trace::cost_map::RandomCostMap;
 use cost_sensitive_cache::trace::workloads::OceanLike;
-use cost_sensitive_cache::trace::{
-    representative_processor, FirstTouchPlacement, SampledTrace, Workload,
-};
+use cost_sensitive_cache::trace::Workload;
 
 fn main() {
     let workload = OceanLike::default();
     println!("generating {} trace ...", workload.name());
-    let trace = workload.generate(2003);
-    let sample = representative_processor(&trace, &FirstTouchPlacement::from_trace(64, &trace));
-    let sampled = SampledTrace::from_trace(&trace, sample);
+    let Benchmark {
+        sample, sampled, ..
+    } = Benchmark::build(&workload, 2003);
     println!(
         "sample processor {sample}: {} own refs, {} foreign writes\n",
         sampled.own_refs(),

@@ -20,7 +20,7 @@ use cost_sensitive_cache::sim::CostPair;
 use cost_sensitive_cache::trace::cost_map::FirstTouchCostMap;
 use cost_sensitive_cache::trace::workloads::synthetic::ZipfRandom;
 use cost_sensitive_cache::trace::workloads::BarnesLike;
-use cost_sensitive_cache::trace::{FirstTouchPlacement, ProcId, SampledTrace, Workload};
+use cost_sensitive_cache::trace::{ProcId, SampledTrace, TraceCensus, Workload};
 use std::hash::{BuildHasher, Hasher};
 
 const SIM_POLICIES: [PolicyKind; 14] = [
@@ -50,7 +50,7 @@ fn sim_lines() -> Vec<String> {
     }
     .generate(7);
     let sampled = SampledTrace::from_trace(&trace, ProcId(1));
-    let placement = FirstTouchPlacement::from_trace(64, &trace);
+    let placement = TraceCensus::from_trace(64, &trace).into_placement();
     let costs = FirstTouchCostMap::new(placement, sampled.proc(), CostPair::ratio(8), 64);
     let cfg = TraceSimConfig::paper_basic();
     SIM_POLICIES

@@ -6,7 +6,7 @@ use cost_sensitive_cache::trace::workloads::synthetic::{
     SequentialScan, UniformRandom, ZipfRandom,
 };
 use cost_sensitive_cache::trace::workloads::{BarnesLike, LuLike, OceanLike, RaytraceLike};
-use cost_sensitive_cache::trace::{FirstTouchPlacement, ProcId, SampledTrace, Trace, Workload};
+use cost_sensitive_cache::trace::{ProcId, SampledTrace, Trace, TraceCensus, Workload};
 
 /// Every kernel's flat trace and phased trace contain exactly the same
 /// references (the interleave is a permutation within phases).
@@ -76,14 +76,12 @@ fn first_touch_is_deterministic() {
             write_fraction: 0.3,
         };
         let t = w.generate(seed);
-        let a = FirstTouchPlacement::from_trace(64, &t);
-        let b = FirstTouchPlacement::from_trace(64, &t);
-        assert_eq!(a.units_homed(), b.units_homed());
-        for p in 0..4 {
-            let fa = a.remote_fraction(&t, ProcId(p));
-            assert!((0.0..=1.0).contains(&fa));
-            assert_eq!(fa, b.remote_fraction(&t, ProcId(p)));
-        }
+        let a = TraceCensus::from_trace(64, &t);
+        let b = TraceCensus::from_trace(64, &t);
+        assert_eq!(a.placement().units_homed(), b.placement().units_homed());
+        let fa = a.remote_fractions();
+        assert!(fa.iter().all(|f| (0.0..=1.0).contains(f)));
+        assert_eq!(fa, b.remote_fractions());
     }
 }
 
@@ -166,10 +164,8 @@ fn default_suite_characteristics_stay_in_documented_bands() {
         (Box::new(RaytraceLike::default()), 0.22..0.42),
     ];
     for (w, band) in suite {
-        let t = w.generate(2003);
-        let placement = FirstTouchPlacement::from_trace(64, &t);
-        let sample = cost_sensitive_cache::trace::representative_processor(&t, &placement);
-        let f = placement.remote_fraction(&t, sample);
+        let census = TraceCensus::from_trace(64, &w.generate(2003));
+        let f = census.remote_fractions()[census.representative_processor().0];
         assert!(
             band.contains(&f),
             "{}: remote fraction {f} outside documented band {band:?}",
