@@ -2,7 +2,7 @@
 //! Table 2) from the substrate crates. The `csr-bench` binary formats the
 //! structures produced here; integration tests assert their shapes.
 
-use crate::runner::{ClassMisses, PricedTrace, TraceSimConfig};
+use crate::runner::{ClassMisses, FilteredTrace, PricedTrace, TraceSimConfig};
 use cache_sim::{relative_savings_pct, Cost, CostPair};
 use csr::Policy;
 use mem_trace::cost_map::{FirstTouchCostMap, RandomCostMap};
@@ -173,15 +173,16 @@ pub fn fig3_grid(
     cfg: TraceSimConfig,
     threads: usize,
 ) -> Vec<SavingsPoint> {
-    let bb = cfg.l2.block_bytes();
-    // A block's class depends on the HAF, not on r: one pricing per
-    // (benchmark, HAF) serves every ratio.
+    // The L2's input depends on the kernel alone, and a block's class on
+    // the HAF, not on r: one filtering per kernel serves every HAF, and one
+    // pricing per (kernel, HAF) every ratio.
+    let filtered = run_tasks(threads, benchmarks, |b| FilteredTrace::new(&b.sampled, cfg));
     let maps: Vec<(usize, f64)> = (0..benchmarks.len())
         .flat_map(|bi| hafs.iter().map(move |&haf| (bi, haf)))
         .collect();
     let priced = run_tasks(threads, &maps, |&(bi, haf)| {
         let map = RandomCostMap::new(haf, CostPair::infinite_ratio(), BENCH_SEED ^ 0x5EED);
-        PricedTrace::new(&benchmarks[bi].sampled, &map, bb)
+        PricedTrace::new(&filtered[bi], &map)
     });
 
     let mut runs: Vec<Run> = Vec::new();
@@ -194,7 +195,7 @@ pub fn fig3_grid(
             }
         }
     }
-    let savings = savings_over_lru(&priced, &runs, cfg, threads);
+    let savings = savings_over_lru(&priced, &runs, threads);
     runs.into_iter()
         .zip(savings)
         .map(|((t, ratio, policy), savings_pct)| SavingsPoint {
@@ -231,13 +232,14 @@ pub fn table2(
     threads: usize,
 ) -> Vec<Table2Cell> {
     let bb = cfg.l2.block_bytes();
-    // A block is remote or not whatever r is: one pricing per benchmark
-    // serves every ratio.
+    // A block is remote or not whatever r is: one filtering and one pricing
+    // per benchmark serve every ratio.
+    let filtered = run_tasks(threads, benchmarks, |b| FilteredTrace::new(&b.sampled, cfg));
     let kernels: Vec<usize> = (0..benchmarks.len()).collect();
     let priced = run_tasks(threads, &kernels, |&bi| {
         let b = &benchmarks[bi];
         let map = FirstTouchCostMap::new(&b.placement, b.sample, CostPair::infinite_ratio(), bb);
-        PricedTrace::new(&b.sampled, &map, bb)
+        PricedTrace::new(&filtered[bi], &map)
     });
 
     let mut runs: Vec<Run> = Vec::new();
@@ -248,7 +250,7 @@ pub fn table2(
             }
         }
     }
-    let savings = savings_over_lru(&priced, &runs, cfg, threads);
+    let savings = savings_over_lru(&priced, &runs, threads);
     runs.into_iter()
         .zip(savings)
         .map(|((bi, ratio, policy), savings_pct)| Table2Cell {
@@ -266,12 +268,7 @@ type Run = (usize, CostRatio, Policy);
 /// The savings over LRU of every run, in order. One LRU run per priced
 /// trace is the baseline of every pair ([`PricedTrace::lru_misses`]); the
 /// baselines go first into the same pool as the runs.
-fn savings_over_lru(
-    priced: &[PricedTrace<'_>],
-    runs: &[Run],
-    cfg: TraceSimConfig,
-    threads: usize,
-) -> Vec<f64> {
+fn savings_over_lru(priced: &[PricedTrace<'_>], runs: &[Run], threads: usize) -> Vec<f64> {
     enum Job {
         Lru(usize),
         Run(Run),
@@ -285,9 +282,9 @@ fn savings_over_lru(
         .chain(runs.iter().copied().map(Job::Run))
         .collect();
     let done = run_tasks(threads, &jobs, |job| match *job {
-        Job::Lru(t) => Done::Lru(t, priced[t].lru_misses(cfg)),
+        Job::Lru(t) => Done::Lru(t, priced[t].lru_misses()),
         Job::Run((t, ratio, policy)) => {
-            Done::Run(priced[t].run(ratio.pair(), policy, cfg).aggregate_cost())
+            Done::Run(priced[t].run(ratio.pair(), policy).aggregate_cost())
         }
     });
     let mut lru = vec![ClassMisses::default(); priced.len()];

@@ -24,6 +24,6 @@ pub use numa_exp::{
     rsim_suite, rsim_suite_extended, run_numa, NumaBenchmark, Table5Cell, TABLE5_POLICIES,
 };
 pub use runner::{
-    l2_cores, run_sampled, run_sampled_observed, run_sampled_policy, ClassMisses, LruMissProfile,
-    PricedTrace, RunResult, TraceSimConfig,
+    l2_cores, run_sampled, run_sampled_observed, run_sampled_policy, ClassMisses, FilteredTrace,
+    LruMissProfile, PricedTrace, RunResult, TraceSimConfig,
 };

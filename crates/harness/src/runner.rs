@@ -2,12 +2,20 @@
 //! of the L2 under study, fed with one sample processor's references plus
 //! foreign writes (invalidations), charging each L2 miss its mapped cost.
 //!
-//! Every cost map gives a block one of two static costs, and which one does
-//! not depend on the cost ratio. So a trace is *priced* once per map — one
-//! bit per event, [`PricedTrace`] — and one loop replays those bits under
-//! any [`CostPair`]. [`run_sampled`] is pricing followed by that loop.
+//! Two facts let one sample trace serve every run. First, the L1 is the
+//! same in every run, and when the geometry nests (DESIGN.md invariant 9)
+//! nothing the L2 does reaches it: the trace is *filtered* once,
+//! [`FilteredTrace`], into the stream the L2 receives. Second, every cost
+//! map gives a block one of two static costs, and which one does not depend
+//! on the cost ratio: that stream is *priced* once per map — one bit per
+//! event, [`PricedTrace`] — and one loop replays those bits under any
+//! [`CostPair`]. [`run_sampled`] is filtering and pricing followed by that
+//! loop.
 
-use cache_sim::{BlockAddr, CacheStats, Cost, CostPair, EvictionPolicy, Geometry, Lru, TwoLevel};
+use cache_sim::{
+    AccessType, BlockAddr, Cache, CacheStats, Cost, CostPair, EvictionPolicy, Geometry, Lru,
+    TwoLevel,
+};
 use csr::Policy;
 use csr_obs::SharedObserver;
 use mem_trace::cost_map::{CostMap, UniformCostMap};
@@ -42,6 +50,16 @@ impl TraceSimConfig {
             l2: Geometry::new(l2_bytes, 64, assoc),
         }
     }
+
+    /// Whether the L1 is direct-mapped with no more sets than the L2. Set
+    /// counts are powers of two, so the L1's sets then divide the L2's,
+    /// every L2 victim maps to the L1 line its replacement was just filled
+    /// into, and inclusion never takes a block from the L1 (DESIGN.md
+    /// invariant 9).
+    #[must_use]
+    pub fn nests(&self) -> bool {
+        self.l1.assoc() == 1 && self.l2.num_sets() >= self.l1.num_sets()
+    }
 }
 
 impl Default for TraceSimConfig {
@@ -69,111 +87,245 @@ impl RunResult {
     }
 }
 
-/// A sample trace with the cost class of every event computed once under
-/// one cost map: runs under any cost pair replay the bits instead of
+/// The kinds of a [`FilteredTrace`] event, its low two bits.
+const READ: u64 = 0;
+const WRITE: u64 = 1;
+/// A dirty block the L1 displaced, written back into the L2.
+const WRITEBACK: u64 = 2;
+/// A foreign write's coherence invalidation.
+const INVALIDATE: u64 = 3;
+
+/// A sample trace reduced, for one cache geometry, to what the level under
+/// the processor's L1 receives; it does not depend on any cost map.
+///
+/// When the geometry [nests](TraceSimConfig::nests), the L1 runs once
+/// here and the stream holds what the L2 sees: the L1's misses, its dirty
+/// writebacks and the coherence invalidations. Every run then simulates the
+/// L2 alone. Otherwise the stream is the processor's events unfiltered, and
+/// every run simulates both levels.
+#[derive(Debug, Clone)]
+pub struct FilteredTrace {
+    cfg: TraceSimConfig,
+    /// One event per word: `block << 2 | kind`.
+    stream: Vec<u64>,
+    /// The L1's statistics over the filter pass; `None` when the geometry
+    /// does not nest and each run simulates its own L1.
+    l1: Option<CacheStats>,
+}
+
+impl FilteredTrace {
+    /// Filters `sampled` through `cfg`'s L1, if `cfg` nests.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two levels have different block sizes.
+    #[must_use]
+    pub fn new(sampled: &SampledTrace, cfg: TraceSimConfig) -> Self {
+        assert_eq!(
+            cfg.l1.block_bytes(),
+            cfg.l2.block_bytes(),
+            "L1 and L2 must share a block size"
+        );
+        let shift = cfg.l2.block_bytes().trailing_zeros();
+        let kind = |op| match op {
+            AccessType::Read => READ,
+            AccessType::Write => WRITE,
+        };
+        if !cfg.nests() {
+            let stream = sampled
+                .events()
+                .iter()
+                .map(|ev| match *ev {
+                    SampledEvent::Own { addr, op } => addr.0 >> shift << 2 | kind(op),
+                    SampledEvent::ForeignWrite { addr } => addr.0 >> shift << 2 | INVALIDATE,
+                })
+                .collect();
+            return FilteredTrace {
+                cfg,
+                stream,
+                l1: None,
+            };
+        }
+        // The same L1 traffic `TwoLevel::access` and `invalidate` make, the
+        // inclusion probes aside: those never hit here.
+        let mut l1 = Cache::new(cfg.l1, Lru::new);
+        let mut stream = Vec::with_capacity(sampled.events().len());
+        for ev in sampled.events() {
+            match *ev {
+                SampledEvent::Own { addr, op } => {
+                    let block = BlockAddr(addr.0 >> shift);
+                    let out = l1.access(block, op, Cost::ZERO);
+                    if out.hit {
+                        continue;
+                    }
+                    if let Some(ev) = out.evicted.filter(|ev| ev.dirty) {
+                        stream.push(ev.block.0 << 2 | WRITEBACK);
+                    }
+                    stream.push(block.0 << 2 | kind(op));
+                }
+                SampledEvent::ForeignWrite { addr } => {
+                    let block = BlockAddr(addr.0 >> shift);
+                    l1.invalidate(block);
+                    stream.push(block.0 << 2 | INVALIDATE);
+                }
+            }
+        }
+        FilteredTrace {
+            cfg,
+            stream,
+            l1: Some(*l1.stats()),
+        }
+    }
+}
+
+/// A filtered trace with the cost class of every access computed once
+/// under one cost map: runs under any cost pair replay the bits instead of
 /// asking the map again.
 #[derive(Debug, Clone)]
 pub struct PricedTrace<'a> {
-    sampled: &'a SampledTrace,
-    block_bytes: u64,
-    /// Bit `i % 64` of word `i / 64` is set when event `i` references a
+    trace: &'a FilteredTrace,
+    /// Bit `i % 64` of word `i / 64` is set when event `i` accesses a
     /// high-cost block.
     high: Vec<u64>,
 }
 
 impl<'a> PricedTrace<'a> {
-    /// Classifies every reference of `sampled` under `costs`, for caches
-    /// of `block_bytes`-byte blocks. The map's own pair is not used.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_bytes` is not a power of two.
+    /// Classifies every access of `trace` under `costs`. The map's own pair
+    /// is not used.
     #[must_use]
-    pub fn new(sampled: &'a SampledTrace, costs: &dyn CostMap, block_bytes: u64) -> Self {
-        let high = sampled
-            .events()
+    pub fn new(trace: &'a FilteredTrace, costs: &dyn CostMap) -> Self {
+        let high = trace
+            .stream
             .chunks(64)
             .map(|chunk| {
-                chunk
-                    .iter()
-                    .enumerate()
-                    .fold(0u64, |word, (j, ev)| match *ev {
-                        SampledEvent::Own { addr, .. } => {
-                            word | u64::from(costs.is_high_cost(addr.block(block_bytes))) << j
-                        }
-                        SampledEvent::ForeignWrite { .. } => word,
-                    })
+                chunk.iter().enumerate().fold(0u64, |word, (j, &ev)| {
+                    let access = ev & 3 <= WRITE;
+                    word | u64::from(access && costs.is_high_cost(BlockAddr(ev >> 2))) << j
+                })
             })
             .collect();
-        PricedTrace {
-            sampled,
-            block_bytes,
-            high,
-        }
+        PricedTrace { trace, high }
     }
 
     /// Runs `policy` with each L2 miss charged `pair.high()` on a
     /// high-cost block and `pair.low()` on any other.
     #[must_use]
-    pub fn run(&self, pair: CostPair, policy: Policy, cfg: TraceSimConfig) -> RunResult {
-        let (l1, l2) = self.run_policy(pair, l2_cores(policy, &cfg.l2, None), cfg);
+    pub fn run(&self, pair: CostPair, policy: Policy) -> RunResult {
+        let cores = l2_cores(policy, &self.trace.cfg.l2, None);
+        let (l1, l2) = self.run_policy(pair, cores, |_| {});
         RunResult { policy, l1, l2 }
     }
 
-    /// [`run`](Self::run) with the L2's cores built by `l2_core`; returns
-    /// the L1 and L2 statistics.
+    /// [`run`](Self::run) with the L2's cores built by `l2_core` and each
+    /// L2 miss also reported to `on_l2_miss`; returns the L1 and L2
+    /// statistics.
     fn run_policy<C: EvictionPolicy>(
         &self,
         pair: CostPair,
         l2_core: impl FnMut() -> C,
-        cfg: TraceSimConfig,
+        on_l2_miss: impl FnMut(BlockAddr),
     ) -> (CacheStats, CacheStats) {
-        let mut h = TwoLevel::new(cfg.l1, cfg.l2, l2_core);
-        self.replay(pair, &mut h, |_| {});
-        (*h.l1().stats(), *h.l2().stats())
+        let cfg = self.trace.cfg;
+        match self.trace.l1 {
+            Some(mut l1) => {
+                let mut l2 = Cache::new(cfg.l2, l2_core);
+                self.replay(pair, &mut l2, on_l2_miss);
+                // `TwoLevel` asks the L1 for every L2 victim; in a nesting
+                // geometry that probe never finds it.
+                l1.invalidations_requested += l2.stats().evictions;
+                (l1, *l2.stats())
+            }
+            None => {
+                let mut h = TwoLevel::new(cfg.l1, cfg.l2, l2_core);
+                self.replay(pair, &mut h, on_l2_miss);
+                (*h.l1().stats(), *h.l2().stats())
+            }
+        }
     }
 
     /// The LRU baseline of every pair at once: one LRU run's L2 misses,
     /// split by cost class.
     #[must_use]
-    pub fn lru_misses(&self, cfg: TraceSimConfig) -> ClassMisses {
+    pub fn lru_misses(&self) -> ClassMisses {
         // LRU ignores costs, so charging high-class misses 1 and the rest
         // 0 makes the aggregate cost the high-class miss count.
-        let (_, l2) = self.run_policy(CostPair::infinite_ratio(), Lru::new, cfg);
+        let (_, l2) = self.run_policy(CostPair::infinite_ratio(), Lru::new, |_| {});
         ClassMisses {
             low: l2.misses - l2.aggregate_cost.0,
             high: l2.aggregate_cost.0,
         }
     }
 
-    /// The one replay loop: every event into `h`, each reference charged
+    /// The one replay loop: every event into `level`, each access charged
     /// by its bit, each L2 miss also reported to `on_l2_miss`.
-    fn replay<C: EvictionPolicy>(
+    fn replay(
         &self,
         pair: CostPair,
-        h: &mut TwoLevel<C>,
+        level: &mut impl Level,
         mut on_l2_miss: impl FnMut(BlockAddr),
     ) {
-        assert_eq!(
-            h.l2().geometry().block_bytes(),
-            self.block_bytes,
-            "trace priced for another block size"
-        );
-        let shift = self.block_bytes.trailing_zeros();
-        for (chunk, &word) in self.sampled.events().chunks(64).zip(&self.high) {
-            for (j, ev) in chunk.iter().enumerate() {
-                match *ev {
-                    SampledEvent::Own { addr, op } => {
-                        let block = BlockAddr(addr.0 >> shift);
-                        let cost = pair.pick(word >> j & 1 == 1);
-                        if h.access(block, op, cost).l2_hit == Some(false) {
-                            on_l2_miss(block);
-                        }
+        for (chunk, &word) in self.trace.stream.chunks(64).zip(&self.high) {
+            for (j, &ev) in chunk.iter().enumerate() {
+                let block = BlockAddr(ev >> 2);
+                let op = match ev & 3 {
+                    READ => AccessType::Read,
+                    WRITE => AccessType::Write,
+                    WRITEBACK => {
+                        level.writeback(block);
+                        continue;
                     }
-                    SampledEvent::ForeignWrite { addr } => h.invalidate(BlockAddr(addr.0 >> shift)),
+                    _ => {
+                        level.invalidate(block);
+                        continue;
+                    }
+                };
+                if level.access(block, op, pair.pick(word >> j & 1 == 1)) {
+                    on_l2_miss(block);
                 }
             }
         }
+    }
+}
+
+/// What a [`PricedTrace`] replays into: the L2 alone behind a filtered
+/// stream, or the whole hierarchy behind an unfiltered one.
+trait Level {
+    /// One access charged `cost` on an L2 miss; `true` when it missed the
+    /// L2.
+    fn access(&mut self, block: BlockAddr, op: AccessType, cost: Cost) -> bool;
+
+    /// A dirty L1 victim written back into the L2.
+    fn writeback(&mut self, block: BlockAddr);
+
+    /// A coherence invalidation.
+    fn invalidate(&mut self, block: BlockAddr);
+}
+
+impl<C: EvictionPolicy> Level for Cache<C> {
+    fn access(&mut self, block: BlockAddr, op: AccessType, cost: Cost) -> bool {
+        !Cache::access(self, block, op, cost).hit
+    }
+
+    fn writeback(&mut self, block: BlockAddr) {
+        Cache::writeback(self, block);
+    }
+
+    fn invalidate(&mut self, block: BlockAddr) {
+        Cache::invalidate(self, block);
+    }
+}
+
+impl<C: EvictionPolicy> Level for TwoLevel<C> {
+    fn access(&mut self, block: BlockAddr, op: AccessType, cost: Cost) -> bool {
+        TwoLevel::access(self, block, op, cost).l2_hit == Some(false)
+    }
+
+    fn writeback(&mut self, _block: BlockAddr) {
+        unreachable!("an unfiltered stream carries no L1 writebacks")
+    }
+
+    fn invalidate(&mut self, block: BlockAddr) {
+        TwoLevel::invalidate(self, block);
     }
 }
 
@@ -203,7 +355,8 @@ pub fn run_sampled(
     policy: Policy,
     cfg: TraceSimConfig,
 ) -> RunResult {
-    PricedTrace::new(sampled, costs, cfg.l2.block_bytes()).run(costs.pair(), policy, cfg)
+    let trace = FilteredTrace::new(sampled, cfg);
+    PricedTrace::new(&trace, costs).run(costs.pair(), policy)
 }
 
 /// Runs `policy` over a sampled trace with a decision observer attached.
@@ -248,7 +401,8 @@ pub fn run_sampled_policy<C: EvictionPolicy>(
     l2_core: impl FnMut() -> C,
     cfg: TraceSimConfig,
 ) -> (CacheStats, CacheStats) {
-    PricedTrace::new(sampled, costs, cfg.l2.block_bytes()).run_policy(costs.pair(), l2_core, cfg)
+    let trace = FilteredTrace::new(sampled, cfg);
+    PricedTrace::new(&trace, costs).run_policy(costs.pair(), l2_core, |_| {})
 }
 
 /// The per-block L2 miss counts of an LRU run.
@@ -267,16 +421,14 @@ impl LruMissProfile {
     /// Runs LRU once over the sampled trace and records per-block misses.
     #[must_use]
     pub fn collect(sampled: &SampledTrace, cfg: TraceSimConfig) -> Self {
-        let unpriced = PricedTrace::new(sampled, &UniformCostMap(Cost::ZERO), cfg.l2.block_bytes());
-        let mut h = TwoLevel::new(cfg.l1, cfg.l2, Lru::new);
+        let trace = FilteredTrace::new(sampled, cfg);
+        let unpriced = PricedTrace::new(&trace, &UniformCostMap(Cost::ZERO));
         let mut miss_counts: HashMap<u64, u64> = HashMap::new();
-        unpriced.replay(CostPair::new(Cost::ZERO, Cost::ZERO), &mut h, |block| {
-            *miss_counts.entry(block.0).or_insert(0) += 1;
-        });
-        LruMissProfile {
-            miss_counts,
-            stats: *h.l2().stats(),
-        }
+        let (_, stats) =
+            unpriced.run_policy(CostPair::new(Cost::ZERO, Cost::ZERO), Lru::new, |block| {
+                *miss_counts.entry(block.0).or_insert(0) += 1;
+            });
+        LruMissProfile { miss_counts, stats }
     }
 
     /// The LRU aggregate cost under `costs`.

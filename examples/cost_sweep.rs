@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example cost_sweep`
 
 use cost_sensitive_cache::harness::{
-    Benchmark, CostRatio, LruMissProfile, PricedTrace, TraceSimConfig,
+    Benchmark, CostRatio, FilteredTrace, LruMissProfile, PricedTrace, TraceSimConfig,
 };
 use cost_sensitive_cache::policies::Policy;
 use cost_sensitive_cache::sim::relative_savings_pct;
@@ -30,6 +30,9 @@ fn main() {
 
     let cfg = TraceSimConfig::paper_basic();
     let baseline = LruMissProfile::collect(&sampled, cfg);
+    // The L2's input (the L1 miss stream) is the same for every map: filter
+    // the trace through the L1 once.
+    let filtered = FilteredTrace::new(&sampled, cfg);
 
     let hafs = [0.05, 0.1, 0.2, 0.3, 0.5, 0.8];
     let ratios = [
@@ -47,13 +50,13 @@ fn main() {
     for haf in hafs {
         print!("{haf:>6.2}");
         // Which blocks are high-cost depends on the HAF only: classify the
-        // trace once and run it under every ratio.
+        // stream once and run it under every ratio.
         let classes = RandomCostMap::new(haf, CostRatio::Infinite.pair(), 99);
-        let priced = PricedTrace::new(&sampled, &classes, cfg.l2.block_bytes());
+        let priced = PricedTrace::new(&filtered, &classes);
         for ratio in ratios {
             let map = RandomCostMap::new(haf, ratio.pair(), 99);
             let lru_cost = baseline.aggregate_cost(&map);
-            let run = priced.run(ratio.pair(), Policy::Dcl, cfg);
+            let run = priced.run(ratio.pair(), Policy::Dcl);
             print!(
                 "{:>9.2}",
                 relative_savings_pct(lru_cost, run.aggregate_cost())

@@ -4,8 +4,9 @@
 //! Scripts come from the internal [`SplitMix64`] generator with fixed
 //! seeds, so any failure reproduces exactly.
 
+use cost_sensitive_cache::harness::{l2_cores, TraceSimConfig};
 use cost_sensitive_cache::policies::csopt::{simulate_csopt, CsoptLimits};
-use cost_sensitive_cache::policies::{AclCore, BclCore, DclCore, GdCore, TraceEvent};
+use cost_sensitive_cache::policies::{AclCore, BclCore, DclCore, GdCore, Policy, TraceEvent};
 use cost_sensitive_cache::sim::{
     AccessType, BlockAddr, Cache, Cost, EvictionPolicy, Geometry, Lru, TwoLevel,
 };
@@ -198,4 +199,73 @@ fn l2_sees_exactly_the_l1_miss_stream() {
             "case {case}"
         );
     }
+}
+
+/// DESIGN.md invariant 9: behind a direct-mapped L1 whose sets divide the
+/// L2's, an L2 eviction never finds its block in the L1 — whichever block
+/// the L2's policy picks. So the only L1 invalidations that hit are the
+/// coherence invalidations that found their block there, no dirty L1 copy
+/// is ever dropped, and every L2 eviction adds one probe that misses.
+#[test]
+fn inclusion_never_reaches_a_nesting_l1() {
+    let l1 = Geometry::direct_mapped(256, 64); // 4 sets
+    let mut non_lru_evictions = 0;
+    for l2 in [Geometry::new(1024, 64, 4), Geometry::new(1024, 64, 2)] {
+        assert!(TraceSimConfig { l1, l2 }.nests(), "{l2:?}");
+        for policy in std::iter::once(Policy::Lru).chain(Policy::PAPER_SET) {
+            for case in 0..CASES {
+                let mut h = TwoLevel::new(l1, l2, l2_cores(policy, &l2, None));
+                let (mut coherence, mut found_in_l1) = (0, 0);
+                for st in &random_script(case) {
+                    match *st {
+                        Step::Read(b) => {
+                            h.access(BlockAddr(b), AccessType::Read, cost_of(b));
+                        }
+                        Step::Write(b) => {
+                            h.access(BlockAddr(b), AccessType::Write, cost_of(b));
+                        }
+                        Step::Invalidate(b) => {
+                            coherence += 1;
+                            found_in_l1 += u64::from(h.l1().contains(BlockAddr(b)));
+                            h.invalidate(BlockAddr(b));
+                        }
+                    }
+                }
+                let (s1, s2) = (h.l1().stats(), h.l2().stats());
+                let at = format!("{policy} on {} sets, case {case}", l2.num_sets());
+                assert_eq!(s1.invalidations_hit, found_in_l1, "{at}");
+                assert_eq!(s1.invalidations_requested, coherence + s2.evictions, "{at}");
+                assert_eq!(h.dirty_backinvalidations(), 0, "{at}");
+                non_lru_evictions += s2.non_lru_evictions;
+            }
+        }
+    }
+    assert!(
+        non_lru_evictions > 0,
+        "the cost-sensitive cores must leave reservations"
+    );
+}
+
+/// The precondition of invariant 9 is needed: behind the 64-line L1, the
+/// sweep's 8 KB 4-way L2 has 32 sets, and its LRU victim can sit in an L1
+/// line other than the one just filled — here dirty, so inclusion drops
+/// the newer copy.
+#[test]
+fn inclusion_reaches_an_l1_with_more_sets_than_the_l2() {
+    let cfg = TraceSimConfig::with_l2(8 * 1024, 4);
+    assert_eq!((cfg.l1.num_sets(), cfg.l2.num_sets()), (64, 32));
+    assert!(!cfg.nests());
+    let mut h = TwoLevel::new(cfg.l1, cfg.l2, Lru::new);
+    // Block 32 lives in L1 line 32 and L2 set 0; 0, 64 and 128 fill L2 set
+    // 0 through L1 line 0, and 192 evicts 32 from the L2.
+    h.access(BlockAddr(32), AccessType::Write, Cost(1));
+    for b in [0, 64, 128] {
+        h.access(BlockAddr(b), AccessType::Read, Cost(1));
+    }
+    assert!(h.l1().contains(BlockAddr(32)));
+    h.access(BlockAddr(192), AccessType::Read, Cost(1));
+    assert!(!h.l2().contains(BlockAddr(32)));
+    assert!(!h.l1().contains(BlockAddr(32)), "inclusion must take it");
+    assert_eq!(h.l1().stats().invalidations_hit, 1);
+    assert_eq!(h.dirty_backinvalidations(), 1);
 }
