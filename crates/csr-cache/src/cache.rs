@@ -7,7 +7,6 @@ use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hash};
 use std::sync::Arc;
 
-use crate::selector::{SelectorCell, SelectorConfig, SelectorShared, SelectorStats};
 use crate::shard::{Shard, ShardMetrics};
 use crate::stats::CacheStats;
 
@@ -29,7 +28,6 @@ pub struct CacheBuilder<K, V, S = RandomState> {
     registry: Option<Arc<Registry>>,
     observer: Option<SharedObserver>,
     sample_every: u64,
-    adaptive: Option<SelectorConfig>,
 }
 
 impl<K, V> CacheBuilder<K, V, RandomState> {
@@ -43,7 +41,6 @@ impl<K, V> CacheBuilder<K, V, RandomState> {
             registry: None,
             observer: None,
             sample_every: DEFAULT_SAMPLE_EVERY,
-            adaptive: None,
         }
     }
 }
@@ -120,26 +117,6 @@ impl<K, V, S> CacheBuilder<K, V, S> {
         self
     }
 
-    /// Enables **online adaptive policy selection**: instead of committing
-    /// to one policy, every shard shadow-scores the two
-    /// [`SelectorConfig::candidates`] on a key sample of its own traffic
-    /// (each candidate runs a key-only ghost miniature of the shard) and
-    /// hot-flips its live core to whichever accrues more modeled cost
-    /// savings, with hysteresis. The cache reports policy name
-    /// `"ADAPTIVE"`; per-candidate scores, epochs and flips are readable
-    /// via [`CsrCache::selector_stats`] and exported as
-    /// `csr_cache_selector_*` when [`metrics`](Self::metrics) is enabled,
-    /// and every flip reaches the [`observer`](Self::observer) as a
-    /// `policy_flip` event.
-    ///
-    /// Overrides any earlier [`policy`](Self::policy) choice: shards start
-    /// on `candidates.0`.
-    #[must_use]
-    pub fn adaptive(mut self, config: SelectorConfig) -> Self {
-        self.adaptive = Some(config);
-        self
-    }
-
     /// Sets the miss-cost function. Uniform cost 1 by default (under which
     /// every cost-sensitive policy degenerates to its LRU behaviour).
     #[must_use]
@@ -161,7 +138,6 @@ impl<K, V, S> CacheBuilder<K, V, S> {
             registry: self.registry,
             observer: self.observer,
             sample_every: self.sample_every,
-            adaptive: self.adaptive,
         }
     }
 }
@@ -179,13 +155,7 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher + Clone> CacheBuilder<K, V, S> {
         let shards = effective_shards(requested, self.capacity);
         let per_shard = self.capacity.div_ceil(shards);
 
-        // Adaptive selection overrides the policy choice: shards start on
-        // the first candidate and may flip per epoch thereafter.
-        let (policy, policy_name) = match self.adaptive {
-            Some(cfg) => (cfg.candidates.0, "ADAPTIVE"),
-            None => (self.policy, self.policy.name()),
-        };
-
+        let policy_name = self.policy.name();
         // Every shard's core receives the metrics feed and the user
         // observer, combined.
         let policy_obs: Option<SharedObserver> = match (&self.registry, self.observer) {
@@ -198,32 +168,14 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher + Clone> CacheBuilder<K, V, S> {
             (None, None) => None,
         };
 
-        let selector_shared = self.adaptive.map(|cfg| {
-            Arc::new(SelectorShared::new(
-                cfg.candidates,
-                shards,
-                self.registry.as_deref(),
-                policy_obs.clone(),
-            ))
-        });
-
-        let mut cores = policy.cores(per_shard, 0, policy_obs.clone());
+        let mut cores = self.policy.cores(per_shard, 0, policy_obs);
         let shard_vec: Vec<Shard<K, V, S>> = (0..shards)
             .map(|i| {
                 let metrics = self
                     .registry
                     .as_ref()
                     .map(|r| ShardMetrics::new(r, policy_name, i, self.sample_every));
-                let selector = match (&self.adaptive, &selector_shared) {
-                    (Some(cfg), Some(shared)) => Some(SelectorCell::new(
-                        *cfg,
-                        per_shard,
-                        Arc::clone(shared),
-                        policy_obs.clone(),
-                    )),
-                    _ => None,
-                };
-                Shard::new(per_shard, cores(), self.hasher.clone(), metrics, selector)
+                Shard::new(per_shard, cores(), self.hasher.clone(), metrics)
             })
             .collect();
         CsrCache {
@@ -231,9 +183,8 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher + Clone> CacheBuilder<K, V, S> {
             shard_bits: shards.trailing_zeros(),
             hasher: self.hasher,
             cost_fn: self.cost_fn,
-            policy_name,
+            policy: self.policy,
             registry: self.registry,
-            selector: selector_shared,
         }
     }
 }
@@ -284,9 +235,8 @@ pub struct CsrCache<K, V, S = RandomState> {
     shard_bits: u32,
     hasher: S,
     cost_fn: Arc<CostFn<K, V>>,
-    policy_name: &'static str,
+    policy: Policy,
     registry: Option<Arc<Registry>>,
-    selector: Option<Arc<SelectorShared>>,
 }
 
 impl<K: Hash + Eq + Clone, V> CsrCache<K, V, RandomState> {
@@ -465,7 +415,7 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> CsrCache<K, V, S> {
     /// Name of the configured replacement policy.
     #[must_use]
     pub fn policy_name(&self) -> &'static str {
-        self.policy_name
+        self.policy.name()
     }
 
     /// The metrics registry attached via
@@ -476,28 +426,6 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> CsrCache<K, V, S> {
         self.registry.as_ref()
     }
 
-    /// A snapshot of the adaptive selector's cache-wide state — shadow
-    /// scores, epochs, flips, live-shard split. `None` unless the cache
-    /// was built with [`CacheBuilder::adaptive`].
-    #[must_use]
-    pub fn selector_stats(&self) -> Option<SelectorStats> {
-        self.selector.as_ref().map(|s| s.stats())
-    }
-
-    /// The live policy name of every shard under adaptive selection, in
-    /// shard order. `None` unless the cache was built with
-    /// [`CacheBuilder::adaptive`].
-    #[must_use]
-    pub fn shard_live_policies(&self) -> Option<Vec<&'static str>> {
-        self.selector.as_ref()?;
-        Some(
-            self.shards
-                .iter()
-                .map(|s| s.live_policy_name().unwrap_or(self.policy_name))
-                .collect(),
-        )
-    }
-
     /// Clones every resident `(key, value, cost)` triple out of the
     /// cache — the snapshot primitive for persistence layers.
     ///
@@ -505,10 +433,8 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> CsrCache<K, V, S> {
     /// the ordering hint a restart needs, because replaying the triples
     /// in returned order through [`insert_with_cost`](Self::insert_with_cost)
     /// (keys land back in their original shards) reconstructs each
-    /// shard's recency list and refills the policy cores in the same
-    /// LRU-→-MRU order the adaptive selector uses when hot-swapping a
-    /// core — so GD/BCL/DCL eviction ordering survives a dump/reload
-    /// round trip.
+    /// shard's recency list and refills the policy cores LRU first — so
+    /// GD/BCL/DCL eviction ordering survives a dump/reload round trip.
     ///
     /// **Lock-light, not atomic**: each shard is locked only while its
     /// own entries are cloned out, so concurrent writers stall on one
@@ -649,50 +575,6 @@ mod tests {
         // The cache stays usable after clear.
         c.insert(1, 1);
         assert_eq!(c.get(&1), Some(1));
-    }
-
-    #[test]
-    fn adaptive_cache_shadow_scores() {
-        let cfg = SelectorConfig {
-            candidates: (Policy::Lru, Policy::Slru),
-            sample_every: 1,
-            epoch_len: 32,
-            hysteresis: 1,
-            min_flip_gap: 0,
-            ghost_capacity: 4,
-        };
-        let c: CsrCache<u64, u64> = CsrCache::builder(8).shards(1).adaptive(cfg).build();
-        assert_eq!(c.policy_name(), "ADAPTIVE");
-        assert_eq!(
-            c.shard_live_policies().as_deref(),
-            Some(&["LRU"][..]),
-            "shards start on the first candidate"
-        );
-        // A frequent pair amid a scan: plenty of sampled traffic for both
-        // ghosts to score.
-        for k in 0..2u64 {
-            c.insert(k, k);
-        }
-        for round in 0..64u64 {
-            c.get(&0);
-            c.get(&1);
-            c.insert(100 + round, round);
-        }
-        let s = c.selector_stats().expect("adaptive cache exposes stats");
-        assert_eq!(s.candidates, ("LRU", "SLRU"));
-        assert!(s.epochs >= 1, "epoch_len 32 must have closed an epoch");
-        assert!(s.sampled_gets >= 128 && s.sampled_fills >= 64);
-        assert!(s.shadow_hits.0 + s.shadow_hits.1 > 0);
-        assert_eq!(s.live_shards.0 + s.live_shards.1, 1);
-        // The cache itself keeps serving correctly throughout.
-        assert_eq!(c.get(&0), Some(0));
-    }
-
-    #[test]
-    fn non_adaptive_cache_has_no_selector() {
-        let c = lru_cache(8, 1);
-        assert!(c.selector_stats().is_none());
-        assert!(c.shard_live_policies().is_none());
     }
 
     #[test]

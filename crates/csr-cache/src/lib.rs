@@ -46,11 +46,9 @@
 
 mod cache;
 mod region;
-mod selector;
 mod shard;
 mod stats;
 
 pub use cache::{CacheBuilder, CostFn, CsrCache};
 pub use csr::Policy;
-pub use selector::{SelectorConfig, SelectorStats};
 pub use stats::CacheStats;

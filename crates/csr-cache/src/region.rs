@@ -33,8 +33,8 @@
 //!
 //! What the partition costs is paid when the LRU entry is promoted, evicted
 //! or removed: its successor is the oldest of the class tails, O(distinct
-//! costs) to find. The whole order (a snapshot, a core swap) is the entries
-//! sorted by stamp. The benchmark's two costs make all of that two steps; a
+//! costs) to find. The whole order (a snapshot) is the entries sorted by
+//! stamp. The benchmark's two costs make all of that two steps; a
 //! server charging measured latencies has as many classes as distinct
 //! latencies resident, and if that count ever matters the lever is rounding
 //! costs into classes CAMP-style — deliberately not pulled here, because it
@@ -44,8 +44,7 @@
 //!
 //! The region is addressed by slab slot (the policy's "way") and knows
 //! nothing about keys: the owner keeps the key → slot index and stores
-//! whatever it needs per entry as the payload `T` — `(K, V)` for a shard,
-//! `()` for the adaptive selector's key-only ghosts.
+//! whatever it needs per entry as the payload `T` — `(K, V)` for a shard.
 
 use cache_sim::{BlockAddr, BoxedPolicy, Cost, Residents, Way, WayView};
 use csr::eviction::overgrown;
@@ -435,12 +434,12 @@ impl<T> Region<T> {
         slot
     }
 
-    /// Removes every entry, MRU first, reporting each identity to the core
-    /// and to `each`. Returns how many were dropped.
-    pub(crate) fn clear(&mut self, mut each: impl FnMut(BlockAddr)) -> u64 {
+    /// Removes every entry, MRU first, reporting each identity to the core.
+    /// Returns how many were dropped.
+    pub(crate) fn clear(&mut self) -> u64 {
         let mut dropped = 0;
         for i in self.slab.lru_to_mru().rev() {
-            each(self.remove(i).id);
+            self.remove(i);
             dropped += 1;
         }
         let slab = &mut self.slab;
@@ -456,16 +455,6 @@ impl<T> Region<T> {
     /// The resident entries with their slots, LRU first.
     pub(crate) fn lru_to_mru(&self) -> impl Iterator<Item = (u32, &Slot<T>)> {
         self.slab.lru_to_mru().map(|i| (i, self.slab.slot(i)))
-    }
-
-    /// Hot-swaps the core: the incoming one is warmed by replaying the
-    /// resident entries as fills, LRU first, so its view of the recency
-    /// order matches the region's — then it simply takes over.
-    pub(crate) fn swap_core(&mut self, mut core: BoxedPolicy) {
-        for (i, s) in self.lru_to_mru() {
-            core.on_fill(s.id, Way(i as usize), Cost(self.cost(i)));
-        }
-        self.core = core;
     }
 }
 

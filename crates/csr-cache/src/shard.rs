@@ -1,6 +1,6 @@
 //! One independently locked shard: a key index over a [`Region`] (slab,
-//! recency list and policy core), plus the single-flight fetch table,
-//! counters and the optional adaptive selector.
+//! recency list and policy core), plus the single-flight fetch table and
+//! counters.
 //!
 //! A shard is to the key-value cache what one set is to a hardware cache:
 //! the policy core sees the shard as a single replacement region whose
@@ -19,7 +19,6 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use crate::region::Region;
-use crate::selector::SelectorCell;
 use crate::stats::CacheStats;
 
 /// Per-shard counters: mutated under the shard lock, loaded without it.
@@ -227,11 +226,6 @@ pub(crate) struct Shard<K, V, S> {
     counters: ShardCounters,
     capacity: usize,
     metrics: Option<ShardMetrics>,
-    /// Adaptive policy selector, present only on caches built with
-    /// [`CacheBuilder::adaptive`](crate::CacheBuilder::adaptive). Its inner
-    /// lock is never taken while `state` is held (selector hooks run after
-    /// the state guard is dropped); a flip re-acquires `state` afterwards.
-    selector: Option<SelectorCell>,
 }
 
 impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
@@ -240,7 +234,6 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
         policy: BoxedPolicy,
         hasher: S,
         metrics: Option<ShardMetrics>,
-        selector: Option<SelectorCell>,
     ) -> Self {
         assert!(capacity > 0, "shard capacity must be positive");
         Shard {
@@ -252,14 +245,7 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
             counters: ShardCounters::default(),
             capacity,
             metrics,
-            selector,
         }
-    }
-
-    /// The shard's current live policy name under adaptive selection, if
-    /// the selector is enabled.
-    pub(crate) fn live_policy_name(&self) -> Option<&'static str> {
-        self.selector.as_ref().map(SelectorCell::live_name)
     }
 
     pub(crate) fn capacity(&self) -> usize {
@@ -303,13 +289,6 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
             }
         };
         drop(st);
-        if let Some(cell) = &self.selector {
-            if cell.sampled(id) {
-                if let Some(flip) = cell.on_get(id) {
-                    self.lock().region.swap_core(flip.core);
-                }
-            }
-        }
         if let Some(t) = timer {
             t.finish(started);
         }
@@ -322,11 +301,6 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
         let timer = self.metrics.as_ref().map(|m| &m.insert_ns);
         let started = timer.and_then(OpTimer::maybe_start);
         let result = self.insert_locked(key, value, cost, id);
-        if let Some(cell) = &self.selector {
-            if cell.sampled(id) {
-                cell.on_fill(id, cost);
-            }
-        }
         if let Some(t) = timer {
             t.finish(started);
         }
@@ -500,12 +474,6 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
         let slot = st.region.remove(i);
         ShardCounters::bump(&self.counters.removals);
         self.counters.resident.fetch_sub(1, Ordering::Relaxed);
-        drop(st);
-        if let Some(cell) = &self.selector {
-            if cell.sampled(slot.id) {
-                cell.on_remove(slot.id);
-            }
-        }
         Some(slot.payload.1)
     }
 
@@ -515,21 +483,10 @@ impl<K: Hash + Eq + Clone, V, S: BuildHasher> Shard<K, V, S> {
 
     pub(crate) fn clear(&self) {
         let mut st = self.lock();
-        let mut sampled_ids = Vec::new();
-        let dropped = st.region.clear(|id| {
-            if self.selector.as_ref().is_some_and(|cell| cell.sampled(id)) {
-                sampled_ids.push(id);
-            }
-        });
+        let dropped = st.region.clear();
         st.map.clear();
         self.counters.removals.fetch_add(dropped, Ordering::Relaxed);
         self.counters.resident.fetch_sub(dropped, Ordering::Relaxed);
-        drop(st);
-        if let Some(cell) = &self.selector {
-            for id in sampled_ids {
-                cell.on_remove(id);
-            }
-        }
     }
 
     /// Clones every resident `(key, value, cost)` triple out of the shard

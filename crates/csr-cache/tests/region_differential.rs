@@ -62,15 +62,14 @@ trait Driver {
     /// The slot filled, and the evicted `(id, reserved)` if any.
     fn insert(&mut self, id: BlockAddr, cost: u64) -> (u32, Option<(BlockAddr, bool)>);
     fn remove(&mut self, i: u32) -> BlockAddr;
-    /// The identities dropped, in the order reported.
-    fn clear(&mut self) -> Vec<BlockAddr>;
+    /// How many entries were dropped.
+    fn clear(&mut self) -> u64;
     /// `(slot, id, cost)` of every resident, LRU first.
     fn order(&self) -> Vec<(u32, BlockAddr, u64)>;
-    fn swap_core(&mut self, core: BoxedPolicy);
 }
 
 macro_rules! impl_driver {
-    ($region:ty, $cost:expr) => {
+    ($region:ty, $cost:expr, $clear:expr) => {
         impl Driver for $region {
             fn new(capacity: usize, core: BoxedPolicy) -> Self {
                 <$region>::new(capacity, core)
@@ -91,26 +90,28 @@ macro_rules! impl_driver {
             fn remove(&mut self, i: u32) -> BlockAddr {
                 <$region>::remove(self, i).id
             }
-            fn clear(&mut self) -> Vec<BlockAddr> {
-                let mut ids = Vec::new();
-                <$region>::clear(self, |id| ids.push(id));
-                ids
+            fn clear(&mut self) -> u64 {
+                $clear(self)
             }
             fn order(&self) -> Vec<(u32, BlockAddr, u64)> {
                 self.lru_to_mru()
                     .map(|(i, s)| (i, s.id, $cost(self, i, s)))
                     .collect()
             }
-            fn swap_core(&mut self, core: BoxedPolicy) {
-                <$region>::swap_core(self, core);
-            }
         }
     };
 }
 
-impl_driver!(region::Region<()>, |r: &Self, i, _| r.cost(i));
-impl_driver!(reference::Region<()>, |_, _, s: &reference::Slot<()>| s
-    .cost);
+impl_driver!(
+    region::Region<()>,
+    |r: &Self, i, _| r.cost(i),
+    region::Region::clear
+);
+impl_driver!(
+    reference::Region<()>,
+    |_, _, s: &reference::Slot<()>| s.cost,
+    |r: &mut Self| reference::Region::clear(r, |_| {})
+);
 
 /// What one step did, as far as an owner can tell.
 #[derive(Debug, PartialEq)]
@@ -118,8 +119,7 @@ enum Outcome {
     Hit(u32),
     Filled(u32, Option<(BlockAddr, bool)>),
     Removed(Option<BlockAddr>),
-    Cleared(Vec<BlockAddr>),
-    Swapped,
+    Cleared(u64),
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -131,25 +131,19 @@ enum Op {
     Set(u64, u64),
     Remove(u64),
     Clear,
-    Swap,
 }
 
-/// A region with the key → slot index its owner keeps, and the core that
-/// takes over at a [`Op::Swap`].
-struct Keyed<'a, D> {
+/// A region with the key → slot index its owner keeps.
+struct Keyed<D> {
     region: D,
     index: HashMap<u64, u32>,
-    capacity: usize,
-    successor: Factory<'a>,
 }
 
-impl<'a, D: Driver> Keyed<'a, D> {
-    fn new(capacity: usize, cold: Factory<'_>, successor: Factory<'a>) -> Self {
+impl<D: Driver> Keyed<D> {
+    fn new(capacity: usize, core: Factory<'_>) -> Self {
         Keyed {
-            region: D::new(capacity, cold(capacity)),
+            region: D::new(capacity, core(capacity)),
             index: HashMap::new(),
-            capacity,
-            successor,
         }
     }
 
@@ -186,11 +180,9 @@ impl<'a, D: Driver> Keyed<'a, D> {
             }
             Op::Clear => {
                 self.index.clear();
-                Outcome::Cleared(self.region.clear())
-            }
-            Op::Swap => {
-                self.region.swap_core((self.successor)(self.capacity));
-                Outcome::Swapped
+                let dropped = self.region.clear();
+                assert!(self.region.order().is_empty(), "entries survive a clear");
+                Outcome::Cleared(dropped)
             }
         }
     }
@@ -244,20 +236,11 @@ fn capacities() -> impl Iterator<Item = usize> {
     ])
 }
 
-/// One stream: the `cold` core from an empty region, swapped mid-stream for
-/// `successor`'s (so a core also takes over a warm region). Returns the
-/// evictions seen.
-fn lockstep(
-    policy: &str,
-    cold: Factory<'_>,
-    successor: Factory<'_>,
-    capacity: usize,
-    costs: Costs,
-    seed: u64,
-) -> u64 {
+/// One stream: the core from an empty region. Returns the evictions seen.
+fn lockstep(policy: &str, core: Factory<'_>, capacity: usize, costs: Costs, seed: u64) -> u64 {
     let mut rng = Rng(seed ^ (capacity as u64) << 20 ^ (costs as u64) << 40);
-    let mut shipped = Keyed::<region::Region<()>>::new(capacity, cold, successor);
-    let mut frozen = Keyed::<reference::Region<()>>::new(capacity, cold, successor);
+    let mut shipped = Keyed::<region::Region<()>>::new(capacity, core);
+    let mut frozen = Keyed::<reference::Region<()>>::new(capacity, core);
     // Enough keys to keep the region full and missing, few enough that hits,
     // overwrites and refills of evicted keys are all common.
     let keys = 2 * capacity as u64 + 3;
@@ -266,7 +249,6 @@ fn lockstep(
     for step in 0..steps {
         let key = rng.below(keys);
         let op = match rng.below(64) {
-            _ if step == steps / 2 => Op::Swap,
             0 if rng.below(8) == 0 => Op::Clear,
             0..=5 => Op::Remove(key),
             // A `Set` of a resident key is a `refresh`, usually at a cost
@@ -293,8 +275,7 @@ fn lockstep(
 
 #[test]
 fn shipped_region_matches_the_materializing_reference_step_for_step() {
-    // Every shipped core from cold, then the one after it in `Policy::ALL`
-    // taking over warm; the probe on both sides of the swap.
+    // Every shipped core, and the probe under two seeds.
     let mut cores: Vec<(&str, BoxedFactory)> = Policy::ALL
         .into_iter()
         .map(|p| {
@@ -307,12 +288,11 @@ fn shipped_region_matches_the_materializing_reference_step_for_step() {
     cores.push(("probe", Box::new(|ways| Box::new(Probe(Rng(ways as u64))))));
     cores.push(("probe", Box::new(|ways| Box::new(Probe(Rng(!ways as u64))))));
     let mut evictions = 0;
-    for pair in cores.windows(2) {
-        let (name, cold, successor) = (pair[0].0, &*pair[0].1, &*pair[1].1);
+    for (name, core) in &cores {
         for capacity in capacities() {
             for costs in [Costs::Two, Costs::Many] {
                 for seed in 0..2 {
-                    evictions += lockstep(name, cold, successor, capacity, costs, seed);
+                    evictions += lockstep(name, &**core, capacity, costs, seed);
                 }
             }
         }

@@ -68,13 +68,6 @@ pub trait Observer {
     fn on_automaton_flip(&self, enabled: bool) {
         let _ = enabled;
     }
-
-    /// An online policy selector hot-flipped a replacement region's live
-    /// core from policy `from` to policy `to` (the generalization of the
-    /// ACL automaton flip: any policy, not just reservations on/off).
-    fn on_policy_flip(&self, from: &'static str, to: &'static str) {
-        let _ = (from, to);
-    }
 }
 
 /// The default observer: every event is a no-op that the compiler removes.
@@ -104,9 +97,6 @@ impl<O: Observer + ?Sized> Observer for Arc<O> {
     }
     fn on_automaton_flip(&self, enabled: bool) {
         (**self).on_automaton_flip(enabled);
-    }
-    fn on_policy_flip(&self, from: &'static str, to: &'static str) {
-        (**self).on_policy_flip(from, to);
     }
 }
 
@@ -140,10 +130,6 @@ impl<A: Observer, B: Observer> Observer for (A, B) {
     fn on_automaton_flip(&self, enabled: bool) {
         self.0.on_automaton_flip(enabled);
         self.1.on_automaton_flip(enabled);
-    }
-    fn on_policy_flip(&self, from: &'static str, to: &'static str) {
-        self.0.on_policy_flip(from, to);
-        self.1.on_policy_flip(from, to);
     }
 }
 
@@ -197,13 +183,6 @@ pub enum DecisionEvent {
         /// Whether reservations are now enabled.
         enabled: bool,
     },
-    /// An online selector hot-flipped a region's live policy core.
-    PolicyFlip {
-        /// The policy that was live before the flip.
-        from: &'static str,
-        /// The policy now live.
-        to: &'static str,
-    },
 }
 
 impl DecisionEvent {
@@ -218,7 +197,6 @@ impl DecisionEvent {
             DecisionEvent::Depreciate { .. } => "depreciate",
             DecisionEvent::EtdHit { .. } => "etd_hit",
             DecisionEvent::AutomatonFlip { .. } => "automaton_flip",
-            DecisionEvent::PolicyFlip { .. } => "policy_flip",
         }
     }
 }
@@ -346,9 +324,6 @@ impl Observer for EventTracer {
     fn on_automaton_flip(&self, enabled: bool) {
         self.push(DecisionEvent::AutomatonFlip { enabled });
     }
-    fn on_policy_flip(&self, from: &'static str, to: &'static str) {
-        self.push(DecisionEvent::PolicyFlip { from, to });
-    }
 }
 
 /// Plain per-kind event totals.
@@ -368,8 +343,6 @@ pub struct EventCounts {
     pub etd_hits: u64,
     /// `on_automaton_flip` deliveries.
     pub automaton_flips: u64,
-    /// `on_policy_flip` deliveries.
-    pub policy_flips: u64,
 }
 
 /// An [`Observer`] that only counts events, per kind — the cheapest way to
@@ -384,7 +357,6 @@ pub struct CountingObserver {
     depreciations: AtomicU64,
     etd_hits: AtomicU64,
     automaton_flips: AtomicU64,
-    policy_flips: AtomicU64,
 }
 
 impl CountingObserver {
@@ -405,7 +377,6 @@ impl CountingObserver {
             depreciations: self.depreciations.load(Ordering::Relaxed),
             etd_hits: self.etd_hits.load(Ordering::Relaxed),
             automaton_flips: self.automaton_flips.load(Ordering::Relaxed),
-            policy_flips: self.policy_flips.load(Ordering::Relaxed),
         }
     }
 }
@@ -432,9 +403,6 @@ impl Observer for CountingObserver {
     fn on_automaton_flip(&self, _enabled: bool) {
         self.automaton_flips.fetch_add(1, Ordering::Relaxed);
     }
-    fn on_policy_flip(&self, _from: &'static str, _to: &'static str) {
-        self.policy_flips.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// An [`Observer`] that feeds a [`Registry`]: one
@@ -447,7 +415,6 @@ pub struct MetricsObserver {
     depreciations: Arc<Counter>,
     etd_hits: Arc<Counter>,
     automaton_flips: Arc<Counter>,
-    policy_flips: Arc<Counter>,
 }
 
 impl MetricsObserver {
@@ -470,7 +437,6 @@ impl MetricsObserver {
             depreciations: c("depreciate"),
             etd_hits: c("etd_hit"),
             automaton_flips: c("automaton_flip"),
-            policy_flips: c("policy_flip"),
         }
     }
 }
@@ -497,9 +463,6 @@ impl Observer for MetricsObserver {
     fn on_automaton_flip(&self, _enabled: bool) {
         self.automaton_flips.inc();
     }
-    fn on_policy_flip(&self, _from: &'static str, _to: &'static str) {
-        self.policy_flips.inc();
-    }
 }
 
 #[cfg(test)]
@@ -520,7 +483,6 @@ mod tests {
         o.on_depreciate(4, 2);
         o.on_etd_hit(b(1), Cost(2));
         o.on_automaton_flip(true);
-        o.on_policy_flip("LRU", "S3-FIFO");
     }
 
     #[test]
@@ -549,7 +511,6 @@ mod tests {
         t.on_depreciate(4, 2);
         t.on_etd_hit(b(1), Cost(2));
         t.on_automaton_flip(true);
-        t.on_policy_flip("DCL", "CAMP");
         let kinds: Vec<&str> = t.events().iter().map(|e| e.event.kind()).collect();
         assert_eq!(
             kinds,
@@ -560,8 +521,7 @@ mod tests {
                 "reserve",
                 "depreciate",
                 "etd_hit",
-                "automaton_flip",
-                "policy_flip"
+                "automaton_flip"
             ]
         );
     }
@@ -578,7 +538,6 @@ mod tests {
         via_arc.on_depreciate(2, 0);
         via_arc.on_etd_hit(b(2), Cost(1));
         via_arc.on_automaton_flip(false);
-        via_arc.on_policy_flip("GD", "SLRU");
         let counts = c.counts();
         assert_eq!(counts.hits, 1);
         assert_eq!(counts.misses, 2);
@@ -587,7 +546,6 @@ mod tests {
         assert_eq!(counts.depreciations, 1);
         assert_eq!(counts.etd_hits, 1);
         assert_eq!(counts.automaton_flips, 1);
-        assert_eq!(counts.policy_flips, 1);
     }
 
     #[test]
@@ -602,11 +560,9 @@ mod tests {
         pair.on_depreciate(1, 0);
         pair.on_etd_hit(b(4), Cost(2));
         pair.on_automaton_flip(true);
-        pair.on_policy_flip("LRU", "GDSF");
         assert_eq!(a.counts().hits, 1);
         assert_eq!(a.counts().reservations, 1);
-        assert_eq!(a.counts().policy_flips, 1);
-        assert_eq!(t.total(), 8);
+        assert_eq!(t.total(), 7);
     }
 
     #[test]
@@ -621,7 +577,6 @@ mod tests {
         m.on_depreciate(1, 1);
         m.on_etd_hit(b(1), Cost(1));
         m.on_automaton_flip(true);
-        m.on_policy_flip("DCL", "S3-FIFO");
         let snap = r.snapshot();
         let fam = snap.family(MetricsObserver::FAMILY).unwrap();
         let count_of = |event: &str| {
@@ -632,6 +587,5 @@ mod tests {
         assert_eq!(count_of("hit"), 1);
         assert_eq!(count_of("reserve"), 2);
         assert_eq!(count_of("automaton_flip"), 1);
-        assert_eq!(count_of("policy_flip"), 1);
     }
 }

@@ -7,7 +7,7 @@
 //!           --backing sim --slow-us 800 --metrics-file metrics.prom
 //! ```
 
-use csr_cache::{Policy, SelectorConfig};
+use csr_cache::Policy;
 use csr_obs::ReportFormat;
 use csr_serve::server::{serve, ReportSink, ServerConfig};
 use csr_serve::{
@@ -68,12 +68,6 @@ USAGE: csr-serve [OPTIONS]
   --capacity N            cache capacity in entries (default 65536)
   --shards N              shard count (default: one per hardware thread)
   --policy NAME           {policies} (default dcl)
-  --adaptive A,B          per-shard adaptive selection between policies A and B
-                          (overrides --policy; shards start on A)
-  --selector-sample N     adaptive: shadow 1 in N keys (default 8)
-  --selector-epoch N      adaptive: sampled lookups per scoring epoch (default 256)
-  --selector-hysteresis N adaptive: consecutive epochs to win before a flip (default 2)
-  --selector-flip-gap N   adaptive: minimum epochs between flips (default 4)
   --workers N             worker threads = connections served at once (default 64);
                           idle connections park on one poller thread instead
   --max-conns N           open-connection ceiling; past it new connections get
@@ -128,19 +122,6 @@ fn parse_policy(name: &str) -> Policy {
     Policy::parse(name).unwrap_or_else(|| die(&format!("unknown policy '{name}'")))
 }
 
-/// Parses `--adaptive A,B` into the two candidate policies.
-fn parse_candidates(spec: &str) -> (Policy, Policy) {
-    let (a, b) = spec
-        .split_once(',')
-        .unwrap_or_else(|| die(&format!("--adaptive wants 'A,B', got '{spec}'")));
-    let a = parse_policy(a.trim());
-    let b = parse_policy(b.trim());
-    if a == b {
-        die("--adaptive candidates must differ");
-    }
-    (a, b)
-}
-
 struct Opts {
     config: ServerConfig,
     backing_kind: String,
@@ -183,36 +164,6 @@ fn parse_args() -> Opts {
             "--capacity" => opts.config.capacity = parse_num(&val("--capacity"), "--capacity"),
             "--shards" => opts.config.shards = Some(parse_num(&val("--shards"), "--shards")),
             "--policy" => opts.config.policy = parse_policy(&val("--policy")),
-            "--adaptive" => {
-                opts.config
-                    .adaptive
-                    .get_or_insert_with(SelectorConfig::default)
-                    .candidates = parse_candidates(&val("--adaptive"))
-            }
-            "--selector-sample" => {
-                opts.config
-                    .adaptive
-                    .get_or_insert_with(SelectorConfig::default)
-                    .sample_every = parse_num(&val("--selector-sample"), "--selector-sample")
-            }
-            "--selector-epoch" => {
-                opts.config
-                    .adaptive
-                    .get_or_insert_with(SelectorConfig::default)
-                    .epoch_len = parse_num(&val("--selector-epoch"), "--selector-epoch")
-            }
-            "--selector-hysteresis" => {
-                opts.config
-                    .adaptive
-                    .get_or_insert_with(SelectorConfig::default)
-                    .hysteresis = parse_num(&val("--selector-hysteresis"), "--selector-hysteresis")
-            }
-            "--selector-flip-gap" => {
-                opts.config
-                    .adaptive
-                    .get_or_insert_with(SelectorConfig::default)
-                    .min_flip_gap = parse_num(&val("--selector-flip-gap"), "--selector-flip-gap")
-            }
             "--max-conns" => opts.config.max_conns = parse_num(&val("--max-conns"), "--max-conns"),
             "--workers" => opts.config.workers = parse_num(&val("--workers"), "--workers"),
             "--idle-timeout-ms" => {
@@ -410,14 +361,7 @@ fn main() {
             format: opts.metrics_format,
         });
     }
-    let policy_info = match config.adaptive {
-        Some(cfg) => format!(
-            "ADAPTIVE({},{})",
-            cfg.candidates.0.name(),
-            cfg.candidates.1.name()
-        ),
-        None => config.policy.name().to_owned(),
-    };
+    let policy = config.policy;
     let cluster_info = config.cluster.as_ref().map(|c| {
         format!(
             " cluster_nodes={} forward={}",
@@ -450,7 +394,7 @@ fn main() {
     println!(
         "csr-serve listening on {} policy={} backing={}{}{}",
         handle.addr(),
-        policy_info,
+        policy,
         opts.backing_kind,
         cluster_info.unwrap_or_default(),
         persist_info.unwrap_or_default()

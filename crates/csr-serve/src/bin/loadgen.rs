@@ -78,9 +78,6 @@ USAGE: loadgen [OPTIONS]
   --scan-frac F             fraction of requests that sequentially scan a disjoint
                             one-touch key range instead of the Zipf draw (default 0)
   --scan-len N              per-worker scan cycle length in keys (default 4096)
-  --phase-shift             three-act workload: Zipf, then scan-heavy (the --scan-frac
-                            fraction, or 0.9 if unset), then Zipf again — each act a
-                            third of the run; exercises adaptive policy selection
   --set-ratio F             fraction of requests that are SETs (default 0.05)
   --value-len N             SET payload length in bytes (default 128)
   --seed N                  PRNG seed (default 42)
@@ -136,7 +133,6 @@ struct Opts {
     zipf: f64,
     scan_frac: f64,
     scan_len: u64,
-    phase_shift: bool,
     set_ratio: f64,
     value_len: usize,
     seed: u64,
@@ -169,7 +165,6 @@ fn parse_args() -> Opts {
         zipf: 0.9,
         scan_frac: 0.0,
         scan_len: 4096,
-        phase_shift: false,
         set_ratio: 0.05,
         value_len: 128,
         seed: 42,
@@ -212,7 +207,6 @@ fn parse_args() -> Opts {
             "--zipf" => opts.zipf = parse_num(&val("--zipf"), "--zipf"),
             "--scan-frac" => opts.scan_frac = parse_num(&val("--scan-frac"), "--scan-frac"),
             "--scan-len" => opts.scan_len = parse_num(&val("--scan-len"), "--scan-len"),
-            "--phase-shift" => opts.phase_shift = true,
             "--set-ratio" => opts.set_ratio = parse_num(&val("--set-ratio"), "--set-ratio"),
             "--value-len" => opts.value_len = parse_num(&val("--value-len"), "--value-len"),
             "--seed" => opts.seed = parse_num(&val("--seed"), "--seed"),
@@ -928,16 +922,7 @@ fn main() {
             let mut rng = SplitMix64::new(opts.seed ^ (0x9e37 + i as u64));
             let (set_ratio, value_len) = (opts.set_ratio, opts.value_len);
             let (hot_keys, hot_frac) = (opts.hot_keys, opts.hot_frac);
-            let (keys, scan_len, phase_shift) = (opts.keys as u64, opts.scan_len, opts.phase_shift);
-            // Under --phase-shift the scan fraction applies only in the
-            // middle act (defaulting to a heavy 0.9 when --scan-frac is
-            // unset); otherwise it applies to the whole run.
-            let scan_frac = if phase_shift && opts.scan_frac == 0.0 {
-                0.9
-            } else {
-                opts.scan_frac
-            };
-            let total_run = Duration::from_secs(opts.warmup + opts.secs);
+            let (keys, scan_len, scan_frac) = (opts.keys as u64, opts.scan_len, opts.scan_frac);
             let trace_sample = opts.trace_sample;
             let config = FailoverConfig {
                 seed: opts.seed.wrapping_add(i as u64),
@@ -970,15 +955,7 @@ fn main() {
                 let mut scan_pos = 0u64;
                 let scan_base = keys + i as u64 * scan_len;
                 while Instant::now() < deadline {
-                    // --phase-shift: the scan act is the middle third of
-                    // the whole run (warmup included).
-                    let scanning_now = scan_frac > 0.0
-                        && (!phase_shift || {
-                            let f = launched.elapsed().as_secs_f64()
-                                / total_run.as_secs_f64().max(f64::EPSILON);
-                            (1.0 / 3.0..2.0 / 3.0).contains(&f)
-                        });
-                    let is_scan = scanning_now && rng.chance(scan_frac);
+                    let is_scan = scan_frac > 0.0 && rng.chance(scan_frac);
                     let key_idx = if is_scan {
                         // One-touch sequential sweep over a per-worker
                         // key range disjoint from the Zipf namespace.
@@ -1390,8 +1367,6 @@ fn main() {
                     ("conn_slowloris_drops", s_uint("conn_slowloris_drops")),
                     ("requests_get", s_uint("requests_get")),
                     ("requests_set", s_uint("requests_set")),
-                    ("selector_flips", s_uint("selector_flips")),
-                    ("selector_epochs", s_uint("selector_epochs")),
                     (
                         "persist_recovered_entries",
                         s_uint("persist_recovered_entries"),
@@ -1511,7 +1486,6 @@ fn main() {
             ("hot_frac", Json::Float(opts.hot_frac)),
             ("scan_frac", Json::Float(opts.scan_frac)),
             ("scan_len", Json::uint(opts.scan_len)),
-            ("phase_shift", Json::Bool(opts.phase_shift)),
             ("secs", Json::uint(opts.secs)),
             ("warmup", Json::uint(opts.warmup)),
             ("chaos", Json::Bool(opts.chaos)),

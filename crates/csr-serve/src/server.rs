@@ -50,7 +50,7 @@ use crate::persist::{PersistConfig, Persistence};
 use crate::proto::{self, ProtoError, Request};
 use crate::reactor::{self, Engine, EngineParams};
 use crate::resilience::{OriginMetrics, ResilienceConfig, ResilientBacking};
-use csr_cache::{CacheStats, CsrCache, Policy, SelectorConfig};
+use csr_cache::{CacheStats, CsrCache, Policy};
 use csr_obs::trace::{arm_events, take_events};
 use csr_obs::{
     Counter, Gauge, Histogram, Registry, ReportFormat, Reporter, RequestTrace, TraceConfig,
@@ -152,11 +152,6 @@ pub struct ServerConfig {
     /// (trace id, key, phase breakdown). Needs `trace.slow_us > 0` to
     /// classify anything as slow.
     pub slow_log: bool,
-    /// Online adaptive policy selection
-    /// ([`CacheBuilder::adaptive`](csr_cache::CacheBuilder::adaptive)).
-    /// When set, overrides [`policy`](Self::policy): every shard
-    /// shadow-scores the two candidates and hot-flips to the winner.
-    pub adaptive: Option<SelectorConfig>,
     /// Crash-safe persistence ([`crate::persist`]): WAL + snapshots in
     /// the given directory, with startup recovery replayed **before**
     /// the listener binds (`None`: in-memory only, the default).
@@ -181,7 +176,6 @@ impl Default for ServerConfig {
             cluster: None,
             trace: TraceConfig::default(),
             slow_log: false,
-            adaptive: None,
             persist: None,
         }
     }
@@ -650,9 +644,6 @@ pub fn serve(config: ServerConfig, backing: Arc<dyn Backing>) -> io::Result<Serv
         .metrics(Arc::clone(&registry));
     if let Some(shards) = config.shards {
         builder = builder.shards(shards);
-    }
-    if let Some(cfg) = config.adaptive {
-        builder = builder.adaptive(cfg);
     }
     let cache = builder.build();
 
@@ -1129,28 +1120,6 @@ fn write_stats(shared: &Shared, w: &mut impl Write) -> io::Result<()> {
         )?;
         stat("persist_errors", pm.errors.get().to_string())?;
         stat("persist_degraded", u64::from(p.is_degraded()).to_string())?;
-    }
-    if let Some(sel) = shared.cache.selector_stats() {
-        stat(
-            "selector_candidates",
-            format!("{},{}", sel.candidates.0, sel.candidates.1),
-        )?;
-        stat("selector_flips", sel.flips.to_string())?;
-        stat("selector_epochs", sel.epochs.to_string())?;
-        stat("selector_sampled_gets", sel.sampled_gets.to_string())?;
-        stat("selector_sampled_fills", sel.sampled_fills.to_string())?;
-        stat(
-            "selector_shadow_hits",
-            format!("{},{}", sel.shadow_hits.0, sel.shadow_hits.1),
-        )?;
-        stat(
-            "selector_shadow_savings",
-            format!("{},{}", sel.shadow_savings.0, sel.shadow_savings.1),
-        )?;
-        stat(
-            "selector_live_shards",
-            format!("{},{}", sel.live_shards.0, sel.live_shards.1),
-        )?;
     }
     if let Some(cl) = &shared.cluster {
         stat("cluster_node_id", cl.router.node_id().to_owned())?;

@@ -50,8 +50,7 @@
 //!   state is read through `Cache::core` and `Cache::cores`.
 //! * `csr_cache::Region<T>` — the key-value driver: one boxed core over a
 //!   slab of arbitrary size whose recency order is kept as one list per
-//!   distinct cost, shared by the cache's shards and the adaptive
-//!   selector's ghost caches.
+//!   distinct cost, one per cache shard.
 //!
 //! Supporting modules: the [`etd`] shadow directory, clairvoyant baselines
 //! in [`opt`], and the Section 5 hardware-overhead model in [`hw`].

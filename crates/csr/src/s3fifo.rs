@@ -21,9 +21,8 @@
 //! The design is scan-resistant by construction (a sequential scan flows
 //! through the small queue and the ghost without ever displacing main) and
 //! needs no per-access pointer surgery, which is why it beats LRU-family
-//! policies on scan-heavy traffic. It is cost-*oblivious*; the adaptive
-//! selector in `csr-cache` exists precisely to pick it only when locality
-//! patterns (not cost skew) dominate.
+//! policies on scan-heavy traffic. It is cost-*oblivious*: it wins when
+//! locality patterns, not cost skew, dominate.
 //!
 //! The logic lives in [`S3FifoCore`], one region's [`EvictionPolicy`]; the
 //! simulator's cache drives one per set.
