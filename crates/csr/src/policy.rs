@@ -122,6 +122,18 @@ impl Policy {
         }
     }
 
+    /// Whether every core of this policy tells blocks apart by their full
+    /// tags. Then a coherence invalidation of a block the region has not
+    /// been asked for since that block's previous invalidation finds
+    /// nothing and changes nothing, so a trace replay may skip it. An
+    /// aliased directory (the two alias4 variants) is the exception: its
+    /// invalidation drops any entry with the same stored bits, another
+    /// block's included.
+    #[must_use]
+    pub fn compares_full_tags(self) -> bool {
+        !matches!(self, Policy::DclAlias4 | Policy::AclAlias4)
+    }
+
     /// The same string as [`name`](Self::name).
     #[must_use]
     pub fn label(self) -> &'static str {

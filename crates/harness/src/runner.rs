@@ -2,13 +2,17 @@
 //! of the L2 under study, fed with one sample processor's references plus
 //! foreign writes (invalidations), charging each L2 miss its mapped cost.
 //!
-//! Two facts let one sample trace serve every run. First, the L1 is the
+//! Three facts let one sample trace serve every run. First, the L1 is the
 //! same in every run, and when the geometry nests (DESIGN.md invariant 9)
 //! nothing the L2 does reaches it: the trace is *filtered* once,
-//! [`FilteredTrace`], into the stream the L2 receives. Second, every cost
-//! map gives a block one of two static costs, and which one does not depend
-//! on the cost ratio: that stream is *priced* once per map — one bit per
-//! event, [`PricedTrace`] — and one loop replays those bits under any
+//! [`FilteredTrace`], into the stream the L2 receives. Second, a foreign
+//! write to a block the processor has not referenced since the block's
+//! previous foreign write finds it nowhere, under any policy whose cores
+//! compare full tags (invariant 10): the filter pass marks those *dead*
+//! invalidations once, and runs skip them. Third, every cost map gives a
+//! block one of two static costs, and which one does not depend on the
+//! cost ratio: that stream is *priced* once per map — one bit per event,
+//! [`PricedTrace`] — and one loop replays those bits under any
 //! [`CostPair`]. [`run_sampled`] is filtering and pricing followed by that
 //! loop.
 
@@ -20,7 +24,9 @@ use csr::Policy;
 use csr_obs::SharedObserver;
 use mem_trace::cost_map::{CostMap, UniformCostMap};
 use mem_trace::sampled::{SampledEvent, SampledTrace};
-use std::collections::HashMap;
+use mem_trace::UnitHasher;
+use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasherDefault;
 
 /// Cache geometry of a trace-driven run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,13 +93,18 @@ impl RunResult {
     }
 }
 
-/// The kinds of a [`FilteredTrace`] event, its low two bits.
+/// The kinds of a [`FilteredTrace`] event, its low [`KIND_BITS`] bits.
 const READ: u64 = 0;
 const WRITE: u64 = 1;
 /// A dirty block the L1 displaced, written back into the L2.
 const WRITEBACK: u64 = 2;
 /// A foreign write's coherence invalidation.
 const INVALIDATE: u64 = 3;
+/// An invalidation of a block the stream has not accessed since the
+/// block's previous invalidation (or since the start): a *dead* one.
+const DEAD: u64 = 4;
+const KIND_BITS: u32 = 3;
+const KIND: u64 = (1 << KIND_BITS) - 1;
 
 /// A sample trace reduced, for one cache geometry, to what the level under
 /// the processor's L1 receives; it does not depend on any cost map.
@@ -102,15 +113,18 @@ const INVALIDATE: u64 = 3;
 /// here and the stream holds what the L2 sees: the L1's misses, its dirty
 /// writebacks and the coherence invalidations. Every run then simulates the
 /// L2 alone. Otherwise the stream is the processor's events unfiltered, and
-/// every run simulates both levels.
+/// every run simulates both levels. Either way the invalidations that are
+/// dead (DESIGN.md invariant 10) are marked, for runs to skip.
 #[derive(Debug, Clone)]
 pub struct FilteredTrace {
     cfg: TraceSimConfig,
-    /// One event per word: `block << 2 | kind`.
+    /// One event per word: `block << KIND_BITS | kind`.
     stream: Vec<u64>,
     /// The L1's statistics over the filter pass; `None` when the geometry
     /// does not nest and each run simulates its own L1.
     l1: Option<CacheStats>,
+    /// How many of the stream's invalidations are [`DEAD`].
+    dead: u64,
 }
 
 impl FilteredTrace {
@@ -132,18 +146,22 @@ impl FilteredTrace {
             AccessType::Write => WRITE,
         };
         if !cfg.nests() {
-            let stream = sampled
+            let mut stream: Vec<u64> = sampled
                 .events()
                 .iter()
                 .map(|ev| match *ev {
-                    SampledEvent::Own { addr, op } => addr.0 >> shift << 2 | kind(op),
-                    SampledEvent::ForeignWrite { addr } => addr.0 >> shift << 2 | INVALIDATE,
+                    SampledEvent::Own { addr, op } => addr.0 >> shift << KIND_BITS | kind(op),
+                    SampledEvent::ForeignWrite { addr } => {
+                        addr.0 >> shift << KIND_BITS | INVALIDATE
+                    }
                 })
                 .collect();
+            let dead = mark_dead(&mut stream);
             return FilteredTrace {
                 cfg,
                 stream,
                 l1: None,
+                dead,
             };
         }
         // The same L1 traffic `TwoLevel::access` and `invalidate` make, the
@@ -159,23 +177,56 @@ impl FilteredTrace {
                         continue;
                     }
                     if let Some(ev) = out.evicted.filter(|ev| ev.dirty) {
-                        stream.push(ev.block.0 << 2 | WRITEBACK);
+                        stream.push(ev.block.0 << KIND_BITS | WRITEBACK);
                     }
-                    stream.push(block.0 << 2 | kind(op));
+                    stream.push(block.0 << KIND_BITS | kind(op));
                 }
                 SampledEvent::ForeignWrite { addr } => {
                     let block = BlockAddr(addr.0 >> shift);
                     l1.invalidate(block);
-                    stream.push(block.0 << 2 | INVALIDATE);
+                    stream.push(block.0 << KIND_BITS | INVALIDATE);
                 }
             }
         }
+        let dead = mark_dead(&mut stream);
         FilteredTrace {
             cfg,
             stream,
             l1: Some(*l1.stats()),
+            dead,
         }
     }
+
+    /// How many of the stream's coherence invalidations are dead: they
+    /// find nothing in any level a full-tag policy runs.
+    #[must_use]
+    pub fn dead_invalidations(&self) -> u64 {
+        self.dead
+    }
+}
+
+/// Marks every dead invalidation of `stream` [`DEAD`] and counts them. A
+/// block becomes live when the stream accesses it and dies at its next
+/// invalidation; an invalidation of a block that is not live is dead. Only
+/// an access puts a block into a level the stream feeds (a writeback finds
+/// its block or does nothing), and an invalidation takes it out of all of
+/// them, so a dead invalidation finds nothing (DESIGN.md invariant 10).
+fn mark_dead(stream: &mut [u64]) -> u64 {
+    let mut live: HashSet<u64, BuildHasherDefault<UnitHasher>> = HashSet::default();
+    let mut dead = 0;
+    for ev in stream {
+        match *ev & KIND {
+            READ | WRITE => {
+                live.insert(*ev >> KIND_BITS);
+            }
+            INVALIDATE if !live.remove(&(*ev >> KIND_BITS)) => {
+                *ev = *ev & !KIND | DEAD;
+                dead += 1;
+            }
+            _ => {}
+        }
+    }
+    dead
 }
 
 /// A filtered trace with the cost class of every access computed once
@@ -199,8 +250,8 @@ impl<'a> PricedTrace<'a> {
             .chunks(64)
             .map(|chunk| {
                 chunk.iter().enumerate().fold(0u64, |word, (j, &ev)| {
-                    let access = ev & 3 <= WRITE;
-                    word | u64::from(access && costs.is_high_cost(BlockAddr(ev >> 2))) << j
+                    let access = ev & KIND <= WRITE;
+                    word | u64::from(access && costs.is_high_cost(BlockAddr(ev >> KIND_BITS))) << j
                 })
             })
             .collect();
@@ -211,36 +262,54 @@ impl<'a> PricedTrace<'a> {
     /// high-cost block and `pair.low()` on any other.
     #[must_use]
     pub fn run(&self, pair: CostPair, policy: Policy) -> RunResult {
-        let cores = l2_cores(policy, &self.trace.cfg.l2, None);
-        let (l1, l2) = self.run_policy(pair, cores, |_| {});
+        self.run_observed(pair, policy, None)
+    }
+
+    /// [`run`](Self::run) with `obs`, if any, watching the L2's cores.
+    fn run_observed(
+        &self,
+        pair: CostPair,
+        policy: Policy,
+        obs: Option<SharedObserver>,
+    ) -> RunResult {
+        let cores = l2_cores(policy, &self.trace.cfg.l2, obs);
+        let (l1, l2) = self.run_policy(pair, cores, policy.compares_full_tags(), |_| {});
         RunResult { policy, l1, l2 }
     }
 
-    /// [`run`](Self::run) with the L2's cores built by `l2_core` and each
-    /// L2 miss also reported to `on_l2_miss`; returns the L1 and L2
-    /// statistics.
+    /// [`run`](Self::run) with the L2's cores built by `l2_core`, the dead
+    /// invalidations skipped when `skip_dead`, and each L2 miss also
+    /// reported to `on_l2_miss`; returns the L1 and L2 statistics.
     fn run_policy<C: EvictionPolicy>(
         &self,
         pair: CostPair,
         l2_core: impl FnMut() -> C,
+        skip_dead: bool,
         on_l2_miss: impl FnMut(BlockAddr),
     ) -> (CacheStats, CacheStats) {
         let cfg = self.trace.cfg;
-        match self.trace.l1 {
+        // A skipped invalidation is still one the levels were asked for.
+        let skipped = if skip_dead { self.trace.dead } else { 0 };
+        let (l1, mut l2) = match self.trace.l1 {
             Some(mut l1) => {
                 let mut l2 = Cache::new(cfg.l2, l2_core);
-                self.replay(pair, &mut l2, on_l2_miss);
+                self.replay(pair, &mut l2, skip_dead, on_l2_miss);
                 // `TwoLevel` asks the L1 for every L2 victim; in a nesting
-                // geometry that probe never finds it.
+                // geometry that probe never finds it. The filter pass made
+                // every invalidation, dead ones included.
                 l1.invalidations_requested += l2.stats().evictions;
                 (l1, *l2.stats())
             }
             None => {
                 let mut h = TwoLevel::new(cfg.l1, cfg.l2, l2_core);
-                self.replay(pair, &mut h, on_l2_miss);
-                (*h.l1().stats(), *h.l2().stats())
+                self.replay(pair, &mut h, skip_dead, on_l2_miss);
+                let mut l1 = *h.l1().stats();
+                l1.invalidations_requested += skipped;
+                (l1, *h.l2().stats())
             }
-        }
+        };
+        l2.invalidations_requested += skipped;
+        (l1, l2)
     }
 
     /// The LRU baseline of every pair at once: one LRU run's L2 misses,
@@ -249,31 +318,35 @@ impl<'a> PricedTrace<'a> {
     pub fn lru_misses(&self) -> ClassMisses {
         // LRU ignores costs, so charging high-class misses 1 and the rest
         // 0 makes the aggregate cost the high-class miss count.
-        let (_, l2) = self.run_policy(CostPair::infinite_ratio(), Lru::new, |_| {});
+        let skip_dead = Policy::Lru.compares_full_tags();
+        let (_, l2) = self.run_policy(CostPair::infinite_ratio(), Lru::new, skip_dead, |_| {});
         ClassMisses {
             low: l2.misses - l2.aggregate_cost.0,
             high: l2.aggregate_cost.0,
         }
     }
 
-    /// The one replay loop: every event into `level`, each access charged
-    /// by its bit, each L2 miss also reported to `on_l2_miss`.
+    /// The one replay loop: every event into `level` but, when
+    /// `skip_dead`, the dead invalidations; each access charged by its bit,
+    /// each L2 miss also reported to `on_l2_miss`.
     fn replay(
         &self,
         pair: CostPair,
         level: &mut impl Level,
+        skip_dead: bool,
         mut on_l2_miss: impl FnMut(BlockAddr),
     ) {
         for (chunk, &word) in self.trace.stream.chunks(64).zip(&self.high) {
             for (j, &ev) in chunk.iter().enumerate() {
-                let block = BlockAddr(ev >> 2);
-                let op = match ev & 3 {
+                let block = BlockAddr(ev >> KIND_BITS);
+                let op = match ev & KIND {
                     READ => AccessType::Read,
                     WRITE => AccessType::Write,
                     WRITEBACK => {
                         level.writeback(block);
                         continue;
                     }
+                    DEAD if skip_dead => continue,
                     _ => {
                         level.invalidate(block);
                         continue;
@@ -376,8 +449,8 @@ pub fn run_sampled_observed(
     cfg: TraceSimConfig,
     obs: SharedObserver,
 ) -> RunResult {
-    let (l1, l2) = run_sampled_policy(sampled, costs, l2_cores(policy, &cfg.l2, Some(obs)), cfg);
-    RunResult { policy, l1, l2 }
+    let trace = FilteredTrace::new(sampled, cfg);
+    PricedTrace::new(&trace, costs).run_observed(costs.pair(), policy, Some(obs))
 }
 
 /// `policy`'s cores for the sets of a simulated `l2` cache: each core's
@@ -393,7 +466,8 @@ pub fn l2_cores(
 
 /// Runs explicitly built cores over a sampled trace, one per L2 set from
 /// `l2_core` (the ablation benches need hand-configured cores that
-/// [`Policy`] cannot name). Returns the L1 and L2 statistics.
+/// [`Policy`] cannot name). Returns the L1 and L2 statistics. Nothing says
+/// how such cores compare tags, so every invalidation is replayed.
 #[must_use]
 pub fn run_sampled_policy<C: EvictionPolicy>(
     sampled: &SampledTrace,
@@ -402,7 +476,7 @@ pub fn run_sampled_policy<C: EvictionPolicy>(
     cfg: TraceSimConfig,
 ) -> (CacheStats, CacheStats) {
     let trace = FilteredTrace::new(sampled, cfg);
-    PricedTrace::new(&trace, costs).run_policy(costs.pair(), l2_core, |_| {})
+    PricedTrace::new(&trace, costs).run_policy(costs.pair(), l2_core, false, |_| {})
 }
 
 /// The per-block L2 miss counts of an LRU run.
@@ -424,10 +498,11 @@ impl LruMissProfile {
         let trace = FilteredTrace::new(sampled, cfg);
         let unpriced = PricedTrace::new(&trace, &UniformCostMap(Cost::ZERO));
         let mut miss_counts: HashMap<u64, u64> = HashMap::new();
-        let (_, stats) =
-            unpriced.run_policy(CostPair::new(Cost::ZERO, Cost::ZERO), Lru::new, |block| {
-                *miss_counts.entry(block.0).or_insert(0) += 1;
-            });
+        let zero = CostPair::new(Cost::ZERO, Cost::ZERO);
+        let skip_dead = Policy::Lru.compares_full_tags();
+        let (_, stats) = unpriced.run_policy(zero, Lru::new, skip_dead, |block| {
+            *miss_counts.entry(block.0).or_insert(0) += 1;
+        });
         LruMissProfile { miss_counts, stats }
     }
 

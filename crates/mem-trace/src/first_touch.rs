@@ -11,11 +11,11 @@ use cache_sim::Addr;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Multiply-and-fold hashing for unit indices. The keys are trusted
-/// integers and the map is never iterated, so SipHash's flood resistance
-/// buys nothing and costs most of a lookup.
+/// Multiply-and-fold hashing for unit indices (pages, blocks). The keys
+/// are trusted integers and the maps it serves are never iterated, so
+/// SipHash's flood resistance buys nothing and costs most of a lookup.
 #[derive(Debug, Default)]
-struct UnitHasher(u64);
+pub struct UnitHasher(u64);
 
 impl Hasher for UnitHasher {
     fn write(&mut self, bytes: &[u8]) {

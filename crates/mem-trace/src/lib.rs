@@ -42,7 +42,7 @@ pub mod stats;
 pub mod workloads;
 
 pub use cost_map::{CostMap, FirstTouchCostMap, RandomCostMap, UniformCostMap};
-pub use first_touch::FirstTouchPlacement;
+pub use first_touch::{FirstTouchPlacement, UnitHasher};
 pub use phased::{Phase, PhasedTrace};
 pub use record::{ProcId, Trace, TraceRecord};
 pub use sampled::{SampledEvent, SampledTrace};
