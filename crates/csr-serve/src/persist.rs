@@ -30,7 +30,7 @@
 //! generation stamped on every mutation; `cost` is the entry's miss cost
 //! in microseconds exactly as charged to the cache (measured fetch
 //! latency for read-through fills, [`SET_COST`](crate::server::SET_COST)
-//! for client stores). The CRC is [`proto::crc32`] over the payload.
+//! for client stores). The CRC is [`crate::proto::crc32`] over the payload.
 //!
 //! # Torn-write truncation rule
 //!
@@ -60,8 +60,8 @@
 //! # Mutation/WAL atomicity
 //!
 //! For the explicit verbs (client `SET`/`DEL`) the cache mutation runs
-//! *under the WAL append lock*, via [`Persistence::log_set_with`] /
-//! [`Persistence::log_del_with`]: generation order, append order, and
+//! *under the WAL append lock*, via `Persistence::log_set_with` /
+//! `Persistence::log_del_with`: generation order, append order, and
 //! cache-apply order are one total order, so replaying the log in file
 //! order reconstructs exactly the state concurrent clients were
 //! acknowledged against — a key the client saw `DELETED` can never be
@@ -175,7 +175,7 @@ pub struct PersistConfig {
     /// during a long replay stops the process *before* the listener
     /// opens instead of leaving a half-recovered server serving).
     pub cancel: Option<fn() -> bool>,
-    /// Testing aid: sleep this long per [`CANCEL_CHECK_EVERY`] replayed
+    /// Testing aid: sleep this long per `CANCEL_CHECK_EVERY` replayed
     /// records, widening the recovery window so signal-timing tests are
     /// deterministic. Zero (the default) adds no work.
     pub recovery_throttle: Duration,

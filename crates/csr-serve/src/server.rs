@@ -3,7 +3,7 @@
 //!
 //! # Connection model
 //!
-//! One engine, [`crate::reactor`]: a fixed pool of
+//! One engine, the private `reactor` module: a fixed pool of
 //! [`workers`](ServerConfig::workers) threads serves each *busy*
 //! connection with blocking reads, and one poller thread parks the *idle*
 //! ones on epoll/kqueue ([`crate::poller`]) until their next request

@@ -4,175 +4,180 @@
 //! The paper's key offline insight is that with non-uniform costs the victim
 //! cannot be chosen greedily at replacement time, even with full knowledge of
 //! the future: the optimal schedule may *reserve* a block through several
-//! replacements. CSOPT therefore searches over eviction schedules. This
-//! implementation does so exactly, with a per-set dynamic program over
-//! reachable cache contents:
+//! replacements. With blocks of one size, finding that schedule is weighted
+//! paging, which is a min-cost flow (Chrobak, Karloff, Payne &
+//! Vishwanathan, 1991). Sets are independent; in a set of `s` ways the block
+//! just accessed is always resident, so between two accesses `s − 1` frames
+//! hold everything else. Per set:
 //!
-//! * state = the set of resident blocks (≤ associativity);
-//! * on a hit the state is unchanged at cost 0;
-//! * on a miss, the missed block is filled (demand-fill, like the on-line
-//!   policies) and every possible victim — or using a free frame — branches;
-//! * states are merged by minimum accumulated cost per layer.
+//! * one node per access, in trace order;
+//! * a line edge t → t+1 of capacity `s − 1` and cost 0: frames left idle;
+//! * for each reuse of a block, accesses i and j with no invalidation of it
+//!   in between and j > i + 1, an edge i → j−1 of capacity 1 and cost
+//!   `−c_j`: the block kept in one of those frames until it hits at j (a
+//!   reuse at j = i + 1 always hits);
+//! * `s − 1` units pushed from the first access to the last.
 //!
-//! The layer width is bounded by C(N, s) for N distinct blocks mapping to
-//! the set; [`CsoptLimits`] aborts gracefully on workloads where that
-//! explodes. For the small traces used in tests and ablations it is exact,
-//! which makes it a true lower-bound oracle for GD/BCL/DCL/ACL.
+//! Every flow is a schedule and the cheapest is integral, so the optimum is
+//! the cost of missing every access plus the cheapest flow's cost. The graph
+//! is a DAG: one pass in node order gives the potentials, then at most
+//! `s − 1` Dijkstra augmentations find the flow.
+//!
+//! Fed the stream an L2 receives, the result lower-bounds every policy on
+//! that L2. When the L1 is direct-mapped with no more sets than the L2
+//! (DESIGN.md invariant 9), inclusion never takes a block from the L1, so
+//! the L2's input does not depend on its policy, and the result bounds the
+//! whole inclusive hierarchy.
 
 use crate::opt::{OfflineStats, TraceEvent};
-use cache_sim::{Cost, Geometry};
-use std::collections::HashMap;
-
-/// Resource limits for the exact search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CsoptLimits {
-    /// Maximum simultaneous states per set layer before giving up.
-    pub max_states: usize,
-}
-
-impl Default for CsoptLimits {
-    fn default() -> Self {
-        CsoptLimits {
-            max_states: 200_000,
-        }
-    }
-}
+use cache_sim::{BlockAddr, Geometry};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Computes the optimal aggregate miss cost for `events` on a cache of
-/// `geom`, or `None` if the state space exceeds `limits`.
+/// `geom`.
 ///
 /// The returned [`OfflineStats`] carries the optimal aggregate cost; its
-/// `misses` field reports the miss count *of the optimal-cost schedule*
-/// (which may exceed Belady's minimum miss count — that is the whole point
-/// of cost-sensitivity).
+/// `hits` and `misses` are those of one optimal-cost schedule, which may
+/// miss more often than Belady's — that is the whole point of
+/// cost-sensitivity. When several schedules cost the same, which one is
+/// reported is fixed but arbitrary.
 #[must_use]
-pub fn simulate_csopt(
-    geom: &Geometry,
-    events: &[TraceEvent],
-    limits: CsoptLimits,
-) -> Option<OfflineStats> {
-    // Partition events by set; sets are independent.
-    let mut per_set: HashMap<usize, Vec<&TraceEvent>> = HashMap::new();
+pub fn simulate_csopt(geom: &Geometry, events: &[TraceEvent]) -> OfflineStats {
+    let mut per_set = vec![Vec::new(); geom.num_sets()];
     for ev in events {
-        let block = match ev {
-            TraceEvent::Access { block, .. } | TraceEvent::Invalidate { block } => *block,
-        };
-        per_set.entry(geom.set_of(block).0).or_default().push(ev);
+        let (TraceEvent::Access { block, .. } | TraceEvent::Invalidate { block }) = *ev;
+        per_set[geom.set_of(block).0].push(*ev);
     }
-
-    let mut totals = OfflineStats::default();
-    for (_set, evs) in per_set {
-        let (stats, ok) = solve_set(geom.assoc(), &evs, limits);
-        if !ok {
-            return None;
-        }
-        totals.accesses += stats.accesses;
-        totals.hits += stats.hits;
-        totals.misses += stats.misses;
-        totals.aggregate_cost += stats.aggregate_cost;
+    let mut stats = OfflineStats::default();
+    for set in &per_set {
+        solve_set(geom.assoc() as i64 - 1, set, &mut stats);
     }
-    Some(totals)
+    stats
 }
 
-/// One DP state: sorted resident block ids (small-index remapped).
-type State = Vec<u16>;
-
-fn solve_set(assoc: usize, events: &[&TraceEvent], limits: CsoptLimits) -> (OfflineStats, bool) {
-    // Remap blocks to dense u16 ids.
-    let mut ids: HashMap<u64, u16> = HashMap::new();
-    let mut id_of = |b: u64| -> u16 {
-        let next = ids.len() as u16;
-        *ids.entry(b).or_insert(next)
-    };
-
-    // frontier: state -> (min aggregate cost, misses along that path, hits)
-    let mut frontier: HashMap<State, (u64, u64, u64)> = HashMap::new();
-    frontier.insert(Vec::new(), (0, 0, 0));
-    let mut accesses = 0u64;
-
+/// Adds to `stats` the optimum of one set's `events`, with `spare` frames
+/// beside the block just accessed.
+fn solve_set(spare: i64, events: &[TraceEvent], stats: &mut OfflineStats) {
+    let mut net = Network::default();
+    // Every reuse with its edge (none when it always hits) and the cost its
+    // hit saves.
+    let mut reuses = Vec::new();
+    let mut last: HashMap<BlockAddr, usize> = HashMap::new();
     for ev in events {
-        match ev {
+        match *ev {
             TraceEvent::Invalidate { block } => {
-                let id = id_of(block.0);
-                let mut next: HashMap<State, (u64, u64, u64)> = HashMap::new();
-                for (mut state, v) in frontier.drain() {
-                    state.retain(|&x| x != id);
-                    merge(&mut next, state, v);
-                }
-                frontier = next;
+                last.remove(&block);
             }
             TraceEvent::Access { block, cost } => {
-                accesses += 1;
-                let id = id_of(block.0);
-                let mut next: HashMap<State, (u64, u64, u64)> = HashMap::new();
-                for (state, (c, m, h)) in frontier.drain() {
-                    if state.binary_search(&id).is_ok() {
-                        // Hit: no branching.
-                        merge(&mut next, state, (c, m, h + 1));
-                        continue;
-                    }
-                    let miss_cost = c + cost.0;
-                    if state.len() < assoc {
-                        let mut s = state.clone();
-                        insert_sorted(&mut s, id);
-                        merge(&mut next, s, (miss_cost, m + 1, h));
-                    } else {
-                        // Branch over every victim choice.
-                        for victim_idx in 0..state.len() {
-                            let mut s = state.clone();
-                            s.remove(victim_idx);
-                            insert_sorted(&mut s, id);
-                            merge(&mut next, s, (miss_cost, m + 1, h));
-                        }
-                    }
+                stats.accesses += 1;
+                stats.misses += 1;
+                stats.aggregate_cost += cost;
+                let t = net.out.len();
+                net.out.push(Vec::new());
+                if t > 0 {
+                    net.add(t - 1, t, spare, 0);
                 }
-                frontier = next;
-                if frontier.len() > limits.max_states {
-                    return (OfflineStats::default(), false);
-                }
+                let edge = match last.insert(block, t) {
+                    Some(i) if i + 1 < t => Some(net.add(i, t - 1, 1, -(cost.0 as i64))),
+                    Some(_) => None,
+                    None => continue,
+                };
+                reuses.push((edge, cost));
             }
         }
     }
-
-    // The optimum over all terminal states.
-    let best = frontier
-        .values()
-        .min_by_key(|(c, _, _)| *c)
-        .copied()
-        .unwrap_or((0, 0, 0));
-    (
-        OfflineStats {
-            accesses,
-            hits: best.2,
-            misses: best.1,
-            aggregate_cost: Cost(best.0),
-        },
-        true,
-    )
-}
-
-fn insert_sorted(state: &mut State, id: u16) {
-    match state.binary_search(&id) {
-        Ok(_) => {}
-        Err(pos) => state.insert(pos, id),
+    if spare > 0 && net.out.len() > 1 {
+        net.min_cost_flow(spare);
+    }
+    for (edge, cost) in reuses {
+        if edge.is_none_or(|e| net.cap[e] == 0) {
+            stats.hits += 1;
+            stats.misses -= 1;
+            stats.aggregate_cost.0 -= cost.0;
+        }
     }
 }
 
-fn merge(map: &mut HashMap<State, (u64, u64, u64)>, state: State, v: (u64, u64, u64)) {
-    map.entry(state)
-        .and_modify(|cur| {
-            if v.0 < cur.0 {
-                *cur = v;
+/// A flow network in residual form: edge `e`'s reverse is `e ^ 1`. Every
+/// edge [`add`](Self::add)ed runs from a lower node to a higher one.
+#[derive(Default)]
+struct Network {
+    out: Vec<Vec<usize>>,
+    to: Vec<usize>,
+    cap: Vec<i64>,
+    cost: Vec<i64>,
+}
+
+impl Network {
+    /// Adds an edge `from → to` and its empty reverse; returns the edge.
+    fn add(&mut self, from: usize, to: usize, cap: i64, cost: i64) -> usize {
+        for (at, head, cap, cost) in [(from, to, cap, cost), (to, from, 0, -cost)] {
+            self.out[at].push(self.to.len());
+            self.to.push(head);
+            self.cap.push(cap);
+            self.cost.push(cost);
+        }
+        self.to.len() - 2
+    }
+
+    /// Pushes `units` from the first node to the last at least cost, by
+    /// successive shortest paths. The line edges keep every node reachable
+    /// until the last unit is pushed.
+    fn min_cost_flow(&mut self, mut units: i64) {
+        let n = self.out.len();
+        // Shortest distances over the DAG, in node order: reduced costs
+        // start out non-negative.
+        let mut pot = vec![i64::MAX; n];
+        pot[0] = 0;
+        for u in 0..n {
+            for &e in &self.out[u] {
+                if self.cap[e] > 0 {
+                    pot[self.to[e]] = pot[self.to[e]].min(pot[u] + self.cost[e]);
+                }
             }
-        })
-        .or_insert(v);
+        }
+        while units > 0 {
+            let mut dist = vec![i64::MAX; n];
+            let mut via = vec![usize::MAX; n];
+            let mut heap = BinaryHeap::from([Reverse((0, 0))]);
+            dist[0] = 0;
+            while let Some(Reverse((d, u))) = heap.pop() {
+                if d > dist[u] {
+                    continue;
+                }
+                for &e in &self.out[u] {
+                    let v = self.to[e];
+                    let reached = d + self.cost[e] + pot[u] - pot[v];
+                    if self.cap[e] > 0 && reached < dist[v] {
+                        dist[v] = reached;
+                        via[v] = e;
+                        heap.push(Reverse((reached, v)));
+                    }
+                }
+            }
+            for (p, d) in pot.iter_mut().zip(&dist) {
+                *p += d;
+            }
+            let path: Vec<usize> = std::iter::successors(Some(via[n - 1]), |&e| {
+                Some(via[self.to[e ^ 1]]).filter(|&e| e != usize::MAX)
+            })
+            .collect();
+            let push = path.iter().map(|&e| self.cap[e]).fold(units, i64::min);
+            for e in path {
+                self.cap[e] -= push;
+                self.cap[e ^ 1] += push;
+            }
+            units -= push;
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::opt::simulate_belady;
-    use cache_sim::{AccessType, BlockAddr, Cache, Lru};
+    use cache_sim::{AccessType, Cache, Cost, Lru};
 
     fn acc(b: u64, c: u64) -> TraceEvent {
         TraceEvent::Access {
@@ -191,7 +196,7 @@ mod tests {
         // aggregate cost equals Belady's miss count.
         let geom = one_set(2);
         let trace: Vec<TraceEvent> = (0..40).map(|i| acc((i * 7) % 5, 1)).collect();
-        let csopt = simulate_csopt(&geom, &trace, CsoptLimits::default()).expect("small trace");
+        let csopt = simulate_csopt(&geom, &trace);
         let belady = simulate_belady(&geom, &trace);
         assert_eq!(csopt.aggregate_cost.0, belady.misses);
     }
@@ -208,7 +213,7 @@ mod tests {
             acc(1, 1),
             acc(0, 10),
         ];
-        let csopt = simulate_csopt(&geom, &trace, CsoptLimits::default()).expect("small");
+        let csopt = simulate_csopt(&geom, &trace);
         let belady = simulate_belady(&geom, &trace);
         assert!(
             csopt.aggregate_cost < belady.aggregate_cost,
@@ -230,7 +235,7 @@ mod tests {
             let b = (x >> 33) % 9;
             trace.push(acc(b, if b.is_multiple_of(3) { 8 } else { 1 }));
         }
-        let csopt = simulate_csopt(&geom, &trace, CsoptLimits::default()).expect("small");
+        let csopt = simulate_csopt(&geom, &trace);
         let mut lru = Cache::new(geom, Lru::new);
         for ev in &trace {
             if let TraceEvent::Access { block, cost } = ev {
@@ -250,16 +255,8 @@ mod tests {
             },
             acc(0, 5),
         ];
-        let s = simulate_csopt(&geom, &trace, CsoptLimits::default()).expect("small");
+        let s = simulate_csopt(&geom, &trace);
         assert_eq!(s.aggregate_cost, Cost(10));
         assert_eq!(s.misses, 2);
-    }
-
-    #[test]
-    fn state_limit_aborts_gracefully() {
-        let geom = one_set(8);
-        let trace: Vec<TraceEvent> = (0..4000).map(|i| acc((i * 37) % 64, 1)).collect();
-        let tiny = CsoptLimits { max_states: 4 };
-        assert!(simulate_csopt(&geom, &trace, tiny).is_none());
     }
 }

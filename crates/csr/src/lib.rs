@@ -52,8 +52,9 @@
 //!   slab of arbitrary size whose recency order is kept as one list per
 //!   distinct cost, one per cache shard.
 //!
-//! Supporting modules: the [`etd`] shadow directory, clairvoyant baselines
-//! in [`opt`], and the Section 5 hardware-overhead model in [`hw`].
+//! Supporting modules: the [`etd`] shadow directory, the offline optima —
+//! Belady's in [`opt`], the cost-optimal CSOPT in [`csopt`] — and the
+//! Section 5 hardware-overhead model in [`hw`].
 //!
 //! # Observability
 //!
@@ -128,13 +129,13 @@ mod waylists;
 pub use acl::AclCore;
 pub use bcl::BclCore;
 pub use camp::CampCore;
-pub use csopt::{simulate_csopt, CsoptLimits};
+pub use csopt::simulate_csopt;
 pub use csr_obs::{NopObserver, Observer};
 pub use dcl::DclCore;
 pub use etd::{EtdConfig, EtdSet, EtdStats};
 pub use eviction::{EvictionPolicy, LruCore, Residents};
 pub use hw::{CostSource, HwParams, HwPolicy};
-pub use opt::{simulate_belady, simulate_cost_greedy, OfflineStats, TraceEvent};
+pub use opt::{simulate_belady, OfflineStats, TraceEvent};
 pub use policy::Policy;
 pub use rank::{GdCore, GdsfCore, LfudaCore, RankCore};
 pub use s3fifo::S3FifoCore;

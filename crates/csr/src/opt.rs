@@ -1,21 +1,8 @@
-//! Offline (clairvoyant) replacement baselines.
-//!
-//! Two offline references complement the on-line algorithms:
-//!
-//! * [`simulate_belady`] — Belady's OPT, which minimizes the **miss count**
-//!   of a set-associative cache by always evicting the resident block whose
-//!   next reference is farthest in the future.
-//! * [`simulate_cost_greedy`] — a cost-aware clairvoyant heuristic: dead
-//!   blocks (never referenced again) are evicted first; otherwise the block
-//!   with the farthest next reference among the *cheapest* resident blocks
-//!   is chosen.
-//!
-//! The second is *not* the paper's optimal CSOPT (Jeong & Dubois, SPAA
-//! 1999) — CSOPT requires branch-and-bound over reservation schedules —
-//! but it provides a useful clairvoyant reference point for the aggregate
-//! cost, and it degenerates to Belady's OPT under uniform costs. This is an
-//! extension beyond the paper, used by the benches to situate the on-line
-//! algorithms.
+//! Belady's OPT, the offline (clairvoyant) replacement baseline that
+//! minimizes the **miss count** of a set-associative cache by always
+//! evicting the resident block whose next reference is farthest in the
+//! future, and the trace types it shares with [`crate::csopt`], the
+//! cost-optimal schedule.
 
 use std::collections::HashMap;
 
@@ -51,13 +38,6 @@ pub struct OfflineStats {
     pub aggregate_cost: Cost,
 }
 
-/// Which clairvoyant eviction rule to apply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Rule {
-    Belady,
-    CostGreedy,
-}
-
 /// Simulates Belady's OPT (miss-count optimal) on `events`.
 ///
 /// # Examples
@@ -75,37 +55,6 @@ enum Rule {
 /// ```
 #[must_use]
 pub fn simulate_belady(geom: &Geometry, events: &[TraceEvent]) -> OfflineStats {
-    simulate(geom, events, Rule::Belady)
-}
-
-/// Simulates the cost-aware clairvoyant heuristic on `events`.
-#[must_use]
-pub fn simulate_cost_greedy(geom: &Geometry, events: &[TraceEvent]) -> OfflineStats {
-    simulate(geom, events, Rule::CostGreedy)
-}
-
-/// For each event index, the index of the next `Access` to the same block
-/// (`usize::MAX` when there is none). `Invalidate` events get `usize::MAX`.
-fn next_use_table(events: &[TraceEvent]) -> Vec<usize> {
-    let mut next = vec![usize::MAX; events.len()];
-    let mut last_seen: HashMap<BlockAddr, usize> = HashMap::new();
-    for (i, ev) in events.iter().enumerate().rev() {
-        if let TraceEvent::Access { block, .. } = ev {
-            next[i] = last_seen.get(block).copied().unwrap_or(usize::MAX);
-            last_seen.insert(*block, i);
-        }
-    }
-    next
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Resident {
-    block: BlockAddr,
-    cost: Cost,
-    next_use: usize,
-}
-
-fn simulate(geom: &Geometry, events: &[TraceEvent], rule: Rule) -> OfflineStats {
     let next = next_use_table(events);
     let mut sets: Vec<Vec<Resident>> = vec![Vec::new(); geom.num_sets()];
     let mut stats = OfflineStats::default();
@@ -128,45 +77,47 @@ fn simulate(geom: &Geometry, events: &[TraceEvent], rule: Rule) -> OfflineStats 
                 stats.misses += 1;
                 stats.aggregate_cost += cost;
                 if set.len() >= geom.assoc() {
-                    let victim_idx = match rule {
-                        Rule::Belady => set
-                            .iter()
-                            .enumerate()
-                            .max_by_key(|(_, r)| r.next_use)
-                            .map(|(idx, _)| idx)
-                            .expect("nonempty set"),
-                        Rule::CostGreedy => {
-                            // Dead blocks first (free to evict); otherwise
-                            // the farthest-used among the cheapest blocks.
-                            if let Some((idx, _)) = set
-                                .iter()
-                                .enumerate()
-                                .find(|(_, r)| r.next_use == usize::MAX)
-                            {
-                                idx
-                            } else {
-                                let min_cost =
-                                    set.iter().map(|r| r.cost).min().expect("nonempty set");
-                                set.iter()
-                                    .enumerate()
-                                    .filter(|(_, r)| r.cost == min_cost)
-                                    .max_by_key(|(_, r)| r.next_use)
-                                    .map(|(idx, _)| idx)
-                                    .expect("nonempty min-cost class")
-                            }
-                        }
-                    };
+                    let victim_idx = set
+                        .iter()
+                        .enumerate()
+                        .max_by_key(|(_, r)| r.next_use)
+                        .map(|(idx, _)| idx)
+                        .expect("nonempty set");
                     set.swap_remove(victim_idx);
                 }
                 set.push(Resident {
                     block,
-                    cost,
                     next_use: next[i],
                 });
             }
         }
     }
     stats
+}
+
+/// For each event index, the index of the next `Access` to the same block
+/// (`usize::MAX` when the block is invalidated first, or never accessed
+/// again). `Invalidate` events get `usize::MAX`.
+fn next_use_table(events: &[TraceEvent]) -> Vec<usize> {
+    let mut next = vec![usize::MAX; events.len()];
+    let mut last_seen: HashMap<BlockAddr, usize> = HashMap::new();
+    for (i, ev) in events.iter().enumerate().rev() {
+        match *ev {
+            TraceEvent::Access { block, .. } => {
+                next[i] = last_seen.insert(block, i).unwrap_or(usize::MAX);
+            }
+            TraceEvent::Invalidate { block } => {
+                last_seen.remove(&block);
+            }
+        }
+    }
+    next
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Resident {
+    block: BlockAddr,
+    next_use: usize,
 }
 
 #[cfg(test)]
@@ -231,35 +182,16 @@ mod tests {
     }
 
     #[test]
-    fn cost_greedy_prefers_cheap_victims() {
-        // 2-way set: expensive A, cheap B, both re-referenced later; filling
-        // C should displace B (cheap), saving cost over Belady tie.
+    fn belady_evicts_a_block_about_to_be_invalidated() {
+        // Filling C evicts A, whose next use comes after its invalidation,
+        // and keeps B, which then hits: 4 misses. Keeping A, whose next
+        // access is nearer, would miss 5 times.
         let geom = one_set(2);
-        let trace = vec![
-            acc(0, 9), // A
-            acc(1, 1), // B
-            acc(2, 1), // C: evict among A/B
-            acc(0, 9),
-            acc(1, 1),
-        ];
-        let s = simulate_cost_greedy(&geom, &trace);
-        // Misses: A, B, C, then B only (A kept). Cost = 9+1+1+1 = 12.
-        assert_eq!(s.aggregate_cost, Cost(12));
-        let b = simulate_belady(&geom, &trace);
-        assert!(s.aggregate_cost < b.aggregate_cost || b.misses <= s.misses);
-    }
-
-    #[test]
-    fn cost_greedy_equals_belady_under_uniform_costs_here() {
-        let geom = one_set(2);
-        let trace: Vec<TraceEvent> = (0..40).map(|i| acc((i * 7) % 5, 1)).collect();
-        let a = simulate_belady(&geom, &trace);
-        let b = simulate_cost_greedy(&geom, &trace);
-        // Not necessarily identical victim-by-victim (tie-breaks differ),
-        // but the dead-block-first rule keeps it within OPT's miss count on
-        // this small pattern.
-        assert_eq!(a.accesses, b.accesses);
-        assert!(b.misses >= a.misses, "Belady is the miss-count floor");
+        let inv_a = TraceEvent::Invalidate {
+            block: BlockAddr(0),
+        };
+        let trace = vec![acc(0, 1), acc(1, 1), acc(2, 1), inv_a, acc(0, 1), acc(1, 1)];
+        assert_eq!(simulate_belady(&geom, &trace).misses, 4);
     }
 
     #[test]

@@ -531,8 +531,10 @@ impl LruMissProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{build_benchmarks, run_tasks, Scale};
     use cache_sim::CostPair;
-    use mem_trace::cost_map::{RandomCostMap, UniformCostMap};
+    use csr::{simulate_csopt, TraceEvent};
+    use mem_trace::cost_map::{FirstTouchCostMap, RandomCostMap, UniformCostMap};
     use mem_trace::workloads::synthetic::UniformRandom;
     use mem_trace::{ProcId, Workload};
 
@@ -630,6 +632,70 @@ mod tests {
             let counts = counting.counts();
             assert_eq!(counts.hits + counts.misses + counts.evictions, 0);
         }
+    }
+
+    /// The L2's input under `pair`, for the offline optimum: reads and
+    /// writes become accesses at their cost, invalidations (dead ones too)
+    /// stay invalidations, and writebacks, which never bring a block in,
+    /// are dropped.
+    fn offline_events(priced: &PricedTrace<'_>, pair: CostPair) -> Vec<TraceEvent> {
+        let bits = priced
+            .high
+            .iter()
+            .flat_map(|&w| (0..64).map(move |j| w >> j & 1 == 1));
+        priced
+            .trace
+            .stream
+            .iter()
+            .zip(bits)
+            .filter_map(|(&ev, high)| {
+                let block = BlockAddr(ev >> KIND_BITS);
+                match ev & KIND {
+                    READ | WRITE => Some(TraceEvent::Access {
+                        block,
+                        cost: pair.pick(high),
+                    }),
+                    WRITEBACK => None,
+                    _ => Some(TraceEvent::Invalidate { block }),
+                }
+            })
+            .collect()
+    }
+
+    /// The optimum on the L2's input lower-bounds every policy on every
+    /// quick-scale Table 2 kernel, and GD stays within Young's bound
+    /// `k·OPT + k·r` (`k` the associativity). The paper's geometry nests,
+    /// so that input is the same under every policy.
+    #[test]
+    fn csopt_lower_bounds_every_policy_on_table2() {
+        let cfg = TraceSimConfig::paper_basic();
+        assert!(cfg.nests());
+        let benchmarks = build_benchmarks(Scale::Quick);
+        let filtered = run_tasks(2, &benchmarks, |b| FilteredTrace::new(&b.sampled, cfg));
+        let cells: Vec<(usize, u64)> = (0..benchmarks.len())
+            .flat_map(|bi| [(bi, 2), (bi, 32)])
+            .collect();
+        run_tasks(2, &cells, |&(bi, r)| {
+            let b = &benchmarks[bi];
+            let bb = cfg.l2.block_bytes();
+            let map =
+                FirstTouchCostMap::new(&b.placement, b.sample, CostPair::infinite_ratio(), bb);
+            let priced = PricedTrace::new(&filtered[bi], &map);
+            let pair = CostPair::ratio(r);
+            let opt = simulate_csopt(&cfg.l2, &offline_events(&priced, pair)).aggregate_cost;
+            for policy in Policy::ALL {
+                let cost = priced.run(pair, policy).aggregate_cost();
+                assert!(opt <= cost, "{} r={r}: OPT {opt} > {policy} {cost}", b.name);
+                if policy == Policy::Gd {
+                    let k = cfg.l2.assoc() as u64;
+                    assert!(
+                        cost.0 <= k * (opt.0 + r),
+                        "{} r={r}: GD {cost}, OPT {opt}",
+                        b.name
+                    );
+                }
+            }
+        });
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! seeds, so any failure reproduces exactly.
 
 use cost_sensitive_cache::harness::{l2_cores, TraceSimConfig};
-use cost_sensitive_cache::policies::csopt::{simulate_csopt, CsoptLimits};
+use cost_sensitive_cache::policies::csopt::simulate_csopt;
 use cost_sensitive_cache::policies::{AclCore, BclCore, DclCore, GdCore, Policy, TraceEvent};
 use cost_sensitive_cache::sim::{
     AccessType, BlockAddr, Cache, Cost, EvictionPolicy, Geometry, Lru, TwoLevel,
@@ -94,8 +94,7 @@ fn csopt_lower_bounds_every_online_policy() {
     for case in 0..CASES {
         let script = random_script(case);
         let geom = Geometry::new(512, 64, 4); // 2 sets x 4 ways
-        let opt = simulate_csopt(&geom, &trace_events(&script), CsoptLimits::default())
-            .expect("24 blocks / 4 ways stays tractable");
+        let opt = simulate_csopt(&geom, &trace_events(&script));
 
         for (name, cost) in [
             ("LRU", aggregate_cost(geom, Lru::new, &script)),
@@ -132,8 +131,7 @@ fn gd_is_k_competitive_with_csopt() {
         let script = random_script(case);
         let geom = Geometry::new(512, 64, 4); // 2 sets x 4 ways
         let k = geom.assoc() as u64;
-        let opt = simulate_csopt(&geom, &trace_events(&script), CsoptLimits::default())
-            .expect("24 blocks / 4 ways stays tractable");
+        let opt = simulate_csopt(&geom, &trace_events(&script));
         let gd = aggregate_cost(geom, || GdCore::new(geom.assoc()), &script);
         assert!(
             gd.0 <= k * opt.aggregate_cost.0 + k * MAX_COST,
