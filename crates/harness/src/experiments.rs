@@ -113,10 +113,11 @@ impl Benchmark {
 /// Seed used for all benchmark generation (experiments are reproducible).
 pub const BENCH_SEED: u64 = 2003;
 
-/// Generates and samples the four-benchmark suite.
+/// Generates and samples the four-benchmark suite, one kernel per worker
+/// thread ([`run_tasks`] over [`default_threads`]), in suite order.
 #[must_use]
 pub fn build_benchmarks(scale: Scale) -> Vec<Benchmark> {
-    let workloads: Vec<Box<dyn Workload>> = match scale {
+    let workloads: Vec<Box<dyn Workload + Sync>> = match scale {
         Scale::Quick => vec![
             Box::new(BarnesLike::default()),
             Box::new(LuLike::default()),
@@ -130,10 +131,9 @@ pub fn build_benchmarks(scale: Scale) -> Vec<Benchmark> {
             Box::new(RaytraceLike::paper_scale()),
         ],
     };
-    workloads
-        .iter()
-        .map(|w| Benchmark::build(w.as_ref(), BENCH_SEED))
-        .collect()
+    run_tasks(default_threads(), &workloads, |w| {
+        Benchmark::build(w.as_ref(), BENCH_SEED)
+    })
 }
 
 /// One cell of the Figure 3 grid.

@@ -3,7 +3,9 @@
 //! Memory reference traces and synthetic workloads for the HPCA 2003
 //! cost-sensitive-replacement reproduction:
 //!
-//! * [`record`] — multiprocessor [`Trace`]s of shared-data references;
+//! * [`record`] — multiprocessor [`Trace`]s of shared-data references, and
+//!   the one-word [`PackedRef`] that [`phased`] streams hold;
+//! * [`phased`] — barrier-delimited per-processor streams ([`PhasedTrace`]);
 //! * [`workloads`] — synthetic SPLASH-2-like kernels ([`BarnesLike`],
 //!   [`LuLike`], [`OceanLike`], [`RaytraceLike`]) plus generic generators;
 //! * [`first_touch`] — first-touch NUMA placement;
@@ -44,7 +46,7 @@ pub mod workloads;
 pub use cost_map::{CostMap, FirstTouchCostMap, RandomCostMap, UniformCostMap};
 pub use first_touch::{FirstTouchPlacement, UnitHasher};
 pub use phased::{Phase, PhasedTrace};
-pub use record::{ProcId, Trace, TraceRecord};
+pub use record::{PackedRef, ProcId, Trace, TraceRecord};
 pub use sampled::{SampledEvent, SampledTrace};
 pub use stats::{TraceCensus, TraceCharacteristics};
 pub use workloads::{BarnesLike, LuLike, OceanLike, RaytraceLike, Workload};

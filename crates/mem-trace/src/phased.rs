@@ -5,13 +5,17 @@
 //! (Section 4) instead replays each processor's stream on its own simulated
 //! CPU, with barrier synchronization between program phases — the
 //! interleaving *within* a phase then emerges from the simulated timing.
+//!
+//! A stream holds [`PackedRef`]s, one word a reference: its processor is
+//! the stream's index, and [`PhasedTrace::records`] unpacks each reference
+//! into a [`TraceRecord`] as it yields it.
 
-use crate::record::{ProcId, Trace, TraceRecord};
+use crate::record::{PackedRef, ProcId, Trace, TraceRecord};
 
 /// One barrier-delimited phase: a reference stream per processor.
 #[derive(Debug, Clone, Default)]
 pub struct Phase {
-    pub(crate) streams: Vec<Vec<TraceRecord>>,
+    pub(crate) streams: Vec<Vec<PackedRef>>,
 }
 
 impl Phase {
@@ -23,21 +27,21 @@ impl Phase {
         }
     }
 
-    /// Wraps existing per-processor streams.
+    /// Wraps existing per-processor streams, processor `p`'s at index `p`.
     #[must_use]
-    pub fn from_streams(streams: Vec<Vec<TraceRecord>>) -> Self {
+    pub fn from_streams(streams: Vec<Vec<PackedRef>>) -> Self {
         Phase { streams }
     }
 
     /// The stream of processor `p`.
     #[must_use]
-    pub fn stream(&self, p: ProcId) -> &[TraceRecord] {
+    pub fn stream(&self, p: ProcId) -> &[PackedRef] {
         &self.streams[p.0]
     }
 
     /// All streams.
     #[must_use]
-    pub fn streams(&self) -> &[Vec<TraceRecord>] {
+    pub fn streams(&self) -> &[Vec<PackedRef>] {
         &self.streams
     }
 
@@ -112,21 +116,22 @@ impl PhasedTrace {
     /// Section 3 methodology), lazily: within each phase, round-robin
     /// chunks of `chunk` records from every processor's stream, a stream
     /// leaving the rotation when it is spent; phases in program order.
+    /// Each record is unpacked as it is yielded; no phase is ever copied.
     /// Internal iteration (`for_each`, `fold`) runs the nested `flat_map`s
     /// as plain loops, faster than calling `next`.
     ///
     /// # Panics
     ///
     /// Panics if `chunk` is zero.
-    pub fn records(&self, chunk: usize) -> impl Iterator<Item = &TraceRecord> {
+    pub fn records(&self, chunk: usize) -> impl Iterator<Item = TraceRecord> + '_ {
         assert!(chunk > 0, "chunk must be nonzero");
         self.phases.iter().flat_map(move |phase| {
             let longest = phase.streams.iter().map(Vec::len).max().unwrap_or(0);
             (0..longest).step_by(chunk).flat_map(move |start| {
-                phase
-                    .streams
-                    .iter()
-                    .flat_map(move |s| s.get(start..).unwrap_or_default().iter().take(chunk))
+                phase.streams.iter().enumerate().flat_map(move |(p, s)| {
+                    let run = s.get(start..).unwrap_or_default().iter().take(chunk);
+                    run.map(move |r| r.record(ProcId(p)))
+                })
             })
         })
     }
@@ -135,7 +140,7 @@ impl PhasedTrace {
     #[must_use]
     pub fn interleave(&self, chunk: usize) -> Trace {
         let mut trace = Trace::new(self.num_procs);
-        trace.extend(self.records(chunk).copied());
+        trace.extend(self.records(chunk));
         trace
     }
 }
@@ -148,7 +153,7 @@ mod tests {
     #[test]
     fn phase_accounting() {
         let mut ph = Phase::new(2);
-        ph.streams[0].push(TraceRecord::read(ProcId(0), Addr(0)));
+        ph.streams[0].push(PackedRef::read(Addr(0)));
         assert_eq!(ph.len(), 1);
         assert!(!ph.is_empty());
         assert_eq!(ph.stream(ProcId(1)).len(), 0);
@@ -158,10 +163,10 @@ mod tests {
     fn interleave_respects_phase_barriers() {
         let mut pt = PhasedTrace::new(2);
         let mut p1 = Phase::new(2);
-        p1.streams[0].push(TraceRecord::read(ProcId(0), Addr(0)));
-        p1.streams[1].push(TraceRecord::read(ProcId(1), Addr(64)));
+        p1.streams[0].push(PackedRef::read(Addr(0)));
+        p1.streams[1].push(PackedRef::read(Addr(64)));
         let mut p2 = Phase::new(2);
-        p2.streams[1].push(TraceRecord::read(ProcId(1), Addr(128)));
+        p2.streams[1].push(PackedRef::read(Addr(128)));
         pt.push(p1);
         pt.push(p2);
         let t = pt.interleave(4);

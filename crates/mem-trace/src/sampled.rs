@@ -38,16 +38,14 @@ impl SampledTrace {
     /// Extracts the sample view of `proc` from a full multiprocessor trace.
     #[must_use]
     pub fn from_trace(trace: &Trace, proc: ProcId) -> Self {
-        Self::from_records(trace, proc)
+        Self::from_records(trace.iter().copied(), proc)
     }
 
     /// Extracts the sample view of `proc` from records in trace order
-    /// (a [`Trace`], or [`PhasedTrace::records`](crate::PhasedTrace::records)).
+    /// ([`PhasedTrace::records`](crate::PhasedTrace::records), or a
+    /// [`Trace`]'s records copied).
     #[must_use]
-    pub fn from_records<'a>(
-        records: impl IntoIterator<Item = &'a TraceRecord>,
-        proc: ProcId,
-    ) -> Self {
+    pub fn from_records(records: impl IntoIterator<Item = TraceRecord>, proc: ProcId) -> Self {
         let mut events = Vec::new();
         let mut own_refs = 0;
         let mut foreign_writes = 0;

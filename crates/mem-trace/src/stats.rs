@@ -52,10 +52,10 @@ impl TraceCensus {
     /// Panics if a record's processor is not below `num_procs`, or if
     /// `granularity_bytes` is not a power of two.
     #[must_use]
-    pub fn from_records<'a>(
+    pub fn from_records(
         num_procs: usize,
         granularity_bytes: u64,
-        records: impl IntoIterator<Item = &'a TraceRecord>,
+        records: impl IntoIterator<Item = TraceRecord>,
     ) -> Self {
         let mut placement = FirstTouchPlacement::new(granularity_bytes);
         let mut counts = vec![(0, 0, 0); num_procs];
@@ -74,7 +74,7 @@ impl TraceCensus {
     /// The census of a whole [`Trace`].
     #[must_use]
     pub fn from_trace(granularity_bytes: u64, trace: &Trace) -> Self {
-        Self::from_records(trace.num_procs(), granularity_bytes, trace)
+        Self::from_records(trace.num_procs(), granularity_bytes, trace.iter().copied())
     }
 
     /// The first-touch placement of the records.
@@ -181,7 +181,7 @@ mod tests {
         assert_eq!(census.placement().units_homed(), 2);
         // P1 refs: 0 (local, homed it) => 0; one pass gives both.
         assert_eq!(census.remote_fractions(), vec![f, 0.0]);
-        let idle = TraceCensus::from_records(3, 64, &t);
+        let idle = TraceCensus::from_records(3, 64, t.iter().copied());
         assert_eq!(idle.remote_fractions()[2], 0.0, "no references");
     }
 

@@ -15,7 +15,7 @@
 
 use super::{Splitmix, Workload, INTERLEAVE_CHUNK};
 use crate::phased::{Phase, PhasedTrace};
-use crate::record::{ProcId, Trace, TraceRecord};
+use crate::record::{PackedRef, Trace};
 use cache_sim::Addr;
 
 /// Configuration of [`BarnesLike`].
@@ -163,17 +163,16 @@ impl Workload for BarnesLike {
 
         // Initialization: owners write their bodies and the tree cells they
         // home (first touch).
-        let mut init: Vec<Vec<TraceRecord>> = vec![Vec::new(); self.procs];
+        let mut init: Vec<Vec<PackedRef>> = vec![Vec::new(); self.procs];
         for p in 0..self.procs {
-            let proc = ProcId(p);
             for b in self.body_range(p) {
-                init[p].push(TraceRecord::write(proc, self.body_addr(b, 0)));
-                init[p].push(TraceRecord::write(proc, self.body_addr(b, 1)));
+                init[p].push(PackedRef::write(self.body_addr(b, 0)));
+                init[p].push(PackedRef::write(self.body_addr(b, 1)));
             }
         }
         for c in 1..self.num_cells() {
             let p = self.cell_owner(c);
-            init[p].push(TraceRecord::write(ProcId(p), self.cell_addr(c, 0)));
+            init[p].push(PackedRef::write(self.cell_addr(c, 0)));
         }
         pt.push(Phase::from_streams(init));
 
@@ -182,16 +181,15 @@ impl Workload for BarnesLike {
         for step in 0..self.steps {
             // Tree build: each processor re-inserts a sample of its bodies,
             // reading and writing the cells along the insertion path.
-            let mut phase: Vec<Vec<TraceRecord>> = vec![Vec::new(); self.procs];
+            let mut phase: Vec<Vec<PackedRef>> = vec![Vec::new(); self.procs];
             for p in 0..self.procs {
-                let proc = ProcId(p);
                 let mut rng = Splitmix::new(seed ^ (step as u64) << 32 ^ (p as u64) << 8 ^ 0xB);
                 let out = &mut phase[p];
                 for b in self.body_range(p).step_by(4) {
-                    out.push(TraceRecord::read(proc, self.body_addr(b, 0)));
+                    out.push(PackedRef::read(self.body_addr(b, 0)));
                     self.walk(&mut rng, p, build_depth, |c| {
-                        out.push(TraceRecord::read(proc, self.cell_addr(c, 0)));
-                        out.push(TraceRecord::write(proc, self.cell_addr(c, 0)));
+                        out.push(PackedRef::read(self.cell_addr(c, 0)));
+                        out.push(PackedRef::write(self.cell_addr(c, 0)));
                     });
                 }
             }
@@ -200,23 +198,22 @@ impl Workload for BarnesLike {
             // Force computation: each body performs `walk_len` cell reads as
             // root-to-leaf descents (hot top levels, cold deep levels), then
             // updates the body.
-            let mut phase: Vec<Vec<TraceRecord>> = vec![Vec::new(); self.procs];
+            let mut phase: Vec<Vec<PackedRef>> = vec![Vec::new(); self.procs];
             for p in 0..self.procs {
-                let proc = ProcId(p);
                 let mut rng = Splitmix::new(seed ^ (step as u64) << 32 ^ (p as u64) << 8 ^ 0xF);
                 let out = &mut phase[p];
                 for b in self.body_range(p) {
-                    out.push(TraceRecord::read(proc, self.body_addr(b, 0)));
+                    out.push(PackedRef::read(self.body_addr(b, 0)));
                     let mut emitted = 0usize;
                     while emitted < self.walk_len {
                         self.walk(&mut rng, p, full_depth, |c| {
                             if emitted < self.walk_len {
-                                out.push(TraceRecord::read(proc, self.cell_addr(c, c & 1)));
+                                out.push(PackedRef::read(self.cell_addr(c, c & 1)));
                                 emitted += 1;
                             }
                         });
                     }
-                    out.push(TraceRecord::write(proc, self.body_addr(b, 1)));
+                    out.push(PackedRef::write(self.body_addr(b, 1)));
                 }
             }
             pt.push(Phase::from_streams(phase));

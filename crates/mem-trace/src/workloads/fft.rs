@@ -13,7 +13,7 @@
 
 use super::{Workload, INTERLEAVE_CHUNK};
 use crate::phased::{Phase, PhasedTrace};
-use crate::record::{ProcId, Trace, TraceRecord};
+use crate::record::{PackedRef, Trace};
 use cache_sim::Addr;
 
 /// Configuration of [`FftLike`].
@@ -71,8 +71,7 @@ impl FftLike {
 
     /// Emits one local row-FFT pass over matrix `mat` for processor `p`:
     /// log2(side) butterfly sweeps, sampled.
-    fn row_fft(&self, out: &mut Vec<TraceRecord>, p: usize, mat: usize) {
-        let proc = ProcId(p);
+    fn row_fft(&self, out: &mut Vec<PackedRef>, p: usize, mat: usize) {
         let stages = self.side.ilog2().min(3); // sampled butterfly depth
         for row in self.rows(p) {
             for stage in 0..stages {
@@ -80,10 +79,10 @@ impl FftLike {
                 for col in (0..self.side - span).step_by(self.stride.max(1) * 2) {
                     let a = self.elem(mat, row, col);
                     let b = self.elem(mat, row, col + span);
-                    out.push(TraceRecord::read(proc, a));
-                    out.push(TraceRecord::read(proc, b));
-                    out.push(TraceRecord::write(proc, a));
-                    out.push(TraceRecord::write(proc, b));
+                    out.push(PackedRef::read(a));
+                    out.push(PackedRef::read(b));
+                    out.push(PackedRef::write(a));
+                    out.push(PackedRef::write(b));
                 }
             }
         }
@@ -91,8 +90,7 @@ impl FftLike {
 
     /// Emits the all-to-all transpose: `p` reads the column block owned by
     /// every processor and writes it into its own rows of the other matrix.
-    fn transpose(&self, out: &mut Vec<TraceRecord>, p: usize, from: usize, to: usize) {
-        let proc = ProcId(p);
+    fn transpose(&self, out: &mut Vec<PackedRef>, p: usize, from: usize, to: usize) {
         let my_rows = self.rows(p);
         // The transpose touches every element (unsampled): it is the dense
         // all-to-all communication step of the six-step algorithm.
@@ -101,8 +99,8 @@ impl FftLike {
                 for dst_row in my_rows.clone() {
                     // Element (src_row, dst_row) of `from` becomes
                     // (dst_row, src_row) of `to`.
-                    out.push(TraceRecord::read(proc, self.elem(from, src_row, dst_row)));
-                    out.push(TraceRecord::write(proc, self.elem(to, dst_row, src_row)));
+                    out.push(PackedRef::read(self.elem(from, src_row, dst_row)));
+                    out.push(PackedRef::write(self.elem(to, dst_row, src_row)));
                 }
             }
         }
@@ -135,12 +133,11 @@ impl Workload for FftLike {
         let stride = self.stride.max(1);
 
         // Initialization: owners write their row bands of matrix 0.
-        let mut init: Vec<Vec<TraceRecord>> = vec![Vec::new(); self.procs];
+        let mut init: Vec<Vec<PackedRef>> = vec![Vec::new(); self.procs];
         for p in 0..self.procs {
-            let proc = ProcId(p);
             for row in self.rows(p) {
                 for col in (0..self.side).step_by(stride) {
-                    init[p].push(TraceRecord::write(proc, self.elem(0, row, col)));
+                    init[p].push(PackedRef::write(self.elem(0, row, col)));
                 }
             }
         }
@@ -155,7 +152,7 @@ impl Workload for FftLike {
             (0, None),
         ];
         for (mat, transpose) in steps {
-            let mut phase: Vec<Vec<TraceRecord>> = vec![Vec::new(); self.procs];
+            let mut phase: Vec<Vec<PackedRef>> = vec![Vec::new(); self.procs];
             for p in 0..self.procs {
                 match transpose {
                     None => self.row_fft(&mut phase[p], p, mat),

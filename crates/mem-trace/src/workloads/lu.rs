@@ -10,7 +10,7 @@
 
 use super::{Workload, INTERLEAVE_CHUNK};
 use crate::phased::{Phase, PhasedTrace};
-use crate::record::{ProcId, Trace, TraceRecord};
+use crate::record::{PackedRef, ProcId, Trace};
 use cache_sim::Addr;
 
 /// Configuration of [`LuLike`].
@@ -90,8 +90,7 @@ impl LuLike {
     /// `reads` lists source blocks, `target` is read-modified-written.
     fn block_task(
         &self,
-        out: &mut Vec<TraceRecord>,
-        proc: ProcId,
+        out: &mut Vec<PackedRef>,
         reads: &[(usize, usize)],
         target: (usize, usize),
     ) {
@@ -111,15 +110,12 @@ impl LuLike {
                 // fraction near the paper's moderate LU value).
                 if step.is_multiple_of(2) {
                     for &(ri, rj) in reads {
-                        out.push(TraceRecord::read(
-                            proc,
-                            self.elem_addr(ri * b + i, rj * b + j % b),
-                        ));
+                        out.push(PackedRef::read(self.elem_addr(ri * b + i, rj * b + j % b)));
                     }
                 }
                 let a = self.elem_addr(ti + i, tj + j);
-                out.push(TraceRecord::read(proc, a));
-                out.push(TraceRecord::write(proc, a));
+                out.push(PackedRef::read(a));
+                out.push(PackedRef::write(a));
             }
         }
     }
@@ -151,14 +147,14 @@ impl Workload for LuLike {
         let mut pt = PhasedTrace::new(self.procs);
 
         // Initialization: every owner writes its blocks (first touch).
-        let mut init: Vec<Vec<TraceRecord>> = vec![Vec::new(); self.procs];
+        let mut init: Vec<Vec<PackedRef>> = vec![Vec::new(); self.procs];
         for bi in 0..nb {
             for bj in 0..nb {
                 let p = self.owner(bi, bj);
                 let b = self.block;
                 for i in (0..b * b).step_by(self.element_stride.max(1) * 4) {
                     let addr = self.elem_addr(bi * b + i / b, bj * b + i % b);
-                    init[p.0].push(TraceRecord::write(p, addr));
+                    init[p.0].push(PackedRef::write(addr));
                 }
             }
         }
@@ -167,18 +163,18 @@ impl Workload for LuLike {
         // Outer factorization steps with barrier-separated phases.
         for k in 0..nb {
             // Phase 1: factor the diagonal block (its owner only).
-            let mut phase: Vec<Vec<TraceRecord>> = vec![Vec::new(); self.procs];
+            let mut phase: Vec<Vec<PackedRef>> = vec![Vec::new(); self.procs];
             let p = self.owner(k, k);
-            self.block_task(&mut phase[p.0], p, &[], (k, k));
+            self.block_task(&mut phase[p.0], &[], (k, k));
             pt.push(Phase::from_streams(phase));
 
             // Phase 2: perimeter updates read the diagonal block.
-            let mut phase: Vec<Vec<TraceRecord>> = vec![Vec::new(); self.procs];
+            let mut phase: Vec<Vec<PackedRef>> = vec![Vec::new(); self.procs];
             for x in (k + 1)..nb {
                 let p = self.owner(k, x);
-                self.block_task(&mut phase[p.0], p, &[(k, k)], (k, x));
+                self.block_task(&mut phase[p.0], &[(k, k)], (k, x));
                 let p = self.owner(x, k);
-                self.block_task(&mut phase[p.0], p, &[(k, k)], (x, k));
+                self.block_task(&mut phase[p.0], &[(k, k)], (x, k));
             }
             pt.push(Phase::from_streams(phase));
 
@@ -188,11 +184,11 @@ impl Workload for LuLike {
             // (i, k) is re-read once per column of tasks — a medium reuse
             // distance just beyond the cache, which is what makes LU's
             // locality profile interesting for reservations.
-            let mut phase: Vec<Vec<TraceRecord>> = vec![Vec::new(); self.procs];
+            let mut phase: Vec<Vec<PackedRef>> = vec![Vec::new(); self.procs];
             for j in (k + 1)..nb {
                 for i in (k + 1)..nb {
                     let p = self.owner(i, j);
-                    self.block_task(&mut phase[p.0], p, &[(i, k), (k, j)], (i, j));
+                    self.block_task(&mut phase[p.0], &[(i, k), (k, j)], (i, j));
                 }
             }
             pt.push(Phase::from_streams(phase));

@@ -17,7 +17,7 @@
 //! All kernels are deterministic given a seed and implement [`Workload`].
 
 use crate::phased::{Phase, PhasedTrace};
-use crate::record::Trace;
+use crate::record::{PackedRef, Trace};
 
 mod barnes;
 mod fft;
@@ -63,7 +63,7 @@ pub trait Workload {
         let trace = self.generate(seed);
         let mut phase = Phase::new(self.num_procs());
         for rec in &trace {
-            phase.streams[rec.proc.0].push(*rec);
+            phase.streams[rec.proc.0].push(PackedRef::from(*rec));
         }
         let mut pt = PhasedTrace::new(self.num_procs());
         pt.push(phase);
@@ -91,16 +91,13 @@ pub fn standard_suite() -> Vec<Box<dyn Workload>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{ProcId, TraceRecord};
     use cache_sim::Addr;
 
     #[test]
     fn interleaver_round_robins_chunks() {
-        let s0: Vec<TraceRecord> = (0..4)
-            .map(|i| TraceRecord::read(ProcId(0), Addr(i * 64)))
-            .collect();
-        let s1: Vec<TraceRecord> = (0..2)
-            .map(|i| TraceRecord::read(ProcId(1), Addr(0x1000 + i * 64)))
+        let s0: Vec<PackedRef> = (0..4).map(|i| PackedRef::read(Addr(i * 64))).collect();
+        let s1: Vec<PackedRef> = (0..2)
+            .map(|i| PackedRef::read(Addr(0x1000 + i * 64)))
             .collect();
         let mut pt = PhasedTrace::new(2);
         pt.push(Phase::from_streams(vec![s0, s1]));

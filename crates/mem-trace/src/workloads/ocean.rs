@@ -13,7 +13,7 @@
 
 use super::{Workload, INTERLEAVE_CHUNK};
 use crate::phased::{Phase, PhasedTrace};
-use crate::record::{ProcId, Trace, TraceRecord};
+use crate::record::{PackedRef, Trace};
 use cache_sim::Addr;
 
 /// Configuration of [`OceanLike`].
@@ -151,30 +151,28 @@ impl Workload for OceanLike {
 
         // Initialization: each processor writes its band of every grid
         // (first touch homes the bands correctly).
-        let mut init: Vec<Vec<TraceRecord>> = vec![Vec::new(); self.procs];
+        let mut init: Vec<Vec<PackedRef>> = vec![Vec::new(); self.procs];
         for g in 0..self.grids {
             for p in 0..self.procs {
-                let proc = ProcId(p);
                 let (lo, hi) = self.band(p);
                 // Band owners also home their adjacent boundary rows.
                 let lo = if p == 0 { 0 } else { lo };
                 let hi = if p == self.procs - 1 { self.n } else { hi };
                 for row in lo..hi {
                     for col in (0..self.n).step_by(stride) {
-                        init[p].push(TraceRecord::write(proc, self.point_addr(g, row, col)));
+                        init[p].push(PackedRef::write(self.point_addr(g, row, col)));
                     }
                 }
             }
         }
         // Coefficient grid: written once, band-homed, read-only afterwards.
         for p in 0..self.procs {
-            let proc = ProcId(p);
             let (lo, hi) = self.band(p);
             let lo = if p == 0 { 0 } else { lo };
             let hi = if p == self.procs - 1 { self.n } else { hi };
             for row in lo..hi {
                 for col in (0..self.n).step_by(stride) {
-                    init[p].push(TraceRecord::write(proc, self.coeff_addr(row, col)));
+                    init[p].push(PackedRef::write(self.coeff_addr(row, col)));
                 }
             }
         }
@@ -184,20 +182,19 @@ impl Workload for OceanLike {
         for it in 0..self.iters {
             let src = it % self.grids;
             let dst = (it + 1) % self.grids;
-            let mut phase: Vec<Vec<TraceRecord>> = vec![Vec::new(); self.procs];
+            let mut phase: Vec<Vec<PackedRef>> = vec![Vec::new(); self.procs];
             for p in 0..self.procs {
-                let proc = ProcId(p);
                 let (lo, hi) = self.band(p);
                 let out = &mut phase[p];
                 for row in lo..hi {
                     for col in (1..self.n - 1).step_by(stride) {
                         // 5-point stencil on the source grid.
-                        out.push(TraceRecord::read(proc, self.point_addr(src, row - 1, col)));
-                        out.push(TraceRecord::read(proc, self.point_addr(src, row + 1, col)));
-                        out.push(TraceRecord::read(proc, self.point_addr(src, row, col - 1)));
-                        out.push(TraceRecord::read(proc, self.point_addr(src, row, col + 1)));
-                        out.push(TraceRecord::read(proc, self.point_addr(src, row, col)));
-                        out.push(TraceRecord::write(proc, self.point_addr(dst, row, col)));
+                        out.push(PackedRef::read(self.point_addr(src, row - 1, col)));
+                        out.push(PackedRef::read(self.point_addr(src, row + 1, col)));
+                        out.push(PackedRef::read(self.point_addr(src, row, col - 1)));
+                        out.push(PackedRef::read(self.point_addr(src, row, col + 1)));
+                        out.push(PackedRef::read(self.point_addr(src, row, col)));
+                        out.push(PackedRef::write(self.point_addr(dst, row, col)));
                     }
                 }
             }
@@ -207,14 +204,13 @@ impl Workload for OceanLike {
             // band (including the remote boundary rows). This re-read after
             // a full band sweep is Ocean's main supply of reuse beyond the
             // L1 working set.
-            let mut phase: Vec<Vec<TraceRecord>> = vec![Vec::new(); self.procs];
+            let mut phase: Vec<Vec<PackedRef>> = vec![Vec::new(); self.procs];
             for p in 0..self.procs {
-                let proc = ProcId(p);
                 let (lo, hi) = self.band(p);
                 let out = &mut phase[p];
                 for row in (lo - 1)..=(hi).min(self.n - 1) {
                     for col in (1..self.n - 1).step_by(stride) {
-                        out.push(TraceRecord::read(proc, self.point_addr(src, row, col)));
+                        out.push(PackedRef::read(self.point_addr(src, row, col)));
                     }
                 }
             }
@@ -224,26 +220,19 @@ impl Workload for OceanLike {
             // (each its own long-lived grid, band-partitioned like the fine
             // grid). Coarse data is revisited every iteration with a working
             // set that no longer fits the cache — reuse at a distance.
-            let mut phase: Vec<Vec<TraceRecord>> = vec![Vec::new(); self.procs];
+            let mut phase: Vec<Vec<PackedRef>> = vec![Vec::new(); self.procs];
             for level in 1..=2usize {
                 let side = self.n >> level;
                 for p in 0..self.procs {
-                    let proc = ProcId(p);
                     let (lo, hi) = Self::band_of(side, self.procs, p);
                     let out = &mut phase[p];
                     for row in lo..hi {
                         for col in (1..side - 1).step_by(stride) {
-                            out.push(TraceRecord::read(
-                                proc,
-                                self.coarse_addr(level, row - 1, col),
-                            ));
-                            out.push(TraceRecord::read(
-                                proc,
-                                self.coarse_addr(level, row + 1, col),
-                            ));
-                            out.push(TraceRecord::read(proc, self.coarse_addr(level, row, col)));
+                            out.push(PackedRef::read(self.coarse_addr(level, row - 1, col)));
+                            out.push(PackedRef::read(self.coarse_addr(level, row + 1, col)));
+                            out.push(PackedRef::read(self.coarse_addr(level, row, col)));
                             let a = self.coarse_addr(level, row, col);
-                            out.push(TraceRecord::write(proc, a));
+                            out.push(PackedRef::write(a));
                         }
                     }
                 }
@@ -255,12 +244,11 @@ impl Workload for OceanLike {
             // read-only) coefficient grid — remote, re-read every
             // iteration, and never invalidated.
             if self.reduction_points > 0 {
-                let mut phase: Vec<Vec<TraceRecord>> = vec![Vec::new(); self.procs];
+                let mut phase: Vec<Vec<PackedRef>> = vec![Vec::new(); self.procs];
                 for p in 0..self.procs {
-                    let proc = ProcId(p);
                     let out = &mut phase[p];
                     for (row, col) in self.reduction_lattice() {
-                        out.push(TraceRecord::read(proc, self.coeff_addr(row, col)));
+                        out.push(PackedRef::read(self.coeff_addr(row, col)));
                     }
                 }
                 pt.push(Phase::from_streams(phase));

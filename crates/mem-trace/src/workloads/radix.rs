@@ -15,7 +15,7 @@
 
 use super::{Splitmix, Workload, INTERLEAVE_CHUNK};
 use crate::phased::{Phase, PhasedTrace};
-use crate::record::{ProcId, Trace, TraceRecord};
+use crate::record::{PackedRef, Trace};
 use cache_sim::Addr;
 
 /// Configuration of [`RadixLike`].
@@ -120,11 +120,10 @@ impl Workload for RadixLike {
         let radix_mask = (self.radix() - 1) as u64;
 
         // Initialization: owners write their key chunks (first touch).
-        let mut init: Vec<Vec<TraceRecord>> = vec![Vec::new(); self.procs];
+        let mut init: Vec<Vec<PackedRef>> = vec![Vec::new(); self.procs];
         for p in 0..self.procs {
-            let proc = ProcId(p);
             for i in self.chunk(p).step_by(stride) {
-                init[p].push(TraceRecord::write(proc, self.key_addr(0, i)));
+                init[p].push(PackedRef::write(self.key_addr(0, i)));
             }
         }
         pt.push(Phase::from_streams(init));
@@ -133,29 +132,27 @@ impl Workload for RadixLike {
             let shift = (pass as u32) * self.digit_bits;
 
             // Phase 1: local histograms (read own keys, bump own buckets).
-            let mut phase: Vec<Vec<TraceRecord>> = vec![Vec::new(); self.procs];
+            let mut phase: Vec<Vec<PackedRef>> = vec![Vec::new(); self.procs];
             for p in 0..self.procs {
-                let proc = ProcId(p);
                 let out = &mut phase[p];
                 for i in self.chunk(p).step_by(stride) {
-                    out.push(TraceRecord::read(proc, self.key_addr(pass, i)));
+                    out.push(PackedRef::read(self.key_addr(pass, i)));
                     let bucket = ((self.key_value(i, seed) >> shift) & radix_mask) as usize;
                     let h = self.hist_addr(p, bucket);
-                    out.push(TraceRecord::read(proc, h));
-                    out.push(TraceRecord::write(proc, h));
+                    out.push(PackedRef::read(h));
+                    out.push(PackedRef::write(h));
                 }
             }
             pt.push(Phase::from_streams(phase));
 
             // Phase 2: global rank computation — every processor scans all
             // histograms (remote reads of small shared data).
-            let mut phase: Vec<Vec<TraceRecord>> = vec![Vec::new(); self.procs];
+            let mut phase: Vec<Vec<PackedRef>> = vec![Vec::new(); self.procs];
             for p in 0..self.procs {
-                let proc = ProcId(p);
                 let out = &mut phase[p];
                 for other in 0..self.procs {
                     for bucket in (0..self.radix()).step_by(8) {
-                        out.push(TraceRecord::read(proc, self.hist_addr(other, bucket)));
+                        out.push(PackedRef::read(self.hist_addr(other, bucket)));
                     }
                 }
             }
@@ -163,20 +160,18 @@ impl Workload for RadixLike {
 
             // Phase 3: permutation — read own keys, write them to their
             // globally-ranked position (scattered, mostly remote).
-            let mut phase: Vec<Vec<TraceRecord>> = vec![Vec::new(); self.procs];
+            let mut phase: Vec<Vec<PackedRef>> = vec![Vec::new(); self.procs];
             for p in 0..self.procs {
-                let proc = ProcId(p);
                 let out = &mut phase[p];
                 for i in self.chunk(p).step_by(stride) {
-                    out.push(TraceRecord::read(proc, self.key_addr(pass, i)));
+                    out.push(PackedRef::read(self.key_addr(pass, i)));
                     // Destination ≈ digit-ordered position: deterministic
                     // scatter derived from the key value.
                     let digit = (self.key_value(i, seed) >> shift) & radix_mask;
                     let dest = ((digit * self.keys as u64) / self.radix() as u64) as usize
                         + (self.key_value(i, seed ^ 0xD157) % (self.keys / self.radix()) as u64)
                             as usize;
-                    out.push(TraceRecord::write(
-                        proc,
+                    out.push(PackedRef::write(
                         self.key_addr(pass + 1, dest.min(self.keys - 1)),
                     ));
                 }

@@ -15,7 +15,7 @@
 
 use super::{Splitmix, Workload, INTERLEAVE_CHUNK};
 use crate::phased::{Phase, PhasedTrace};
-use crate::record::{ProcId, Trace, TraceRecord};
+use crate::record::{PackedRef, Trace};
 use cache_sim::Addr;
 
 /// Configuration of [`RaytraceLike`].
@@ -156,18 +156,17 @@ impl Workload for RaytraceLike {
 
         // Scene build: each node is written by its owner (spatially
         // partitioned preprocessing; establishes first touch).
-        let mut init: Vec<Vec<TraceRecord>> = vec![Vec::new(); self.procs];
+        let mut init: Vec<Vec<PackedRef>> = vec![Vec::new(); self.procs];
         for n in 1..self.num_nodes() {
             let p = self.node_owner(n);
-            init[p].push(TraceRecord::write(ProcId(p), self.node_addr(n)));
+            init[p].push(PackedRef::write(self.node_addr(n)));
         }
         pt.push(Phase::from_streams(init));
 
         // Rendering: one ray per pixel; each ray descends the BVH until it
         // has visited `ray_depth` nodes, then writes its pixel.
-        let mut phase: Vec<Vec<TraceRecord>> = vec![Vec::new(); self.procs];
+        let mut phase: Vec<Vec<PackedRef>> = vec![Vec::new(); self.procs];
         for p in 0..self.procs {
-            let proc = ProcId(p);
             let mut rng = Splitmix::new(seed ^ (p as u64) << 16 ^ 0x7EA);
             let out = &mut phase[p];
             for y in self.rows(p) {
@@ -181,12 +180,12 @@ impl Workload for RaytraceLike {
                     while emitted < self.ray_depth {
                         self.descend(&mut rng, p, |n| {
                             if emitted < self.ray_depth {
-                                out.push(TraceRecord::read(proc, self.node_addr(n)));
+                                out.push(PackedRef::read(self.node_addr(n)));
                                 emitted += 1;
                             }
                         });
                     }
-                    out.push(TraceRecord::write(proc, self.pixel_addr(x, y)));
+                    out.push(PackedRef::write(self.pixel_addr(x, y)));
                 }
             }
         }

@@ -23,10 +23,10 @@ use cache_sim::{AccessType, BlockAddr, BoxedPolicy, Cache, Cost, Lru};
 use mem_trace::{Phase, PhasedTrace, ProcId};
 use std::collections::HashMap;
 
-/// The simulated CC-NUMA machine.
-pub struct System {
+/// The simulated CC-NUMA machine, replaying the phases it borrows.
+pub struct System<'t> {
     cfg: SystemConfig,
-    phases: Vec<Phase>,
+    phases: &'t [Phase],
     nodes: Vec<Node>,
     dirs: Vec<Directory>,
     mesh: Mesh,
@@ -37,7 +37,7 @@ pub struct System {
     final_time: Time,
 }
 
-impl std::fmt::Debug for System {
+impl std::fmt::Debug for System<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("System")
             .field("nodes", &self.nodes.len())
@@ -46,7 +46,7 @@ impl std::fmt::Debug for System {
     }
 }
 
-impl System {
+impl<'t> System<'t> {
     /// Assembles a machine for `trace` whose L2 sets each get a core built
     /// by `l2_core`, node 0's sets first.
     ///
@@ -56,7 +56,7 @@ impl System {
     #[must_use]
     pub fn new(
         cfg: SystemConfig,
-        trace: &PhasedTrace,
+        trace: &'t PhasedTrace,
         mut l2_core: impl FnMut() -> BoxedPolicy,
     ) -> Self {
         assert_eq!(
@@ -80,9 +80,7 @@ impl System {
             barrier_arrived: 0,
             barrier_max: 0,
             final_time: 0,
-            // One up-front copy (~10s of MB at rsim scale) keeps the
-            // simulator self-contained; negligible next to a run's time.
-            phases: trace.phases().to_vec(),
+            phases: trace.phases(),
             cfg,
         }
     }
@@ -309,16 +307,14 @@ impl System {
                 return;
             }
             let pos = self.nodes[n].pos;
-            let rec = {
-                let stream = self.phases[phase_idx].stream(ProcId(n));
-                if pos >= stream.len() {
-                    self.barrier_arrive(n);
-                    return;
-                }
-                stream[pos]
+            let stream = self.phases[phase_idx].stream(ProcId(n));
+            let Some(&rec) = stream.get(pos) else {
+                self.barrier_arrive(n);
+                return;
             };
-            let block = rec.addr.block(self.cfg.l2.block_bytes());
-            let is_write = rec.op == AccessType::Write;
+            let op = rec.op();
+            let block = rec.addr().block(self.cfg.l2.block_bytes());
+            let is_write = op == AccessType::Write;
 
             // Issue + L1 probe.
             self.nodes[n].cpu_time += cycle + l1_ps;
@@ -333,7 +329,7 @@ impl System {
                     return;
                 }
                 let node = &mut self.nodes[n];
-                node.l1.access(block, rec.op, Cost::ZERO);
+                node.l1.access(block, op, Cost::ZERO);
                 node.stats.refs += 1;
                 node.stats.l1_hits += 1;
                 node.pos += 1;
@@ -351,12 +347,12 @@ impl System {
                 }
                 {
                     let node = &mut self.nodes[n];
-                    node.l2.access(block, rec.op, Cost::ZERO);
+                    node.l2.access(block, op, Cost::ZERO);
                     node.stats.refs += 1;
                     node.stats.l2_hits += 1;
                     node.pos += 1;
                 }
-                self.fill_l1(n, block, rec.op);
+                self.fill_l1(n, block, op);
                 continue;
             }
 

@@ -1,6 +1,6 @@
 //! Shared helpers for the numa-sim integration tests.
 
-use mem_trace::{Phase, PhasedTrace, ProcId, TraceRecord};
+use mem_trace::{PackedRef, Phase, PhasedTrace};
 use numa_sim::{Clock, SystemConfig};
 
 /// A 2x2-mesh Table-4 machine.
@@ -26,9 +26,9 @@ pub fn trace_of(num_procs: usize, phases: &[Vec<ProcRefs>]) -> PhasedTrace {
         for (proc, refs) in phase {
             for &(addr, w) in refs {
                 let rec = if w {
-                    TraceRecord::write(ProcId(*proc), cache_sim::Addr(addr))
+                    PackedRef::write(cache_sim::Addr(addr))
                 } else {
-                    TraceRecord::read(ProcId(*proc), cache_sim::Addr(addr))
+                    PackedRef::read(cache_sim::Addr(addr))
                 };
                 streams[*proc].push(rec);
             }

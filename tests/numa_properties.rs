@@ -8,7 +8,7 @@ use cost_sensitive_cache::numa::{Clock, System, SystemConfig};
 use cost_sensitive_cache::policies::Policy;
 use cost_sensitive_cache::sim::Addr;
 use cost_sensitive_cache::trace::rng::SplitMix64;
-use cost_sensitive_cache::trace::{Phase, PhasedTrace, ProcId, TraceRecord};
+use cost_sensitive_cache::trace::{PackedRef, Phase, PhasedTrace};
 
 const PROCS: usize = 4;
 
@@ -20,16 +20,16 @@ fn random_phased(case: u64) -> PhasedTrace {
     let num_phases = 1 + rng.below(3) as usize;
     let mut pt = PhasedTrace::new(PROCS);
     for _ in 0..num_phases {
-        let streams: Vec<Vec<TraceRecord>> = (0..PROCS)
-            .map(|p| {
+        let streams: Vec<Vec<PackedRef>> = (0..PROCS)
+            .map(|_| {
                 let len = rng.below(24) as usize;
                 (0..len)
                     .map(|_| {
                         let addr = Addr(rng.below(24) * 64);
                         if rng.chance(0.5) {
-                            TraceRecord::write(ProcId(p), addr)
+                            PackedRef::write(addr)
                         } else {
-                            TraceRecord::read(ProcId(p), addr)
+                            PackedRef::read(addr)
                         }
                     })
                     .collect()
