@@ -6,7 +6,6 @@ use csr_harness::{build_benchmarks, Benchmark};
 /// Prints Table 1 for the synthetic suite, alongside the paper's values.
 pub fn run(opts: &ExperimentOpts) {
     println!("=== Table 1: benchmark characteristics ===");
-    let benchmarks = build_benchmarks(opts.scale());
     let paper: &[(&str, &str, usize, f64, f64, f64)] = &[
         // name, size, procs, mem MB, refs (M), remote fraction
         ("barnes", "64K", 8, 11.3, 34.2, 0.448),
@@ -26,8 +25,11 @@ pub fn run(opts: &ExperimentOpts) {
         "paper refs",
         "paper remote",
     ]);
-    for b in &benchmarks {
-        let c = &b.characteristics;
+    // Only the characteristics outlive this loop: each kernel's sample
+    // trace and placement map are freed before the footnote kernels are
+    // built.
+    for b in build_benchmarks(opts.scale()) {
+        let c = b.characteristics;
         let p = paper.iter().find(|p| p.0 == c.name);
         t.row([
             c.name.clone(),

@@ -1,12 +1,12 @@
 //! Span primitives for `csr-trace` (see [`crate::trace`]).
 //!
 //! A *span* is one timed phase of one request — parse, cache lookup,
-//! origin fetch, forward hop — identified by a 64-bit id and linked to
+//! origin fetch, stale serve — identified by a 64-bit id and linked to
 //! its parent. Spans carry two clocks on purpose:
 //!
 //! * a **wall-clock anchor** (`start_us`, microseconds since the Unix
-//!   epoch) so spans emitted by *different nodes* of a cluster line up
-//!   on one timeline (within clock skew) when a trace is assembled;
+//!   epoch) so spans line up on one timeline with the caller's own
+//!   (within clock skew) when a client-propagated trace is assembled;
 //! * a **monotonic duration** (`dur_us`, measured with
 //!   [`std::time::Instant`]) so the reported latency is immune to
 //!   wall-clock steps.
@@ -105,7 +105,7 @@ pub struct SpanRecord {
     /// The parent span's id; zero for a root with no parent.
     pub parent_id: u64,
     /// The phase name (`"request"`, `"parse"`, `"cache"`, `"origin"`,
-    /// `"forward"`, `"stale"`).
+    /// `"stale"`).
     pub name: &'static str,
     /// The emitting node's id (its listen address in csr-serve).
     pub node: Arc<str>,

@@ -396,18 +396,6 @@ impl RequestTrace {
         self.root.span_id()
     }
 
-    /// A context carrying this trace's id and `parent` as the causing
-    /// span — what goes on the wire when this request fans out (pass the
-    /// forward span's id, so the remote root links under the hop).
-    #[must_use]
-    pub fn context_from(&self, parent: u64) -> TraceContext {
-        TraceContext {
-            trace_id: self.trace_id,
-            span_id: parent,
-            sampled: true,
-        }
-    }
-
     /// Opens a child span (of the root) starting now.
     #[must_use]
     pub fn begin_span(&mut self, name: &'static str) -> SpanTimer {

@@ -10,10 +10,7 @@
 use csr_cache::Policy;
 use csr_obs::ReportFormat;
 use csr_serve::server::{serve, ReportSink, ServerConfig};
-use csr_serve::{
-    parse_nodes, Backing, FaultBacking, FsyncPolicy, NoBacking, PeerConfig, PersistConfig,
-    SimBacking, Timeouts,
-};
+use csr_serve::{Backing, FaultBacking, FsyncPolicy, NoBacking, PersistConfig, SimBacking};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -88,13 +85,6 @@ USAGE: csr-serve [OPTIONS]
   --breaker-threshold N   consecutive failures that open the breaker; 0 disables (default 5)
   --breaker-cooldown-ms N open-breaker cooldown before half-open probing (default 1000)
   --stale-capacity N      stale-store entries for serve-stale (default: cache capacity)
-  --peers LIST            cluster mode: comma-separated membership, each 'id=addr' or bare
-                          'addr' (id = addr); must include this node (see --node-id)
-  --node-id ID            this node's ring id (default: the --addr value)
-  --vnodes N              virtual nodes per member on the hash ring (default 64)
-  --cluster-seed N        ring hash seed; all nodes and clients must agree (default 0)
-  --no-forward            answer non-owned GETs with MOVED instead of peer-forwarding
-  --forward-timeout-ms N  per-hop deadline for peer FGET connections (default 500)
   --persist-dir PATH      crash-safe persistence: WAL + snapshots in PATH;
                           recovery replays them before the listener opens
   --fsync POLICY          WAL durability: always | never | <ms> (fsync at most
@@ -218,48 +208,6 @@ fn parse_args() -> Opts {
                 opts.config.stale_capacity =
                     Some(parse_num(&val("--stale-capacity"), "--stale-capacity"))
             }
-            "--peers" => {
-                opts.config
-                    .cluster
-                    .get_or_insert_with(PeerConfig::default)
-                    .nodes = parse_nodes(&val("--peers"))
-            }
-            "--node-id" => {
-                opts.config
-                    .cluster
-                    .get_or_insert_with(PeerConfig::default)
-                    .node_id = val("--node-id")
-            }
-            "--vnodes" => {
-                opts.config
-                    .cluster
-                    .get_or_insert_with(PeerConfig::default)
-                    .vnodes = parse_num(&val("--vnodes"), "--vnodes")
-            }
-            "--cluster-seed" => {
-                opts.config
-                    .cluster
-                    .get_or_insert_with(PeerConfig::default)
-                    .seed = parse_num(&val("--cluster-seed"), "--cluster-seed")
-            }
-            "--no-forward" => {
-                opts.config
-                    .cluster
-                    .get_or_insert_with(PeerConfig::default)
-                    .forward = false
-            }
-            "--forward-timeout-ms" => {
-                let ms: u64 = parse_num(&val("--forward-timeout-ms"), "--forward-timeout-ms");
-                let d = Duration::from_millis(ms.max(1));
-                opts.config
-                    .cluster
-                    .get_or_insert_with(PeerConfig::default)
-                    .timeouts = Timeouts {
-                    connect: d,
-                    read: d,
-                    write: d,
-                };
-            }
             "--persist-dir" => {
                 opts.config
                     .persist
@@ -362,13 +310,6 @@ fn main() {
         });
     }
     let policy = config.policy;
-    let cluster_info = config.cluster.as_ref().map(|c| {
-        format!(
-            " cluster_nodes={} forward={}",
-            c.nodes.len().max(1),
-            c.forward
-        )
-    });
     let persist_info = config
         .persist
         .as_ref()
@@ -392,11 +333,10 @@ fn main() {
         Err(e) => die(&format!("failed to start: {e}")),
     };
     println!(
-        "csr-serve listening on {} policy={} backing={}{}{}",
+        "csr-serve listening on {} policy={} backing={}{}",
         handle.addr(),
         policy,
         opts.backing_kind,
-        cluster_info.unwrap_or_default(),
         persist_info.unwrap_or_default()
     );
 

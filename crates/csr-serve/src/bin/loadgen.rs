@@ -40,12 +40,10 @@
 use csr_obs::{Histogram, Json, Registry, TraceContext};
 use csr_serve::chaos::{ChaosConfig, ChaosProxy};
 use csr_serve::client::{ClientMetrics, ConnectionError, FailoverClient, FailoverConfig, Timeouts};
-use csr_serve::cluster::{parse_nodes, ClusterClient, ClusterClientConfig, ClusterMetrics};
-use csr_serve::{Client, ClusterNode, OriginError, Value};
+use csr_serve::{Client, OriginError};
 use mem_trace::rng::SplitMix64;
-use std::io;
 use std::net::ToSocketAddrs;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -62,13 +60,6 @@ fn usage() -> ! {
 USAGE: loadgen [OPTIONS]
 
   --addr HOST:PORT          server address (default 127.0.0.1:11311)
-  --cluster LIST            cluster mode: comma-separated membership ('id=addr' or bare
-                            'addr'); keys route by consistent hashing with hot-key
-                            fan-out and re-routing, and the report becomes
-                            BENCH_cluster.json with per-node STATS aggregated
-  --hot-keys N              skew mode: the N lowest-ranked keys absorb --hot-frac of
-                            the traffic on top of the Zipf draw (default 0 = off)
-  --hot-frac F              traffic fraction aimed at the hot keys (default 0.5)
   --conns N                 worker connections (default 8)
   --secs N                  measured run duration in seconds (default 5)
   --warmup N                warm-up seconds before measurement starts (default 0):
@@ -86,11 +77,10 @@ USAGE: loadgen [OPTIONS]
   --op-timeout-ms N         client read/write deadline per socket op (default 10000)
   --max-attempts N          reconnect+replay attempts per op before giving up (default 64)
   --trace-sample N          attach a trace context to 1 in N GETs; after the run,
-                            fetch TRACES from every node, merge the per-node
-                            fragments by trace id (TRACES.jsonl with --json), and
-                            report per-phase percentiles (default 0 = off)
+                            fetch the server's TRACES (TRACES.jsonl with --json)
+                            and report per-phase percentiles (default 0 = off)
 
-Open-loop / scaling curve (incompatible with --cluster and --chaos):
+Open-loop / scaling curve (incompatible with --chaos):
   --rate N                  open-loop mode: schedule N requests/sec in aggregate,
                             spread round-robin over --conns mostly-idle
                             connections; latency is measured from the scheduled
@@ -115,7 +105,6 @@ Chaos (any flag interposes a seeded ChaosProxy in front of --addr):
   --chaos-partial-write-rate F  relay replies in 1-7 byte writes (default 0)
   --chaos-partition-at-s N  start a full partition N seconds into the run
   --chaos-partition-secs N  partition duration (default 2)
-  --chaos-node I            cluster mode: which node the proxy fronts (default 0)
   -h, --help                this text"
     );
     std::process::exit(0);
@@ -123,9 +112,6 @@ Chaos (any flag interposes a seeded ChaosProxy in front of --addr):
 
 struct Opts {
     addr: String,
-    cluster: Vec<ClusterNode>,
-    hot_keys: usize,
-    hot_frac: f64,
     conns: usize,
     secs: u64,
     warmup: u64,
@@ -149,15 +135,11 @@ struct Opts {
     chaos_config: ChaosConfig,
     partition_at: Option<u64>,
     partition_secs: u64,
-    chaos_node: usize,
 }
 
 fn parse_args() -> Opts {
     let mut opts = Opts {
         addr: "127.0.0.1:11311".to_owned(),
-        cluster: Vec::new(),
-        hot_keys: 0,
-        hot_frac: 0.5,
         conns: 8,
         secs: 5,
         warmup: 0,
@@ -184,7 +166,6 @@ fn parse_args() -> Opts {
         },
         partition_at: None,
         partition_secs: 2,
-        chaos_node: 0,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -197,9 +178,6 @@ fn parse_args() -> Opts {
         }
         match a.as_str() {
             "--addr" => opts.addr = val("--addr"),
-            "--cluster" => opts.cluster = parse_nodes(&val("--cluster")),
-            "--hot-keys" => opts.hot_keys = parse_num(&val("--hot-keys"), "--hot-keys"),
-            "--hot-frac" => opts.hot_frac = parse_num(&val("--hot-frac"), "--hot-frac"),
             "--conns" => opts.conns = parse_num(&val("--conns"), "--conns"),
             "--secs" => opts.secs = parse_num(&val("--secs"), "--secs"),
             "--warmup" => opts.warmup = parse_num(&val("--warmup"), "--warmup"),
@@ -285,7 +263,6 @@ fn parse_args() -> Opts {
                 opts.partition_secs =
                     parse_num(&val("--chaos-partition-secs"), "--chaos-partition-secs")
             }
-            "--chaos-node" => opts.chaos_node = parse_num(&val("--chaos-node"), "--chaos-node"),
             "-h" | "--help" => usage(),
             other => die(&format!("unknown flag '{other}'")),
         }
@@ -293,21 +270,15 @@ fn parse_args() -> Opts {
     if opts.conns == 0 || opts.keys == 0 {
         die("--conns and --keys must be positive");
     }
-    if !(0.0..=1.0).contains(&opts.hot_frac) {
-        die("--hot-frac must be within 0..=1");
-    }
     if !(0.0..=1.0).contains(&opts.scan_frac) {
         die("--scan-frac must be within 0..=1");
     }
     if opts.scan_len == 0 {
         die("--scan-len must be positive");
     }
-    if !opts.cluster.is_empty() && opts.chaos_node >= opts.cluster.len() {
-        die("--chaos-node is out of range for the --cluster list");
-    }
     let open_loop = opts.rate > 0.0 || !opts.curve.is_empty();
-    if open_loop && (!opts.cluster.is_empty() || opts.chaos) {
-        die("--rate/--curve are incompatible with --cluster and --chaos");
+    if open_loop && opts.chaos {
+        die("--rate/--curve are incompatible with --chaos");
     }
     if opts.compare_addr.is_some() && !open_loop {
         die("--compare-addr needs --rate or --curve");
@@ -361,11 +332,9 @@ struct Totals {
     scan_ops: AtomicU64,
     empty_gets: AtomicU64,
     stale_gets: AtomicU64,
-    forwarded_gets: AtomicU64,
     traced_gets: AtomicU64,
     origin_errors: AtomicU64,
     maybe_applied: AtomicU64,
-    unavailable_writes: AtomicU64,
     /// GETs that returned a SET-shaped payload (all `b'v'`) for a key
     /// this run never SET: evidence of a previous run's write surviving
     /// a server restart through the persistence layer.
@@ -381,140 +350,63 @@ impl Totals {
         self.scan_ops.store(0, Ordering::Relaxed);
         self.empty_gets.store(0, Ordering::Relaxed);
         self.stale_gets.store(0, Ordering::Relaxed);
-        self.forwarded_gets.store(0, Ordering::Relaxed);
         self.traced_gets.store(0, Ordering::Relaxed);
         self.origin_errors.store(0, Ordering::Relaxed);
         self.maybe_applied.store(0, Ordering::Relaxed);
-        self.unavailable_writes.store(0, Ordering::Relaxed);
         // wrong_values, errors, and restart_survivor_hits are *verdict*
         // counters, not load counters: never reset, even across the
         // warm-up boundary.
     }
 }
 
-/// The two client shapes a worker can drive: one failover client aimed
-/// at a single server (possibly via the chaos proxy), or the
-/// cluster-routing client over the full membership.
-enum Bench {
-    Single(Box<FailoverClient>),
-    Cluster(Box<ClusterClient>),
-}
-
-impl Bench {
-    fn get_value(&mut self, key: &str, trace: Option<TraceContext>) -> io::Result<Option<Value>> {
-        match self {
-            Bench::Single(c) => c.get_value_traced(key, trace),
-            Bench::Cluster(c) => c.get_value_traced(key, trace),
-        }
-    }
-
-    fn set(&mut self, key: &str, value: &[u8]) -> io::Result<()> {
-        match self {
-            Bench::Single(c) => c.set(key, value),
-            Bench::Cluster(c) => c.set(key, value),
-        }
-    }
-
-    fn close(&mut self) {
-        match self {
-            Bench::Single(c) => c.close(),
-            Bench::Cluster(c) => c.close(),
-        }
-    }
-}
-
 /// The span names loadgen pools into per-phase percentiles — the request
 /// phases the server instruments (see `csr_serve_phase_us`).
-const PHASES: [&str; 6] = ["request", "parse", "cache", "origin", "forward", "stale"];
+const PHASES: [&str; 5] = ["request", "parse", "cache", "origin", "stale"];
 
 struct TraceReport {
-    /// Merged JSONL: one line per trace, spans pooled across nodes.
+    /// The server's TRACES dump: one JSONL line per kept trace.
     jsonl: String,
-    /// Distinct trace ids seen across all nodes' TRACES dumps.
+    /// Traces the server kept.
     unique: u64,
-    /// Traces whose spans come from more than one node (forwarded hops).
-    multi_node: u64,
-    /// Traces any node flagged slow.
+    /// Kept traces the server flagged slow.
     slow: u64,
     /// Sorted span durations pooled by phase name.
     phases: Vec<(&'static str, Vec<u64>)>,
 }
 
-/// Merges per-node TRACES dumps. A forwarded request leaves one fragment
-/// on each node it touched, all sharing the trace id minted by the
-/// client; re-keying by that id reassembles the distributed trace.
-fn merge_traces(dumps: &[String]) -> TraceReport {
-    let mut ids: Vec<String> = Vec::new();
-    let mut spans: Vec<Vec<Json>> = Vec::new();
-    let mut nodes: Vec<Vec<String>> = Vec::new();
-    let mut slow: Vec<bool> = Vec::new();
+/// Summarizes a TRACES dump: counts its traces and pools their span
+/// durations by phase.
+fn trace_report(jsonl: String) -> TraceReport {
+    let mut unique = 0u64;
+    let mut slow = 0u64;
     let mut phases: Vec<(&'static str, Vec<u64>)> =
         PHASES.iter().map(|p| (*p, Vec::new())).collect();
-    for dump in dumps {
-        for line in dump.lines() {
-            let Ok(entry) = Json::parse(line) else {
-                continue;
-            };
-            let id = entry
-                .get("trace_id")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_owned();
-            let idx = ids.iter().position(|i| *i == id).unwrap_or_else(|| {
-                ids.push(id.clone());
-                spans.push(Vec::new());
-                nodes.push(Vec::new());
-                slow.push(false);
-                ids.len() - 1
-            });
-            if entry.get("slow") == Some(&Json::Bool(true)) {
-                slow[idx] = true;
-            }
-            for sp in entry.get("spans").and_then(Json::as_arr).unwrap_or(&[]) {
-                if let Some(node) = sp.get("node").and_then(Json::as_str) {
-                    if !nodes[idx].iter().any(|n| n == node) {
-                        nodes[idx].push(node.to_owned());
-                    }
+    for line in jsonl.lines() {
+        let Ok(entry) = Json::parse(line) else {
+            continue;
+        };
+        unique += 1;
+        if entry.get("slow") == Some(&Json::Bool(true)) {
+            slow += 1;
+        }
+        for sp in entry.get("spans").and_then(Json::as_arr).unwrap_or(&[]) {
+            if let (Some(name), Some(dur)) = (
+                sp.get("name").and_then(Json::as_str),
+                sp.get("dur_us").and_then(Json::as_i64),
+            ) {
+                if let Some((_, v)) = phases.iter_mut().find(|(p, _)| *p == name) {
+                    v.push(dur.max(0) as u64);
                 }
-                if let (Some(name), Some(dur)) = (
-                    sp.get("name").and_then(Json::as_str),
-                    sp.get("dur_us").and_then(Json::as_i64),
-                ) {
-                    if let Some((_, v)) = phases.iter_mut().find(|(p, _)| *p == name) {
-                        v.push(dur.max(0) as u64);
-                    }
-                }
-                spans[idx].push(sp.clone());
             }
         }
-    }
-    let mut jsonl = String::new();
-    let mut multi_node = 0u64;
-    let mut slow_count = 0u64;
-    for i in 0..ids.len() {
-        if nodes[i].len() > 1 {
-            multi_node += 1;
-        }
-        if slow[i] {
-            slow_count += 1;
-        }
-        let merged = Json::obj([
-            ("trace_id", Json::str(ids[i].clone())),
-            ("nodes", Json::uint(nodes[i].len() as u64)),
-            ("slow", Json::Bool(slow[i])),
-            ("spans", Json::Arr(std::mem::take(&mut spans[i]))),
-        ]);
-        jsonl.push_str(&merged.render());
-        jsonl.push('\n');
     }
     for (_, v) in &mut phases {
         v.sort_unstable();
     }
     TraceReport {
         jsonl,
-        unique: ids.len() as u64,
-        multi_node,
-        slow: slow_count,
+        unique,
+        slow,
         phases,
     }
 }
@@ -818,11 +710,9 @@ fn main() {
         scan_ops: AtomicU64::new(0),
         empty_gets: AtomicU64::new(0),
         stale_gets: AtomicU64::new(0),
-        forwarded_gets: AtomicU64::new(0),
         traced_gets: AtomicU64::new(0),
         origin_errors: AtomicU64::new(0),
         maybe_applied: AtomicU64::new(0),
-        unavailable_writes: AtomicU64::new(0),
         restart_survivor_hits: AtomicU64::new(0),
         wrong_values: AtomicU64::new(0),
         errors: AtomicU64::new(0),
@@ -837,27 +727,15 @@ fn main() {
     );
     let registry = Registry::new();
     let client_metrics = ClientMetrics::new(&registry);
-    let cluster_metrics = ClusterMetrics::new(&registry);
-    // Latency observed while the scripted partition is active — the
-    // "bounded p99 blip" the cluster bench report pins down.
-    let latency_part = Arc::new(Histogram::new());
-    let in_partition = Arc::new(AtomicBool::new(false));
 
-    // Chaos mode: interpose the proxy — in front of --addr, or, in
-    // cluster mode, in front of the --chaos-node member. Only the dialed
-    // address changes; the ring keeps hashing the node's stable id, so
-    // ownership is unaffected.
-    let chaos_upstream = if opts.cluster.is_empty() {
-        opts.addr.clone()
-    } else {
-        opts.cluster[opts.chaos_node].addr.clone()
-    };
+    // Chaos mode: interpose the proxy in front of --addr.
     let proxy = if opts.chaos {
-        let upstream = chaos_upstream
+        let upstream = opts
+            .addr
             .to_socket_addrs()
             .ok()
             .and_then(|mut addrs| addrs.next())
-            .unwrap_or_else(|| die(&format!("chaos upstream {chaos_upstream}: cannot resolve")));
+            .unwrap_or_else(|| die(&format!("chaos upstream {}: cannot resolve", opts.addr)));
         let proxy = ChaosProxy::start(upstream, opts.chaos_config.clone())
             .unwrap_or_else(|e| die(&format!("chaos proxy failed to start: {e}")));
         eprintln!(
@@ -873,24 +751,15 @@ fn main() {
     let target = proxy
         .as_ref()
         .map_or_else(|| opts.addr.clone(), |p| p.addr().to_string());
-    // The membership workers dial: in cluster chaos, the fronted node's
-    // address is swapped for the proxy's.
-    let mut client_nodes = opts.cluster.clone();
-    if let (Some(p), false) = (&proxy, client_nodes.is_empty()) {
-        client_nodes[opts.chaos_node].addr = p.addr().to_string();
-    }
     // The scripted partition: one thread flips the proxy off and back on.
     if let (Some(proxy), Some(at)) = (proxy.clone(), opts.partition_at) {
         let secs = opts.partition_secs;
-        let flag = Arc::clone(&in_partition);
         std::thread::spawn(move || {
             std::thread::sleep(Duration::from_secs(at));
             eprintln!("loadgen: chaos partition begins ({secs}s)");
-            flag.store(true, Ordering::Relaxed);
             proxy.set_partitioned(true);
             std::thread::sleep(Duration::from_secs(secs));
             proxy.set_partitioned(false);
-            flag.store(false, Ordering::Relaxed);
             eprintln!("loadgen: chaos partition healed");
         });
     }
@@ -911,17 +780,12 @@ fn main() {
         .map(|i| {
             let cdf = Arc::clone(&cdf);
             let latency = Arc::clone(&latency);
-            let latency_part = Arc::clone(&latency_part);
-            let in_partition = Arc::clone(&in_partition);
             let totals = Arc::clone(&totals);
             let set_keys = Arc::clone(&set_keys);
             let target = target.clone();
             let metrics = client_metrics.clone();
-            let cluster_metrics = cluster_metrics.clone();
-            let client_nodes = client_nodes.clone();
             let mut rng = SplitMix64::new(opts.seed ^ (0x9e37 + i as u64));
             let (set_ratio, value_len) = (opts.set_ratio, opts.value_len);
-            let (hot_keys, hot_frac) = (opts.hot_keys, opts.hot_frac);
             let (keys, scan_len, scan_frac) = (opts.keys as u64, opts.scan_len, opts.scan_frac);
             let trace_sample = opts.trace_sample;
             let config = FailoverConfig {
@@ -929,27 +793,7 @@ fn main() {
                 ..failover_config
             };
             std::thread::spawn(move || {
-                let mut client = if client_nodes.is_empty() {
-                    Bench::Single(Box::new(
-                        FailoverClient::new(vec![target], config).with_metrics(metrics),
-                    ))
-                } else {
-                    let cc = ClusterClientConfig {
-                        failover: FailoverConfig {
-                            // Cross-node re-routing is the cluster's
-                            // healing path: per-node retries stay tight
-                            // so a dead node costs one bounded timeout,
-                            // not a retry storm.
-                            max_attempts: config.max_attempts.min(2),
-                            ..config
-                        },
-                        ..ClusterClientConfig::default()
-                    };
-                    Bench::Cluster(Box::new(
-                        ClusterClient::new(client_nodes, cc).with_metrics(cluster_metrics),
-                    ))
-                };
-                let is_cluster = matches!(client, Bench::Cluster(_));
+                let mut client = FailoverClient::new(vec![target], config).with_metrics(metrics);
                 let payload = vec![b'v'; value_len];
                 let mut gets = 0u64;
                 let mut scan_pos = 0u64;
@@ -963,12 +807,6 @@ fn main() {
                         scan_pos += 1;
                         totals.scan_ops.fetch_add(1, Ordering::Relaxed);
                         k
-                    } else if hot_keys > 0 && rng.chance(hot_frac) {
-                        // Hot-key skew: the N lowest ranks soak up a
-                        // tunable traffic fraction on top of the Zipf
-                        // draw (same namespace, so verification is
-                        // unchanged).
-                        rng.below(hot_keys as u64)
                     } else {
                         sample(&cdf, &mut rng) as u64
                     };
@@ -990,13 +828,6 @@ fn main() {
                     if trace_ctx.is_some() {
                         totals.traced_gets.fetch_add(1, Ordering::Relaxed);
                     }
-                    let in_part = in_partition.load(Ordering::Relaxed);
-                    let record = |us: u64| {
-                        latency.record(us);
-                        if in_part {
-                            latency_part.record(us);
-                        }
-                    };
                     let t0 = Instant::now();
                     let outcome = if is_set {
                         totals.sets.fetch_add(1, Ordering::Relaxed);
@@ -1008,7 +839,7 @@ fn main() {
                         }
                         client.set(&key, &payload)
                     } else {
-                        match client.get_value(&key, trace_ctx) {
+                        match client.get_value_traced(&key, trace_ctx) {
                             Ok(None) => {
                                 totals.empty_gets.fetch_add(1, Ordering::Relaxed);
                                 Ok(())
@@ -1016,9 +847,6 @@ fn main() {
                             Ok(Some(v)) => {
                                 if v.stale {
                                     totals.stale_gets.fetch_add(1, Ordering::Relaxed);
-                                }
-                                if v.forwarded {
-                                    totals.forwarded_gets.fetch_add(1, Ordering::Relaxed);
                                 }
                                 if !plausible_value(&key, &v.data) {
                                     eprintln!("worker {i}: WRONG VALUE for {key}");
@@ -1042,7 +870,7 @@ fn main() {
                     match outcome {
                         Ok(()) => {
                             totals.ops.fetch_add(1, Ordering::Relaxed);
-                            record(us.max(1));
+                            latency.record(us.max(1));
                         }
                         // A degraded origin is part of the workload under
                         // test, not a loadgen failure: the round-trip
@@ -1050,30 +878,14 @@ fn main() {
                         Err(e) if e.get_ref().is_some_and(|inner| inner.is::<OriginError>()) => {
                             totals.origin_errors.fetch_add(1, Ordering::Relaxed);
                             totals.ops.fetch_add(1, Ordering::Relaxed);
-                            record(us.max(1));
+                            latency.record(us.max(1));
                         }
                         // A SET/DEL cut mid-flight: the client refuses to
                         // replay it (it may have applied). Under chaos
                         // that is correct behavior, not a failure.
                         Err(e) if ConnectionError::is_maybe_applied(&e) => {
                             totals.maybe_applied.fetch_add(1, Ordering::Relaxed);
-                            record(us.max(1));
-                        }
-                        // A cluster write whose owner is unreachable fails
-                        // cleanly (the owner is the only legal target for
-                        // a SET): explicit write unavailability during a
-                        // partition, not a loadgen failure. Reads keep
-                        // their strict verdict — they re-route.
-                        Err(e)
-                            if is_cluster
-                                && is_set
-                                && matches!(
-                                    ConnectionError::from_io(&e),
-                                    Some(ConnectionError::Unavailable { .. })
-                                ) =>
-                        {
-                            totals.unavailable_writes.fetch_add(1, Ordering::Relaxed);
-                            record(us.max(1));
+                            latency.record(us.max(1));
                         }
                         Err(e) => {
                             eprintln!("worker {i}: request failed: {e}");
@@ -1106,15 +918,7 @@ fn main() {
     let ops = totals.ops.load(Ordering::Relaxed);
     let hist = latency.snapshot();
     let throughput = ops as f64 / elapsed.max(f64::EPSILON);
-    if opts.cluster.is_empty() {
-        println!("loadgen: {} -> {}", opts.conns, opts.addr);
-    } else {
-        println!(
-            "loadgen: {} -> cluster of {} nodes",
-            opts.conns,
-            opts.cluster.len()
-        );
-    }
+    println!("loadgen: {} -> {}", opts.conns, opts.addr);
     println!(
         "  ops {ops} ({:.0} ops/s over {elapsed:.2}s), sets {}, scans {}, empty gets {}, stale gets {}, origin errors {}, errors {}",
         throughput,
@@ -1161,72 +965,31 @@ fn main() {
     // Pull the server's own accounting — directly from --addr, not
     // through the chaos proxy: the verdict below must not depend on one
     // more coin flip.
-    let server_stats = if opts.cluster.is_empty() {
-        match Client::connect(opts.addr.as_str()).and_then(|mut c| c.stats()) {
-            Ok(stats) => stats,
-            Err(e) => {
-                eprintln!("loadgen: STATS fetch failed: {e}");
-                Vec::new()
-            }
+    let server_stats = match Client::connect(opts.addr.as_str()).and_then(|mut c| c.stats()) {
+        Ok(stats) => stats,
+        Err(e) => {
+            eprintln!("loadgen: STATS fetch failed: {e}");
+            Vec::new()
         }
-    } else {
-        Vec::new()
     };
-    // Cluster mode: every node's own STATS, dialed at its real address
-    // (`opts.cluster`, not the proxy-patched membership) so a healed
-    // partition cannot hide a node from the report.
-    let node_stats: Vec<(String, Vec<(String, String)>)> = opts
-        .cluster
-        .iter()
-        .filter_map(
-            |n| match Client::connect(n.addr.as_str()).and_then(|mut c| c.stats()) {
-                Ok(stats) => Some((n.id.clone(), stats)),
-                Err(e) => {
-                    eprintln!("loadgen: STATS fetch from node {} failed: {e}", n.id);
-                    None
-                }
-            },
-        )
-        .collect();
-    let sum_stat = |name: &str| -> u64 {
-        node_stats
-            .iter()
-            .map(|(_, stats)| {
-                stats
-                    .iter()
-                    .find(|(k, _)| k == name)
-                    .and_then(|(_, v)| v.parse::<u64>().ok())
-                    .unwrap_or(0)
-            })
-            .sum()
-    };
-    // Traced runs: pull every node's retained traces (again at the real
-    // addresses, never through the proxy) and reassemble the fragments.
+    // Traced runs: pull the server's retained traces (again directly,
+    // never through the proxy).
     let trace_report = if opts.trace_sample > 0 {
-        let mut dumps = Vec::new();
-        if opts.cluster.is_empty() {
-            match Client::connect(opts.addr.as_str()).and_then(|mut c| c.traces()) {
-                Ok(t) => dumps.push(t),
-                Err(e) => eprintln!("loadgen: TRACES fetch failed: {e}"),
-            }
-        } else {
-            for n in &opts.cluster {
-                match Client::connect(n.addr.as_str()).and_then(|mut c| c.traces()) {
-                    Ok(t) => dumps.push(t),
-                    Err(e) => eprintln!("loadgen: TRACES fetch from node {} failed: {e}", n.id),
-                }
+        match Client::connect(opts.addr.as_str()).and_then(|mut c| c.traces()) {
+            Ok(t) => Some(trace_report(t)),
+            Err(e) => {
+                eprintln!("loadgen: TRACES fetch failed: {e}");
+                Some(trace_report(String::new()))
             }
         }
-        Some(merge_traces(&dumps))
     } else {
         None
     };
     if let Some(tr) = &trace_report {
         println!(
-            "  traces: sent {}  retained {}  multi-node {}  slow {}",
+            "  traces: sent {}  retained {}  slow {}",
             totals.traced_gets.load(Ordering::Relaxed),
             tr.unique,
-            tr.multi_node,
             tr.slow,
         );
         for (name, v) in &tr.phases {
@@ -1238,31 +1001,6 @@ fn main() {
                     v.len()
                 );
             }
-        }
-    }
-    let part_hist = latency_part.snapshot();
-    if !opts.cluster.is_empty() {
-        println!(
-            "  cluster: nodes {}/{}  forwards {}  fallbacks {}  moved {}  reroutes {}  hot promotions {}  ring flips {}  forwarded gets {}  unavailable writes {}",
-            node_stats.len(),
-            opts.cluster.len(),
-            sum_stat("cluster_forwards"),
-            sum_stat("cluster_forward_fallbacks"),
-            sum_stat("cluster_moved"),
-            cluster_metrics.reroutes.get(),
-            cluster_metrics.hot_key_promotions.get(),
-            cluster_metrics.ring_flips.get(),
-            totals.forwarded_gets.load(Ordering::Relaxed),
-            totals.unavailable_writes.load(Ordering::Relaxed),
-        );
-        if part_hist.count() > 0 {
-            println!(
-                "  partition-window latency us: p50 {}  p99 {}  max {}  ({} samples)",
-                part_hist.quantile(0.50),
-                part_hist.quantile(0.99),
-                part_hist.max(),
-                part_hist.count(),
-            );
         }
     }
     let lookup = |name: &str| {
@@ -1299,14 +1037,6 @@ fn main() {
             (
                 "stale_gets",
                 Json::uint(totals.stale_gets.load(Ordering::Relaxed)),
-            ),
-            (
-                "forwarded_gets",
-                Json::uint(totals.forwarded_gets.load(Ordering::Relaxed)),
-            ),
-            (
-                "unavailable_writes",
-                Json::uint(totals.unavailable_writes.load(Ordering::Relaxed)),
             ),
             (
                 "origin_errors",
@@ -1376,52 +1106,6 @@ fn main() {
                 ]),
             ),
         ];
-        if !opts.cluster.is_empty() {
-            data.push((
-                "cluster",
-                Json::obj([
-                    ("nodes", Json::uint(opts.cluster.len() as u64)),
-                    ("nodes_reporting", Json::uint(node_stats.len() as u64)),
-                    ("forwards", Json::uint(sum_stat("cluster_forwards"))),
-                    (
-                        "forward_fallbacks",
-                        Json::uint(sum_stat("cluster_forward_fallbacks")),
-                    ),
-                    ("moved", Json::uint(sum_stat("cluster_moved"))),
-                    ("reroutes", Json::uint(cluster_metrics.reroutes.get())),
-                    (
-                        "hot_key_promotions",
-                        Json::uint(cluster_metrics.hot_key_promotions.get()),
-                    ),
-                    ("ring_flips", Json::uint(cluster_metrics.ring_flips.get())),
-                    (
-                        "forwarded_gets",
-                        Json::uint(totals.forwarded_gets.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "unavailable_writes",
-                        Json::uint(totals.unavailable_writes.load(Ordering::Relaxed)),
-                    ),
-                    ("lookups", Json::uint(sum_stat("lookups"))),
-                    ("hits", Json::uint(sum_stat("hits"))),
-                    ("misses", Json::uint(sum_stat("misses"))),
-                    ("evictions", Json::uint(sum_stat("evictions"))),
-                    (
-                        "aggregate_miss_cost",
-                        Json::uint(sum_stat("aggregate_miss_cost")),
-                    ),
-                ]),
-            ));
-            data.push((
-                "latency_partition_us",
-                Json::obj([
-                    ("count", Json::uint(part_hist.count())),
-                    ("p50", Json::uint(part_hist.quantile(0.50))),
-                    ("p99", Json::uint(part_hist.quantile(0.99))),
-                    ("max", Json::uint(part_hist.max())),
-                ]),
-            ));
-        }
         if let Some(tr) = &trace_report {
             let phase_objs: Vec<(&'static str, Json)> = tr
                 .phases
@@ -1447,7 +1131,6 @@ fn main() {
                         Json::uint(totals.traced_gets.load(Ordering::Relaxed)),
                     ),
                     ("unique", Json::uint(tr.unique)),
-                    ("multi_node", Json::uint(tr.multi_node)),
                     ("slow_traces", Json::uint(tr.slow)),
                 ]),
             ));
@@ -1472,31 +1155,23 @@ fn main() {
             ));
         }
         // Run metadata, self-describing: a BENCH file found cold still
-        // says what produced it, with which knobs, against how many nodes.
+        // says what produced it and with which knobs.
         let meta = Json::obj([
             ("tool", Json::str("loadgen")),
             ("version", Json::str(env!("CARGO_PKG_VERSION"))),
             ("seed", Json::uint(opts.seed)),
-            ("node_count", Json::uint(opts.cluster.len().max(1) as u64)),
             ("conns", Json::uint(opts.conns as u64)),
             ("keys", Json::uint(opts.keys as u64)),
             ("zipf", Json::Float(opts.zipf)),
             ("set_ratio", Json::Float(opts.set_ratio)),
-            ("hot_keys", Json::uint(opts.hot_keys as u64)),
-            ("hot_frac", Json::Float(opts.hot_frac)),
             ("scan_frac", Json::Float(opts.scan_frac)),
             ("scan_len", Json::uint(opts.scan_len)),
             ("secs", Json::uint(opts.secs)),
             ("warmup", Json::uint(opts.warmup)),
             ("chaos", Json::Bool(opts.chaos)),
         ]);
-        let (experiment, filename) = if opts.cluster.is_empty() {
-            ("serve_loadgen", "BENCH_serve.json")
-        } else {
-            ("cluster_loadgen", "BENCH_cluster.json")
-        };
         let report = Json::obj([
-            ("experiment", Json::str(experiment)),
+            ("experiment", Json::str("serve_loadgen")),
             ("addr", Json::str(opts.addr.clone())),
             ("conns", Json::uint(opts.conns as u64)),
             ("secs", Json::uint(opts.secs)),
@@ -1511,7 +1186,7 @@ fn main() {
         let text = report.render();
         Json::parse(&text).expect("rendered report must re-parse");
         std::fs::create_dir_all(dir).expect("create --json directory");
-        let path = dir.join(filename);
+        let path = dir.join("BENCH_serve.json");
         std::fs::write(&path, text + "\n").expect("write JSON report");
         eprintln!("wrote {}", path.display());
         if let Some(tr) = &trace_report {

@@ -51,19 +51,15 @@ impl Default for Timeouts {
     }
 }
 
-/// A `GET` result carrying its reply flags: `stale` is set when the
+/// A `GET` result carrying its reply flag: `stale` is set when the
 /// server answered from its stale store because the origin failed (the
-/// `STALE` token on the `VALUE` line), `forwarded` when a cluster node
-/// fetched the value from the key's owner peer on our behalf (the
-/// `FORWARDED` token).
+/// `STALE` token on the `VALUE` line).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Value {
     /// The value bytes.
     pub data: Vec<u8>,
     /// Whether this is a stale copy served while the origin is degraded.
     pub stale: bool,
-    /// Whether a cluster node fetched this from the key's owner peer.
-    pub forwarded: bool,
 }
 
 /// The typed form of the server's recoverable `ORIGIN_ERROR` reply: the
@@ -83,34 +79,6 @@ impl std::fmt::Display for OriginError {
 }
 
 impl std::error::Error for OriginError {}
-
-/// The typed form of the server's recoverable `MOVED` reply: the cluster
-/// node addressed does not own the key and peer-forwarding is disabled,
-/// so the request should be re-issued against [`addr`](Moved::addr).
-/// Surfaced wrapped in an [`io::Error`]; recover it with
-/// `err.get_ref().and_then(|e| e.downcast_ref::<Moved>())`. The
-/// connection that answered `MOVED` is healthy and stays usable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Moved {
-    /// The owner node's advertised address.
-    pub addr: String,
-}
-
-impl std::fmt::Display for Moved {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "MOVED {}", self.addr)
-    }
-}
-
-impl std::error::Error for Moved {}
-
-impl Moved {
-    /// Recovers a typed `Moved` from an [`io::Error`], if it wraps one.
-    #[must_use]
-    pub fn from_io(e: &io::Error) -> Option<&Moved> {
-        e.get_ref().and_then(|inner| inner.downcast_ref())
-    }
-}
 
 /// The server rejected a `SET` because the payload checksum did not match
 /// — the request was corrupted in flight. Framing is intact and the store
@@ -352,40 +320,6 @@ impl Client {
         self.read_get_reply(key)
     }
 
-    /// Issues a peer-forwarded lookup (`FGET`): the receiving cluster
-    /// node answers from its own cache or origin and — by the one-hop
-    /// rule — never forwards again and never replies `MOVED`. This is
-    /// the hop a forwarding server makes on a client's behalf; ordinary
-    /// callers want [`get_value`](Self::get_value).
-    ///
-    /// # Errors
-    ///
-    /// Transport failures and server-reported errors, including the
-    /// recoverable `ORIGIN_ERROR` reply as a typed [`OriginError`].
-    pub fn forward_get(&mut self, key: &str) -> io::Result<Option<Value>> {
-        self.forward_get_traced(key, None)
-    }
-
-    /// [`forward_get`](Self::forward_get) with an optional trace context
-    /// on the `FGET` line, linking the peer's spans under the caller's
-    /// forward span — one trace across both nodes.
-    ///
-    /// # Errors
-    ///
-    /// As [`forward_get`](Self::forward_get).
-    pub fn forward_get_traced(
-        &mut self,
-        key: &str,
-        trace: Option<TraceContext>,
-    ) -> io::Result<Option<Value>> {
-        match trace {
-            Some(ctx) => write!(self.writer, "FGET {key} TRACE {}\r\n", ctx.render())?,
-            None => write!(self.writer, "FGET {key}\r\n")?,
-        }
-        self.writer.flush()?;
-        self.read_get_reply(key)
-    }
-
     /// Issues every `GET` before reading any reply (one flush, one
     /// round-trip's worth of latency for the whole batch).
     ///
@@ -408,11 +342,11 @@ impl Client {
             match self.read_get_reply(key) {
                 Ok(v) => out.push(v.map(|v| v.data)),
                 // The server keeps sending the batch's remaining replies
-                // after a recoverable ORIGIN_ERROR or MOVED: returning
+                // after a recoverable ORIGIN_ERROR: returning
                 // early here would desynchronize the stream and hand
                 // leftover replies to the next call, so read every reply
                 // before failing.
-                Err(e) if is_recoverable_reply(&e) => {
+                Err(e) if is_origin_error(&e) => {
                     first_origin_err.get_or_insert(e);
                 }
                 // Transport/framing failures: stream position is already
@@ -556,13 +490,13 @@ impl Client {
         self.writer.flush()
     }
 
-    /// Reads one `GET` reply: `VALUE [STALE] [FORWARDED] <crc32>` +
-    /// payload + `END`, a bare `END`, or the recoverable `ORIGIN_ERROR` /
-    /// `MOVED` lines. The payload CRC is verified when present, so
-    /// corrupted bytes inside the payload are reported as a malformed
-    /// frame instead of returned as data — and the echoed key must match
-    /// `expect_key`, so a request corrupted in flight into a *different
-    /// valid key* can never return that other key's value as this one's.
+    /// Reads one `GET` reply: `VALUE [STALE] <crc32>` + payload + `END`,
+    /// a bare `END`, or the recoverable `ORIGIN_ERROR` line. The payload
+    /// CRC is verified when present, so corrupted bytes inside the
+    /// payload are reported as a malformed frame instead of returned as
+    /// data — and the echoed key must match `expect_key`, so a request
+    /// corrupted in flight into a *different valid key* can never return
+    /// that other key's value as this one's.
     fn read_get_reply(&mut self, expect_key: &str) -> io::Result<Option<Value>> {
         let line = self.read_line()?;
         if line == "END" {
@@ -571,11 +505,6 @@ impl Client {
         if let Some(reason) = line.strip_prefix("ORIGIN_ERROR") {
             return Err(io::Error::other(OriginError {
                 reason: reason.trim_start().to_owned(),
-            }));
-        }
-        if let Some(addr) = line.strip_prefix("MOVED ") {
-            return Err(io::Error::other(Moved {
-                addr: addr.to_owned(),
             }));
         }
         let rest = line
@@ -595,13 +524,10 @@ impl Client {
             .filter(|n| *n <= MAX_VALUE_LEN)
             .ok_or_else(|| unexpected(&line))?;
         let mut stale = false;
-        let mut forwarded = false;
         let mut crc: Option<u32> = None;
         for tok in fields {
-            if tok == "STALE" && !stale && !forwarded && crc.is_none() {
+            if tok == "STALE" && !stale && crc.is_none() {
                 stale = true;
-            } else if tok == "FORWARDED" && !forwarded && crc.is_none() {
-                forwarded = true;
             } else if crc.is_none() {
                 crc = Some(parse_crc_token(tok).ok_or_else(|| unexpected(&line))?);
             } else {
@@ -611,11 +537,7 @@ impl Client {
         let body = self.read_payload(len)?;
         verify_crc(&body, crc)?;
         match self.read_line()?.as_str() {
-            "END" => Ok(Some(Value {
-                data: body,
-                stale,
-                forwarded,
-            })),
+            "END" => Ok(Some(Value { data: body, stale })),
             other => Err(unexpected(other)),
         }
     }
@@ -662,22 +584,12 @@ fn unexpected(line: &str) -> io::Error {
     io::Error::other(format!("unexpected server reply: {line}"))
 }
 
-/// Whether `e` wraps the recoverable [`OriginError`] reply (the stream
-/// framing is intact; transport and framing errors are not recoverable).
+/// Whether `e` wraps the recoverable [`OriginError`] reply: the server
+/// sent it *inside intact framing*, so the connection answered correctly
+/// and there is nothing for the failover layer to heal and nothing to
+/// drain-skip (transport and framing errors are not recoverable).
 fn is_origin_error(e: &io::Error) -> bool {
     e.get_ref().is_some_and(|inner| inner.is::<OriginError>())
-}
-
-/// Whether `e` wraps the recoverable [`Moved`] redirect reply.
-fn is_moved(e: &io::Error) -> bool {
-    e.get_ref().is_some_and(|inner| inner.is::<Moved>())
-}
-
-/// Whether `e` is a reply the server sent *inside intact framing* —
-/// `ORIGIN_ERROR` or `MOVED`. The connection answered correctly; there
-/// is nothing for the failover layer to heal and nothing to drain-skip.
-fn is_recoverable_reply(e: &io::Error) -> bool {
-    is_origin_error(e) || is_moved(e)
 }
 
 /// Whether `e` wraps a [`StoreRejected`] checksum reject (the server
@@ -982,9 +894,9 @@ impl FailoverClient {
                     self.endpoints[endpoint].healthy = true;
                     return Ok(v);
                 }
-                // The server answered inside intact framing (ORIGIN_ERROR
-                // or MOVED): nothing to heal, the error is the answer.
-                Err(e) if is_recoverable_reply(&e) => return Err(e),
+                // The server answered inside intact framing
+                // (ORIGIN_ERROR): nothing to heal, the error is the answer.
+                Err(e) if is_origin_error(&e) => return Err(e),
                 // Checksum reject: the server definitively did NOT apply
                 // the store and the stream is aligned — safe to re-issue
                 // even for SET, on the same connection.

@@ -29,12 +29,6 @@
 //!   plus a self-healing [`FailoverClient`] that reconnects with capped
 //!   backoff, transparently replays idempotent ops, and fails over
 //!   across replica endpoints with passive health marking.
-//! * [`ring`] — the consistent-hash ring (virtual nodes, rendezvous
-//!   tie-breaking) every cluster participant derives ownership from.
-//! * [`cluster`] — cluster mode: server-side one-hop peer forwarding
-//!   with *measured* hop cost charged to forwarded entries, a
-//!   [`ClusterClient`] with hot-key replica fan-out and partition-aware
-//!   re-routing, and the `MOVED`/`FORWARDED` reply grammar.
 //! * [`persist`] — crash-safe persistence: a segmented, CRC-32-framed
 //!   write-ahead log of every mutation *with its measured miss cost*,
 //!   periodic atomic snapshots, and cold-start recovery that truncates
@@ -56,29 +50,22 @@
 pub mod backing;
 pub mod chaos;
 pub mod client;
-pub mod cluster;
 pub mod persist;
 pub mod poller;
 pub mod proto;
 mod reactor;
 pub mod resilience;
-pub mod ring;
 pub mod server;
 
 pub use backing::{Backing, BackingError, InfallibleBacking, MemoryBacking, NoBacking, SimBacking};
 pub use chaos::{ChaosConfig, ChaosProxy, ChaosSnapshot};
 pub use client::{
-    Client, ClientMetrics, ConnectionError, FailoverClient, FailoverConfig, Moved, OriginError,
+    Client, ClientMetrics, ConnectionError, FailoverClient, FailoverConfig, OriginError,
     StoreRejected, Timeouts, Value,
-};
-pub use cluster::{
-    parse_nodes, ClusterClient, ClusterClientConfig, ClusterMetrics, ClusterNode, FreqSketch,
-    PeerConfig, PeerRouter,
 };
 pub use persist::{FsyncPolicy, PersistConfig};
 pub use resilience::{
     BackoffSchedule, BreakerState, CircuitBreaker, FaultBacking, OriginMetrics, ResilienceConfig,
     ResilientBacking,
 };
-pub use ring::Ring;
 pub use server::{serve, Bytes, ReportSink, ServerConfig, ServerHandle};

@@ -94,7 +94,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 /// One parsed client request.
 ///
-/// `GET`/`FGET`/`SET` may carry an optional trailing
+/// `GET`/`SET` may carry an optional trailing
 /// `TRACE <trace_id>.<span_id>` token (see `PROTOCOL.md` § Tracing):
 /// the caller's distributed-trace context, under which the server emits
 /// its spans for this request.
@@ -102,16 +102,6 @@ pub fn crc32(data: &[u8]) -> u32 {
 pub enum Request {
     /// `GET <key> [TRACE <ctx>]` — read-through lookup.
     Get {
-        /// The key to look up.
-        key: String,
-        /// The propagated trace context, if the command carried one.
-        trace: Option<TraceContext>,
-    },
-    /// `FGET <key> [TRACE <ctx>]` — a peer-forwarded lookup (cluster
-    /// mode). Served exactly like `GET` except it is **never forwarded
-    /// again** and never answered `MOVED`: the one-hop loop-prevention
-    /// rule.
-    ForwardGet {
         /// The key to look up.
         key: String,
         /// The propagated trace context, if the command carried one.
@@ -456,11 +446,6 @@ fn parse_line(line: &[u8]) -> Result<Line, ProtoError> {
             let trace = parse_opt_trace(&mut parts)?;
             Request::Get { key, trace }
         }
-        "FGET" | "fget" => {
-            let key = parse_key_keep_rest(&mut parts)?;
-            let trace = parse_opt_trace(&mut parts)?;
-            Request::ForwardGet { key, trace }
-        }
         "DEL" | "del" => Request::Del(parse_key(&mut parts)?),
         "SET" | "set" => {
             let key = parse_key_keep_rest(&mut parts)?;
@@ -538,7 +523,7 @@ fn parse_crc(token: &str) -> Result<u32, ProtoError> {
 }
 
 /// Parses the optional trailing `TRACE <trace_id>.<span_id>` of a
-/// `GET`/`FGET`: nothing left means no context, anything else is a
+/// `GET`: nothing left means no context, anything else is a
 /// grammar error.
 fn parse_opt_trace<'a>(
     parts: &mut impl Iterator<Item = &'a str>,
@@ -603,47 +588,27 @@ fn no_args<'a>(
 /// hit). The trailing CRC32 token lets the client detect payload
 /// corruption that line framing cannot see.
 pub fn write_value(w: &mut impl Write, key: &str, value: &[u8]) -> io::Result<()> {
-    write_value_flags(w, key, value, false, false)
+    write_value_flagged(w, key, value, "")
 }
 
 /// Writes a `VALUE <key> <len> STALE <crc32>` + payload + `END` reply: a
 /// degraded `GET` answered from the stale store because the origin
 /// failed. Same framing as [`write_value`] plus the `STALE` flag token.
 pub fn write_stale_value(w: &mut impl Write, key: &str, value: &[u8]) -> io::Result<()> {
-    write_value_flags(w, key, value, true, false)
+    write_value_flagged(w, key, value, "STALE ")
 }
 
-/// Writes a `VALUE` reply with its optional flag tokens, in the
-/// normative order `[STALE] [FORWARDED]`, between the length and the
-/// CRC32. `STALE` marks a degraded answer from the stale store;
-/// `FORWARDED` marks a cluster answer fetched from the key's owner node
-/// on the client's behalf (and now cached locally at its measured
-/// one-hop cost).
-pub fn write_value_flags(
-    w: &mut impl Write,
-    key: &str,
-    value: &[u8],
-    stale: bool,
-    forwarded: bool,
-) -> io::Result<()> {
-    let stale = if stale { "STALE " } else { "" };
-    let forwarded = if forwarded { "FORWARDED " } else { "" };
+/// Writes a `VALUE` reply with `flag` (empty, or a token and its space)
+/// between the length and the CRC32.
+fn write_value_flagged(w: &mut impl Write, key: &str, value: &[u8], flag: &str) -> io::Result<()> {
     write!(
         w,
-        "VALUE {key} {} {stale}{forwarded}{:08x}\r\n",
+        "VALUE {key} {} {flag}{:08x}\r\n",
         value.len(),
         crc32(value)
     )?;
     w.write_all(value)?;
     w.write_all(b"\r\nEND\r\n")
-}
-
-/// Writes the recoverable `MOVED <addr>` reply: this cluster node does
-/// not own the key and peer-forwarding is disabled, so the client should
-/// re-issue the request against `addr` (the owner's advertised address).
-/// The connection stays open.
-pub fn write_moved(w: &mut impl Write, addr: &str) -> io::Result<()> {
-    write!(w, "MOVED {addr}\r\n")
 }
 
 /// Writes the recoverable `ORIGIN_ERROR <reason>` reply: the origin fetch
@@ -686,13 +651,6 @@ mod tests {
 
     fn get(key: &str) -> Request {
         Request::Get {
-            key: key.into(),
-            trace: None,
-        }
-    }
-
-    fn fget(key: &str) -> Request {
-        Request::ForwardGet {
             key: key.into(),
             trace: None,
         }
@@ -777,16 +735,19 @@ mod tests {
 
     #[test]
     fn unknown_verb_is_recoverable() {
-        let mut r = BufReader::new(&b"FROB x\r\nGET y\r\n"[..]);
-        match read_request(&mut r) {
-            Err(ProtoError::Client { fatal, msg, .. }) => {
-                assert!(!fatal, "framing is intact: connection may continue");
-                assert!(msg.contains("unknown command"));
+        for (line, verb) in [("FROB x", "FROB"), ("FGET k", "FGET")] {
+            let input = format!("{line}\r\nGET y\r\n");
+            let mut r = BufReader::new(input.as_bytes());
+            match read_request(&mut r) {
+                Err(ProtoError::Client { fatal, msg, .. }) => {
+                    assert!(!fatal, "framing is intact: connection may continue");
+                    assert_eq!(msg, format!("CLIENT_ERROR unknown command {verb:?}"));
+                }
+                other => panic!("expected client error, got {other:?}"),
             }
-            other => panic!("expected client error, got {other:?}"),
+            // The next request parses fine off the same reader.
+            assert_eq!(read_request(&mut r).unwrap(), Some(get("y")));
         }
-        // The next request parses fine off the same reader.
-        assert_eq!(read_request(&mut r).unwrap(), Some(get("y")));
     }
 
     #[test]
@@ -1066,47 +1027,14 @@ mod tests {
     }
 
     #[test]
-    fn fget_parses_like_get_and_keeps_the_key_grammar() {
-        let mut r = BufReader::new(&b"FGET user:1\r\nfget user:2\r\n"[..]);
-        assert_eq!(read_request(&mut r).unwrap(), Some(fget("user:1")));
-        assert_eq!(read_request(&mut r).unwrap(), Some(fget("user:2")));
-        let mut r = BufReader::new(&b"FGET has space\r\n"[..]);
-        assert!(matches!(
-            read_request(&mut r),
-            Err(ProtoError::Client { fatal: false, .. })
-        ));
-    }
-
-    #[test]
-    fn cluster_reply_writers_produce_the_documented_shapes() {
-        let abc_crc = format!("{:08x}", crc32(b"abc"));
-        let mut buf = Vec::new();
-        write_value_flags(&mut buf, "k", b"abc", false, true).unwrap();
-        assert_eq!(
-            buf,
-            format!("VALUE k 3 FORWARDED {abc_crc}\r\nabc\r\nEND\r\n").as_bytes()
-        );
-        buf.clear();
-        // Both flags: STALE first, FORWARDED second — the normative order.
-        write_value_flags(&mut buf, "k", b"abc", true, true).unwrap();
-        assert_eq!(
-            buf,
-            format!("VALUE k 3 STALE FORWARDED {abc_crc}\r\nabc\r\nEND\r\n").as_bytes()
-        );
-        buf.clear();
-        write_moved(&mut buf, "10.0.0.2:11311").unwrap();
-        assert_eq!(buf, b"MOVED 10.0.0.2:11311\r\n");
-    }
-
-    #[test]
-    fn trace_token_parses_on_get_fget_and_set() {
+    fn trace_token_parses_on_get_and_set() {
         let ctx = TraceContext {
             trace_id: 0x0123_4567_89ab_cdef,
             span_id: 0xfedc_ba98_7654_3210,
             sampled: true,
         };
         let token = ctx.render();
-        let mut input = format!("GET k TRACE {token}\r\nFGET k TRACE {token}\r\n").into_bytes();
+        let mut input = format!("GET k TRACE {token}\r\n").into_bytes();
         // SET with CRC and context, then SET with context only.
         input.extend_from_slice(
             format!("SET k 3 {:08x} TRACE {token}\r\nxyz\r\n", crc32(b"xyz")).as_bytes(),
@@ -1116,13 +1044,6 @@ mod tests {
         assert_eq!(
             read_request(&mut r).unwrap(),
             Some(Request::Get {
-                key: "k".into(),
-                trace: Some(ctx)
-            })
-        );
-        assert_eq!(
-            read_request(&mut r).unwrap(),
-            Some(Request::ForwardGet {
                 key: "k".into(),
                 trace: Some(ctx)
             })
@@ -1159,7 +1080,6 @@ mod tests {
             "GET k TRACE",
             "GET k TRACE 0.0 extra",
             "GET k JUNK",
-            "FGET k TRACE xyz.abc",
             "SET k 3 TRACE bogus",
         ] {
             let input = format!("{line}\r\nGET after\r\n");

@@ -45,7 +45,6 @@
 //! close every connection, then flush the final metrics report.
 
 use crate::backing::{Backing, BackingError};
-use crate::cluster::{ClusterNode, ClusterServerMetrics, PeerConfig, PeerRouter};
 use crate::persist::{PersistConfig, Persistence};
 use crate::proto::{self, ProtoError, Request};
 use crate::reactor::{self, Engine, EngineParams};
@@ -76,7 +75,7 @@ pub type Bytes = Arc<[u8]>;
 /// one.
 pub const SET_COST: u64 = 1;
 
-/// Ceiling for a measured fetch/forward latency converted to a µs cost —
+/// Ceiling for a measured fetch latency converted to a µs cost —
 /// the counterpart of the ≥ 1 µs floor. A clock anomaly (suspend/resume,
 /// a stepped clock, a u128→u64 overflow) must not mint an entry whose
 /// cost is effectively infinite: GD/BCL/DCL would then never evict it.
@@ -138,11 +137,6 @@ pub struct ServerConfig {
     /// Entries the stale store retains for serve-stale degradation
     /// (`None`: match the cache capacity; `Some(0)` disables it).
     pub stale_capacity: Option<usize>,
-    /// Cluster membership and peer-forwarding behaviour (`None`: the
-    /// node runs standalone). An empty `node_id` is substituted with the
-    /// bound listen address at startup (and appended to the membership
-    /// if absent), so tests binding port 0 need no up-front address.
-    pub cluster: Option<PeerConfig>,
     /// Distributed-tracing knobs (`PROTOCOL.md` § Tracing): 1-in-N
     /// sampling, the always-keep-slow threshold, and the kept-trace ring
     /// capacity. All off by default — incoming `TRACE` tokens are still
@@ -173,7 +167,6 @@ impl Default for ServerConfig {
             report: None,
             resilience: ResilienceConfig::default(),
             stale_capacity: None,
-            cluster: None,
             trace: TraceConfig::default(),
             slow_log: false,
             persist: None,
@@ -272,7 +265,6 @@ pub(crate) struct ServerMetrics {
     pub(crate) closed: Arc<Counter>,
     pub(crate) active: Arc<Gauge>,
     req_get: Arc<Counter>,
-    req_fget: Arc<Counter>,
     req_set: Arc<Counter>,
     req_del: Arc<Counter>,
     req_stats: Arc<Counter>,
@@ -307,7 +299,6 @@ struct PhaseMetrics {
     parse: Arc<Histogram>,
     cache: Arc<Histogram>,
     origin: Arc<Histogram>,
-    forward: Arc<Histogram>,
     stale: Arc<Histogram>,
 }
 
@@ -325,7 +316,6 @@ impl PhaseMetrics {
             parse: phase("parse"),
             cache: phase("cache"),
             origin: phase("origin"),
-            forward: phase("forward"),
             stale: phase("stale"),
         }
     }
@@ -338,7 +328,6 @@ impl PhaseMetrics {
             "parse" => self.parse.record(us),
             "cache" => self.cache.record(us),
             "origin" => self.origin.record(us),
-            "forward" => self.forward.record(us),
             "stale" => self.stale.record(us),
             _ => {}
         }
@@ -378,7 +367,6 @@ impl ServerMetrics {
                 &[],
             ),
             req_get: req("get"),
-            req_fget: req("fget"),
             req_set: req("set"),
             req_del: req("del"),
             req_stats: req("stats"),
@@ -421,12 +409,6 @@ impl ServerMetrics {
     }
 }
 
-/// Cluster machinery a node carries when it runs in cluster mode.
-struct ClusterState {
-    router: PeerRouter,
-    metrics: ClusterServerMetrics,
-}
-
 /// State shared by the engine's threads and the handle.
 pub(crate) struct Shared {
     cache: CsrCache<String, Bytes>,
@@ -436,7 +418,6 @@ pub(crate) struct Shared {
     pub(crate) metrics: ServerMetrics,
     origin_metrics: Arc<OriginMetrics>,
     stale: StaleStore,
-    cluster: Option<ClusterState>,
     /// The node's request tracer (csr-trace); always present, dormant
     /// (zero per-request allocations) unless sampling/slow-capture is on
     /// or a request carries an incoming `TRACE` token.
@@ -469,18 +450,18 @@ impl Shared {
         }
     }
 
-    /// Books a value whose fetch (from the origin or the owning peer)
-    /// began at `t0`, for the cache fill about to insert it: the measured
-    /// cost goes to `latency`, the copy and its cost to the stale store
-    /// (for serve-stale degradation if the origin later fails), then to
-    /// the WAL — which records the *measured* cost, so a restart
-    /// reconstructs the eviction ordering, not just the data.
-    fn fill(&self, key: &str, fetched: Vec<u8>, t0: Instant, latency: &Histogram) -> (Bytes, u64) {
+    /// Books a value whose origin fetch began at `t0`, for the cache fill
+    /// about to insert it: the measured cost goes to the fetch histogram,
+    /// the copy and its cost to the stale store (for serve-stale
+    /// degradation if the origin later fails), then to the WAL — which
+    /// records the *measured* cost, so a restart reconstructs the
+    /// eviction ordering, not just the data.
+    fn fill(&self, key: &str, fetched: Vec<u8>, t0: Instant) -> (Bytes, u64) {
         // Microseconds, floored at 1 so even a sub-µs origin read carries
         // nonzero weight with the policies, and ceilinged so a clock
         // anomaly cannot mint an unevictable entry.
         let cost = measured_cost_us(t0.elapsed());
-        latency.record(cost);
+        self.metrics.fetch_us.record(cost);
         let bytes = Bytes::from(fetched);
         self.stale.record(key, Arc::clone(&bytes), cost);
         self.persist_set(key, &bytes, cost);
@@ -669,25 +650,6 @@ pub fn serve(config: ServerConfig, backing: Arc<dyn Backing>) -> io::Result<Serv
     let listener = TcpListener::bind(config.addr.as_str())?;
     let addr = listener.local_addr()?;
 
-    let cluster = config.cluster.map(|mut pc| {
-        if pc.node_id.is_empty() {
-            // The common test/demo shape: bind port 0, identify as
-            // whatever address we got.
-            pc.node_id = addr.to_string();
-        }
-        if !pc.nodes.iter().any(|n| n.id == pc.node_id) {
-            pc.nodes.push(ClusterNode::addr_only(pc.node_id.clone()));
-        }
-        ClusterState {
-            router: PeerRouter::new(&pc),
-            metrics: ClusterServerMetrics::new(&registry),
-        }
-    });
-    // Traces are stamped with the cluster node id when there is one, so
-    // spans from different nodes of one trace stay distinguishable.
-    let trace_node = cluster
-        .as_ref()
-        .map_or_else(|| addr.to_string(), |cl| cl.router.node_id().to_owned());
     let shared = Arc::new(Shared {
         cache,
         backing,
@@ -695,8 +657,7 @@ pub fn serve(config: ServerConfig, backing: Arc<dyn Backing>) -> io::Result<Serv
         metrics,
         origin_metrics,
         stale: StaleStore::new(config.stale_capacity.unwrap_or(config.capacity)),
-        cluster,
-        tracer: Tracer::new(&trace_node, config.trace),
+        tracer: Tracer::new(&addr.to_string(), config.trace),
         slow_log: config.slow_log,
         persist,
         persist_done: AtomicBool::new(false),
@@ -770,31 +731,7 @@ pub(crate) fn respond(
         Request::Get { key, trace: ctx } => {
             shared.metrics.req_get.inc();
             let mut trace = begin_trace(shared, ctx, anchor);
-            let out = (|| {
-                if let Some(cl) = &shared.cluster {
-                    if let Some((peer, owner)) = cl.router.owner_of(&key) {
-                        if !cl.router.forward {
-                            cl.metrics.moved.inc();
-                            if let Some(t) = trace.as_mut() {
-                                t.event("moved", owner.addr.clone());
-                            }
-                            return proto::write_moved(w, &owner.addr);
-                        }
-                        return forwarded_get(shared, cl, peer, &key, w, &mut trace);
-                    }
-                }
-                local_get(shared, &key, w, &mut trace)
-            })();
-            finish_trace(shared, trace, &key);
-            out
-        }
-        // The internal one-hop verb: always answered from this node's own
-        // cache/origin — never re-forwarded, never MOVED — so peer
-        // forwarding cannot loop.
-        Request::ForwardGet { key, trace: ctx } => {
-            shared.metrics.req_fget.inc();
-            let mut trace = begin_trace(shared, ctx, anchor);
-            let out = local_get(shared, &key, w, &mut trace);
+            let out = get(shared, &key, w, &mut trace);
             finish_trace(shared, trace, &key);
             out
         }
@@ -894,14 +831,14 @@ fn finish_trace(shared: &Shared, trace: Option<RequestTrace>, key: &str) {
     }
 }
 
-/// The single-node read-through `GET`: cache, then origin (fetch timed
+/// The read-through `GET`: cache, then origin (fetch timed
 /// and charged as miss cost), then the stale-store degradation ladder.
 ///
 /// When traced, a `cache` span covers the whole single-flight lookup
 /// (including any coalesced wait) and an `origin` span — nested inside
 /// it, carrying the resilience middleware's retry/breaker/deadline
 /// events — covers the fetch closure when it ran.
-fn local_get(
+fn get(
     shared: &Shared,
     key: &str,
     w: &mut impl Write,
@@ -917,7 +854,7 @@ fn local_get(
             let t0 = Instant::now();
             fetch_started.set(Some(t0));
             let fetched = shared.backing.try_fetch(key)?;
-            Ok(fetched.map(|v| shared.fill(key, v, t0, &shared.metrics.fetch_us)))
+            Ok(fetched.map(|v| shared.fill(key, v, t0)))
         });
     if let Some(t) = trace.as_mut() {
         let events = take_events();
@@ -939,91 +876,6 @@ fn local_get(
     }
     match value {
         Ok(Some(bytes)) => proto::write_value(w, key, &bytes),
-        Ok(None) => proto::write_end(w),
-        Err(err) => write_degraded(shared, key, &err, w, trace),
-    }
-}
-
-/// A `GET` for a key this node does not own, with forwarding enabled:
-/// serve a locally cached copy if one exists (a previous forward put it
-/// there — that *is* the hot-key replica), else fetch from the owner
-/// over `FGET` inside the cache's single-flight slot, charging the
-/// *measured* one-hop latency as the entry's miss cost. A peer that
-/// cannot be reached (partition) degrades to this node's own origin
-/// fetch, so availability survives the owner's death.
-///
-/// When traced, the `forward` span's id rides the `FGET` line as the
-/// `TRACE` token, so the owner's spans link under it — one trace across
-/// both nodes.
-fn forwarded_get(
-    shared: &Shared,
-    cl: &ClusterState,
-    peer: usize,
-    key: &str,
-    w: &mut impl Write,
-    trace: &mut Option<RequestTrace>,
-) -> io::Result<()> {
-    // Reply-flag cells: set inside the fetch closure (which only runs on
-    // a miss), read when writing the reply.
-    let fwd = Cell::new(false);
-    let fwd_stale = Cell::new(false);
-    let cache_span = trace.as_mut().map(|t| t.begin_span("cache"));
-    let value: Result<Option<Bytes>, BackingError> =
-        shared.cache.try_get_or_insert_with(key.to_owned(), || {
-            let t0 = Instant::now();
-            let mut span = trace.as_mut().map(|t| t.begin_span("forward"));
-            let ctx = trace
-                .as_ref()
-                .zip(span.as_ref())
-                .map(|(t, sp)| t.context_from(sp.span_id()));
-            match cl.router.fetch_from_peer(peer, key, ctx) {
-                Ok(found) => {
-                    cl.metrics.forwards.inc();
-                    fwd.set(true);
-                    if let (Some(t), Some(sp)) = (trace.as_mut(), span.take()) {
-                        let dur = t.finish_span(sp);
-                        shared.metrics.phases.record("forward", dur);
-                    }
-                    let forward_us = &cl.metrics.forward_us;
-                    if found.is_none() {
-                        // The hop was still made: its latency counts.
-                        forward_us.record(measured_cost_us(t0.elapsed()));
-                    }
-                    Ok(found.map(|v| {
-                        fwd_stale.set(v.stale);
-                        shared.fill(key, v.data, t0, forward_us)
-                    }))
-                }
-                // The owner is unreachable (or itself origin-dead): fall
-                // back to our own origin so a partitioned peer costs one
-                // bounded timeout, not an outage.
-                Err(e) => {
-                    cl.metrics.forward_fallbacks.inc();
-                    if let (Some(t), Some(mut sp)) = (trace.as_mut(), span.take()) {
-                        sp.event("forward_error", e.to_string());
-                        let dur = t.finish_span(sp);
-                        shared.metrics.phases.record("forward", dur);
-                    }
-                    let t0 = Instant::now();
-                    let fetched = shared.backing.try_fetch(key);
-                    if let Some(t) = trace.as_mut() {
-                        let mut sp = t.begin_span_at("origin", t0);
-                        sp.absorb_events(take_events());
-                        let dur = t.finish_span(sp);
-                        shared.metrics.phases.record("origin", dur);
-                        arm_events();
-                    }
-                    Ok(fetched?.map(|v| shared.fill(key, v, t0, &shared.metrics.fetch_us)))
-                }
-            }
-        });
-    if let Some(t) = trace.as_mut() {
-        if let Some(span) = cache_span {
-            shared.metrics.phases.record("cache", t.finish_span(span));
-        }
-    }
-    match value {
-        Ok(Some(bytes)) => proto::write_value_flags(w, key, &bytes, fwd_stale.get(), fwd.get()),
         Ok(None) => proto::write_end(w),
         Err(err) => write_degraded(shared, key, &err, w, trace),
     }
@@ -1091,7 +943,6 @@ fn write_stats(shared: &Shared, w: &mut impl Write) -> io::Result<()> {
     stat("requests_get", m.req_get.get().to_string())?;
     stat("requests_set", m.req_set.get().to_string())?;
     stat("requests_del", m.req_del.get().to_string())?;
-    stat("requests_fget", m.req_fget.get().to_string())?;
     stat("conn_limit_rejects", m.limit_rejects().to_string())?;
     stat("conn_slowloris_drops", m.slowloris_drops.get().to_string())?;
     stat(
@@ -1120,16 +971,6 @@ fn write_stats(shared: &Shared, w: &mut impl Write) -> io::Result<()> {
         )?;
         stat("persist_errors", pm.errors.get().to_string())?;
         stat("persist_degraded", u64::from(p.is_degraded()).to_string())?;
-    }
-    if let Some(cl) = &shared.cluster {
-        stat("cluster_node_id", cl.router.node_id().to_owned())?;
-        stat("cluster_nodes", cl.router.nodes().len().to_string())?;
-        stat("cluster_forwards", cl.metrics.forwards.get().to_string())?;
-        stat(
-            "cluster_forward_fallbacks",
-            cl.metrics.forward_fallbacks.get().to_string(),
-        )?;
-        stat("cluster_moved", cl.metrics.moved.get().to_string())?;
     }
     proto::write_end(w)
 }

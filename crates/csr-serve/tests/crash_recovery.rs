@@ -8,8 +8,7 @@
 //!   durable SET accounted for;
 //! * the warm-restart eviction-order probe: *measured* miss costs
 //!   recorded in the WAL must survive a SIGKILL, so after recovery the
-//!   GreedyDual policy still evicts the observed-cheap entries first
-//!   (the persistence analogue of the peer-vs-origin cluster probe);
+//!   GreedyDual policy still evicts the observed-cheap entries first;
 //! * torn tails and bit flips in the WAL truncate at the damaged record
 //!   — the prefix is served, the damage never is;
 //! * SIGTERM during recovery replay aborts cleanly (exit 0) before the
@@ -399,8 +398,7 @@ fn del_of_nonresident_key_tombstones_the_wal() {
 /// observed-cheap (~100µs) and 8 observed-expensive (~20ms) entries,
 /// SIGKILL, restart, then pressure with six more expensive keys. If the
 /// WAL preserved the *measured* costs, all six evictions land on the
-/// recovered cheap entries — the same split the cluster peer-vs-origin
-/// probe asserts, here across a crash.
+/// recovered cheap entries, across a crash.
 #[test]
 fn measured_costs_survive_sigkill_and_steer_eviction_after_restart() {
     let dir = test_dir("costs");

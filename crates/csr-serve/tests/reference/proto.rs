@@ -145,11 +145,6 @@ pub fn read_request(r: &mut impl BufRead) -> Result<Option<Request>, ProtoError>
             let trace = parse_opt_trace(&mut parts)?;
             Request::Get { key, trace }
         }
-        "FGET" | "fget" => {
-            let key = parse_key_keep_rest(&mut parts)?;
-            let trace = parse_opt_trace(&mut parts)?;
-            Request::ForwardGet { key, trace }
-        }
         "DEL" | "del" => Request::Del(parse_key(&mut parts)?),
         "SET" | "set" => {
             let key = parse_key_keep_rest(&mut parts)?;
