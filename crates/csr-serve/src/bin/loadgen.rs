@@ -32,10 +32,8 @@
 //! multiplexed over a small thread pool (`--curve-threads`), not one
 //! thread each, so the generator itself stays cheap at five-digit conn
 //! counts. `--curve N,N,...` runs one open-loop stage per connection
-//! count and prints a `curve:` line for each; `--compare-addr` repeats
-//! the whole curve against a second server (say, two builds) so one run
-//! emits a comparable scaling curve for both, each stage tagged with the
-//! address it ran against.
+//! count and prints a `curve:` line for each. One run targets one
+//! server; comparing two builds takes one run against each.
 
 use csr_obs::{Histogram, Json, Registry, TraceContext};
 use csr_serve::chaos::{ChaosConfig, ChaosProxy};
@@ -88,8 +86,6 @@ Open-loop / scaling curve (incompatible with --chaos):
   --curve LIST              comma-separated connection counts; runs one open-loop
                             stage of --secs per count and prints a 'curve:' line
                             each (implies --rate; default rate 2000 if unset)
-  --compare-addr HOST:PORT  run the same curve against a second server; each
-                            stage is tagged with the address it ran against
   --curve-threads N         generator threads multiplexing the connections
                             (default 32, capped at the stage's conn count)
 
@@ -129,7 +125,6 @@ struct Opts {
     trace_sample: u64,
     rate: f64,
     curve: Vec<usize>,
-    compare_addr: Option<String>,
     curve_threads: usize,
     chaos: bool,
     chaos_config: ChaosConfig,
@@ -157,7 +152,6 @@ fn parse_args() -> Opts {
         trace_sample: 0,
         rate: 0.0,
         curve: Vec::new(),
-        compare_addr: None,
         curve_threads: 32,
         chaos: false,
         chaos_config: ChaosConfig {
@@ -212,7 +206,6 @@ fn parse_args() -> Opts {
                     .map(|s| parse_num(s.trim(), "--curve"))
                     .collect()
             }
-            "--compare-addr" => opts.compare_addr = Some(val("--compare-addr")),
             "--curve-threads" => {
                 opts.curve_threads = parse_num(&val("--curve-threads"), "--curve-threads")
             }
@@ -279,9 +272,6 @@ fn parse_args() -> Opts {
     let open_loop = opts.rate > 0.0 || !opts.curve.is_empty();
     if open_loop && opts.chaos {
         die("--rate/--curve are incompatible with --chaos");
-    }
-    if opts.compare_addr.is_some() && !open_loop {
-        die("--compare-addr needs --rate or --curve");
     }
     if open_loop {
         if opts.rate <= 0.0 {
@@ -430,7 +420,6 @@ fn plausible_value(key: &str, data: &[u8]) -> bool {
 
 /// One measured point on the connections-vs-latency scaling curve.
 struct StagePoint {
-    addr: String,
     conns: usize,
     rate: f64,
     ops: u64,
@@ -446,7 +435,7 @@ struct StagePoint {
 /// round-robin across the connections (each one mostly idle). Latency is
 /// measured from the scheduled send time, so server-side queueing delay
 /// lands in the percentiles instead of throttling the generator.
-fn run_stage(addr: &str, conns: usize, opts: &Opts, wrong: &Arc<AtomicU64>) -> StagePoint {
+fn run_stage(conns: usize, opts: &Opts, wrong: &Arc<AtomicU64>) -> StagePoint {
     let threads = opts.curve_threads.min(conns);
     let latency = Arc::new(Histogram::new());
     let errors = Arc::new(AtomicU64::new(0));
@@ -478,7 +467,7 @@ fn run_stage(addr: &str, conns: usize, opts: &Opts, wrong: &Arc<AtomicU64>) -> S
             let cdf = Arc::clone(&cdf);
             let barrier = Arc::clone(&barrier);
             let epoch = Arc::clone(&epoch);
-            let addr = addr.to_owned();
+            let addr = opts.addr.clone();
             let mut rng = SplitMix64::new(opts.seed ^ (0x0c1e ^ t as u64));
             let my_conns = conns / threads + usize::from(t < conns % threads);
             let (set_ratio, value_len, secs) = (opts.set_ratio, opts.value_len, opts.secs);
@@ -594,7 +583,6 @@ fn run_stage(addr: &str, conns: usize, opts: &Opts, wrong: &Arc<AtomicU64>) -> S
     }
     let hist = latency.snapshot();
     StagePoint {
-        addr: addr.to_owned(),
         conns,
         rate: opts.rate,
         ops: ops.load(Ordering::Relaxed),
@@ -607,32 +595,27 @@ fn run_stage(addr: &str, conns: usize, opts: &Opts, wrong: &Arc<AtomicU64>) -> S
 }
 
 /// Open-loop scaling-curve mode: one stage per `--curve` count against
-/// `--addr` (and `--compare-addr`, when given), a printed `curve:` line
-/// per stage, and with `--json` a BENCH_serve.json whose data is the
-/// scaling curve itself. Exits the process.
+/// `--addr`, a printed `curve:` line per stage, and with `--json` a
+/// BENCH_serve.json whose data is the scaling curve itself. Exits the
+/// process.
 fn curve_main(opts: &Opts) -> ! {
     let wrong = Arc::new(AtomicU64::new(0));
     let mut points: Vec<StagePoint> = Vec::new();
-    let targets: Vec<&str> = std::iter::once(opts.addr.as_str())
-        .chain(opts.compare_addr.as_deref())
-        .collect();
-    for addr in &targets {
-        for &conns in &opts.curve {
-            let point = run_stage(addr, conns, opts, &wrong);
-            println!(
-                "curve: addr={} conns={} rate={:.0} ops={} p50_us={} p99_us={} max_us={} shed={} errors={}",
-                point.addr,
-                point.conns,
-                point.rate,
-                point.ops,
-                point.p50_us,
-                point.p99_us,
-                point.max_us,
-                point.shed,
-                point.errors,
-            );
-            points.push(point);
-        }
+    for &conns in &opts.curve {
+        let point = run_stage(conns, opts, &wrong);
+        println!(
+            "curve: addr={} conns={} rate={:.0} ops={} p50_us={} p99_us={} max_us={} shed={} errors={}",
+            opts.addr,
+            point.conns,
+            point.rate,
+            point.ops,
+            point.p50_us,
+            point.p99_us,
+            point.max_us,
+            point.shed,
+            point.errors,
+        );
+        points.push(point);
     }
 
     let errors: u64 = points.iter().map(|p| p.errors).sum();
@@ -641,7 +624,6 @@ fn curve_main(opts: &Opts) -> ! {
             .iter()
             .map(|p| {
                 Json::obj([
-                    ("addr", Json::str(p.addr.clone())),
                     ("conns", Json::uint(p.conns as u64)),
                     ("rate", Json::Float(p.rate)),
                     ("ops", Json::uint(p.ops)),
@@ -663,15 +645,10 @@ fn curve_main(opts: &Opts) -> ! {
             ("zipf", Json::Float(opts.zipf)),
             ("set_ratio", Json::Float(opts.set_ratio)),
             ("curve_threads", Json::uint(opts.curve_threads as u64)),
-            ("targets", Json::uint(targets.len() as u64)),
         ]);
         let report = Json::obj([
             ("experiment", Json::str("serve_scaling_curve")),
             ("addr", Json::str(opts.addr.clone())),
-            (
-                "compare_addr",
-                Json::str(opts.compare_addr.clone().unwrap_or_default()),
-            ),
             ("meta", meta),
             (
                 "data",
@@ -793,7 +770,7 @@ fn main() {
                 ..failover_config
             };
             std::thread::spawn(move || {
-                let mut client = FailoverClient::new(vec![target], config).with_metrics(metrics);
+                let mut client = FailoverClient::new(target, config).with_metrics(metrics);
                 let payload = vec![b'v'; value_len];
                 let mut gets = 0u64;
                 let mut scan_pos = 0u64;
@@ -880,7 +857,7 @@ fn main() {
                             totals.ops.fetch_add(1, Ordering::Relaxed);
                             latency.record(us.max(1));
                         }
-                        // A SET/DEL cut mid-flight: the client refuses to
+                        // A SET cut mid-flight: the client refuses to
                         // replay it (it may have applied). Under chaos
                         // that is correct behavior, not a failure.
                         Err(e) if ConnectionError::is_maybe_applied(&e) => {
@@ -938,10 +915,9 @@ fn main() {
         hist.max(),
     );
     println!(
-        "  client: reconnects {}  replays {}  failovers {}  deadline timeouts {}  maybe-applied {}  restart survivors {}  wrong values {}",
+        "  client: reconnects {}  replays {}  deadline timeouts {}  maybe-applied {}  restart survivors {}  wrong values {}",
         client_metrics.reconnects.get(),
         client_metrics.replays.get(),
-        client_metrics.failovers.get(),
         client_metrics.deadline_timeouts.get(),
         totals.maybe_applied.load(Ordering::Relaxed),
         totals.restart_survivor_hits.load(Ordering::Relaxed),
@@ -1064,7 +1040,6 @@ fn main() {
                 Json::obj([
                     ("reconnects", Json::uint(client_metrics.reconnects.get())),
                     ("replays", Json::uint(client_metrics.replays.get())),
-                    ("failovers", Json::uint(client_metrics.failovers.get())),
                     (
                         "deadline_timeouts",
                         Json::uint(client_metrics.deadline_timeouts.get()),

@@ -8,15 +8,13 @@
 //! read, and write deadlines ([`Timeouts`]) — a hung or half-open server
 //! can never wedge the caller forever.
 //!
-//! [`FailoverClient`] is the self-healing layer on top: it owns a replica
-//! list instead of a connection, reconnects through failures with capped
-//! backoff and seeded jitter (the [`BackoffSchedule`] from
-//! [`crate::resilience`]), transparently replays *idempotent* ops
-//! (`GET`/`STATS`/`METRICS`) after a mid-call disconnect, and refuses to
-//! replay `SET`/`DEL` — a non-idempotent op that died mid-flight surfaces
-//! as the typed [`ConnectionError::MaybeApplied`] so the caller decides.
-//! Endpoints are passively marked unhealthy when they fail and probed back
-//! into rotation round-robin ([`FailoverConfig::probe_every`]).
+//! [`FailoverClient`] is the self-healing layer on top: it owns one server
+//! address instead of a connection, reconnects through failures with
+//! capped backoff and seeded jitter (the [`BackoffSchedule`] from
+//! [`crate::resilience`]), transparently replays *idempotent* `GET`s after
+//! a mid-call disconnect, and refuses to replay `SET` — a non-idempotent
+//! op that died mid-flight surfaces as the typed
+//! [`ConnectionError::MaybeApplied`] so the caller decides.
 
 use crate::proto::{self, MAX_VALUE_LEN};
 use crate::resilience::{mix64, BackoffSchedule};
@@ -102,17 +100,17 @@ impl std::error::Error for StoreRejected {}
 /// [`io::Error`]; recover it with [`ConnectionError::from_io`].
 #[derive(Debug)]
 pub enum ConnectionError {
-    /// Every endpoint and retry attempt was exhausted without completing
-    /// the call.
+    /// Every connection and retry attempt was exhausted without
+    /// completing the call.
     Unavailable {
         /// Connection/replay attempts consumed before giving up.
         attempts: u32,
         /// The last underlying failure.
         source: io::Error,
     },
-    /// A non-idempotent op (`SET`/`DEL`) failed *after* its request may
-    /// have reached the server: the op was *not* replayed, and whether it
-    /// was applied is unknown. The caller must decide (re-read, re-issue
+    /// A non-idempotent `SET` failed *after* its request may have
+    /// reached the server: the op was *not* replayed, and whether it was
+    /// applied is unknown. The caller must decide (re-read, re-issue
     /// if its application is idempotent, or surface the ambiguity).
     MaybeApplied {
         /// The underlying failure.
@@ -124,7 +122,7 @@ impl std::fmt::Display for ConnectionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConnectionError::Unavailable { attempts, source } => {
-                write!(f, "no endpoint usable after {attempts} attempts: {source}")
+                write!(f, "server unavailable after {attempts} attempts: {source}")
             }
             ConnectionError::MaybeApplied { source } => write!(
                 f,
@@ -170,8 +168,6 @@ pub struct ClientMetrics {
     pub reconnects: Arc<Counter>,
     /// Idempotent ops re-issued after a connection-level failure.
     pub replays: Arc<Counter>,
-    /// Reconnections that landed on a different endpoint than the last.
-    pub failovers: Arc<Counter>,
     /// Socket operations cut by their read/write/connect deadline.
     pub deadline_timeouts: Arc<Counter>,
 }
@@ -189,11 +185,6 @@ impl ClientMetrics {
             replays: registry.counter(
                 "csr_serve_client_replays_total",
                 "Idempotent client ops re-issued after a connection-level failure",
-                &[],
-            ),
-            failovers: registry.counter(
-                "csr_serve_client_failovers_total",
-                "Client reconnections that switched to a different endpoint",
                 &[],
             ),
             deadline_timeouts: registry.counter(
@@ -454,30 +445,11 @@ impl Client {
         self.writer.write_all(verb)?;
         self.writer.flush()?;
         let line = self.read_line()?;
-        let rest = line
-            .strip_prefix("DATA ")
-            .ok_or_else(|| unexpected(&line))?;
-        let mut fields = rest.split(' ');
-        let len = fields
-            .next()
-            .and_then(|n| n.parse::<usize>().ok())
-            .filter(|n| *n <= MAX_VALUE_LEN)
-            .ok_or_else(|| unexpected(&line))?;
-        let crc = match fields.next() {
-            None => None,
-            Some(tok) => Some(parse_crc_token(tok).ok_or_else(|| unexpected(&line))?),
-        };
-        if fields.next().is_some() {
+        let Some((len, crc)) = line.strip_prefix("DATA ").and_then(|r| r.split_once(' ')) else {
             return Err(unexpected(&line));
-        }
-        let body = self.read_payload(len)?;
-        verify_crc(&body, crc)?;
-        match self.read_line()?.as_str() {
-            "END" => {
-                String::from_utf8(body).map_err(|_| io::Error::other("data body was not UTF-8"))
-            }
-            other => Err(unexpected(other)),
-        }
+        };
+        let body = self.read_payload(&line, len, crc)?;
+        String::from_utf8(body).map_err(|_| io::Error::other("data body was not UTF-8"))
     }
 
     /// Sends `QUIT` and closes the connection cleanly.
@@ -490,11 +462,9 @@ impl Client {
         self.writer.flush()
     }
 
-    /// Reads one `GET` reply: `VALUE [STALE] <crc32>` + payload + `END`,
-    /// a bare `END`, or the recoverable `ORIGIN_ERROR` line. The payload
-    /// CRC is verified when present, so corrupted bytes inside the
-    /// payload are reported as a malformed frame instead of returned as
-    /// data — and the echoed key must match `expect_key`, so a request
+    /// Reads one `GET` reply: `VALUE <key> <len> [STALE] <crc32>` +
+    /// payload + `END`, a bare `END`, or the recoverable `ORIGIN_ERROR`
+    /// line. The echoed key must match `expect_key`, so a request
     /// corrupted in flight into a *different valid key* can never return
     /// that other key's value as this one's.
     fn read_get_reply(&mut self, expect_key: &str) -> io::Result<Option<Value>> {
@@ -518,32 +488,26 @@ impl Client {
                 format!("reply key {key:?} does not match requested {expect_key:?}"),
             ));
         }
-        let len = fields
-            .next()
-            .and_then(|n| n.parse::<usize>().ok())
-            .filter(|n| *n <= MAX_VALUE_LEN)
-            .ok_or_else(|| unexpected(&line))?;
-        let mut stale = false;
-        let mut crc: Option<u32> = None;
-        for tok in fields {
-            if tok == "STALE" && !stale && crc.is_none() {
-                stale = true;
-            } else if crc.is_none() {
-                crc = Some(parse_crc_token(tok).ok_or_else(|| unexpected(&line))?);
-            } else {
-                return Err(unexpected(&line));
-            }
-        }
-        let body = self.read_payload(len)?;
-        verify_crc(&body, crc)?;
-        match self.read_line()?.as_str() {
-            "END" => Ok(Some(Value { data: body, stale })),
-            other => Err(unexpected(other)),
-        }
+        let (len, stale, crc) = match (fields.next(), fields.next(), fields.next(), fields.next()) {
+            (Some(len), Some(crc), None, _) => (len, false, crc),
+            (Some(len), Some("STALE"), Some(crc), None) => (len, true, crc),
+            _ => return Err(unexpected(&line)),
+        };
+        let data = self.read_payload(&line, len, crc)?;
+        Ok(Some(Value { data, stale }))
     }
 
-    /// Reads `len` payload bytes plus the trailing CRLF.
-    fn read_payload(&mut self, len: usize) -> io::Result<Vec<u8>> {
+    /// Reads the rest of a `VALUE` or `DATA` frame whose reply `line`
+    /// declared `len` and `crc`: the payload, its CRLF and `END`. A
+    /// payload that fails its CRC is reported as a malformed frame,
+    /// never returned as data.
+    fn read_payload(&mut self, line: &str, len: &str, crc: &str) -> io::Result<Vec<u8>> {
+        let (Some(len), Some(crc)) = (
+            len.parse::<usize>().ok().filter(|n| *n <= MAX_VALUE_LEN),
+            parse_crc_token(crc),
+        ) else {
+            return Err(unexpected(line));
+        };
         let mut body = vec![0u8; len];
         self.reader.read_exact(&mut body)?;
         let mut tail = [0u8; 2];
@@ -551,30 +515,41 @@ impl Client {
         if &tail != b"\r\n" {
             return Err(io::Error::other("payload not CRLF-terminated"));
         }
-        Ok(body)
+        if proto::crc32(&body) != crc {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "payload checksum mismatch",
+            ));
+        }
+        match self.read_line()?.as_str() {
+            "END" => Ok(body),
+            other => Err(unexpected(other)),
+        }
     }
 
-    /// Reads one response line, without its terminator.
+    /// Reads one response line, without its terminator. At most
+    /// [`proto::MAX_LINE_LEN`] bytes precede the newline, so the read
+    /// stops one byte past that: a reply still without its newline there
+    /// is refused at once instead of growing until the read deadline.
     fn read_line(&mut self) -> io::Result<String> {
+        let limit = proto::MAX_LINE_LEN + 1;
         let mut line = String::new();
-        loop {
-            let n = self.reader.read_line(&mut line)?;
-            if n == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                ));
-            }
-            if line.ends_with('\n') {
-                while line.ends_with('\n') || line.ends_with('\r') {
-                    line.pop();
-                }
-                return Ok(line);
-            }
-            if line.len() > proto::MAX_LINE_LEN {
-                return Err(io::Error::other("overlong response line"));
-            }
+        let mut full = (&mut self.reader).take(limit as u64).read_line(&mut line)? == limit;
+        if full && line.ends_with('\r') {
+            // A longest line's CR: its LF is the one byte still due.
+            full = (&mut self.reader).take(1).read_line(&mut line)? == 1;
         }
+        if !line.ends_with('\n') {
+            return Err(if full {
+                io::Error::other("overlong response line")
+            } else {
+                io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
+            });
+        }
+        while line.ends_with('\n') || line.ends_with('\r') {
+            line.pop();
+        }
+        Ok(line)
     }
 }
 
@@ -605,20 +580,8 @@ fn parse_crc_token(tok: &str) -> Option<u32> {
         .flatten()
 }
 
-/// Verifies a payload against its reply-line CRC (absent CRC passes, for
-/// compatibility with servers predating the integrity token).
-fn verify_crc(body: &[u8], crc: Option<u32>) -> io::Result<()> {
-    match crc {
-        Some(expect) if proto::crc32(body) != expect => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "payload checksum mismatch",
-        )),
-        _ => Ok(()),
-    }
-}
-
 // ---------------------------------------------------------------------------
-// The self-healing failover client
+// The self-healing client
 
 /// Tuning for a [`FailoverClient`].
 #[derive(Debug, Clone, Copy)]
@@ -631,17 +594,12 @@ pub struct FailoverConfig {
     pub backoff: BackoffSchedule,
     /// Total connection + replay attempts per call before giving up.
     pub max_attempts: u32,
-    /// Every `probe_every`-th endpoint pick tries an *unhealthy* endpoint
-    /// first (the round-robin recovery probe); `0` disables probing, so
-    /// unhealthy endpoints only re-enter rotation when every healthy one
-    /// is down.
-    pub probe_every: u32,
     /// Seed for the backoff jitter — decorrelates concurrent clients.
     pub seed: u64,
 }
 
 impl Default for FailoverConfig {
-    /// 1 ms → 200 ms backoff, 8 attempts, probe every 4th pick.
+    /// 1 ms → 200 ms backoff, 8 attempts.
     fn default() -> Self {
         FailoverConfig {
             timeouts: Timeouts::default(),
@@ -650,93 +608,46 @@ impl Default for FailoverConfig {
                 cap: Duration::from_millis(200),
             },
             max_attempts: 8,
-            probe_every: 4,
             seed: 0,
         }
     }
 }
 
-#[derive(Debug)]
-struct Endpoint {
-    addr: String,
-    /// Passive health: cleared when a connection or op against this
-    /// endpoint fails, set again on any success.
-    healthy: bool,
-}
-
-struct Conn {
-    endpoint: usize,
-    client: Client,
-}
-
-/// A self-healing client over a replica list.
+/// A self-healing client for one server address.
 ///
 /// Connections are made lazily and healed transparently: any
 /// connection-level failure (transport error, deadline, corrupted or
-/// unparseable reply) poisons the connection, marks the endpoint
-/// unhealthy, and reconnects — preferring healthy endpoints, with a
+/// unparseable reply) drops the connection and reconnects, with a
 /// capped-backoff sleep between attempts. Idempotent ops
-/// ([`get`](Self::get), [`get_value`](Self::get_value),
-/// [`get_pipelined`](Self::get_pipelined), [`stats`](Self::stats),
-/// [`metrics`](Self::metrics)) are then replayed; non-idempotent ops
-/// ([`set`](Self::set), [`del`](Self::del)) are **not** — once their
-/// request may have left, failure surfaces as
-/// [`ConnectionError::MaybeApplied`]. The server's recoverable
-/// `ORIGIN_ERROR` reply passes straight through: the connection answered
-/// correctly, there is nothing to heal.
+/// ([`get`](Self::get), [`get_value_traced`](Self::get_value_traced),
+/// [`get_pipelined`](Self::get_pipelined)) are then replayed; the
+/// non-idempotent [`set`](Self::set) is **not** — once its request may
+/// have left, failure surfaces as [`ConnectionError::MaybeApplied`]. The
+/// server's recoverable `ORIGIN_ERROR` reply passes straight through: the
+/// connection answered correctly, there is nothing to heal. Other verbs
+/// go through a plain [`Client`].
 pub struct FailoverClient {
-    endpoints: Vec<Endpoint>,
+    addr: String,
     config: FailoverConfig,
     metrics: Option<ClientMetrics>,
-    conn: Option<Conn>,
+    conn: Option<Client>,
     /// Whether any connection ever succeeded (reconnect accounting).
     ever_connected: bool,
-    /// The endpoint index of the most recent successful connection
-    /// (failover accounting).
-    last_endpoint: Option<usize>,
-    /// Round-robin cursor over the endpoint list.
-    cursor: usize,
-    /// Independent round-robin cursor over *unhealthy* endpoints for
-    /// recovery probes. Without it, probes would search from `cursor` —
-    /// which healthy-pick traffic keeps resetting — so a long-dead
-    /// first endpoint would absorb every probe and starve later dead
-    /// endpoints of recovery forever.
-    probe_cursor: usize,
-    /// Endpoint picks made (drives the recovery-probe cadence).
-    picks: u64,
     /// Backoff sleeps taken (jitter decorrelation stream).
     retries: u64,
 }
 
 impl FailoverClient {
-    /// A client over `endpoints` (tried round-robin; at least one
-    /// required). No connection is made until the first call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `endpoints` is empty.
+    /// A client for the server at `addr`. No connection is made until the
+    /// first call.
     #[must_use]
-    pub fn new(endpoints: Vec<String>, config: FailoverConfig) -> FailoverClient {
-        assert!(
-            !endpoints.is_empty(),
-            "a FailoverClient needs at least one endpoint"
-        );
+    pub fn new(addr: String, config: FailoverConfig) -> FailoverClient {
         FailoverClient {
-            endpoints: endpoints
-                .into_iter()
-                .map(|addr| Endpoint {
-                    addr,
-                    healthy: true,
-                })
-                .collect(),
+            addr,
             config,
             metrics: None,
             conn: None,
             ever_connected: false,
-            last_endpoint: None,
-            cursor: 0,
-            probe_cursor: 0,
-            picks: 0,
             retries: 0,
         }
     }
@@ -759,19 +670,10 @@ impl FailoverClient {
         self.run_op(true, |c| c.get(key))
     }
 
-    /// Looks `key` up with its degradation flag (idempotent).
-    ///
-    /// # Errors
-    ///
-    /// As [`get`](Self::get).
-    pub fn get_value(&mut self, key: &str) -> io::Result<Option<Value>> {
-        validate_key(key)?;
-        self.run_op(true, |c| c.get_value(key))
-    }
-
-    /// [`get_value`](Self::get_value) with an optional trace context on
-    /// the request line (idempotent; the context is re-sent verbatim on
-    /// replays, so a healed request still belongs to its trace).
+    /// Looks `key` up with its degradation flag and an optional trace
+    /// context on the request line (idempotent; the context is re-sent
+    /// verbatim on replays, so a healed request still belongs to its
+    /// trace).
     ///
     /// # Errors
     ///
@@ -818,56 +720,12 @@ impl FailoverClient {
         self.run_op(false, |c| c.set(key, value))
     }
 
-    /// Deletes `key`; `true` if it was resident. **Not replayed** — see
-    /// [`set`](Self::set).
-    ///
-    /// # Errors
-    ///
-    /// [`ConnectionError`] variants as above.
-    pub fn del(&mut self, key: &str) -> io::Result<bool> {
-        validate_key(key)?;
-        self.run_op(false, |c| c.del(key))
-    }
-
-    /// Fetches the `STATS` table (idempotent).
-    ///
-    /// # Errors
-    ///
-    /// [`ConnectionError::Unavailable`] when every attempt failed.
-    pub fn stats(&mut self) -> io::Result<Vec<(String, String)>> {
-        self.run_op(true, Client::stats)
-    }
-
-    /// Fetches the Prometheus metrics exposition (idempotent).
-    ///
-    /// # Errors
-    ///
-    /// [`ConnectionError::Unavailable`] when every attempt failed.
-    pub fn metrics(&mut self) -> io::Result<String> {
-        self.run_op(true, Client::metrics)
-    }
-
-    /// Fetches the node's kept-trace ring as JSONL (idempotent).
-    ///
-    /// # Errors
-    ///
-    /// [`ConnectionError::Unavailable`] when every attempt failed.
-    pub fn traces(&mut self) -> io::Result<String> {
-        self.run_op(true, Client::traces)
-    }
-
     /// Closes the current connection cleanly (best effort). The client
     /// remains usable — the next call reconnects.
     pub fn close(&mut self) {
-        if let Some(conn) = self.conn.take() {
-            let _ = conn.client.quit();
+        if let Some(client) = self.conn.take() {
+            let _ = client.quit();
         }
-    }
-
-    /// Passive health of each endpoint, in construction order.
-    #[must_use]
-    pub fn endpoint_health(&self) -> Vec<bool> {
-        self.endpoints.iter().map(|e| e.healthy).collect()
     }
 
     /// Runs `op`, healing the connection through failures. `idempotent`
@@ -887,13 +745,9 @@ impl FailoverClient {
                     source: e,
                 }));
             }
-            let conn = self.conn.as_mut().expect("ensure_connected succeeded");
-            let endpoint = conn.endpoint;
-            match op(&mut conn.client) {
-                Ok(v) => {
-                    self.endpoints[endpoint].healthy = true;
-                    return Ok(v);
-                }
+            let client = self.conn.as_mut().expect("ensure_connected succeeded");
+            match op(client) {
+                Ok(v) => return Ok(v),
                 // The server answered inside intact framing
                 // (ORIGIN_ERROR): nothing to heal, the error is the answer.
                 Err(e) if is_origin_error(&e) => return Err(e),
@@ -911,16 +765,8 @@ impl FailoverClient {
                 // Anything else poisons the connection: transport failure,
                 // deadline, or a reply we could not trust (corruption).
                 Err(e) => {
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-                    ) {
-                        if let Some(m) = &self.metrics {
-                            m.deadline_timeouts.inc();
-                        }
-                    }
+                    self.count_timeout(&e);
                     self.conn = None;
-                    self.endpoints[endpoint].healthy = false;
                     if !idempotent {
                         return Err(io::Error::other(ConnectionError::MaybeApplied {
                             source: e,
@@ -947,36 +793,19 @@ impl FailoverClient {
             return Ok(());
         }
         loop {
-            let idx = self.pick_endpoint();
-            match Client::connect_with(self.endpoints[idx].addr.as_str(), &self.config.timeouts) {
+            match Client::connect_with(self.addr.as_str(), &self.config.timeouts) {
                 Ok(client) => {
-                    self.endpoints[idx].healthy = true;
                     if let Some(m) = &self.metrics {
                         if self.ever_connected {
                             m.reconnects.inc();
                         }
-                        if self.last_endpoint.is_some_and(|prev| prev != idx) {
-                            m.failovers.inc();
-                        }
                     }
                     self.ever_connected = true;
-                    self.last_endpoint = Some(idx);
-                    self.conn = Some(Conn {
-                        endpoint: idx,
-                        client,
-                    });
+                    self.conn = Some(client);
                     return Ok(());
                 }
                 Err(e) => {
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-                    ) {
-                        if let Some(m) = &self.metrics {
-                            m.deadline_timeouts.inc();
-                        }
-                    }
-                    self.endpoints[idx].healthy = false;
+                    self.count_timeout(&e);
                     *attempt += 1;
                     if *attempt >= self.config.max_attempts {
                         return Err(e);
@@ -987,50 +816,18 @@ impl FailoverClient {
         }
     }
 
-    /// Picks the next endpoint: healthy ones round-robin, except that
-    /// every [`probe_every`](FailoverConfig::probe_every)-th pick tries an
-    /// unhealthy endpoint first (the recovery probe), and when everything
-    /// is marked unhealthy the rotation continues over all of them (marks
-    /// are advisory, not a death sentence).
-    fn pick_endpoint(&mut self) -> usize {
-        let n = self.endpoints.len();
-        self.picks += 1;
-        let probing = self.config.probe_every > 0
-            && self
-                .picks
-                .is_multiple_of(u64::from(self.config.probe_every));
-        let from = self.cursor;
-        let find = |want_healthy: bool, eps: &[Endpoint]| -> Option<usize> {
-            (0..n)
-                .map(|k| (from + k) % n)
-                .find(|&i| eps[i].healthy == want_healthy)
-        };
-        let probe_pick = if probing {
-            // Probes walk their own cursor so each unhealthy endpoint
-            // gets a turn; searching from the traffic cursor would
-            // re-probe the first dead endpoint forever.
-            let probe_from = self.probe_cursor;
-            let found = (0..n)
-                .map(|k| (probe_from + k) % n)
-                .find(|&i| !self.endpoints[i].healthy);
-            if let Some(i) = found {
-                self.probe_cursor = (i + 1) % n;
-            }
-            found
-        } else {
-            None
-        };
-        let idx = probe_pick
-            .or_else(|| find(true, &self.endpoints))
-            .or_else(|| find(false, &self.endpoints))
-            .unwrap_or(0);
-        self.cursor = (idx + 1) % n;
-        idx
-    }
-
     fn count_replay(&self) {
         if let Some(m) = &self.metrics {
             m.replays.inc();
+        }
+    }
+
+    /// Counts `e` if a connect/read/write deadline cut it.
+    fn count_timeout(&self, e: &io::Error) {
+        if let (Some(m), io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock) =
+            (&self.metrics, e.kind())
+        {
+            m.deadline_timeouts.inc();
         }
     }
 
@@ -1058,54 +855,6 @@ fn validate_key(key: &str) -> io::Result<()> {
 mod tests {
     use super::*;
 
-    fn client_over(health: &[bool], probe_every: u32) -> FailoverClient {
-        let mut fc = FailoverClient::new(
-            (0..health.len()).map(|i| format!("ep{i}")).collect(),
-            FailoverConfig {
-                probe_every,
-                ..FailoverConfig::default()
-            },
-        );
-        for (ep, &h) in fc.endpoints.iter_mut().zip(health) {
-            ep.healthy = h;
-        }
-        fc
-    }
-
-    #[test]
-    fn healthy_endpoints_rotate_round_robin() {
-        let mut fc = client_over(&[true, true, true], 0);
-        let picks: Vec<usize> = (0..6).map(|_| fc.pick_endpoint()).collect();
-        assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
-    }
-
-    #[test]
-    fn unhealthy_endpoints_are_skipped_until_probed() {
-        let mut fc = client_over(&[true, false, true], 4);
-        // Picks 1-3 avoid the unhealthy endpoint; pick 4 is the recovery
-        // probe and goes straight to it.
-        let picks: Vec<usize> = (0..4).map(|_| fc.pick_endpoint()).collect();
-        assert_eq!(picks, vec![0, 2, 0, 1]);
-    }
-
-    #[test]
-    fn recovery_probes_rotate_across_all_unhealthy_endpoints() {
-        // Two dead endpoints: every probe must not land on endpoint 0.
-        // Picks 1 and 3 are traffic (endpoint 2, the only healthy one);
-        // picks 2 and 4 are probes and must visit 0 then 1 — with a
-        // shared cursor the second probe would re-probe 0 and starve 1.
-        let mut fc = client_over(&[false, false, true], 2);
-        let picks: Vec<usize> = (0..4).map(|_| fc.pick_endpoint()).collect();
-        assert_eq!(picks, vec![2, 0, 2, 1]);
-    }
-
-    #[test]
-    fn all_unhealthy_still_rotates() {
-        let mut fc = client_over(&[false, false], 0);
-        let picks: Vec<usize> = (0..4).map(|_| fc.pick_endpoint()).collect();
-        assert_eq!(picks, vec![0, 1, 0, 1]);
-    }
-
     #[test]
     fn connection_error_downcasts_from_io() {
         let e = io::Error::other(ConnectionError::MaybeApplied {
@@ -1125,7 +874,7 @@ mod tests {
 
     #[test]
     fn invalid_keys_are_rejected_client_side() {
-        let mut fc = FailoverClient::new(vec!["127.0.0.1:1".into()], FailoverConfig::default());
+        let mut fc = FailoverClient::new("127.0.0.1:1".into(), FailoverConfig::default());
         let err = fc.get("has space").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         let err = fc.set("", b"v").unwrap_err();

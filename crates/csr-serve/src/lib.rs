@@ -26,9 +26,9 @@
 //!   deadlines, bounded retry with capped backoff, a circuit breaker,
 //!   and the [`FaultBacking`] injector the fault-tolerance tests use.
 //! * [`client`] — a blocking client with connect/read/write deadlines,
-//!   plus a self-healing [`FailoverClient`] that reconnects with capped
-//!   backoff, transparently replays idempotent ops, and fails over
-//!   across replica endpoints with passive health marking.
+//!   plus a self-healing [`FailoverClient`] for one server address that
+//!   reconnects with capped backoff, transparently replays idempotent
+//!   ops, and refuses to replay a `SET` that may have been applied.
 //! * [`persist`] — crash-safe persistence: a segmented, CRC-32-framed
 //!   write-ahead log of every mutation *with its measured miss cost*,
 //!   periodic atomic snapshots, and cold-start recovery that truncates

@@ -614,14 +614,21 @@ fn write_value_flagged(w: &mut impl Write, key: &str, value: &[u8], flag: &str) 
 /// Writes the recoverable `ORIGIN_ERROR <reason>` reply: the origin fetch
 /// for a `GET` failed and no stale copy was available. The connection
 /// stays open. Origin-supplied text flows into `reason` (an I/O error
-/// message, say), so any CR/LF in it is replaced with spaces — written
-/// verbatim it would desynchronize the line framing.
+/// message, say), so it is cut at a char boundary to keep the line within
+/// [`MAX_LINE_LEN`] bytes before its CRLF, and any CR/LF in it is replaced
+/// with spaces — written verbatim it would desynchronize the line framing.
 pub fn write_origin_error(w: &mut impl Write, reason: &str) -> io::Result<()> {
+    const PREFIX: &str = "ORIGIN_ERROR ";
+    let mut end = reason.len().min(MAX_LINE_LEN - PREFIX.len());
+    while !reason.is_char_boundary(end) {
+        end -= 1;
+    }
+    let reason = &reason[..end];
     if reason.contains(['\r', '\n']) {
         let reason = reason.replace(['\r', '\n'], " ");
-        write!(w, "ORIGIN_ERROR {reason}\r\n")
+        write!(w, "{PREFIX}{reason}\r\n")
     } else {
-        write!(w, "ORIGIN_ERROR {reason}\r\n")
+        write!(w, "{PREFIX}{reason}\r\n")
     }
 }
 
@@ -1144,5 +1151,21 @@ mod tests {
         buf.clear();
         write_origin_error(&mut buf, "split\nreason").unwrap();
         assert_eq!(buf, b"ORIGIN_ERROR split reason\r\n");
+    }
+
+    #[test]
+    fn long_origin_error_reason_is_cut_to_one_bounded_line() {
+        // A 4 KB reason with CR/LF and a multi-byte char straddling the
+        // cut still writes one line the client's reply bound accepts.
+        let reason = "origin said\r\n".repeat(20) + &"é".repeat(2000);
+        assert!(reason.len() >= 4096);
+        let mut buf = Vec::new();
+        write_origin_error(&mut buf, &reason).unwrap();
+        assert!(buf.len() <= MAX_LINE_LEN + 2, "line is {} bytes", buf.len());
+        assert!(buf.ends_with(b"\r\n"));
+        let body = &buf[..buf.len() - 2];
+        assert!(!body.contains(&b'\r') && !body.contains(&b'\n'));
+        let text = std::str::from_utf8(body).expect("cut at a char boundary");
+        assert!(text.starts_with("ORIGIN_ERROR origin said  origin said"));
     }
 }

@@ -9,7 +9,8 @@
 //! * SIGKILL the server mid-pipelined-batch, restart it, re-point the
 //!   proxy: the client completes the run with zero wrong values and
 //!   `csr_serve_client_reconnects_total > 0`;
-//! * an endpoint dying mid-run fails the client over to the replica.
+//! * a server that refuses every connection exhausts the attempt budget
+//!   as `Unavailable`, for `SET` too: its request never left.
 
 use csr_obs::Registry;
 use csr_serve::chaos::{ChaosConfig, ChaosProxy, ChaosSnapshot};
@@ -49,7 +50,6 @@ fn fast_failover(seed: u64) -> FailoverConfig {
             cap: Duration::from_millis(20),
         },
         max_attempts: 64,
-        probe_every: 4,
         seed,
     }
 }
@@ -170,7 +170,7 @@ fn ten_thousand_ops_heal_through_chaos_with_zero_wrong_values() {
             let mut worker = ChaosWorker {
                 t,
                 rng: SplitMix64::new(0xbeef ^ t),
-                client: FailoverClient::new(vec![target.clone()], fast_failover(7 + t))
+                client: FailoverClient::new(target.clone(), fast_failover(7 + t))
                     .with_metrics(metrics.clone()),
                 wrong: Arc::clone(&wrong),
                 maybe_applied: Arc::clone(&maybe_applied),
@@ -289,7 +289,7 @@ fn deterministic_run(proxy_seed: u64) -> (Vec<String>, ChaosSnapshot) {
         },
         ..fast_failover(7)
     };
-    let mut client = FailoverClient::new(vec![proxy.addr().to_string()], config);
+    let mut client = FailoverClient::new(proxy.addr().to_string(), config);
     let outcomes: Vec<String> = (0..400)
         .map(|i| {
             let key = format!("k{}", i % 32);
@@ -424,7 +424,7 @@ fn sigkill_and_restart_mid_batch_heals_with_zero_wrong_values() {
         ..fast_failover(3)
     };
     let mut client =
-        FailoverClient::new(vec![proxy.addr().to_string()], config).with_metrics(metrics.clone());
+        FailoverClient::new(proxy.addr().to_string(), config).with_metrics(metrics.clone());
     for round in 0..40u64 {
         let keys: Vec<String> = (0..16)
             .map(|j| format!("key:{}", (round + j) % 64))
@@ -454,55 +454,40 @@ fn sigkill_and_restart_mid_batch_heals_with_zero_wrong_values() {
     let _ = child2.wait();
 }
 
-/// Multi-endpoint failover: two live servers with distinct marker
-/// values; when the active endpoint dies mid-run, the client fails over
-/// to the replica and completes every op.
+/// The attempt budget: against an address that refuses connections,
+/// every call gives up as `Unavailable` after `max_attempts` connects. A
+/// `SET` fails the same way, not as `MaybeApplied`: no connection was
+/// ever made, so its request never left. Nothing connected, so nothing
+/// counts as a reconnect.
 #[test]
-fn endpoint_death_fails_over_to_the_replica() {
-    let make = |marker: &str| {
-        let origin = Arc::new(MemoryBacking::new());
-        origin.put("who".to_owned(), marker.as_bytes().to_vec());
-        serve(
-            ServerConfig {
-                workers: 2,
-                ..chaos_server_config()
-            },
-            origin,
-        )
-        .expect("server starts")
-    };
-    let a = make("from-a");
-    let b = make("from-b");
-
+fn refused_connections_exhaust_the_budget_as_unavailable() {
+    let addr = {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.local_addr().expect("local addr")
+    }; // the listener drops here: the port now refuses connections
     let registry = Registry::new();
     let metrics = ClientMetrics::new(&registry);
-    let mut client = FailoverClient::new(
-        vec![a.addr().to_string(), b.addr().to_string()],
-        fast_failover(9),
-    )
-    .with_metrics(metrics.clone());
+    let config = FailoverConfig {
+        max_attempts: 3,
+        ..fast_failover(11)
+    };
+    let mut client = FailoverClient::new(addr.to_string(), config).with_metrics(metrics.clone());
 
-    // Stable on the first endpoint while it is healthy.
-    for _ in 0..5 {
-        let v = client.get("who").expect("get").expect("present");
-        assert_eq!(v, b"from-a", "connection should stick to endpoint A");
-    }
-
-    a.shutdown().expect("kill endpoint A");
-    for i in 0..20 {
-        let v = client.get("who").expect("get heals").expect("present");
-        assert_eq!(
-            v, b"from-b",
-            "op {i}: after A's death every answer comes from B"
-        );
-    }
-    assert!(metrics.failovers.get() >= 1, "failover counter never moved");
-    assert_eq!(
-        client.endpoint_health(),
-        vec![false, true],
-        "A must be marked unhealthy, B healthy"
+    let err = client.get("k").expect_err("nothing listens");
+    assert!(
+        matches!(
+            ConnectionError::from_io(&err),
+            Some(ConnectionError::Unavailable { attempts: 3, .. })
+        ),
+        "GET: {err}"
     );
-
-    client.close();
-    b.shutdown().expect("clean shutdown");
+    let err = client.set("k", b"v").expect_err("nothing listens");
+    assert!(
+        matches!(
+            ConnectionError::from_io(&err),
+            Some(ConnectionError::Unavailable { attempts: 3, .. })
+        ),
+        "SET: {err}"
+    );
+    assert_eq!(metrics.reconnects.get(), 0);
 }

@@ -69,6 +69,58 @@ fn client_deadlines_cut_a_stalled_server() {
     drop(held); // don't wait out the holder thread
 }
 
+/// A one-connection fake server: reads the request, writes `reply` and
+/// holds the socket open until the client closes it.
+fn fake_server(reply: Vec<u8>) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let (mut sock, _) = listener.accept().expect("accept");
+        let mut buf = [0u8; 512];
+        let _ = sock.read(&mut buf);
+        sock.write_all(&reply).expect("write reply");
+        while sock.read(&mut buf).is_ok_and(|n| n > 0) {}
+    });
+    (addr, server)
+}
+
+/// A reply line that never ends is refused once it passes the line
+/// bound, not left to grow until the read deadline.
+#[test]
+fn overlong_reply_line_fails_before_the_read_deadline() {
+    let (addr, server) = fake_server(vec![b'x'; proto::MAX_LINE_LEN + 1]);
+    let timeouts = Timeouts {
+        read: Duration::from_secs(10),
+        ..Timeouts::default()
+    };
+    let mut c = Client::connect_with(addr, &timeouts).expect("connect");
+    let t0 = Instant::now();
+    let err = c.get("k").expect_err("no reply line ever ends");
+    assert!(err.to_string().contains("overlong"), "{err:?}");
+    assert!(
+        t0.elapsed() < Duration::from_secs(2),
+        "took {:?}",
+        t0.elapsed()
+    );
+    drop(c);
+    server.join().expect("fake server");
+}
+
+/// The payload CRC is mandatory: a `VALUE` line without it is a
+/// malformed reply, never data.
+#[test]
+fn value_reply_without_a_crc_is_malformed() {
+    let (addr, server) = fake_server(b"VALUE k 3\r\nabc\r\nEND\r\n".to_vec());
+    let mut c = Client::connect(addr).expect("connect");
+    let err = c.get("k").expect_err("CRC-less VALUE");
+    assert!(
+        err.to_string().contains("unexpected server reply"),
+        "{err:?}"
+    );
+    drop(c);
+    server.join().expect("fake server");
+}
+
 /// The slowloris defense: with one worker and a tight partial-read
 /// deadline, a connection that sends half a request and stalls costs the
 /// worker only the grace period, and is cut at the deadline, well before

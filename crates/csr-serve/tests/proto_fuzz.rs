@@ -295,24 +295,20 @@ fn validate_reply_stream(reply: &[u8]) {
             panic!("reply ends mid-line: {:?}", String::from_utf8_lossy(rest));
         };
         let text = String::from_utf8(line).expect("reply lines are UTF-8");
-        let mut consume_payload = |declared_len: &str, crc_token: Option<&str>| {
+        let mut consume_payload = |declared_len: &str, crc_token: &str| {
             let len: usize = declared_len.parse().expect("declared length is numeric");
             assert!(rest.len() >= len + 2, "payload truncated in {text:?}");
             let (body, after) = rest.split_at(len);
             assert_eq!(&after[..2], b"\r\n", "payload not CRLF-terminated");
-            if let Some(tok) = crc_token {
-                let declared = u32::from_str_radix(tok, 16).expect("crc token is hex");
-                assert_eq!(proto::crc32(body), declared, "crc mismatch in {text:?}");
-            }
+            let declared = u32::from_str_radix(crc_token, 16).expect("crc token is hex");
+            assert_eq!(proto::crc32(body), declared, "crc mismatch in {text:?}");
             rest = &after[2..];
         };
         let tokens: Vec<&str> = text.split(' ').collect();
         match tokens.as_slice() {
-            ["VALUE", _key, len] => consume_payload(len, None),
-            ["VALUE", _key, len, crc] => consume_payload(len, Some(crc)),
-            ["VALUE", _key, len, "STALE", crc] => consume_payload(len, Some(crc)),
-            ["DATA", len] => consume_payload(len, None),
-            ["DATA", len, crc] => consume_payload(len, Some(crc)),
+            ["VALUE", _, len, crc] | ["VALUE", _, len, "STALE", crc] | ["DATA", len, crc] => {
+                consume_payload(len, crc);
+            }
             ["END" | "STORED" | "DELETED" | "NOT_FOUND" | "SERVER_BUSY"] => {}
             ["STAT", ..] => {}
             first
