@@ -11,7 +11,7 @@
 //! compares full keys.
 
 use cache_sim::{BlockAddr, BoxedPolicy};
-use csr_obs::{Histogram, Registry};
+use csr_obs::{Histogram, Registry, Sampler};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -94,31 +94,20 @@ impl ShardMetrics {
 /// A sampled histogram of one operation's latency.
 struct OpTimer {
     hist: Arc<Histogram>,
-    sample_every: u64,
-    ticker: AtomicU64,
+    sampler: Sampler,
 }
 
 impl OpTimer {
     fn new(hist: Arc<Histogram>, sample_every: u64) -> Self {
-        assert!(sample_every > 0, "sample interval must be positive");
         OpTimer {
             hist,
-            sample_every,
-            ticker: AtomicU64::new(0),
+            sampler: Sampler::new(sample_every),
         }
     }
 
     /// Starts a timer for one in every `sample_every` calls.
     fn maybe_start(&self) -> Option<Instant> {
-        if self
-            .ticker
-            .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(self.sample_every)
-        {
-            Some(Instant::now())
-        } else {
-            None
-        }
+        self.sampler.start()
     }
 
     fn finish(&self, started: Option<Instant>) {
