@@ -4,11 +4,7 @@
 //!
 //! ```text
 //! cargo run -p csr-obs --example jsonlint -- BENCH_table1.json metrics.json
-//! cargo run -p csr-obs --example jsonlint -- --jsonl TRACES.jsonl
 //! ```
-//!
-//! With `--jsonl`, each following file is JSON Lines: every non-empty
-//! line must parse as its own JSON document (the trace-dump format).
 //!
 //! Exits non-zero (with the parse error and byte offset) if any file fails.
 
@@ -16,15 +12,13 @@ use csr_obs::Json;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let jsonl = args.first().is_some_and(|a| a == "--jsonl");
-    let paths = &args[usize::from(jsonl)..];
+    let paths: Vec<String> = std::env::args().skip(1).collect();
     if paths.is_empty() {
-        eprintln!("usage: jsonlint [--jsonl] <file.json>...");
+        eprintln!("usage: jsonlint <file.json>...");
         return ExitCode::FAILURE;
     }
     let mut failed = false;
-    for path in paths {
+    for path in &paths {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
             Err(e) => {
@@ -33,30 +27,11 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        if jsonl {
-            let mut lines = 0usize;
-            let mut ok = true;
-            for (idx, line) in text.lines().enumerate() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                lines += 1;
-                if let Err(e) = Json::parse(line) {
-                    eprintln!("{path}:{}: invalid JSON: {e}", idx + 1);
-                    ok = false;
-                    failed = true;
-                }
-            }
-            if ok {
-                println!("{path}: ok ({lines} JSONL records)");
-            }
-        } else {
-            match Json::parse(&text) {
-                Ok(_) => println!("{path}: ok"),
-                Err(e) => {
-                    eprintln!("{path}: invalid JSON: {e}");
-                    failed = true;
-                }
+        match Json::parse(&text) {
+            Ok(_) => println!("{path}: ok"),
+            Err(e) => {
+                eprintln!("{path}: invalid JSON: {e}");
+                failed = true;
             }
         }
     }

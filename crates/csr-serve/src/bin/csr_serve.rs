@@ -97,12 +97,6 @@ USAGE: csr-serve [OPTIONS]
   --metrics-file PATH     periodically dump metrics to PATH (flushed on shutdown)
   --metrics-interval-ms N dump interval (default 1000)
   --metrics-format FMT    prom | json (default prom)
-  --trace-sample N        trace 1 in N requests; 0 disables sampling (default 0)
-  --slow-trace-us N       also keep any request slower than N us; 0 disables (default 0)
-  --trace-ring N          kept-trace ring capacity (default 256)
-  --trace-dump PATH       at shutdown, write kept traces to PATH (JSONL) and
-                          PATH.chrome.json (Chrome trace-event, for Perfetto)
-  --slow-log              print one structured stderr line per slow traced request
   -h, --help              this text"
     );
     std::process::exit(0);
@@ -123,7 +117,6 @@ struct Opts {
     metrics_file: Option<std::path::PathBuf>,
     metrics_interval: Duration,
     metrics_format: ReportFormat,
-    trace_dump: Option<std::path::PathBuf>,
 }
 
 fn parse_args() -> Opts {
@@ -141,7 +134,6 @@ fn parse_args() -> Opts {
         metrics_file: None,
         metrics_interval: Duration::from_millis(1000),
         metrics_format: ReportFormat::Prometheus,
-        trace_dump: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -151,11 +143,11 @@ fn parse_args() -> Opts {
         };
         match a.as_str() {
             "--addr" => opts.config.addr = val("--addr"),
-            "--capacity" => opts.config.capacity = parse_num(&val("--capacity"), "--capacity"),
-            "--shards" => opts.config.shards = Some(parse_num(&val("--shards"), "--shards")),
+            "--capacity" => opts.config.capacity = parse_positive(&val("--capacity"), "--capacity"),
+            "--shards" => opts.config.shards = Some(parse_positive(&val("--shards"), "--shards")),
             "--policy" => opts.config.policy = parse_policy(&val("--policy")),
             "--max-conns" => opts.config.max_conns = parse_num(&val("--max-conns"), "--max-conns"),
-            "--workers" => opts.config.workers = parse_num(&val("--workers"), "--workers"),
+            "--workers" => opts.config.workers = parse_positive(&val("--workers"), "--workers"),
             "--idle-timeout-ms" => {
                 opts.config.idle_timeout =
                     Duration::from_millis(parse_num(&val("--idle-timeout-ms"), "--idle-timeout-ms"))
@@ -258,17 +250,6 @@ fn parse_args() -> Opts {
                     other => die(&format!("unknown metrics format '{other}'")),
                 }
             }
-            "--trace-sample" => {
-                opts.config.trace.sample_every = parse_num(&val("--trace-sample"), "--trace-sample")
-            }
-            "--slow-trace-us" => {
-                opts.config.trace.slow_us = parse_num(&val("--slow-trace-us"), "--slow-trace-us")
-            }
-            "--trace-ring" => {
-                opts.config.trace.capacity = parse_num(&val("--trace-ring"), "--trace-ring")
-            }
-            "--trace-dump" => opts.trace_dump = Some(val("--trace-dump").into()),
-            "--slow-log" => opts.config.slow_log = true,
             "-h" | "--help" => usage(),
             other => die(&format!("unknown flag '{other}'")),
         }
@@ -279,6 +260,14 @@ fn parse_args() -> Opts {
 fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> T {
     s.parse()
         .unwrap_or_else(|_| die(&format!("{flag}: bad number '{s}'")))
+}
+
+/// A count the server cannot run with at zero.
+fn parse_positive(s: &str, flag: &str) -> usize {
+    match parse_num(s, flag) {
+        0 => die(&format!("{flag} must be positive")),
+        n => n,
+    }
 }
 
 fn main() {
@@ -344,27 +333,6 @@ fn main() {
         std::thread::sleep(Duration::from_millis(50));
     }
     eprintln!("csr-serve: shutting down");
-    if let Some(path) = &opts.trace_dump {
-        let tracer = handle.tracer();
-        let chrome_path = {
-            let mut s = path.as_os_str().to_owned();
-            s.push(".chrome.json");
-            std::path::PathBuf::from(s)
-        };
-        let jsonl = tracer.export_jsonl();
-        let kept = jsonl.lines().count();
-        if let Err(e) = std::fs::write(path, jsonl) {
-            eprintln!("csr-serve: trace dump {}: {e}", path.display());
-        }
-        if let Err(e) = std::fs::write(&chrome_path, tracer.export_chrome()) {
-            eprintln!("csr-serve: trace dump {}: {e}", chrome_path.display());
-        }
-        eprintln!(
-            "csr-serve: dumped {kept} traces to {} (+ {})",
-            path.display(),
-            chrome_path.display()
-        );
-    }
     let stats = handle.cache_stats();
     match handle.shutdown() {
         Ok(()) => eprintln!(

@@ -35,7 +35,7 @@
 //! count and prints a `curve:` line for each. One run targets one
 //! server; comparing two builds takes one run against each.
 
-use csr_obs::{Histogram, Json, Registry, TraceContext};
+use csr_obs::{Histogram, Json, Registry};
 use csr_serve::chaos::{ChaosConfig, ChaosProxy};
 use csr_serve::client::{ClientMetrics, ConnectionError, FailoverClient, FailoverConfig, Timeouts};
 use csr_serve::{Client, OriginError};
@@ -74,9 +74,6 @@ USAGE: loadgen [OPTIONS]
   --connect-timeout-ms N    client connect deadline (default 5000)
   --op-timeout-ms N         client read/write deadline per socket op (default 10000)
   --max-attempts N          reconnect+replay attempts per op before giving up (default 64)
-  --trace-sample N          attach a trace context to 1 in N GETs; after the run,
-                            fetch the server's TRACES (TRACES.jsonl with --json)
-                            and report per-phase percentiles (default 0 = off)
 
 Open-loop / scaling curve (incompatible with --chaos):
   --rate N                  open-loop mode: schedule N requests/sec in aggregate,
@@ -122,7 +119,6 @@ struct Opts {
     connect_timeout: Duration,
     op_timeout: Duration,
     max_attempts: u32,
-    trace_sample: u64,
     rate: f64,
     curve: Vec<usize>,
     curve_threads: usize,
@@ -149,7 +145,6 @@ fn parse_args() -> Opts {
         connect_timeout: Duration::from_millis(5000),
         op_timeout: Duration::from_millis(10_000),
         max_attempts: 64,
-        trace_sample: 0,
         rate: 0.0,
         curve: Vec::new(),
         curve_threads: 32,
@@ -195,9 +190,6 @@ fn parse_args() -> Opts {
             }
             "--max-attempts" => {
                 opts.max_attempts = parse_num(&val("--max-attempts"), "--max-attempts")
-            }
-            "--trace-sample" => {
-                opts.trace_sample = parse_num(&val("--trace-sample"), "--trace-sample")
             }
             "--rate" => opts.rate = parse_num(&val("--rate"), "--rate"),
             "--curve" => {
@@ -322,7 +314,6 @@ struct Totals {
     scan_ops: AtomicU64,
     empty_gets: AtomicU64,
     stale_gets: AtomicU64,
-    traced_gets: AtomicU64,
     origin_errors: AtomicU64,
     maybe_applied: AtomicU64,
     /// GETs that returned a SET-shaped payload (all `b'v'`) for a key
@@ -340,74 +331,12 @@ impl Totals {
         self.scan_ops.store(0, Ordering::Relaxed);
         self.empty_gets.store(0, Ordering::Relaxed);
         self.stale_gets.store(0, Ordering::Relaxed);
-        self.traced_gets.store(0, Ordering::Relaxed);
         self.origin_errors.store(0, Ordering::Relaxed);
         self.maybe_applied.store(0, Ordering::Relaxed);
         // wrong_values, errors, and restart_survivor_hits are *verdict*
         // counters, not load counters: never reset, even across the
         // warm-up boundary.
     }
-}
-
-/// The span names loadgen pools into per-phase percentiles — the request
-/// phases the server instruments (see `csr_serve_phase_us`).
-const PHASES: [&str; 5] = ["request", "parse", "cache", "origin", "stale"];
-
-struct TraceReport {
-    /// The server's TRACES dump: one JSONL line per kept trace.
-    jsonl: String,
-    /// Traces the server kept.
-    unique: u64,
-    /// Kept traces the server flagged slow.
-    slow: u64,
-    /// Sorted span durations pooled by phase name.
-    phases: Vec<(&'static str, Vec<u64>)>,
-}
-
-/// Summarizes a TRACES dump: counts its traces and pools their span
-/// durations by phase.
-fn trace_report(jsonl: String) -> TraceReport {
-    let mut unique = 0u64;
-    let mut slow = 0u64;
-    let mut phases: Vec<(&'static str, Vec<u64>)> =
-        PHASES.iter().map(|p| (*p, Vec::new())).collect();
-    for line in jsonl.lines() {
-        let Ok(entry) = Json::parse(line) else {
-            continue;
-        };
-        unique += 1;
-        if entry.get("slow") == Some(&Json::Bool(true)) {
-            slow += 1;
-        }
-        for sp in entry.get("spans").and_then(Json::as_arr).unwrap_or(&[]) {
-            if let (Some(name), Some(dur)) = (
-                sp.get("name").and_then(Json::as_str),
-                sp.get("dur_us").and_then(Json::as_i64),
-            ) {
-                if let Some((_, v)) = phases.iter_mut().find(|(p, _)| *p == name) {
-                    v.push(dur.max(0) as u64);
-                }
-            }
-        }
-    }
-    for (_, v) in &mut phases {
-        v.sort_unstable();
-    }
-    TraceReport {
-        jsonl,
-        unique,
-        slow,
-        phases,
-    }
-}
-
-/// Exact percentile over a sorted sample (nearest-rank).
-fn pctl(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// A GET value is plausible iff it is one of the two things this run can
@@ -687,7 +616,6 @@ fn main() {
         scan_ops: AtomicU64::new(0),
         empty_gets: AtomicU64::new(0),
         stale_gets: AtomicU64::new(0),
-        traced_gets: AtomicU64::new(0),
         origin_errors: AtomicU64::new(0),
         maybe_applied: AtomicU64::new(0),
         restart_survivor_hits: AtomicU64::new(0),
@@ -764,7 +692,6 @@ fn main() {
             let mut rng = SplitMix64::new(opts.seed ^ (0x9e37 + i as u64));
             let (set_ratio, value_len) = (opts.set_ratio, opts.value_len);
             let (keys, scan_len, scan_frac) = (opts.keys as u64, opts.scan_len, opts.scan_frac);
-            let trace_sample = opts.trace_sample;
             let config = FailoverConfig {
                 seed: opts.seed.wrapping_add(i as u64),
                 ..failover_config
@@ -772,7 +699,6 @@ fn main() {
             std::thread::spawn(move || {
                 let mut client = FailoverClient::new(target, config).with_metrics(metrics);
                 let payload = vec![b'v'; value_len];
-                let mut gets = 0u64;
                 let mut scan_pos = 0u64;
                 let scan_base = keys + i as u64 * scan_len;
                 while Instant::now() < deadline {
@@ -789,22 +715,6 @@ fn main() {
                     };
                     let key = format!("key:{key_idx}");
                     let is_set = !is_scan && rng.chance(set_ratio);
-                    // 1-in-N GETs carry a fresh client-minted trace
-                    // context; the server honors it unconditionally, so
-                    // the client controls exactly what gets traced.
-                    let trace_ctx = if !is_set && trace_sample > 0 {
-                        gets += 1;
-                        gets.is_multiple_of(trace_sample).then(|| TraceContext {
-                            trace_id: rng.next_u64() | 1,
-                            span_id: rng.next_u64() | 1,
-                            sampled: true,
-                        })
-                    } else {
-                        None
-                    };
-                    if trace_ctx.is_some() {
-                        totals.traced_gets.fetch_add(1, Ordering::Relaxed);
-                    }
                     let t0 = Instant::now();
                     let outcome = if is_set {
                         totals.sets.fetch_add(1, Ordering::Relaxed);
@@ -816,7 +726,7 @@ fn main() {
                         }
                         client.set(&key, &payload)
                     } else {
-                        match client.get_value_traced(&key, trace_ctx) {
+                        match client.get_value(&key) {
                             Ok(None) => {
                                 totals.empty_gets.fetch_add(1, Ordering::Relaxed);
                                 Ok(())
@@ -948,37 +858,6 @@ fn main() {
             Vec::new()
         }
     };
-    // Traced runs: pull the server's retained traces (again directly,
-    // never through the proxy).
-    let trace_report = if opts.trace_sample > 0 {
-        match Client::connect(opts.addr.as_str()).and_then(|mut c| c.traces()) {
-            Ok(t) => Some(trace_report(t)),
-            Err(e) => {
-                eprintln!("loadgen: TRACES fetch failed: {e}");
-                Some(trace_report(String::new()))
-            }
-        }
-    } else {
-        None
-    };
-    if let Some(tr) = &trace_report {
-        println!(
-            "  traces: sent {}  retained {}  slow {}",
-            totals.traced_gets.load(Ordering::Relaxed),
-            tr.unique,
-            tr.slow,
-        );
-        for (name, v) in &tr.phases {
-            if !v.is_empty() {
-                println!(
-                    "    phase {name}: p50 {}us  p99 {}us  ({} spans)",
-                    pctl(v, 0.50),
-                    pctl(v, 0.99),
-                    v.len()
-                );
-            }
-        }
-    }
     let lookup = |name: &str| {
         server_stats
             .iter()
@@ -1081,35 +960,6 @@ fn main() {
                 ]),
             ),
         ];
-        if let Some(tr) = &trace_report {
-            let phase_objs: Vec<(&'static str, Json)> = tr
-                .phases
-                .iter()
-                .map(|(name, v)| {
-                    (
-                        *name,
-                        Json::obj([
-                            ("count", Json::uint(v.len() as u64)),
-                            ("p50_us", Json::uint(pctl(v, 0.50))),
-                            ("p99_us", Json::uint(pctl(v, 0.99))),
-                        ]),
-                    )
-                })
-                .collect();
-            data.push(("phases", Json::obj(phase_objs)));
-            data.push((
-                "traces",
-                Json::obj([
-                    ("sample_every", Json::uint(opts.trace_sample)),
-                    (
-                        "sampled_gets",
-                        Json::uint(totals.traced_gets.load(Ordering::Relaxed)),
-                    ),
-                    ("unique", Json::uint(tr.unique)),
-                    ("slow_traces", Json::uint(tr.slow)),
-                ]),
-            ));
-        }
         if let Some(snap) = &chaos_snapshot {
             data.push((
                 "chaos",
@@ -1164,11 +1014,6 @@ fn main() {
         let path = dir.join("BENCH_serve.json");
         std::fs::write(&path, text + "\n").expect("write JSON report");
         eprintln!("wrote {}", path.display());
-        if let Some(tr) = &trace_report {
-            let tpath = dir.join("TRACES.jsonl");
-            std::fs::write(&tpath, &tr.jsonl).expect("write TRACES.jsonl");
-            eprintln!("wrote {}", tpath.display());
-        }
     }
 
     // The verdict: wrong values or workers that gave up fail the run —

@@ -18,7 +18,7 @@
 
 use crate::proto::{self, MAX_VALUE_LEN};
 use crate::resilience::{mix64, BackoffSchedule};
-use csr_obs::{Counter, Registry, TraceContext};
+use csr_obs::{Counter, Registry};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
@@ -288,25 +288,7 @@ impl Client {
     /// Transport failures and server-reported errors, including the
     /// recoverable `ORIGIN_ERROR` reply as a typed [`OriginError`].
     pub fn get_value(&mut self, key: &str) -> io::Result<Option<Value>> {
-        self.get_value_traced(key, None)
-    }
-
-    /// [`get_value`](Self::get_value) with an optional trace context
-    /// riding the request line as its `TRACE` token — the server joins
-    /// (or starts) that distributed trace and always retains it.
-    ///
-    /// # Errors
-    ///
-    /// As [`get_value`](Self::get_value).
-    pub fn get_value_traced(
-        &mut self,
-        key: &str,
-        trace: Option<TraceContext>,
-    ) -> io::Result<Option<Value>> {
-        match trace {
-            Some(ctx) => write!(self.writer, "GET {key} TRACE {}\r\n", ctx.render())?,
-            None => write!(self.writer, "GET {key}\r\n")?,
-        }
+        write!(self.writer, "GET {key}\r\n")?;
         self.writer.flush()?;
         self.read_get_reply(key)
     }
@@ -429,18 +411,8 @@ impl Client {
         self.fetch_data(b"METRICS\r\n")
     }
 
-    /// Fetches the node's kept-trace ring as JSONL (one trace per line;
-    /// empty string when nothing was retained yet).
-    ///
-    /// # Errors
-    ///
-    /// Transport failures and server-reported errors.
-    pub fn traces(&mut self) -> io::Result<String> {
-        self.fetch_data(b"TRACES\r\n")
-    }
-
     /// Issues a verb answered with a length-prefixed `DATA` frame
-    /// (`METRICS`, `TRACES`) and returns its UTF-8 body.
+    /// (`METRICS`) and returns its UTF-8 body.
     fn fetch_data(&mut self, verb: &[u8]) -> io::Result<String> {
         self.writer.write_all(verb)?;
         self.writer.flush()?;
@@ -619,7 +591,7 @@ impl Default for FailoverConfig {
 /// connection-level failure (transport error, deadline, corrupted or
 /// unparseable reply) drops the connection and reconnects, with a
 /// capped-backoff sleep between attempts. Idempotent ops
-/// ([`get`](Self::get), [`get_value_traced`](Self::get_value_traced),
+/// ([`get`](Self::get), [`get_value`](Self::get_value),
 /// [`get_pipelined`](Self::get_pipelined)) are then replayed; the
 /// non-idempotent [`set`](Self::set) is **not** — once its request may
 /// have left, failure surfaces as [`ConnectionError::MaybeApplied`]. The
@@ -670,21 +642,14 @@ impl FailoverClient {
         self.run_op(true, |c| c.get(key))
     }
 
-    /// Looks `key` up with its degradation flag and an optional trace
-    /// context on the request line (idempotent; the context is re-sent
-    /// verbatim on replays, so a healed request still belongs to its
-    /// trace).
+    /// Looks `key` up with its degradation flag (idempotent).
     ///
     /// # Errors
     ///
     /// As [`get`](Self::get).
-    pub fn get_value_traced(
-        &mut self,
-        key: &str,
-        trace: Option<TraceContext>,
-    ) -> io::Result<Option<Value>> {
+    pub fn get_value(&mut self, key: &str) -> io::Result<Option<Value>> {
         validate_key(key)?;
-        self.run_op(true, |c| c.get_value_traced(key, trace))
+        self.run_op(true, |c| c.get_value(key))
     }
 
     /// Pipelined batch of `GET`s (idempotent: the whole batch is replayed

@@ -40,7 +40,6 @@
 //! payload — invisible to line framing — is still detected as a malformed
 //! frame instead of being accepted as data.
 
-use csr_obs::TraceContext;
 use std::io::{self, BufRead, Write};
 
 /// Maximum key length in bytes (memcached's classic limit).
@@ -48,8 +47,7 @@ pub const MAX_KEY_LEN: usize = 250;
 /// Maximum `SET` payload length in bytes.
 pub const MAX_VALUE_LEN: usize = 1 << 20;
 /// Maximum command-line length in bytes, including the terminator —
-/// comfortably a verb, a maximal key, a payload length, a CRC32, and an
-/// optional `TRACE <trace_id>.<span_id>` context token (39 bytes).
+/// comfortably a verb, a maximal key, a payload length and a CRC32.
 pub const MAX_LINE_LEN: usize = MAX_KEY_LEN + 64;
 /// Largest declared `SET` payload length the server will still *swallow*
 /// (read and discard to keep framing) before replying a recoverable
@@ -93,29 +91,16 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 /// One parsed client request.
-///
-/// `GET`/`SET` may carry an optional trailing
-/// `TRACE <trace_id>.<span_id>` token (see `PROTOCOL.md` § Tracing):
-/// the caller's distributed-trace context, under which the server emits
-/// its spans for this request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
-    /// `GET <key> [TRACE <ctx>]` — read-through lookup.
-    Get {
-        /// The key to look up.
-        key: String,
-        /// The propagated trace context, if the command carried one.
-        trace: Option<TraceContext>,
-    },
-    /// `SET <key> <len> [<crc32>] [TRACE <ctx>]` + payload — explicit
-    /// store.
+    /// `GET <key>` — read-through lookup.
+    Get(String),
+    /// `SET <key> <len> [<crc32>]` + payload — explicit store.
     Set {
         /// The key to store under.
         key: String,
         /// The payload.
         value: Vec<u8>,
-        /// The propagated trace context, if the command carried one.
-        trace: Option<TraceContext>,
     },
     /// `DEL <key>` — invalidation.
     Del(String),
@@ -123,8 +108,6 @@ pub enum Request {
     Stats,
     /// `METRICS` — Prometheus text exposition, length-framed.
     Metrics,
-    /// `TRACES` — the node's kept-trace ring as JSONL, length-framed.
-    Traces,
     /// `QUIT` — orderly connection close.
     Quit,
 }
@@ -279,7 +262,6 @@ struct PendingSet {
     /// rejecting earlier would leave the payload bytes in the stream to
     /// be misread as commands.
     crc: Result<Option<u32>, ProtoError>,
-    trace: Option<TraceContext>,
 }
 
 impl Payload {
@@ -322,7 +304,6 @@ impl Payload {
             Ok(_) => Frame::Request(Request::Set {
                 key: set.key,
                 value: set.value,
-                trace: set.trace,
             }),
         }
     }
@@ -441,42 +422,22 @@ fn parse_line(line: &[u8]) -> Result<Line, ProtoError> {
     let mut parts = line.split(' ').filter(|p| !p.is_empty());
     let verb = parts.next().unwrap_or("");
     let request = match verb {
-        "GET" | "get" => {
-            let key = parse_key_keep_rest(&mut parts)?;
-            let trace = parse_opt_trace(&mut parts)?;
-            Request::Get { key, trace }
-        }
+        "GET" | "get" => Request::Get(parse_key(&mut parts)?),
         "DEL" | "del" => Request::Del(parse_key(&mut parts)?),
         "SET" | "set" => {
             let key = parse_key_keep_rest(&mut parts)?;
             let len: usize = parts
                 .next()
-                .ok_or_else(|| {
-                    ProtoError::client("CLIENT_ERROR SET needs <key> <len> [<crc32>] [TRACE <ctx>]")
-                })
+                .ok_or_else(|| ProtoError::client("CLIENT_ERROR SET needs <key> <len> [<crc32>]"))
                 .and_then(|l| {
                     l.parse()
                         .map_err(|_| ProtoError::client("CLIENT_ERROR bad payload length"))
                 })?;
-            // Optional payload CRC32 (8 hex digits) and optional TRACE
-            // context, in that order. This crate's client always sends
-            // the CRC; bare netcat sessions may omit it — the `TRACE`
-            // keyword is what disambiguates a context from a checksum.
-            let mut crc_token = None;
-            let mut trace = None;
-            match parts.next() {
-                None => {}
-                Some("TRACE") => trace = Some(parse_trace_token(&mut parts)?),
-                Some(tok) => {
-                    crc_token = Some(tok);
-                    match parts.next() {
-                        None => {}
-                        Some("TRACE") => trace = Some(parse_trace_token(&mut parts)?),
-                        Some(_) => {
-                            return Err(ProtoError::client("CLIENT_ERROR trailing arguments"))
-                        }
-                    }
-                }
+            // Optional payload CRC32 (8 hex digits). This crate's client
+            // always sends it; bare netcat sessions may omit it.
+            let crc_token = parts.next();
+            if parts.next().is_some() {
+                return Err(ProtoError::client("CLIENT_ERROR trailing arguments"));
             }
             if len > MAX_SWALLOW_LEN {
                 // Too large to even read-and-discard; framing is
@@ -489,7 +450,6 @@ fn parse_line(line: &[u8]) -> Result<Line, ProtoError> {
                 key,
                 value: Vec::with_capacity(len),
                 crc: crc_token.map(parse_crc).transpose(),
-                trace,
             });
             return Ok(Line::Payload(Payload {
                 set,
@@ -500,7 +460,6 @@ fn parse_line(line: &[u8]) -> Result<Line, ProtoError> {
         }
         "STATS" | "stats" => no_args(&mut parts, Request::Stats)?,
         "METRICS" | "metrics" => no_args(&mut parts, Request::Metrics)?,
-        "TRACES" | "traces" => no_args(&mut parts, Request::Traces)?,
         "QUIT" | "quit" => no_args(&mut parts, Request::Quit)?,
         "" => return Err(ProtoError::client("CLIENT_ERROR empty command")),
         other => {
@@ -520,35 +479,6 @@ fn parse_crc(token: &str) -> Result<u32, ProtoError> {
     } else {
         Err(ProtoError::client("CLIENT_ERROR bad payload checksum"))
     }
-}
-
-/// Parses the optional trailing `TRACE <trace_id>.<span_id>` of a
-/// `GET`: nothing left means no context, anything else is a
-/// grammar error.
-fn parse_opt_trace<'a>(
-    parts: &mut impl Iterator<Item = &'a str>,
-) -> Result<Option<TraceContext>, ProtoError> {
-    match parts.next() {
-        None => Ok(None),
-        Some("TRACE") => Ok(Some(parse_trace_token(parts)?)),
-        Some(_) => Err(ProtoError::client("CLIENT_ERROR trailing arguments")),
-    }
-}
-
-/// Parses the context operand after a `TRACE` keyword and requires it to
-/// end the line.
-fn parse_trace_token<'a>(
-    parts: &mut impl Iterator<Item = &'a str>,
-) -> Result<TraceContext, ProtoError> {
-    let token = parts
-        .next()
-        .ok_or_else(|| ProtoError::client("CLIENT_ERROR TRACE needs <trace_id>.<span_id>"))?;
-    let ctx = TraceContext::parse(token)
-        .ok_or_else(|| ProtoError::client("CLIENT_ERROR invalid trace context"))?;
-    if parts.next().is_some() {
-        return Err(ProtoError::client("CLIENT_ERROR trailing arguments"));
-    }
-    Ok(ctx)
 }
 
 fn parse_key<'a>(parts: &mut impl Iterator<Item = &'a str>) -> Result<String, ProtoError> {
@@ -657,17 +587,13 @@ mod tests {
     use std::io::BufReader;
 
     fn get(key: &str) -> Request {
-        Request::Get {
-            key: key.into(),
-            trace: None,
-        }
+        Request::Get(key.into())
     }
 
     fn set(key: &str, value: &[u8]) -> Request {
         Request::Set {
             key: key.into(),
             value: value.to_vec(),
-            trace: None,
         }
     }
 
@@ -742,7 +668,7 @@ mod tests {
 
     #[test]
     fn unknown_verb_is_recoverable() {
-        for (line, verb) in [("FROB x", "FROB"), ("FGET k", "FGET")] {
+        for (line, verb) in [("FROB x", "FROB"), ("FGET k", "FGET"), ("TRACES", "TRACES")] {
             let input = format!("{line}\r\nGET y\r\n");
             let mut r = BufReader::new(input.as_bytes());
             match read_request(&mut r) {
@@ -1034,111 +960,38 @@ mod tests {
     }
 
     #[test]
-    fn trace_token_parses_on_get_and_set() {
-        let ctx = TraceContext {
-            trace_id: 0x0123_4567_89ab_cdef,
-            span_id: 0xfedc_ba98_7654_3210,
-            sampled: true,
-        };
-        let token = ctx.render();
-        let mut input = format!("GET k TRACE {token}\r\n").into_bytes();
-        // SET with CRC and context, then SET with context only.
-        input.extend_from_slice(
-            format!("SET k 3 {:08x} TRACE {token}\r\nxyz\r\n", crc32(b"xyz")).as_bytes(),
-        );
-        input.extend_from_slice(format!("SET k 3 TRACE {token}\r\nxyz\r\n").as_bytes());
-        let mut r = BufReader::new(&input[..]);
-        assert_eq!(
-            read_request(&mut r).unwrap(),
-            Some(Request::Get {
-                key: "k".into(),
-                trace: Some(ctx)
-            })
-        );
-        for _ in 0..2 {
-            assert_eq!(
-                read_request(&mut r).unwrap(),
-                Some(Request::Set {
-                    key: "k".into(),
-                    value: b"xyz".to_vec(),
-                    trace: Some(ctx)
-                })
-            );
-        }
-    }
-
-    #[test]
-    fn trace_context_round_trips_through_render() {
-        let ctx = TraceContext {
-            trace_id: 1,
-            span_id: u64::MAX,
-            sampled: true,
-        };
-        assert_eq!(TraceContext::parse(&ctx.render()), Some(ctx));
-    }
-
-    #[test]
-    fn bad_trace_tokens_are_recoverable_rejects() {
-        // Malformed context, missing operand, trailing junk after the
-        // context, and non-TRACE trailing word — all recoverable, and
-        // the stream resyncs on the next line.
+    fn trailing_arguments_are_recoverable_rejects() {
+        // A word after a complete command, a `TRACE` context included,
+        // is refused, and the stream resyncs on the next line.
         for line in [
-            "GET k TRACE nonsense",
-            "GET k TRACE",
-            "GET k TRACE 0.0 extra",
             "GET k JUNK",
-            "SET k 3 TRACE bogus",
+            "GET k TRACE 00000000000000ab.00000000000000cd",
+            "DEL k extra",
+            "STATS now",
         ] {
             let input = format!("{line}\r\nGET after\r\n");
             let mut r = BufReader::new(input.as_bytes());
             match read_request(&mut r) {
-                Err(ProtoError::Client { fatal, .. }) => {
-                    assert!(!fatal, "{line:?} must be recoverable")
+                Err(ProtoError::Client { fatal, msg, .. }) => {
+                    assert!(!fatal, "{line:?} must be recoverable");
+                    assert_eq!(msg, "CLIENT_ERROR trailing arguments", "{line:?}");
                 }
                 other => panic!("{line:?}: expected client error, got {other:?}"),
             }
             assert_eq!(read_request(&mut r).unwrap(), Some(get("after")));
         }
-        // An all-zero context is syntactically valid hex but not a
-        // usable id pair.
-        let mut r = BufReader::new(&b"GET k TRACE 0000000000000000.0000000000000000\r\n"[..]);
-        assert!(matches!(
-            read_request(&mut r),
-            Err(ProtoError::Client { fatal: false, .. })
-        ));
     }
 
     #[test]
-    fn traces_verb_parses_and_takes_no_args() {
-        let mut r = BufReader::new(&b"TRACES\r\ntraces\r\nTRACES now\r\n"[..]);
-        assert_eq!(read_request(&mut r).unwrap(), Some(Request::Traces));
-        assert_eq!(read_request(&mut r).unwrap(), Some(Request::Traces));
-        assert!(matches!(
-            read_request(&mut r),
-            Err(ProtoError::Client { fatal: false, .. })
-        ));
-    }
-
-    #[test]
-    fn max_length_traced_get_fits_in_a_line() {
-        // The line-length budget exists precisely so a max-length key
-        // plus a full TRACE token still parses.
+    fn max_length_set_line_fits() {
+        // The line budget: a verb, a maximal key, the largest payload
+        // length and a CRC32.
         let key = "k".repeat(MAX_KEY_LEN);
-        let ctx = TraceContext {
-            trace_id: 7,
-            span_id: 9,
-            sampled: true,
-        };
-        let line = format!("GET {key} TRACE {}\r\n", ctx.render());
+        let line = format!("SET {key} {MAX_SWALLOW_LEN} 00000000\r\n");
         assert!(line.len() - 2 <= MAX_LINE_LEN, "budget regressed");
-        let mut r = BufReader::new(line.as_bytes());
-        match read_request(&mut r).unwrap() {
-            Some(Request::Get { key: k, trace }) => {
-                assert_eq!(k, key);
-                assert_eq!(trace.map(|t| t.trace_id), Some(7));
-            }
-            other => panic!("expected traced GET, got {other:?}"),
-        }
+        let (used, frame) = Decoder::default().push(line.as_bytes(), false);
+        assert_eq!(used, line.len());
+        assert!(frame.is_none(), "the payload is awaited: {frame:?}");
     }
 
     #[test]

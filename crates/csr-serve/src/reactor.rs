@@ -97,7 +97,7 @@ struct Conn {
     /// The frame in progress.
     decoder: Decoder,
     /// When the first byte of the request in progress arrived: the
-    /// slowloris clock, and the anchor of the request's trace.
+    /// slowloris clock, and where a sampled request's phases start.
     started: Option<Instant>,
     /// When the connection was last parked: the idle clock.
     last_activity: Instant,

@@ -23,7 +23,6 @@
 //! `ORIGIN_ERROR` protocol reply on top (see [`crate::server`]).
 
 use crate::backing::{fnv1a, Backing, BackingError};
-use csr_obs::trace::emit_event;
 use csr_obs::{Counter, Gauge, Registry};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -238,9 +237,6 @@ impl Backing for RetryBacking {
                     if let Some(m) = &self.metrics {
                         m.retries.inc();
                     }
-                    // Annotates the request's trace when one is active;
-                    // free (the closure never runs) otherwise.
-                    emit_event("retry", || format!("attempt {} failed: {e}", attempt + 1));
                     std::thread::sleep(self.backoff.delay(attempt, seed));
                     attempt += 1;
                 }
@@ -451,13 +447,7 @@ impl BreakerBacking {
 
 impl Backing for BreakerBacking {
     fn try_fetch(&self, key: &str) -> Result<Option<Vec<u8>>, BackingError> {
-        let admission = match self.breaker.admit() {
-            Ok(a) => a,
-            Err(e) => {
-                emit_event("breaker_fail_fast", || e.to_string());
-                return Err(e);
-            }
-        };
+        let admission = self.breaker.admit()?;
         let result = self.inner.try_fetch(key);
         self.breaker.record(admission, result.is_ok());
         result
@@ -498,12 +488,7 @@ impl Backing for DeadlineBacking {
             .map_err(|e| BackingError::Io(format!("spawning fetch thread: {e}")))?;
         match rx.recv_timeout(self.deadline) {
             Ok(result) => result,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                emit_event("deadline_expired", || {
-                    format!("origin fetch abandoned after {:?}", self.deadline)
-                });
-                Err(BackingError::Timeout)
-            }
+            Err(mpsc::RecvTimeoutError::Timeout) => Err(BackingError::Timeout),
             Err(mpsc::RecvTimeoutError::Disconnected) => {
                 Err(BackingError::Io("origin fetch panicked".into()))
             }

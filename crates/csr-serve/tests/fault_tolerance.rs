@@ -291,12 +291,25 @@ fn stale_values_carry_the_flag_and_the_last_measured_cost() {
     let cost_before = handle.cache_stats().aggregate_miss_cost;
 
     // Evict it, then break the origin: the read degrades to the stale
-    // copy instead of erroring.
+    // copy instead of erroring, after every retry has failed.
     assert!(c.del("doc").unwrap());
     fault.set_failing(true);
+    let (retries, attempts) = (
+        metric(&handle, "csr_serve_origin_retries_total"),
+        fault.requests(),
+    );
     let v = c.get_value("doc").unwrap().expect("stale copy exists");
     assert_eq!(v.data, b"contents");
     assert!(v.stale, "a degraded read must carry the STALE flag");
+    assert_eq!(
+        metric(&handle, "csr_serve_origin_retries_total") - retries,
+        2
+    );
+    assert_eq!(
+        fault.requests() - attempts,
+        3,
+        "one attempt and two retries"
+    );
 
     // The stale re-insert charged a real (clamped ≥ 1) cost back into
     // the cache, and made the key a plain hit while still degraded.

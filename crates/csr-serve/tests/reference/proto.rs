@@ -6,7 +6,6 @@
 //! includes it by `#[path]`. A deliberate grammar change goes into
 //! `proto.rs::parse_line` and here; otherwise never edit it.
 
-use csr_obs::TraceContext;
 use csr_serve::proto::{
     crc32, valid_key, ProtoError, Request, MAX_LINE_LEN, MAX_SWALLOW_LEN, MAX_VALUE_LEN,
 };
@@ -140,41 +139,25 @@ pub fn read_request(r: &mut impl BufRead) -> Result<Option<Request>, ProtoError>
     let mut parts = line.split(' ').filter(|p| !p.is_empty());
     let verb = parts.next().unwrap_or("");
     let request = match verb {
-        "GET" | "get" => {
-            let key = parse_key_keep_rest(&mut parts)?;
-            let trace = parse_opt_trace(&mut parts)?;
-            Request::Get { key, trace }
-        }
+        "GET" | "get" => Request::Get(parse_key(&mut parts)?),
         "DEL" | "del" => Request::Del(parse_key(&mut parts)?),
         "SET" | "set" => {
             let key = parse_key_keep_rest(&mut parts)?;
             let len: usize = parts
                 .next()
-                .ok_or_else(|| client("CLIENT_ERROR SET needs <key> <len> [<crc32>] [TRACE <ctx>]"))
+                .ok_or_else(|| client("CLIENT_ERROR SET needs <key> <len> [<crc32>]"))
                 .and_then(|l| {
                     l.parse()
                         .map_err(|_| client("CLIENT_ERROR bad payload length"))
                 })?;
-            // Optional payload CRC32 (8 hex digits) and optional TRACE
-            // context, in that order. This crate's client always sends
-            // the CRC; bare netcat sessions may omit it — the `TRACE`
-            // keyword is what disambiguates a context from a checksum.
-            // The CRC *value* is validated only *after* the declared
-            // payload has been consumed — rejecting earlier would leave
-            // the payload bytes in the stream to be misread as commands.
-            let mut crc_token = None;
-            let mut trace = None;
-            match parts.next() {
-                None => {}
-                Some("TRACE") => trace = Some(parse_trace_token(&mut parts)?),
-                Some(tok) => {
-                    crc_token = Some(tok);
-                    match parts.next() {
-                        None => {}
-                        Some("TRACE") => trace = Some(parse_trace_token(&mut parts)?),
-                        Some(_) => return Err(client("CLIENT_ERROR trailing arguments")),
-                    }
-                }
+            // Optional payload CRC32 (8 hex digits). This crate's client
+            // always sends it; bare netcat sessions may omit it. The CRC
+            // *value* is validated only *after* the declared payload has
+            // been consumed — rejecting earlier would leave the payload
+            // bytes in the stream to be misread as commands.
+            let crc_token = parts.next();
+            if parts.next().is_some() {
+                return Err(client("CLIENT_ERROR trailing arguments"));
             }
             if len > MAX_VALUE_LEN {
                 if len > MAX_SWALLOW_LEN {
@@ -200,11 +183,10 @@ pub fn read_request(r: &mut impl BufRead) -> Result<Option<Request>, ProtoError>
                     return Err(client("CLIENT_ERROR payload checksum mismatch"));
                 }
             }
-            Request::Set { key, value, trace }
+            Request::Set { key, value }
         }
         "STATS" | "stats" => no_args(&mut parts, Request::Stats)?,
         "METRICS" | "metrics" => no_args(&mut parts, Request::Metrics)?,
-        "TRACES" | "traces" => no_args(&mut parts, Request::Traces)?,
         "QUIT" | "quit" => no_args(&mut parts, Request::Quit)?,
         "" => return Err(client("CLIENT_ERROR empty command")),
         other => return Err(client(format!("CLIENT_ERROR unknown command {other:?}"))),
@@ -230,35 +212,6 @@ fn read_payload_tail(r: &mut impl BufRead) -> Result<(), ProtoError> {
         return Err(fatal("payload not CRLF-terminated"));
     }
     Ok(())
-}
-
-/// Parses the optional trailing `TRACE <trace_id>.<span_id>` of a
-/// `GET`/`FGET`: nothing left means no context, anything else is a
-/// grammar error.
-fn parse_opt_trace<'a>(
-    parts: &mut impl Iterator<Item = &'a str>,
-) -> Result<Option<TraceContext>, ProtoError> {
-    match parts.next() {
-        None => Ok(None),
-        Some("TRACE") => Ok(Some(parse_trace_token(parts)?)),
-        Some(_) => Err(client("CLIENT_ERROR trailing arguments")),
-    }
-}
-
-/// Parses the context operand after a `TRACE` keyword and requires it to
-/// end the line.
-fn parse_trace_token<'a>(
-    parts: &mut impl Iterator<Item = &'a str>,
-) -> Result<TraceContext, ProtoError> {
-    let token = parts
-        .next()
-        .ok_or_else(|| client("CLIENT_ERROR TRACE needs <trace_id>.<span_id>"))?;
-    let ctx =
-        TraceContext::parse(token).ok_or_else(|| client("CLIENT_ERROR invalid trace context"))?;
-    if parts.next().is_some() {
-        return Err(client("CLIENT_ERROR trailing arguments"));
-    }
-    Ok(ctx)
 }
 
 fn parse_key<'a>(parts: &mut impl Iterator<Item = &'a str>) -> Result<String, ProtoError> {
