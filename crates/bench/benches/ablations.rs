@@ -102,12 +102,13 @@ fn main() {
             let mut h = cache_sim::TwoLevel::new(cfg.l1, cfg.l2, core);
             let bb = cfg.l2.block_bytes();
             for ev in b.sampled.events() {
-                match *ev {
-                    mem_trace::SampledEvent::Own { addr, op } => {
-                        let block = addr.block(bb);
+                let (addr, kind) = ev.unpack();
+                let block = addr.block(bb);
+                match kind {
+                    mem_trace::SampledKind::Own(op) => {
                         h.access(block, op, map.cost_of(block));
                     }
-                    mem_trace::SampledEvent::ForeignWrite { addr } => h.invalidate(addr.block(bb)),
+                    mem_trace::SampledKind::ForeignWrite => h.invalidate(block),
                 }
             }
             let sav = relative_savings_pct(base, h.l2().stats().aggregate_cost);

@@ -238,8 +238,8 @@ pub struct CsrCache<K, V, S = RandomState> {
 
 impl<K: Hash + Eq + Clone, V> CsrCache<K, V, RandomState> {
     /// A cache of `capacity` entries with default settings: LRU policy,
-    /// uniform cost 1, one shard per hardware thread (rounded to a power
-    /// of two).
+    /// uniform cost 1, and the machine's available parallelism rounded up
+    /// to a power of two, at most 64, as the shard count.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         CsrCache::builder(capacity).build()

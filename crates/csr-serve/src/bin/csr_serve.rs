@@ -63,7 +63,8 @@ USAGE: csr-serve [OPTIONS]
 
   --addr HOST:PORT        listen address (default 127.0.0.1:11311; port 0 picks a free port)
   --capacity N            cache capacity in entries (default 65536)
-  --shards N              shard count (default: one per hardware thread)
+  --shards N              shard count (default: available parallelism rounded up
+                          to a power of two, at most 64)
   --policy NAME           {policies} (default dcl)
   --workers N             worker threads = connections served at once (default 64);
                           idle connections park on one poller thread instead

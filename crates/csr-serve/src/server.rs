@@ -104,7 +104,8 @@ pub struct ServerConfig {
     pub addr: String,
     /// Cache capacity in entries.
     pub capacity: usize,
-    /// Shard count override (`None`: one per hardware thread).
+    /// Shard count override (`None`: the machine's available parallelism
+    /// rounded up to a power of two, at most 64).
     pub shards: Option<usize>,
     /// Replacement policy.
     pub policy: Policy,
@@ -598,8 +599,24 @@ impl Drop for ServerHandle {
 /// the persisted state can fail; nothing is left running in that case.
 /// Serving needs epoll or kqueue (Linux, macOS, FreeBSD): elsewhere this
 /// returns `ErrorKind::Unsupported`.
+///
+/// A config that cannot serve returns `ErrorKind::InvalidInput` before
+/// anything is built or bound: zero [`workers`](ServerConfig::workers),
+/// zero [`capacity`](ServerConfig::capacity), or
+/// [`shards`](ServerConfig::shards) set to `Some(0)`.
 pub fn serve(config: ServerConfig, backing: Arc<dyn Backing>) -> io::Result<ServerHandle> {
-    assert!(config.workers > 0, "need at least one worker");
+    for (zero, what) in [
+        (config.workers == 0, "workers"),
+        (config.capacity == 0, "capacity"),
+        (config.shards == Some(0), "shards"),
+    ] {
+        if zero {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("{what} must be positive"),
+            ));
+        }
+    }
     let registry = Arc::new(Registry::new());
     let metrics = ServerMetrics::new(&registry);
     let origin_metrics = Arc::new(OriginMetrics::new(&registry));

@@ -321,6 +321,40 @@ fn oversize_set_payload_rejects_recoverably_and_resyncs() {
     handle.shutdown().expect("clean shutdown");
 }
 
+/// `serve` refuses `config` as invalid input, without panicking.
+fn assert_refused(config: ServerConfig, what: &str) {
+    let err = serve(config, origin_with_keys()).err().expect("refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    assert_eq!(err.to_string(), format!("{what} must be positive"));
+}
+
+#[test]
+fn serve_refuses_zero_workers() {
+    let config = ServerConfig {
+        workers: 0,
+        ..ServerConfig::default()
+    };
+    assert_refused(config, "workers");
+}
+
+#[test]
+fn serve_refuses_zero_capacity() {
+    let config = ServerConfig {
+        capacity: 0,
+        ..ServerConfig::default()
+    };
+    assert_refused(config, "capacity");
+}
+
+#[test]
+fn serve_refuses_zero_shards() {
+    let config = ServerConfig {
+        shards: Some(0),
+        ..ServerConfig::default()
+    };
+    assert_refused(config, "shards");
+}
+
 /// Zero workers, entries or shards, and the flags of the removed request
 /// tracer, fail as usage errors: exit 2 and a line naming the flag.
 #[test]

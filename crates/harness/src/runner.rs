@@ -23,7 +23,7 @@ use cache_sim::{
 use csr::Policy;
 use csr_obs::SharedObserver;
 use mem_trace::cost_map::{CostMap, UniformCostMap};
-use mem_trace::sampled::{SampledEvent, SampledTrace};
+use mem_trace::sampled::{SampledKind, SampledTrace};
 use mem_trace::UnitHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasherDefault;
@@ -149,11 +149,9 @@ impl FilteredTrace {
             let mut stream: Vec<u64> = sampled
                 .events()
                 .iter()
-                .map(|ev| match *ev {
-                    SampledEvent::Own { addr, op } => addr.0 >> shift << KIND_BITS | kind(op),
-                    SampledEvent::ForeignWrite { addr } => {
-                        addr.0 >> shift << KIND_BITS | INVALIDATE
-                    }
+                .map(|ev| match ev.unpack() {
+                    (addr, SampledKind::Own(op)) => addr.0 >> shift << KIND_BITS | kind(op),
+                    (addr, SampledKind::ForeignWrite) => addr.0 >> shift << KIND_BITS | INVALIDATE,
                 })
                 .collect();
             let dead = mark_dead(&mut stream);
@@ -169,9 +167,10 @@ impl FilteredTrace {
         let mut l1 = Cache::new(cfg.l1, Lru::new);
         let mut stream = Vec::with_capacity(sampled.events().len());
         for ev in sampled.events() {
-            match *ev {
-                SampledEvent::Own { addr, op } => {
-                    let block = BlockAddr(addr.0 >> shift);
+            let (addr, event) = ev.unpack();
+            let block = BlockAddr(addr.0 >> shift);
+            match event {
+                SampledKind::Own(op) => {
                     let out = l1.access(block, op, Cost::ZERO);
                     if out.hit {
                         continue;
@@ -181,8 +180,7 @@ impl FilteredTrace {
                     }
                     stream.push(block.0 << KIND_BITS | kind(op));
                 }
-                SampledEvent::ForeignWrite { addr } => {
-                    let block = BlockAddr(addr.0 >> shift);
+                SampledKind::ForeignWrite => {
                     l1.invalidate(block);
                     stream.push(block.0 << KIND_BITS | INVALIDATE);
                 }

@@ -19,7 +19,7 @@ use csr_harness::{
 use csr_obs::CountingObserver;
 use mem_trace::cost_map::{CostMap, RandomCostMap};
 use mem_trace::rng::SplitMix64;
-use mem_trace::{ProcId, SampledEvent, SampledTrace, Trace, TraceRecord};
+use mem_trace::{ProcId, SampledKind, SampledTrace, Trace, TraceRecord};
 use std::sync::Arc;
 
 const KINDS: [Policy; 14] = [
@@ -50,12 +50,13 @@ fn replay_every_event(
     let block_bytes = cfg.l2.block_bytes();
     let mut h = TwoLevel::new(cfg.l1, cfg.l2, l2_cores(policy, &cfg.l2, None));
     for ev in sampled.events() {
-        match *ev {
-            SampledEvent::Own { addr, op } => {
-                let block = addr.block(block_bytes);
+        let (addr, kind) = ev.unpack();
+        let block = addr.block(block_bytes);
+        match kind {
+            SampledKind::Own(op) => {
                 h.access(block, op, costs.cost_of(block));
             }
-            SampledEvent::ForeignWrite { addr } => h.invalidate(addr.block(block_bytes)),
+            SampledKind::ForeignWrite => h.invalidate(block),
         }
     }
     (*h.l1().stats(), *h.l2().stats())

@@ -18,7 +18,7 @@ use csr_harness::{
 use mem_trace::cost_map::{CostMap, FirstTouchCostMap, RandomCostMap, UniformCostMap};
 use mem_trace::criticality::CriticalityCostMap;
 use mem_trace::workloads::BarnesLike;
-use mem_trace::{SampledEvent, SampledTrace, Trace, TraceCensus, Workload};
+use mem_trace::{SampledKind, SampledTrace, Trace, TraceCensus, Workload};
 
 const KINDS: [Policy; 14] = [
     Policy::Lru,
@@ -47,14 +47,13 @@ fn per_reference_loop(
     let block_bytes = cfg.l2.block_bytes();
     let mut h = TwoLevel::new(cfg.l1, cfg.l2, l2_cores(policy, &cfg.l2, None));
     for ev in sampled.events() {
-        match *ev {
-            SampledEvent::Own { addr, op } => {
-                let block = addr.block(block_bytes);
+        let (addr, kind) = ev.unpack();
+        let block = addr.block(block_bytes);
+        match kind {
+            SampledKind::Own(op) => {
                 h.access(block, op, costs.cost_of(block));
             }
-            SampledEvent::ForeignWrite { addr } => {
-                h.invalidate(addr.block(block_bytes));
-            }
+            SampledKind::ForeignWrite => h.invalidate(block),
         }
     }
     (*h.l1().stats(), *h.l2().stats())

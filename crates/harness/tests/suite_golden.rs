@@ -11,7 +11,7 @@
 
 use cache_sim::AccessType;
 use csr_harness::{build_benchmarks, Benchmark, Scale};
-use mem_trace::SampledEvent;
+use mem_trace::SampledKind;
 
 /// 64-bit FNV-1a.
 struct Fnv(u64);
@@ -32,9 +32,10 @@ fn line(b: &Benchmark) -> String {
     let c = &b.characteristics;
     let (mut events, mut homes) = (Fnv::new(), Fnv::new());
     for e in b.sampled.events() {
-        let (tag, addr) = match *e {
-            SampledEvent::Own { addr, op } => (u8::from(op == AccessType::Write), addr),
-            SampledEvent::ForeignWrite { addr } => (2, addr),
+        let (addr, kind) = e.unpack();
+        let tag = match kind {
+            SampledKind::Own(op) => u8::from(op == AccessType::Write),
+            SampledKind::ForeignWrite => 2,
         };
         events.write(&[tag]);
         events.write(&addr.0.to_le_bytes());

@@ -35,14 +35,33 @@ impl Hasher for UnitHasher {
     }
 }
 
+/// Units per row of a [`FirstTouchPlacement`], as a power of two: a row
+/// holds the homes of 64 consecutive units (a 4 KB page of 64-byte blocks).
+const GROUP_BITS: u32 = 6;
+const GROUP_UNITS: usize = 1 << GROUP_BITS;
+
 /// A first-touch placement map from memory units to home processors.
+///
+/// Units are homed in groups of 64 consecutive ones: a small map takes a
+/// group to its row, and a row holds one byte per unit, the home's id
+/// plus one, or 0 while the unit is untouched. So a home costs a byte, a
+/// kernel's arrays fill their rows, and a probe finds its group in a table
+/// 64 times smaller than one entry per unit would make it. The byte bounds
+/// the processor ids a placement can home: below [`MAX_PROCS`](Self::MAX_PROCS).
 #[derive(Debug, Clone)]
 pub struct FirstTouchPlacement {
     granularity_bytes: u64,
-    homes: HashMap<u64, ProcId, BuildHasherDefault<UnitHasher>>,
+    /// The row of every group with a touched unit.
+    groups: HashMap<u64, usize, BuildHasherDefault<UnitHasher>>,
+    rows: Vec<[u8; GROUP_UNITS]>,
+    units_homed: usize,
 }
 
 impl FirstTouchPlacement {
+    /// How many processors a placement can home: ids `0..MAX_PROCS`, since
+    /// a home is stored as one byte, its id plus one.
+    pub const MAX_PROCS: usize = u8::MAX as usize;
+
     /// Creates an empty placement with the given homing granularity.
     ///
     /// The paper homes *individual memory blocks* (64 bytes); OS-level
@@ -59,7 +78,9 @@ impl FirstTouchPlacement {
         );
         FirstTouchPlacement {
             granularity_bytes,
-            homes: HashMap::default(),
+            groups: HashMap::default(),
+            rows: Vec::new(),
+            units_homed: 0,
         }
     }
 
@@ -68,15 +89,40 @@ impl FirstTouchPlacement {
     }
 
     /// Records a touch: assigns the home on first touch, returns the home.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `proc` is not below [`MAX_PROCS`](Self::MAX_PROCS).
     pub fn touch(&mut self, proc: ProcId, addr: Addr) -> ProcId {
+        assert!(
+            proc.0 < Self::MAX_PROCS,
+            "{proc} is past the {} processors a placement can home",
+            Self::MAX_PROCS
+        );
         let unit = self.unit_of(addr);
-        *self.homes.entry(unit).or_insert(proc)
+        let rows = &mut self.rows;
+        let row = *self.groups.entry(unit >> GROUP_BITS).or_insert_with(|| {
+            rows.push([0; GROUP_UNITS]);
+            rows.len() - 1
+        });
+        let home = &mut rows[row][unit as usize % GROUP_UNITS];
+        if *home == 0 {
+            // In range: `proc` is below `MAX_PROCS`, checked above.
+            *home = proc.0 as u8 + 1;
+            self.units_homed += 1;
+        }
+        ProcId(usize::from(*home) - 1)
     }
 
     /// The home of `addr`, if it has been touched.
     #[must_use]
     pub fn home_of(&self, addr: Addr) -> Option<ProcId> {
-        self.homes.get(&self.unit_of(addr)).copied()
+        let unit = self.unit_of(addr);
+        let row = self.groups.get(&(unit >> GROUP_BITS))?;
+        match self.rows[*row][unit as usize % GROUP_UNITS] {
+            0 => None,
+            home => Some(ProcId(usize::from(home) - 1)),
+        }
     }
 
     /// Whether a reference by `proc` to `addr` is remote. Untouched
@@ -98,7 +144,7 @@ impl FirstTouchPlacement {
     /// Number of distinct units homed so far.
     #[must_use]
     pub fn units_homed(&self) -> usize {
-        self.homes.len()
+        self.units_homed
     }
 }
 
@@ -131,5 +177,22 @@ mod tests {
         p.touch(ProcId(0), Addr(0));
         assert_eq!(p.home_of(Addr(4095)), Some(ProcId(0)));
         assert_eq!(p.home_of(Addr(4096)), None);
+    }
+
+    #[test]
+    fn the_last_processor_a_byte_holds_is_homed() {
+        let last = ProcId(FirstTouchPlacement::MAX_PROCS - 1);
+        let mut p = FirstTouchPlacement::new(64);
+        assert_eq!(p.touch(last, Addr(0)), last);
+        assert_eq!(p.touch(ProcId(0), Addr(0)), last);
+        assert_eq!(p.home_of(Addr(0)), Some(last));
+        assert!(p.is_remote(ProcId(0), Addr(0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "processors a placement can home")]
+    fn a_processor_past_the_bound_panics() {
+        let mut p = FirstTouchPlacement::new(64);
+        p.touch(ProcId(FirstTouchPlacement::MAX_PROCS), Addr(0));
     }
 }

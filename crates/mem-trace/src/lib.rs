@@ -47,6 +47,6 @@ pub use cost_map::{CostMap, FirstTouchCostMap, RandomCostMap, UniformCostMap};
 pub use first_touch::{FirstTouchPlacement, UnitHasher};
 pub use phased::{Phase, PhasedTrace};
 pub use record::{PackedRef, ProcId, Trace, TraceRecord};
-pub use sampled::{SampledEvent, SampledTrace};
+pub use sampled::{SampledEvent, SampledKind, SampledTrace};
 pub use stats::{TraceCensus, TraceCharacteristics};
 pub use workloads::{BarnesLike, LuLike, OceanLike, RaytraceLike, Workload};

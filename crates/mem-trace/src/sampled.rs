@@ -8,21 +8,60 @@
 use crate::record::{ProcId, Trace, TraceRecord};
 use cache_sim::{AccessType, Addr};
 
-/// One event as seen by the sample processor's cache.
+/// What a [`SampledEvent`] is: a reference of the sample processor, or a
+/// write by another processor, which invalidates the block if cached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SampledEvent {
-    /// A reference issued by the sample processor itself.
-    Own {
-        /// Referenced byte address.
-        addr: Addr,
-        /// Read or write.
-        op: AccessType,
-    },
-    /// A write by another processor: invalidates the block if cached.
-    ForeignWrite {
-        /// Written byte address.
-        addr: Addr,
-    },
+pub enum SampledKind {
+    /// A read or write issued by the sample processor itself.
+    Own(AccessType),
+    /// A write by another processor.
+    ForeignWrite,
+}
+
+/// One event as seen by the sample processor's cache, packed into a word:
+/// the byte address shifted left by two, the low two bits its kind (0 an
+/// own read, 1 an own write, 2 a foreign write). [`unpack`](Self::unpack)
+/// is the one way to read it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SampledEvent(u64);
+
+const _: () = assert!(std::mem::size_of::<SampledEvent>() == 8);
+
+impl SampledEvent {
+    /// The largest address an event can hold: the top two bits are lost to
+    /// the kind.
+    pub const MAX_ADDR: Addr = Addr(u64::MAX >> 2);
+
+    /// Packs an event of `kind` at `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is above [`MAX_ADDR`](Self::MAX_ADDR).
+    #[must_use]
+    pub fn new(addr: Addr, kind: SampledKind) -> Self {
+        assert!(
+            addr <= Self::MAX_ADDR,
+            "address {:#x} does not fit a sample event",
+            addr.0
+        );
+        let kind = match kind {
+            SampledKind::Own(AccessType::Read) => 0,
+            SampledKind::Own(AccessType::Write) => 1,
+            SampledKind::ForeignWrite => 2,
+        };
+        SampledEvent(addr.0 << 2 | kind)
+    }
+
+    /// The event's byte address and kind.
+    #[must_use]
+    pub fn unpack(self) -> (Addr, SampledKind) {
+        let kind = match self.0 & 3 {
+            0 => SampledKind::Own(AccessType::Read),
+            1 => SampledKind::Own(AccessType::Write),
+            _ => SampledKind::ForeignWrite,
+        };
+        (Addr(self.0 >> 2), kind)
+    }
 }
 
 /// The trace-driven input for one sample processor.
@@ -52,13 +91,10 @@ impl SampledTrace {
         // Internal iteration, as in `TraceCensus::from_records`.
         records.into_iter().for_each(|rec| {
             if rec.proc == proc {
-                events.push(SampledEvent::Own {
-                    addr: rec.addr,
-                    op: rec.op,
-                });
+                events.push(SampledEvent::new(rec.addr, SampledKind::Own(rec.op)));
                 own_refs += 1;
             } else if rec.op == AccessType::Write {
-                events.push(SampledEvent::ForeignWrite { addr: rec.addr });
+                events.push(SampledEvent::new(rec.addr, SampledKind::ForeignWrite));
                 foreign_writes += 1;
             }
         });
@@ -112,15 +148,16 @@ mod tests {
         assert_eq!(s.foreign_writes(), 2);
         assert_eq!(s.events().len(), 4);
         assert_eq!(
-            s.events()[0],
-            SampledEvent::Own {
-                addr: Addr(0),
-                op: AccessType::Read
-            }
+            s.events()[0].unpack(),
+            (Addr(0), SampledKind::Own(AccessType::Read))
         );
         assert_eq!(
-            s.events()[1],
-            SampledEvent::ForeignWrite { addr: Addr(128) }
+            s.events()[1].unpack(),
+            (Addr(128), SampledKind::ForeignWrite)
+        );
+        assert_eq!(
+            s.events()[2].unpack(),
+            (Addr(192), SampledKind::Own(AccessType::Write))
         );
     }
 
@@ -133,8 +170,31 @@ mod tests {
         }
         let s = SampledTrace::from_trace(&t, ProcId(1));
         // Alternating Own/ForeignWrite, starting with a foreign write by P0.
-        assert!(matches!(s.events()[0], SampledEvent::ForeignWrite { .. }));
-        assert!(matches!(s.events()[1], SampledEvent::Own { .. }));
+        assert_eq!(s.events()[0].unpack().1, SampledKind::ForeignWrite);
+        assert_eq!(
+            s.events()[1].unpack().1,
+            SampledKind::Own(AccessType::Write)
+        );
         assert_eq!(s.events().len(), 10);
+    }
+
+    #[test]
+    fn every_kind_round_trips_at_the_largest_address() {
+        for kind in [
+            SampledKind::Own(AccessType::Read),
+            SampledKind::Own(AccessType::Write),
+            SampledKind::ForeignWrite,
+        ] {
+            for addr in [Addr(0), Addr(64), SampledEvent::MAX_ADDR] {
+                assert_eq!(SampledEvent::new(addr, kind).unpack(), (addr, kind));
+            }
+        }
+        assert_eq!(SampledEvent::MAX_ADDR, Addr((1 << 62) - 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a sample event")]
+    fn an_address_past_the_largest_panics() {
+        let _ = SampledEvent::new(Addr(1 << 62), SampledKind::ForeignWrite);
     }
 }

@@ -7,10 +7,10 @@
 //! the final homes, the footprint by sorting every block — on the default
 //! (quick-scale) kernels.
 
-use cache_sim::AccessType;
+use cache_sim::{AccessType, Addr};
 use mem_trace::workloads::{BarnesLike, LuLike, OceanLike, RaytraceLike, INTERLEAVE_CHUNK};
 use mem_trace::{
-    FirstTouchPlacement, ProcId, SampledEvent, SampledTrace, Trace, TraceCensus,
+    FirstTouchPlacement, ProcId, SampledKind, SampledTrace, Trace, TraceCensus,
     TraceCharacteristics, Workload,
 };
 
@@ -62,16 +62,13 @@ fn old_characterize(
 }
 
 /// The sample view of `proc`: its own references and every foreign write.
-fn old_sample_events(trace: &Trace, proc: ProcId) -> Vec<SampledEvent> {
+fn old_sample_events(trace: &Trace, proc: ProcId) -> Vec<(Addr, SampledKind)> {
     let mut events = Vec::new();
     for rec in trace {
         if rec.proc == proc {
-            events.push(SampledEvent::Own {
-                addr: rec.addr,
-                op: rec.op,
-            });
+            events.push((rec.addr, SampledKind::Own(rec.op)));
         } else if rec.op == AccessType::Write {
-            events.push(SampledEvent::ForeignWrite { addr: rec.addr });
+            events.push((rec.addr, SampledKind::ForeignWrite));
         }
     }
     events
@@ -110,6 +107,7 @@ fn one_placement_gives_the_same_samples_and_table1_rows() {
             .iter()
             .all(|r| homes.home_of(r.addr) == placement.home_of(r.addr)));
         let sampled = SampledTrace::from_records(phases.records(INTERLEAVE_CHUNK), sample);
-        assert_eq!(sampled.events(), old_sample_events(&trace, sample));
+        let events: Vec<_> = sampled.events().iter().map(|ev| ev.unpack()).collect();
+        assert_eq!(events, old_sample_events(&trace, sample));
     }
 }

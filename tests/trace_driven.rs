@@ -78,14 +78,13 @@ fn aggregate_cost_equals_sum_of_charged_misses() {
     let mut h = TwoLevel::new(cfg.l1, cfg.l2, l2_cores(Policy::Bcl, &cfg.l2, None));
     let mut total = C::ZERO;
     use cost_sensitive_cache::trace::cost_map::CostMap;
-    use cost_sensitive_cache::trace::SampledEvent;
+    use cost_sensitive_cache::trace::SampledKind;
     for ev in s.events() {
-        match *ev {
-            SampledEvent::Own { addr, op } => {
-                let block = addr.block(64);
-                total += h.access(block, op, map.cost_of(block)).cost_charged;
-            }
-            SampledEvent::ForeignWrite { addr } => h.invalidate(addr.block(64)),
+        let (addr, kind) = ev.unpack();
+        let block = addr.block(64);
+        match kind {
+            SampledKind::Own(op) => total += h.access(block, op, map.cost_of(block)).cost_charged,
+            SampledKind::ForeignWrite => h.invalidate(block),
         }
     }
     assert_eq!(total, result.aggregate_cost());
