@@ -52,7 +52,7 @@ pub use observe::{
 pub use registry::{
     FamilySnapshot, LabelSet, MetricKind, Registry, RegistrySnapshot, Sample, SampleValue,
 };
-pub use reporter::{ReportFormat, Reporter};
+pub use reporter::Reporter;
 
 /// A shareable, type-erased observer — what the concurrent cache and the
 /// experiment harness pass around when the concrete observer is chosen at

@@ -8,7 +8,6 @@
 //! ```
 
 use csr_cache::Policy;
-use csr_obs::ReportFormat;
 use csr_serve::server::{serve, ReportSink, ServerConfig};
 use csr_serve::{Backing, FaultBacking, FsyncPolicy, NoBacking, PersistConfig, SimBacking};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -79,8 +78,6 @@ USAGE: csr-serve [OPTIONS]
   --value-len N           sim backing: synthesized value length (default 128)
   --fault-seed N          fault backing: PRNG seed (default 1)
   --fault-error-rate F    fault backing: probability a fetch fails (default 0.1)
-  --fault-hang-rate F     fault backing: probability a fetch hangs (default 0)
-  --fault-hang-ms N       fault backing: hang duration, milliseconds (default 50)
   --fetch-deadline-ms N   per-fetch deadline; 0 disables (default 0)
   --fetch-retries N       retries after a failed fetch (default 2)
   --breaker-threshold N   consecutive failures that open the breaker; 0 disables (default 5)
@@ -97,7 +94,6 @@ USAGE: csr-serve [OPTIONS]
                           256 records (default 0)
   --metrics-file PATH     periodically dump metrics to PATH (flushed on shutdown)
   --metrics-interval-ms N dump interval (default 1000)
-  --metrics-format FMT    prom | json (default prom)
   -h, --help              this text"
     );
     std::process::exit(0);
@@ -113,11 +109,8 @@ struct Opts {
     sim: SimBacking,
     fault_seed: u64,
     fault_error_rate: f64,
-    fault_hang_rate: f64,
-    fault_hang: Duration,
     metrics_file: Option<std::path::PathBuf>,
     metrics_interval: Duration,
-    metrics_format: ReportFormat,
 }
 
 fn parse_args() -> Opts {
@@ -130,11 +123,8 @@ fn parse_args() -> Opts {
         sim: SimBacking::default(),
         fault_seed: 1,
         fault_error_rate: 0.1,
-        fault_hang_rate: 0.0,
-        fault_hang: Duration::from_millis(50),
         metrics_file: None,
         metrics_interval: Duration::from_millis(1000),
-        metrics_format: ReportFormat::Prometheus,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -171,13 +161,6 @@ fn parse_args() -> Opts {
             "--fault-seed" => opts.fault_seed = parse_num(&val("--fault-seed"), "--fault-seed"),
             "--fault-error-rate" => {
                 opts.fault_error_rate = parse_num(&val("--fault-error-rate"), "--fault-error-rate")
-            }
-            "--fault-hang-rate" => {
-                opts.fault_hang_rate = parse_num(&val("--fault-hang-rate"), "--fault-hang-rate")
-            }
-            "--fault-hang-ms" => {
-                opts.fault_hang =
-                    Duration::from_millis(parse_num(&val("--fault-hang-ms"), "--fault-hang-ms"))
             }
             "--fetch-deadline-ms" => {
                 let ms: u64 = parse_num(&val("--fetch-deadline-ms"), "--fetch-deadline-ms");
@@ -244,13 +227,6 @@ fn parse_args() -> Opts {
                     "--metrics-interval-ms",
                 ))
             }
-            "--metrics-format" => {
-                opts.metrics_format = match val("--metrics-format").as_str() {
-                    "prom" => ReportFormat::Prometheus,
-                    "json" => ReportFormat::Json,
-                    other => die(&format!("unknown metrics format '{other}'")),
-                }
-            }
             "-h" | "--help" => usage(),
             other => die(&format!("unknown flag '{other}'")),
         }
@@ -280,15 +256,12 @@ fn main() {
         "none" => Arc::new(NoBacking),
         // A flaky sim origin: the knobs for soak-testing the
         // fault-tolerant path (see the CI flaky-origin smoke).
-        "fault" => Arc::new(
-            FaultBacking::new(
-                Arc::new(opts.sim.clone()),
-                opts.fault_seed,
-                opts.fault_error_rate,
-                opts.fault_hang_rate,
-            )
-            .hang_for(opts.fault_hang),
-        ),
+        "fault" => Arc::new(FaultBacking::new(
+            Arc::new(opts.sim.clone()),
+            opts.fault_seed,
+            opts.fault_error_rate,
+            0.0,
+        )),
         other => die(&format!("unknown backing '{other}'")),
     };
     let mut config = opts.config;
@@ -296,7 +269,6 @@ fn main() {
         config.report = Some(ReportSink {
             path: path.clone(),
             interval: opts.metrics_interval,
-            format: opts.metrics_format,
         });
     }
     let policy = config.policy;

@@ -685,6 +685,16 @@ impl FailoverClient {
         self.run_op(false, |c| c.set(key, value))
     }
 
+    /// Connects now instead of at the first call, within the attempt
+    /// budget and backoff a call gets. A no-op while connected.
+    ///
+    /// # Errors
+    ///
+    /// The last connect failure once the budget is spent.
+    pub fn connect(&mut self) -> io::Result<()> {
+        self.ensure_connected(&mut 0)
+    }
+
     /// Closes the current connection cleanly (best effort). The client
     /// remains usable — the next call reconnects.
     pub fn close(&mut self) {

@@ -35,14 +35,13 @@
 //!   torn tails — so the resident set and the eviction ordering survive
 //!   a SIGKILL instead of cold-starting into an origin stampede.
 //! * [`chaos`] — a seeded in-process fault-injecting TCP proxy
-//!   ([`ChaosProxy`]): resets, corruption, truncation, stalls, partial
-//!   writes, throttling, and scripted partitions, each counted, so the
-//!   robustness claims above are mechanically checkable under hostile
-//!   networks.
+//!   ([`ChaosProxy`]): resets, corruption, truncation, stalls, and
+//!   scripted partitions, each counted, so the robustness claims above
+//!   are mechanically checkable under hostile networks.
 //!
-//! Binaries: `csr-serve` (the daemon) and `loadgen` (closed-loop Zipf
-//! load generator that reports throughput/latency percentiles and writes
-//! `BENCH_serve.json`).
+//! Binaries: `csr-serve` (the daemon) and `loadgen` (a Zipf load
+//! generator, closed loop or open loop, that reports throughput and
+//! latency percentiles and writes `BENCH_serve.json`).
 
 #![deny(unsafe_code)] // only `poller` opts out, for its confined FFI
 #![warn(missing_docs)]

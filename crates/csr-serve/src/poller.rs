@@ -6,9 +6,9 @@
 //! with a module-local allowance. Everything above this module (the
 //! engine, the server) is safe Rust over three primitives:
 //!
-//! * [`Poller::register`]/[`Poller::modify`]/[`Poller::deregister`] —
-//!   level-triggered interest in a socket's readability/writability,
-//!   keyed by a caller-chosen `u64` token;
+//! * [`Poller::register`]/[`Poller::deregister`] — level-triggered
+//!   interest in a socket's readability, keyed by a caller-chosen `u64`
+//!   token;
 //! * [`Poller::wait`] — block until something is ready (or a timeout);
 //! * [`Poller::wake`] — thread-safe cross-thread wake-up (an `eventfd`
 //!   on Linux, an `EVFILT_USER` event on kqueue), surfaced to the waiter
@@ -19,34 +19,9 @@
 //! to race the peer.
 #![allow(unsafe_code)]
 
-use std::io;
-use std::time::Duration;
-
 /// The token [`Poller::wait`] reports for [`Poller::wake`] wake-ups.
 /// Callers must not register sockets under this token.
 pub const WAKE_TOKEN: u64 = u64::MAX;
-
-/// Interest in a registered file descriptor, level-triggered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Interest {
-    /// Report when the fd is readable (or the peer hung up).
-    pub readable: bool,
-    /// Report when the fd is writable.
-    pub writable: bool,
-}
-
-impl Interest {
-    /// Read-only interest.
-    pub const READ: Interest = Interest {
-        readable: true,
-        writable: false,
-    };
-    /// Read + write interest.
-    pub const READ_WRITE: Interest = Interest {
-        readable: true,
-        writable: true,
-    };
-}
 
 /// One readiness event out of [`Poller::wait`].
 #[derive(Debug, Clone, Copy)]
@@ -55,8 +30,6 @@ pub struct Event {
     pub token: u64,
     /// The fd is readable (data, EOF, or a pending accept).
     pub readable: bool,
-    /// The fd is writable.
-    pub writable: bool,
     /// The peer shut down its write side (FIN): drain with `read` —
     /// buffered data and a clean EOF are still there to collect.
     pub hangup: bool,
@@ -69,7 +42,7 @@ pub use imp::Poller;
 
 #[cfg(any(target_os = "linux", target_os = "android"))]
 mod imp {
-    use super::{Event, Interest, WAKE_TOKEN};
+    use super::{Event, WAKE_TOKEN};
     use std::io;
     use std::os::fd::RawFd;
     use std::time::Duration;
@@ -90,9 +63,7 @@ mod imp {
     const EPOLL_CLOEXEC: i32 = 0x8_0000;
     const EPOLL_CTL_ADD: i32 = 1;
     const EPOLL_CTL_DEL: i32 = 2;
-    const EPOLL_CTL_MOD: i32 = 3;
     const EPOLLIN: u32 = 0x1;
-    const EPOLLOUT: u32 = 0x4;
     const EPOLLERR: u32 = 0x8;
     const EPOLLHUP: u32 = 0x10;
     const EPOLLRDHUP: u32 = 0x2000;
@@ -132,45 +103,23 @@ mod imp {
                 }
             };
             let poller = Poller { epfd, wakefd };
-            poller.ctl(EPOLL_CTL_ADD, wakefd, WAKE_TOKEN, Interest::READ)?;
+            poller.register(wakefd, WAKE_TOKEN)?;
             Ok(poller)
         }
 
-        fn ctl(&self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut events = 0;
-            if interest.readable {
-                // RDHUP rides read interest only: a caller that paused
-                // reads must not be woken level-triggered by a FIN it is
-                // not ready to collect.
-                events |= EPOLLIN | EPOLLRDHUP;
-            }
-            if interest.writable {
-                events |= EPOLLOUT;
-            }
-            let mut ev = EpollEvent {
-                events,
-                data: token,
-            };
-            check(unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) }).map(|_| ())
-        }
-
-        /// Starts watching `fd` under `token`.
+        /// Starts watching `fd` for readability under `token`
+        /// (level-triggered; `EPOLLRDHUP` reports the peer's FIN).
         ///
         /// # Errors
         ///
         /// Propagates `epoll_ctl` failures (e.g. the fd is already
         /// registered).
-        pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, interest)
-        }
-
-        /// Changes the interest set of a registered `fd`.
-        ///
-        /// # Errors
-        ///
-        /// Propagates `epoll_ctl` failures.
-        pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, interest)
+        pub fn register(&self, fd: RawFd, token: u64) -> io::Result<()> {
+            let mut ev = EpollEvent {
+                events: EPOLLIN | EPOLLRDHUP,
+                data: token,
+            };
+            check(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_ADD, fd, &mut ev) }).map(|_| ())
         }
 
         /// Stops watching `fd`.
@@ -221,7 +170,6 @@ mod imp {
                 out.push(Event {
                     token,
                     readable: bits & (EPOLLIN | EPOLLRDHUP) != 0,
-                    writable: bits & EPOLLOUT != 0,
                     hangup: bits & EPOLLRDHUP != 0,
                     error: bits & (EPOLLERR | EPOLLHUP) != 0,
                 });
@@ -266,7 +214,7 @@ mod imp {
 
 #[cfg(any(target_os = "macos", target_os = "ios", target_os = "freebsd"))]
 mod imp {
-    use super::{Event, Interest, WAKE_TOKEN};
+    use super::{Event, WAKE_TOKEN};
     use std::io;
     use std::os::fd::RawFd;
     use std::ptr;
@@ -309,7 +257,6 @@ mod imp {
     }
 
     const EVFILT_READ: i16 = -1;
-    const EVFILT_WRITE: i16 = -2;
     #[cfg(target_os = "freebsd")]
     const EVFILT_USER: i16 = -11;
     #[cfg(not(target_os = "freebsd"))]
@@ -361,44 +308,14 @@ mod imp {
             check(n).map(|_| ())
         }
 
-        /// Starts watching `fd` under `token`.
+        /// Starts watching `fd` for readability under `token`
+        /// (level-triggered; `EV_EOF` reports the peer's FIN).
         ///
         /// # Errors
         ///
         /// Propagates `kevent` failures.
-        pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.apply(fd, token, interest, true)
-        }
-
-        /// Changes the interest set of a registered `fd`.
-        ///
-        /// # Errors
-        ///
-        /// Propagates `kevent` failures.
-        pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.apply(fd, token, interest, false)
-        }
-
-        fn apply(&self, fd: RawFd, token: u64, interest: Interest, fresh: bool) -> io::Result<()> {
-            // kqueue tracks read/write filters independently: add the
-            // wanted ones, delete the unwanted ones (ENOENT from deleting
-            // a filter that was never added is fine on registration).
-            for (filter, on) in [
-                (EVFILT_READ, interest.readable),
-                (EVFILT_WRITE, interest.writable),
-            ] {
-                let res = if on {
-                    self.change(&[kev(fd as usize, filter, EV_ADD | EV_ENABLE, 0, token)])
-                } else {
-                    self.change(&[kev(fd as usize, filter, EV_DELETE, 0, token)])
-                };
-                match res {
-                    Ok(()) => {}
-                    Err(e) if !on && (fresh || e.raw_os_error() == Some(2 /* ENOENT */)) => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            Ok(())
+        pub fn register(&self, fd: RawFd, token: u64) -> io::Result<()> {
+            self.change(&[kev(fd as usize, EVFILT_READ, EV_ADD | EV_ENABLE, 0, token)])
         }
 
         /// Stops watching `fd`.
@@ -407,14 +324,10 @@ mod imp {
         ///
         /// Propagates `kevent` failures other than "filter not present".
         pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            for filter in [EVFILT_READ, EVFILT_WRITE] {
-                match self.change(&[kev(fd as usize, filter, EV_DELETE, 0, 0)]) {
-                    Ok(()) => {}
-                    Err(e) if e.raw_os_error() == Some(2 /* ENOENT */) => {}
-                    Err(e) => return Err(e),
-                }
+            match self.change(&[kev(fd as usize, EVFILT_READ, EV_DELETE, 0, 0)]) {
+                Err(e) if e.raw_os_error() != Some(2 /* ENOENT */) => Err(e),
+                _ => Ok(()),
             }
-            Ok(())
         }
 
         /// Blocks until readiness or `timeout` (`None`: forever), pushing
@@ -456,7 +369,6 @@ mod imp {
                 out.push(Event {
                     token: ev.udata as u64,
                     readable: ev.filter == EVFILT_READ || ev.filter == EVFILT_USER,
-                    writable: ev.filter == EVFILT_WRITE,
                     hangup: ev.flags & EV_EOF != 0,
                     error: false,
                 });
@@ -509,7 +421,7 @@ mod imp {
     target_os = "freebsd"
 )))]
 mod imp {
-    use super::{Event, Interest};
+    use super::Event;
     use std::io;
     use std::time::Duration;
 
@@ -529,11 +441,7 @@ mod imp {
             ))
         }
 
-        pub fn register(&self, _fd: i32, _token: u64, _interest: Interest) -> io::Result<()> {
-            unreachable!("stub poller cannot be constructed")
-        }
-
-        pub fn modify(&self, _fd: i32, _token: u64, _interest: Interest) -> io::Result<()> {
+        pub fn register(&self, _fd: i32, _token: u64) -> io::Result<()> {
             unreachable!("stub poller cannot be constructed")
         }
 
@@ -549,15 +457,6 @@ mod imp {
     }
 }
 
-/// Convenience: waits with a timeout expressed in milliseconds.
-///
-/// # Errors
-///
-/// Propagates [`Poller::wait`] failures.
-pub fn wait_ms(poller: &Poller, out: &mut Vec<Event>, ms: u64) -> io::Result<usize> {
-    poller.wait(out, Some(Duration::from_millis(ms)))
-}
-
 #[cfg(all(test, unix))]
 mod tests {
     use super::*;
@@ -565,7 +464,11 @@ mod tests {
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
     use std::sync::Arc;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
+
+    fn ms(n: u64) -> Option<Duration> {
+        Some(Duration::from_millis(n))
+    }
 
     fn pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -579,55 +482,30 @@ mod tests {
         let (mut a, b) = pair();
         b.set_nonblocking(true).unwrap();
         let poller = Poller::new().unwrap();
-        poller.register(b.as_raw_fd(), 7, Interest::READ).unwrap();
+        poller.register(b.as_raw_fd(), 7).unwrap();
 
         let mut events = Vec::new();
         // Nothing to read yet: timeout fires.
-        wait_ms(&poller, &mut events, 50).unwrap();
+        poller.wait(&mut events, ms(50)).unwrap();
         assert!(events.iter().all(|e| e.token != 7), "spurious readiness");
 
         a.write_all(b"x").unwrap();
-        wait_ms(&poller, &mut events, 2000).unwrap();
+        poller.wait(&mut events, ms(2000)).unwrap();
         let ev = events.iter().find(|e| e.token == 7).expect("readable");
         assert!(ev.readable);
 
         // Level-triggered: unread data keeps reporting.
-        wait_ms(&poller, &mut events, 2000).unwrap();
+        poller.wait(&mut events, ms(2000)).unwrap();
         assert!(events.iter().any(|e| e.token == 7 && e.readable));
 
         let mut buf = [0u8; 8];
         let mut b = b;
         assert_eq!(b.read(&mut buf).unwrap(), 1);
-        wait_ms(&poller, &mut events, 50).unwrap();
+        poller.wait(&mut events, ms(50)).unwrap();
         assert!(
             events.iter().all(|e| e.token != 7),
             "drained fd still ready"
         );
-    }
-
-    #[test]
-    fn modify_toggles_write_interest() {
-        let (_a, b) = pair();
-        b.set_nonblocking(true).unwrap();
-        let poller = Poller::new().unwrap();
-        poller.register(b.as_raw_fd(), 3, Interest::READ).unwrap();
-        let mut events = Vec::new();
-        wait_ms(&poller, &mut events, 50).unwrap();
-        assert!(events.iter().all(|e| !e.writable), "write interest off");
-
-        poller
-            .modify(b.as_raw_fd(), 3, Interest::READ_WRITE)
-            .unwrap();
-        wait_ms(&poller, &mut events, 2000).unwrap();
-        assert!(
-            events.iter().any(|e| e.token == 3 && e.writable),
-            "an idle socket is writable once write interest is on"
-        );
-
-        poller.modify(b.as_raw_fd(), 3, Interest::READ).unwrap();
-        wait_ms(&poller, &mut events, 50).unwrap();
-        assert!(events.iter().all(|e| !e.writable));
-        poller.deregister(b.as_raw_fd()).unwrap();
     }
 
     #[test]
@@ -643,7 +521,7 @@ mod tests {
         });
         let mut events = Vec::new();
         let t0 = Instant::now();
-        wait_ms(&poller, &mut events, 5000).unwrap();
+        poller.wait(&mut events, ms(5000)).unwrap();
         assert!(
             events.iter().any(|e| e.token == WAKE_TOKEN),
             "wake event surfaced"
@@ -653,9 +531,9 @@ mod tests {
         // The late wake may still be pending (it is not *lost* either
         // way); drain whatever is left, then a quiet wait must time out
         // instead of spinning on stale wake state.
-        let _ = wait_ms(&poller, &mut events, 200);
+        let _ = poller.wait(&mut events, ms(200));
         let t0 = Instant::now();
-        wait_ms(&poller, &mut events, 120).unwrap();
+        poller.wait(&mut events, ms(120)).unwrap();
         assert!(events.iter().all(|e| e.token != WAKE_TOKEN), "stale wake");
         assert!(t0.elapsed() >= Duration::from_millis(100));
     }
@@ -665,10 +543,10 @@ mod tests {
         let (a, b) = pair();
         b.set_nonblocking(true).unwrap();
         let poller = Poller::new().unwrap();
-        poller.register(b.as_raw_fd(), 9, Interest::READ).unwrap();
+        poller.register(b.as_raw_fd(), 9).unwrap();
         drop(a);
         let mut events = Vec::new();
-        wait_ms(&poller, &mut events, 2000).unwrap();
+        poller.wait(&mut events, ms(2000)).unwrap();
         let ev = events.iter().find(|e| e.token == 9).expect("peer closed");
         assert!(ev.readable || ev.hangup);
     }

@@ -45,7 +45,7 @@
 //! hand and closes its connection instead of parking it; then every
 //! parked or queued connection is closed and the final report flushed.
 
-use crate::poller::{Interest, Poller, WAKE_TOKEN};
+use crate::poller::{Poller, WAKE_TOKEN};
 use crate::proto::{self, Decoder, Frame, Request};
 use crate::server::{respond, respond_error, Shared};
 use csr_obs::{Counter, Gauge, Reporter};
@@ -166,7 +166,7 @@ pub(crate) fn spawn(
 ) -> io::Result<(JoinHandle<io::Result<()>>, Arc<Engine>)> {
     let poller = Poller::new()?;
     listener.set_nonblocking(true)?;
-    poller.register(fd(&listener), LISTENER_TOKEN, Interest::READ)?;
+    poller.register(fd(&listener), LISTENER_TOKEN)?;
     let registry = &shared.registry;
     let engine = Arc::new(Engine {
         parked_gauge: registry.gauge(
@@ -300,11 +300,7 @@ impl Engine {
         let mut parked = lock(&self.parked);
         // Registered under the lock: a readiness event for this token
         // waits in `unpark` until the connection is in the table.
-        if self
-            .poller
-            .register(fd(&conn.stream), conn.token, Interest::READ)
-            .is_err()
-        {
+        if self.poller.register(fd(&conn.stream), conn.token).is_err() {
             drop(parked);
             self.close(conn);
             return;

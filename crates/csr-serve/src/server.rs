@@ -50,7 +50,7 @@ use crate::proto::{self, ProtoError, Request};
 use crate::reactor::{self, Engine, EngineParams};
 use crate::resilience::{OriginMetrics, ResilienceConfig, ResilientBacking};
 use csr_cache::{CacheStats, CsrCache, Policy};
-use csr_obs::{Counter, Gauge, Histogram, Registry, ReportFormat, Reporter, Sampler};
+use csr_obs::{Counter, Gauge, Histogram, Registry, Reporter, Sampler};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener};
@@ -86,15 +86,13 @@ pub(crate) fn measured_cost_us(elapsed: Duration) -> u64 {
         .clamp(1, MAX_MEASURED_COST_US)
 }
 
-/// Periodic metrics dumping to a file (via [`Reporter`]).
+/// Periodic Prometheus-text metrics dumping to a file (via [`Reporter`]).
 #[derive(Debug, Clone)]
 pub struct ReportSink {
     /// File the reporter (re)writes.
     pub path: PathBuf,
     /// Dump interval.
     pub interval: Duration,
-    /// Dump format.
-    pub format: ReportFormat,
 }
 
 /// Server configuration (see [`serve`]).
@@ -673,12 +671,7 @@ pub fn serve(config: ServerConfig, backing: Arc<dyn Backing>) -> io::Result<Serv
     let reporter = match &config.report {
         Some(sink) => {
             let file = std::fs::File::create(&sink.path)?;
-            Some(Reporter::spawn(
-                Arc::clone(&registry),
-                sink.interval,
-                file,
-                sink.format,
-            ))
+            Some(Reporter::spawn(Arc::clone(&registry), sink.interval, file))
         }
         None => None,
     };

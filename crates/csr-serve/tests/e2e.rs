@@ -3,7 +3,6 @@
 //! the wire format itself).
 
 use csr_cache::Policy;
-use csr_obs::ReportFormat;
 use csr_serve::client::Timeouts;
 use csr_serve::server::{serve, ReportSink, ServerConfig, ServerHandle};
 use csr_serve::{
@@ -267,7 +266,6 @@ fn shutdown_drains_cuts_idle_connections_and_flushes_the_report() {
             path: report_path.clone(),
             // Longer than the test: only the final shutdown flush writes.
             interval: Duration::from_secs(60),
-            format: ReportFormat::Prometheus,
         }),
         ..test_config()
     };

@@ -355,8 +355,9 @@ fn serve_refuses_zero_shards() {
     assert_refused(config, "shards");
 }
 
-/// Zero workers, entries or shards, and the flags of the removed request
-/// tracer, fail as usage errors: exit 2 and a line naming the flag.
+/// Zero workers, entries or shards, the flags of the removed request
+/// tracer, the JSON metrics format and the origin-hang knobs fail as usage
+/// errors: exit 2 and a line naming the flag.
 #[test]
 fn unusable_daemon_flags_exit_2_naming_the_flag() {
     for (args, want) in [
@@ -377,6 +378,18 @@ fn unusable_daemon_flags_exit_2_naming_the_flag() {
             "error: unknown flag '--trace-dump'",
         ),
         (&["--slow-log"], "error: unknown flag '--slow-log'"),
+        (
+            &["--metrics-format", "json"],
+            "error: unknown flag '--metrics-format'",
+        ),
+        (
+            &["--fault-hang-rate", "0.1"],
+            "error: unknown flag '--fault-hang-rate'",
+        ),
+        (
+            &["--fault-hang-ms", "5"],
+            "error: unknown flag '--fault-hang-ms'",
+        ),
     ] {
         let mut child = Command::new(env!("CARGO_BIN_EXE_csr-serve"))
             .args(["--addr", "127.0.0.1:0"])
