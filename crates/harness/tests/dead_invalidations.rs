@@ -16,7 +16,7 @@ use csr_harness::{
     l2_cores, run_sampled, run_sampled_observed, run_sampled_policy, FilteredTrace, PricedTrace,
     TraceSimConfig,
 };
-use csr_obs::CountingObserver;
+use csr_obs::{CountingObserver, SharedObserver};
 use mem_trace::cost_map::{CostMap, RandomCostMap};
 use mem_trace::rng::SplitMix64;
 use mem_trace::{ProcId, SampledKind, SampledTrace, Trace, TraceRecord};
@@ -39,16 +39,18 @@ const KINDS: [Policy; 14] = [
     Policy::Camp,
 ];
 
-/// Every event of `sampled` into a `TwoLevel`, each reference asking the
-/// map for its cost: nothing filtered, nothing skipped.
+/// Every event of `sampled` into a `TwoLevel` of `policy`'s boxed cores
+/// reporting to `obs`, each reference asking the map for its cost: nothing
+/// filtered, nothing skipped.
 fn replay_every_event(
     sampled: &SampledTrace,
     costs: &dyn CostMap,
     policy: Policy,
     cfg: TraceSimConfig,
+    obs: Option<SharedObserver>,
 ) -> (CacheStats, CacheStats) {
     let block_bytes = cfg.l2.block_bytes();
-    let mut h = TwoLevel::new(cfg.l1, cfg.l2, l2_cores(policy, &cfg.l2, None));
+    let mut h = TwoLevel::new(cfg.l1, cfg.l2, l2_cores(policy, &cfg.l2, obs));
     for ev in sampled.events() {
         let (addr, kind) = ev.unpack();
         let block = addr.block(block_bytes);
@@ -126,7 +128,7 @@ fn skipping_dead_invalidations_equals_replaying_every_event() {
                 let map = RandomCostMap::new(0.3, pair, case);
                 for kind in KINDS {
                     let at = format!("{geometry}, case {case}, {kind} {pair}");
-                    let want = replay_every_event(&sampled, &map, kind, cfg);
+                    let want = replay_every_event(&sampled, &map, kind, cfg, None);
                     let got = run_sampled(&sampled, &map, kind, cfg);
                     assert_eq!((got.l1, got.l2), want, "run_sampled: {at}");
                     let got = priced.run(pair, kind);
@@ -145,6 +147,42 @@ fn skipping_dead_invalidations_equals_replaying_every_event() {
         assert!(dead > 0, "{geometry}: some invalidations must be dead");
         assert!(hits > 0, "{geometry}: some invalidations must hit the L2");
         assert!(evictions > 10_000, "{geometry}: the L2 must evict");
+    }
+}
+
+/// The runner hands each policy's cores to its replay as their concrete
+/// type; `Policy::cores` boxes them. On the random traces above, on a
+/// geometry that nests and one that does not, every named policy gives the
+/// same statistics either way, observed or not, and a `CountingObserver`
+/// hears the same events from both.
+#[test]
+fn statically_dispatched_cores_match_boxed_ones() {
+    let [nesting, _, not_nesting, _] = configs();
+    for (geometry, cfg, _) in [nesting, not_nesting] {
+        let blocks = 3 * cfg.l2.size_bytes() / 64;
+        for case in 0..2u64 {
+            let trace = random_trace(0xB0C5 ^ case, 12_000, blocks, 2 * blocks, 0.5);
+            let sampled = SampledTrace::from_trace(&trace, ProcId(0));
+            let map = RandomCostMap::new(0.3, CostPair::ratio(8), case);
+            let filtered = FilteredTrace::new(&sampled, cfg);
+            let priced = PricedTrace::new(&filtered, &map);
+            for kind in Policy::ALL {
+                let at = format!("{geometry}, case {case}, {kind}");
+                let boxed = replay_every_event(&sampled, &map, kind, cfg, None);
+                let got = priced.run(map.pair(), kind);
+                assert_eq!((got.l1, got.l2), boxed, "unobserved: {at}");
+
+                let heard_boxed = Arc::new(CountingObserver::new());
+                let obs: SharedObserver = heard_boxed.clone();
+                let boxed_observed = replay_every_event(&sampled, &map, kind, cfg, Some(obs));
+                assert_eq!(boxed_observed, boxed, "boxed, observed: {at}");
+                let heard = Arc::new(CountingObserver::new());
+                let got = run_sampled_observed(&sampled, &map, kind, cfg, heard.clone());
+                assert_eq!((got.l1, got.l2), boxed, "observed: {at}");
+                assert_eq!(heard.counts(), heard_boxed.counts(), "events: {at}");
+                assert_eq!(heard.counts().misses, boxed.1.misses, "{at}");
+            }
+        }
     }
 }
 
@@ -198,8 +236,9 @@ fn an_aliased_directory_needs_its_dead_invalidations() {
     let with = witness(&ks, true);
     let without = witness(&ks, false);
     assert_eq!(FilteredTrace::new(&with, cfg).dead_invalidations(), 1);
-    let full =
-        |sampled: &SampledTrace, kind| replay_every_event(sampled, &BlockZeroHigh, kind, cfg).1;
+    let full = |sampled: &SampledTrace, kind| {
+        replay_every_event(sampled, &BlockZeroHigh, kind, cfg, None).1
+    };
 
     // Full tags: the dead write changes nothing but the count.
     let (dcl_with, dcl_without) = (full(&with, Policy::Dcl), full(&without, Policy::Dcl));
