@@ -136,7 +136,7 @@ pub use etd::{EtdConfig, EtdSet, EtdStats};
 pub use eviction::{EvictionPolicy, LruCore, Residents};
 pub use hw::{CostSource, HwParams, HwPolicy};
 pub use opt::{simulate_belady, OfflineStats, TraceEvent};
-pub use policy::Policy;
+pub use policy::{CoreVisitor, Policy};
 pub use rank::{GdCore, GdsfCore, LfudaCore, RankCore};
 pub use s3fifo::S3FifoCore;
 pub use slru::SlruCore;
