@@ -103,7 +103,10 @@ impl Residents for SetView<'_> {
 /// All methods except [`name`](Self::name) and [`victim`](Self::victim)
 /// have no-op defaults, so a simple core (plain LRU) implements only those.
 /// Delivering [`on_miss`](Self::on_miss) more than once for the same missing
-/// access (as a get-then-insert key-value flow does) must be harmless.
+/// access must be harmless. A key-value region delivers it once when a get
+/// misses and the insert that fills it follows with no event between; when
+/// other events come between (a look-aside fill racing other keys), the
+/// insert delivers it again.
 pub trait EvictionPolicy {
     /// A short human-readable name ("LRU", "GD", "BCL", …).
     fn name(&self) -> &'static str;

@@ -3,7 +3,11 @@
 //! `reference/region.rs` (materializes the recency order into a `SetView` on
 //! every eviction). Both drive the same cores over the same seeded streams,
 //! in lockstep; the slot filled, the entry evicted and its `reserved` flag
-//! must agree on every step, and the whole recency order at intervals. An
+//! must agree on every step, and the whole recency order at intervals. A
+//! get's miss and its fill are separate steps, often with other keys'
+//! events between them: the shipped region delivers `on_miss` once per
+//! missing access where the reference delivers it again on every insert,
+//! so agreement shows that the skipped delivery never decided anything. An
 //! eleventh core, [`Probe`], asks the three `Residents` questions with
 //! arguments no shipped core uses (bounds above the LRU entry's cost, ways
 //! it did not fill, ways past the region) and evicts by the answers.
@@ -117,6 +121,7 @@ impl_driver!(
 #[derive(Debug, PartialEq)]
 enum Outcome {
     Hit(u32),
+    Missed,
     Filled(u32, Option<(BlockAddr, bool)>),
     Removed(Option<BlockAddr>),
     Cleared(u64),
@@ -124,10 +129,10 @@ enum Outcome {
 
 #[derive(Clone, Copy, Debug)]
 enum Op {
-    /// Get, else insert at this cost (the look-aside flow: the miss is
-    /// delivered twice).
-    Access(u64, u64),
-    /// Insert or overwrite at this cost without a preceding get.
+    /// A lookup: a hit, or a miss the stream may fill later.
+    Get(u64),
+    /// Insert or overwrite at this cost: a set, or the fill of a get's
+    /// miss (the look-aside flow), right after it or steps later.
     Set(u64, u64),
     Remove(u64),
     Clear,
@@ -158,14 +163,14 @@ impl<D: Driver> Keyed<D> {
 
     fn apply(&mut self, op: Op) -> Outcome {
         match op {
-            Op::Access(key, cost) => match self.index.get(&key) {
+            Op::Get(key) => match self.index.get(&key) {
                 Some(&i) => {
                     self.region.touch(i);
                     Outcome::Hit(i)
                 }
                 None => {
                     self.region.miss(BlockAddr(key));
-                    self.fill(key, cost)
+                    Outcome::Missed
                 }
             },
             Op::Set(key, cost) => match self.index.get(&key) {
@@ -246,17 +251,33 @@ fn lockstep(policy: &str, core: Factory<'_>, capacity: usize, costs: Costs, seed
     let keys = 2 * capacity as u64 + 3;
     let steps = 1_500 + 6 * capacity;
     let mut evictions = 0;
+    // Keys whose get missed and that are not filled yet.
+    let mut unfilled: Vec<u64> = Vec::new();
     for step in 0..steps {
         let key = rng.below(keys);
-        let op = match rng.below(64) {
-            0 if rng.below(8) == 0 => Op::Clear,
-            0..=5 => Op::Remove(key),
-            // A `Set` of a resident key is a `refresh`, usually at a cost
-            // other than the one it was filled at.
-            6..=13 => Op::Set(key, costs.draw(&mut rng)),
-            _ => Op::Access(key, costs.draw(&mut rng)),
+        let op = if !unfilled.is_empty() && rng.below(2) == 0 {
+            // Usually the latest miss, on the next step or after other
+            // keys' events; sometimes an older one. A fill may find its
+            // key resident again (a racing fill) or never come at all.
+            let at = match rng.below(4) {
+                0 => rng.below(unfilled.len() as u64) as usize,
+                _ => unfilled.len() - 1,
+            };
+            Op::Set(unfilled.remove(at), costs.draw(&mut rng))
+        } else {
+            match rng.below(64) {
+                0 if rng.below(8) == 0 => Op::Clear,
+                0..=5 => Op::Remove(key),
+                // A `Set` of a resident key is a `refresh`, usually at a
+                // cost other than the one it was filled at.
+                6..=13 => Op::Set(key, costs.draw(&mut rng)),
+                _ => Op::Get(key),
+            }
         };
         let (a, b) = (frozen.apply(op), shipped.apply(op));
+        if a == Outcome::Missed {
+            unfilled.push(key);
+        }
         assert_eq!(
             a, b,
             "{policy} capacity {capacity} {costs:?} seed {seed}: step {step}, {op:?}"

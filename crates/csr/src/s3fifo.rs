@@ -155,8 +155,8 @@ impl<O: Observer> EvictionPolicy for S3FifoCore<O> {
     }
 
     fn on_miss(&mut self, block: BlockAddr, _lru: Option<(BlockAddr, Cost)>) {
-        // The ghost is consulted (and consumed) in `on_fill`, so the double
-        // miss delivery of a get-then-insert flow is harmless here.
+        // The ghost is consulted (and consumed) in `on_fill`, so a miss
+        // delivered twice for one access is harmless here.
         self.obs.on_miss(block);
     }
 

@@ -2,7 +2,7 @@
 # Runs the repo benchmark on two revisions in alternating pairs and compares
 # them metric by metric against the bounds in BENCHMARK.json.
 #
-#   scripts/pair.sh PARENT CHANGE --workload W --pairs N [--seconds S] [--cpus LIST]
+#   scripts/pair.sh PARENT CHANGE --workload W --pairs N [--seconds S] [--cpus LIST] [-- RUN_FLAGS...]
 #
 # PARENT and CHANGE are any git revisions. Each is checked out as a git
 # worktree under a scratch directory and runs its own benchmark/run.sh,
@@ -15,7 +15,8 @@
 # runs second. --seconds defaults to BENCHMARK.json's run_seconds. With
 # --cpus, both sides run under `taskset -c LIST` (kv-evict has one mode
 # with both load threads on one vCPU and another with them apart); the
-# placement is printed either way.
+# placement is printed either way. Whatever follows `--` is passed on to
+# both sides' benchmark/run.sh unchanged (`-- --seed 7` runs another seed).
 #
 # For every end-to-end metric it prints each side's median and quartiles
 # (q1/q3), the pairs the change won, the move of the median, and a verdict
@@ -26,7 +27,7 @@
 set -euo pipefail
 
 usage() {
-    echo "usage: scripts/pair.sh PARENT CHANGE --workload W --pairs N [--seconds S] [--cpus LIST]" >&2
+    echo "usage: scripts/pair.sh PARENT CHANGE --workload W --pairs N [--seconds S] [--cpus LIST] [-- RUN_FLAGS...]" >&2
     exit 2
 }
 [ $# -ge 2 ] || usage
@@ -34,7 +35,13 @@ parent_rev=$1
 change_rev=$2
 shift 2
 workload="" pairs="" seconds="" cpus=""
+extra=()
 while [ $# -gt 0 ]; do
+    if [ "$1" = -- ]; then
+        shift
+        extra=("$@")
+        break
+    fi
     [ $# -ge 2 ] || usage
     case $1 in
         --workload) workload=$2 ;;
@@ -96,7 +103,7 @@ if [ -n "$cpus" ]; then
 else
     echo "placement: free"
 fi
-echo "workload=$workload pairs=$pairs seconds=$seconds parent=${parent:0:7} change=${change:0:7}"
+echo "workload=$workload pairs=$pairs seconds=$seconds parent=${parent:0:7} change=${change:0:7}${extra[*]+ run.sh flags: ${extra[*]}}"
 
 status=0
 : > "$dir/parent.jsonl"
@@ -108,7 +115,7 @@ run() {
     (
         cd "$dir/$side"
         CARGO_TARGET_DIR=.bench_build ${pin[@]+"${pin[@]}"} \
-            bash benchmark/run.sh --workload "$workload" --seconds "$seconds"
+            bash benchmark/run.sh --workload "$workload" --seconds "$seconds" ${extra[@]+"${extra[@]}"}
     ) > "$out" 2> "$dir/$side.$i.err" || true
     if ! tail -n 1 "$out" | jq -e .correct > /dev/null 2>&1; then
         echo "pair $i: $side did not report correct: true (see $out)" >&2
