@@ -140,11 +140,6 @@ fn dcl_evictions_allocate_nothing() {
 }
 
 #[test]
-fn slru_evictions_allocate_nothing() {
-    evicting_inserts_allocate_nothing(Policy::Slru);
-}
-
-#[test]
 fn camp_evictions_allocate_nothing() {
     evicting_inserts_allocate_nothing(Policy::Camp);
 }

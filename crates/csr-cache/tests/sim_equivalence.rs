@@ -8,7 +8,7 @@
 //! observe byte-for-byte identical event streams.
 
 use cache_sim::{AccessType, BlockAddr, Cache, Cost, EvictionPolicy, Geometry, Lru};
-use csr::{AclCore, BclCore, CampCore, DclCore, GdCore, GdsfCore, LfudaCore, S3FifoCore, SlruCore};
+use csr::{AclCore, BclCore, CampCore, DclCore, GdCore, GdsfCore, S3FifoCore};
 use csr_cache::{CsrCache, Policy};
 use std::hash::{BuildHasher, Hasher};
 
@@ -155,16 +155,6 @@ fn acl_cache_matches_simulator() {
 #[test]
 fn s3fifo_cache_matches_simulator() {
     run_equivalence(Policy::S3Fifo, |g| S3FifoCore::new(g.assoc()));
-}
-
-#[test]
-fn slru_cache_matches_simulator() {
-    run_equivalence(Policy::Slru, |g| SlruCore::new(g.assoc()));
-}
-
-#[test]
-fn lfuda_cache_matches_simulator() {
-    run_equivalence(Policy::Lfuda, |g| LfudaCore::new(g.assoc()));
 }
 
 #[test]

@@ -364,6 +364,8 @@ fn unusable_daemon_flags_exit_2_naming_the_flag() {
         (&["--workers", "0"][..], "error: --workers must be positive"),
         (&["--capacity", "0"], "error: --capacity must be positive"),
         (&["--shards", "0"], "error: --shards must be positive"),
+        (&["--policy", "slru"], "error: unknown policy 'slru'"),
+        (&["--policy", "lfuda"], "error: unknown policy 'lfuda'"),
         (
             &["--trace-sample", "1"],
             "error: unknown flag '--trace-sample'",

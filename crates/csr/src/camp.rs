@@ -11,7 +11,7 @@
 //!
 //! Per block the key is `K = L + rounded(cost)`; a hit re-enqueues the
 //! block at the tail of its bucket with a fresh key, and evicting key `K`
-//! sets `L = K` (the same inflation aging as GDSF/LFUDA). A `u64` cost has 64
+//! sets `L = K` (the same inflation aging as GD and GDSF). A `u64` cost has 64
 //! power-of-two classes, so the buckets are 64 FIFO lists threaded through
 //! the region's ways (the crate's `WayLists`) beside one key per way: a hit
 //! relinks one way, a departure unlinks it, a victim scan reads 64 heads and

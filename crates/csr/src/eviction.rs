@@ -16,7 +16,7 @@
 //!   entry, the entry in a way, and Figure 1's scan are O(1), O(1) and
 //!   O(distinct costs below the bound) in `Region`, whatever the region's
 //!   size. A core that ranks by anything else ([`RankCore`](crate::RankCore)'s
-//!   priorities, the queues of S3-FIFO, SLRU and CAMP) keeps that order
+//!   priorities, the queues of S3-FIFO and CAMP) keeps that order
 //!   itself, per way. Hits and misses carry the O(1) facts a policy consumes
 //!   (block identity, way, cost, whether the block is at the LRU end; the
 //!   LRU pair on a miss).

@@ -23,17 +23,19 @@
 //! * **reservation** — [`BclCore`], [`DclCore`], [`AclCore`]: the paper's
 //!   LRU extensions, sharing Fig. 1's scan (asked of the driver) and the
 //!   `Acost` tracker;
-//! * **rank** — [`GdCore`], [`GdsfCore`], [`LfudaCore`]: one
-//!   inflation-offset [`RankCore`] with three key functions ([`rank`]);
+//! * **rank** — [`GdCore`], [`GdsfCore`]: one inflation-offset
+//!   [`RankCore`] with two key functions ([`rank`]);
 //! * **queue** — [`S3FifoCore`] (small/main/ghost FIFOs, scan-resistant),
-//!   [`SlruCore`] (probationary/protected segments), [`CampCore`]
-//!   (cost-adaptive multi-queue with rounded-cost buckets): FIFO lists
-//!   threaded through the region's ways, nothing allocated after
+//!   [`CampCore`] (cost-adaptive multi-queue with rounded-cost buckets):
+//!   FIFO lists threaded through the region's ways, nothing allocated after
 //!   construction.
 //!
-//! GDSF, LFUDA and the queue family are a **policy zoo** of modern
+//! GDSF, S3-FIFO and CAMP are what is left of a **policy zoo** of modern
 //! general-purpose cores riding on the same trait for head-to-head
-//! comparison and online selection.
+//! comparison. Each was held to a keep rule in cost units (EXPERIMENTS.md,
+//! "Negative result: the cost-blind zoo"): GDSF beats the paper's best on a
+//! cost-weighted stream; S3-FIFO and CAMP fail it and stay only as
+//! comparators an open item names. SLRU and LFUDA failed it and are gone.
 //!
 //! [`Policy`] names every core once — these, `cache_sim`'s FIFO and Random,
 //! and DCL/ACL with 4-bit aliased directory tags — and
@@ -123,7 +125,6 @@ pub mod policy;
 pub mod rank;
 mod reserve;
 pub mod s3fifo;
-pub mod slru;
 mod waylists;
 
 pub use acl::AclCore;
@@ -137,6 +138,5 @@ pub use eviction::{EvictionPolicy, LruCore, Residents};
 pub use hw::{CostSource, HwParams, HwPolicy};
 pub use opt::{simulate_belady, OfflineStats, TraceEvent};
 pub use policy::{CoreVisitor, Policy};
-pub use rank::{GdCore, GdsfCore, LfudaCore, RankCore};
+pub use rank::{GdCore, GdsfCore, RankCore};
 pub use s3fifo::S3FifoCore;
-pub use slru::SlruCore;

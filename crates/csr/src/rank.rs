@@ -1,7 +1,7 @@
-//! The GreedyDual family: one inflation-offset rank core, three key
+//! The GreedyDual family: one inflation-offset rank core, two key
 //! functions.
 //!
-//! GreedyDual, GDSF and LFUDA are the same algorithm. Every block carries a
+//! GreedyDual and GDSF are the same algorithm. Every block carries a
 //! priority `prio = L + key(freq, cost)`, stamped on fill and restamped on
 //! every hit with the region-wide inflation offset `L` of that moment; the
 //! victim is the block of least `prio` (ties toward the LRU end, the only
@@ -15,7 +15,6 @@
 //! |------|-------------------|--------|
 //! | [`GdCore`] | `cost` | paper Section 2.1; Young 1994 |
 //! | [`GdsfCore`] | `freq · cost` | Cherkasova 1998 |
-//! | [`LfudaCore`] | `freq` | Arlitt et al. 2000 |
 //!
 //! The core keeps its own recency order (a clock value per way, renewed on
 //! every fill and hit) and finds the argmin of `(prio, clock)` itself. A
@@ -41,8 +40,7 @@ use std::collections::BinaryHeap;
 /// The values of [`RankCore`]'s `KEY`, indexing [`NAMES`].
 const COST: u8 = 0;
 const FREQ_COST: u8 = 1;
-const FREQ: u8 = 2;
-const NAMES: [&str; 3] = ["GD", "GDSF", "LFUDA"];
+const NAMES: [&str; 2] = ["GD", "GDSF"];
 
 /// Regions of at most this many ways are scanned; larger ones keep the heap.
 /// The simulator holds a core per cache set, thousands of them, and what a
@@ -100,7 +98,7 @@ impl Lazy {
 }
 
 /// The inflation-offset rank core for a single replacement region of a
-/// fixed number of ways. `KEY` picks the member of the family; the three
+/// fixed number of ways. `KEY` picks the member of the family; the two
 /// aliases below are its only values.
 #[derive(Debug, Clone)]
 pub struct RankCore<const KEY: u8, O: Observer = NopObserver> {
@@ -156,18 +154,11 @@ pub type GdCore<O = NopObserver> = RankCore<COST, O>;
 /// roadmap item lands.
 pub type GdsfCore<O = NopObserver> = RankCore<FREQ_COST, O>;
 
-/// LFU with Dynamic Aging (LFUDA, Arlitt et al.): `key = freq`.
-///
-/// Pure LFU never forgets: a block that was hot last week outranks
-/// everything accessed today; the rising offset `L` fixes that.
-/// Cost-oblivious ([`GdsfCore`] is the cost-aware sibling).
-pub type LfudaCore<O = NopObserver> = RankCore<FREQ, O>;
-
 impl<const KEY: u8> RankCore<KEY> {
     /// Creates a core for a region of `ways` blockframes.
     #[must_use]
     pub fn new(ways: usize) -> Self {
-        const { assert!(KEY <= FREQ, "KEY is one of COST, FREQ_COST, FREQ") };
+        const { assert!(KEY <= FREQ_COST, "KEY is one of COST, FREQ_COST") };
         RankCore {
             ranks: vec![Rank::default(); ways],
             lazy: (ways > SCAN_WAYS).then(|| {
@@ -233,8 +224,7 @@ impl<const KEY: u8, O: Observer> RankCore<KEY, O> {
         let key = match KEY {
             COST => cost.0,
             // When sizes arrive, the division lands here.
-            FREQ_COST => freq.saturating_mul(cost.0),
-            _ => freq,
+            _ => freq.saturating_mul(cost.0),
         };
         self.clock += 1;
         let rank = &mut self.ranks[way.0];
@@ -434,57 +424,6 @@ mod tests {
             c.access(BlockAddr(0), AccessType::Read, Cost(2));
             c.access(BlockAddr(1), AccessType::Read, Cost(2));
             c.access(BlockAddr(2), AccessType::Read, Cost(2));
-            assert!(!c.contains(BlockAddr(0)));
-            assert_eq!(c.stats().non_lru_evictions, 0);
-        }
-    }
-
-    mod lfuda {
-        use super::super::*;
-        use cache_sim::{AccessType, Cache, Geometry};
-
-        /// One-set, 2-way cache for controlled scenarios.
-        fn cache2() -> Cache<LfudaCore> {
-            let geom = Geometry::new(128, 64, 2);
-            Cache::new(geom, || LfudaCore::new(geom.assoc()))
-        }
-
-        #[test]
-        fn frequency_outranks_recency() {
-            let mut c = cache2();
-            c.access(BlockAddr(0), AccessType::Read, Cost(1));
-            c.access(BlockAddr(0), AccessType::Read, Cost(1));
-            c.access(BlockAddr(0), AccessType::Read, Cost(1)); // K(0) = 3
-            c.access(BlockAddr(1), AccessType::Read, Cost(1)); // K(1) = 1, MRU
-            c.access(BlockAddr(2), AccessType::Read, Cost(1));
-            assert!(c.contains(BlockAddr(0)));
-            assert!(!c.contains(BlockAddr(1)));
-            assert_eq!(c.stats().non_lru_evictions, 1);
-        }
-
-        #[test]
-        fn aging_eventually_displaces_stale_heavyweights() {
-            let mut c = cache2();
-            for _ in 0..3 {
-                c.access(BlockAddr(0), AccessType::Read, Cost(1)); // K(0) = 3
-            }
-            // A one-touch stream: each fill enters at K = L + 1, each eviction
-            // raises L, until the newcomers match the idle heavyweight.
-            for b in 1..5u64 {
-                c.access(BlockAddr(b), AccessType::Read, Cost(1));
-            }
-            assert!(
-                !c.contains(BlockAddr(0)),
-                "the idle high-frequency block must age out"
-            );
-        }
-
-        #[test]
-        fn ties_break_toward_lru() {
-            let mut c = cache2();
-            c.access(BlockAddr(0), AccessType::Read, Cost(1));
-            c.access(BlockAddr(1), AccessType::Read, Cost(1));
-            c.access(BlockAddr(2), AccessType::Read, Cost(1));
             assert!(!c.contains(BlockAddr(0)));
             assert_eq!(c.stats().non_lru_evictions, 0);
         }

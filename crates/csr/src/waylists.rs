@@ -1,6 +1,6 @@
 //! FIFO lists threaded through a region's ways.
 //!
-//! The queue cores (S3-FIFO, SLRU, CAMP) each order the resident blocks on
+//! The queue cores (S3-FIFO, CAMP) each order the resident blocks on
 //! a few FIFO lists. A block occupies exactly one way for as long as it is
 //! resident, so the lists live where the paper keeps all replacement state —
 //! in the blockframes: one link per way (the block there, its neighbours,

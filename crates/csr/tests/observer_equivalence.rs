@@ -6,10 +6,7 @@
 //! structure counters.
 
 use cache_sim::{AccessType, BlockAddr, Cache, Cost, EvictionPolicy, Geometry, SetIndex};
-use csr::{
-    AclCore, BclCore, CampCore, DclCore, EtdSet, EtdStats, GdCore, GdsfCore, LfudaCore, S3FifoCore,
-    SlruCore,
-};
+use csr::{AclCore, BclCore, CampCore, DclCore, EtdSet, EtdStats, GdCore, GdsfCore, S3FifoCore};
 use csr_obs::{CountingObserver, DecisionEvent, EventCounts, EventTracer};
 use std::sync::Arc;
 
@@ -95,8 +92,6 @@ fn rank_and_queue_core_events_match_the_simulator() {
     let ways = geom().assoc();
     check_rank_core(|o| GdCore::new(ways).with_observer(o));
     check_rank_core(|o| S3FifoCore::new(ways).with_observer(o));
-    check_rank_core(|o| SlruCore::new(ways).with_observer(o));
-    check_rank_core(|o| LfudaCore::new(ways).with_observer(o));
     check_rank_core(|o| GdsfCore::new(ways).with_observer(o));
     check_rank_core(|o| CampCore::new(ways).with_observer(o));
 }

@@ -5,7 +5,7 @@
 //! else. Here a quarter-full 64-way set takes a million hits and a hundred
 //! thousand invalidate/refill cycles under each core.
 //!
-//! * The queue cores (S3-FIFO, SLRU, CAMP) thread their queues through the
+//! * The queue cores (S3-FIFO, CAMP) thread their queues through the
 //!   ways and size them at construction: they must not allocate at all, which
 //!   a counting wrapper around the system allocator makes a hard failure (in
 //!   an integration test because the library is `#![forbid(unsafe_code)]`).
@@ -18,10 +18,7 @@
 //!   directory, whose capacity is fixed at construction and checked here too.
 
 use cache_sim::{AccessType, BlockAddr, Cache, Cost, Geometry, SetIndex};
-use csr::{
-    AclCore, CampCore, DclCore, EvictionPolicy, GdCore, GdsfCore, LfudaCore, RankCore, S3FifoCore,
-    SlruCore,
-};
+use csr::{AclCore, CampCore, DclCore, EvictionPolicy, GdCore, GdsfCore, RankCore, S3FifoCore};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -133,13 +130,11 @@ fn allocates_nothing<C: EvictionPolicy>(core: impl FnMut() -> C) {
 fn rank_heaps_stay_bounded_without_evictions() {
     stays_bounded(|| GdCore::new(WAYS), RankCore::queued);
     stays_bounded(|| GdsfCore::new(WAYS), RankCore::queued);
-    stays_bounded(|| LfudaCore::new(WAYS), RankCore::queued);
 }
 
 #[test]
 fn fifo_and_segment_queues_allocate_nothing_without_evictions() {
     allocates_nothing(|| S3FifoCore::new(WAYS));
-    allocates_nothing(|| SlruCore::new(WAYS));
     allocates_nothing(|| CampCore::new(WAYS));
 }
 

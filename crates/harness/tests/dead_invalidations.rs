@@ -22,7 +22,7 @@ use mem_trace::rng::SplitMix64;
 use mem_trace::{ProcId, SampledKind, SampledTrace, Trace, TraceRecord};
 use std::sync::Arc;
 
-const KINDS: [Policy; 14] = [
+const KINDS: [Policy; 12] = [
     Policy::Lru,
     Policy::Fifo,
     Policy::Random,
@@ -33,8 +33,6 @@ const KINDS: [Policy; 14] = [
     Policy::Acl,
     Policy::AclAlias4,
     Policy::S3Fifo,
-    Policy::Slru,
-    Policy::Lfuda,
     Policy::Gdsf,
     Policy::Camp,
 ];

@@ -20,7 +20,7 @@ use mem_trace::criticality::CriticalityCostMap;
 use mem_trace::workloads::BarnesLike;
 use mem_trace::{SampledKind, SampledTrace, Trace, TraceCensus, Workload};
 
-const KINDS: [Policy; 14] = [
+const KINDS: [Policy; 12] = [
     Policy::Lru,
     Policy::Fifo,
     Policy::Random,
@@ -31,8 +31,6 @@ const KINDS: [Policy; 14] = [
     Policy::Acl,
     Policy::AclAlias4,
     Policy::S3Fifo,
-    Policy::Slru,
-    Policy::Lfuda,
     Policy::Gdsf,
     Policy::Camp,
 ];

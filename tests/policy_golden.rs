@@ -1,7 +1,7 @@
 //! Every policy the workspace can build, in both layers, against
 //! `golden/policies.tsv`.
 //!
-//! * Simulator: each of the fourteen experiment policies through
+//! * Simulator: each of the twelve experiment policies through
 //!   `run_sampled` on a small barnes trace (bodies 512, seed 7, processor 1)
 //!   under first-touch costs at r = 8 in the paper's basic hierarchy; the
 //!   line pins the L2's hits, misses, evictions, non-LRU evictions and
@@ -23,7 +23,7 @@ use cost_sensitive_cache::trace::workloads::BarnesLike;
 use cost_sensitive_cache::trace::{ProcId, SampledTrace, TraceCensus, Workload};
 use std::hash::{BuildHasher, Hasher};
 
-const SIM_POLICIES: [PolicyKind; 14] = [
+const SIM_POLICIES: [PolicyKind; 12] = [
     PolicyKind::Lru,
     PolicyKind::Fifo,
     PolicyKind::Random,
@@ -34,8 +34,6 @@ const SIM_POLICIES: [PolicyKind; 14] = [
     PolicyKind::Acl,
     PolicyKind::AclAlias4,
     PolicyKind::S3Fifo,
-    PolicyKind::Slru,
-    PolicyKind::Lfuda,
     PolicyKind::Gdsf,
     PolicyKind::Camp,
 ];
