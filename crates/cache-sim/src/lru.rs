@@ -35,6 +35,7 @@ impl EvictionPolicy for Lru {
         "LRU"
     }
 
+    #[inline]
     fn victim(&mut self, residents: &dyn Residents) -> Way {
         residents.lru().way
     }

@@ -262,3 +262,58 @@ fn an_aliased_directory_needs_its_dead_invalidations() {
         dcl_with
     );
 }
+
+/// Processor 0's reads of `reads`, by index into `blocks`, with processor
+/// 1's writes of `blocks[i]` after read `j` for each `(j, i)` of `writes`.
+fn script(blocks: &[u64], reads: &[usize], writes: &[(usize, usize)]) -> SampledTrace {
+    let mut t = Trace::new(2);
+    for (j, &i) in reads.iter().enumerate() {
+        t.push(TraceRecord::read(ProcId(0), Addr(blocks[i] * 64)));
+        for &(_, w) in writes.iter().filter(|&&(after, _)| after == j) {
+            t.push(TraceRecord::write(ProcId(1), Addr(blocks[w] * 64)));
+        }
+    }
+    SampledTrace::from_trace(&t, ProcId(0))
+}
+
+#[test]
+fn the_filter_pass_tells_live_from_dead_where_the_l1_cannot() {
+    let cfg = TraceSimConfig::paper_basic();
+    let costs = RandomCostMap::new(0.5, CostPair::ratio(4), 1);
+    // Blocks 0 and 64 share line 0 of the 64-line L1 and set 0 of the L2.
+    let blocks = [0, 64];
+
+    // Block 0 is read, then displaced from the L1 by block 64, then
+    // written by processor 1: it is in no L1 line but still live, and the
+    // write reaches the L2 copy, so the next read of block 0 misses.
+    let conflict = script(&blocks, &[0, 1, 0], &[(1, 0)]);
+    assert_eq!(FilteredTrace::new(&conflict, cfg).dead_invalidations(), 0);
+    let run = run_sampled(&conflict, &costs, Policy::Lru, cfg);
+    assert_eq!(
+        (run.l2.invalidations_requested, run.l2.invalidations_hit),
+        (1, 1)
+    );
+    assert_eq!(
+        (run.l1.invalidations_requested, run.l1.invalidations_hit),
+        (1, 0)
+    );
+    assert_eq!(run.l2.misses, 3);
+    let want = replay_every_event(&conflict, &costs, Policy::Lru, cfg, None);
+    assert_eq!((run.l1, run.l2), want);
+
+    // Block 0 is read, then written twice by processor 1 with no read
+    // between: the second write is dead, and both levels still count it.
+    let twice = script(&blocks, &[0, 1], &[(0, 0), (0, 0)]);
+    assert_eq!(FilteredTrace::new(&twice, cfg).dead_invalidations(), 1);
+    let run = run_sampled(&twice, &costs, Policy::Lru, cfg);
+    assert_eq!(
+        (run.l1.invalidations_requested, run.l1.invalidations_hit),
+        (2, 1)
+    );
+    assert_eq!(
+        (run.l2.invalidations_requested, run.l2.invalidations_hit),
+        (2, 1)
+    );
+    let want = replay_every_event(&twice, &costs, Policy::Lru, cfg, None);
+    assert_eq!((run.l1, run.l2), want);
+}

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Runs the repo benchmark on two revisions in alternating pairs and compares
-# them metric by metric against the bounds in BENCHMARK.json.
+# Runs the repo benchmark, or one `experiments` command, on two revisions in
+# alternating pairs and compares them metric by metric.
 #
 #   scripts/pair.sh PARENT CHANGE --workload W --pairs N [--seconds S] [--cpus LIST] [-- RUN_FLAGS...]
+#   scripts/pair.sh PARENT CHANGE --experiments "ARGS" --pairs N [--cpus LIST]
 #
 # PARENT and CHANGE are any git revisions. Each is checked out as a git
 # worktree under a scratch directory and runs its own benchmark/run.sh,
@@ -24,17 +25,26 @@
 # worse than the parent's by more than the bound (a share of the parent's
 # median). Exit status: 0, 1 on a breach or a run that was not `correct`,
 # 2 on bad usage. Needs jq.
+#
+# With --experiments, each side runs its own release build of
+# `experiments ARGS` (ARGS split on blanks, e.g. "table2 --paper-scale")
+# instead, and the metrics are its wall time and its peak RSS, the
+# process's VmHWM read from /proc/<pid>/status every 20 ms while it runs
+# (so wall times carry up to 20 ms of polling). They have no bound; the
+# verdict is on the output instead: exit 1 if any run's stdout differs
+# byte for byte from the first parent run's, or any run exits non-zero.
 set -euo pipefail
 
 usage() {
     echo "usage: scripts/pair.sh PARENT CHANGE --workload W --pairs N [--seconds S] [--cpus LIST] [-- RUN_FLAGS...]" >&2
+    echo "       scripts/pair.sh PARENT CHANGE --experiments \"ARGS\" --pairs N [--cpus LIST]" >&2
     exit 2
 }
 [ $# -ge 2 ] || usage
 parent_rev=$1
 change_rev=$2
 shift 2
-workload="" pairs="" seconds="" cpus=""
+workload="" experiments="" pairs="" seconds="" cpus=""
 extra=()
 while [ $# -gt 0 ]; do
     if [ "$1" = -- ]; then
@@ -45,6 +55,7 @@ while [ $# -gt 0 ]; do
     [ $# -ge 2 ] || usage
     case $1 in
         --workload) workload=$2 ;;
+        --experiments) experiments=$2 ;;
         --pairs) pairs=$2 ;;
         --seconds) seconds=$2 ;;
         --cpus) cpus=$2 ;;
@@ -52,7 +63,12 @@ while [ $# -gt 0 ]; do
     esac
     shift 2
 done
-[ -n "$workload" ] || usage
+# Exactly one of --workload and --experiments; the benchmark's flags go
+# with the first only.
+if [ -n "$workload" ] && [ -n "$experiments" ]; then usage; fi
+if [ -z "$workload" ] && [ -z "$experiments" ]; then usage; fi
+if [ -n "$experiments" ] && { [ -n "$seconds" ] || [ ${#extra[@]} -gt 0 ]; }; then usage; fi
+read -r -a exp_args <<<"$experiments"
 [[ $pairs =~ ^[1-9][0-9]*$ ]] || usage
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
@@ -87,15 +103,27 @@ prepare() {
     (
         cd "$dir/$side"
         export CARGO_TARGET_DIR=.bench_build
-        cargo build --release --offline --quiet -p csr-serve --bin csr-serve
-        cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+        if [ -n "$experiments" ]; then
+            cargo build --release --offline --quiet -p csr-bench --bin experiments
+        else
+            cargo build --release --offline --quiet -p csr-serve --bin csr-serve
+            cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+        fi
     ) >&2
 }
 prepare parent "$parent"
 prepare change "$change"
 
 spec="$dir/change/BENCHMARK.json"
-[ -n "$seconds" ] || seconds=$(jq -r .run_seconds "$spec")
+if [ -n "$experiments" ]; then
+    # The two metrics of an experiments run, in the shape of the spec's
+    # end-to-end list; no bound.
+    metrics='[{"name": "wall_s", "better": "lower", "bound": null},
+              {"name": "peak_rss_mb", "better": "lower", "bound": null}]'
+else
+    metrics=$(jq .end_to_end "$spec")
+    [ -n "$seconds" ] || seconds=$(jq -r .run_seconds "$spec")
+fi
 pin=()
 if [ -n "$cpus" ]; then
     pin=(taskset -c "$cpus")
@@ -103,7 +131,11 @@ if [ -n "$cpus" ]; then
 else
     echo "placement: free"
 fi
-echo "workload=$workload pairs=$pairs seconds=$seconds parent=${parent:0:7} change=${change:0:7}${extra[*]+ run.sh flags: ${extra[*]}}"
+if [ -n "$experiments" ]; then
+    echo "experiments $experiments pairs=$pairs parent=${parent:0:7} change=${change:0:7}"
+else
+    echo "workload=$workload pairs=$pairs seconds=$seconds parent=${parent:0:7} change=${change:0:7}${extra[*]+ run.sh flags: ${extra[*]}}"
+fi
 
 status=0
 : > "$dir/parent.jsonl"
@@ -123,6 +155,39 @@ run() {
     fi
     tail -n 1 "$out" | jq -c . >> "$dir/$side.jsonl" 2> /dev/null || true
 }
+# One `experiments` run of `side`: its stdout is held to the first parent
+# run's, and its wall time and peak RSS go to side.jsonl.
+run_experiments() {
+    local side=$1 i=$2 out pid line start end hwm_kb=0 code=0
+    out="$dir/$side.$i.out"
+    start=$(date +%s%N)
+    ${pin[@]+"${pin[@]}"} "$dir/$side/.bench_build/release/experiments" "${exp_args[@]}" \
+        > "$out" 2> "$dir/$side.$i.err" &
+    pid=$!
+    # A process that has exited has no VmHWM line, even before it is reaped.
+    while line=$(grep '^VmHWM:' "/proc/$pid/status" 2> /dev/null); do
+        hwm_kb=${line//[!0-9]/}
+        sleep 0.02
+    done
+    wait "$pid" || code=$?
+    end=$(date +%s%N)
+    if [ "$code" -ne 0 ]; then
+        echo "pair $i: $side exited with status $code (see $dir/$side.$i.err)" >&2
+        status=1
+    fi
+    if ! cmp -s "$out" "$dir/parent.1.out"; then
+        echo "pair $i: $side's stdout differs from the first parent run's ($out)" >&2
+        status=1
+    fi
+    jq -n -c --argjson wall "$(((end - start) / 1000000))" --argjson hwm "$hwm_kb" \
+        '{metrics: {wall_s: {value: ($wall / 1000)}, peak_rss_mb: {value: ($hwm / 1024)}}}' \
+        >> "$dir/$side.jsonl"
+}
+key=ops_per_s
+if [ -n "$experiments" ]; then
+    run() { run_experiments "$@"; }
+    key=wall_s
+fi
 for i in $(seq 1 "$pairs"); do
     if [ $((i % 2)) -eq 1 ]; then
         run parent "$i"
@@ -133,13 +198,13 @@ for i in $(seq 1 "$pairs"); do
         run parent "$i"
         order="change first"
     fi
-    echo "pair $i ($order): ops_per_s $(tail -n 1 "$dir/parent.jsonl" | jq '.metrics.ops_per_s.value') -> $(tail -n 1 "$dir/change.jsonl" | jq '.metrics.ops_per_s.value')"
+    echo "pair $i ($order): $key $(tail -n 1 "$dir/parent.jsonl" | jq ".metrics.$key.value") -> $(tail -n 1 "$dir/change.jsonl" | jq ".metrics.$key.value")"
 done
 
 jq -n -r \
     --slurpfile p "$dir/parent.jsonl" \
     --slurpfile c "$dir/change.jsonl" \
-    --slurpfile spec "$spec" '
+    --argjson metrics "$metrics" '
     # Linear interpolation between the two nearest ranks.
     def q($f): sort as $s | ($s | length) as $n | (($n - 1) * $f) as $h
         | ($h | floor) as $l
@@ -149,7 +214,7 @@ jq -n -r \
         else (3 - (fabs | log10 | floor)) as $d
             | (. * pow(10; $d) | round) / pow(10; $d) | tostring end;
     ["metric", "parent q1/med/q3", "change q1/med/q3", "won", "move", "bound", "verdict"],
-    ($spec[0].end_to_end[] as $m
+    ($metrics[] as $m
         | [$p[].metrics[$m.name].value] as $a
         | [$c[].metrics[$m.name].value] as $b
         | ($a | q(0.5)) as $am | ($b | q(0.5)) as $bm
@@ -162,8 +227,8 @@ jq -n -r \
            "\($b | q(0.25) | fmt)/\($bm | fmt)/\($b | q(0.75) | fmt)",
            "\($won)/\([$a, $b | length] | min)",
            "\(($move * 1000 | round) / 10)%",
-           "\($m.better) \($m.bound * 100)%",
-           (if -$move * $sign > $m.bound then "BREACH" else "ok" end)])
+           (if $m.bound == null then "-" else "\($m.better) \($m.bound * 100)%" end),
+           (if $m.bound == null then "-" elif -$move * $sign > $m.bound then "BREACH" else "ok" end)])
     | @tsv' | awk -F'\t' '
     { for (i = 1; i <= NF; i++) { cell[NR, i] = $i; if (length($i) > w[i]) w[i] = length($i) } }
     END { for (r = 1; r <= NR; r++) { line = ""
