@@ -28,8 +28,8 @@
 //! at the LRU end, the entry in a given way, and — Figure 1's scan — the
 //! entry closest to the LRU end, the LRU entry excepted, that costs less
 //! than a bound. Each driver answers from the order it already keeps: the
-//! `Cache` from the set's rows of its flat arrays, `Region` from one recency
-//! list per distinct cost. [`SetView`] answers by walking a slice of
+//! `Cache` from the set's row, its entries in recency order, `Region` from
+//! one recency list per distinct cost. [`SetView`] answers by walking a slice of
 //! [`WayView`]s in MRU → LRU order (the paper's `c(1)` … `c(s)`); it is the
 //! reference the drivers are tested against.
 
