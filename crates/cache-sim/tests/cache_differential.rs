@@ -1,6 +1,7 @@
-//! The shipped `Cache` (every set in two flat arrays, one core per set, its
-//! `victim` answered in place from the set's rows) against the cache it
-//! replaced, kept verbatim in `reference/cache.rs` (a `Vec<Frame>` and a
+//! The shipped `Cache` (every set one row of entries in recency order, one
+//! core per set, its `victim` answered in place from the set's row)
+//! against the per-set cache of two drivers ago, kept verbatim in
+//! `reference/cache.rs` (a `Vec<Frame>` and a
 //! `Vec<Way>` per set, promote by `retain` + `insert(0)`, each victim choice
 //! put to a `SetView` copy of the set) with the set-indexed policy trait it
 //! drove, kept verbatim in `reference/policy.rs`. [`PerSet`] adapts the
